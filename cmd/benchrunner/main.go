@@ -1,6 +1,9 @@
 // Command benchrunner regenerates every table and figure of the
 // AutoDBaaS paper's evaluation and writes the results as plain-text /
-// TSV artifacts (one file per figure) into an output directory.
+// TSV artifacts (one file per figure) into an output directory. Its
+// scenarios and tuner jobs also gate against committed baselines
+// (comparators in internal/benchgate). It measures no performance:
+// that is `go run ./bench`.
 //
 // Usage:
 //
@@ -32,21 +35,9 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "fleet-step parallelism for fleet experiments (0: GOMAXPROCS); results are identical at every level")
 	metricsOut := flag.String("metrics-out", "", "if set, dump the metrics registry per experiment (<dir>/<key>.prom)")
 	faultsProfile := flag.String("faults", "medium", "fault profile for the chaos job (zero|light|medium|heavy)")
-	ckptDir := flag.String("checkpoint-dir", "", "keep the checkpoint job's warmed-fleet snapshots in this directory")
-	ckptEvery := flag.Int("checkpoint-every", 0, "if >0, auto-checkpoint the checkpoint job's warm-up every N windows (needs -checkpoint-dir)")
-	resume := flag.Bool("resume", false, "restore the checkpoint job's fleets from -checkpoint-dir instead of re-running the warm-up")
-	shardWorker := flag.String("shard-worker", "", "internal: serve the shard RPC protocol on this address (the shards job re-execs itself with it)")
 	scenarioBaseline := flag.String("scenario-baseline", "", "gate the scenarios job's per-scenario throttle counts against this committed BENCH_scenarios.json")
 	tunerBaseline := flag.String("tuner-baseline", "", "gate the tuner job's sparse-path latency growth against this committed BENCH_tuner.json")
 	flag.Parse()
-
-	if *shardWorker != "" {
-		if err := runShardWorker(*shardWorker); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: shard worker: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
@@ -109,14 +100,8 @@ func main() {
 		{"chaos", "chaos_soak.txt", func() string {
 			return experiments.ChaosSoak(scale(20, 6), scale(24, 4), *parallelism, *seed, *faultsProfile).Render()
 		}},
-		{"hotpath", "BENCH_hotpath.json", func() string { return runHotpath(q, *seed, *parallelism) }},
 		{"tuner", "BENCH_tuner.json", func() string { return runTuner(q, *seed, *tunerBaseline) }},
-		{"checkpoint", "BENCH_checkpoint.json", func() string {
-			return runCheckpointBench(q, *seed, *parallelism, *ckptDir, *ckptEvery, *resume)
-		}},
-		{"fleet", "BENCH_fleet.json", func() string { return runFleetScaling(q, *seed, *parallelism) }},
 		{"scenarios", "BENCH_scenarios.json", func() string { return runScenarios(*out, *scenarioBaseline) }},
-		{"shards", "BENCH_shards.json", func() string { return runShardScaling(q, *seed) }},
 		{"ablations", "ablations.txt", func() string {
 			out := experiments.AblationEntropyFilter([]int{2, 4, 8, 16, 64}, scale(30, 10), *seed).Render()
 			out += "\n" + experiments.AblationWorkloadMapping(*seed).Render()

@@ -7,63 +7,23 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
+	"autodbaas/internal/benchgate"
 	"autodbaas/internal/scenario"
 	"autodbaas/scenarios"
 )
 
-// scenarioRow is one library scenario's summary in
-// BENCH_scenarios.json — the regression baseline CI diffs against.
-type scenarioRow struct {
-	Name             string  `json:"name"`
-	Seed             int64   `json:"seed"`
-	Windows          int     `json:"windows"`
-	Throttles        int     `json:"throttles"`
-	SLOViolations    int     `json:"slo_violations"`
-	Retries          int     `json:"retries"`
-	Escalations      int     `json:"escalations"`
-	Provisions       int     `json:"provisions"`
-	Deprovisions     int     `json:"deprovisions"`
-	Resizes          int     `json:"resizes"`
-	PeakInstances    int     `json:"peak_instances"`
-	MeanProvLatWin   float64 `json:"mean_provision_latency_windows"`
-	Fingerprint      string  `json:"fingerprint"`
-	WallMilliseconds int64   `json:"wall_ms"`
-
-	// Safe-tuning gate totals; only the +safe row populates them, so
-	// every ungated row stays byte-identical to its pre-gate baseline.
-	SafetyVetoes     int `json:"safety_vetoes,omitempty"`
-	SafetyCanaryRuns int `json:"safety_canary_runs,omitempty"`
-	SafetyRollbacks  int `json:"safety_rollbacks,omitempty"`
-	SafetyRegressing int `json:"safety_regressing_applies,omitempty"`
-}
-
+// scenarioBench is BENCH_scenarios.json — the regression baseline CI
+// diffs against.
 type scenarioBench struct {
-	Note      string        `json:"note"`
-	Scenarios []scenarioRow `json:"scenarios"`
+	Note      string                  `json:"note"`
+	Scenarios []benchgate.ScenarioRow `json:"scenarios"`
 }
 
 // scenarioParallelism pins the layout the sweep runs at. The timeline
 // is identical at every parallelism (the determinism suite holds that
 // contract), so this only affects wall time.
 const scenarioParallelism = 4
-
-// warmColdScenario is replayed twice — cold (library default) and with
-// fleet warm starts on — so the throttle gap between the two rows pins
-// the warm-start win in the committed baseline.
-const (
-	warmColdScenario = "cold-start-wave"
-	warmRowSuffix    = "+warm"
-)
-
-// safetyScenario is replayed twice — ungated (library default) and with
-// the safe-tuning gate armed — so the committed baseline pins both the
-// gate's zero-regression guarantee and its throttle cost.
-const (
-	safetyScenario  = "tuning-regression"
-	safetyRowSuffix = "+safe"
-)
 
 // runScenarioSweep replays every library scenario flat, writes one
 // timeline CSV per scenario into outDir, and returns the
@@ -87,7 +47,6 @@ func runScenarioSweep(outDir string) (string, *scenarioBench, error) {
 		if err != nil {
 			return fmt.Errorf("%s: %w", rowName, err)
 		}
-		start := time.Now()
 		r, err := scenario.NewRunner(plan, cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", rowName, err)
@@ -111,7 +70,7 @@ func runScenarioSweep(outDir string) (string, *scenarioBench, error) {
 			return err
 		}
 
-		bench.Scenarios = append(bench.Scenarios, scenarioRow{
+		bench.Scenarios = append(bench.Scenarios, benchgate.ScenarioRow{
 			Name:             rowName,
 			Seed:             res.Seed,
 			Windows:          res.Windows,
@@ -125,7 +84,6 @@ func runScenarioSweep(outDir string) (string, *scenarioBench, error) {
 			PeakInstances:    res.PeakInstances,
 			MeanProvLatWin:   res.MeanProvisionLatency(),
 			Fingerprint:      res.Fingerprint,
-			WallMilliseconds: time.Since(start).Milliseconds(),
 			SafetyVetoes:     res.SafetyVetoes,
 			SafetyCanaryRuns: res.SafetyCanaryRuns,
 			SafetyRollbacks:  res.SafetyRollbacks,
@@ -138,13 +96,13 @@ func runScenarioSweep(outDir string) (string, *scenarioBench, error) {
 		if err := runOne(name, name, scenario.RunConfig{Parallelism: scenarioParallelism}); err != nil {
 			return "", nil, err
 		}
-		if name == warmColdScenario {
-			if err := runOne(name, name+warmRowSuffix, scenario.RunConfig{Parallelism: scenarioParallelism, WarmStart: true}); err != nil {
+		if name == benchgate.WarmColdScenario {
+			if err := runOne(name, name+benchgate.WarmRowSuffix, scenario.RunConfig{Parallelism: scenarioParallelism, WarmStart: true}); err != nil {
 				return "", nil, err
 			}
 		}
-		if name == safetyScenario {
-			if err := runOne(name, name+safetyRowSuffix, scenario.RunConfig{Parallelism: scenarioParallelism, Safety: true}); err != nil {
+		if name == benchgate.SafetyScenario {
+			if err := runOne(name, name+benchgate.SafetyRowSuffix, scenario.RunConfig{Parallelism: scenarioParallelism, Safety: true}); err != nil {
 				return "", nil, err
 			}
 		}
@@ -158,9 +116,9 @@ func runScenarioSweep(outDir string) (string, *scenarioBench, error) {
 }
 
 // runScenarios is the benchrunner job body: sweep the library and, if
-// a baseline is given, gate per-scenario throttle counts against it.
-// A regression writes the fresh results next to the CSVs and exits
-// non-zero so CI fails with the update path in hand.
+// a baseline is given, gate it with benchgate.Scenarios. A violation
+// writes the fresh results next to the CSVs and exits non-zero so CI
+// fails with the update path in hand.
 func runScenarios(outDir, baselinePath string) string {
 	text, bench, err := runScenarioSweep(outDir)
 	if err != nil {
@@ -170,19 +128,23 @@ func runScenarios(outDir, baselinePath string) string {
 	if baselinePath == "" {
 		return text
 	}
-	regressions, err := gateThrottles(bench, baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchrunner: scenarios: %v\n", err)
+	var base scenarioBench
+	if err := readJSON(baselinePath, &base); err != nil {
+		fmt.Fprintf(os.Stderr, "benchrunner: scenarios: baseline: %v\n", err)
 		os.Exit(1)
 	}
-	if len(regressions) > 0 {
+	violations, notes := benchgate.Scenarios(base.Scenarios, bench.Scenarios)
+	for _, n := range notes {
+		fmt.Printf("  note: %s\n", n)
+	}
+	if len(violations) > 0 {
 		// Persist the fresh sweep so updating the baseline after an
 		// accepted regression is one copy, then fail the job.
 		fresh := filepath.Join(outDir, "BENCH_scenarios.json")
 		_ = os.WriteFile(fresh, []byte(text), 0o644)
 		fmt.Fprintf(os.Stderr, "\nthrottle regression gate FAILED against %s:\n", baselinePath)
-		for _, r := range regressions {
-			fmt.Fprintf(os.Stderr, "  %s\n", r)
+		for _, v := range violations {
+			fmt.Fprintf(os.Stderr, "  %s\n", v)
 		}
 		fmt.Fprintf(os.Stderr, "\nif the increase is intended, update the baseline:\n  cp %s BENCH_scenarios.json\nand justify it in the PR (see DESIGN.md \"Scenario DSL\" → throttle gate)\n", fresh)
 		os.Exit(1)
@@ -191,67 +153,14 @@ func runScenarios(outDir, baselinePath string) string {
 	return text
 }
 
-// gateThrottles compares per-scenario throttle counts against the
-// committed baseline. Any increase is a regression; decreases are
-// reported as drift but pass (ratcheting down requires a deliberate
-// baseline update). Scenarios missing from the baseline fail too —
-// new scenarios must land with their baseline entry.
-func gateThrottles(bench *scenarioBench, baselinePath string) ([]string, error) {
-	raw, err := os.ReadFile(baselinePath)
+// readJSON decodes one committed baseline file.
+func readJSON(path string, v any) error {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("read baseline: %w", err)
+		return err
 	}
-	var base scenarioBench
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return nil, fmt.Errorf("parse baseline %s: %w", baselinePath, err)
+	if err := json.Unmarshal(raw, v); err != nil {
+		return fmt.Errorf("parse %s: %w", path, err)
 	}
-	baseBy := map[string]scenarioRow{}
-	for _, r := range base.Scenarios {
-		baseBy[r.Name] = r
-	}
-	var regressions []string
-	freshBy := map[string]scenarioRow{}
-	for _, r := range bench.Scenarios {
-		freshBy[r.Name] = r
-		b, ok := baseBy[r.Name]
-		if !ok {
-			regressions = append(regressions, fmt.Sprintf("%s: not in baseline (add it via the update flow)", r.Name))
-			continue
-		}
-		switch {
-		case r.Throttles > b.Throttles:
-			regressions = append(regressions, fmt.Sprintf("%s: throttles %d → %d (+%d)", r.Name, b.Throttles, r.Throttles, r.Throttles-b.Throttles))
-		case r.Throttles < b.Throttles:
-			fmt.Printf("  note: %s improved, throttles %d → %d (baseline can be ratcheted down)\n", r.Name, b.Throttles, r.Throttles)
-		}
-	}
-	// Warm-start efficacy gate: the warm replay of the cold-start wave
-	// must throttle strictly less than the cold replay, or the
-	// warm-start path has stopped helping.
-	if cold, ok := freshBy[warmColdScenario]; ok {
-		if warm, ok := freshBy[warmColdScenario+warmRowSuffix]; ok && warm.Throttles >= cold.Throttles {
-			regressions = append(regressions, fmt.Sprintf("%s: warm replay throttled %d, not strictly below the cold replay's %d — warm starts no longer pay off", warmColdScenario+warmRowSuffix, warm.Throttles, cold.Throttles))
-		}
-	}
-	// Safety efficacy gate: the gated replay of the tuning-regression
-	// campaign must be engaged (canaries ran) and must report zero
-	// regressing applies. Its throttle count is ratcheted by the
-	// per-row baseline above like any other scenario; the twin check
-	// here only catches the pathological case of the gate vetoing so
-	// much that protection overhead becomes runaway (>50% + slack over
-	// the ungated twin).
-	if ungated, ok := freshBy[safetyScenario]; ok {
-		if safe, ok := freshBy[safetyScenario+safetyRowSuffix]; ok {
-			if safe.SafetyCanaryRuns == 0 {
-				regressions = append(regressions, fmt.Sprintf("%s: the gate never ran a canary — not engaged", safetyScenario+safetyRowSuffix))
-			}
-			if safe.SafetyRegressing != 0 {
-				regressions = append(regressions, fmt.Sprintf("%s: safety_regressing_applies = %d, want 0 — an admitted config regressed a live instance", safetyScenario+safetyRowSuffix, safe.SafetyRegressing))
-			}
-			if limit := ungated.Throttles*3/2 + 5; safe.Throttles > limit {
-				regressions = append(regressions, fmt.Sprintf("%s: gated replay throttled %d, above %d (ungated %d + 50%% + 5) — the gate is vetoing good configs wholesale", safetyScenario+safetyRowSuffix, safe.Throttles, limit, ungated.Throttles))
-			}
-		}
-	}
-	return regressions, nil
+	return nil
 }

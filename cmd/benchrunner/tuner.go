@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"autodbaas/internal/benchgate"
 	"autodbaas/internal/gp"
 )
 
@@ -29,32 +30,22 @@ type tunerPoint struct {
 	RecNs int64 `json:"rec_ns"`
 }
 
-// tunerGrowth pins the sparse path's scaling contract in the artifact.
-type tunerGrowth struct {
-	FromN         int     `json:"from_n"`
-	ToN           int     `json:"to_n"`
-	HistoryGrowth float64 `json:"history_growth"`
-	RecRatio      float64 `json:"rec_latency_ratio"`
-	MaxRatio      float64 `json:"max_ratio"`
-}
-
 type tunerBench struct {
-	Note            string       `json:"note"`
-	Quick           bool         `json:"quick"`
-	Dim             int          `json:"dim"`
-	InducingPoints  int          `json:"inducing_points"`
-	SparseThreshold int          `json:"sparse_threshold"`
-	Exact           []tunerPoint `json:"exact"`
-	Sparse          []tunerPoint `json:"sparse"`
-	SparseRecGrowth tunerGrowth  `json:"sparse_rec_growth"`
+	Note            string                `json:"note"`
+	Quick           bool                  `json:"quick"`
+	Dim             int                   `json:"dim"`
+	InducingPoints  int                   `json:"inducing_points"`
+	SparseThreshold int                   `json:"sparse_threshold"`
+	Exact           []tunerPoint          `json:"exact"`
+	Sparse          []tunerPoint          `json:"sparse"`
+	SparseRecGrowth benchgate.TunerGrowth `json:"sparse_rec_growth"`
 }
 
 const (
-	tunerDim            = 10
-	tunerInducing       = 64
-	tunerThreshold      = 512
-	maxSparseRecGrowth  = 2.0
-	baselineGrowthSlack = 1.5 // fresh ratio may exceed the committed one by at most this factor
+	tunerDim           = 10
+	tunerInducing      = 64
+	tunerThreshold     = 512
+	maxSparseRecGrowth = 2.0
 )
 
 // tunerSizes returns the history sweep. Exact sizes stop where O(n³)
@@ -149,7 +140,7 @@ func runTuner(quick bool, seed int64, baselinePath string) string {
 	bench.Sparse = measureTunerPath(sparseSizes, true, seed)
 
 	first, last := bench.Sparse[0], bench.Sparse[len(bench.Sparse)-1]
-	bench.SparseRecGrowth = tunerGrowth{
+	bench.SparseRecGrowth = benchgate.TunerGrowth{
 		FromN:         first.N,
 		ToN:           last.N,
 		HistoryGrowth: float64(last.N) / float64(first.N),
@@ -167,28 +158,23 @@ func runTuner(quick bool, seed int64, baselinePath string) string {
 	text := string(b) + "\n"
 
 	g := bench.SparseRecGrowth
-	if g.RecRatio > g.MaxRatio {
-		fmt.Fprintf(os.Stderr, "benchrunner: tuner: sparse rec latency grew %.2f× from n=%d to n=%d (history %.0f×); contract is ≤%.1f×\n",
-			g.RecRatio, g.FromN, g.ToN, g.HistoryGrowth, g.MaxRatio)
+	var base *benchgate.TunerGrowth
+	if baselinePath != "" {
+		var b tunerBench
+		if err := readJSON(baselinePath, &b); err != nil {
+			fmt.Fprintf(os.Stderr, "benchrunner: tuner: baseline: %v\n", err)
+			os.Exit(1)
+		}
+		base = &b.SparseRecGrowth
+	}
+	if violations := benchgate.SparseGrowth(base, g); len(violations) > 0 {
+		for _, v := range violations {
+			fmt.Fprintf(os.Stderr, "benchrunner: tuner: %s\n", v)
+		}
 		os.Exit(1)
 	}
-	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: tuner: read baseline: %v\n", err)
-			os.Exit(1)
-		}
-		var base tunerBench
-		if err := json.Unmarshal(raw, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: tuner: parse baseline %s: %v\n", baselinePath, err)
-			os.Exit(1)
-		}
-		if br := base.SparseRecGrowth.RecRatio; br > 0 && g.RecRatio > br*baselineGrowthSlack {
-			fmt.Fprintf(os.Stderr, "benchrunner: tuner: sparse rec growth ratio %.2f exceeds committed %.2f by more than %.1fx — sparse path regressed vs %s\n",
-				g.RecRatio, br, baselineGrowthSlack, baselinePath)
-			os.Exit(1)
-		}
-		fmt.Printf("  sparse gate OK: rec ratio %.2f ≤ %.1f (baseline %.2f)\n", g.RecRatio, g.MaxRatio, base.SparseRecGrowth.RecRatio)
+	if base != nil {
+		fmt.Printf("  sparse gate OK: rec ratio %.2f ≤ %.1f (baseline %.2f in %s)\n", g.RecRatio, g.MaxRatio, base.RecRatio, baselinePath)
 	} else {
 		fmt.Printf("  sparse gate OK: rec ratio %.2f ≤ %.1f\n", g.RecRatio, g.MaxRatio)
 	}

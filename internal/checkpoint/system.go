@@ -364,19 +364,12 @@ func Write(w io.Writer, sys System) error {
 		man.Tuners = append(man.Tuners, t.Name())
 	}
 	for _, fm := range sys.Fleet {
-		man.Instances = append(man.Instances, instanceMeta(fm))
-		inst := fm.Agent.Instance()
-		payload := instancePayload{Agent: fm.Agent.CheckpointState()}
-		payload.Nodes = append(payload.Nodes, inst.Replica.Master().CheckpointState())
-		for _, sl := range inst.Replica.Slaves() {
-			payload.Nodes = append(payload.Nodes, sl.CheckpointState())
-		}
-		if fm.Monitor != nil {
-			payload.Monitor = fm.Monitor.CheckpointState()
-		}
-		if err := addJSON(secInstPrefix+fm.ID, payload); err != nil {
+		raw, meta, err := EncodeInstance(fm)
+		if err != nil {
 			return err
 		}
+		man.Instances = append(man.Instances, meta)
+		add(secInstPrefix+fm.ID, raw)
 	}
 
 	n, err := writeContainer(w, man, sections)

@@ -175,23 +175,8 @@ func (s *System) CheckpointNow(dir string) (string, error) {
 	s.mu.Lock()
 	window := s.windows
 	s.mu.Unlock()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, fmt.Sprintf("checkpoint-%06d.ckpt", window))
-	if err := s.writeSnapshotFile(path); err != nil {
-		return "", err
-	}
-	latest := filepath.Join(dir, "latest.ckpt")
-	tmp := latest + ".tmp"
-	data, err := os.ReadFile(path)
+	path, err := checkpoint.SaveFile(dir, window, s.Checkpoint)
 	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp, latest); err != nil {
 		return "", err
 	}
 	s.mu.Lock()
@@ -199,27 +184,6 @@ func (s *System) CheckpointNow(dir string) (string, error) {
 	s.ckptLastWindow = window
 	s.mu.Unlock()
 	return path, nil
-}
-
-// writeSnapshotFile writes one snapshot atomically (temp file + rename)
-// so a crash mid-write never leaves a half-valid checkpoint under the
-// final name — the corruption tests cover the torn-file case anyway.
-func (s *System) writeSnapshotFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := s.Checkpoint(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // maybeAutoCheckpoint runs at the end of Step, after the window counter

@@ -5,19 +5,17 @@ import (
 	"testing"
 
 	"autodbaas/internal/faults"
-	"autodbaas/internal/simdb"
 	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/tuner/bo"
 )
 
 // setHotPathCaches flips every hot-path cache introduced by the perf
-// pass (SQL template memoisation, engine plan cache, incremental GPR
-// refits) and returns the previous settings.
-func setHotPathCaches(on bool) (tpl, plan, inc bool) {
+// pass (SQL template memoisation, incremental GPR refits) and returns
+// the previous settings.
+func setHotPathCaches(on bool) (tpl, inc bool) {
 	tpl = sqlparse.SetTemplateCacheEnabled(on)
-	plan = simdb.SetPlanCacheEnabled(on)
 	inc = bo.SetIncrementalFit(on)
-	return tpl, plan, inc
+	return tpl, inc
 }
 
 // TestHotPathCachesAreTransparent is the acceptance criterion of the
@@ -31,10 +29,9 @@ func TestHotPathCachesAreTransparent(t *testing.T) {
 		t.Skip("fleet sweep")
 	}
 	run := func(cached bool, par int, withFaults bool) (fleetFingerprint, map[string]int64) {
-		tpl, plan, inc := setHotPathCaches(cached)
+		tpl, inc := setHotPathCaches(cached)
 		defer func() {
 			sqlparse.SetTemplateCacheEnabled(tpl)
-			simdb.SetPlanCacheEnabled(plan)
 			bo.SetIncrementalFit(inc)
 		}()
 		sqlparse.ResetTemplateCache()

@@ -3,11 +3,10 @@ package fleet
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
+	"autodbaas/internal/checkpoint"
 	"autodbaas/internal/core"
 	"autodbaas/internal/safety"
 	"autodbaas/internal/shard"
@@ -182,35 +181,10 @@ func (e *shardedEngine) SafetyStatus(string) (safety.Status, bool) { return safe
 
 func (e *shardedEngine) Rebalance(id, toShard string) error { return e.coord.Rebalance(id, toShard) }
 
-// CheckpointTo mirrors core.System.CheckpointNow's file layout:
-// dir/checkpoint-<window>.ckpt plus an atomically refreshed
-// dir/latest.ckpt.
+// CheckpointTo saves through checkpoint.SaveFile like
+// core.System.CheckpointNow, so both engines share one file layout.
 func (e *shardedEngine) CheckpointTo(dir string) (string, error) {
-	window := e.coord.Window()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	var buf bytes.Buffer
-	if err := e.coord.Checkpoint(&buf); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, fmt.Sprintf("checkpoint-%06d.ckpt", window))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return "", err
-	}
-	latest := filepath.Join(dir, "latest.ckpt")
-	tmp = latest + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp, latest); err != nil {
-		return "", err
-	}
-	return path, nil
+	return checkpoint.SaveFile(dir, e.coord.Window(), e.coord.Checkpoint)
 }
 
 func (e *shardedEngine) SetAutoCheckpoint(dir string, everyN int) {

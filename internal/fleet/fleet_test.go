@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -311,6 +314,7 @@ func TestKillRestoreMidChurn(t *testing.T) {
 			crash.SetAutoCheckpoint(dir, 3)
 			runChurn(t, crash, churnSchedule(), killAt)
 			// The process dies here; crash is abandoned un-drained.
+			checkSnapshotDir(t, dir, "checkpoint-000012.ckpt")
 
 			svc := newTestService(t, 4, inj())
 			if err := svc.RestoreLatest(dir); err != nil {
@@ -324,6 +328,26 @@ func TestKillRestoreMidChurn(t *testing.T) {
 				t.Fatalf("restored run diverged:\n base %+v\n got %+v", base, got)
 			}
 		})
+	}
+}
+
+// checkSnapshotDir asserts the layout both engines save: latest.ckpt
+// carries the newest snapshot's bytes and no temp file is left behind.
+func checkSnapshotDir(t *testing.T, dir, newest string) {
+	t.Helper()
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+		t.Errorf("temp files left in the snapshot dir: %v", tmps)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, newest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "latest.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Errorf("latest.ckpt does not carry %s's bytes", newest)
 	}
 }
 

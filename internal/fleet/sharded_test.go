@@ -113,6 +113,7 @@ func TestShardedKillRestoreMidChurn(t *testing.T) {
 			crash.SetAutoCheckpoint(dir, 3)
 			runChurn(t, crash, churnSchedule(), killAt)
 			// The process dies here; crash is abandoned un-drained.
+			checkSnapshotDir(t, dir, "checkpoint-000012.ckpt")
 
 			svc := newShardedService(t, faulted)
 			if err := svc.RestoreLatest(dir); err != nil {

@@ -1,8 +1,8 @@
 package obs
 
 // CacheMetrics is the standard hit/miss/evict counter family every
-// hot-path cache in the system exports (simdb plan cache, sqlparse
-// template cache, the BO tuner's incremental GP refits). Keeping the
+// hot-path cache in the system exports (sqlparse template cache, the BO
+// tuner's incremental GP refits). Keeping the
 // family shape in one place guarantees the exposition is uniform:
 //
 //	autodbaas_cache_hits_total{cache="..."}

@@ -10,11 +10,10 @@ import (
 )
 
 // EngineState is the serializable mutable state of one Engine — every
-// field the simulation's determinism depends on. Hot-path caches
-// (flattened knobs, plan cache, window scratch) are deliberately
-// absent: they are exact memoisations of pure functions (proved by the
-// cache-equivalence tests), so a restored engine rebuilds them lazily
-// with identical results. Construction parameters (catalogues,
+// field the simulation's determinism depends on. The flattened knob
+// memo and the window scratch are deliberately absent: the memo is an
+// exact copy of map reads, so a restored engine rebuilds it lazily with
+// identical results. Construction parameters (catalogues,
 // resources, DB size) are likewise absent: restore targets an engine
 // rebuilt with the same Options.
 type EngineState struct {
@@ -146,8 +145,7 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	}
 	e.cfgEpoch = st.CfgEpoch
 	e.rngSrc.Restore(st.RNG)
-	// Drop memoisations tied to the pre-restore configuration.
+	// Drop the memo tied to the pre-restore configuration.
 	e.fkValid = false
-	e.planCache = nil
 	return nil
 }

@@ -128,14 +128,12 @@ type Engine struct {
 	// profiles caches per-template execution statistics for ExplainSQL.
 	profiles map[string]workload.Query
 
-	// Hot-path caches (see hotpath.go). cfgEpoch advances whenever cfg
-	// changes; fk is the flattened knob view valid for fkEpoch, and
-	// planCache memoises planWith per (template, epoch, profile).
-	cfgEpoch  uint64
-	fk        flatKnobs
-	fkEpoch   uint64
-	fkValid   bool
-	planCache map[string]planEntry
+	// Flattened knob memo (see hotpath.go). cfgEpoch advances whenever
+	// cfg changes; fk is the flattened knob view valid for fkEpoch.
+	cfgEpoch uint64
+	fk       flatKnobs
+	fkEpoch  uint64
+	fkValid  bool
 	// Reused window scratch (guarded by mu).
 	sampleBuf []workload.Query
 	timesBuf  []float64

@@ -69,7 +69,7 @@ func (e *Engine) ExplainSQL(sql string) (Plan, bool) {
 		e.mu.Unlock()
 		return Plan{}, false
 	}
-	p := e.planCachedLocked(e.flatLocked(), q)
+	p := e.planWith(e.flatLocked(), q)
 	e.mu.Unlock()
 	return p, true
 }

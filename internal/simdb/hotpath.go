@@ -1,22 +1,13 @@
 package simdb
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"autodbaas/internal/knobs"
-	"autodbaas/internal/obs"
-	"autodbaas/internal/sqlparse"
-	"autodbaas/internal/workload"
-)
+import "autodbaas/internal/knobs"
 
 // This file holds the engine's hot-path machinery: the flattened knob
 // view read once per window instead of per-query map lookups, and the
-// template-keyed plan cache. Both are pure memoisations — every cached
-// value is exactly what the uncached computation would produce — so
-// they cannot change simulation results, only their cost. The
-// cache-equivalence tests in hotpath_test.go and internal/core pin that
-// property bit-for-bit.
+// selection that replaces the window P99's full sort. The flattened
+// view is a pure memoisation — every field is exactly what the map read
+// would produce — so it cannot change simulation results, only their
+// cost.
 
 // flatKnobs is the per-epoch flattened view of every knob the planner,
 // pricing and background-process code read on the per-query/per-window
@@ -116,77 +107,9 @@ func (e *Engine) overlayLocked(override knobs.Config) (flatKnobs, knobs.Config) 
 	return e.newFlatKnobs(cfg), cfg
 }
 
-// bumpEpochLocked invalidates every epoch-scoped cache (flattened knobs,
-// plan cache entries). Called whenever e.cfg changes.
+// bumpEpochLocked invalidates the flattened knob view. Called whenever
+// e.cfg changes.
 func (e *Engine) bumpEpochLocked() { e.cfgEpoch++ }
-
-// maxPlanEntries bounds the plan cache; on overflow the whole map is
-// reset (deterministic, and cheaper than tracking recency — templates
-// per workload number in the dozens, so resets are epoch-change events
-// in practice, not steady-state behaviour).
-const maxPlanEntries = 4096
-
-// planEntry memoises planWith for one (template, epoch) pair. The
-// profile is stored because generators jitter per-sample resource
-// demands: a hit requires the profile to match exactly, making the
-// cache a pure memoisation of planWith's inputs.
-type planEntry struct {
-	epoch   uint64
-	class   sqlparse.Class
-	profile workload.Profile
-	plan    Plan
-}
-
-var planCacheOn atomic.Bool
-
-func init() { planCacheOn.Store(true) }
-
-// SetPlanCacheEnabled toggles the engine plan cache (all engines in the
-// process) and returns the previous setting. The cache is a pure
-// memoisation; disabling it changes performance, never results — the
-// equivalence tests run both ways and compare fingerprints.
-func SetPlanCacheEnabled(on bool) bool { return planCacheOn.Swap(on) }
-
-var (
-	planMetricsOnce sync.Once
-	planMetrics     obs.CacheMetrics
-)
-
-func planCacheMetrics() obs.CacheMetrics {
-	planMetricsOnce.Do(func() { planMetrics = obs.Cache("simdb_plan") })
-	return planMetrics
-}
-
-// PlanCacheMetrics exposes the process-wide plan-cache hit/miss/evict
-// counters (registered as autodbaas_cache_* with cache="simdb_plan").
-func PlanCacheMetrics() obs.CacheMetrics { return planCacheMetrics() }
-
-// planCachedLocked returns planWith(fk, q), memoised by the query's
-// pre-computed template ID under the current config epoch. Queries
-// without a template (hand-built in tests, or probes priced from
-// remembered statistics) fall through to a direct computation.
-func (e *Engine) planCachedLocked(fk *flatKnobs, q workload.Query) Plan {
-	id := q.Template.ID
-	if id == "" || !planCacheOn.Load() {
-		return e.planWith(fk, q)
-	}
-	m := planCacheMetrics()
-	if ent, ok := e.planCache[id]; ok &&
-		ent.epoch == e.cfgEpoch && ent.class == q.Class && ent.profile == q.Profile {
-		m.Hits.Inc()
-		return ent.plan
-	}
-	m.Misses.Inc()
-	plan := e.planWith(fk, q)
-	if e.planCache == nil {
-		e.planCache = make(map[string]planEntry, 256)
-	} else if len(e.planCache) >= maxPlanEntries {
-		m.Evictions.Add(float64(len(e.planCache)))
-		clear(e.planCache)
-	}
-	e.planCache[id] = planEntry{epoch: e.cfgEpoch, class: q.Class, profile: q.Profile, plan: plan}
-	return plan
-}
 
 // selectKth rearranges xs so that xs[k] holds the k-th order statistic
 // (the value sort.Float64s would leave at index k) and returns it, in

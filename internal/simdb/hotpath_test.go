@@ -1,178 +1,15 @@
 package simdb
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 	"time"
 
 	"autodbaas/internal/knobs"
-	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/workload"
 )
-
-// windowRun drives an engine through a scripted sequence of windows,
-// config applies and a restart, returning everything the determinism
-// guarantee covers.
-type windowRun struct {
-	Stats    []WindowStats
-	Counters []map[string]float64
-	Config   knobs.Config
-	Plans    []Plan
-}
-
-func driveEngine(t *testing.T, eng knobs.Engine, gen workload.Generator, probe workload.Query) windowRun {
-	t.Helper()
-	e, err := NewEngine(Options{
-		Engine:      eng,
-		Resources:   Resources{MemoryBytes: 8 * 1024 * 1024 * 1024, VCPU: 2, DiskIOPS: 3000, DiskSSD: true},
-		DBSizeBytes: gen.DBSizeBytes(),
-		Seed:        42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var run windowRun
-	step := func(n int) {
-		for i := 0; i < n; i++ {
-			st, err := e.RunWindow(gen, 5*time.Minute)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run.Stats = append(run.Stats, st)
-			run.Plans = append(run.Plans, e.Explain(probe))
-		}
-		run.Counters = append(run.Counters, e.Counters())
-	}
-	step(6)
-	// Mid-run reload: epoch must move, plans must re-derive.
-	var reload knobs.Config
-	if eng == knobs.MySQL {
-		reload = knobs.Config{"sort_buffer_size": 8 * 1024 * 1024, "innodb_io_capacity": 400}
-	} else {
-		reload = knobs.Config{"work_mem": 16 * 1024 * 1024, "random_page_cost": 1.1}
-	}
-	if err := e.ApplyConfig(reload, ApplyReload); err != nil {
-		t.Fatal(err)
-	}
-	step(6)
-	if err := e.Restart(); err != nil {
-		t.Fatal(err)
-	}
-	step(6)
-	run.Config = e.Config()
-	return run
-}
-
-// TestPlanCacheTransparentOverWindows: an engine run with the plan
-// cache on is bit-for-bit identical to the same run with it off —
-// across config reloads and a restart, for both engine flavours and
-// for a trace-replay workload (whose queries carry stable profiles and
-// therefore hit the cache constantly).
-func TestPlanCacheTransparentOverWindows(t *testing.T) {
-	probe := workload.Window(workload.NewTPCC(4*workload.GiB, 500), rand.New(rand.NewSource(1)), 1)[0]
-	cases := []struct {
-		name string
-		eng  knobs.Engine
-		gen  func() workload.Generator
-	}{
-		{"postgres/tpcc", knobs.Postgres, func() workload.Generator { return workload.NewTPCC(4*workload.GiB, 500) }},
-		{"mysql/ycsb", knobs.MySQL, func() workload.Generator { return workload.NewYCSB(4*workload.GiB, 800) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			prev := SetPlanCacheEnabled(true)
-			cached := driveEngine(t, tc.eng, tc.gen(), probe)
-			SetPlanCacheEnabled(false)
-			uncached := driveEngine(t, tc.eng, tc.gen(), probe)
-			SetPlanCacheEnabled(prev)
-			if !reflect.DeepEqual(cached, uncached) {
-				t.Errorf("plan cache changed the run:\n  cached:   %+v\n  uncached: %+v", cached, uncached)
-			}
-		})
-	}
-}
-
-// TestPlanCacheTransparentForTraceReplay exercises the cache's sweet
-// spot: replayed traces carry fixed profiles, so nearly every lookup
-// after the first window is a hit — and the run must still match the
-// uncached one exactly.
-func TestPlanCacheTransparentForTraceReplay(t *testing.T) {
-	mkTrace := func() workload.Generator {
-		var buf bytes.Buffer
-		if err := workload.RecordTrace(&buf, workload.NewTPCC(4*workload.GiB, 500), rand.New(rand.NewSource(3)), 200); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := workload.LoadTrace(&buf, "replay", 4*workload.GiB, 500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	probe := workload.Window(workload.NewTPCC(4*workload.GiB, 500), rand.New(rand.NewSource(1)), 1)[0]
-	prev := SetPlanCacheEnabled(true)
-	cached := driveEngine(t, knobs.Postgres, mkTrace(), probe)
-	SetPlanCacheEnabled(false)
-	uncached := driveEngine(t, knobs.Postgres, mkTrace(), probe)
-	SetPlanCacheEnabled(prev)
-	if !reflect.DeepEqual(cached, uncached) {
-		t.Error("plan cache changed a trace-replay run")
-	}
-}
-
-// TestPlanCacheEpochInvalidation pins the invalidation rule: a config
-// change must immediately re-derive plans (a stale working-area grant
-// in a cached plan would corrupt throttle detection).
-func TestPlanCacheEpochInvalidation(t *testing.T) {
-	prev := SetPlanCacheEnabled(true)
-	defer SetPlanCacheEnabled(prev)
-	e, err := NewEngine(Options{
-		Engine:      knobs.Postgres,
-		Resources:   Resources{MemoryBytes: 8 * 1024 * 1024 * 1024, VCPU: 2, DiskIOPS: 3000, DiskSSD: true},
-		DBSizeBytes: 4 * workload.GiB,
-		Seed:        1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := workload.Query{
-		SQL:      "select * from t order by a",
-		Class:    sqlparse.ClassSort,
-		Template: sqlparse.TemplateOf("select * from t order by a"),
-		Profile:  workload.Profile{MemDemand: 64 * 1024 * 1024, ReadBytes: 32 * 1024 * 1024},
-	}
-	before := e.Explain(q)
-	if !before.UsesDisk {
-		t.Fatalf("64MB demand under default work_mem should spill; got %+v", before)
-	}
-	// Second Explain of the identical query must be served by the cache.
-	m := PlanCacheMetrics()
-	h0 := m.Hits.Value()
-	_ = e.Explain(q)
-	if m.Hits.Value() != h0+1 {
-		t.Fatalf("second identical Explain was not a cache hit (hits %v -> %v)", h0, m.Hits.Value())
-	}
-	if err := e.ApplyConfig(knobs.Config{"work_mem": 128 * 1024 * 1024}, ApplyReload); err != nil {
-		t.Fatal(err)
-	}
-	after := e.Explain(q)
-	if after.UsesDisk {
-		t.Fatalf("stale cached plan after reload: %+v", after)
-	}
-	if after.MemGranted != 128*1024*1024 {
-		t.Fatalf("MemGranted = %g after reload, want 128MiB", after.MemGranted)
-	}
-	// Same template, different jittered profile: must not hit.
-	q2 := q
-	q2.Profile.MemDemand *= 1.5
-	p2 := e.Explain(q2)
-	if p2.MemRequired != q2.Profile.MemDemand {
-		t.Fatalf("profile-mismatched lookup served stale plan: %+v", p2)
-	}
-}
 
 // TestSelectKthMatchesSort: the k-th order statistic from selection
 // equals the sorted value, for every k over assorted inputs (ties,
@@ -207,11 +44,9 @@ func TestSelectKthMatchesSort(t *testing.T) {
 }
 
 // TestRunWindowSteadyStateAllocs gates the zero-alloc window pricing:
-// once the sample/latency scratch and the plan cache are warm, a window
-// over a canned query set must do (almost) no allocation.
+// once the sample/latency scratch is warm, a window over a canned query
+// set must do (almost) no allocation.
 func TestRunWindowSteadyStateAllocs(t *testing.T) {
-	prev := SetPlanCacheEnabled(true)
-	defer SetPlanCacheEnabled(prev)
 	gen := newCannedGen(workload.NewTPCC(4*workload.GiB, 500), 64)
 	e, err := NewEngine(Options{
 		Engine:      knobs.Postgres,
@@ -222,7 +57,7 @@ func TestRunWindowSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ { // warm scratch buffers, plan cache, profile map
+	for i := 0; i < 8; i++ { // warm scratch buffers, profile map
 		if _, err := e.RunWindow(gen, 5*time.Minute); err != nil {
 			t.Fatal(err)
 		}

@@ -74,7 +74,7 @@ func selectivity(q workload.Query) float64 {
 
 // planWith computes the plan for q under the flattened knob view
 // without touching state. It is a pure function of (fk, resources,
-// dbSize, q.Class, q.Profile) — the property the plan cache relies on.
+// dbSize, q.Class, q.Profile).
 func (e *Engine) planWith(fk *flatKnobs, q workload.Query) Plan {
 	work, maint, temp := e.grants(fk, q)
 	p := Plan{
@@ -142,12 +142,11 @@ func (e *Engine) planWith(fk *flatKnobs, q workload.Query) Plan {
 }
 
 // Explain returns the plan for q under the active configuration. It
-// shares the plan cache with RunWindow: both go through
-// planCachedLocked, so EXPLAIN output and execution pricing can never
-// disagree.
+// goes through planWith like RunWindow, so EXPLAIN output and execution
+// pricing can never disagree.
 func (e *Engine) Explain(q workload.Query) Plan {
 	e.mu.Lock()
-	p := e.planCachedLocked(e.flatLocked(), q)
+	p := e.planWith(e.flatLocked(), q)
 	e.mu.Unlock()
 	return p
 }
@@ -156,7 +155,6 @@ func (e *Engine) Explain(q workload.Query) Plan {
 // overlay (unknown/absent knobs fall back to the active values). The
 // TDE's MDP probe uses this to run cost/benefit analysis for candidate
 // async/planner knob values without perturbing the live process.
-// Overlay plans are not cached — the overlay is not an epoch.
 func (e *Engine) ExplainWith(override knobs.Config, q workload.Query) Plan {
 	e.mu.Lock()
 	fk, _ := e.overlayLocked(override)
@@ -207,7 +205,7 @@ func (e *Engine) trueScanFactor() float64 {
 }
 
 // serviceTimeMs prices one query's execution given the current cache
-// hit ratio and a pre-computed plan (from planCachedLocked or planWith).
+// hit ratio and a pre-computed plan (from planWith).
 // It is the single source of truth for both live execution (RunWindow)
 // and hypothetical probes (HypotheticalRunMs).
 func (e *Engine) serviceTimeMs(fk *flatKnobs, q workload.Query, hitRatio float64, plan Plan) (ms float64, spillBytes float64) {

@@ -102,7 +102,7 @@ func (e *Engine) RunWindow(gen workload.Generator, dur time.Duration) (WindowSta
 	workerPool := fk.maxWorkerProcesses // postgres only; 0 for mysql
 
 	for i, q := range sample {
-		plan := e.planCachedLocked(fk, q)
+		plan := e.planWith(fk, q)
 		ms, spill := e.serviceTimeMs(fk, q, hit, plan)
 		ms *= jitter * e.surgeSlowdownLocked()
 		times[i] = ms

@@ -13,8 +13,8 @@ import (
 // These are the pre-optimisation Normalize/Classify, kept verbatim so
 // the allocation-free rewrites can be property-tested byte-for-byte
 // against them. The hot-path pass is only sound if these agree on every
-// input: templates feed fingerprints, fingerprints feed the plan cache
-// and the determinism tests.
+// input: templates feed fingerprints, fingerprints feed the determinism
+// tests.
 
 func refNormalize(sql string) string {
 	var b strings.Builder

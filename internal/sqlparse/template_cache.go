@@ -69,10 +69,6 @@ func ResetTemplateCache() {
 	}
 }
 
-// TemplateCacheMetrics exposes the hit/miss/evict counters (benchrunner
-// reads these to report hit rates in BENCH_hotpath.json).
-func TemplateCacheMetrics() obs.CacheMetrics { return tplMetrics }
-
 func tplShardOf(sql string) *tplShard {
 	return &tplShards[maphash.String(tplSeed, sql)%templateCacheShards]
 }

@@ -118,7 +118,7 @@ func (m *mixSampler) sample(rng *rand.Rand) Query {
 // q builds a Query, templating the SQL text through sqlparse so that
 // generator classes always agree with what the TDE's log pipeline will
 // infer from the same text. The full Template rides along so downstream
-// consumers (plan cache, profile memoisation) skip re-normalizing.
+// consumers (profile memoisation) skip re-normalizing.
 func q(sql string, p Profile) Query {
 	tpl := sqlparse.TemplateOf(sql)
 	return Query{SQL: sql, Class: tpl.Class, Template: tpl, Profile: p}
