@@ -1,22 +1,16 @@
-// Package autodbaas_bench contains one benchmark per table and figure of
-// the AutoDBaaS paper's evaluation (go test -bench=.), plus ablation
-// benchmarks for the design choices called out in DESIGN.md and a
-// scalability benchmark for the BO tuner's O(n³) recommendation cost.
-//
-// Benchmarks report figure-specific metrics via b.ReportMetric so the
-// paper-vs-measured comparison in EXPERIMENTS.md can be regenerated from
-// `go test -bench=. -benchmem` output; cmd/benchrunner writes the full
-// row/series artifacts.
+// Package autodbaas_bench holds micro and ablation benchmarks for the
+// design choices called out in DESIGN.md and a scalability benchmark
+// for the BO tuner's O(n³) recommendation cost. The paper's figures are
+// golden tests (TestPaperArtifacts in internal/experiments), and fleet
+// performance is measured by `go run ./bench`.
 package autodbaas_bench
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"autodbaas/internal/entropy"
-	"autodbaas/internal/experiments"
 	"autodbaas/internal/gp"
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/simdb"
@@ -24,175 +18,6 @@ import (
 	"autodbaas/internal/tde"
 	"autodbaas/internal/workload"
 )
-
-// BenchmarkFig02MemoryStats regenerates the Fig. 2 memory-statistics
-// table. Paper shape: TPCC ≈0.5 MB work_mem, CH-Bench ≈350 MB with disk
-// use, YCSB/Wikipedia zero.
-func BenchmarkFig02MemoryStats(b *testing.B) {
-	var tpccPeak float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig2MemoryStats(int64(i))
-		tpccPeak = r.Rows[0].WorkMemPeakDemand
-	}
-	b.ReportMetric(tpccPeak/1e6, "tpcc-peak-workmem-MB")
-}
-
-// BenchmarkFig03Entropy80 regenerates the 80%-adulteration entropy
-// series. Paper shape: clear separation from plain TPCC.
-func BenchmarkFig03Entropy80(b *testing.B) {
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig3Entropy(0.8, 20, 800, int64(i))
-		gap = r.Adulterated.Mean() - r.Plain.Mean()
-	}
-	b.ReportMetric(gap, "entropy-gap")
-}
-
-// BenchmarkFig04Entropy50 regenerates the 50%-adulteration series.
-func BenchmarkFig04Entropy50(b *testing.B) {
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig3Entropy(0.5, 20, 800, int64(i))
-		gap = r.Adulterated.Mean() - r.Plain.Mean()
-	}
-	b.ReportMetric(gap, "entropy-gap")
-}
-
-// BenchmarkFig05DiskLatency regenerates the default-vs-tuned TPCC disk
-// latency traces. Paper shape: tuned is lower and flatter (≈6.5 ms on
-// the paper's EBS testbed).
-func BenchmarkFig05DiskLatency(b *testing.B) {
-	var defMean, tunedMean float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig5DiskLatency(20, int64(i))
-		defMean, tunedMean = r.Default.Mean(), r.Tuned.Mean()
-	}
-	b.ReportMetric(defMean, "default-lat-ms")
-	b.ReportMetric(tunedMean, "tuned-lat-ms")
-}
-
-// BenchmarkFig06MDPLearning regenerates the MDP learning curves.
-// Paper shape: episodic reward and accuracy increase with episodes.
-func BenchmarkFig06MDPLearning(b *testing.B) {
-	var firstAcc, lastAcc float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6MDPLearning(12, 375, int64(i))
-		firstAcc = r.Accuracy.Points[0].Y
-		lastAcc = r.Accuracy.Points[len(r.Accuracy.Points)-1].Y
-	}
-	b.ReportMetric(firstAcc, "first-episode-accuracy")
-	b.ReportMetric(lastAcc, "last-episode-accuracy")
-}
-
-// BenchmarkFig07ReloadJitter regenerates the apply-method comparison.
-// Paper shape: 20-second reloads do not compromise performance.
-func BenchmarkFig07ReloadJitter(b *testing.B) {
-	var reloadRatio float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig7ReloadJitter(10, int64(i))
-		reloadRatio = r.WithReloads.Mean() / r.NoReload.Mean()
-	}
-	b.ReportMetric(reloadRatio, "reload/no-reload-qps")
-}
-
-// BenchmarkFig08ArrivalRate regenerates the production arrival curve.
-// Paper shape: 42.13M queries/day with an 8–11 AM surge.
-func BenchmarkFig08ArrivalRate(b *testing.B) {
-	var total float64
-	for i := 0; i < b.N; i++ {
-		total = experiments.Fig8ArrivalRate(10).DailyTotal
-	}
-	b.ReportMetric(total/1e6, "queries-per-day-M")
-}
-
-// BenchmarkFig09RequestRate regenerates the 80-database request-rate
-// comparison. Paper shape: TDE requests ≪ periodic policies, peaking in
-// the morning surge. This is the heaviest benchmark (a fleet-day ×3).
-//
-// The sub-benchmarks sweep the fleet scheduler's parallelism; the
-// deterministic merge guarantees the request-reduction metric is
-// identical at every level, so the sweep isolates pure wall-clock
-// scaling (compare parallelism=1 vs parallelism=8 ns/op).
-func BenchmarkFig09RequestRate(b *testing.B) {
-	fleet, hours := 80, 24
-	if testing.Short() {
-		fleet, hours = 8, 6
-	}
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
-			var reduction float64
-			for i := 0; i < b.N; i++ {
-				r := experiments.Fig9RequestRateParallel(fleet, hours, par, int64(i))
-				reduction = 1 - float64(r.TotalTDE)/float64(r.TotalPeriodic5)
-			}
-			b.ReportMetric(reduction*100, "request-reduction-%")
-		})
-	}
-}
-
-// BenchmarkFig10ThrottlesPostgres regenerates the per-class throttle
-// counts on PostgreSQL. Paper shape: write-heavy → bgwriter,
-// read/mix → memory + async/planner, production → mixed.
-func BenchmarkFig10ThrottlesPostgres(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig10Throttles(knobs.Postgres, 20, int64(i))
-	}
-}
-
-// BenchmarkFig11ThrottlesMySQL is the MySQL variant.
-func BenchmarkFig11ThrottlesMySQL(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig10Throttles(knobs.MySQL, 20, int64(i))
-	}
-}
-
-// BenchmarkFig12ThroughputBO regenerates the OtterTune with/without-TDE
-// throughput comparison. Paper shape: the TDE-gated tuner avoids model
-// corruption from production samples and sustains higher throughput.
-func BenchmarkFig12ThroughputBO(b *testing.B) {
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig12ThroughputBO(knobs.Postgres, 8, 6, 16, int64(i))
-		gain = r.WithTDE.Mean() / r.Plain.Mean()
-	}
-	b.ReportMetric(gain, "tde/plain-throughput")
-}
-
-// BenchmarkFig13ThroughputRL is the CDBTune variant (first connected DB).
-func BenchmarkFig13ThroughputRL(b *testing.B) {
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig13ThroughputRL(knobs.Postgres, 4, 3, 12, int64(i))
-		gain = r.WithTDE.Mean() / r.Plain.Mean()
-	}
-	b.ReportMetric(gain, "tde/plain-throughput")
-}
-
-// BenchmarkFig14WorkloadShift regenerates the Table-1 workload-shift
-// experiment. Paper shape: throttles spike right after each shift.
-func BenchmarkFig14WorkloadShift(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig14WorkloadShift(6, int64(i))
-	}
-}
-
-// BenchmarkFig15Accuracy regenerates the throttle-accuracy measurement.
-// Paper shape: memory/bgwriter accuracy high, async/planner lower.
-func BenchmarkFig15Accuracy(b *testing.B) {
-	var mem, async float64
-	for i := 0; i < b.N; i++ {
-		// Artifact parameters (benchrunner uses the same): 20 offline
-		// samples per workload, 8 detection ticks, seed 1. Smaller
-		// bootstrap sets make the Lasso ranking noticeably noisier.
-		r := experiments.Fig15Accuracy(20, 8, 2, 1)
-		mem = r.Accuracy[knobs.Memory]
-		async = r.Accuracy[knobs.AsyncPlanner]
-	}
-	b.ReportMetric(mem, "memory-accuracy")
-	b.ReportMetric(async, "async-accuracy")
-}
-
-// ---- scalability & ablation benchmarks ----
 
 // BenchmarkGPRRecommendationCost measures the BO tuner's core
 // scalability problem: GPR training cost versus training-set size (the

@@ -1,9 +1,9 @@
 // Package experiments contains one harness per table and figure of the
 // AutoDBaaS paper's evaluation (§3 and §5). Every harness returns a
 // structured result plus a plain-text rendering, so the same code backs
-// the unit tests (shape assertions), the root-level benchmarks (one per
-// figure) and cmd/benchrunner (which regenerates the full artifact set
-// into TSV files).
+// the shape tests and TestPaperArtifacts, which pins every rendered
+// artifact byte for byte (testdata/quick/ by default, the committed
+// results/ with -full).
 //
 // Absolute numbers differ from the paper — the substrate here is a
 // simulator, not the authors' AWS testbed — but each harness's doc

@@ -3,7 +3,9 @@ package gp
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"autodbaas/internal/linalg"
 )
@@ -439,5 +441,61 @@ func TestSparseCrossThresholdAfterRestore(t *testing.T) {
 		if math.Float64bits(m1) != math.Float64bits(m2) || math.Float64bits(v1) != math.Float64bits(v2) {
 			t.Fatalf("prediction %d diverged: (%v,%v) vs (%v,%v)", i, m1, v1, m2, v2)
 		}
+	}
+}
+
+// TestSparseRecommendCostFlatInHistory pins the sparse path's scaling
+// contract: the per-window recommendation cost (absorb one sample with
+// Add, then Predict one candidate) must grow at most 2× while stored
+// history grows 16× (n = 1,000 → 16,000; m = 64, dim 10). Each side is
+// the min over 5 repetitions of 32 Add+Predict pairs, the repetitions
+// of the two sides interleaved, so the ratio of same-process timings
+// cancels host speed and most of its noise.
+func TestSparseRecommendCostFlatInHistory(t *testing.T) {
+	const (
+		dim, m    = 10, 64
+		pairs     = 32
+		reps      = 5
+		maxGrowth = 2.0
+	)
+	type side struct {
+		n    int
+		x    [][]float64
+		y    []float64
+		g    *Regressor
+		best time.Duration
+	}
+	sides := []*side{{n: 1000}, {n: 16000}}
+	for _, s := range sides {
+		s.x, s.y = genSamples(1, s.n+reps*pairs, dim)
+		s.g = newSparseRegressor(dim, 512, m)
+		if err := s.g.Fit(s.x[:s.n], s.y[:s.n]); err != nil {
+			t.Fatal(err)
+		}
+		if !s.g.Sparse() {
+			t.Fatalf("n=%d: model stayed exact", s.n)
+		}
+		s.best = time.Duration(math.MaxInt64)
+	}
+	for r := 0; r < reps; r++ {
+		for _, s := range sides {
+			runtime.GC() // keep earlier garbage out of this timing
+			t0 := time.Now()
+			for i := s.n + r*pairs; i < s.n+(r+1)*pairs; i++ {
+				if err := s.g.Add(s.x[i], s.y[i]); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := s.g.Predict(s.x[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.best = min(s.best, time.Since(t0)/pairs)
+		}
+	}
+	small, large := sides[0].best, sides[1].best
+	ratio := float64(large) / float64(small)
+	t.Logf("Add+Predict: n=1000 %v, n=16000 %v, ratio %.2f", small, large, ratio)
+	if ratio > maxGrowth {
+		t.Fatalf("sparse recommendation cost grew %.2f× from n=1000 to n=16000; contract is ≤ %.1f×", ratio, maxGrowth)
 	}
 }

@@ -18,8 +18,7 @@ import (
 )
 
 // defaultRegistry is the process-wide registry the control-plane
-// components publish into; cmd/autodbaas serves it at /metrics and
-// cmd/benchrunner dumps it per experiment.
+// components publish into; cmd/autodbaas serves it at /metrics.
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.

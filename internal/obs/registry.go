@@ -281,7 +281,7 @@ func (r *Registry) setHelp(name, help string) {
 // Reset drops every registered instrument (help strings are kept).
 // Handles held by long-lived components keep updating their detached
 // instruments harmlessly; the next lookup re-registers from zero.
-// cmd/benchrunner uses this for per-experiment metric dumps.
+// Tests use it to read counters from a clean slate.
 func (r *Registry) Reset() {
 	for i := range r.shards {
 		s := &r.shards[i]

@@ -38,7 +38,7 @@ func replayColdStartWave(t *testing.T, warm bool) (*Result, [3]int64) {
 }
 
 // TestWarmStartReducesColdStartThrottles is the scenario-level contract
-// behind the benchrunner's +warm baseline row: replaying the onboarding
+// behind the library baseline's +warm row: replaying the onboarding
 // burst with warm starts on must engage for every joiner (only the
 // anchor starts cold) and end with strictly fewer throttles than the
 // cold replay.

@@ -1,6 +1,6 @@
 // Package scenarios embeds the built-in scenario library: one YAML
 // campaign per file, runnable by name from cmd/autodbaas and swept by
-// the benchrunner's scenarios job.
+// internal/scenario's TestLibraryBaseline.
 package scenarios
 
 import (
