@@ -131,11 +131,7 @@ func unwrapTuner(t tuner.Tuner) tuner.Tuner {
 func marshalTuner(t tuner.Tuner) (tunerBlob, error) {
 	switch tt := unwrapTuner(t).(type) {
 	case *bo.Tuner:
-		st, err := tt.CheckpointState()
-		if err != nil {
-			return tunerBlob{}, err
-		}
-		raw, err := json.Marshal(st)
+		raw, err := json.Marshal(tt.CheckpointState())
 		if err != nil {
 			return tunerBlob{}, err
 		}

@@ -8,7 +8,8 @@
 // matrix, so Fit costs O(n³) in the number of training samples — this
 // cubic cost is exactly the "recommendation cost" scalability problem
 // the AutoDBaaS paper attributes to BO-style tuners, and the benchmarks
-// in the repository root measure it directly.
+// in the repository root measure it directly. The BO tuner fits one
+// model from scratch per recommendation and keeps none between calls.
 package gp
 
 import (
@@ -70,40 +71,10 @@ type Regressor struct {
 	Kernel Kernel
 	Noise  float64 // observation noise variance added to the diagonal
 
-	// FullRefitEvery, when positive, forces Add to run a full Fit after
-	// that many consecutive incremental updates — a drift backstop so
-	// accumulated rounding from long Add chains cannot survive forever.
-	// Zero means incremental updates are never force-refitted (they are
-	// bit-identical to a full Fit anyway; see CholeskyAppendRow). The
-	// sparse path ignores it: its refresh cadence is the doubling rule
-	// described in sparse.go, which keeps amortized Add cost flat in n.
-	FullRefitEvery int
-
-	// SparseThreshold, when positive, switches the model to the sparse
-	// inducing-point path (see sparse.go) once the training set reaches
-	// that many samples. Zero (the default) keeps the exact path
-	// regardless of size — existing models stay bit-for-bit unchanged.
-	SparseThreshold int
-	// InducingPoints is the sparse path's inducing-set size m (default
-	// 64). Only consulted when SparseThreshold is positive.
-	InducingPoints int
-
 	x     [][]float64
-	ys    []float64 // stored targets (owned copy), enabling incremental refits
 	mean  float64
 	chol  *linalg.Matrix
 	alpha []float64 // K⁻¹(y−mean)
-
-	// jittered records that the last full Fit needed the enlarged-jitter
-	// retry; the factor then includes extra diagonal mass that an
-	// incremental border would not, so Add falls back to a full refit.
-	jittered bool
-	// addsSinceFit counts incremental updates since the last full Fit.
-	addsSinceFit int
-
-	// sparse is the inducing-point state; non-nil iff the model is on
-	// the sparse path.
-	sparse *sparseState
 
 	// Predict scratch (kernel row and triangular-solve vector).
 	kbuf, vbuf []float64
@@ -128,9 +99,6 @@ func (g *Regressor) Fit(x [][]float64, y []float64) error {
 	if len(x) != len(y) {
 		return fmt.Errorf("gp: %d inputs but %d targets", len(x), len(y))
 	}
-	if g.sparseActive(len(x)) {
-		return g.fitSparse(x, y)
-	}
 	n := len(x)
 	mean := linalg.Mean(y)
 	kmat := linalg.NewMatrix(n, n)
@@ -144,7 +112,6 @@ func (g *Regressor) Fit(x [][]float64, y []float64) error {
 	if err := linalg.AddDiag(kmat, g.Noise); err != nil {
 		return err
 	}
-	jittered := false
 	chol, err := linalg.Cholesky(kmat)
 	if err != nil {
 		// Retry with a larger jitter; kernel matrices of near-duplicate
@@ -156,7 +123,6 @@ func (g *Regressor) Fit(x [][]float64, y []float64) error {
 		if err != nil {
 			return err
 		}
-		jittered = true
 	}
 	resid := make([]float64, n)
 	for i, yi := range y {
@@ -167,87 +133,11 @@ func (g *Regressor) Fit(x [][]float64, y []float64) error {
 		return err
 	}
 	g.x, g.mean, g.chol, g.alpha = x, mean, chol, alpha
-	g.ys = append(g.ys[:0:0], y...)
-	g.jittered = jittered
-	g.addsSinceFit = 0
-	g.sparse = nil
 	return nil
-}
-
-// Add extends the fit with one more training sample in O(n²) instead of
-// the O(n³) a full refit costs: the Cholesky factor grows by one
-// bordered row (linalg.CholeskyAppendRow), the constant mean is
-// recomputed over the stored targets and alpha is re-solved against the
-// extended factor. Because the append reproduces Cholesky's arithmetic
-// exactly, the resulting model is bit-for-bit identical to calling Fit
-// on the full extended training set — the property the control plane's
-// determinism fingerprints rely on.
-//
-// Add falls back to a full Fit when the model is unfitted, when the
-// last Fit needed the enlarged-jitter retry (the factor then carries
-// diagonal mass a border would not reproduce), when FullRefitEvery
-// consecutive updates have accumulated, or when the bordered matrix is
-// numerically singular — in every case with Fit's own jitter-retry
-// semantics, so the result again matches a from-scratch fit.
-func (g *Regressor) Add(x []float64, y float64) error {
-	if !g.Fitted() {
-		return g.Fit([][]float64{x}, []float64{y})
-	}
-	if g.sparse != nil {
-		return g.addSparse(x, y)
-	}
-	if g.sparseActive(len(g.x) + 1) {
-		// Crossing the threshold: refitPlus routes through Fit, which
-		// selects the sparse path for the extended set.
-		return g.refitPlus(x, y)
-	}
-	if g.jittered || (g.FullRefitEvery > 0 && g.addsSinceFit >= g.FullRefitEvery) {
-		return g.refitPlus(x, y)
-	}
-	n := len(g.x)
-	k := make([]float64, n)
-	for i := range g.x {
-		k[i] = g.Kernel.Eval(g.x[i], x)
-	}
-	chol, err := linalg.CholeskyAppendRow(g.chol, k, g.Kernel.Eval(x, x)+g.Noise)
-	if err != nil {
-		// Near-singular border (e.g. duplicate config): full refit with
-		// the jitter retry.
-		return g.refitPlus(x, y)
-	}
-	xs := append(g.x, x)
-	ys := append(g.ys, y)
-	mean := linalg.Mean(ys)
-	resid := make([]float64, n+1)
-	for i, yi := range ys {
-		resid[i] = yi - mean
-	}
-	alpha, err := linalg.CholSolve(chol, resid)
-	if err != nil {
-		return g.refitPlus(x, y)
-	}
-	g.x, g.ys, g.mean, g.chol, g.alpha = xs, ys, mean, chol, alpha
-	g.addsSinceFit++
-	return nil
-}
-
-// refitPlus runs a full Fit over the stored training set extended by
-// (x, y). The stored set is copied first so a failed Fit leaves the
-// current model intact.
-func (g *Regressor) refitPlus(x []float64, y float64) error {
-	xs := make([][]float64, len(g.x), len(g.x)+1)
-	copy(xs, g.x)
-	xs = append(xs, x)
-	ys := append(g.ys[:0:0], g.ys...)
-	ys = append(ys, y)
-	return g.Fit(xs, ys)
 }
 
 // Fitted reports whether the model has been trained.
-func (g *Regressor) Fitted() bool { return g.chol != nil || g.sparse != nil }
-
-// NumSamples returns the training-set size (0 before Fit).
-func (g *Regressor) NumSamples() int { return len(g.x) }
+func (g *Regressor) Fitted() bool { return g.chol != nil }
 
 // Predict returns the posterior mean and variance at query point q.
 // The kernel row k* and the triangular-solve vector live in scratch
@@ -257,9 +147,6 @@ func (g *Regressor) NumSamples() int { return len(g.x) }
 func (g *Regressor) Predict(q []float64) (mean, variance float64, err error) {
 	if !g.Fitted() {
 		return 0, 0, ErrNotFitted
-	}
-	if g.sparse != nil {
-		return g.predictSparse(q)
 	}
 	n := len(g.x)
 	if cap(g.kbuf) < n {
@@ -282,26 +169,6 @@ func (g *Regressor) Predict(q []float64) (mean, variance float64, err error) {
 	return mean, variance, nil
 }
 
-// LogMarginalLikelihood returns the log evidence of the fitted model,
-// used for light-weight hyper-parameter selection.
-func (g *Regressor) LogMarginalLikelihood(y []float64) (float64, error) {
-	if !g.Fitted() {
-		return 0, ErrNotFitted
-	}
-	if len(y) != len(g.x) {
-		return 0, fmt.Errorf("gp: %d targets for %d samples", len(y), len(g.x))
-	}
-	if g.sparse != nil {
-		return g.sparseLogMarginalLikelihood(y), nil
-	}
-	n := float64(len(y))
-	resid := make([]float64, len(y))
-	for i, yi := range y {
-		resid[i] = yi - g.mean
-	}
-	return -0.5*linalg.Dot(resid, g.alpha) - 0.5*linalg.LogDetFromChol(g.chol) - 0.5*n*math.Log(2*math.Pi), nil
-}
-
 // UCB returns the upper-confidence-bound acquisition value mean + beta·σ.
 func (g *Regressor) UCB(q []float64, beta float64) (float64, error) {
 	m, v, err := g.Predict(q)
@@ -309,63 +176,4 @@ func (g *Regressor) UCB(q []float64, beta float64) (float64, error) {
 		return 0, err
 	}
 	return m + beta*math.Sqrt(v), nil
-}
-
-// ExpectedImprovement returns EI of q over the incumbent best value
-// (maximization). Zero posterior variance yields zero improvement.
-func (g *Regressor) ExpectedImprovement(q []float64, best float64) (float64, error) {
-	m, v, err := g.Predict(q)
-	if err != nil {
-		return 0, err
-	}
-	sd := math.Sqrt(v)
-	if sd == 0 {
-		return 0, nil
-	}
-	z := (m - best) / sd
-	return (m-best)*stdNormCDF(z) + sd*stdNormPDF(z), nil
-}
-
-func stdNormPDF(z float64) float64 { return math.Exp(-0.5*z*z) / math.Sqrt(2*math.Pi) }
-func stdNormCDF(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
-
-// FitWithModelSelection fits the model under several candidate length
-// scales and keeps the one maximizing the log marginal likelihood — the
-// light-weight hyper-parameter search a production tuner would run per
-// refit. It requires the kernel to be SE-ARD (uniform scales are tried).
-func (g *Regressor) FitWithModelSelection(x [][]float64, y []float64, lengthScales []float64) error {
-	if len(lengthScales) == 0 {
-		return errors.New("gp: empty length-scale candidates")
-	}
-	k, ok := g.Kernel.(*SEARD)
-	if !ok {
-		return errors.New("gp: model selection needs an SE-ARD kernel")
-	}
-	bestLML := math.Inf(-1)
-	bestScale := k.LengthScales[0]
-	for _, l := range lengthScales {
-		if l <= 0 {
-			return fmt.Errorf("gp: non-positive length scale %g", l)
-		}
-		for i := range k.LengthScales {
-			k.LengthScales[i] = l
-		}
-		if err := g.Fit(x, y); err != nil {
-			continue // singular under this scale; try the next
-		}
-		lml, err := g.LogMarginalLikelihood(y)
-		if err != nil {
-			continue
-		}
-		if lml > bestLML {
-			bestLML, bestScale = lml, l
-		}
-	}
-	if math.IsInf(bestLML, -1) {
-		return errors.New("gp: no candidate length scale produced a valid fit")
-	}
-	for i := range k.LengthScales {
-		k.LengthScales[i] = bestScale
-	}
-	return g.Fit(x, y)
 }

@@ -3,8 +3,8 @@
 // (internal/lasso) and the MLP (internal/nn).
 //
 // It is deliberately minimal: row-major dense matrices, Cholesky
-// factorization with triangular solves, and the handful of BLAS-1/2/3
-// style helpers those consumers need. Everything is float64 and
+// factorization with triangular solves, and the handful of vector
+// helpers those consumers need. Everything is float64 and
 // allocation behaviour is explicit (methods that write into a receiver
 // never allocate).
 package linalg
@@ -36,22 +36,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from row slices; all rows must share a length.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("%w: row %d has %d cols, want %d", ErrShape, i, len(row), c)
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m, nil
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -60,13 +44,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
 
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
@@ -77,41 +54,6 @@ func (m *Matrix) T() *Matrix {
 		}
 	}
 	return out
-}
-
-// Mul returns a×b.
-func Mul(a, b *Matrix) (*Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("%w: %d×%d by %d×%d", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range orow {
-				orow[j] += aik * brow[j]
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns a·x for a vector x of length a.Cols.
-func MulVec(a *Matrix, x []float64) ([]float64, error) {
-	if a.Cols != len(x) {
-		return nil, fmt.Errorf("%w: %d×%d by vec %d", ErrShape, a.Rows, a.Cols, len(x))
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		out[i] = Dot(a.Row(i), x)
-	}
-	return out, nil
 }
 
 // Dot returns the inner product of equal-length vectors.
@@ -125,9 +67,6 @@ func Dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
 
 // AddDiag adds v to every diagonal element of square matrix m in place.
 func AddDiag(m *Matrix, v float64) error {
@@ -169,60 +108,6 @@ func Cholesky(m *Matrix) (*Matrix, error) {
 		}
 	}
 	return l, nil
-}
-
-// CholeskyAppendRow extends the Cholesky factor L of an n×n matrix K to
-// the factor of the (n+1)×(n+1) matrix formed by bordering K with the
-// kernel column k and diagonal d:
-//
-//	K' = | K   k |        L' = | L   0 |
-//	     | kᵀ  d |             | ℓᵀ  λ |
-//
-// where L·ℓ = k (forward substitution) and λ² = d − ℓᵀℓ. The arithmetic
-// — loop order and accumulation order — deliberately mirrors Cholesky's
-// column-j recurrence, so the returned factor is bit-for-bit identical
-// to Cholesky(K') recomputed from scratch. That equality is what lets
-// gp.Regressor.Add replace a full O(n³) refit with this O(n²) update
-// without perturbing any downstream fingerprint.
-//
-// The input factor is not modified. ErrNotPositiveDefinite is returned
-// when the new pivot is non-positive (the bordered matrix is numerically
-// singular); callers should fall back to a full, jittered factorization.
-func CholeskyAppendRow(l *Matrix, k []float64, d float64) (*Matrix, error) {
-	n := l.Rows
-	if l.Cols != n || len(k) != n {
-		return nil, fmt.Errorf("%w: CholeskyAppendRow %d×%d with k %d", ErrShape, l.Rows, l.Cols, len(k))
-	}
-	out := NewMatrix(n+1, n+1)
-	for i := 0; i < n; i++ {
-		copy(out.Row(i)[:n], l.Row(i))
-	}
-	row := out.Row(n)
-	for j := 0; j < n; j++ {
-		// Identical to Cholesky's off-diagonal step for element (n, j):
-		// s = K'(n,j) − Σ_{t<j} L(n,t)·L(j,t), then divide by L(j,j).
-		s := k[j]
-		lj := l.Row(j)
-		for t := 0; t < j; t++ {
-			s -= row[t] * lj[t]
-		}
-		if lj[j] == 0 {
-			return nil, fmt.Errorf("%w: zero diagonal at %d", ErrNotPositiveDefinite, j)
-		}
-		row[j] = s / lj[j]
-	}
-	// Identical to Cholesky's diagonal step for column n: sequential
-	// subtraction, not a dot product, to preserve rounding order.
-	dd := d
-	for t := 0; t < n; t++ {
-		ljk := row[t]
-		dd -= ljk * ljk
-	}
-	if dd <= 0 || math.IsNaN(dd) {
-		return nil, fmt.Errorf("%w: pivot %d = %g", ErrNotPositiveDefinite, n, dd)
-	}
-	row[n] = math.Sqrt(dd)
-	return out, nil
 }
 
 // SolveLower solves L·y = b for lower-triangular L (forward substitution).
@@ -288,23 +173,6 @@ func CholSolve(l *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return SolveUpperFromLower(l, y)
-}
-
-// LogDetFromChol returns log|M| given M's Cholesky factor L.
-func LogDetFromChol(l *Matrix) float64 {
-	var s float64
-	for i := 0; i < l.Rows; i++ {
-		s += math.Log(l.At(i, i))
-	}
-	return 2 * s
-}
-
-// Scale multiplies every element of v by s in place and returns v.
-func Scale(v []float64, s float64) []float64 {
-	for i := range v {
-		v[i] *= s
-	}
-	return v
 }
 
 // AXPY computes y += a·x in place and returns y.

@@ -10,63 +10,34 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestFromRowsAndAt(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	if err != nil {
-		t.Fatalf("FromRows: %v", err)
-	}
-	if m.Rows != 2 || m.Cols != 3 {
-		t.Fatalf("shape = %d×%d", m.Rows, m.Cols)
-	}
-	if m.At(1, 2) != 6 {
-		t.Fatalf("At(1,2) = %g, want 6", m.At(1, 2))
-	}
+// mat2 builds the 2×2 matrix [[a, b], [c, d]].
+func mat2(a, b, c, d float64) *Matrix {
+	return &Matrix{Rows: 2, Cols: 2, Data: []float64{a, b, c, d}}
 }
 
-func TestFromRowsRagged(t *testing.T) {
-	if _, err := FromRows([][]float64{{1}, {1, 2}}); !errors.Is(err, ErrShape) {
-		t.Fatalf("ragged rows error = %v, want ErrShape", err)
+// randSPD builds a random symmetric positive-definite n×n matrix
+// (Gram matrix of random vectors plus a diagonal shift).
+func randSPD(rng *rand.Rand, n int, shift float64) *Matrix {
+	g := NewMatrix(n, n+3)
+	for i := range g.Data {
+		g.Data[i] = rng.NormFloat64()
 	}
-}
-
-func TestMul(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
-	c, err := Mul(a, b)
-	if err != nil {
-		t.Fatalf("Mul: %v", err)
-	}
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Fatalf("c[%d][%d] = %g, want %g", i, j, c.At(i, j), want[i][j])
-			}
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			v := Dot(g.Row(i), g.Row(j))
+			m.Set(i, j, v)
+			m.Set(j, i, v)
 		}
 	}
-}
-
-func TestMulShapeMismatch(t *testing.T) {
-	a := NewMatrix(2, 3)
-	b := NewMatrix(2, 3)
-	if _, err := Mul(a, b); !errors.Is(err, ErrShape) {
-		t.Fatalf("Mul mismatch error = %v, want ErrShape", err)
+	for i := 0; i < n; i++ {
+		m.Data[i*n+i] += shift
 	}
-}
-
-func TestMulVec(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 0, 2}, {0, 3, 0}})
-	y, err := MulVec(a, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatalf("MulVec: %v", err)
-	}
-	if y[0] != 7 || y[1] != 6 {
-		t.Fatalf("MulVec = %v, want [7 6]", y)
-	}
+	return m
 }
 
 func TestTranspose(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	a := &Matrix{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
 	at := a.T()
 	if at.Rows != 3 || at.Cols != 2 || at.At(2, 1) != 6 {
 		t.Fatalf("transpose wrong: %+v", at)
@@ -75,8 +46,7 @@ func TestTranspose(t *testing.T) {
 
 func TestCholeskyKnown(t *testing.T) {
 	// M = [[4,2],[2,3]] → L = [[2,0],[1,sqrt(2)]]
-	m, _ := FromRows([][]float64{{4, 2}, {2, 3}})
-	l, err := Cholesky(m)
+	l, err := Cholesky(mat2(4, 2, 2, 3))
 	if err != nil {
 		t.Fatalf("Cholesky: %v", err)
 	}
@@ -87,7 +57,7 @@ func TestCholeskyKnown(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	m := mat2(1, 2, 2, 1) // eigenvalues 3, -1
 	if _, err := Cholesky(m); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
 	}
@@ -96,20 +66,15 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 func TestCholSolveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 12
-	// Build SPD matrix A = BᵀB + n·I.
-	b := NewMatrix(n, n)
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	a, _ := Mul(b.T(), b)
-	if err := AddDiag(a, float64(n)); err != nil {
-		t.Fatal(err)
-	}
+	a := randSPD(rng, n, float64(n))
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	rhs, _ := MulVec(a, x)
+	rhs := make([]float64, n)
+	for i := range rhs {
+		rhs[i] = Dot(a.Row(i), x)
+	}
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatalf("Cholesky: %v", err)
@@ -125,19 +90,8 @@ func TestCholSolveRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLogDetFromChol(t *testing.T) {
-	m, _ := FromRows([][]float64{{4, 0}, {0, 9}})
-	l, err := Cholesky(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := LogDetFromChol(l), math.Log(36); !almostEqual(got, want, 1e-12) {
-		t.Fatalf("logdet = %g, want %g", got, want)
-	}
-}
-
 func TestSolveLowerAndUpper(t *testing.T) {
-	l, _ := FromRows([][]float64{{2, 0}, {1, 3}})
+	l := mat2(2, 0, 1, 3)
 	y, err := SolveLower(l, []float64{4, 10})
 	if err != nil {
 		t.Fatal(err)
@@ -152,6 +106,41 @@ func TestSolveLowerAndUpper(t *testing.T) {
 	// Lᵀ = [[2,1],[0,3]]; x₂ = 3, x₁ = (4-3)/2 = 0.5
 	if !almostEqual(x[1], 3, 1e-12) || !almostEqual(x[0], 0.5, 1e-12) {
 		t.Fatalf("backward solve = %v", x)
+	}
+}
+
+// TestSolveLowerIntoMatchesSolveLower pins the zero-alloc variant.
+func TestSolveLowerIntoMatchesSolveLower(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m := randSPD(rng, 12, 1e-2)
+	l, err := Cholesky(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, 12)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	want, err := SolveLower(l, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, 12)
+	if err := SolveLowerInto(l, b, dst); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(dst[i]) {
+			t.Fatalf("element %d: %g vs %g", i, want[i], dst[i])
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := SolveLowerInto(l, b, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("SolveLowerInto allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -182,14 +171,10 @@ func TestPearson(t *testing.T) {
 	}
 }
 
-func TestAXPYAndScale(t *testing.T) {
+func TestAXPY(t *testing.T) {
 	y := AXPY(2, []float64{1, 2}, []float64{10, 20})
 	if y[0] != 12 || y[1] != 24 {
 		t.Fatalf("AXPY = %v", y)
-	}
-	v := Scale([]float64{3, -6}, 0.5)
-	if v[0] != 1.5 || v[1] != -3 {
-		t.Fatalf("Scale = %v", v)
 	}
 }
 
@@ -198,22 +183,17 @@ func TestCholeskyReconstructionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(8)
-		b := NewMatrix(n, n)
-		for i := range b.Data {
-			b.Data[i] = rng.NormFloat64()
-		}
-		a, _ := Mul(b.T(), b)
-		if err := AddDiag(a, float64(n)); err != nil {
-			return false
-		}
+		a := randSPD(rng, n, float64(n))
 		l, err := Cholesky(a)
 		if err != nil {
 			return false
 		}
-		llt, _ := Mul(l, l.T())
-		for i := range a.Data {
-			if !almostEqual(llt.Data[i], a.Data[i], 1e-8*(1+math.Abs(a.Data[i]))) {
-				return false
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				want := a.At(i, j)
+				if !almostEqual(Dot(l.Row(i), l.Row(j)), want, 1e-8*(1+math.Abs(want))) {
+					return false
+				}
 			}
 		}
 		return true

@@ -3,7 +3,6 @@ package sqlparse
 import (
 	"hash/maphash"
 	"sync"
-	"sync/atomic"
 
 	"autodbaas/internal/obs"
 )
@@ -17,7 +16,7 @@ import (
 // Determinism: values are a pure function of the key, so cache state
 // (including evictions, which may differ run to run under parallel
 // window phases) can never change what TemplateOf returns — only how
-// fast it returns it. The equivalence tests in internal/core pin this.
+// fast it returns it. TestTemplateCacheTransparent pins this.
 const (
 	templateCacheShards   = 16
 	templateCacheShardCap = 2048 // 32768 entries total
@@ -31,31 +30,18 @@ type tplShard struct {
 }
 
 var (
-	tplShards   [templateCacheShards]tplShard
-	tplSeed     = maphash.MakeSeed()
-	tplCacheOn  atomic.Bool
-	tplMetrics  obs.CacheMetrics
-	tplInitOnce sync.Once
+	tplShards  [templateCacheShards]tplShard
+	tplSeed    = maphash.MakeSeed()
+	tplMetrics obs.CacheMetrics
 )
 
-func tplInit() {
-	tplInitOnce.Do(func() {
-		for i := range tplShards {
-			tplShards[i].m = make(map[string]Template, templateCacheShardCap)
-			tplShards[i].ring = make([]string, 0, templateCacheShardCap)
-		}
-		tplMetrics = obs.Cache("sqlparse_template")
-	})
-}
-
 func init() {
-	tplCacheOn.Store(true)
-	tplInit()
+	for i := range tplShards {
+		tplShards[i].m = make(map[string]Template, templateCacheShardCap)
+		tplShards[i].ring = make([]string, 0, templateCacheShardCap)
+	}
+	tplMetrics = obs.Cache("sqlparse_template")
 }
-
-// SetTemplateCacheEnabled toggles the TemplateOf memo (for equivalence
-// tests and benchmarks) and returns the previous setting.
-func SetTemplateCacheEnabled(on bool) bool { return tplCacheOn.Swap(on) }
 
 // ResetTemplateCache drops every cached template (counters are kept).
 func ResetTemplateCache() {
@@ -74,9 +60,6 @@ func tplShardOf(sql string) *tplShard {
 }
 
 func templateCacheGet(sql string) (Template, bool) {
-	if !tplCacheOn.Load() {
-		return Template{}, false
-	}
 	s := tplShardOf(sql)
 	s.mu.Lock()
 	tpl, ok := s.m[sql]
@@ -90,9 +73,6 @@ func templateCacheGet(sql string) (Template, bool) {
 }
 
 func templateCachePut(sql string, tpl Template) {
-	if !tplCacheOn.Load() {
-		return
-	}
 	s := tplShardOf(sql)
 	s.mu.Lock()
 	if _, ok := s.m[sql]; ok {

@@ -16,9 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"autodbaas/internal/gp"
@@ -36,6 +34,8 @@ type Options struct {
 	// Engine selects the knob/metric schema this tuner instance serves.
 	Engine knobs.Engine
 	// MaxSamplesPerFit caps GPR training-set size (most recent wins).
+	// Every Recommend fits one exact GP from scratch on at most this many
+	// samples, so it bounds the O(n³) recommendation cost.
 	MaxSamplesPerFit int
 	// Candidates is the acquisition search budget.
 	Candidates int
@@ -49,14 +49,6 @@ type Options struct {
 	// target workload's own samples only. Exists for the ablation of the
 	// OtterTune experience-transfer stage.
 	DisableMapping bool
-	// SparseThreshold switches the GP surrogate to its sparse
-	// inducing-point path once a training set reaches this many samples
-	// (see gp/sparse.go). Zero keeps the exact path at every size —
-	// the default, so existing tuners are bit-for-bit unchanged. Only
-	// useful when MaxSamplesPerFit is raised past the threshold.
-	SparseThreshold int
-	// InducingPoints is the sparse path's inducing-set size (default 64).
-	InducingPoints int
 	Seed           int64
 }
 
@@ -93,47 +85,6 @@ type Tuner struct {
 	recommendSeconds *obs.Histogram
 	gprFitSeconds    *obs.Histogram
 	trainingSamples  *obs.Gauge
-	refitIncremental *obs.Counter
-	refitFull        *obs.Counter
-	refitSparse      *obs.Counter
-	refitSparseInc   *obs.Counter
-
-	// fitCache carries the previous recommendation's fitted GP so that a
-	// request whose training set merely extends the previous one refits
-	// incrementally (O(n²) per new sample via gp.Regressor.Add) instead
-	// of from scratch (O(n³)). See fitModelLocked for the exact reuse
-	// conditions; reuse is bit-identical to a full fit.
-	fitCache fitCacheEntry
-}
-
-// fitCacheEntry is the memoised state of the last GPR fit.
-type fitCacheEntry struct {
-	key      string // mapped workload + searched knob subspace
-	ymax     float64
-	model    *gp.Regressor
-	training []tuner.Sample // exact samples (in order) the model was fit on
-}
-
-// incrementalFit gates GPR fit reuse process-wide; on by default.
-var incrementalFit atomic.Bool
-
-func init() { incrementalFit.Store(true) }
-
-// SetIncrementalFit toggles incremental GPR refits (all tuners in the
-// process) and returns the previous setting. Reuse is a pure
-// optimization — recommendations are bit-identical either way; the
-// equivalence tests run both ways and compare fleet fingerprints.
-func SetIncrementalFit(on bool) bool { return incrementalFit.Swap(on) }
-
-// fullRefitEvery is the drift backstop handed to gp.Regressor: after
-// this many consecutive incremental updates the next Add runs a full
-// refit (itself bit-identical, since Add's math already is).
-const fullRefitEvery = 64
-
-// sameSample reports whether two samples are the same observation.
-func sameSample(a, b *tuner.Sample) bool {
-	return a.WorkloadID == b.WorkloadID && a.At.Equal(b.At) &&
-		a.Objective == b.Objective && a.Config.Equal(b.Config)
 }
 
 // New constructs a BO tuner.
@@ -173,14 +124,6 @@ func New(opts Options) (*Tuner, error) {
 			"Wall-clock GPR training time per recommendation (the O(n³) cost).", nil),
 		trainingSamples: reg.Gauge("autodbaas_tuner_training_samples",
 			"Training samples held by a tuner kind.", obs.L("tuner", "ottertune-bo")),
-		refitIncremental: reg.Counter("autodbaas_tuner_gpr_refit_total",
-			"GPR refits by mode (incremental rank-1 update vs full O(n³) fit).", obs.L("mode", "incremental")),
-		refitFull: reg.Counter("autodbaas_tuner_gpr_refit_total",
-			"GPR refits by mode (incremental rank-1 update vs full O(n³) fit).", obs.L("mode", "full")),
-		refitSparse: reg.Counter("autodbaas_tuner_gpr_refit_total",
-			"GPR refits by mode (incremental rank-1 update vs full O(n³) fit).", obs.L("mode", "sparse")),
-		refitSparseInc: reg.Counter("autodbaas_tuner_gpr_refit_total",
-			"GPR refits by mode (incremental rank-1 update vs full O(n³) fit).", obs.L("mode", "sparse-incremental")),
 	}, nil
 }
 
@@ -339,8 +282,8 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 		yn[i] = s.Objective / ymax
 	}
 	fitStart := time.Now()
-	model, err := t.fitModelLocked(mappedID, req.WorkloadID, names, training, x, yn, ymax)
-	if err != nil {
+	model := gp.NewRegressor(gp.NewSEARD(len(names), 0.35, 1.0), 1e-3)
+	if err := model.Fit(x, yn); err != nil {
 		return tuner.Recommendation{}, fmt.Errorf("bo: GPR fit: %w", err)
 	}
 	t.gprFitSeconds.Observe(time.Since(fitStart).Seconds())
@@ -445,71 +388,6 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 		TrainedOn: len(training),
 		Cost:      time.Since(start),
 	}, nil
-}
-
-// fitModelLocked returns a GP fitted on (x, yn), reusing the previous
-// recommendation's model when this training set strictly extends the
-// previous one under the same knob subspace and normalization:
-//
-//   - same cache key (target workload, mapped workload, knob names) —
-//     otherwise x columns or the sample source differ;
-//   - same ymax — otherwise every normalized target changes;
-//   - the cached training samples form a prefix (same order, same
-//     values) of the new set — the sliding MaxSamplesPerFit window or a
-//     mapping flip breaks this, forcing a full fit.
-//
-// When reuse applies, only the tail samples are folded in via
-// gp.Regressor.Add, whose rank-1 Cholesky update is bit-for-bit
-// identical to refitting from scratch — so cache hits can never change
-// a recommendation, only its cost.
-func (t *Tuner) fitModelLocked(mappedID, workloadID string, names []string, training []tuner.Sample, x [][]float64, yn []float64, ymax float64) (*gp.Regressor, error) {
-	key := workloadID + "\x00" + mappedID + "\x00" + strings.Join(names, ",")
-	c := &t.fitCache
-	if incrementalFit.Load() && c.model != nil && c.key == key && c.ymax == ymax &&
-		len(c.training) <= len(training) {
-		prefix := true
-		for i := range c.training {
-			if !sameSample(&c.training[i], &training[i]) {
-				prefix = false
-				break
-			}
-		}
-		if prefix {
-			ok := true
-			for i := len(c.training); i < len(training); i++ {
-				if err := c.model.Add(x[i], yn[i]); err != nil {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				if c.model.Sparse() {
-					t.refitSparseInc.Inc()
-				} else {
-					t.refitIncremental.Inc()
-				}
-				c.training = training
-				return c.model, nil
-			}
-			// A failed Add leaves the model unusable for reuse; fall
-			// through to the full fit below.
-		}
-	}
-	model := gp.NewRegressor(gp.NewSEARD(len(names), 0.35, 1.0), 1e-3)
-	model.FullRefitEvery = fullRefitEvery
-	model.SparseThreshold = t.opts.SparseThreshold
-	model.InducingPoints = t.opts.InducingPoints
-	if err := model.Fit(x, yn); err != nil {
-		t.fitCache = fitCacheEntry{}
-		return nil, err
-	}
-	if model.Sparse() {
-		t.refitSparse.Inc()
-	} else {
-		t.refitFull.Inc()
-	}
-	t.fitCache = fitCacheEntry{key: key, ymax: ymax, model: model, training: training}
-	return model, nil
 }
 
 // searchKnobsLocked picks the knob subspace to optimize: the throttled

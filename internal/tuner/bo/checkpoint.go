@@ -1,36 +1,27 @@
 package bo
 
 import (
-	"fmt"
-
-	"autodbaas/internal/gp"
 	"autodbaas/internal/prng"
 	"autodbaas/internal/tuner"
 )
 
 // State is the BO tuner's serializable mutable state: the sample store,
-// the incrementally maintained per-workload metric means, the fit cache
-// (GP Cholesky state via gp.Regressor's binary codec plus the exact
-// training prefix it was fitted on), and the acquisition RNG position.
-// Options and catalogs are construction parameters; the rebuilt tuner
-// must have been created with identical Options.
+// the incrementally maintained per-workload metric means and the
+// acquisition RNG position. No fitted model is kept between
+// recommendations, so none is saved; fields that older snapshots carry
+// for one (fit_key, fit_ymax, fit_model, fit_training) are ignored on
+// decode. Options and catalogs are construction parameters; the rebuilt
+// tuner must have been created with identical Options.
 type State struct {
 	RNG        prng.State           `json:"rng"`
 	Store      tuner.StoreState     `json:"store"`
 	MeanSums   map[string][]float64 `json:"mean_sums,omitempty"`
 	MeanCounts map[string]int       `json:"mean_counts,omitempty"`
 	MeanOrder  []string             `json:"mean_order,omitempty"`
-
-	// Fit cache: FitModel is gp.Regressor.MarshalBinary output, empty
-	// when no model was cached at snapshot time.
-	FitKey      string         `json:"fit_key,omitempty"`
-	FitYmax     float64        `json:"fit_ymax,omitempty"`
-	FitModel    []byte         `json:"fit_model,omitempty"`
-	FitTraining []tuner.Sample `json:"fit_training,omitempty"`
 }
 
 // CheckpointState captures the tuner's mutable state.
-func (t *Tuner) CheckpointState() (State, error) {
+func (t *Tuner) CheckpointState() State {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := State{
@@ -46,17 +37,7 @@ func (t *Tuner) CheckpointState() (State, error) {
 	for id, n := range t.meanCounts {
 		st.MeanCounts[id] = n
 	}
-	if c := &t.fitCache; c.model != nil {
-		blob, err := c.model.MarshalBinary()
-		if err != nil {
-			return State{}, fmt.Errorf("bo: fit-cache model: %w", err)
-		}
-		st.FitKey = c.key
-		st.FitYmax = c.ymax
-		st.FitModel = blob
-		st.FitTraining = append([]tuner.Sample(nil), c.training...)
-	}
-	return st, nil
+	return st
 }
 
 // RestoreCheckpointState overwrites the tuner's mutable state. The tuner
@@ -65,21 +46,6 @@ func (t *Tuner) CheckpointState() (State, error) {
 func (t *Tuner) RestoreCheckpointState(st State) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var cache fitCacheEntry
-	if len(st.FitModel) > 0 {
-		// Kernel dimension and noise are overwritten by UnmarshalBinary;
-		// the placeholder regressor just provides the receiver.
-		model := gp.NewRegressor(gp.NewSEARD(1, 0.35, 1.0), 1e-3)
-		if err := model.UnmarshalBinary(st.FitModel); err != nil {
-			return fmt.Errorf("bo: fit-cache model: %w", err)
-		}
-		cache = fitCacheEntry{
-			key:      st.FitKey,
-			ymax:     st.FitYmax,
-			model:    model,
-			training: append([]tuner.Sample(nil), st.FitTraining...),
-		}
-	}
 	t.store.RestoreCheckpointState(st.Store)
 	t.rngSrc.Restore(st.RNG)
 	t.meanSums = make(map[string][]float64, len(st.MeanSums))
@@ -91,7 +57,6 @@ func (t *Tuner) RestoreCheckpointState(st State) error {
 		t.meanCounts[id] = n
 	}
 	t.meanOrder = append([]string(nil), st.MeanOrder...)
-	t.fitCache = cache
 	t.trainingSamples.Set(float64(t.store.Len()))
 	return nil
 }
