@@ -47,7 +47,7 @@ func main() {
 	serve := flag.Bool("serve", false, "run the elastic multi-tenant fleet service with its REST control plane instead of a fixed fleet")
 	tick := flag.Duration("tick", 0, "wall-clock pause between virtual windows under -serve (0: flat out)")
 	worker := flag.Bool("worker", false, "run a shard worker: serve the shard RPC protocol on -listen and wait for a coordinator")
-	shards := flag.Int("shards", 0, "split the fleet service across N in-process shards (needs -serve; 0: one flat deployment)")
+	shards := flag.Int("shards", 0, "split the fleet service across N in-process shards (needs -serve; 0: one in-process deployment)")
 	shardMap := flag.String("shard-map", "", "comma-separated name=addr shard workers to coordinate, e.g. s0=127.0.0.1:9001,s1=127.0.0.1:9002 (needs -serve)")
 	scenarioFlag := flag.String("scenario", "", "replay a scenario: a YAML file path or a library name (see scenarios/); with -serve the fleet is also served read-only over HTTP")
 	timeScale := flag.Float64("time-scale", 0, "virtual seconds per wall second for -scenario (0: flat out; 120 replays 24h in 12 minutes)")

@@ -12,9 +12,9 @@ import (
 
 	"autodbaas/internal/faults"
 	"autodbaas/internal/fleet"
-	"autodbaas/internal/safety"
 	"autodbaas/internal/httpapi"
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/safety"
 	"autodbaas/internal/shard"
 	"autodbaas/internal/tenant"
 	"autodbaas/internal/tuner"
@@ -175,7 +175,6 @@ func runServe(c cliConfig) error {
 		return err
 	}
 	defer svc.Close()
-	sys := svc.System() // nil when sharded: no single System exists
 
 	if c.Resume {
 		if err := svc.RestoreLatest(c.CkptDir); err != nil {
@@ -194,17 +193,18 @@ func runServe(c cliConfig) error {
 
 	mux := http.NewServeMux()
 	mux.Handle("/", httpapi.NewFleetServer(svc))
+	if c.CkptDir != "" {
+		ckptSrv := httpapi.NewCheckpointServer(svc, c.CkptDir)
+		mux.Handle("/v1/checkpoint", ckptSrv)
+		mux.Handle("/v1/checkpoint/latest", ckptSrv)
+	}
 	// The director and repository endpoints expose one deployment's
-	// internals; sharded fleets have one per shard, so only the flat
-	// layout serves them.
-	if sys != nil {
+	// internals; a multi-shard fleet has one per shard, so only the
+	// default one-shard layout serves them. Fetched after any resume,
+	// which rebuilds the deployment.
+	if sys := svc.System(); sys != nil {
 		mux.Handle("/director/", http.StripPrefix("/director", httpapi.NewDirectorServer(sys.Director)))
 		mux.Handle("/repository/", http.StripPrefix("/repository", httpapi.NewRepositoryServer(sys.Repository)))
-		if c.CkptDir != "" {
-			ckptSrv := httpapi.NewCheckpointServer(sys, c.CkptDir)
-			mux.Handle("/v1/checkpoint", ckptSrv)
-			mux.Handle("/v1/checkpoint/latest", ckptSrv)
-		}
 	}
 	obsHandler := httpapi.NewObsHandler(nil, nil)
 	mux.Handle("/metrics", obsHandler)
@@ -226,9 +226,9 @@ func runServe(c cliConfig) error {
 	if c.FaultsProfile != "" {
 		fmt.Printf("fault injection: profile=%s\n", c.FaultsProfile)
 	}
-	layout := "one flat deployment"
-	if svc.Sharded() {
-		layout = fmt.Sprintf("%d shards", len(svc.Coordinator().ShardNames()))
+	layout := fmt.Sprintf("%d shards", len(svc.Coordinator().ShardNames()))
+	if c.ShardMap == "" && c.Shards == 0 {
+		layout = "one in-process deployment"
 	}
 	if c.Hours > 0 {
 		fmt.Printf("serving for %d virtual hours (%s)\n", c.Hours, layout)

@@ -13,8 +13,8 @@ const latestName = "latest.ckpt"
 // refreshes dir/latest.ckpt to the same bytes, returning the snapshot
 // path. Both names change atomically (temp file + rename), so a crash
 // or a failing encode never leaves a half-written file under either
-// name. It is the one snapshot-file writer: core.System and the sharded
-// fleet engine both save through it, so they share one directory layout.
+// name. It is the one snapshot-file writer: core.System and the fleet
+// service both save through it, so they share one directory layout.
 //
 // encode's bytes are written once: latest.ckpt is a hard link to the
 // new snapshot, and only where the filesystem refuses links is it a

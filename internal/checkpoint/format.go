@@ -100,168 +100,174 @@ func (m Manifest) Cohort() []string {
 	return out
 }
 
-// section is one named payload staged for writing.
+// section is one named payload staged for writing: its bytes, split
+// across several slices when it is a nested container, with the total
+// length and CRC-32 known before any byte is written.
 type section struct {
-	name    string
-	payload []byte
+	name  string
+	parts [][]byte
+	n     uint64
+	crc   uint32
+}
+
+// bytesSection stages a contiguous payload, checksumming it once.
+func bytesSection(name string, payload []byte) section {
+	return section{name: name, parts: [][]byte{payload}, n: uint64(len(payload)), crc: crc32.ChecksumIEEE(payload)}
 }
 
 const manifestSection = "manifest"
 
-// writeSection emits one section frame.
-func writeSection(w io.Writer, name string, payload []byte) error {
-	var hdr [2]byte
-	binary.LittleEndian.PutUint16(hdr[:], uint16(len(name)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, name); err != nil {
-		return err
-	}
-	var ln [8]byte
-	binary.LittleEndian.PutUint64(ln[:], uint64(len(payload)))
-	if _, err := w.Write(ln[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(crc[:])
-	return err
+// Container is one fully staged snapshot container. Its frames point at
+// the section payloads instead of copying them into one buffer, so
+// nesting a container as a section of another (the shard coordinator's
+// fleet snapshot) copies nothing, and WriteTo streams every byte once.
+type Container struct {
+	parts [][]byte
+	n     int64
 }
 
-// writeContainer emits the header, the manifest (with section metadata
-// filled in) and every staged section. It returns the total bytes
-// written.
-func writeContainer(w io.Writer, man Manifest, sections []section) (int64, error) {
+// stage lays out the header, the manifest (with section metadata filled
+// in) and every section.
+func stage(man Manifest, sections []section) (*Container, error) {
 	man.FormatVersion = FormatVersion
 	man.Sections = man.Sections[:0]
 	for _, s := range sections {
-		man.Sections = append(man.Sections, SectionMeta{
-			Name:   s.name,
-			Length: uint64(len(s.payload)),
-			CRC32:  crc32.ChecksumIEEE(s.payload),
-		})
+		man.Sections = append(man.Sections, SectionMeta{Name: s.name, Length: s.n, CRC32: s.crc})
 	}
 	manPayload, err := json.Marshal(man)
 	if err != nil {
-		return 0, fmt.Errorf("checkpoint: encode manifest: %w", err)
+		return nil, fmt.Errorf("checkpoint: encode manifest: %w", err)
 	}
-	cw := &countingWriter{w: w}
-	if _, err := cw.Write(magic[:]); err != nil {
-		return cw.n, err
-	}
-	var ver [2]byte
-	binary.LittleEndian.PutUint16(ver[:], FormatVersion)
-	if _, err := cw.Write(ver[:]); err != nil {
-		return cw.n, err
-	}
-	if err := writeSection(cw, manifestSection, manPayload); err != nil {
-		return cw.n, err
-	}
+	c := &Container{}
+	c.add(binary.LittleEndian.AppendUint16(append([]byte(nil), magic[:]...), FormatVersion))
+	c.addSection(bytesSection(manifestSection, manPayload))
 	for _, s := range sections {
-		if err := writeSection(cw, s.name, s.payload); err != nil {
-			return cw.n, err
+		c.addSection(s)
+	}
+	return c, nil
+}
+
+func (c *Container) add(p []byte) {
+	c.parts = append(c.parts, p)
+	c.n += int64(len(p))
+}
+
+// addSection frames one section: name length (uint16), name, payload
+// length (uint64), payload, CRC-32 of the payload.
+func (c *Container) addSection(s section) {
+	head := binary.LittleEndian.AppendUint16(make([]byte, 0, 2+len(s.name)+8), uint16(len(s.name)))
+	head = append(head, s.name...)
+	c.add(binary.LittleEndian.AppendUint64(head, s.n))
+	for _, p := range s.parts {
+		c.add(p)
+	}
+	c.add(binary.LittleEndian.AppendUint32(nil, s.crc))
+}
+
+// nested stages the whole container as one section of another. Its
+// CRC-32 runs over the parts in place; nothing is joined.
+func (c *Container) nested(name string) section {
+	var crc uint32
+	for _, p := range c.parts {
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+	}
+	return section{name: name, parts: c.parts, n: uint64(c.n), crc: crc}
+}
+
+// Len returns the container's size in bytes.
+func (c *Container) Len() int64 { return c.n }
+
+// WriteTo implements io.WriterTo.
+func (c *Container) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for _, p := range c.parts {
+		m, err := w.Write(p)
+		n += int64(m)
+		if err != nil {
+			return n, err
 		}
 	}
-	return cw.n, nil
+	return n, nil
 }
 
-type countingWriter struct {
-	w io.Writer
-	n int64
+// Bytes joins the container into one exactly sized slice — for callers
+// that must hand the snapshot on as bytes (the shard RPC protocol).
+func (c *Container) Bytes() []byte {
+	out := make([]byte, 0, c.n)
+	for _, p := range c.parts {
+		out = append(out, p...)
+	}
+	return out
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// readSection reads one section frame. ctx names what the caller was
-// expecting, for precise truncation errors.
-func readSection(r io.Reader, ctx string) (name string, payload []byte, err error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return "", nil, fmt.Errorf("%w: stream ended before section %q", ErrTruncated, ctx)
-	}
-	nameLen := binary.LittleEndian.Uint16(hdr[:])
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return "", nil, fmt.Errorf("%w: stream ended inside the name of section %q", ErrTruncated, ctx)
-	}
-	name = string(nameBuf)
-	var ln [8]byte
-	if _, err := io.ReadFull(r, ln[:]); err != nil {
-		return name, nil, fmt.Errorf("%w: stream ended inside the header of section %q", ErrTruncated, name)
-	}
-	payloadLen := binary.LittleEndian.Uint64(ln[:])
-	if payloadLen > 1<<34 {
-		return name, nil, fmt.Errorf("%w: section %q claims %d bytes", ErrChecksum, name, payloadLen)
-	}
-	payload = make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return name, nil, fmt.Errorf("%w: stream ended inside the payload of section %q", ErrTruncated, name)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return name, nil, fmt.Errorf("%w: stream ended before the checksum of section %q", ErrTruncated, name)
-	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		return name, nil, fmt.Errorf("%w: section %q (stored %08x, computed %08x)", ErrChecksum, name, want, got)
-	}
-	return name, payload, nil
-}
-
-// Inspect reads and verifies a whole snapshot container — manifest,
-// section list, lengths and checksums — without restoring anything. The
-// elastic fleet service uses it to learn the cohort a snapshot was
-// taken over (and to recover its own control-plane section) before it
-// rebuilds that cohort and performs the actual Read.
-func Inspect(r io.Reader) (Manifest, map[string][]byte, error) {
-	return readContainer(r)
-}
-
-// RawSection is one named payload for WriteRaw — the coordinator-level
-// snapshot API. The shard coordinator nests each worker shard's full
-// snapshot as a "shard/<name>" section of an outer container, so the
-// multi-process control plane gets the same header, manifest, length
-// and CRC verification as a single-process snapshot, with no second
-// serialization format.
+// RawSection is one named section for NewContainer — the
+// coordinator-level snapshot API. Payload holds a plain section; Nested,
+// when set, makes a whole staged container the section. The shard
+// coordinator nests each shard's full snapshot as a "shard/<name>"
+// section of an outer container, so the multi-process control plane
+// gets the same header, manifest, length and CRC verification as a
+// single-process snapshot, with no second serialization format and no
+// copy of the inner container.
 type RawSection struct {
 	Name    string
 	Payload []byte
+	Nested  *Container
 }
 
-// WriteRaw emits a container holding the given manifest (section
-// metadata is filled in) and sections, returning the bytes written.
-// Readers use Inspect.
-func WriteRaw(w io.Writer, man Manifest, secs []RawSection) (int64, error) {
+// NewContainer stages a container holding the given manifest (section
+// metadata is filled in) and sections. Readers use Parse or Inspect.
+func NewContainer(man Manifest, secs []RawSection) (*Container, error) {
 	staged := make([]section, 0, len(secs))
 	for _, s := range secs {
-		staged = append(staged, section{name: s.Name, payload: s.Payload})
+		if s.Nested != nil {
+			staged = append(staged, s.Nested.nested(s.Name))
+		} else {
+			staged = append(staged, bytesSection(s.Name, s.Payload))
+		}
 	}
-	return writeContainer(w, man, staged)
+	return stage(man, staged)
 }
 
-// readContainer reads the header and manifest, then every section the
-// manifest lists, verifying names, lengths and checksums. It returns
-// the manifest and the sections by name.
-func readContainer(r io.Reader) (Manifest, map[string][]byte, error) {
+// Inspect reads a whole snapshot container from r and verifies it (see
+// Parse).
+func Inspect(r io.Reader) (Manifest, map[string][]byte, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return Manifest{}, nil, err
+	}
+	return Parse(data)
+}
+
+// Parse verifies a snapshot container held in memory — header,
+// manifest, section list, lengths and checksums — without restoring
+// anything, and returns the manifest and the sections by name. Each
+// payload is checksummed once, and the sections alias data instead of
+// copying it, so a nested container (a shard snapshot inside a fleet
+// snapshot) is handed on as it sits in the file. The elastic fleet
+// service uses it to recover its own control-plane section before the
+// engine restores from the same sections.
+func Parse(data []byte) (Manifest, map[string][]byte, error) {
+	man, sections, err := parse(data)
+	if err != nil {
+		ckptMetrics()
+		mCorrupt.Inc()
+	}
+	return man, sections, err
+}
+
+func parse(data []byte) (Manifest, map[string][]byte, error) {
 	var man Manifest
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if len(data) < 6 {
 		return man, nil, fmt.Errorf("%w: stream ended inside the header", ErrTruncated)
 	}
-	if !bytes.Equal(hdr[:4], magic[:]) {
+	if !bytes.Equal(data[:4], magic[:]) {
 		return man, nil, ErrBadMagic
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != FormatVersion {
+	if v := binary.LittleEndian.Uint16(data[4:6]); v != FormatVersion {
 		return man, nil, fmt.Errorf("%w: file is v%d, this build reads v%d", ErrVersion, v, FormatVersion)
 	}
-	name, payload, err := readSection(r, manifestSection)
+	r := frameReader{rest: data[6:]}
+	name, payload, _, err := r.next(manifestSection)
 	if err != nil {
 		return man, nil, err
 	}
@@ -276,7 +282,7 @@ func readContainer(r io.Reader) (Manifest, map[string][]byte, error) {
 	}
 	sections := make(map[string][]byte, len(man.Sections))
 	for _, meta := range man.Sections {
-		name, payload, err := readSection(r, meta.Name)
+		name, payload, crc, err := r.next(meta.Name)
 		if err != nil {
 			return man, nil, err
 		}
@@ -286,10 +292,47 @@ func readContainer(r io.Reader) (Manifest, map[string][]byte, error) {
 		if uint64(len(payload)) != meta.Length {
 			return man, nil, fmt.Errorf("%w: section %q is %d bytes, manifest says %d", ErrManifest, name, len(payload), meta.Length)
 		}
-		if crc32.ChecksumIEEE(payload) != meta.CRC32 {
+		if crc != meta.CRC32 {
 			return man, nil, fmt.Errorf("%w: section %q does not match its manifest checksum", ErrChecksum, name)
 		}
 		sections[name] = payload
 	}
 	return man, sections, nil
+}
+
+// frameReader slices section frames off the front of a container.
+type frameReader struct{ rest []byte }
+
+// next reads one frame, verifies its payload against the frame's CRC
+// and returns that CRC for the manifest cross-check. ctx names what the
+// caller was expecting, for precise truncation errors.
+func (r *frameReader) next(ctx string) (name string, payload []byte, crc uint32, err error) {
+	b := r.rest
+	if len(b) < 2 {
+		return "", nil, 0, fmt.Errorf("%w: stream ended before section %q", ErrTruncated, ctx)
+	}
+	nameLen := int(binary.LittleEndian.Uint16(b))
+	b = b[2:]
+	if len(b) < nameLen {
+		return "", nil, 0, fmt.Errorf("%w: stream ended inside the name of section %q", ErrTruncated, ctx)
+	}
+	name, b = string(b[:nameLen]), b[nameLen:]
+	if len(b) < 8 {
+		return name, nil, 0, fmt.Errorf("%w: stream ended inside the header of section %q", ErrTruncated, name)
+	}
+	n := binary.LittleEndian.Uint64(b)
+	b = b[8:]
+	if n > uint64(len(b)) {
+		return name, nil, 0, fmt.Errorf("%w: stream ended inside the payload of section %q", ErrTruncated, name)
+	}
+	payload, b = b[:n:n], b[n:]
+	if len(b) < 4 {
+		return name, nil, 0, fmt.Errorf("%w: stream ended before the checksum of section %q", ErrTruncated, name)
+	}
+	crc = crc32.ChecksumIEEE(payload)
+	if want := binary.LittleEndian.Uint32(b); crc != want {
+		return name, nil, 0, fmt.Errorf("%w: section %q (stored %08x, computed %08x)", ErrChecksum, name, want, crc)
+	}
+	r.rest = b[4:]
+	return name, payload, crc, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -108,7 +107,7 @@ func ckptMetrics() {
 	metricsOnce.Do(func() {
 		r := obs.Default()
 		mBytes = r.Gauge("autodbaas_checkpoint_bytes", "Size of the most recent snapshot written.")
-		mDuration = r.Histogram("autodbaas_checkpoint_duration_seconds", "Wall-clock time to encode and write one snapshot.", nil)
+		mDuration = r.Histogram("autodbaas_checkpoint_duration_seconds", "Wall-clock time to encode one snapshot.", nil)
 		mTotal = r.Counter("autodbaas_checkpoint_total", "Snapshots written.")
 		mRestores = r.Counter("autodbaas_checkpoint_restore_total", "Snapshots restored.")
 		mCorrupt = r.Counter("autodbaas_checkpoint_corrupt_total", "Snapshot restores rejected as corrupt or mismatched.")
@@ -287,14 +286,16 @@ func cohortDiff(snapshot []InstanceMeta, system []FleetMember) string {
 	return strings.Join(parts, "; ")
 }
 
-// Write serializes the System into w. The repository fan-out queue must
-// be drained first (core.System.Checkpoint flushes before calling).
-func Write(w io.Writer, sys System) error {
+// Encode stages the System's snapshot container; the caller writes it
+// out (Container.WriteTo) or nests it in a fleet snapshot. The
+// repository fan-out queue must be drained first (core.System.Snapshot
+// flushes before calling).
+func Encode(sys System) (*Container, error) {
 	ckptMetrics()
 	start := time.Now()
 
 	var sections []section
-	add := func(name string, payload []byte) { sections = append(sections, section{name: name, payload: payload}) }
+	add := func(name string, payload []byte) { sections = append(sections, bytesSection(name, payload)) }
 	addJSON := func(name string, v any) error {
 		raw, err := json.Marshal(v)
 		if err != nil {
@@ -306,46 +307,46 @@ func Write(w io.Writer, sys System) error {
 
 	var storeBuf bytes.Buffer
 	if err := sys.Repository.Save(&storeBuf); err != nil {
-		return err
+		return nil, err
 	}
 	add(secRepoStore, storeBuf.Bytes())
 
 	fanout, err := sys.Repository.CheckpointState()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := addJSON(secRepoFanout, fanout); err != nil {
-		return err
+		return nil, err
 	}
 	if err := addJSON(secOrchestrator, sys.Orchestrator.CheckpointState()); err != nil {
-		return err
+		return nil, err
 	}
 	if err := addJSON(secDFA, sys.DFA.CheckpointState()); err != nil {
-		return err
+		return nil, err
 	}
 	if err := addJSON(secDirector, sys.Director.CheckpointState()); err != nil {
-		return err
+		return nil, err
 	}
 	if err := addJSON(secFaults, sys.Faults.CheckpointState()); err != nil {
-		return err
+		return nil, err
 	}
 
 	blobs := make([]tunerBlob, 0, len(sys.Tuners))
 	for _, t := range sys.Tuners {
 		b, err := marshalTuner(t)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		blobs = append(blobs, b)
 	}
 	if err := addJSON(secTuners, blobs); err != nil {
-		return err
+		return nil, err
 	}
 
 	for _, ex := range sys.Extras {
 		raw, err := ex.Save()
 		if err != nil {
-			return fmt.Errorf("checkpoint: extra section %q: %w", ex.Name, err)
+			return nil, fmt.Errorf("checkpoint: extra section %q: %w", ex.Name, err)
 		}
 		add(secExtraPrefix+ex.Name, raw)
 	}
@@ -362,32 +363,32 @@ func Write(w io.Writer, sys System) error {
 	for _, fm := range sys.Fleet {
 		raw, meta, err := EncodeInstance(fm)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		man.Instances = append(man.Instances, meta)
 		add(secInstPrefix+fm.ID, raw)
 	}
 
-	n, err := writeContainer(w, man, sections)
+	c, err := stage(man, sections)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	mBytes.Set(float64(n))
+	mBytes.Set(float64(c.Len()))
 	mDuration.Observe(time.Since(start).Seconds())
 	mTotal.Inc()
-	return nil
+	return c, nil
 }
 
-// Read restores a snapshot into sys, which must be a freshly rebuilt
-// System with the same construction parameters (specs, seeds, tuner
-// fleet, fault profile) as the one that wrote it — for a dynamic fleet,
-// "the same" means the cohort alive at the snapshot's window, which
-// Inspect reports. It returns the snapshot's manifest (window index,
-// membership generation, cohort). Any validation or decoding failure
-// leaves an error naming the offending section — and, for topology
-// mismatches, the differing instance IDs; partial application is
-// avoided by validating topology before mutating anything.
-func Read(r io.Reader, sys System) (man Manifest, err error) {
+// Restore applies a snapshot container, already verified by Parse or
+// Inspect, to sys, which must be a freshly rebuilt System with the same
+// construction parameters (specs, seeds, tuner fleet, fault profile) as
+// the one that wrote it — for a dynamic fleet, "the same" means the
+// cohort alive at the snapshot's window, which the manifest reports.
+// Any validation or decoding failure leaves an error naming the
+// offending section — and, for topology mismatches, the differing
+// instance IDs; partial application is avoided by validating topology
+// before mutating anything.
+func Restore(man Manifest, sections map[string][]byte, sys System) (err error) {
 	ckptMetrics()
 	defer func() {
 		if err != nil {
@@ -397,28 +398,23 @@ func Read(r io.Reader, sys System) (man Manifest, err error) {
 		}
 	}()
 
-	man, sections, err := readContainer(r)
-	if err != nil {
-		return man, err
-	}
-
 	// Validate the rebuild against the manifest before touching state.
 	if len(man.Tuners) != len(sys.Tuners) {
-		return man, fmt.Errorf("%w: snapshot has %d tuners, system has %d", ErrManifest, len(man.Tuners), len(sys.Tuners))
+		return fmt.Errorf("%w: snapshot has %d tuners, system has %d", ErrManifest, len(man.Tuners), len(sys.Tuners))
 	}
 	for i, name := range man.Tuners {
 		if got := sys.Tuners[i].Name(); got != name {
-			return man, fmt.Errorf("%w: tuner %d is %q, snapshot holds %q", ErrManifest, i, got, name)
+			return fmt.Errorf("%w: tuner %d is %q, snapshot holds %q", ErrManifest, i, got, name)
 		}
 	}
 	if len(man.Instances) != len(sys.Fleet) {
-		return man, fmt.Errorf("%w: snapshot cohort has %d instances, system has %d (%s)",
+		return fmt.Errorf("%w: snapshot cohort has %d instances, system has %d (%s)",
 			ErrManifest, len(man.Instances), len(sys.Fleet), cohortDiff(man.Instances, sys.Fleet))
 	}
 	for i, im := range man.Instances {
 		got := instanceMeta(sys.Fleet[i])
 		if got.ID != im.ID {
-			return man, fmt.Errorf("%w: cohort position %d is %q, snapshot holds %q (%s)",
+			return fmt.Errorf("%w: cohort position %d is %q, snapshot holds %q (%s)",
 				ErrManifest, i, got.ID, im.ID, cohortDiff(man.Instances, sys.Fleet))
 		}
 		// Gen is restored state, not a construction parameter: a rebuilt
@@ -426,14 +422,14 @@ func Read(r io.Reader, sys System) (man Manifest, err error) {
 		// behind the snapshot's numbering, and Restore overwrites it.
 		got.Gen = im.Gen
 		if got != im {
-			return man, fmt.Errorf("%w: instance %q is %+v, snapshot holds %+v", ErrManifest, im.ID, got, im)
+			return fmt.Errorf("%w: instance %q is %+v, snapshot holds %+v", ErrManifest, im.ID, got, im)
 		}
 	}
 	if man.HasFaults != (sys.Faults != nil) {
-		return man, fmt.Errorf("%w: snapshot fault injection = %v, system = %v", ErrManifest, man.HasFaults, sys.Faults != nil)
+		return fmt.Errorf("%w: snapshot fault injection = %v, system = %v", ErrManifest, man.HasFaults, sys.Faults != nil)
 	}
 	if sys.Repository.Len() != 0 {
-		return man, fmt.Errorf("checkpoint: restore into a non-empty repository (%d samples); rebuild the system first", sys.Repository.Len())
+		return fmt.Errorf("checkpoint: restore into a non-empty repository (%d samples); rebuild the system first", sys.Repository.Len())
 	}
 
 	need := func(name string) ([]byte, error) {
@@ -456,55 +452,55 @@ func Read(r io.Reader, sys System) (man Manifest, err error) {
 
 	storeRaw, err := need(secRepoStore)
 	if err != nil {
-		return man, err
+		return err
 	}
 	if _, err := sys.Repository.LoadQuiet(bytes.NewReader(storeRaw)); err != nil {
-		return man, fmt.Errorf("checkpoint: section %q: %w", secRepoStore, err)
+		return fmt.Errorf("checkpoint: section %q: %w", secRepoStore, err)
 	}
 	var fanout repository.State
 	if err := decode(secRepoFanout, &fanout); err != nil {
-		return man, err
+		return err
 	}
 	if err := sys.Repository.RestoreCheckpointState(fanout); err != nil {
-		return man, fmt.Errorf("checkpoint: section %q: %w", secRepoFanout, err)
+		return fmt.Errorf("checkpoint: section %q: %w", secRepoFanout, err)
 	}
 	var orch orchestrator.State
 	if err := decode(secOrchestrator, &orch); err != nil {
-		return man, err
+		return err
 	}
 	if err := sys.Orchestrator.RestoreCheckpointState(orch); err != nil {
-		return man, fmt.Errorf("checkpoint: section %q: %w", secOrchestrator, err)
+		return fmt.Errorf("checkpoint: section %q: %w", secOrchestrator, err)
 	}
 	var dfaState dfa.State
 	if err := decode(secDFA, &dfaState); err != nil {
-		return man, err
+		return err
 	}
 	sys.DFA.RestoreCheckpointState(dfaState)
 	var dirState director.State
 	if err := decode(secDirector, &dirState); err != nil {
-		return man, err
+		return err
 	}
 	if err := sys.Director.RestoreCheckpointState(dirState); err != nil {
-		return man, fmt.Errorf("checkpoint: section %q: %w", secDirector, err)
+		return fmt.Errorf("checkpoint: section %q: %w", secDirector, err)
 	}
 	var faultState faults.InjectorState
 	if err := decode(secFaults, &faultState); err != nil {
-		return man, err
+		return err
 	}
 	if err := sys.Faults.RestoreCheckpointState(faultState); err != nil {
-		return man, fmt.Errorf("checkpoint: section %q: %w", secFaults, err)
+		return fmt.Errorf("checkpoint: section %q: %w", secFaults, err)
 	}
 
 	var blobs []tunerBlob
 	if err := decode(secTuners, &blobs); err != nil {
-		return man, err
+		return err
 	}
 	if len(blobs) != len(sys.Tuners) {
-		return man, fmt.Errorf("%w: section %q holds %d tuners, system has %d", ErrManifest, secTuners, len(blobs), len(sys.Tuners))
+		return fmt.Errorf("%w: section %q holds %d tuners, system has %d", ErrManifest, secTuners, len(blobs), len(sys.Tuners))
 	}
 	for i, t := range sys.Tuners {
 		if err := restoreTuner(t, blobs[i]); err != nil {
-			return man, err
+			return err
 		}
 	}
 
@@ -512,10 +508,10 @@ func Read(r io.Reader, sys System) (man Manifest, err error) {
 		name := secInstPrefix + fm.ID
 		payload, err := need(name)
 		if err != nil {
-			return man, err
+			return err
 		}
 		if err := restoreInstance(fm, name, payload); err != nil {
-			return man, err
+			return err
 		}
 	}
 
@@ -530,11 +526,11 @@ func Read(r io.Reader, sys System) (man Manifest, err error) {
 		}
 		p, ok := sections[secExtraPrefix+ex.Name]
 		if !ok {
-			return man, fmt.Errorf("%w: extra section %q missing", ErrManifest, secExtraPrefix+ex.Name)
+			return fmt.Errorf("%w: extra section %q missing", ErrManifest, secExtraPrefix+ex.Name)
 		}
 		if err := ex.Restore(p); err != nil {
-			return man, fmt.Errorf("checkpoint: extra section %q: %w", secExtraPrefix+ex.Name, err)
+			return fmt.Errorf("checkpoint: extra section %q: %w", secExtraPrefix+ex.Name, err)
 		}
 	}
-	return man, nil
+	return nil
 }

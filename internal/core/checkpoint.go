@@ -65,12 +65,24 @@ func (s *System) RegisterCheckpointExtra(name string, save func() ([]byte, error
 	s.ckptExtras = append(s.ckptExtras, checkpoint.Extra{Name: name, Save: save, Restore: restore})
 }
 
-// Checkpoint serializes the system's entire mutable state into w. The
-// fan-out queue is drained first, so the snapshot sits on a clean
-// window boundary; call it between Steps, never concurrently with one.
+// Checkpoint serializes the system's entire mutable state into w (see
+// Snapshot).
 func (s *System) Checkpoint(w io.Writer) error {
+	c, err := s.Snapshot()
+	if err != nil {
+		return err
+	}
+	_, err = c.WriteTo(w)
+	return err
+}
+
+// Snapshot stages the system's entire mutable state as a checkpoint
+// container. The fan-out queue is drained first, so the snapshot sits
+// on a clean window boundary; call it between Steps, never concurrently
+// with one.
+func (s *System) Snapshot() (*checkpoint.Container, error) {
 	s.Repository.Flush()
-	return checkpoint.Write(w, s.codecView())
+	return checkpoint.Encode(s.codecView())
 }
 
 // Restore loads a snapshot into this system, which must be freshly
@@ -80,8 +92,18 @@ func (s *System) Checkpoint(w io.Writer) error {
 // resumes from the snapshot and stepping forward reproduces the
 // uninterrupted run bit-for-bit.
 func (s *System) Restore(r io.Reader) error {
-	man, err := checkpoint.Read(r, s.codecView())
+	man, sections, err := checkpoint.Inspect(r)
 	if err != nil {
+		return err
+	}
+	return s.RestoreSections(man, sections)
+}
+
+// RestoreSections is Restore over a container already read and
+// verified by checkpoint.Parse, so a caller holding the snapshot in
+// memory hands its sections over instead of having them re-read.
+func (s *System) RestoreSections(man checkpoint.Manifest, sections map[string][]byte) error {
+	if err := checkpoint.Restore(man, sections, s.codecView()); err != nil {
 		return err
 	}
 	s.mu.Lock()

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,7 +11,7 @@ import (
 )
 
 // controlSection is the fleet service's snapshot section; it rides in
-// the engine container as "extra/fleet".
+// the coordinator's container as "extra/fleet".
 const controlSection = "fleet"
 
 // tenantRecord is one tenant's row of the control-plane section.
@@ -23,10 +22,9 @@ type tenantRecord struct {
 }
 
 // controlState is the serialized desired state of the fleet service:
-// every tenant and database record, the live cohort in onboarding
-// order (the order a restore must re-provision in, so the engine's
-// ordered control-plane merge replays identically), and the lifecycle
-// totals.
+// every tenant and database record, the live cohort in fleet onboarding
+// order (which a restore cross-checks against the rebuilt shards), and
+// the lifecycle totals.
 type controlState struct {
 	Order        []string       `json:"order"`
 	Tenants      []tenantRecord `json:"tenants"`
@@ -38,28 +36,20 @@ type controlState struct {
 	WarmSeeded   int64          `json:"warmstart_samples_seeded_total,omitempty"`
 }
 
-// saveControlState is the Extra hook the engine's checkpoint calls
-// (core.System extras on the flat engine, coordinator extras when
-// sharded): it runs between Steps (Checkpoint's contract), so desired
-// state is stable.
+// saveControlState is the extra hook of the coordinator's snapshot. It
+// runs under stepMu (every snapshot does), so desired state is stable.
 func (s *Service) saveControlState() ([]byte, error) {
-	members, err := s.eng.Members()
-	if err != nil {
-		return nil, err
-	}
+	order := s.coord.Instances()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ctl := controlState{
-		Order:        make([]string, 0, len(members)),
+		Order:        order,
 		Provisions:   s.provisions,
 		Deprovisions: s.deprovisions,
 		Resizes:      s.resizes,
 		WarmHits:     s.warmHits,
 		WarmMisses:   s.warmMisses,
 		WarmSeeded:   s.warmSeeded,
-	}
-	for _, m := range members {
-		ctl.Order = append(ctl.Order, m.ID)
 	}
 	for _, tid := range s.sortedTenantIDsLocked() {
 		ts := s.tenants[tid]
@@ -72,33 +62,60 @@ func (s *Service) saveControlState() ([]byte, error) {
 	return json.Marshal(ctl)
 }
 
-// CheckpointNow writes a snapshot (engine state plus the control-plane
-// section) to dir and refreshes dir/latest.ckpt.
-func (s *Service) CheckpointNow(dir string) (string, error) { return s.eng.CheckpointTo(dir) }
+// CheckpointNow writes a snapshot — the coordinator's fleet container,
+// with every shard's container nested in it and the control-plane
+// section riding as an extra — to dir and refreshes dir/latest.ckpt. It
+// waits for a running Step to finish.
+func (s *Service) CheckpointNow(dir string) (string, error) {
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
+	return s.checkpoint(dir)
+}
+
+// checkpoint writes one snapshot. Callers hold stepMu.
+func (s *Service) checkpoint(dir string) (string, error) {
+	window := s.coord.Window()
+	path, err := checkpoint.SaveFile(dir, window, s.coord.Checkpoint)
+	if err != nil {
+		return "", err
+	}
+	s.mu.Lock()
+	s.ckptLastPath, s.ckptLastWindow = path, window
+	s.mu.Unlock()
+	return path, nil
+}
+
+// LastCheckpoint returns the path and window of the newest snapshot
+// this service wrote ("" until it has written one).
+func (s *Service) LastCheckpoint() (string, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ckptLastPath, s.ckptLastWindow
+}
 
 // RestoreLatest resumes a fleet service from dir/latest.ckpt. The
 // receiver must be freshly built from the same Config (seed, tuners,
-// catalogue, fault profile) as the service that wrote the snapshot.
+// catalogue, fault profile, shard map) as the service that wrote the
+// snapshot.
 func (s *Service) RestoreLatest(dir string) error {
 	return s.RestoreFrom(filepath.Join(dir, "latest.ckpt"))
 }
 
-// RestoreFrom resumes from one snapshot file. The restore is two-pass:
-// Inspect recovers the control-plane section without touching engine
-// state; the service rebuilds its desired state — and, on the flat
-// engine, re-provisions the recorded cohort in onboarding order with
-// the recorded plans and seeds (sharded snapshots are self-contained:
-// every shard rebuilds its own cohort from its specs section); then
-// the engine restore overwrites every instance, tuner, director and
-// repository section, leaving the fleet exactly where the snapshot was
-// taken — same window, same membership generations, same fingerprint
-// going forward.
+// RestoreFrom resumes from one snapshot file, read and verified once:
+// the control-plane section rebuilds the service's desired state, and
+// the same parsed sections go to the coordinator, whose shards rebuild
+// their cohorts from their specs sections and overwrite every instance,
+// tuner, director and repository section — leaving the fleet exactly
+// where the snapshot was taken: same window, same membership
+// generations, same fingerprint going forward.
 func (s *Service) RestoreFrom(path string) error {
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	_, sections, err := checkpoint.Inspect(bytes.NewReader(data))
+	_, sections, err := checkpoint.Parse(data)
 	if err != nil {
 		return err
 	}
@@ -110,86 +127,48 @@ func (s *Service) RestoreFrom(path string) error {
 	if err := json.Unmarshal(raw, &ctl); err != nil {
 		return fmt.Errorf("fleet: decode control-plane section: %w", err)
 	}
-
-	if n := s.eng.FleetSize(); n != 0 {
-		return fmt.Errorf("fleet: restore into a non-empty service (%d instances); rebuild it first", n)
-	}
-	s.mu.Lock()
-	if len(s.tenants) != 0 {
-		s.mu.Unlock()
-		return fmt.Errorf("fleet: restore into a service with %d tenants declared; rebuild it first", len(s.tenants))
-	}
-	byInstance := make(map[string]*dbState)
+	tenants := make(map[string]*tenantState, len(ctl.Tenants))
 	for _, rec := range ctl.Tenants {
+		if _, ok := s.cfg.Tiers[rec.Tenant.Tier]; !ok {
+			return fmt.Errorf("fleet: snapshot tenant %q uses tier %q, absent from this catalogue", rec.Tenant.ID, rec.Tenant.Tier)
+		}
 		ts := &tenantState{Tenant: rec.Tenant, DBs: make(map[string]*dbState), deleted: rec.Deleted}
 		for i := range rec.DBs {
 			db := rec.DBs[i]
+			if _, ok := s.cfg.Blueprints[db.Blueprint]; !ok {
+				return fmt.Errorf("fleet: snapshot database %s/%s uses blueprint %q, absent from this catalogue", rec.Tenant.ID, db.ID, db.Blueprint)
+			}
 			ts.DBs[db.ID] = &db
-			byInstance[instanceID(rec.Tenant.ID, db.ID)] = &db
 		}
-		if _, ok := s.cfg.Tiers[rec.Tenant.Tier]; !ok {
-			s.mu.Unlock()
-			return fmt.Errorf("fleet: snapshot tenant %q uses tier %q, absent from this catalogue", rec.Tenant.ID, rec.Tenant.Tier)
-		}
-		s.tenants[rec.Tenant.ID] = ts
+		tenants[rec.Tenant.ID] = ts
 	}
-	s.provisions, s.deprovisions, s.resizes = ctl.Provisions, ctl.Deprovisions, ctl.Resizes
-	s.warmHits, s.warmMisses, s.warmSeeded = ctl.WarmHits, ctl.WarmMisses, ctl.WarmSeeded
 
-	if !s.eng.SelfContainedSnapshots() {
-		// Rebuild the cohort in recorded onboarding order with the
-		// recorded plans and seeds; the engine restore below overwrites
-		// all state.
-		for _, id := range ctl.Order {
-			db, ok := byInstance[id]
-			if !ok {
-				s.mu.Unlock()
-				return fmt.Errorf("fleet: snapshot cohort lists %q but no tenant record declares it", id)
-			}
-			ts := s.tenants[tenantIDOf(id)]
-			if err := s.rebuildLocked(ts, db); err != nil {
-				s.mu.Unlock()
-				return err
-			}
-		}
+	if n := len(s.coord.Instances()); n != 0 {
+		return fmt.Errorf("fleet: restore into a non-empty service (%d instances); rebuild it first", n)
 	}
-	s.m.tenants.Set(float64(len(s.tenants)))
-	s.m.instances.Set(float64(len(ctl.Order)))
+	s.mu.Lock()
+	declared := len(s.tenants)
 	s.mu.Unlock()
-
-	if err := s.eng.Restore(data); err != nil {
+	if declared != 0 {
+		return fmt.Errorf("fleet: restore into a service with %d tenants declared; rebuild it first", declared)
+	}
+	if err := s.coord.RestoreSections(sections); err != nil {
 		return err
 	}
-
-	// Cross-check the engine's rebuilt cohort against the control
-	// plane's: every recorded instance must be hosted somewhere.
-	if s.eng.SelfContainedSnapshots() {
-		for _, id := range ctl.Order {
-			if _, ok := s.eng.Placement(id); !ok {
-				return fmt.Errorf("fleet: restored engine does not host recorded instance %q", id)
-			}
+	// Cross-check the rebuilt cohort against the control plane's: every
+	// recorded instance must be hosted somewhere.
+	for _, id := range ctl.Order {
+		if _, ok := s.coord.Assignment(id); !ok {
+			return fmt.Errorf("fleet: restored engine does not host recorded instance %q", id)
 		}
 	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tenants = tenants
+	s.provisions, s.deprovisions, s.resizes = ctl.Provisions, ctl.Deprovisions, ctl.Resizes
+	s.warmHits, s.warmMisses, s.warmSeeded = ctl.WarmHits, ctl.WarmMisses, ctl.WarmSeeded
+	s.m.tenants.Set(float64(len(s.tenants)))
+	s.m.instances.Set(float64(len(ctl.Order)))
 	return nil
-}
-
-// tenantIDOf splits "<tenant>/<db>" back into the tenant half.
-func tenantIDOf(instanceID string) string {
-	for i := 0; i < len(instanceID); i++ {
-		if instanceID[i] == '/' {
-			return instanceID[:i]
-		}
-	}
-	return instanceID
-}
-
-// rebuildLocked re-provisions one database with its recorded plan and
-// seed — the restore path's twin of provisionLocked, which must not
-// re-derive seeds or bump lifecycle totals.
-func (s *Service) rebuildLocked(ts *tenantState, db *dbState) error {
-	bp, ok := s.cfg.Blueprints[db.Blueprint]
-	if !ok {
-		return fmt.Errorf("fleet: snapshot database %s/%s uses blueprint %q, absent from this catalogue", ts.Tenant.ID, db.ID, db.Blueprint)
-	}
-	return s.eng.AddInstance(instanceSpec(instanceID(ts.Tenant.ID, db.ID), db, bp))
 }

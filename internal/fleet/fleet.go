@@ -1,8 +1,17 @@
 // Package fleet is the elastic multi-tenant control plane of AutoDBaaS:
 // a long-running service in which Tenants own database services stamped
 // out of Blueprints into Tiers, and a reconcile loop drives desired
-// state (declared over the REST API) toward observed state (core.System
+// state (declared over the REST API) toward observed state (shard
 // membership) one virtual-time tick at a time.
+//
+// The fleet always runs on a shard.Coordinator. By default it has one
+// in-process shard (LocalShard) built from Config.Tuners, Faults,
+// Parallelism and Safety; Config.Shards and Config.ShardHosts lay it
+// out over several in-process shards or worker processes instead.
+// Placement, stepping, status, fingerprints and snapshots take the same
+// path on every layout: a snapshot is the coordinator's container with
+// one shard container nested per shard and the fleet's control-plane
+// section riding as an extra.
 //
 // The API mutations (create/delete tenant, create/resize/delete
 // database) only edit desired state; all engine side effects happen
@@ -55,22 +64,23 @@ type Config struct {
 	// Parallelism is the fleet-step worker bound (0: GOMAXPROCS).
 	Parallelism int
 	// Faults optionally injects deterministic chaos (may be nil).
-	// Ignored when the engine is sharded — each shard config names its
-	// own fault profile.
+	// Ignored when Shards or ShardHosts are set — each shard config
+	// names its own fault profile.
 	Faults *faults.Injector
-	// Tuners is the shared tuner fleet (required for the flat engine,
-	// len >= 1). Ignored when sharded — each shard builds its own
-	// tuner pool from its config.
+	// Tuners is the tuner fleet of the default layout's one in-process
+	// shard (len >= 1 there). Ignored when Shards or ShardHosts are set —
+	// each shard builds its own tuner pool from its config.
 	Tuners []tuner.Tuner
 	// Tiers and Blueprints are the service catalogue; nil means the
 	// built-in defaults from the tenant package.
 	Tiers      map[string]tenant.Tier
 	Blueprints map[string]tenant.Blueprint
 
-	// Shards switches the engine from one flat core.System to a
-	// coordinator over one in-process shard per config. Instance
-	// placement is the coordinator's rendezvous hash; the shard map
-	// (names, in order) is part of the determinism contract.
+	// Shards replaces the default layout — one in-process shard named
+	// LocalShard, built from Parallelism, Faults, Tuners and Safety —
+	// with one in-process shard per config. Instance placement is the
+	// coordinator's rendezvous hash; the shard map (names, in order) is
+	// part of the determinism contract.
 	Shards []shard.Config
 	// ShardHosts supplies pre-built shards instead — e.g. shard.Remote
 	// proxies to `autodbaas -worker` processes. Takes precedence over
@@ -81,19 +91,35 @@ type Config struct {
 	// tuner from the repository history of workload-similar instances
 	// and applies the donor's best configuration as the starting point
 	// (see warmstart.go). Nil (the default) keeps cold starts — and
-	// every existing timeline — byte-identical. Flat engine only.
+	// every existing timeline — byte-identical. Only a fleet that is
+	// exactly one in-process shard can warm-start.
 	WarmStart *WarmStartConfig
 
-	// Safety, when non-nil, enables the safe-tuning gate on the flat
-	// engine (internal/safety): shadow canary evaluation, trust regions
-	// and automatic rollback in front of every tuner apply. Ignored
-	// when the engine is sharded — put safety.Options on each shard
-	// config instead (each shard runs its own gate).
+	// Safety, when non-nil, enables the safe-tuning gate on the default
+	// layout's shard (internal/safety): shadow canary evaluation, trust
+	// regions and automatic rollback in front of every tuner apply.
+	// Ignored when Shards or ShardHosts are set — put safety.Options on
+	// each shard config instead (each shard runs its own gate).
 	Safety *safety.Options
 }
 
-// Sharded reports whether the config selects the sharded engine.
-func (c Config) Sharded() bool { return len(c.Shards) > 0 || len(c.ShardHosts) > 0 }
+// LocalShard names the one in-process shard of the default layout.
+const LocalShard = "local"
+
+// oneLocalShard reports whether the config puts the whole fleet on one
+// in-process shard — the layout whose repository is a fleet-scope
+// donor store for warm starts. It reads the config only, so rejecting
+// a config never touches the caller's shard hosts.
+func (c Config) oneLocalShard() bool {
+	switch len(c.ShardHosts) {
+	case 0:
+		return len(c.Shards) <= 1
+	case 1:
+		_, ok := c.ShardHosts[0].(*shard.Local)
+		return ok
+	}
+	return false
+}
 
 // dbState is the desired+observed record of one database service. It is
 // JSON-serializable: the control-plane section of a snapshot is exactly
@@ -120,18 +146,26 @@ type tenantState struct {
 }
 
 // Service is the fleet control plane. All methods are safe for
-// concurrent use; Step must not run concurrently with itself.
+// concurrent use.
 type Service struct {
-	mu  sync.Mutex
-	cfg Config
-	eng engine
-
-	// sys is the flat engine's deployment (nil when sharded); coord is
-	// the sharded engine's coordinator (nil when flat).
-	sys   *core.System
-	coord *shard.Coordinator
+	mu sync.Mutex
+	// stepMu serialises what must sit on a window boundary — Step,
+	// snapshots, RestoreFrom and Rebalance — so an HTTP snapshot never
+	// encodes a window that is still running.
+	stepMu sync.Mutex
+	cfg    Config
+	coord  *shard.Coordinator
+	// local is the fleet's only shard when that shard is in-process
+	// (nil otherwise): the home of System() and of warm starts.
+	local *shard.Local
 
 	tenants map[string]*tenantState
+
+	// Snapshot cadence and the newest snapshot written, under mu.
+	ckptDir        string
+	ckptEvery      int
+	ckptLastPath   string
+	ckptLastWindow int
 
 	provisions   int64
 	deprovisions int64
@@ -165,7 +199,7 @@ func newFleetMetrics(r *obs.Registry) fleetMetrics {
 	}
 }
 
-// New wires a Service (and its core.System) from the config.
+// New wires a Service and its shard coordinator from the config.
 func New(cfg Config) (*Service, error) {
 	if cfg.Tiers == nil {
 		cfg.Tiers = tenant.DefaultTiers()
@@ -183,59 +217,61 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 	}
-	s := &Service{
-		cfg:     cfg,
-		tenants: make(map[string]*tenantState),
-		m:       newFleetMetrics(obs.Default()),
+	if cfg.WarmStart != nil && !cfg.oneLocalShard() {
+		return nil, fmt.Errorf("%w: warm starts need the fleet to be exactly one in-process shard (shards partition the repository the donor query reads)", ErrInvalid)
 	}
-	if cfg.Sharded() {
-		if cfg.WarmStart != nil {
-			return nil, fmt.Errorf("%w: warm starts need the flat engine's fleet-scope repository (shards partition it)", ErrInvalid)
-		}
-		shards := cfg.ShardHosts
-		if len(shards) == 0 {
-			for _, sc := range cfg.Shards {
-				l, err := shard.NewLocal(sc)
-				if err != nil {
-					return nil, err
-				}
-				shards = append(shards, l)
+	shards := cfg.ShardHosts
+	if len(shards) == 0 {
+		for _, sc := range cfg.Shards {
+			l, err := shard.NewLocal(sc)
+			if err != nil {
+				return nil, err
 			}
+			shards = append(shards, l)
 		}
-		coord, err := shard.NewCoordinator(shards...)
+	}
+	if len(shards) == 0 {
+		l, err := shard.NewLocalWith(shard.Config{Name: LocalShard, Parallelism: cfg.Parallelism, Safety: cfg.Safety}, cfg.Faults, cfg.Tuners...)
 		if err != nil {
 			return nil, err
 		}
-		s.coord = coord
-		s.eng = &shardedEngine{coord: coord}
-		coord.RegisterCheckpointExtra(controlSection, s.saveControlState, nil)
-		return s, nil
+		shards = []shard.Shard{l}
 	}
-	sys, err := core.NewSystemWithOptions(core.Options{Parallelism: cfg.Parallelism, Faults: cfg.Faults, Safety: cfg.Safety}, cfg.Tuners...)
+	coord, err := shard.NewCoordinator(shards...)
 	if err != nil {
 		return nil, err
 	}
-	s.sys = sys
-	s.eng = &flatEngine{sys: sys}
-	sys.RegisterCheckpointExtra(controlSection, s.saveControlState, nil)
+	s := &Service{
+		cfg:     cfg,
+		coord:   coord,
+		tenants: make(map[string]*tenantState),
+		m:       newFleetMetrics(obs.Default()),
+	}
+	if len(shards) == 1 {
+		s.local, _ = shards[0].(*shard.Local)
+	}
+	coord.RegisterCheckpointExtra(controlSection, s.saveControlState, nil)
 	return s, nil
 }
 
-// System exposes the flat engine's underlying deployment — for
-// mounting its HTTP surfaces and for tests. Nil when the fleet is
-// sharded (there is no single System); use Coordinator then. Mutate
-// membership through the Service, not directly.
-func (s *Service) System() *core.System { return s.sys }
+// System exposes the deployment of the fleet's one in-process shard —
+// for mounting its HTTP surfaces and for tests. Nil when the fleet has
+// several shards or a remote one (there is no single System); use
+// Coordinator then. A restore swaps the System, so fetch it afterwards.
+// Mutate membership through the Service, not directly.
+func (s *Service) System() *core.System {
+	if s.local == nil {
+		return nil
+	}
+	return s.local.System()
+}
 
-// Coordinator exposes the sharded engine's coordinator (nil on a flat
-// fleet) — for rebalance tooling and tests.
+// Coordinator exposes the shard coordinator the fleet runs on — for
+// rebalance tooling and tests.
 func (s *Service) Coordinator() *shard.Coordinator { return s.coord }
 
-// Sharded reports whether the fleet runs on the sharded engine.
-func (s *Service) Sharded() bool { return s.coord != nil }
-
-// Close releases the engine (remote shard connections, if any).
-func (s *Service) Close() error { return s.eng.Close() }
+// Close releases the shards (remote shard connections, if any).
+func (s *Service) Close() error { return s.coord.Close() }
 
 // Tiers returns the service catalogue's tiers.
 func (s *Service) Tiers() map[string]tenant.Tier { return s.cfg.Tiers }
@@ -440,14 +476,14 @@ func sortedDBIDs(ts *tenantState) []string {
 	return ids
 }
 
-// provisionLocked stamps one database out of its blueprint into the
-// engine. Callers hold s.mu.
+// provisionLocked stamps one database out of its blueprint onto its
+// shard. Callers hold s.mu.
 func (s *Service) provisionLocked(ts *tenantState, db *dbState) error {
 	bp := s.cfg.Blueprints[db.Blueprint]
 	id := instanceID(ts.Tenant.ID, db.ID)
 	db.Joins++
 	db.Seed = s.instSeed(id, db.Joins)
-	if err := s.eng.AddInstance(instanceSpec(id, db, bp)); err != nil {
+	if err := s.coord.AddInstance(instanceSpec(id, db, bp)); err != nil {
 		return err
 	}
 	if err := s.warmStartLocked(id, bp); err != nil {
@@ -509,7 +545,7 @@ func (s *Service) reconcileLocked() error {
 				delete(ts.DBs, did)
 			case db.Deleting && db.Phase == tenant.Draining:
 				// The final window has run; drain the fan-out and release.
-				if err := s.eng.RemoveInstance(instanceID(tid, did)); err != nil {
+				if err := s.coord.RemoveInstance(instanceID(tid, did)); err != nil {
 					return fmt.Errorf("fleet: deprovision %s/%s: %w", tid, did, err)
 				}
 				db.Phase = tenant.Deprovisioned
@@ -525,7 +561,7 @@ func (s *Service) reconcileLocked() error {
 				id := instanceID(tid, did)
 				db.Joins++
 				db.Seed = s.instSeed(id, db.Joins)
-				if err := s.eng.ResizeInstance(id, db.Pending, db.Seed, agentConfig(bp)); err != nil {
+				if err := s.coord.ResizeInstance(id, db.Pending, db.Seed, agentConfig(bp)); err != nil {
 					return fmt.Errorf("fleet: resize %s/%s: %w", tid, did, err)
 				}
 				// A resized workload normally keeps its own history (the
@@ -559,22 +595,38 @@ func (s *Service) reconcileLocked() error {
 		}
 	}
 	s.m.tenants.Set(float64(len(s.tenants)))
-	s.m.instances.Set(float64(s.eng.FleetSize()))
+	s.m.instances.Set(float64(len(s.coord.Instances())))
 	return nil
 }
 
 // Step runs one reconcile pass and advances the fleet one observation
 // window of the given duration. The reconcile happens first, so a
 // database created between ticks is provisioned before it ever steps,
-// and one deleted between ticks drains exactly one final window.
+// and one deleted between ticks drains exactly one final window. An
+// armed auto-checkpoint (SetAutoCheckpoint) is written before Step
+// returns; a failed write fails the step.
 func (s *Service) Step(dur time.Duration) (shard.StepResult, error) {
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
 	s.mu.Lock()
 	err := s.reconcileLocked()
 	s.mu.Unlock()
 	if err != nil {
 		return shard.StepResult{}, err
 	}
-	return s.eng.Step(dur)
+	res, err := s.coord.Step(dur)
+	if err != nil {
+		return res, err
+	}
+	s.mu.Lock()
+	dir, every := s.ckptDir, s.ckptEvery
+	s.mu.Unlock()
+	if dir != "" && every > 0 && res.Window%every == 0 {
+		if _, err := s.checkpoint(dir); err != nil {
+			return res, fmt.Errorf("fleet: auto-checkpoint: %w", err)
+		}
+	}
+	return res, nil
 }
 
 // RunFor steps the fleet window-by-window for a total virtual duration.
@@ -587,22 +639,24 @@ func (s *Service) RunFor(total, window time.Duration) error {
 	return nil
 }
 
-// SetAutoCheckpoint arms engine snapshots every N steps (see
-// core.System.SetAutoCheckpoint); snapshots include the fleet service's
-// control-plane section on either engine.
-func (s *Service) SetAutoCheckpoint(dir string, everyN int) { s.eng.SetAutoCheckpoint(dir, everyN) }
+// SetAutoCheckpoint arms a snapshot (see CheckpointNow) after every
+// everyN-th window; an empty dir or everyN <= 0 disarms it.
+func (s *Service) SetAutoCheckpoint(dir string, everyN int) {
+	s.mu.Lock()
+	s.ckptDir, s.ckptEvery = dir, everyN
+	s.mu.Unlock()
+}
 
 // Windows returns the number of completed fleet steps.
-func (s *Service) Windows() int { return s.eng.Windows() }
+func (s *Service) Windows() int { return s.coord.Window() }
 
-// Counters reports the engine's merged control-plane counter snapshot
-// (sharded fleets accumulate across shards).
-func (s *Service) Counters() (shard.Counters, error) { return s.eng.Counters() }
+// Counters reports the control-plane counters accumulated across shards.
+func (s *Service) Counters() (shard.Counters, error) { return s.coord.Counters() }
 
 // Rebalance migrates a database's backing instance onto another shard:
 // its live state is checkpointed out of the source shard and restored
 // into the destination, with no change to desired state — the move is
-// invisible to the tenant. Only sharded fleets can rebalance.
+// invisible to the tenant. The target must be another shard in the map.
 func (s *Service) Rebalance(tenantID, dbID, toShard string) error {
 	s.mu.Lock()
 	ts, ok := s.tenants[tenantID]
@@ -624,5 +678,10 @@ func (s *Service) Rebalance(tenantID, dbID, toShard string) error {
 		return fmt.Errorf("%w: database %q is being deprovisioned", ErrConflict, dbID)
 	}
 	s.mu.Unlock()
-	return s.eng.Rebalance(instanceID(tenantID, dbID), toShard)
+	if _, ok := s.coord.Shard(toShard); !ok {
+		return fmt.Errorf("%w: no shard %q in the fleet's shard map %v", ErrInvalid, toShard, s.coord.ShardNames())
+	}
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
+	return s.coord.Rebalance(instanceID(tenantID, dbID), toShard)
 }

@@ -254,84 +254,132 @@ func runChurn(t *testing.T, svc *Service, schedule []churnEvent, totalWindows in
 	return fp
 }
 
+// churnLayout is one fleet layout the churn suites run over.
+type churnLayout struct {
+	name  string
+	build func(t *testing.T, parallelism int, faulted bool) *Service
+	// sweep lists the step parallelism of each run of the determinism
+	// suite; every run must match the first. killPar is the kill/restore
+	// suite's.
+	sweep   []int
+	killPar int
+	// minShards is the least number of shards the schedule must place
+	// instances on.
+	minShards int
+}
+
+// flatLayout is the default layout: one in-process shard around the
+// caller's tuner, swept across parallelism levels.
+func flatLayout() churnLayout {
+	return churnLayout{name: "flat", build: func(t *testing.T, par int, faulted bool) *Service {
+		var in *faults.Injector
+		if faulted {
+			in = faults.New(99, faults.Medium())
+		}
+		return newTestService(t, par, in)
+	}, sweep: []int{1, 4, 16}, killPar: 4, minShards: 1}
+}
+
+// shardedLayout is the fixed two-shard map, run-over-run.
+func shardedLayout() churnLayout {
+	return churnLayout{name: "sharded", build: newShardedServiceAt, sweep: []int{2, 2}, killPar: 2, minShards: 2}
+}
+
+// forEachFault runs fn as the "clean" and the "faulted" subtest.
+func forEachFault(t *testing.T, fn func(t *testing.T, faulted bool)) {
+	for _, faulted := range []bool{false, true} {
+		name := "clean"
+		if faulted {
+			name = "faulted"
+		}
+		t.Run(name, func(t *testing.T) { fn(t, faulted) })
+	}
+}
+
+// checkChurnDeterminism runs the scripted schedule once per entry of the
+// layout's sweep and requires every fingerprint to match the first. The
+// layout must place databases on at least minShards shards.
+func checkChurnDeterminism(t *testing.T, lay churnLayout, faulted bool) {
+	t.Helper()
+	const total = 18
+	svc := lay.build(t, lay.sweep[0], faulted)
+	base := runChurn(t, svc, churnSchedule(), total)
+	if base.Provisions < 7 || base.Deprovisions < 2 || base.Resizes < 2 {
+		t.Fatalf("degenerate schedule: %+v", base)
+	}
+	if base.Samples == 0 {
+		t.Fatalf("no training samples uploaded: %+v", base)
+	}
+	if spread := shardSpread(svc); len(spread) < lay.minShards {
+		t.Fatalf("placement degenerate: only %d shard(s) hold instances: %v", len(spread), spread)
+	}
+	for _, par := range lay.sweep[1:] {
+		got := runChurn(t, lay.build(t, par, faulted), churnSchedule(), total)
+		if !reflect.DeepEqual(base, got) {
+			t.Fatalf("%s layout, parallelism %d diverged:\n base %+v\n got %+v", lay.name, par, base, got)
+		}
+	}
+}
+
+// checkKillRestoreMidChurn kills a run of the layout mid-churn
+// (databases provisioned, resized and draining on both sides of the
+// cut), rebuilds it fresh, restores the latest auto-checkpoint — the
+// coordinator's container with one self-contained container per shard —
+// replays the remainder of the schedule, and requires the final
+// fingerprint to match the uninterrupted run bit-for-bit.
+func checkKillRestoreMidChurn(t *testing.T, lay churnLayout, faulted bool) {
+	t.Helper()
+	const total = 18
+	const killAt = 13 // after the window-12 delete, mid-drain
+	base := runChurn(t, lay.build(t, lay.killPar, faulted), churnSchedule(), total)
+
+	dir := t.TempDir()
+	crash := lay.build(t, lay.killPar, faulted)
+	crash.SetAutoCheckpoint(dir, 3)
+	runChurn(t, crash, churnSchedule(), killAt)
+	// The process dies here; crash is abandoned un-drained.
+	checkSnapshotDir(t, dir, "checkpoint-000012.ckpt")
+
+	svc := lay.build(t, lay.killPar, faulted)
+	if err := svc.RestoreLatest(dir); err != nil {
+		t.Fatal(err)
+	}
+	if w := svc.Windows(); w == 0 || w > killAt {
+		t.Fatalf("restored at window %d", w)
+	}
+	got := runChurn(t, svc, churnSchedule(), total)
+	if !reflect.DeepEqual(base, got) {
+		t.Fatalf("restored %s run diverged:\n base %+v\n got %+v", lay.name, base, got)
+	}
+}
+
 // TestChurnDeterminismAcrossParallelism is the fleet service's core
 // guarantee: a fixed (seed, scripted lifecycle schedule) produces
-// identical fleet fingerprints at parallelism 1, 4 and 16, clean and
-// under medium fault injection.
+// identical fleet fingerprints at parallelism 1, 4 and 16 on the default
+// layout, clean and under medium fault injection.
+// TestShardedChurnDeterminism holds the two-shard map to the same.
 func TestChurnDeterminismAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn determinism sweep")
 	}
-	const total = 18
-	for _, faulted := range []bool{false, true} {
-		name := "clean"
-		inj := func() *faults.Injector { return nil }
-		if faulted {
-			name = "faulted"
-			inj = func() *faults.Injector { return faults.New(99, faults.Medium()) }
-		}
-		t.Run(name, func(t *testing.T) {
-			base := runChurn(t, newTestService(t, 1, inj()), churnSchedule(), total)
-			if base.Provisions < 7 || base.Deprovisions < 2 || base.Resizes < 2 {
-				t.Fatalf("degenerate schedule: %+v", base)
-			}
-			if base.Samples == 0 {
-				t.Fatalf("no training samples uploaded: %+v", base)
-			}
-			for _, par := range []int{4, 16} {
-				got := runChurn(t, newTestService(t, par, inj()), churnSchedule(), total)
-				if !reflect.DeepEqual(base, got) {
-					t.Fatalf("parallelism %d diverged:\n base %+v\n got %+v", par, base, got)
-				}
-			}
-		})
-	}
+	forEachFault(t, func(t *testing.T, faulted bool) {
+		checkChurnDeterminism(t, flatLayout(), faulted)
+	})
 }
 
 // TestKillRestoreMidChurn proves the snapshot contract over a dynamic
-// cohort: kill the service mid-churn (databases provisioned, resized
-// and draining on both sides of the cut), rebuild it fresh, restore the
-// latest auto-checkpoint, replay the remainder of the schedule — the
-// final fingerprint matches the uninterrupted run bit-for-bit.
+// cohort on the default layout. TestShardedKillRestoreMidChurn holds the
+// two-shard map to the same.
 func TestKillRestoreMidChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn kill/restore soak")
 	}
-	const total = 18
-	const killAt = 13 // after the window-12 delete, mid-drain
-	for _, faulted := range []bool{false, true} {
-		name := "clean"
-		inj := func() *faults.Injector { return nil }
-		if faulted {
-			name = "faulted"
-			inj = func() *faults.Injector { return faults.New(99, faults.Medium()) }
-		}
-		t.Run(name, func(t *testing.T) {
-			base := runChurn(t, newTestService(t, 4, inj()), churnSchedule(), total)
-
-			dir := t.TempDir()
-			crash := newTestService(t, 4, inj())
-			crash.SetAutoCheckpoint(dir, 3)
-			runChurn(t, crash, churnSchedule(), killAt)
-			// The process dies here; crash is abandoned un-drained.
-			checkSnapshotDir(t, dir, "checkpoint-000012.ckpt")
-
-			svc := newTestService(t, 4, inj())
-			if err := svc.RestoreLatest(dir); err != nil {
-				t.Fatal(err)
-			}
-			if w := svc.System().Windows(); w == 0 || w > killAt {
-				t.Fatalf("restored at window %d", w)
-			}
-			got := runChurn(t, svc, churnSchedule(), total)
-			if !reflect.DeepEqual(base, got) {
-				t.Fatalf("restored run diverged:\n base %+v\n got %+v", base, got)
-			}
-		})
-	}
+	forEachFault(t, func(t *testing.T, faulted bool) {
+		checkKillRestoreMidChurn(t, flatLayout(), faulted)
+	})
 }
 
-// checkSnapshotDir asserts the layout both engines save: latest.ckpt
+// checkSnapshotDir asserts the snapshot directory layout: latest.ckpt
 // carries the newest snapshot's bytes and no temp file is left behind.
 func checkSnapshotDir(t *testing.T, dir, newest string) {
 	t.Helper()

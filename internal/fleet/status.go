@@ -5,6 +5,7 @@ import (
 
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/safety"
+	"autodbaas/internal/shard"
 )
 
 // DatabaseStatus is one database's externally visible state.
@@ -16,10 +17,10 @@ type DatabaseStatus struct {
 	PendingPlan string `json:"pending_plan,omitempty"`
 	Deleting    bool   `json:"deleting,omitempty"`
 	Gen         int    `json:"gen,omitempty"`   // membership generation of the last (re-)join
-	Shard       string `json:"shard,omitempty"` // hosting shard (sharded fleets only)
+	Shard       string `json:"shard,omitempty"` // hosting shard (once provisioned)
 	// Safety is the safe-tuning gate's per-database snapshot (nil when
-	// the gate is off, the instance is not yet provisioned, or the
-	// fleet is sharded — shard gates are not surfaced per-database).
+	// the gate is off, the instance is not yet provisioned, or its shard
+	// is remote — see safetyStatus).
 	Safety *safety.Status `json:"safety,omitempty"`
 }
 
@@ -54,7 +55,7 @@ type Summary struct {
 // best-effort view: an unreachable remote shard contributes nothing.
 func (s *Service) memberGens() map[string]int {
 	out := make(map[string]int)
-	members, err := s.eng.Members()
+	members, err := s.coord.Members()
 	if err != nil {
 		return out
 	}
@@ -75,7 +76,8 @@ func (s *Service) statusLocked(ts *tenantState, gens map[string]int) TenantStatu
 	}
 	for _, did := range sortedDBIDs(ts) {
 		db := ts.DBs[did]
-		shardName, _ := s.eng.Placement(instanceID(ts.Tenant.ID, db.ID))
+		id := instanceID(ts.Tenant.ID, db.ID)
+		shardName, _ := s.coord.Assignment(id)
 		row := DatabaseStatus{
 			ID:          db.ID,
 			Blueprint:   db.Blueprint,
@@ -83,15 +85,29 @@ func (s *Service) statusLocked(ts *tenantState, gens map[string]int) TenantStatu
 			Phase:       db.Phase.String(),
 			PendingPlan: db.Pending,
 			Deleting:    db.Deleting,
-			Gen:         gens[instanceID(ts.Tenant.ID, db.ID)],
+			Gen:         gens[id],
 			Shard:       shardName,
 		}
-		if sst, ok := s.eng.SafetyStatus(instanceID(ts.Tenant.ID, db.ID)); ok {
+		if sst, ok := s.safetyStatus(shardName, id); ok {
 			row.Safety = &sst
 		}
 		st.Databases = append(st.Databases, row)
 	}
 	return st
+}
+
+// safetyStatus reads one instance's safe-tuning gate snapshot from the
+// director of the in-process shard hosting it. A remote shard's gate
+// lives across the RPC boundary and the shard protocol carries no
+// per-database status, so rows of -shard-map fleets omit it; fleet
+// totals still flow through Counters into the Summary.
+func (s *Service) safetyStatus(shardName, id string) (safety.Status, bool) {
+	sh, _ := s.coord.Shard(shardName)
+	l, ok := sh.(*shard.Local)
+	if !ok {
+		return safety.Status{}, false
+	}
+	return l.System().Director.SafetyStatus(id)
 }
 
 // GetTenant returns one tenant's status.
@@ -132,14 +148,14 @@ func (s *Service) ListTenants() []TenantStatus {
 	return out
 }
 
-// Summary returns the fleet-wide roll-up. Engine-side numbers are
+// Summary returns the fleet-wide roll-up. Shard-side numbers are
 // best-effort: an unreachable remote shard leaves Generation at zero.
 func (s *Service) Summary() Summary {
-	window := s.eng.Windows()
-	size := s.eng.FleetSize()
+	window := s.coord.Window()
+	size := len(s.coord.Instances())
 	gen, samples := 0, 0
 	var sv, sc, sr, sg int
-	if counters, err := s.eng.Counters(); err == nil {
+	if counters, err := s.coord.Counters(); err == nil {
 		gen = counters.Generation
 		samples = counters.Samples
 		sv, sc = counters.SafetyVetoes, counters.SafetyCanaryRuns
@@ -195,15 +211,16 @@ type Fingerprint struct {
 	Members []MemberPrint
 }
 
-// Fingerprint computes the current fleet fingerprint from the engine's
-// merged digest — identical machinery on the flat and sharded engines.
+// Fingerprint computes the current fleet fingerprint from the
+// coordinator's digest, merged across shards.
 func (s *Service) Fingerprint() (Fingerprint, error) {
-	efp, err := s.eng.Fingerprint()
+	ffp, err := s.coord.Fingerprint()
 	if err != nil {
 		return Fingerprint{}, err
 	}
+	efp := ffp.Merged()
 	fp := Fingerprint{
-		Window:          s.eng.Windows(),
+		Window:          ffp.Window,
 		Generation:      efp.Counters.Generation,
 		Samples:         efp.Counters.Samples,
 		TuningRequests:  efp.Counters.TuningRequests,

@@ -27,9 +27,9 @@ import (
 // Flush barrier every dispatch already waits on — warm starts keep the
 // fleet's bit-for-bit determinism contract at every parallelism level.
 // The feature is opt-in (Config.WarmStart nil keeps every existing
-// timeline byte-identical) and flat-engine only: sharded fleets
-// partition the repository per shard, so a fleet-scope donor query has
-// no single store to ask.
+// timeline byte-identical) and needs the fleet to be exactly one
+// in-process shard: several shards partition the repository, so a
+// fleet-scope donor query has no single store to ask.
 
 // WarmStartConfig tunes the fleet warm-start policy.
 type WarmStartConfig struct {
@@ -79,15 +79,16 @@ func newWarmStartMetrics(r *obs.Registry) warmStartMetrics {
 // seeded history still helps); only hit/miss accounting is exact.
 func (s *Service) warmStartLocked(id string, bp tenant.Blueprint) error {
 	ws := s.cfg.WarmStart
-	if ws == nil || s.sys == nil {
+	if ws == nil {
 		return nil
 	}
+	sys := s.System() // New admits warm starts only on one in-process shard
 	gen, err := bp.Workload.Build()
 	if err != nil {
 		return fmt.Errorf("fleet: warm start %s: %w", id, err)
 	}
 	target := id + "/" + gen.Name()
-	repo := s.sys.Repository
+	repo := sys.Repository
 	if len(repo.Store().Samples(target)) > 0 {
 		// Resize or rejoin: the workload keeps its own history across
 		// re-provisions, which beats any donor's.
@@ -120,7 +121,7 @@ func (s *Service) warmStartLocked(id string, bp tenant.Blueprint) error {
 		if best, ok := repo.BestSample(donor.WorkloadID); ok {
 			// Best-effort: a chaos-injected apply failure must not fail
 			// the provision.
-			_ = s.sys.SeedConfig(id, best.Config)
+			_ = sys.SeedConfig(id, best.Config)
 		}
 	}
 	return nil

@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Checkpointer is the slice of core.System the checkpoint endpoints
-// need; the interface keeps httpapi free of a core dependency.
+// Checkpointer is what the checkpoint endpoints need; fleet.Service
+// implements it on every shard layout, and so does core.System.
 type Checkpointer interface {
 	// CheckpointNow writes a snapshot into dir and returns its path.
 	CheckpointNow(dir string) (string, error)
@@ -24,15 +24,16 @@ type Checkpointer interface {
 //	POST /v1/checkpoint        — write a snapshot now, return its metadata
 //	GET  /v1/checkpoint/latest — stream the newest snapshot file
 //
-// Snapshots must be taken between fleet steps, so the server serializes
-// through the same System methods the auto-checkpoint path uses.
+// Snapshots must be taken between fleet steps: the fleet service's
+// CheckpointNow waits for a running step, exactly as its auto-
+// checkpoints do.
 type CheckpointServer struct {
 	sys Checkpointer
 	dir string
 	mux *http.ServeMux
 }
 
-// NewCheckpointServer wraps a checkpointing system; dir is where
+// NewCheckpointServer wraps a checkpointing service; dir is where
 // on-demand snapshots land (shared with -checkpoint-dir in the cmds).
 func NewCheckpointServer(sys Checkpointer, dir string) *CheckpointServer {
 	s := &CheckpointServer{sys: sys, dir: dir, mux: http.NewServeMux()}

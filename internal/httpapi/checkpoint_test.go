@@ -7,11 +7,16 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
+
+	"autodbaas/internal/fleet"
+	"autodbaas/internal/tenant"
 )
 
-// fakeCheckpointer writes a fixed snapshot blob, standing in for
-// core.System so the handler test stays in-package.
+// fakeCheckpointer writes a fixed snapshot blob, standing in for a
+// fleet service so the handler test needs no fleet.
 type fakeCheckpointer struct {
 	dir     string
 	window  int
@@ -100,4 +105,108 @@ func TestCheckpointServerRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/checkpoint: %s", resp.Status)
 	}
+}
+
+// steppedFleet is a small fleet service with two databases provisioned
+// and stepped to window n.
+func steppedFleet(t *testing.T, n int) *fleet.Service {
+	t.Helper()
+	svc := newFleetService(t, 4)
+	if err := svc.CreateTenant(tenant.Tenant{ID: "acme", Tier: "std"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"orders", "users"} {
+		if err := svc.CreateDatabase("acme", fleet.DatabaseSpec{ID: id, Blueprint: "oltp"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for svc.Windows() < n {
+		if _, err := svc.Step(5 * time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return svc
+}
+
+// postCheckpoint takes one snapshot over HTTP and returns its path.
+func postCheckpoint(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/checkpoint", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("checkpoint: %s %s", resp.Status, body)
+	}
+	var meta struct {
+		Path string `json:"path"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
+		t.Fatal(err)
+	}
+	return meta.Path
+}
+
+// restoresLikeUninterrupted restores the snapshot at path into a fresh
+// service and checks it matches a service stepped straight to the
+// snapshot's window.
+func restoresLikeUninterrupted(t *testing.T, path string) {
+	t.Helper()
+	resumed := newFleetService(t, 4)
+	if err := resumed.RestoreLatest(filepath.Dir(path)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := resumed.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := steppedFleet(t, resumed.Windows()).Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("restored snapshot of window %d differs from the uninterrupted run:\n want %+v\n got  %+v", resumed.Windows(), want, got)
+	}
+}
+
+// TestCheckpointServerFleetSnapshotRestores: a snapshot taken over HTTP
+// from a fleet service is a whole fleet snapshot, so RestoreLatest
+// resumes a fresh service from it.
+func TestCheckpointServerFleetSnapshotRestores(t *testing.T) {
+	dir := t.TempDir()
+	srv := httptest.NewServer(NewCheckpointServer(steppedFleet(t, 3), dir))
+	defer srv.Close()
+	restoresLikeUninterrupted(t, postCheckpoint(t, srv.URL))
+}
+
+// TestCheckpointServerConcurrentWithSteps is the -serve loop's shape:
+// POST /v1/checkpoint while another goroutine steps the fleet. Every
+// snapshot must wait for the running window (the race detector sees a
+// snapshot that does not), and the last one restores to exactly the
+// state of its window.
+func TestCheckpointServerConcurrentWithSteps(t *testing.T) {
+	dir := t.TempDir()
+	svc := steppedFleet(t, 2)
+	srv := httptest.NewServer(NewCheckpointServer(svc, dir))
+	defer srv.Close()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 10; i++ {
+			if _, err := svc.Step(5 * time.Minute); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	var path string
+	for i := 0; i < 5; i++ {
+		path = postCheckpoint(t, srv.URL)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	restoresLikeUninterrupted(t, path)
 }

@@ -27,7 +27,7 @@
 // Determinism is the design center: every decision is a pure function
 // of per-instance state and the instance's own engine state, made in
 // the fleet scheduler's ordered merge phase, so gate verdicts are
-// bit-for-bit identical at every parallelism level, flat or sharded,
+// bit-for-bit identical at every parallelism level and shard layout,
 // clean or faulted. Canary probes run on throwaway engine clones and
 // consume no randomness from the live instance.
 package safety

@@ -6,29 +6,25 @@ import (
 	"sync"
 	"time"
 
-	"autodbaas/internal/faults"
 	"autodbaas/internal/fleet"
-	"autodbaas/internal/knobs"
 	"autodbaas/internal/obs"
 	"autodbaas/internal/safety"
 	"autodbaas/internal/shard"
 	"autodbaas/internal/tenant"
-	"autodbaas/internal/tuner"
-	"autodbaas/internal/tuner/bo"
 )
 
 // RunConfig selects the layout a compiled plan replays on. The layout
-// is orthogonal to the scenario: the same plan runs flat at any
-// parallelism or across shards, and the determinism tests hold the
-// timeline identical across flat parallelism levels and sharded
-// layouts run-over-run.
+// is orthogonal to the scenario: the same plan runs on one shard at any
+// parallelism or across several, and the determinism tests hold the
+// timeline identical across parallelism levels and multi-shard layouts
+// run-over-run.
 type RunConfig struct {
-	// Parallelism is the flat engine's step worker bound (ignored when
-	// Shards is set).
+	// Parallelism is the default one-shard layout's step worker bound
+	// (ignored when Shards is set).
 	Parallelism int
-	// Tuners is the flat engine's BO pool size (default 1).
+	// Tuners is the default one-shard layout's BO pool size (default 1).
 	Tuners int
-	// Shards switches to the sharded engine: one in-process shard per
+	// Shards replaces the default layout with one in-process shard per
 	// config. Shard seeds/tuners come from the configs; the scenario's
 	// fault profile is filled into any config that names none.
 	Shards []shard.Config
@@ -41,13 +37,13 @@ type RunConfig struct {
 	TimeScale float64
 	// WarmStart turns on fleet warm starts: new instances seed their
 	// tuner history and starting config from workload-similar donors
-	// already in the repository. Flat layout only — a sharded layout
-	// with WarmStart set fails fleet validation.
+	// already in the repository. The fleet must be exactly one shard —
+	// a multi-shard layout with WarmStart set fails fleet validation.
 	WarmStart bool
 	// Safety arms the safe-tuning gate (default options): shadow canary
 	// plus trust region in front of every apply, automatic rollback
-	// behind it. On a sharded layout the options are filled into any
-	// shard config that doesn't set its own.
+	// behind it. The options are filled into any shard config that
+	// doesn't set its own.
 	Safety bool
 }
 
@@ -110,12 +106,7 @@ func NewRunner(p *Plan, cfg RunConfig) (*Runner, error) {
 		faultSeed = sc.Seed
 	}
 
-	fcfg := fleet.Config{
-		Seed:        sc.Seed,
-		Parallelism: cfg.Parallelism,
-		Tiers:       p.Tiers,
-		Blueprints:  p.Blueprints,
-	}
+	fcfg := fleet.Config{Seed: sc.Seed, Tiers: p.Tiers, Blueprints: p.Blueprints}
 	if cfg.WarmStart {
 		// Donor history is thin early in a replay (one sample per
 		// window per instance) — a couple of windows is enough to beat
@@ -127,39 +118,27 @@ func NewRunner(p *Plan, cfg RunConfig) (*Runner, error) {
 		o := safety.DefaultOptions()
 		safetyOpts = &o
 	}
-	if len(cfg.Shards) > 0 {
-		for _, scfg := range cfg.Shards {
-			if scfg.FaultProfile == "" {
-				scfg.FaultProfile = profile
-				scfg.FaultSeed = faultSeed
-			}
-			if scfg.Safety == nil {
-				scfg.Safety = safetyOpts
-			}
-			fcfg.Shards = append(fcfg.Shards, scfg)
+	shards := cfg.Shards
+	if len(shards) == 0 {
+		// The default layout: one shard whose tuners and faults are
+		// seeded from the scenario (the shard defaults give the BO pool
+		// its postgres catalogue, 60 candidates and 60-sample fits).
+		shards = []shard.Config{{
+			Name:        fleet.LocalShard,
+			Seed:        sc.Seed,
+			Parallelism: cfg.Parallelism,
+			Tuner:       shard.TunerConfig{Count: cfg.Tuners, Seed: sc.Seed},
+		}}
+	}
+	for _, scfg := range shards {
+		if scfg.FaultProfile == "" {
+			scfg.FaultProfile = profile
+			scfg.FaultSeed = faultSeed
 		}
-	} else {
-		fcfg.Safety = safetyOpts
-		n := cfg.Tuners
-		if n < 1 {
-			n = 1
+		if scfg.Safety == nil {
+			scfg.Safety = safetyOpts
 		}
-		tuners := make([]tuner.Tuner, 0, n)
-		for i := 0; i < n; i++ {
-			t, err := bo.New(bo.Options{Engine: knobs.Postgres, Candidates: 60, MaxSamplesPerFit: 60, UCBBeta: 0.5, Seed: sc.Seed + int64(i)})
-			if err != nil {
-				return nil, err
-			}
-			tuners = append(tuners, t)
-		}
-		fcfg.Tuners = tuners
-		if profile != "" {
-			prof, err := faults.ParseProfile(profile)
-			if err != nil {
-				return nil, err
-			}
-			fcfg.Faults = faults.New(faultSeed, prof)
-		}
+		fcfg.Shards = append(fcfg.Shards, scfg)
 	}
 	svc, err := fleet.New(fcfg)
 	if err != nil {

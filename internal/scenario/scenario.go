@@ -3,8 +3,8 @@
 // flash crowds, batch and maintenance windows, long-horizon drift,
 // tenant onboarding/offboarding waves, resizes and fault profiles —
 // compiled into a deterministic virtual-time event schedule and
-// replayed against the fleet service through the existing engine seam,
-// flat or sharded. One file reproduces one evaluation campaign
+// replayed against the fleet service on any shard layout, one shard or
+// several. One file reproduces one evaluation campaign
 // bit-for-bit: the schedule is a pure function of the document, every
 // engine seed derives from the scenario seed, and the timeline the
 // runner emits (throttles, SLO violations, retries, escalations,

@@ -484,12 +484,24 @@ type coordinatorState struct {
 	Shards    []string          `json:"shards"` // shard map, in order
 }
 
-// Checkpoint writes a fleet snapshot: an outer ADBC container whose
+// Checkpoint writes a fleet snapshot to w: an outer ADBC container whose
 // sections are the coordinator's control state plus every shard's full
 // snapshot ("shard/<name>") — each itself a complete inner container,
 // so every byte gets two layers of CRC verification and the shard
 // snapshots double as the per-shard recovery baseline.
 func (c *Coordinator) Checkpoint(w io.Writer) error {
+	snap, err := c.snapshot()
+	if err != nil {
+		return err
+	}
+	_, err = snap.WriteTo(w)
+	return err
+}
+
+// snapshot stages the fleet snapshot. An in-process shard's container
+// is nested as staged, never copied; a remote shard's arrives as bytes
+// and is nested as such.
+func (c *Coordinator) snapshot() (*checkpoint.Container, error) {
 	c.mu.Lock()
 	shards := append([]Shard(nil), c.shards...)
 	extras := append([]coordExtra(nil), c.extras...)
@@ -507,43 +519,50 @@ func (c *Coordinator) Checkpoint(w io.Writer) error {
 	for _, sh := range shards {
 		st.Shards = append(st.Shards, sh.Name())
 	}
-	var secs []checkpoint.RawSection
 	ctl, err := json.Marshal(st)
 	if err != nil {
-		return fmt.Errorf("shard: encode coordinator state: %w", err)
+		return nil, fmt.Errorf("shard: encode coordinator state: %w", err)
 	}
-	secs = append(secs, checkpoint.RawSection{Name: coordinatorSection, Payload: ctl})
+	secs := []checkpoint.RawSection{{Name: coordinatorSection, Payload: ctl}}
 	for _, sh := range shards {
-		snap, err := sh.Checkpoint()
-		if err != nil {
-			return fmt.Errorf("shard %q: checkpoint: %w", sh.Name(), err)
+		sec := checkpoint.RawSection{Name: shardSectionPrefix + sh.Name()}
+		if l, ok := sh.(*Local); ok {
+			sec.Nested, err = l.snapshot()
+		} else {
+			sec.Payload, err = sh.Checkpoint()
 		}
-		secs = append(secs, checkpoint.RawSection{Name: shardSectionPrefix + sh.Name(), Payload: snap})
+		if err != nil {
+			return nil, fmt.Errorf("shard %q: checkpoint: %w", sh.Name(), err)
+		}
+		secs = append(secs, sec)
 	}
 	for _, ex := range extras {
 		payload, err := ex.save()
 		if err != nil {
-			return fmt.Errorf("shard: checkpoint extra %q: %w", ex.name, err)
+			return nil, fmt.Errorf("shard: checkpoint extra %q: %w", ex.name, err)
 		}
 		secs = append(secs, checkpoint.RawSection{Name: "extra/" + ex.name, Payload: payload})
 	}
-	c.mu.Lock()
-	man := checkpoint.Manifest{Window: c.windows}
-	c.mu.Unlock()
-	_, err = checkpoint.WriteRaw(w, man, secs)
-	return err
+	return checkpoint.NewContainer(checkpoint.Manifest{Window: st.Windows}, secs)
 }
 
-// Restore loads a fleet snapshot into this coordinator, whose shard map
-// must cover every shard the snapshot was taken over. A stale map —
-// the snapshot names a shard this coordinator does not have — fails
-// before any shard state mutates, with an error naming the missing
-// shards and every instance stranded on them.
+// Restore reads a fleet snapshot from r and loads it (see
+// RestoreSections).
 func (c *Coordinator) Restore(r io.Reader) error {
 	_, sections, err := checkpoint.Inspect(r)
 	if err != nil {
 		return err
 	}
+	return c.RestoreSections(sections)
+}
+
+// RestoreSections loads the sections of a fleet snapshot, already
+// verified by checkpoint.Parse or Inspect, into this coordinator, whose
+// shard map must cover every shard the snapshot was taken over. A stale
+// map — the snapshot names a shard this coordinator does not have —
+// fails before any shard state mutates, with an error naming the
+// missing shards and every instance stranded on them.
+func (c *Coordinator) RestoreSections(sections map[string][]byte) error {
 	ctl, ok := sections[coordinatorSection]
 	if !ok {
 		return fmt.Errorf("%w: snapshot lacks the %q section (not a fleet snapshot)", checkpoint.ErrManifest, coordinatorSection)

@@ -12,10 +12,10 @@ import (
 
 // This file is the single conversion and digest path between the
 // declarative shard vocabulary and the live core.System vocabulary.
-// Both the flat (one-System) and sharded layouts call through here, so
-// an instance provisioned from the same InstanceSpec — and the counters
+// Every shard calls through here, in-process or inside a worker, so an
+// instance provisioned from the same InstanceSpec — and the counters
 // and fingerprints read back — are bit-for-bit identical no matter
-// which layout hosts it.
+// which shard hosts it.
 
 // Options materializes agent.Options from the serializable config. The
 // director default for periodic mode is wired inside core.

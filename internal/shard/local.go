@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -30,6 +29,9 @@ const specsExtra = "shard/specs"
 // to a Local inside a worker process) and merges across them.
 type Local struct {
 	cfg Config
+	// pool supplies the tuner fleet and fault injector of every system
+	// the shard builds: fresh ones from cfg, or the caller's (NewLocalWith).
+	pool func() ([]tuner.Tuner, *faults.Injector, error)
 
 	mu    sync.Mutex
 	sys   *core.System
@@ -38,10 +40,28 @@ type Local struct {
 
 // NewLocal builds an empty shard from its declarative config.
 func NewLocal(cfg Config) (*Local, error) {
-	if cfg.Name == "" {
+	l := &Local{cfg: cfg}
+	l.pool = l.configPool
+	return l.init()
+}
+
+// NewLocalWith builds an empty shard around a caller-built tuner fleet
+// and fault injector (nil: no chaos) in place of the ones cfg.Tuner and
+// cfg.FaultProfile declare; cfg still names the shard and sets its step
+// parallelism and safety gate. Restore reuses the same tuners and
+// injector — the snapshot overwrites their state — so decorators the
+// caller wrapped around them stay in place. Such a shard has no
+// declarative twin: a worker process rebuilds only what a Config says.
+func NewLocalWith(cfg Config, injector *faults.Injector, tuners ...tuner.Tuner) (*Local, error) {
+	l := &Local{cfg: cfg}
+	l.pool = func() ([]tuner.Tuner, *faults.Injector, error) { return tuners, injector, nil }
+	return l.init()
+}
+
+func (l *Local) init() (*Local, error) {
+	if l.cfg.Name == "" {
 		return nil, fmt.Errorf("shard: config needs a name")
 	}
-	l := &Local{cfg: cfg}
 	sys, err := l.buildSystem()
 	if err != nil {
 		return nil, err
@@ -50,10 +70,26 @@ func NewLocal(cfg Config) (*Local, error) {
 	return l, nil
 }
 
-// buildSystem assembles a fresh core.System from the shard config —
-// the construction half of the rebuild-then-restore contract, shared
-// by NewLocal and Restore so both produce bit-for-bit the same layout.
+// buildSystem assembles a fresh core.System from the shard's pool and
+// config — the construction half of the rebuild-then-restore contract,
+// shared by the constructors and Restore so both produce bit-for-bit
+// the same layout.
 func (l *Local) buildSystem() (*core.System, error) {
+	tuners, injector, err := l.pool()
+	if err != nil {
+		return nil, err
+	}
+	sys, err := core.NewSystemWithOptions(core.Options{Parallelism: l.cfg.Parallelism, Faults: injector, Safety: l.cfg.Safety}, tuners...)
+	if err != nil {
+		return nil, fmt.Errorf("shard %s: %w", l.cfg.Name, err)
+	}
+	sys.RegisterCheckpointExtra(specsExtra, l.saveSpecs, l.restoreSpecs)
+	return sys, nil
+}
+
+// configPool builds a fresh tuner fleet and fault injector from the
+// declarative config.
+func (l *Local) configPool() ([]tuner.Tuner, *faults.Injector, error) {
 	tc := l.cfg.Tuner
 	count := tc.Count
 	if count <= 0 {
@@ -83,7 +119,7 @@ func (l *Local) buildSystem() (*core.System, error) {
 	for i := 0; i < count; i++ {
 		t, err := bo.New(bo.Options{Engine: engine, Candidates: candidates, MaxSamplesPerFit: maxFit, UCBBeta: beta, Seed: seed + int64(i)})
 		if err != nil {
-			return nil, fmt.Errorf("shard %s: %w", l.cfg.Name, err)
+			return nil, nil, fmt.Errorf("shard %s: %w", l.cfg.Name, err)
 		}
 		tuners = append(tuners, t)
 	}
@@ -91,7 +127,7 @@ func (l *Local) buildSystem() (*core.System, error) {
 	if l.cfg.FaultProfile != "" {
 		prof, err := faults.ParseProfile(l.cfg.FaultProfile)
 		if err != nil {
-			return nil, fmt.Errorf("shard %s: %w", l.cfg.Name, err)
+			return nil, nil, fmt.Errorf("shard %s: %w", l.cfg.Name, err)
 		}
 		fseed := l.cfg.FaultSeed
 		if fseed == 0 {
@@ -99,12 +135,7 @@ func (l *Local) buildSystem() (*core.System, error) {
 		}
 		injector = faults.New(fseed, prof)
 	}
-	sys, err := core.NewSystemWithOptions(core.Options{Parallelism: l.cfg.Parallelism, Faults: injector, Safety: l.cfg.Safety}, tuners...)
-	if err != nil {
-		return nil, fmt.Errorf("shard %s: %w", l.cfg.Name, err)
-	}
-	sys.RegisterCheckpointExtra(specsExtra, l.saveSpecs, l.restoreSpecs)
-	return sys, nil
+	return tuners, injector, nil
 }
 
 func (l *Local) saveSpecs() ([]byte, error) {
@@ -131,8 +162,14 @@ func (l *Local) Name() string { return l.cfg.Name }
 func (l *Local) Config() Config { return l.cfg }
 
 // System exposes the underlying deployment for in-process callers
-// (status endpoints, tests). Remote shards have no equivalent.
-func (l *Local) System() *core.System { return l.sys }
+// (status endpoints, tests). Remote shards have no equivalent. Restore
+// swaps in a rebuilt System, so hold on to the result only until then;
+// the shard's own methods reach it through here too.
+func (l *Local) System() *core.System {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.sys
+}
 
 // Specs returns the cohort's declarative specs in onboarding order.
 func (l *Local) Specs() []InstanceSpec {
@@ -149,7 +186,7 @@ func (l *Local) AddInstance(spec InstanceSpec) error {
 	if err != nil {
 		return err
 	}
-	if _, err := l.sys.AddInstance(cs); err != nil {
+	if _, err := l.System().AddInstance(cs); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -160,7 +197,7 @@ func (l *Local) AddInstance(spec InstanceSpec) error {
 
 // RemoveInstance implements Shard.
 func (l *Local) RemoveInstance(id string) error {
-	if err := l.sys.RemoveInstance(id); err != nil {
+	if err := l.System().RemoveInstance(id); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -177,7 +214,7 @@ func (l *Local) RemoveInstance(id string) error {
 // ResizeInstance implements Shard, keeping the recorded spec in step so
 // a snapshot taken after the resize rebuilds the post-resize cohort.
 func (l *Local) ResizeInstance(id, plan string, seed int64, agentCfg AgentConfig) error {
-	if _, err := l.sys.ResizeInstance(id, plan, seed, agentCfg.Options()); err != nil {
+	if _, err := l.System().ResizeInstance(id, plan, seed, agentCfg.Options()); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -195,7 +232,7 @@ func (l *Local) ResizeInstance(id, plan string, seed int64, agentCfg AgentConfig
 
 // Members implements Shard.
 func (l *Local) Members() ([]core.Member, error) {
-	return l.sys.Members(), nil
+	return l.System().Members(), nil
 }
 
 // Step implements Shard. The rich per-instance result (window stats,
@@ -203,37 +240,51 @@ func (l *Local) Members() ([]core.Member, error) {
 // the serializable digest — raw events can carry NaN entropy values,
 // which JSON cannot.
 func (l *Local) Step(dur time.Duration) (StepResult, error) {
-	res := l.sys.Step(dur)
-	return StepDigest(l.sys.Windows(), res), nil
+	sys := l.System()
+	res := sys.Step(dur)
+	return StepDigest(sys.Windows(), res), nil
 }
 
 // Counters implements Shard.
 func (l *Local) Counters() (Counters, error) {
-	return CountersOf(l.sys), nil
+	return CountersOf(l.System()), nil
 }
 
 // Fingerprint implements Shard.
 func (l *Local) Fingerprint() (Fingerprint, error) {
-	return FingerprintOf(l.sys), nil
+	return FingerprintOf(l.System()), nil
 }
 
 // Checkpoint implements Shard: the full ADBC container for this shard's
 // slice of the fleet, specs extra included.
 func (l *Local) Checkpoint() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := l.sys.Checkpoint(&buf); err != nil {
+	c, err := l.snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return c.Bytes(), nil
+}
+
+// snapshot stages the shard's container without joining it — what the
+// coordinator nests in a fleet snapshot.
+func (l *Local) snapshot() (*checkpoint.Container, error) {
+	c, err := l.System().Snapshot()
+	if err != nil {
 		return nil, fmt.Errorf("shard %s: %w", l.cfg.Name, err)
 	}
-	return buf.Bytes(), nil
+	return c, nil
 }
 
 // Restore implements Shard. The snapshot is self-contained: its specs
-// extra names the cohort, so the shard rebuilds a fresh system from its
-// own config, re-provisions every spec, and reads the snapshot into the
+// extra names the cohort, so the shard rebuilds a fresh system, re-
+// provisions every spec, and hands the verified sections to the
 // rebuild. The previous system is discarded only after the restore
-// fully succeeds, so a corrupt snapshot leaves the shard untouched.
+// succeeds, so a corrupt snapshot leaves the shard untouched (a shard
+// built by NewLocalWith shares its tuners and injector with the
+// rebuild, so a snapshot that verifies but fails to decode can leave
+// their state half-restored).
 func (l *Local) Restore(snapshot []byte) error {
-	_, sections, err := checkpoint.Inspect(bytes.NewReader(snapshot))
+	man, sections, err := checkpoint.Parse(snapshot)
 	if err != nil {
 		return fmt.Errorf("shard %s: %w", l.cfg.Name, err)
 	}
@@ -247,7 +298,7 @@ func (l *Local) Restore(snapshot []byte) error {
 		return fmt.Errorf("shard %s: specs section: %w", l.cfg.Name, err)
 	}
 
-	fresh := &Local{cfg: l.cfg}
+	fresh := &Local{cfg: l.cfg, pool: l.pool}
 	sys, err := fresh.buildSystem()
 	if err != nil {
 		return err
@@ -258,7 +309,7 @@ func (l *Local) Restore(snapshot []byte) error {
 			return fmt.Errorf("shard %s: rebuild instance %q: %w", l.cfg.Name, sp.ID, err)
 		}
 	}
-	if err := sys.Restore(bytes.NewReader(snapshot)); err != nil {
+	if err := sys.RestoreSections(man, sections); err != nil {
 		return fmt.Errorf("shard %s: %w", l.cfg.Name, err)
 	}
 	l.mu.Lock()
@@ -287,7 +338,7 @@ func (l *Local) ExportInstance(id string) (InstanceExport, error) {
 	if !found {
 		return InstanceExport{}, fmt.Errorf("shard %s: no instance %q", l.cfg.Name, id)
 	}
-	payload, meta, err := l.sys.ExportInstanceSection(id)
+	payload, meta, err := l.System().ExportInstanceSection(id)
 	if err != nil {
 		return InstanceExport{}, err
 	}
@@ -307,7 +358,7 @@ func (l *Local) ImportInstance(exp InstanceExport) error {
 		return err
 	}
 	meta := checkpoint.InstanceMeta{ID: exp.Meta.ID, Engine: exp.Meta.Engine, Plan: exp.Meta.Plan, Slaves: exp.Meta.Slaves, Gen: exp.Meta.Gen}
-	if err := l.sys.ImportInstanceSection(exp.Spec.ID, meta, exp.Section); err != nil {
+	if err := l.System().ImportInstanceSection(exp.Spec.ID, meta, exp.Section); err != nil {
 		_ = l.RemoveInstance(exp.Spec.ID)
 		return err
 	}

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -163,17 +162,17 @@ func TestLocalSnapshotRestoreReplay(t *testing.T) {
 // shard specs section is not a shard snapshot and must fail with
 // ErrManifest before any state mutates.
 func TestLocalRestoreRejectsForeignSnapshot(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := checkpoint.WriteRaw(&buf, checkpoint.Manifest{}, []checkpoint.RawSection{
+	foreign, err := checkpoint.NewContainer(checkpoint.Manifest{}, []checkpoint.RawSection{
 		{Name: "coordinator", Payload: []byte(`{}`)},
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	l, err := NewLocal(testConfig("s0", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Restore(buf.Bytes()); !errors.Is(err, checkpoint.ErrManifest) {
+	if err := l.Restore(foreign.Bytes()); !errors.Is(err, checkpoint.ErrManifest) {
 		t.Fatalf("err = %v, want ErrManifest", err)
 	}
 	// Bit rot inside the snapshot is caught by the container CRC.
