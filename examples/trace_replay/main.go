@@ -68,10 +68,10 @@ func main() {
 		fmt.Printf("== %s config: %.0f MB spilled over %d minutes ==\n",
 			variant.name, spills/(1<<20), windows)
 		// Show what EXPLAIN says about one heavy template from the log.
-		for _, sql := range eng.QueryLog(400) {
-			plan, ok := eng.ExplainSQL(sql)
+		for _, le := range eng.QueryLog(400) {
+			plan, ok := eng.ExplainTemplate(le.TemplateID)
 			if ok && plan.MemRequired > 50*(1<<20) {
-				fmt.Printf("EXPLAIN %.60s...\n%s\n", sql, plan.Format())
+				fmt.Printf("EXPLAIN %.60s...\n%s\n", le.SQL, plan.Format())
 				break
 			}
 		}

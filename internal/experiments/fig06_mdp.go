@@ -65,7 +65,7 @@ func Fig6MDPLearning(episodes, stepsPerEpisode int, seed int64) Fig6Result {
 			panic(fmt.Sprintf("fig6: %v", err))
 		}
 	}
-	pool := eng.QueryLog(2048)
+	pool := simdb.TemplateIDs(eng.QueryLog(2048))
 	obs.Debugf("fig6: captured %d queries; running %d episodes × %d steps", len(pool), episodes, stepsPerEpisode)
 
 	kcat := eng.KnobCatalog()
@@ -103,22 +103,22 @@ func Fig6MDPLearning(episodes, stepsPerEpisode int, seed int64) Fig6Result {
 	// queries the planner knobs act on are rare — a small subsample can
 	// miss them entirely and report a flat (zero-gradient) landscape.
 	truth := pool
-	profitOn := func(sqls []string, knob string, cand float64) float64 {
+	profitOn := func(ids []string, knob string, cand float64) float64 {
 		base := overlay()
-		cur, n := eng.HypotheticalRunSQLMs(base, sqls)
+		cur, n := eng.HypotheticalRunTemplatesMs(base, ids)
 		if n == 0 {
 			return 0
 		}
 		base[knob] = cand
-		alt, _ := eng.HypotheticalRunSQLMs(base, sqls)
+		alt, _ := eng.HypotheticalRunTemplatesMs(base, ids)
 		return (cur - alt) / cur
 	}
 	noisyProfit := func(knob string, cand float64) float64 {
-		sqls := make([]string, 24)
-		for i := range sqls {
-			sqls[i] = pool[rng.Intn(len(pool))]
+		ids := make([]string, 24)
+		for i := range ids {
+			ids[i] = pool[rng.Intn(len(pool))]
 		}
-		return profitOn(sqls, knob, cand)
+		return profitOn(ids, knob, cand)
 	}
 
 	res := Fig6Result{Reward: Series{Name: "episodic-reward"}, Accuracy: Series{Name: "accuracy"}}

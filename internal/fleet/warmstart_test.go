@@ -259,14 +259,14 @@ type recordingShard struct {
 	calls int
 }
 
-func (r *recordingShard) Name() string                          { r.calls++; return r.name }
-func (r *recordingShard) AddInstance(shard.InstanceSpec) error  { r.calls++; return nil }
-func (r *recordingShard) RemoveInstance(string) error           { r.calls++; return nil }
-func (r *recordingShard) Members() ([]core.Member, error)       { r.calls++; return nil, nil }
-func (r *recordingShard) Counters() (shard.Counters, error)     { r.calls++; return shard.Counters{}, nil }
-func (r *recordingShard) Checkpoint() ([]byte, error)           { r.calls++; return nil, nil }
-func (r *recordingShard) Restore([]byte) error                  { r.calls++; return nil }
-func (r *recordingShard) Close() error                          { r.calls++; return nil }
+func (r *recordingShard) Name() string                              { r.calls++; return r.name }
+func (r *recordingShard) AddInstance(shard.InstanceSpec) error      { r.calls++; return nil }
+func (r *recordingShard) RemoveInstance(string) error               { r.calls++; return nil }
+func (r *recordingShard) Members() ([]core.Member, error)           { r.calls++; return nil, nil }
+func (r *recordingShard) Counters() (shard.Counters, error)         { r.calls++; return shard.Counters{}, nil }
+func (r *recordingShard) Checkpoint() ([]byte, error)               { r.calls++; return nil, nil }
+func (r *recordingShard) Restore([]byte) error                      { r.calls++; return nil }
+func (r *recordingShard) Close() error                              { r.calls++; return nil }
 func (r *recordingShard) ImportInstance(shard.InstanceExport) error { r.calls++; return nil }
 func (r *recordingShard) Step(time.Duration) (shard.StepResult, error) {
 	r.calls++

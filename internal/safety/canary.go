@@ -64,9 +64,9 @@ func (g *Gate) canary(id string, master *simdb.Engine, gen workload.Generator, c
 	g.m.canaryRuns.Inc()
 
 	// Phase 1: hypothetical pricing of the recent query log.
-	if sqls := master.QueryLog(g.opts.ExplainStatements); len(sqls) > 0 {
-		candMs, nCand := master.HypotheticalRunSQLMs(cand, sqls)
-		curMs, nCur := master.HypotheticalRunSQLMs(nil, sqls)
+	if ids := simdb.TemplateIDs(master.QueryLog(g.opts.ExplainStatements)); len(ids) > 0 {
+		candMs, nCand := master.HypotheticalRunTemplatesMs(cand, ids)
+		curMs, nCur := master.HypotheticalRunTemplatesMs(nil, ids)
 		if nCand > 0 && nCur > 0 && curMs > 0 && candMs > curMs*(1+g.opts.ExplainTolerancePct) {
 			g.veto(id, ReasonExplain)
 			return Decision{Reason: ReasonExplain,

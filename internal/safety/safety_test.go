@@ -164,17 +164,17 @@ func TestWatchRollsBackRegression(t *testing.T) {
 	g.NotifyApplied("db", applied, pre)
 
 	// First window after the apply carries pre-apply stats: skipped.
-	if _, rb := g.ObserveWindow("db", nil,base, true); rb {
+	if _, rb := g.ObserveWindow("db", nil, base, true); rb {
 		t.Fatal("pending-arm window triggered a rollback")
 	}
 	// A faulted window proves nothing: still watching.
-	if _, rb := g.ObserveWindow("db", nil,simdb.WindowStats{}, false); rb {
+	if _, rb := g.ObserveWindow("db", nil, simdb.WindowStats{}, false); rb {
 		t.Fatal("faulted window triggered a rollback")
 	}
 	// A regressing window (throughput down 40%) must roll back to pre.
 	bad := base
 	bad.Achieved = base.Achieved * 0.6
-	to, rb := g.ObserveWindow("db", nil,bad, true)
+	to, rb := g.ObserveWindow("db", nil, bad, true)
 	if !rb {
 		t.Fatal("regressing window did not roll back")
 	}
@@ -231,9 +231,9 @@ func TestWatchPromotesKnownGood(t *testing.T) {
 
 	applied := knobs.Config{"work_mem": 64}
 	g.NotifyApplied("db", applied, knobs.Config{"work_mem": 4})
-	g.ObserveWindow("db", nil,base, true) // pending-arm skip
+	g.ObserveWindow("db", nil, base, true) // pending-arm skip
 	for i := 0; i < g.Options().WatchWindows; i++ {
-		if _, rb := g.ObserveWindow("db", nil,base, true); rb {
+		if _, rb := g.ObserveWindow("db", nil, base, true); rb {
 			t.Fatal("healthy window rolled back")
 		}
 	}
@@ -258,10 +258,10 @@ func TestRadiusClamps(t *testing.T) {
 	// Repeated regressions floor the radius at MinRadius.
 	for i := 0; i < 10; i++ {
 		g.NotifyApplied("db", knobs.Config{"work_mem": 64}, knobs.Config{"work_mem": 4})
-		g.ObserveWindow("db", nil,base, true) // pending-arm skip
+		g.ObserveWindow("db", nil, base, true) // pending-arm skip
 		bad := base
 		bad.Achieved = 1
-		g.ObserveWindow("db", nil,bad, true)
+		g.ObserveWindow("db", nil, bad, true)
 	}
 	st, _ := g.Status("db")
 	if st.TrustRadius != opts.MinRadius {
@@ -271,9 +271,9 @@ func TestRadiusClamps(t *testing.T) {
 	// Repeated survivals cap it at MaxRadius.
 	for i := 0; i < 20; i++ {
 		g.NotifyApplied("db", knobs.Config{"work_mem": 64}, knobs.Config{"work_mem": 4})
-		g.ObserveWindow("db", nil,base, true)
+		g.ObserveWindow("db", nil, base, true)
 		for j := 0; j < opts.WatchWindows; j++ {
-			g.ObserveWindow("db", nil,base, true)
+			g.ObserveWindow("db", nil, base, true)
 		}
 	}
 	st, _ = g.Status("db")
@@ -288,10 +288,10 @@ func TestStateRoundTrip(t *testing.T) {
 	warmGate(t, g, "b", 2)
 	g.RecordKnownGood("a", knobs.Config{"work_mem": 8})
 	g.NotifyApplied("a", knobs.Config{"work_mem": 64}, knobs.Config{"work_mem": 8})
-	g.ObserveWindow("a", nil,base, true)
+	g.ObserveWindow("a", nil, base, true)
 	bad := base
 	bad.Achieved = 1
-	g.ObserveWindow("a", nil,bad, true)
+	g.ObserveWindow("a", nil, bad, true)
 
 	blob, err := g.MarshalState()
 	if err != nil {
@@ -360,7 +360,7 @@ func TestConcurrentStatusReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				g.ObserveWindow("db", nil,stats, true)
+				g.ObserveWindow("db", nil, stats, true)
 				g.Status("db")
 				g.Totals()
 				g.TrustCenter("db", knobs.Config{"work_mem": 4})

@@ -1,11 +1,14 @@
 package simdb
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/prng"
+	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/workload"
 )
 
@@ -42,12 +45,25 @@ type EngineState struct {
 	Down         bool      `json:"down"`
 	Restarts     int       `json:"restarts"`
 
+	// QueryLog holds every query-log slot's SQL in ring order (unfilled
+	// slots are empty); QueryLogNext and QueryLogFull are the ring's
+	// cursor.
 	QueryLog     []string `json:"query_log"`
 	QueryLogNext int      `json:"query_log_next"`
 	QueryLogFull bool     `json:"query_log_full"`
+	// QueryLogTemplates and QueryLogTemplateIdx carry each slot's
+	// template ID so a restore need not re-template the log:
+	// QueryLogTemplates lists the distinct IDs, and QueryLogTemplateIdx
+	// packs one little-endian uint16 per slot indexing into it (base64
+	// in JSON). Snapshots written before these fields existed lack them;
+	// such a restore templates each filled slot once. Both are omitted
+	// when the log has more distinct IDs than a uint16 can index.
+	QueryLogTemplates   []string `json:"query_log_templates,omitempty"`
+	QueryLogTemplateIdx []byte   `json:"query_log_template_idx,omitempty"`
 
-	// Profiles is the per-template statistics store behind ExplainSQL —
-	// the TDE's plan evaluation plans from it, so it is state, not cache.
+	// Profiles is the per-template statistics store behind
+	// ExplainTemplate — the TDE's plan evaluation plans from it, so it is
+	// state, not cache.
 	Profiles map[string]workload.Query `json:"profiles,omitempty"`
 
 	CfgEpoch uint64     `json:"cfg_epoch"`
@@ -80,7 +96,6 @@ func (e *Engine) CheckpointState() EngineState {
 		JitterFactor:     e.jitterFactor,
 		Down:             e.down,
 		Restarts:         e.restarts,
-		QueryLog:         append([]string(nil), e.queryLog.buf...),
 		QueryLogNext:     e.queryLog.next,
 		QueryLogFull:     e.queryLog.full,
 		CfgEpoch:         e.cfgEpoch,
@@ -89,6 +104,7 @@ func (e *Engine) CheckpointState() EngineState {
 	for k, v := range e.counters {
 		st.Counters[k] = v
 	}
+	st.QueryLog, st.QueryLogTemplates, st.QueryLogTemplateIdx = encodeLog(e.queryLog.buf)
 	if len(e.profiles) > 0 {
 		st.Profiles = make(map[string]workload.Query, len(e.profiles))
 		for k, v := range e.profiles {
@@ -108,6 +124,9 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	defer e.mu.Unlock()
 	if len(st.QueryLog) != len(e.queryLog.buf) {
 		return fmt.Errorf("simdb: restore: query log size %d, engine built with %d", len(st.QueryLog), len(e.queryLog.buf))
+	}
+	if err := decodeLog(e.queryLog.buf, st); err != nil {
+		return err
 	}
 	e.cfg = st.Cfg.Clone()
 	e.pendingRestart = st.PendingRestart.Clone()
@@ -133,7 +152,6 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	e.jitterFactor = st.JitterFactor
 	e.down = st.Down
 	e.restarts = st.Restarts
-	copy(e.queryLog.buf, st.QueryLog)
 	e.queryLog.next = st.QueryLogNext
 	e.queryLog.full = st.QueryLogFull
 	e.profiles = nil
@@ -147,5 +165,56 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	e.rngSrc.Restore(st.RNG)
 	// Drop the memo tied to the pre-restore configuration.
 	e.fkValid = false
+	return nil
+}
+
+// encodeLog splits the ring's entries into the snapshot's per-slot SQL,
+// distinct-ID table and packed index (see EngineState).
+func encodeLog(buf []LogEntry) (sqls, ids []string, idx []byte) {
+	sqls = make([]string, len(buf))
+	for i, le := range buf {
+		sqls[i] = le.SQL
+	}
+	idx = make([]byte, 2*len(buf))
+	pos := make(map[string]int, 256)
+	for i, le := range buf {
+		p, ok := pos[le.TemplateID]
+		if !ok {
+			if len(ids) > math.MaxUint16 {
+				return sqls, nil, nil
+			}
+			p = len(ids)
+			pos[le.TemplateID] = p
+			ids = append(ids, le.TemplateID)
+		}
+		binary.LittleEndian.PutUint16(idx[2*i:], uint16(p))
+	}
+	return sqls, ids, idx
+}
+
+// decodeLog overwrites buf with st's query-log entries, or returns an
+// error and leaves buf untouched. A snapshot without the template
+// fields has each filled slot templated once.
+func decodeLog(buf []LogEntry, st EngineState) error {
+	idx := st.QueryLogTemplateIdx
+	if idx != nil {
+		if len(idx) != 2*len(st.QueryLog) {
+			return fmt.Errorf("simdb: restore: query log template index has %d bytes for %d slots", len(idx), len(st.QueryLog))
+		}
+		for i := 0; i < len(idx); i += 2 {
+			if p := int(binary.LittleEndian.Uint16(idx[i:])); p >= len(st.QueryLogTemplates) {
+				return fmt.Errorf("simdb: restore: query log slot %d names template %d of %d", i/2, p, len(st.QueryLogTemplates))
+			}
+		}
+	}
+	for i, sql := range st.QueryLog {
+		buf[i] = LogEntry{SQL: sql}
+		switch {
+		case idx != nil:
+			buf[i].TemplateID = st.QueryLogTemplates[binary.LittleEndian.Uint16(idx[2*i:])]
+		case st.QueryLogFull || i < st.QueryLogNext:
+			buf[i].TemplateID = sqlparse.TemplateOf(sql).ID
+		}
+	}
 	return nil
 }

@@ -125,7 +125,8 @@ type Engine struct {
 	restarts     int
 
 	queryLog *ringLog
-	// profiles caches per-template execution statistics for ExplainSQL.
+	// profiles caches per-template execution statistics for
+	// ExplainTemplate and HypotheticalRunTemplatesMs.
 	profiles map[string]workload.Query
 
 	// Flattened knob memo (see hotpath.go). cfgEpoch advances whenever
@@ -406,8 +407,16 @@ func (e *Engine) Crash() {
 	e.down = true
 }
 
-// QueryLog returns up to n most recent raw SQL strings.
-func (e *Engine) QueryLog(n int) []string {
+// LogEntry is one query-log line: the executed statement and the ID of
+// its template, resolved once when the engine priced the statement.
+// TemplateID always equals sqlparse.TemplateOf(SQL).ID.
+type LogEntry struct {
+	SQL        string
+	TemplateID string
+}
+
+// QueryLog returns up to n most recent log entries, oldest first.
+func (e *Engine) QueryLog(n int) []LogEntry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.queryLog.last(n)
@@ -548,17 +557,17 @@ func semanticMap(eng knobs.Engine) map[string]string {
 
 func (e *Engine) bump(sem string, v float64) { e.counters[sem] += v }
 
-// ringLog is a bounded FIFO of log lines.
+// ringLog is a bounded FIFO of log entries.
 type ringLog struct {
-	buf  []string
+	buf  []LogEntry
 	next int
 	full bool
 }
 
-func newRingLog(n int) *ringLog { return &ringLog{buf: make([]string, n)} }
+func newRingLog(n int) *ringLog { return &ringLog{buf: make([]LogEntry, n)} }
 
-func (r *ringLog) add(s string) {
-	r.buf[r.next] = s
+func (r *ringLog) add(le LogEntry) {
+	r.buf[r.next] = le
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
@@ -566,7 +575,7 @@ func (r *ringLog) add(s string) {
 	}
 }
 
-func (r *ringLog) last(n int) []string {
+func (r *ringLog) last(n int) []LogEntry {
 	size := r.next
 	if r.full {
 		size = len(r.buf)
@@ -574,14 +583,13 @@ func (r *ringLog) last(n int) []string {
 	if n > size {
 		n = size
 	}
-	out := make([]string, 0, n)
+	out := make([]LogEntry, n)
 	start := r.next - n
 	if start < 0 {
 		start += len(r.buf)
 	}
-	for i := 0; i < n; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
-	}
+	k := copy(out, r.buf[start:])
+	copy(out[k:], r.buf)
 	return out
 }
 

@@ -315,8 +315,8 @@ func TestQueryLogCapturesSQL(t *testing.T) {
 		t.Fatalf("log returned %d lines", len(log))
 	}
 	for _, l := range log {
-		if l == "" {
-			t.Fatal("empty log line")
+		if l.SQL == "" || l.TemplateID == "" {
+			t.Fatalf("empty log entry %+v", l)
 		}
 	}
 	if huge := e.QueryLog(1 << 20); len(huge) == 0 || len(huge) > 4096 {

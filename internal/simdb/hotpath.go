@@ -97,9 +97,14 @@ func (e *Engine) flatLocked() *flatKnobs {
 // overlayLocked clones the active config, applies override on top and
 // returns both the flattened view and the merged config (the latter for
 // the map-based hit-ratio / memory-footprint model). Shared by every
-// hypothetical-probe entry point (ExplainWith, ExplainSQLWith,
-// HypotheticalRunMs, HypotheticalRunSQLMs).
+// hypothetical-probe entry point (ExplainWith, HypotheticalRunMs,
+// HypotheticalRunTemplatesMs). An empty override is the active config
+// itself: the memoised view and e.cfg, which the caller must only read
+// and only under e.mu.
 func (e *Engine) overlayLocked(override knobs.Config) (flatKnobs, knobs.Config) {
+	if len(override) == 0 {
+		return *e.flatLocked(), e.cfg
+	}
 	cfg := e.cfg.Clone()
 	for k, v := range override {
 		cfg[k] = v

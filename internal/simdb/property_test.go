@@ -102,9 +102,9 @@ func TestRingLogProperty(t *testing.T) {
 		cap := 1 + rng.Intn(32)
 		r := newRingLog(cap)
 		n := rng.Intn(100)
-		lines := make([]string, n)
+		lines := make([]LogEntry, n)
 		for i := range lines {
-			lines[i] = string(rune('a'+i%26)) + string(rune('0'+i%10))
+			lines[i] = LogEntry{SQL: string(rune('a'+i%26)) + string(rune('0'+i%10)), TemplateID: string(rune('A' + i%26))}
 			r.add(lines[i])
 		}
 		k := rng.Intn(cap + 10)

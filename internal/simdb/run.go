@@ -126,8 +126,13 @@ func (e *Engine) RunWindow(gen workload.Generator, dur time.Duration) (WindowSta
 			}
 		}
 		classCounts[q.Class] += scale
-		e.queryLog.add(q.SQL)
-		e.rememberProfileLocked(q)
+		id := q.Template.ID
+		if id == "" {
+			// A hand-built query without a carried template.
+			id = sqlparse.TemplateOf(q.SQL).ID
+		}
+		e.queryLog.add(LogEntry{SQL: q.SQL, TemplateID: id})
+		e.rememberProfileLocked(id, q)
 	}
 	avgMs := sumMs / float64(n)
 	st.AvgServiceMs = avgMs

@@ -279,10 +279,10 @@ func containsAggregate(s string) bool {
 }
 
 // TemplateOf normalizes, classifies and fingerprints a raw SQL string.
-// Results are memoised in a process-wide LRU keyed by the raw text, so
-// re-templating repeated log lines (the TDE tick, trace replay) costs a
-// map lookup. The cache is an exact memo of a pure function: enabling or
-// disabling it never changes the returned Template.
+// Results are memoised in a process-wide FIFO cache keyed by the raw
+// text, so re-templating a repeated string (trace replay, a generator's
+// canonical text) costs a map lookup. The cache is an exact memo of a
+// pure function: it never changes the returned Template.
 func TemplateOf(sql string) Template {
 	if tpl, ok := templateCacheGet(sql); ok {
 		return tpl
@@ -311,8 +311,7 @@ type Templatizer struct {
 type TemplateStats struct {
 	Template Template
 	Count    int
-	// LastArgsSQL keeps a recent concrete instance so the TDE can run
-	// plan evaluation "with the most frequent parameters substituted".
+	// LastArgsSQL is the most recent concrete instance observed.
 	LastArgsSQL string
 }
 
@@ -332,6 +331,20 @@ func (t *Templatizer) Observe(sql string) Template {
 	st.Count++
 	st.LastArgsSQL = sql
 	return tpl
+}
+
+// ObserveID records one query whose template ID the caller already
+// knows — an engine query-log entry, whose ID is TemplateOf(sql).ID.
+// It templates sql only the first time it sees id, so it updates the
+// same statistics Observe(sql) would without re-templating.
+func (t *Templatizer) ObserveID(id, sql string) {
+	st, ok := t.templates[id]
+	if !ok {
+		st = &TemplateStats{Template: TemplateOf(sql)}
+		t.templates[id] = st
+	}
+	st.Count++
+	st.LastArgsSQL = sql
 }
 
 // Stats returns the stats entry for a template ID, or nil.

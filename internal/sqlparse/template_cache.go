@@ -7,11 +7,15 @@ import (
 	"autodbaas/internal/obs"
 )
 
-// The template cache memoises TemplateOf by raw SQL text. It exists for
-// the streams that repeat strings verbatim: the TDE tick re-templating
-// the engine's query log, trace replay, and EXPLAIN probes against
-// remembered statements. Freshly generated SQL with random literals
-// mostly misses — that is fine, the miss cost is one extra map probe.
+// The template cache memoises TemplateOf by raw SQL text. Its callers
+// are the paths that still template raw text: generator formats that
+// interpolate identifiers (workload.q), trace loading, Templatizer.Observe,
+// the first sighting of a template in Templatizer.ObserveID, and
+// restoring an engine snapshot whose query log lacks template IDs. The
+// TDE tick is not one of them: it takes each statement's template ID
+// from the engine's query log. Freshly generated SQL with random
+// literals mostly misses — that is fine, the miss cost is one extra map
+// probe.
 //
 // Determinism: values are a pure function of the key, so cache state
 // (including evictions, which may differ run to run under parallel

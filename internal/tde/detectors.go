@@ -3,6 +3,7 @@ package tde
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"autodbaas/internal/entropy"
@@ -11,8 +12,8 @@ import (
 )
 
 // detectMemoryLocked implements the §3.1 memory-knob detector: sampled
-// templates are EXPLAINed with their most recent concrete parameters;
-// any plan that would use disk for a working area implicates the
+// templates are EXPLAINed from the statistics the engine remembers for
+// them; any plan that would use disk for a working area implicates the
 // corresponding memory knob. Throttles pass through the entropy filter,
 // which may convert a run of them into a plan-upgrade signal.
 func (t *TDE) detectMemoryLocked(now time.Time) []Event {
@@ -26,7 +27,7 @@ func (t *TDE) detectMemoryLocked(now time.Time) []Event {
 		if st == nil {
 			continue
 		}
-		plan, ok := t.db.ExplainSQL(st.LastArgsSQL)
+		plan, ok := t.db.ExplainTemplate(id)
 		if !ok || !plan.UsesDisk {
 			continue
 		}
@@ -49,7 +50,15 @@ func (t *TDE) detectMemoryLocked(now time.Time) []Event {
 		t.filter.ObserveQuiet()
 	} else {
 		hist := t.classHistogramLocked()
-		for knob, f := range seen {
+		// Visit knobs in name order: the entropy filter counts throttles
+		// in sequence, so map order would make the verdicts random.
+		implicated := make([]string, 0, len(seen))
+		for knob := range seen {
+			implicated = append(implicated, knob)
+		}
+		sort.Strings(implicated)
+		for _, knob := range implicated {
+			f := seen[knob]
 			decision, eta, _ := t.filter.ObserveThrottle(hist, t.atCapLocked(knob))
 			switch decision {
 			case entropy.Forward:
@@ -211,16 +220,16 @@ func (t *TDE) detectAsyncPlannerLocked(now time.Time) []Event {
 	if n > len(ids) {
 		n = len(ids)
 	}
-	sqls := make([]string, 0, n)
+	sampled := make([]string, 0, n)
 	for _, id := range ids[:n] {
-		if st := t.templatizer.Stats(id); st != nil {
-			sqls = append(sqls, st.LastArgsSQL)
+		if t.templatizer.Stats(id) != nil {
+			sampled = append(sampled, id)
 		}
 	}
-	if len(sqls) == 0 {
+	if len(sampled) == 0 {
 		return nil
 	}
-	cur, priced := t.db.HypotheticalRunSQLMs(nil, sqls)
+	cur, priced := t.db.HypotheticalRunTemplatesMs(nil, sampled)
 	if priced == 0 || cur <= 0 {
 		return nil
 	}
@@ -235,7 +244,7 @@ func (t *TDE) detectAsyncPlannerLocked(now time.Time) []Event {
 		}
 		act := a.Choose(t.rng)
 		cand := a.Candidate(act)
-		alt, _ := t.db.HypotheticalRunSQLMs(knobs.Config{a.Knob: cand}, sqls)
+		alt, _ := t.db.HypotheticalRunTemplatesMs(knobs.Config{a.Knob: cand}, sampled)
 		profit := cur - alt
 		rewarded := profit > t.cfg.MDPMinProfitFraction*cur
 		a.Feedback(act, rewarded)

@@ -254,15 +254,21 @@ func (t *TDE) Ticks() int {
 func (t *TDE) Tick() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	// Ingest the recent query log into the template statistics and the
+	// reservoir. The engine resolved every entry's template when it ran
+	// the statement, so nothing is re-templated here.
+	for _, le := range t.db.QueryLog(t.cfg.LogBatch) {
+		t.templatizer.ObserveID(le.TemplateID, le.SQL)
+		t.reservoir.Offer(le.TemplateID)
+	}
+	return t.detectLocked()
+}
+
+// detectLocked runs the three detectors on the ingested state and
+// counts what they raised.
+func (t *TDE) detectLocked() []Event {
 	t.ticks++
 	now := t.db.Now()
-
-	// Ingest the recent query log through templating + reservoir.
-	for _, sql := range t.db.QueryLog(t.cfg.LogBatch) {
-		tpl := t.templatizer.Observe(sql)
-		t.reservoir.Offer(tpl.ID)
-	}
-
 	var events []Event
 	events = append(events, t.detectMemoryLocked(now)...)
 	events = append(events, t.detectBgWriterLocked(now)...)
