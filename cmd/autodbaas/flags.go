@@ -138,13 +138,7 @@ func validateFlags(c cliConfig, isSet func(string) bool) error {
 	if c.Shards > 0 && c.ShardMap != "" {
 		return fmt.Errorf("-shards conflicts with -shard-map: pick in-process shards or remote workers, not both")
 	}
-	if c.Shards > 0 && !c.Serve {
-		return fmt.Errorf("-shards needs -serve: only the fleet service runs sharded")
-	}
 	if c.ShardMap != "" {
-		if !c.Serve {
-			return fmt.Errorf("-shard-map needs -serve: only the fleet service runs sharded")
-		}
 		if _, err := parseShardMap(c.ShardMap); err != nil {
 			return err
 		}
@@ -155,12 +149,8 @@ func validateFlags(c cliConfig, isSet func(string) bool) error {
 	if c.Fleet < 0 {
 		return fmt.Errorf("-fleet cannot be negative (got %d)", c.Fleet)
 	}
-	if c.Serve {
-		if c.Hours < 0 {
-			return fmt.Errorf("-hours cannot be negative under -serve (got %d; 0 runs until interrupted)", c.Hours)
-		}
-	} else if c.Hours <= 0 {
-		return fmt.Errorf("-hours must be positive (got %d)", c.Hours)
+	if c.Hours < 0 {
+		return fmt.Errorf("-hours cannot be negative (got %d; 0 runs until interrupted)", c.Hours)
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("-parallelism cannot be negative (got %d)", c.Parallelism)
@@ -185,12 +175,6 @@ func validateFlags(c cliConfig, isSet func(string) bool) error {
 		}
 	}
 
-	if c.Serve && c.Periodic {
-		return fmt.Errorf("-periodic conflicts with -serve: under -serve the tuning mode comes from each database's blueprint")
-	}
-	if isSet("tick") && !c.Serve {
-		return fmt.Errorf("-tick needs -serve: the fixed-fleet mode runs virtual time flat out")
-	}
 	if c.Tick < 0 {
 		return fmt.Errorf("-tick cannot be negative (got %s)", c.Tick)
 	}

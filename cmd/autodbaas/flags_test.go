@@ -68,16 +68,20 @@ func TestValidateFlags(t *testing.T) {
 			wantErr: "unknown profile",
 		},
 		{
-			name:    "serve with periodic",
-			mutate:  func(c *cliConfig) { c.Serve = true; c.Periodic = true },
-			set:     []string{"serve", "periodic"},
-			wantErr: "-periodic conflicts with -serve",
+			name:   "serve with periodic",
+			mutate: func(c *cliConfig) { c.Serve = true; c.Periodic = true },
+			set:    []string{"serve", "periodic"},
 		},
 		{
-			name:    "tick without serve",
-			mutate:  func(c *cliConfig) { c.Tick = time.Second },
+			name:   "tick without serve",
+			mutate: func(c *cliConfig) { c.Tick = time.Second },
+			set:    []string{"tick"},
+		},
+		{
+			name:    "negative tick",
+			mutate:  func(c *cliConfig) { c.Tick = -time.Second },
 			set:     []string{"tick"},
-			wantErr: "-tick needs -serve",
+			wantErr: "-tick cannot be negative",
 		},
 		{
 			name:   "tick with serve",
@@ -97,10 +101,15 @@ func TestValidateFlags(t *testing.T) {
 			wantErr: "-fleet cannot be negative",
 		},
 		{
-			name:    "zero hours in fixed mode",
-			mutate:  func(c *cliConfig) { c.Hours = 0 },
+			name:   "zero hours in fixed mode",
+			mutate: func(c *cliConfig) { c.Hours = 0 },
+			set:    []string{"hours"},
+		},
+		{
+			name:    "negative hours",
+			mutate:  func(c *cliConfig) { c.Hours = -1 },
 			set:     []string{"hours"},
-			wantErr: "-hours must be positive",
+			wantErr: "-hours cannot be negative",
 		},
 		{
 			name:   "zero hours under serve runs forever",
@@ -131,10 +140,9 @@ func TestValidateFlags(t *testing.T) {
 			wantErr: "-serve conflicts with -worker",
 		},
 		{
-			name:    "shards without serve",
-			mutate:  func(c *cliConfig) { c.Shards = 2 },
-			set:     []string{"shards"},
-			wantErr: "-shards needs -serve",
+			name:   "shards without serve",
+			mutate: func(c *cliConfig) { c.Shards = 2 },
+			set:    []string{"shards"},
 		},
 		{
 			name:   "shards with serve",
@@ -148,10 +156,9 @@ func TestValidateFlags(t *testing.T) {
 			wantErr: "-shards cannot be negative",
 		},
 		{
-			name:    "shard map without serve",
-			mutate:  func(c *cliConfig) { c.ShardMap = "s0=127.0.0.1:9001" },
-			set:     []string{"shard-map"},
-			wantErr: "-shard-map needs -serve",
+			name:   "shard map without serve",
+			mutate: func(c *cliConfig) { c.ShardMap = "s0=127.0.0.1:9001" },
+			set:    []string{"shard-map"},
 		},
 		{
 			name:   "shard map with serve",

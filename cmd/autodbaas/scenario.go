@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
 	"time"
@@ -33,7 +32,7 @@ func loadScenario(arg string) (string, error) {
 // scenario against a dedicated fleet, optionally paced by -time-scale;
 // with -serve the fleet and replay progress are also observable over
 // HTTP while the schedule runs.
-func runScenario(c cliConfig) error {
+func runScenario(ctx context.Context, c cliConfig) error {
 	src, err := loadScenario(c.Scenario)
 	if err != nil {
 		return err
@@ -65,9 +64,6 @@ func runScenario(c cliConfig) error {
 		fmt.Printf("  paced at %gx: about %s of wall time\n", c.TimeScale,
 			(time.Duration(float64(sc.Duration) / c.TimeScale)).Round(time.Second))
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	if c.Serve {
 		mux := http.NewServeMux()

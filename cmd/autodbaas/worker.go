@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"os"
-	"os/signal"
 	"strings"
 
 	"autodbaas/internal/shard"
@@ -15,9 +13,9 @@ import (
 // RPC protocol on -listen. The process carries no simulation state of
 // its own — a coordinator dials in, pushes a shard config over the
 // "init" RPC, and from then on drives provisioning, stepping and
-// checkpointing remotely. Several workers plus one `-serve -shard-map`
+// checkpointing remotely. Several workers plus one `-shard-map`
 // coordinator form a multi-process deployment.
-func runWorker(c cliConfig) error {
+func runWorker(ctx context.Context, c cliConfig) error {
 	network, addr := "tcp", c.Listen
 	if rest, ok := strings.CutPrefix(addr, "unix:"); ok {
 		network, addr = "unix", rest
@@ -26,8 +24,6 @@ func runWorker(c cliConfig) error {
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	go func() {
 		<-ctx.Done()
 		l.Close()

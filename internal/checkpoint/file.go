@@ -13,8 +13,8 @@ const latestName = "latest.ckpt"
 // refreshes dir/latest.ckpt to the same bytes, returning the snapshot
 // path. Both names change atomically (temp file + rename), so a crash
 // or a failing encode never leaves a half-written file under either
-// name. It is the one snapshot-file writer: core.System and the fleet
-// service both save through it, so they share one directory layout.
+// name. The fleet service is its one caller: it writes every snapshot
+// file, on demand and on its auto-checkpoint cadence.
 //
 // encode's bytes are written once: latest.ckpt is a hard link to the
 // new snapshot, and only where the filesystem refuses links is it a
@@ -23,7 +23,7 @@ func SaveFile(dir string, window int, encode func(io.Writer) error) (string, err
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	path := filepath.Join(dir, fmt.Sprintf("checkpoint-%06d.ckpt", window))
+	path := filepath.Join(dir, snapshotName(window))
 	if err := replaceFile(path, func(tmp string) error {
 		f, err := os.Create(tmp)
 		if err != nil {
@@ -46,6 +46,20 @@ func SaveFile(dir string, window int, encode func(io.Writer) error) (string, err
 		return "", err
 	}
 	return path, nil
+}
+
+// snapshotName is SaveFile's file name for the snapshot of one window.
+func snapshotName(window int) string { return fmt.Sprintf("checkpoint-%06d.ckpt", window) }
+
+// SnapshotWindow returns the window a SaveFile snapshot holds, read
+// from its file name.
+func SnapshotWindow(path string) (int, error) {
+	name := filepath.Base(path)
+	var window int
+	if _, err := fmt.Sscanf(name, "checkpoint-%d.ckpt", &window); err != nil || snapshotName(window) != name {
+		return 0, fmt.Errorf("checkpoint: %s is not a snapshot file name", name)
+	}
+	return window, nil
 }
 
 // replaceFile has fill produce path+".tmp" and renames it over path;

@@ -94,6 +94,26 @@ func TestSaveFile(t *testing.T) {
 	}
 }
 
+// TestSnapshotWindow: the window parsed from a SaveFile path is the one
+// it was saved at, and no other file name parses.
+func TestSnapshotWindow(t *testing.T) {
+	dir := t.TempDir()
+	for _, window := range []int{0, 12, 1234567} {
+		path, err := SaveFile(dir, window, writes("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := SnapshotWindow(path); err != nil || got != window {
+			t.Errorf("SnapshotWindow(%s) = %d, %v; want %d", path, got, err, window)
+		}
+	}
+	for _, name := range []string{latestName, "checkpoint-12.ckpt", "checkpoint-000012.ckpt.tmp", "checkpoint-000012.ckptx"} {
+		if w, err := SnapshotWindow(filepath.Join(dir, name)); err == nil {
+			t.Errorf("SnapshotWindow(%s) = %d, want an error", name, w)
+		}
+	}
+}
+
 // TestCopyFile covers the fallback SaveFile takes where os.Link is
 // refused.
 func TestCopyFile(t *testing.T) {

@@ -90,16 +90,6 @@ type Manifest struct {
 	Sections      []SectionMeta  `json:"sections,omitempty"`
 }
 
-// Cohort returns the instance IDs the snapshot was taken over, in
-// onboarding order.
-func (m Manifest) Cohort() []string {
-	out := make([]string, 0, len(m.Instances))
-	for _, im := range m.Instances {
-		out = append(out, im.ID)
-	}
-	return out
-}
-
 // section is one named payload staged for writing: its bytes, split
 // across several slices when it is a nested container, with the total
 // length and CRC-32 known before any byte is written.

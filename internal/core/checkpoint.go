@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"autodbaas/internal/checkpoint"
 )
@@ -160,76 +158,4 @@ func (s *System) ImportInstanceSection(id string, meta checkpoint.InstanceMeta, 
 		return err
 	}
 	return s.Orchestrator.PersistConfig(id, a.Instance().Replica.Master().Config())
-}
-
-// SetAutoCheckpoint enables periodic snapshots: after every everyN-th
-// window Step writes dir/checkpoint-<window>.ckpt (atomically, via a
-// temp file rename) and refreshes dir/latest.ckpt. everyN <= 0 or an
-// empty dir disables. Write failures are reported through the returned
-// error of the next CheckpointNow; Step itself never fails a window on
-// a checkpoint error — it records it for LastCheckpointErr.
-func (s *System) SetAutoCheckpoint(dir string, everyN int) {
-	s.mu.Lock()
-	s.ckptDir = dir
-	s.ckptEvery = everyN
-	s.mu.Unlock()
-}
-
-// LastCheckpoint returns the path of the most recent auto-checkpoint
-// and the window it covered (empty until one has been written).
-func (s *System) LastCheckpoint() (string, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ckptLastPath, s.ckptLastWindow
-}
-
-// LastCheckpointErr returns the most recent auto-checkpoint failure
-// (nil when the last write succeeded).
-func (s *System) LastCheckpointErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ckptLastErr
-}
-
-// CheckpointNow writes a snapshot to dir/checkpoint-<window>.ckpt and
-// refreshes dir/latest.ckpt, atomically. It returns the snapshot path.
-func (s *System) CheckpointNow(dir string) (string, error) {
-	s.mu.Lock()
-	window := s.windows
-	s.mu.Unlock()
-	path, err := checkpoint.SaveFile(dir, window, s.Checkpoint)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.ckptLastPath = path
-	s.ckptLastWindow = window
-	s.mu.Unlock()
-	return path, nil
-}
-
-// maybeAutoCheckpoint runs at the end of Step, after the window counter
-// has advanced.
-func (s *System) maybeAutoCheckpoint() {
-	s.mu.Lock()
-	dir, every, window := s.ckptDir, s.ckptEvery, s.windows
-	s.mu.Unlock()
-	if dir == "" || every <= 0 || window%every != 0 {
-		return
-	}
-	_, err := s.CheckpointNow(dir)
-	s.mu.Lock()
-	s.ckptLastErr = err
-	s.mu.Unlock()
-}
-
-// RestoreLatest restores from dir/latest.ckpt — the resume entry point
-// the -resume flag uses.
-func (s *System) RestoreLatest(dir string) error {
-	f, err := os.Open(filepath.Join(dir, "latest.ckpt"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.Restore(f)
 }

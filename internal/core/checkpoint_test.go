@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -167,10 +165,10 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 }
 
 // TestCheckpointCrashResumeSoak is the crown-jewel scenario: a
-// 20-instance fleet under the medium fault profile auto-checkpoints
-// every 6 windows; the process "dies" at a fault-injector-chosen window
-// and a fresh process restores the last auto-checkpoint and replays to
-// the horizon. The fingerprint must match the uninterrupted run's.
+// 20-instance fleet under the medium fault profile snapshots every 6
+// windows; the process "dies" at a fault-injector-chosen window and a
+// fresh process restores the last snapshot and replays to the horizon.
+// The fingerprint must match the uninterrupted run's.
 func TestCheckpointCrashResumeSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20-instance crash-resume soak")
@@ -184,42 +182,42 @@ func TestCheckpointCrashResumeSoak(t *testing.T) {
 	killSrc := prng.NewSource(faultSeed)
 	kill := totalWindows/3 + int(killSrc.Uint64()%uint64(totalWindows/3))
 
-	run := func(s *System, n int) {
-		for i := 0; i < n; i++ {
-			s.Step(10 * time.Minute)
-		}
-	}
-
 	// Uninterrupted reference.
 	ref := soakFleet(t, faults.New(faultSeed, faults.Medium()))
-	run(ref, totalWindows)
+	for i := 0; i < totalWindows; i++ {
+		ref.Step(10 * time.Minute)
+	}
 	want := fingerprintSystem(ref)
 
-	// Doomed run with auto-checkpointing, killed mid-flight.
-	dir := t.TempDir()
+	// Doomed run, snapshotting every `every` windows and killed
+	// mid-flight; only its last snapshot survives.
 	doomed := soakFleet(t, faults.New(faultSeed, faults.Medium()))
-	doomed.SetAutoCheckpoint(dir, every)
-	run(doomed, kill)
-	if err := doomed.LastCheckpointErr(); err != nil {
-		t.Fatalf("auto-checkpoint failed before the crash: %v", err)
-	}
-	lastPath, lastWindow := doomed.LastCheckpoint()
-	if lastPath == "" {
-		t.Fatalf("no auto-checkpoint written in %d windows", kill)
+	var last bytes.Buffer
+	lastWindow := -1
+	for w := 1; w <= kill; w++ {
+		doomed.Step(10 * time.Minute)
+		if w%every == 0 {
+			last.Reset()
+			if err := doomed.Checkpoint(&last); err != nil {
+				t.Fatalf("checkpoint at window %d: %v", w, err)
+			}
+			lastWindow = w
+		}
 	}
 	if lastWindow != (kill/every)*every {
-		t.Fatalf("last auto-checkpoint at window %d, want %d", lastWindow, (kill/every)*every)
+		t.Fatalf("last snapshot at window %d, want %d", lastWindow, (kill/every)*every)
 	}
-	// Process dies here; `doomed` is abandoned, only the files survive.
 
 	resumed := soakFleet(t, faults.New(faultSeed, faults.Medium()))
-	if err := resumed.RestoreLatest(dir); err != nil {
-		t.Fatalf("restore from %s: %v", dir, err)
+	if err := resumed.Restore(&last); err != nil {
+		t.Fatalf("restore the window-%d snapshot: %v", lastWindow, err)
 	}
 	if got := resumed.Windows(); got != lastWindow {
 		t.Fatalf("resumed at window %d, want %d", got, lastWindow)
 	}
-	run(resumed, totalWindows-lastWindow)
+	for i := lastWindow; i < totalWindows; i++ {
+		resumed.Step(10 * time.Minute)
+	}
 	got := fingerprintSystem(resumed)
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("crash-resumed soak diverged from uninterrupted run (killed at %d, resumed from %d)", kill, lastWindow)
@@ -426,40 +424,5 @@ func TestTopologyMismatchNamesInstances(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestAutoCheckpointFiles: periodic snapshots land where configured and
-// latest.ckpt always mirrors the newest one.
-func TestAutoCheckpointFiles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fleet build")
-	}
-	dir := t.TempDir()
-	s := buildCkptFleet(t, 2, nil)
-	s.SetAutoCheckpoint(dir, 3)
-	stepN(s, 7)
-	if err := s.LastCheckpointErr(); err != nil {
-		t.Fatal(err)
-	}
-	path, window := s.LastCheckpoint()
-	if window != 6 {
-		t.Fatalf("last auto-checkpoint window = %d, want 6", window)
-	}
-	for _, p := range []string{path, filepath.Join(dir, "latest.ckpt"), filepath.Join(dir, "checkpoint-000003.ckpt")} {
-		if _, err := os.Stat(p); err != nil {
-			t.Errorf("expected snapshot file: %v", err)
-		}
-	}
-	a, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(filepath.Join(dir, "latest.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Error("latest.ckpt does not mirror the newest checkpoint")
 	}
 }

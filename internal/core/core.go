@@ -84,13 +84,6 @@ type System struct {
 	// windows counts completed Steps; it rides the snapshot manifest so
 	// a restored system resumes the numbering.
 	windows int
-	// Auto-checkpoint: every ckptEvery-th window a snapshot lands in
-	// ckptDir (see SetAutoCheckpoint).
-	ckptDir        string
-	ckptEvery      int
-	ckptLastPath   string
-	ckptLastWindow int
-	ckptLastErr    error
 	// ckptExtras are auxiliary snapshot sections registered by layered
 	// subsystems (see RegisterCheckpointExtra).
 	ckptExtras []checkpoint.Extra
@@ -180,9 +173,6 @@ func (s *System) SafetyGate() *safety.Gate { return s.safety }
 
 // Parallelism returns the configured fleet-step parallelism.
 func (s *System) Parallelism() int { return s.parallelism }
-
-// Faults returns the system's fault injector (nil when chaos is off).
-func (s *System) Faults() *faults.Injector { return s.faults }
 
 // InstanceSpec describes one database service instance to onboard.
 type InstanceSpec struct {
@@ -584,7 +574,6 @@ func (s *System) Step(dur time.Duration) StepResult {
 	s.mu.Lock()
 	s.windows++
 	s.mu.Unlock()
-	s.maybeAutoCheckpoint()
 	s.m.stepSeconds.Observe(time.Since(stepStart).Seconds())
 	return res
 }

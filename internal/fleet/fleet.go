@@ -629,16 +629,6 @@ func (s *Service) Step(dur time.Duration) (shard.StepResult, error) {
 	return res, nil
 }
 
-// RunFor steps the fleet window-by-window for a total virtual duration.
-func (s *Service) RunFor(total, window time.Duration) error {
-	for elapsed := time.Duration(0); elapsed < total; elapsed += window {
-		if _, err := s.Step(window); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SetAutoCheckpoint arms a snapshot (see CheckpointNow) after every
 // everyN-th window; an empty dir or everyN <= 0 disarms it.
 func (s *Service) SetAutoCheckpoint(dir string, everyN int) {

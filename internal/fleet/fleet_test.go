@@ -423,7 +423,7 @@ func TestRestoreErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := bare.CheckpointNow(dir); err != nil {
+	if _, err := checkpoint.SaveFile(dir, 0, bare.Checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	err = newTestService(t, 1, nil).RestoreLatest(dir)

@@ -6,17 +6,18 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"autodbaas/internal/checkpoint"
 )
 
 // Checkpointer is what the checkpoint endpoints need; fleet.Service
-// implements it on every shard layout, and so does core.System.
+// implements it on every shard layout.
 type Checkpointer interface {
-	// CheckpointNow writes a snapshot into dir and returns its path.
+	// CheckpointNow writes a snapshot into dir and returns its path,
+	// named as checkpoint.SaveFile names it.
 	CheckpointNow(dir string) (string, error)
 	// LastCheckpoint returns the newest snapshot's path and window.
 	LastCheckpoint() (string, int)
-	// Windows returns the number of completed fleet windows.
-	Windows() int
 }
 
 // CheckpointServer exposes on-demand snapshots over HTTP:
@@ -57,6 +58,13 @@ func (s *CheckpointServer) handleCheckpoint(w http.ResponseWriter, r *http.Reque
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
+	// The window comes from the snapshot itself: a step may land
+	// between CheckpointNow returning and this reply.
+	window, err := checkpoint.SnapshotWindow(path)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	fi, err := os.Stat(path)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -64,7 +72,7 @@ func (s *CheckpointServer) handleCheckpoint(w http.ResponseWriter, r *http.Reque
 	}
 	writeJSON(w, http.StatusCreated, map[string]interface{}{
 		"path":   path,
-		"window": s.sys.Windows(),
+		"window": window,
 		"bytes":  fi.Size(),
 	})
 }

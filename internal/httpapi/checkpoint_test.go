@@ -5,43 +5,58 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"autodbaas/internal/checkpoint"
 	"autodbaas/internal/fleet"
 	"autodbaas/internal/tenant"
 )
 
-// fakeCheckpointer writes a fixed snapshot blob, standing in for a
-// fleet service so the handler test needs no fleet.
+// fakeCheckpointer writes a fixed snapshot blob of window 7, standing
+// in for a fleet service so the handler test needs no fleet. Its
+// Windows can run ahead of that snapshot, as a fleet's does when a step
+// lands right after CheckpointNow returns.
 type fakeCheckpointer struct {
-	dir     string
 	window  int
 	last    string
 	lastWin int
-	fail    error
 }
 
 func (f *fakeCheckpointer) CheckpointNow(dir string) (string, error) {
-	if f.fail != nil {
-		return "", f.fail
-	}
-	path := filepath.Join(dir, "checkpoint-000007.ckpt")
-	if err := os.WriteFile(path, []byte("ADBC-snapshot-bytes"), 0o644); err != nil {
+	path, err := checkpoint.SaveFile(dir, 7, func(w io.Writer) error {
+		_, err := io.WriteString(w, "ADBC-snapshot-bytes")
+		return err
+	})
+	if err != nil {
 		return "", err
 	}
-	f.last, f.lastWin = path, f.window
+	f.last, f.lastWin = path, 7
 	return path, nil
 }
 func (f *fakeCheckpointer) LastCheckpoint() (string, int) { return f.last, f.lastWin }
 func (f *fakeCheckpointer) Windows() int                  { return f.window }
 
 func TestCheckpointServerRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		windows int
+	}{
+		{"at the snapshot window", 7},
+		{"a step past the snapshot", 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkCheckpointServerRoundTrip(t, &fakeCheckpointer{window: tc.windows})
+		})
+	}
+}
+
+// checkCheckpointServerRoundTrip posts a snapshot and streams it back:
+// both the reply and the header name window 7, the snapshot's own.
+func checkCheckpointServerRoundTrip(t *testing.T, fc *fakeCheckpointer) {
 	dir := t.TempDir()
-	fc := &fakeCheckpointer{dir: dir, window: 7}
 	srv := httptest.NewServer(NewCheckpointServer(fc, dir))
 	defer srv.Close()
 
@@ -181,7 +196,7 @@ func TestCheckpointServerFleetSnapshotRestores(t *testing.T) {
 	restoresLikeUninterrupted(t, postCheckpoint(t, srv.URL))
 }
 
-// TestCheckpointServerConcurrentWithSteps is the -serve loop's shape:
+// TestCheckpointServerConcurrentWithSteps is the CLI fleet loop's shape:
 // POST /v1/checkpoint while another goroutine steps the fleet. Every
 // snapshot must wait for the running window (the race detector sees a
 // snapshot that does not), and the last one restores to exactly the

@@ -260,7 +260,7 @@ func metricValue(t *testing.T, text, name string) float64 {
 	return 0
 }
 
-// srv2 mounts the fleet API next to /metrics the way -serve does.
+// srv2 mounts the fleet API next to /metrics the way the CLI's fleet service does.
 func srv2(svc *fleet.Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", NewFleetServer(svc))

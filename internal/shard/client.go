@@ -20,9 +20,8 @@ type Remote struct {
 	next uint64
 }
 
-// Dial connects to a worker and verifies it speaks the protocol. The
-// worker may be uninitialized (fresh process) or already hosting a
-// shard (coordinator reconnect) — Attach or Init settles which.
+// Dial connects to a worker and verifies it speaks the protocol; Init
+// then gives the worker its shard.
 func Dial(network, addr string) (*Remote, error) {
 	conn, err := net.Dial(network, addr)
 	if err != nil {
@@ -46,19 +45,6 @@ func (r *Remote) Init(cfg Config) error {
 	r.name = cfg.Name
 	r.mu.Unlock()
 	return nil
-}
-
-// Attach adopts the shard the worker already hosts — the reconnect
-// path after a coordinator restart — returning its Config.
-func (r *Remote) Attach() (Config, error) {
-	var cfg Config
-	if err := r.call("config", nil, &cfg); err != nil {
-		return Config{}, err
-	}
-	r.mu.Lock()
-	r.name = cfg.Name
-	r.mu.Unlock()
-	return cfg, nil
 }
 
 // call performs one request/response exchange.

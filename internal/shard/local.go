@@ -158,9 +158,6 @@ func (l *Local) restoreSpecs(p []byte) error {
 // Name implements Shard.
 func (l *Local) Name() string { return l.cfg.Name }
 
-// Config returns the declarative config the shard was built from.
-func (l *Local) Config() Config { return l.cfg }
-
 // System exposes the underlying deployment for in-process callers
 // (status endpoints, tests). Remote shards have no equivalent. Restore
 // swaps in a rebuilt System, so hold on to the result only until then;

@@ -138,13 +138,6 @@ func (s *Server) dispatch(method string, params json.RawMessage) (any, error) {
 		s.mu.Unlock()
 		return struct{}{}, nil
 
-	case "config":
-		l, err := s.shard()
-		if err != nil {
-			return nil, err
-		}
-		return l.Config(), nil
-
 	case "add":
 		l, err := s.shard()
 		if err != nil {
