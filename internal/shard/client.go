@@ -49,6 +49,16 @@ func (r *Remote) Init(cfg Config) error {
 
 // call performs one request/response exchange.
 func (r *Remote) call(method string, params, result any) error {
+	_, err := r.exchange(method, params, nil, result)
+	return err
+}
+
+// exchange performs one call: the request frame, then blob as a
+// FrameBlob if the method sends one, then the response frame and the
+// FrameBlob the method returns, if any. The returned blob is read
+// before the response's error is surfaced, so a failed call leaves the
+// connection on a frame boundary.
+func (r *Remote) exchange(method string, params any, blob []byte, result any) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	req := rpcRequest{ID: r.next, Method: method}
@@ -56,40 +66,54 @@ func (r *Remote) call(method string, params, result any) error {
 	if params != nil {
 		raw, err := json.Marshal(params)
 		if err != nil {
-			return fmt.Errorf("shard: encode %s params: %w", method, err)
+			return nil, fmt.Errorf("shard: encode %s params: %w", method, err)
 		}
 		req.Params = raw
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return fmt.Errorf("shard: encode %s request: %w", method, err)
+		return nil, fmt.Errorf("shard: encode %s request: %w", method, err)
 	}
 	if err := WriteFrame(r.conn, FrameRequest, payload); err != nil {
-		return fmt.Errorf("shard: send %s to worker: %w", method, err)
+		return nil, fmt.Errorf("shard: send %s to worker: %w", method, err)
+	}
+	if blobAfterRequest(method) {
+		if err := WriteFrame(r.conn, FrameBlob, blob); err != nil {
+			return nil, fmt.Errorf("shard: send %s snapshot to worker: %w", method, err)
+		}
 	}
 	typ, raw, err := ReadFrame(r.conn)
 	if err != nil {
-		return fmt.Errorf("shard: %s response from worker: %w", method, err)
+		return nil, fmt.Errorf("shard: %s response from worker: %w", method, err)
 	}
 	if typ != FrameResponse {
-		return fmt.Errorf("shard: %s: worker sent frame type %d, want response", method, typ)
+		return nil, fmt.Errorf("shard: %s: worker sent frame type %d, want response", method, typ)
 	}
 	var resp rpcResponse
 	if err := json.Unmarshal(raw, &resp); err != nil {
-		return fmt.Errorf("shard: decode %s response: %w", method, err)
+		return nil, fmt.Errorf("shard: decode %s response: %w", method, err)
 	}
 	if resp.ID != req.ID {
-		return fmt.Errorf("shard: %s: response id %d for request %d (protocol desync)", method, resp.ID, req.ID)
+		return nil, fmt.Errorf("shard: %s: response id %d for request %d (protocol desync)", method, resp.ID, req.ID)
+	}
+	var out []byte
+	if blobAfterResponse(method) {
+		if typ, out, err = ReadFrame(r.conn); err != nil {
+			return nil, fmt.Errorf("shard: %s snapshot from worker: %w", method, err)
+		}
+		if typ != FrameBlob {
+			return nil, fmt.Errorf("shard: %s: worker sent frame type %d, want blob", method, typ)
+		}
 	}
 	if resp.Err != "" {
-		return fmt.Errorf("shard worker: %s", resp.Err)
+		return nil, fmt.Errorf("shard worker: %s", resp.Err)
 	}
 	if result != nil {
 		if err := json.Unmarshal(resp.Result, result); err != nil {
-			return fmt.Errorf("shard: decode %s result: %w", method, err)
+			return nil, fmt.Errorf("shard: decode %s result: %w", method, err)
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // Name implements Shard.
@@ -152,16 +176,13 @@ func (r *Remote) Fingerprint() (Fingerprint, error) {
 
 // Checkpoint implements Shard.
 func (r *Remote) Checkpoint() ([]byte, error) {
-	var p snapshotParams
-	if err := r.call("checkpoint", nil, &p); err != nil {
-		return nil, err
-	}
-	return p.Snapshot, nil
+	return r.exchange("checkpoint", nil, nil, nil)
 }
 
 // Restore implements Shard.
 func (r *Remote) Restore(snapshot []byte) error {
-	return r.call("restore", snapshotParams{Snapshot: snapshot}, nil)
+	_, err := r.exchange("restore", nil, snapshot, nil)
+	return err
 }
 
 // ExportInstance implements Shard.

@@ -333,22 +333,15 @@ func (c *Coordinator) Step(dur time.Duration) (StepResult, error) {
 	c.mu.Unlock()
 
 	results := make([]StepResult, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			results[i], errs[i] = sh.Step(dur)
-		}(i, sh)
-	}
-	wg.Wait()
-
+	err := fanOut(shards, "step", func(i int, sh Shard) (err error) {
+		results[i], err = sh.Step(dur)
+		return err
+	})
 	out := StepResult{Window: want}
+	if err != nil {
+		return out, err
+	}
 	for i, sh := range shards {
-		if errs[i] != nil {
-			return out, fmt.Errorf("shard %q: step: %w", sh.Name(), errs[i])
-		}
 		if results[i].Window != want {
 			return out, fmt.Errorf("shard %q is at window %d, coordinator expects %d (missed or replayed step)",
 				sh.Name(), results[i].Window, want)
@@ -379,6 +372,28 @@ func (c *Coordinator) Step(dur time.Duration) (StepResult, error) {
 	c.durations = append(c.durations, dur)
 	c.mu.Unlock()
 	return out, nil
+}
+
+// fanOut runs fn on every shard at once and waits for all of them. When
+// several fail, the error names the first failing shard in shard-map
+// order, not the one that happened to fail first.
+func fanOut(shards []Shard, op string, fn func(i int, sh Shard) error) error {
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, sh := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i, sh)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("shard %q: %s: %w", shards[i].Name(), op, err)
+		}
+	}
+	return nil
 }
 
 // RunFor steps the fleet with the given window until total has elapsed,
@@ -498,9 +513,10 @@ func (c *Coordinator) Checkpoint(w io.Writer) error {
 	return err
 }
 
-// snapshot stages the fleet snapshot. An in-process shard's container
-// is nested as staged, never copied; a remote shard's arrives as bytes
-// and is nested as such.
+// snapshot stages the fleet snapshot, fetching every shard's section at
+// once; sections still land in shard-map order. An in-process shard's
+// container is nested as staged, never copied; a remote shard's
+// arrives as one blob frame and is nested as such.
 func (c *Coordinator) snapshot() (*checkpoint.Container, error) {
 	c.mu.Lock()
 	shards := append([]Shard(nil), c.shards...)
@@ -523,18 +539,20 @@ func (c *Coordinator) snapshot() (*checkpoint.Container, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: encode coordinator state: %w", err)
 	}
-	secs := []checkpoint.RawSection{{Name: coordinatorSection, Payload: ctl}}
-	for _, sh := range shards {
-		sec := checkpoint.RawSection{Name: shardSectionPrefix + sh.Name()}
+	secs := make([]checkpoint.RawSection, 1+len(shards), 1+len(shards)+len(extras))
+	secs[0] = checkpoint.RawSection{Name: coordinatorSection, Payload: ctl}
+	err = fanOut(shards, "checkpoint", func(i int, sh Shard) (err error) {
+		sec := &secs[1+i]
+		sec.Name = shardSectionPrefix + sh.Name()
 		if l, ok := sh.(*Local); ok {
 			sec.Nested, err = l.snapshot()
 		} else {
 			sec.Payload, err = sh.Checkpoint()
 		}
-		if err != nil {
-			return nil, fmt.Errorf("shard %q: checkpoint: %w", sh.Name(), err)
-		}
-		secs = append(secs, sec)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, ex := range extras {
 		payload, err := ex.save()
@@ -594,29 +612,32 @@ func (c *Coordinator) RestoreSections(sections map[string][]byte) error {
 			sort.Strings(ids)
 			parts = append(parts, fmt.Sprintf("%q (instances [%s])", m, strings.Join(ids, " ")))
 		}
+		have := namesOf(c.shards)
 		c.mu.Unlock()
 		return fmt.Errorf("%w: snapshot was taken over shard(s) %s absent from this coordinator's shard map %v — stale shard map",
-			checkpoint.ErrManifest, strings.Join(parts, ", "), namesOf(c.shards))
+			checkpoint.ErrManifest, strings.Join(parts, ", "), have)
 	}
-	shards := append([]Shard(nil), c.shards...)
+	targets := make([]Shard, len(st.Shards))
+	for i, name := range st.Shards {
+		targets[i] = c.byName[name]
+	}
 	c.mu.Unlock()
 
-	for _, name := range st.Shards {
+	// Every section is checked before any shard restores, so a missing
+	// one fails before any shard state mutates.
+	snaps := make([][]byte, len(st.Shards))
+	for i, name := range st.Shards {
 		snap, ok := sections[shardSectionPrefix+name]
 		if !ok {
 			return fmt.Errorf("%w: snapshot lists shard %q but lacks its %q section",
 				checkpoint.ErrManifest, name, shardSectionPrefix+name)
 		}
-		var sh Shard
-		for _, s := range shards {
-			if s.Name() == name {
-				sh = s
-				break
-			}
-		}
-		if err := sh.Restore(snap); err != nil {
-			return fmt.Errorf("shard %q: restore: %w", name, err)
-		}
+		snaps[i] = snap
+	}
+	if err := fanOut(targets, "restore", func(i int, sh Shard) error {
+		return sh.Restore(snaps[i])
+	}); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	c.windows = st.Windows
@@ -666,13 +687,16 @@ func (c *Coordinator) SnapshotShards() error {
 	c.mu.Lock()
 	shards := append([]Shard(nil), c.shards...)
 	c.mu.Unlock()
+	blobs := make([][]byte, len(shards))
+	if err := fanOut(shards, "snapshot", func(i int, sh Shard) (err error) {
+		blobs[i], err = sh.Checkpoint()
+		return err
+	}); err != nil {
+		return err
+	}
 	snaps := make(map[string][]byte, len(shards))
-	for _, sh := range shards {
-		snap, err := sh.Checkpoint()
-		if err != nil {
-			return fmt.Errorf("shard %q: snapshot: %w", sh.Name(), err)
-		}
-		snaps[sh.Name()] = snap
+	for i, sh := range shards {
+		snaps[sh.Name()] = blobs[i]
 	}
 	c.mu.Lock()
 	c.snaps = snaps

@@ -3,6 +3,7 @@ package shard
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"os/exec"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -311,6 +313,154 @@ func TestCoordinatorCheckpointRestore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("fleet restore+replay diverged:\n  want: %+v\n  got:  %+v", want, got)
+	}
+}
+
+// TestRemoteCheckpointRestore drives fleet snapshots over two worker
+// processes, where every shard container crosses the seam as a blob
+// frame: a snapshot restored into fresh workers re-checkpoints to the
+// same bytes and replays to the uninterrupted fleet's fingerprint; a
+// corrupt container comes back as an envelope error on a connection
+// that keeps serving; a "restore" whose blob arrives as the wrong frame
+// type costs the connection.
+func TestRemoteCheckpointRestore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process snapshot sweep")
+	}
+	cfgs := shardConfigs("")[:2]
+	const fleetSize, half, windows = 6, 5, 10
+	full, _ := newRemoteCoordinator(t, cfgs)
+	defer full.Close()
+	populate(t, full, fleetSize)
+	fleetStepN(t, full, half)
+	var snap bytes.Buffer
+	if err := full.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	fleetStepN(t, full, windows-half)
+	want, err := full.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, _ := newRemoteCoordinator(t, cfgs)
+	defer resumed.Close()
+	if err := resumed.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := resumed.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap.Bytes(), again.Bytes()) {
+		t.Fatalf("restored fleet re-checkpoints to different bytes (%d vs %d)", snap.Len(), again.Len())
+	}
+	fleetStepN(t, resumed, windows-half)
+	got, err := resumed.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("remote restore+replay diverged:\n  want: %+v\n  got:  %+v", want, got)
+	}
+
+	sh, _ := resumed.Shard("s0")
+	r := sh.(*Remote)
+	before, err := r.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := r.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), good...)
+	bad[len(bad)/2] ^= 0x40
+	if err := r.Restore(bad); err == nil || !strings.HasPrefix(err.Error(), "shard worker: ") {
+		t.Fatalf("corrupt container: err = %v, want an error from the worker's envelope", err)
+	}
+	after, err := r.Fingerprint()
+	if err != nil {
+		t.Fatalf("connection unusable after a refused restore: %v", err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("refused restore changed the shard:\n  before: %+v\n  after:  %+v", before, after)
+	}
+
+	r.conn = blobAsRequestConn{r.conn}
+	if err := r.Restore(good); err == nil || !strings.Contains(err.Error(), "restore") {
+		t.Fatalf("restore with a non-blob frame: err = %v, want a connection error naming restore", err)
+	}
+}
+
+// blobAsRequestConn retypes every outgoing blob frame as a request
+// frame: the frame still verifies, but it is not the blob the worker
+// waits for. WriteFrame writes each header in one Write call.
+type blobAsRequestConn struct{ net.Conn }
+
+func (c blobAsRequestConn) Write(p []byte) (int, error) {
+	if len(p) == frameHeaderLen && bytes.Equal(p[:4], wireMagic[:]) && p[5] == FrameBlob {
+		p = append([]byte(nil), p...)
+		p[5] = FrameRequest
+	}
+	return c.Conn.Write(p)
+}
+
+// failingShard refuses every Checkpoint and Restore after its delay
+// and counts the restores it was asked for. Any other Shard method
+// panics.
+type failingShard struct {
+	Shard
+	name     string
+	delay    time.Duration
+	restores atomic.Int32
+}
+
+func (f *failingShard) Name() string { return f.name }
+
+func (f *failingShard) Checkpoint() ([]byte, error) {
+	time.Sleep(f.delay)
+	return nil, fmt.Errorf("%s refuses to checkpoint", f.name)
+}
+
+func (f *failingShard) Restore([]byte) error {
+	f.restores.Add(1)
+	time.Sleep(f.delay)
+	return fmt.Errorf("%s refuses to restore", f.name)
+}
+
+// TestFanOutNamesFirstFailingShard: shards snapshot and restore
+// concurrently, yet when both fail the error names the earlier shard
+// in the map — here the slower one, so it also fails last in time. A
+// snapshot missing a shard section fails before any shard restores.
+func TestFanOutNamesFirstFailingShard(t *testing.T) {
+	a := &failingShard{name: "a", delay: 20 * time.Millisecond}
+	b := &failingShard{name: "b"}
+	c, err := NewCoordinator(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := json.Marshal(coordinatorState{Shards: []string{"a", "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string][]byte{coordinatorSection: ctl, "shard/a": {}}
+	if err := c.RestoreSections(sections); !errors.Is(err, checkpoint.ErrManifest) || !strings.Contains(err.Error(), `"shard/b"`) {
+		t.Fatalf("missing section: err = %v, want ErrManifest naming shard/b", err)
+	}
+	if n := a.restores.Load() + b.restores.Load(); n != 0 {
+		t.Fatalf("%d shard restore(s) ran before the missing section was noticed", n)
+	}
+	sections["shard/b"] = []byte{}
+
+	for op, err := range map[string]error{
+		"checkpoint": c.Checkpoint(io.Discard),
+		"snapshot":   c.SnapshotShards(),
+		"restore":    c.RestoreSections(sections),
+	} {
+		if err == nil || !strings.HasPrefix(err.Error(), `shard "a": `+op+": ") {
+			t.Errorf("%s: err = %v, want it to name shard \"a\"", op, err)
+		}
 	}
 }
 

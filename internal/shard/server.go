@@ -48,28 +48,36 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// handleConn runs one connection's request loop. A malformed frame
-// kills the connection (the framing is unrecoverable once desynced);
-// an application error travels back in the response envelope.
+// handleConn runs one connection's request loop. A malformed frame —
+// including a "restore" request not followed by a blob — kills the
+// connection (the framing is unrecoverable once desynced); an
+// application error travels back in the response envelope.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	for {
 		typ, payload, err := ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		if typ != FrameRequest {
+		if err != nil || typ != FrameRequest {
 			return
 		}
 		var req rpcRequest
 		if err := json.Unmarshal(payload, &req); err != nil {
 			return
 		}
+		var blob []byte
+		if blobAfterRequest(req.Method) {
+			if typ, blob, err = ReadFrame(conn); err != nil || typ != FrameBlob {
+				return
+			}
+		}
 		resp := rpcResponse{ID: req.ID}
-		result, err := s.dispatch(req.Method, req.Params)
-		if err != nil {
+		var out []byte
+		result, err := s.dispatch(req.Method, req.Params, blob)
+		switch {
+		case err != nil:
 			resp.Err = err.Error()
-		} else if result != nil {
+		case blobAfterResponse(req.Method):
+			out = result.([]byte)
+		case result != nil:
 			raw, err := json.Marshal(result)
 			if err != nil {
 				resp.Err = fmt.Sprintf("shard: encode %s result: %v", req.Method, err)
@@ -77,12 +85,17 @@ func (s *Server) handleConn(conn net.Conn) {
 				resp.Result = raw
 			}
 		}
-		out, err := json.Marshal(resp)
+		raw, err := json.Marshal(resp)
 		if err != nil {
 			return
 		}
-		if err := WriteFrame(conn, FrameResponse, out); err != nil {
+		if err := WriteFrame(conn, FrameResponse, raw); err != nil {
 			return
+		}
+		if blobAfterResponse(req.Method) {
+			if err := WriteFrame(conn, FrameBlob, out); err != nil {
+				return
+			}
 		}
 	}
 }
@@ -113,13 +126,11 @@ type stepParams struct {
 	DurNS int64 `json:"dur_ns"`
 }
 
-type snapshotParams struct {
-	Snapshot []byte `json:"snapshot"`
-}
-
 // dispatch executes one RPC. Every method the Shard interface exposes
-// has a wire twin; "init" and "ping" are worker lifecycle.
-func (s *Server) dispatch(method string, params json.RawMessage) (any, error) {
+// has a wire twin; "init" and "ping" are worker lifecycle. blob is the
+// snapshot a "restore" request carries; a "checkpoint" result is the
+// snapshot bytes its response blob carries.
+func (s *Server) dispatch(method string, params json.RawMessage, blob []byte) (any, error) {
 	switch method {
 	case "ping":
 		return struct{}{}, nil
@@ -212,22 +223,14 @@ func (s *Server) dispatch(method string, params json.RawMessage) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		snap, err := l.Checkpoint()
-		if err != nil {
-			return nil, err
-		}
-		return snapshotParams{Snapshot: snap}, nil
+		return l.Checkpoint()
 
 	case "restore":
 		l, err := s.shard()
 		if err != nil {
 			return nil, err
 		}
-		var p snapshotParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, fmt.Errorf("shard: restore params: %w", err)
-		}
-		return struct{}{}, l.Restore(p.Snapshot)
+		return struct{}{}, l.Restore(blob)
 
 	case "export":
 		l, err := s.shard()

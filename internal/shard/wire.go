@@ -17,19 +17,26 @@ import (
 //	       payload len (uint32 LE) | payload | CRC-32 (IEEE, uint32 LE)
 //	       of the payload
 //
-// Frame payloads are JSON (rpcRequest / rpcResponse); the envelope is
-// binary so a reader can reject garbage, truncation, oversized claims
-// and bit rot before touching a JSON decoder. Payload reads are chunked
-// so a frame header lying about its length cannot force a giant
-// allocation — the decoder allocates as bytes actually arrive, and
-// gives up at the first short read.
+// Request and response payloads are JSON (rpcRequest / rpcResponse).
+// Shard snapshots never pass through JSON: a "restore" request and a
+// "checkpoint" response are each followed by exactly one FrameBlob whose
+// payload is the shard's ADBC container as is (empty after a
+// "checkpoint" response that carries an error). The envelope is binary
+// so a reader can reject garbage, truncation, oversized claims and bit
+// rot before touching a JSON decoder or a container parser. A frame
+// header lying about its length cannot force a giant allocation: the
+// payload buffer grows as bytes actually arrive, and the decoder gives
+// up at the first short read.
 
-// WireVersion is the protocol version this build speaks.
-const WireVersion = 1
+// WireVersion is the protocol version this build speaks. Version 2
+// added FrameBlob; a version 1 peer would read a blob as a desync, so
+// the version check turns it away first.
+const WireVersion = 2
 
-// MaxFrame bounds one frame's payload. A shard snapshot for a large
-// cohort rides inside a single frame, so the cap is generous; anything
-// past it is a corrupt or hostile header, not a real payload.
+// MaxFrame bounds one frame's payload. The largest real payload is one
+// shard's snapshot blob (about 155 MB for a single-worker tuning-storm
+// cohort); anything past the cap is a corrupt or hostile header, not a
+// real payload.
 const MaxFrame = 1 << 28
 
 var wireMagic = [4]byte{'A', 'D', 'B', 'W'}
@@ -40,7 +47,16 @@ const (
 	FrameRequest byte = 1
 	// FrameResponse carries an rpcResponse, worker → coordinator.
 	FrameResponse byte = 2
+	// FrameBlob carries a shard snapshot's raw bytes, right after the
+	// frame of the call that moves it (see blobAfterRequest).
+	FrameBlob byte = 3
 )
+
+// blobAfterRequest reports whether a method's request frame is followed
+// by one FrameBlob (the snapshot to restore); blobAfterResponse, whether
+// its response frame is (the snapshot taken).
+func blobAfterRequest(method string) bool  { return method == "restore" }
+func blobAfterResponse(method string) bool { return method == "checkpoint" }
 
 // Wire protocol sentinel errors, mirroring the checkpoint container's.
 var (
@@ -81,9 +97,11 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readChunk is the allocation unit for frame payloads: large frames
-// grow their buffer as bytes actually arrive instead of trusting the
-// declared length up front.
+// readChunk is the first read into a frame payload. Each later read
+// asks for as many bytes as have arrived so far, so the buffer at most
+// doubles per read and a header lying about its length costs at most
+// twice the bytes that really arrived (or one chunk), never the claimed
+// size.
 const readChunk = 1 << 20
 
 // ReadFrame reads and verifies one frame, returning its type and
@@ -104,20 +122,20 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: peer speaks v%d, this build v%d", ErrWireVersion, hdr[4], WireVersion)
 	}
 	typ := hdr[5]
-	length := binary.LittleEndian.Uint32(hdr[6:])
+	length := int(binary.LittleEndian.Uint32(hdr[6:]))
 	if length > MaxFrame {
 		return typ, nil, fmt.Errorf("%w: header claims %d bytes (cap %d)", ErrWireOversized, length, MaxFrame)
 	}
-	payload := make([]byte, 0, min(int(length), readChunk))
-	remaining := int(length)
-	for remaining > 0 {
-		n := min(remaining, readChunk)
-		chunk := make([]byte, n)
-		if _, err := io.ReadFull(r, chunk); err != nil {
+	var payload []byte
+	for len(payload) < length {
+		n := min(length-len(payload), max(len(payload), readChunk))
+		grown := make([]byte, len(payload), len(payload)+n)
+		copy(grown, payload)
+		payload = grown
+		if _, err := io.ReadFull(r, payload[len(payload):len(payload)+n]); err != nil {
 			return typ, nil, fmt.Errorf("%w: stream ended %d bytes into a %d-byte payload", ErrWireTruncated, len(payload), length)
 		}
-		payload = append(payload, chunk...)
-		remaining -= n
+		payload = payload[:len(payload)+n]
 	}
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
