@@ -154,7 +154,7 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	e.restarts = st.Restarts
 	e.queryLog.next = st.QueryLogNext
 	e.queryLog.full = st.QueryLogFull
-	e.profiles = nil
+	e.profiles, e.profileIDs = nil, nil
 	if len(st.Profiles) > 0 {
 		e.profiles = make(map[string]workload.Query, len(st.Profiles))
 		for k, v := range st.Profiles {

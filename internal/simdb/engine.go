@@ -128,6 +128,10 @@ type Engine struct {
 	// profiles caches per-template execution statistics for
 	// ExplainTemplate and HypotheticalRunTemplatesMs.
 	profiles map[string]workload.Query
+	// profileIDs holds the keys of profiles in ascending order once the
+	// store has reached maxProfiles (nil before, and after a restore):
+	// eviction takes its first entry.
+	profileIDs []string
 
 	// Flattened knob memo (see hotpath.go). cfgEpoch advances whenever
 	// cfg changes; fk is the flattened knob view valid for fkEpoch.

@@ -1,6 +1,8 @@
 package simdb
 
 import (
+	"slices"
+
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/workload"
 )
@@ -21,12 +23,22 @@ func (e *Engine) rememberProfileLocked(id string, q workload.Query) {
 	old, ok := e.profiles[id]
 	if !ok {
 		if len(e.profiles) >= maxProfiles {
-			// Evict an arbitrary entry; the map is a statistics cache,
-			// not a source of truth.
-			for k := range e.profiles {
-				delete(e.profiles, k)
-				break
+			// Evict the smallest template ID. The map is a statistics
+			// cache, not a source of truth, but the victim must be a
+			// function of its contents alone so that snapshots and
+			// ExplainTemplate results repeat from run to run.
+			if e.profileIDs == nil {
+				e.profileIDs = make([]string, 0, len(e.profiles))
+				for k := range e.profiles {
+					e.profileIDs = append(e.profileIDs, k)
+				}
+				slices.Sort(e.profileIDs)
 			}
+			ids := e.profileIDs
+			delete(e.profiles, ids[0])
+			i, _ := slices.BinarySearch(ids[1:], id)
+			copy(ids, ids[1:i+1])
+			ids[i] = id
 		}
 		e.profiles[id] = q
 		return

@@ -1,6 +1,10 @@
 package simdb
 
 import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -66,5 +70,67 @@ func TestHypotheticalRunSQL(t *testing.T) {
 	unknown, n3 := e.HypotheticalRunTemplatesMs(nil, []string{sqlparse.TemplateOf("SELECT * FROM nowhere").ID})
 	if n3 != 0 || unknown != 0 {
 		t.Fatal("unknown statements should be skipped")
+	}
+}
+
+// tableScan is a generator whose every query names its own table, so a
+// stream of n queries carries n distinct templates.
+type tableScan struct{ next int }
+
+func (g *tableScan) Name() string                  { return "table-scan" }
+func (g *tableScan) DBSizeBytes() float64          { return workload.GiB }
+func (g *tableScan) RequestRate(time.Time) float64 { return 1000 }
+func (g *tableScan) Sample(*rand.Rand) workload.Query {
+	g.next++
+	sql := fmt.Sprintf("SELECT v FROM t_%d WHERE k = 1", g.next)
+	tpl := sqlparse.TemplateOf(sql)
+	return workload.Query{SQL: sql, Class: tpl.Class, Template: tpl, Profile: workload.Profile{ReadBytes: 8 * workload.KiB}}
+}
+
+// Past maxProfiles templates the statistics store evicts, and which
+// entry goes must not depend on map iteration order: two engines fed
+// the same stream must snapshot the same state, and so must an engine
+// restored from a snapshot and the one it was taken from.
+func TestProfileEvictionIsDeterministic(t *testing.T) {
+	run := func(e *Engine, gen *tableScan, until int) []byte {
+		t.Helper()
+		for gen.next < until {
+			if _, err := e.RunWindow(gen, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(e.profiles); n != maxProfiles {
+			t.Fatalf("profiles = %d, want the cap %d", n, maxProfiles)
+		}
+		keys := make([]string, 0, len(e.profiles))
+		for k := range e.profiles {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		if !slices.Equal(e.profileIDs, keys) {
+			t.Fatal("profileIDs is not the sorted key set of profiles")
+		}
+		b, err := json.Marshal(e.CheckpointState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	a, genA := newPG(t, m4Large(), workload.GiB), &tableScan{}
+	b, genB := newPG(t, m4Large(), workload.GiB), &tableScan{}
+	snapA := run(a, genA, maxProfiles+1500)
+	if string(snapA) != string(run(b, genB, maxProfiles+1500)) {
+		t.Fatal("two engines fed the same template stream checkpoint different states")
+	}
+	var st EngineState
+	if err := json.Unmarshal(snapA, &st); err != nil {
+		t.Fatal(err)
+	}
+	c, genC := newPG(t, m4Large(), workload.GiB), *genA
+	if err := c.RestoreCheckpointState(st); err != nil {
+		t.Fatal(err)
+	}
+	if string(run(a, genA, maxProfiles+3000)) != string(run(c, &genC, maxProfiles+3000)) {
+		t.Fatal("a restored engine evicts differently from the one it was checkpointed from")
 	}
 }

@@ -8,14 +8,17 @@ import (
 )
 
 // The template cache memoises TemplateOf by raw SQL text. Its callers
-// are the paths that still template raw text: generator formats that
-// interpolate identifiers (workload.q), trace loading, Templatizer.Observe,
-// the first sighting of a template in Templatizer.ObserveID, and
-// restoring an engine snapshot whose query log lacks template IDs. The
-// TDE tick is not one of them: it takes each statement's template ID
-// from the engine's query log. Freshly generated SQL with random
-// literals mostly misses — that is fine, the miss cost is one extra map
-// probe.
+// are the paths that still template raw text: generator construction
+// (workload.litTpl, one canonical statement per call site, or per table
+// or column of an identifier site), AdulteratedTPCC's DDL sites
+// (workload.q; their literal-free text repeats, so it hits once warm),
+// trace loading, Templatizer.Observe, the first sighting of a template
+// in Templatizer.ObserveID, and restoring an engine snapshot whose
+// query log lacks template IDs. The TDE tick and the generators' sample
+// paths are not among them: statements carry their template from the
+// call site, and the tick takes each statement's template ID from the
+// engine's query log. Fresh text with random literals mostly misses —
+// that is fine, the miss cost is one extra map probe.
 //
 // Determinism: values are a pure function of the key, so cache state
 // (including evictions, which may differ run to run under parallel

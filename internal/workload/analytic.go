@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 )
@@ -22,11 +21,11 @@ func NewTPCH(size, rate float64) *TPCH {
 	t := &TPCH{size: size, rate: rate}
 	// Scan volumes scale with the dataset: lineitem is ~70% of TPCH.
 	lineitem := size * 0.7
-	const (
-		q1SQL  = "SELECT l_returnflag, l_linestatus, SUM(l_quantity), AVG(l_extendedprice) FROM lineitem WHERE l_shipdate <= '1998-%02d-01' GROUP BY l_returnflag, l_linestatus"
-		q3SQL  = "SELECT o_orderkey, SUM(l_extendedprice) FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON l_orderkey = o_orderkey WHERE c_mktsegment = 'SEG%d' GROUP BY o_orderkey ORDER BY 2 DESC"
-		q6SQL  = "SELECT SUM(l_extendedprice * l_discount) FROM lineitem WHERE l_discount BETWEEN 0.0%d AND 0.0%d"
-		q18SQL = "SELECT c_name, o_orderkey, SUM(l_quantity) FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON o_orderkey = l_orderkey GROUP BY c_name, o_orderkey ORDER BY SUM(l_quantity) DESC LIMIT %d"
+	var (
+		q1SQL  = compileSQL("SELECT l_returnflag, l_linestatus, SUM(l_quantity), AVG(l_extendedprice) FROM lineitem WHERE l_shipdate <= '1998-%02d-01' GROUP BY l_returnflag, l_linestatus")
+		q3SQL  = compileSQL("SELECT o_orderkey, SUM(l_extendedprice) FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON l_orderkey = o_orderkey WHERE c_mktsegment = 'SEG%d' GROUP BY o_orderkey ORDER BY 2 DESC")
+		q6SQL  = compileSQL("SELECT SUM(l_extendedprice * l_discount) FROM lineitem WHERE l_discount BETWEEN 0.0%d AND 0.0%d")
+		q18SQL = compileSQL("SELECT c_name, o_orderkey, SUM(l_quantity) FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON o_orderkey = l_orderkey GROUP BY c_name, o_orderkey ORDER BY SUM(l_quantity) DESC LIMIT %d")
 	)
 	var (
 		q1Tpl  = litTpl(q1SQL, 1)
@@ -37,22 +36,22 @@ func NewTPCH(size, rate float64) *TPCH {
 	t.mix = newMixSampler([]choice{
 		// Q1-style: full scan + wide aggregation.
 		{30, func(rng *rand.Rand) Query {
-			return qt(q1Tpl, fmt.Sprintf(q1SQL, 1+rng.Intn(12)),
+			return qt(q1Tpl, q1SQL.render(1+intn(rng, 12)),
 				Profile{MemDemand: jitter(rng, 180*MiB), ReadBytes: jitter(rng, lineitem*0.6), Parallelizable: true})
 		}},
 		// Q3-style: 3-way join + sort.
 		{25, func(rng *rand.Rand) Query {
-			return qt(q3Tpl, fmt.Sprintf(q3SQL, rng.Intn(5)),
+			return qt(q3Tpl, q3SQL.render(intn(rng, 5)),
 				Profile{MemDemand: jitter(rng, 350*MiB), ReadBytes: jitter(rng, lineitem*0.3), Parallelizable: true})
 		}},
 		// Q6-style: selective scan, light memory.
 		{25, func(rng *rand.Rand) Query {
-			return qt(q6Tpl, fmt.Sprintf(q6SQL, 1+rng.Intn(4), 5+rng.Intn(4)),
+			return qt(q6Tpl, q6SQL.render(1+intn(rng, 4), 5+intn(rng, 4)),
 				Profile{MemDemand: jitter(rng, 8*MiB), ReadBytes: jitter(rng, lineitem*0.2), Parallelizable: true})
 		}},
 		// Q18-style: big hash join + ORDER BY.
 		{20, func(rng *rand.Rand) Query {
-			return qt(q18Tpl, fmt.Sprintf(q18SQL, 100*(1+rng.Intn(3))),
+			return qt(q18Tpl, q18SQL.render(100*(1+intn(rng, 3))),
 				Profile{MemDemand: jitter(rng, 420*MiB), ReadBytes: jitter(rng, lineitem*0.5), Parallelizable: true})
 		}},
 	})

@@ -21,6 +21,8 @@ import (
 // and memory detectors something to observe on this workload.
 type Production struct {
 	mix *mixSampler
+	// The events_<i> call sites, each with one template per table.
+	insert, lookup, dashboard, join, purge identSite
 }
 
 // ProductionTables is the table count of the traced customer schema.
@@ -37,40 +39,49 @@ func NewProduction() *Production {
 	p := &Production{}
 	row := 700.0
 	table := func(rng *rand.Rand) int { return rng.Intn(ProductionTables) }
-	const devUpdateSQL = "UPDATE devices SET last_seen = %d WHERE id = %d"
+	// The events_%d sites interpolate table names: one template per
+	// table — the point of the 132-table schema — derived up front.
+	p.insert = newIdentSite("INSERT INTO events_%d (device_id, ts, payload) VALUES (%d, %d, '%x')", ProductionTables)
+	p.lookup = newIdentSite("SELECT payload FROM events_%d WHERE device_id = %d AND ts > %d", ProductionTables)
+	p.dashboard = newIdentSite("SELECT device_id, COUNT(*), MAX(ts) FROM events_%d WHERE ts > %d GROUP BY device_id ORDER BY 2 DESC", ProductionTables)
+	p.join = newIdentSite("SELECT a.device_id FROM events_%d a JOIN devices d ON a.device_id = d.id WHERE d.region = 'R%d'", ProductionTables)
+	p.purge = newIdentSite("DELETE FROM events_%d WHERE ts < %d", ProductionTables)
+	devUpdateSQL := compileSQL("UPDATE devices SET last_seen = %d WHERE id = %d")
 	devUpdateTpl := litTpl(devUpdateSQL, 0, 0)
 	p.mix = newMixSampler([]choice{
 		// Telemetry ingest: the overwhelming majority (41M/day).
 		{41_000_000, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("INSERT INTO events_%d (device_id, ts, payload) VALUES (%d, %d, '%x')", table(rng), rng.Intn(500_000), rng.Int63n(2e9), rng.Int63()),
+			t := table(rng)
+			return qt(p.insert.tpls[t], p.insert.sql.render(int64(t), intn(rng, 500_000), rng.Int63n(2e9), rng.Int63()),
 				Profile{WriteBytes: jitter(rng, row), IndexFriendly: true})
 		}},
 		// Point lookups (71K/day stated + unaccounted remainder ≈ 1M/day).
 		{1_000_000, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("SELECT payload FROM events_%d WHERE device_id = %d AND ts > %d", table(rng), rng.Intn(500_000), rng.Int63n(2e9)),
+			t := table(rng)
+			return qt(p.lookup.tpls[t], p.lookup.sql.render(int64(t), intn(rng, 500_000), rng.Int63n(2e9)),
 				Profile{ReadBytes: jitter(rng, 20*row), IndexFriendly: true})
 		}},
 		// Dashboard aggregations (reporting, mornings in practice).
 		{80_000, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("SELECT device_id, COUNT(*), MAX(ts) FROM events_%d WHERE ts > %d GROUP BY device_id ORDER BY 2 DESC", table(rng), rng.Int63n(2e9)),
+			t := table(rng)
+			return qt(p.dashboard.tpls[t], p.dashboard.sql.render(int64(t), rng.Int63n(2e9)),
 				Profile{MemDemand: jitter(rng, 48*MiB), ReadBytes: jitter(rng, 200*MiB), Parallelizable: true})
 		}},
 		// Cross-table correlation joins.
 		{30_000, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("SELECT a.device_id FROM events_%d a JOIN devices d ON a.device_id = d.id WHERE d.region = 'R%d'", table(rng), rng.Intn(20)),
+			t := table(rng)
+			return qt(p.join.tpls[t], p.join.sql.render(int64(t), intn(rng, 20)),
 				Profile{MemDemand: jitter(rng, 24*MiB), ReadBytes: jitter(rng, 80*MiB), Parallelizable: true})
 		}},
-		// Updates (34K/day). The events_%d sites above interpolate table
-		// names (one template per table — the point of the 132-table
-		// schema) and so keep templating the concrete text; this one is
-		// literal-only.
+		// Updates (34K/day).
 		{34_000, func(rng *rand.Rand) Query {
-			return qt(devUpdateTpl, fmt.Sprintf(devUpdateSQL, rng.Int63n(2e9), rng.Intn(500_000)),
+			return qt(devUpdateTpl, devUpdateSQL.render(rng.Int63n(2e9), intn(rng, 500_000)),
 				Profile{ReadBytes: jitter(rng, 2*row), WriteBytes: jitter(rng, row), IndexFriendly: true})
 		}},
 		// Deletes (0.8K/day, retention cleanup).
 		{800, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("DELETE FROM events_%d WHERE ts < %d", table(rng), rng.Int63n(1e9)),
+			t := table(rng)
+			return qt(p.purge.tpls[t], p.purge.sql.render(int64(t), rng.Int63n(1e9)),
 				Profile{MaintMem: jitter(rng, 16*MiB), ReadBytes: jitter(rng, 10*MiB), WriteBytes: jitter(rng, 5*MiB)})
 		}},
 	})
@@ -131,10 +142,15 @@ func NewAdulteratedTPCC(size, rate, p float64) *AdulteratedTPCC {
 		p = 1
 	}
 	a := &AdulteratedTPCC{base: NewTPCC(size, rate), P: p}
-	const (
-		aggSQL     = "SELECT ol_i_id, SUM(ol_amount), COUNT(*) FROM order_line JOIN stock ON ol_i_id = s_i_id GROUP BY ol_i_id ORDER BY SUM(ol_amount) DESC LIMIT %d"
-		sortSQL    = "SELECT c_id, c_balance FROM customer WHERE c_w_id < %d ORDER BY c_balance DESC"
-		cleanupSQL = "DELETE FROM history WHERE h_date < %d"
+	var (
+		aggSQL     = compileSQL("SELECT ol_i_id, SUM(ol_amount), COUNT(*) FROM order_line JOIN stock ON ol_i_id = s_i_id GROUP BY ol_i_id ORDER BY SUM(ol_amount) DESC LIMIT %d")
+		sortSQL    = compileSQL("SELECT c_id, c_balance FROM customer WHERE c_w_id < %d ORDER BY c_balance DESC")
+		cleanupSQL = compileSQL("DELETE FROM history WHERE h_date < %d")
+		// The DDL sites name one of 1000 indexes or temp tables. Their
+		// text has no literals, so q's template cache serves them.
+		createIdxSQL = compileSQL("CREATE INDEX idx_adult_%d ON order_line (ol_i_id, ol_w_id)")
+		dropIdxSQL   = compileSQL("DROP INDEX idx_adult_%d")
+		scratchSQL   = compileSQL("CREATE TEMP TABLE scratch_%d AS SELECT ol_i_id, SUM(ol_amount) s FROM order_line GROUP BY ol_i_id")
 	)
 	var (
 		aggTpl     = litTpl(aggSQL, 50)
@@ -145,31 +161,31 @@ func NewAdulteratedTPCC(size, rate, p float64) *AdulteratedTPCC {
 		// Complex sorts/aggregations: ~350 MB of working memory (Fig. 2's
 		// "TPCC + aggregation" row).
 		{30, func(rng *rand.Rand) Query {
-			return qt(aggTpl, fmt.Sprintf(aggSQL, 50+rng.Intn(100)),
+			return qt(aggTpl, aggSQL.render(50+intn(rng, 100)),
 				Profile{MemDemand: jitter(rng, 350*MiB), ReadBytes: jitter(rng, 400*MiB), Parallelizable: true})
 		}},
 		// Heavy standalone sorts.
 		{20, func(rng *rand.Rand) Query {
-			return qt(sortTpl, fmt.Sprintf(sortSQL, 20+rng.Intn(50)),
+			return qt(sortTpl, sortSQL.render(20+intn(rng, 50)),
 				Profile{MemDemand: jitter(rng, 200*MiB), ReadBytes: jitter(rng, 300*MiB), Parallelizable: true})
 		}},
 		// Index create/drop: maintenance_work_mem pressure.
 		{15, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("CREATE INDEX idx_adult_%d ON order_line (ol_i_id, ol_w_id)", rng.Intn(1000)),
+			return q(createIdxSQL.render(intn(rng, 1000)),
 				Profile{MaintMem: jitter(rng, 512*MiB), ReadBytes: jitter(rng, 800*MiB), WriteBytes: jitter(rng, 200*MiB)})
 		}},
 		{5, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("DROP INDEX idx_adult_%d", rng.Intn(1000)),
+			return q(dropIdxSQL.render(intn(rng, 1000)),
 				Profile{MaintMem: jitter(rng, 32*MiB), WriteBytes: jitter(rng, 8*MiB)})
 		}},
 		// Bulk deletes: maintenance pressure via cleanup.
 		{10, func(rng *rand.Rand) Query {
-			return qt(cleanupTpl, fmt.Sprintf(cleanupSQL, rng.Int63n(1e9)),
+			return qt(cleanupTpl, cleanupSQL.render(rng.Int63n(1e9)),
 				Profile{MaintMem: jitter(rng, 128*MiB), ReadBytes: jitter(rng, 150*MiB), WriteBytes: jitter(rng, 80*MiB)})
 		}},
 		// Temp tables + aggregation over them: temp_buffers pressure.
 		{20, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("CREATE TEMP TABLE scratch_%d AS SELECT ol_i_id, SUM(ol_amount) s FROM order_line GROUP BY ol_i_id", rng.Intn(1000)),
+			return q(scratchSQL.render(intn(rng, 1000)),
 				Profile{MemDemand: jitter(rng, 150*MiB), TempBytes: jitter(rng, 400*MiB), ReadBytes: jitter(rng, 400*MiB)})
 		}},
 	})

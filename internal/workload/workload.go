@@ -124,21 +124,26 @@ func q(sql string, p Profile) Query {
 	return Query{SQL: sql, Class: tpl.Class, Template: tpl, Profile: p}
 }
 
-// litTpl derives the template of a printf-style SQL format whose verbs
-// all expand to literal values (bare numbers, or text inside quotes).
+// litTpl derives the template of a compiled SQL format whose verbs all
+// expand to literal values (bare numbers, or text inside quotes).
 // Normalization replaces literals with placeholders, so every
 // instantiation of such a format shares one template; deriving it once
 // at generator construction — from a canonical instantiation with the
 // given args — takes the normalize/hash work off the per-query path.
-// Formats that interpolate identifiers (table or column names) yield a
-// different template per instantiation and must keep using q.
-// TestGeneratorTemplatesMatchSQL enforces the literal-only contract.
-func litTpl(format string, canon ...any) sqlparse.Template {
-	return sqlparse.TemplateOf(fmt.Sprintf(format, canon...))
+// A format that interpolates an identifier (table or column name)
+// yields a different template per identifier: an identSite holds one
+// litTpl per identifier of a bounded set, and only unbounded ones keep
+// using q. TestGeneratorTemplatesMatchSQL enforces the contract.
+func litTpl(f *sqlFormat, canon ...int64) sqlparse.Template {
+	return sqlparse.TemplateOf(f.render(canon...))
 }
 
+// intn draws rng.Intn(n) as a render argument.
+func intn(rng *rand.Rand, n int) int64 { return int64(rng.Intn(n)) }
+
 // qt builds a Query from SQL whose template is already known (a litTpl
-// constant for its call site).
+// constant for its call site, or an identSite's entry for the
+// statement's identifier).
 func qt(tpl sqlparse.Template, sql string, p Profile) Query {
 	return Query{SQL: sql, Class: tpl.Class, Template: tpl, Profile: p}
 }

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -267,12 +270,10 @@ func TestSampleDeterministicForSeed(t *testing.T) {
 	}
 }
 
-// TestGeneratorTemplatesMatchSQL enforces the litTpl contract: for every
-// generator, a sampled query's precomputed Template must equal what the
-// TDE's log pipeline would derive from its SQL text. A mismatch means a
-// call site used litTpl on a format that interpolates identifiers.
-func TestGeneratorTemplatesMatchSQL(t *testing.T) {
-	gens := []Generator{
+// templateTestGenerators is one generator of every kind, at the sizes
+// the template and stream tests sample.
+func templateTestGenerators() []Generator {
+	return []Generator{
 		NewTPCC(4*GiB, 500),
 		NewYCSB(4*GiB, 500),
 		NewWikipedia(4*GiB, 500),
@@ -282,8 +283,15 @@ func TestGeneratorTemplatesMatchSQL(t *testing.T) {
 		NewProduction(),
 		NewAdulteratedTPCC(4*GiB, 500, 0.8),
 	}
+}
+
+// TestGeneratorTemplatesMatchSQL enforces the litTpl contract: for every
+// generator, a sampled query's precomputed Template must equal what the
+// TDE's log pipeline would derive from its SQL text. A mismatch means a
+// call site used litTpl on a format that interpolates identifiers.
+func TestGeneratorTemplatesMatchSQL(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, g := range gens {
+	for _, g := range templateTestGenerators() {
 		for i := 0; i < 2000; i++ {
 			qq := g.Sample(rng)
 			want := sqlparse.TemplateOf(qq.SQL)
@@ -293,6 +301,99 @@ func TestGeneratorTemplatesMatchSQL(t *testing.T) {
 			if qq.Class != want.Class {
 				t.Fatalf("%s: class %v != template class %v for %q", g.Name(), qq.Class, want.Class, qq.SQL)
 			}
+		}
+	}
+	// Random draws barely reach the rarer identifier sites (Production's
+	// dashboard and join sites carry 0.2% and 0.07% of its weight), so
+	// check every entry of every identifier table directly.
+	p, y := NewProduction(), NewYCSB(4*GiB, 500)
+	for _, site := range []struct {
+		name string
+		s    identSite
+		n    int
+	}{
+		{"production insert", p.insert, ProductionTables},
+		{"production lookup", p.lookup, ProductionTables},
+		{"production dashboard", p.dashboard, ProductionTables},
+		{"production join", p.join, ProductionTables},
+		{"production purge", p.purge, ProductionTables},
+		{"ycsb update", y.update, ycsbFields},
+	} {
+		name, s := site.name, site.s
+		if len(s.tpls) != site.n {
+			t.Fatalf("%s: %d templates, want %d", name, len(s.tpls), site.n)
+		}
+		args := make([]int64, len(s.sql.verbs))
+		for i, have := range s.tpls {
+			args[0] = int64(i)
+			for k := 1; k < len(args); k++ {
+				args[k] = rng.Int63()
+			}
+			sql := s.sql.render(args...)
+			if want := sqlparse.TemplateOf(sql); have != want {
+				t.Fatalf("%s: template %d diverges for %q:\n  have %+v\n  want %+v", name, i, sql, have, want)
+			}
+		}
+	}
+}
+
+// Sample's only allocation is the SQL string: formats render into a
+// stack buffer and every site but AdulteratedTPCC's DDL carries a
+// precomputed template (those hit the template cache once warm).
+func TestGeneratorSampleAllocs(t *testing.T) {
+	for _, g := range templateTestGenerators() {
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 100_000; i++ {
+			g.Sample(rng)
+		}
+		if n := testing.AllocsPerRun(1000, func() { g.Sample(rng) }); n > 1 {
+			t.Errorf("%s: Sample allocates %.0f objects, want at most 1", g.Name(), n)
+		}
+	}
+}
+
+func BenchmarkGeneratorSample(b *testing.B) {
+	for _, g := range templateTestGenerators() {
+		b.Run(g.Name(), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.Sample(rng)
+			}
+		})
+	}
+}
+
+// streamDigests is the SHA-256 of each generator's SQL and Template.ID
+// stream over 5,000 samples from seed 41. Any change to a format's text
+// or to the order of rng draws moves it.
+var streamDigests = map[string]string{
+	"tpcc":                 "7e861e2db68fa3d793a0e5e68deaaa8e91bfa1153bb8785b991e955e7a156889",
+	"ycsb":                 "29a635fa4d4fb07e00d206c1e77790f2e6e49807ba00d58b9058be95170ea245",
+	"wikipedia":            "6fdb39faad70829e8d9db39c3e264eaa9db4ec266dde4f77e29207c0fd0925a2",
+	"twitter":              "e6a1d2b040b74b769598b80c986bcfd251710ce47b7eaa255c7bf0eba07d16f8",
+	"tpch":                 "2bfc25b885a746849d94ad9c582653e0f68a699db30bb85e164aed7be100c01f",
+	"chbench":              "144bfd080b6c489985b0f77afc4bfb830867d41ae20d6c756cc18b2dca98e1e8",
+	"production":           "2ce882438616c1d66883a1014318b1bac84b5a8b75f405f1edeca6fae49085d6",
+	"tpcc-adulterated-80%": "cc9380e8a8defd128051a57674f07f6ee62756bbb911a9f325942bb1e1c1e560",
+}
+
+// TestGeneratorSQLStreamUnchanged pins every generator's output byte for
+// byte: the SQL text, its template ID and the rng draw order behind
+// them. Fleet fingerprints see the stream only through its effects.
+func TestGeneratorSQLStreamUnchanged(t *testing.T) {
+	for _, g := range templateTestGenerators() {
+		rng := rand.New(rand.NewSource(41))
+		h := sha256.New()
+		for i := 0; i < 5000; i++ {
+			qq := g.Sample(rng)
+			io.WriteString(h, qq.SQL)
+			h.Write([]byte{0})
+			io.WriteString(h, qq.Template.ID)
+			h.Write([]byte{0})
+		}
+		if got, want := hex.EncodeToString(h.Sum(nil)), streamDigests[g.Name()]; got != want {
+			t.Errorf("%s: stream digest %s, want %s", g.Name(), got, want)
 		}
 	}
 }
