@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"autodbaas/internal/agent"
@@ -360,14 +362,25 @@ func Encode(sys System) (*Container, error) {
 	for _, t := range sys.Tuners {
 		man.Tuners = append(man.Tuners, t.Name())
 	}
-	for _, fm := range sys.Fleet {
-		raw, meta, err := EncodeInstance(fm)
+	// The instance sections encode concurrently, after the repository
+	// store and the tuner blob above: overlapping those two large
+	// buffers with the fan-out would raise the peak heap of a snapshot.
+	// Each lands in its fleet slot, so the layout stays in onboarding
+	// order whatever the worker count.
+	man.Instances = make([]InstanceMeta, len(sys.Fleet))
+	insts := make([]section, len(sys.Fleet))
+	if err := forEach(len(sys.Fleet), func(i int) error {
+		raw, meta, err := EncodeInstance(sys.Fleet[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		man.Instances = append(man.Instances, meta)
-		add(secInstPrefix+fm.ID, raw)
+		man.Instances[i] = meta
+		insts[i] = bytesSection(secInstPrefix+meta.ID, raw)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
+	sections = append(sections, insts...)
 
 	c, err := stage(man, sections)
 	if err != nil {
@@ -386,8 +399,10 @@ func Encode(sys System) (*Container, error) {
 // cohort alive at the snapshot's window, which the manifest reports.
 // Any validation or decoding failure leaves an error naming the
 // offending section — and, for topology mismatches, the differing
-// instance IDs; partial application is avoided by validating topology
-// before mutating anything.
+// instance IDs. Topology and the presence of every section are checked
+// before anything mutates; a section that fails to decode may leave the
+// others applied, and the error names the first failing section in the
+// serial order whichever worker hit it.
 func Restore(man Manifest, sections map[string][]byte, sys System) (err error) {
 	ckptMetrics()
 	defer func() {
@@ -432,104 +447,155 @@ func Restore(man Manifest, sections map[string][]byte, sys System) (err error) {
 		return fmt.Errorf("checkpoint: restore into a non-empty repository (%d samples); rebuild the system first", sys.Repository.Len())
 	}
 
-	need := func(name string) ([]byte, error) {
-		p, ok := sections[name]
-		if !ok {
-			return nil, fmt.Errorf("%w: section %q missing", ErrManifest, name)
-		}
-		return p, nil
+	// Every section the restore reads must be present before the first
+	// mutation, so a snapshot missing one leaves the system untouched. A
+	// registered extra restorer with no matching section means the
+	// snapshot predates that subsystem: a manifest mismatch, not a silent
+	// default.
+	required := []string{secRepoStore, secRepoFanout, secOrchestrator, secDFA, secDirector, secFaults, secTuners}
+	for _, fm := range sys.Fleet {
+		required = append(required, secInstPrefix+fm.ID)
 	}
-	decode := func(name string, v any) error {
-		p, err := need(name)
-		if err != nil {
-			return err
+	for _, ex := range sys.Extras {
+		if ex.Restore != nil {
+			required = append(required, secExtraPrefix+ex.Name)
 		}
-		if err := json.Unmarshal(p, v); err != nil {
-			return fmt.Errorf("checkpoint: decode section %q: %w", name, err)
-		}
-		return nil
 	}
-
-	storeRaw, err := need(secRepoStore)
-	if err != nil {
+	for _, name := range required {
+		if _, ok := sections[name]; !ok {
+			return fmt.Errorf("%w: section %q missing", ErrManifest, name)
+		}
+	}
+	// The repository store, the tuner blob and each instance touch
+	// disjoint state, so they decode and apply as independent jobs on
+	// every core; the small sections stay one job, in their own order.
+	// The jobs are listed in the serial restore's order, so forEach
+	// reports the failure a serial restore would have hit first.
+	jobs := []func() error{
+		func() error {
+			if _, err := sys.Repository.LoadQuiet(bytes.NewReader(sections[secRepoStore])); err != nil {
+				return fmt.Errorf("checkpoint: section %q: %w", secRepoStore, err)
+			}
+			return nil
+		},
+		func() error { return restoreSmall(sys, sections) },
+		func() error {
+			var blobs []tunerBlob
+			if err := decodeSection(sections, secTuners, &blobs); err != nil {
+				return err
+			}
+			if len(blobs) != len(sys.Tuners) {
+				return fmt.Errorf("%w: section %q holds %d tuners, system has %d", ErrManifest, secTuners, len(blobs), len(sys.Tuners))
+			}
+			for i, t := range sys.Tuners {
+				if err := restoreTuner(t, blobs[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	for _, fm := range sys.Fleet {
+		jobs = append(jobs, func() error {
+			name := secInstPrefix + fm.ID
+			return restoreInstance(fm, name, sections[name])
+		})
+	}
+	if err := forEach(len(jobs), func(i int) error { return jobs[i]() }); err != nil {
 		return err
 	}
-	if _, err := sys.Repository.LoadQuiet(bytes.NewReader(storeRaw)); err != nil {
-		return fmt.Errorf("checkpoint: section %q: %w", secRepoStore, err)
+
+	// Extras restore last, after every standard subsystem is in place —
+	// a layered service (the fleet control plane) may read through to
+	// restored state from its Restore hook.
+	for _, ex := range sys.Extras {
+		if ex.Restore == nil {
+			continue
+		}
+		if err := ex.Restore(sections[secExtraPrefix+ex.Name]); err != nil {
+			return fmt.Errorf("checkpoint: extra section %q: %w", secExtraPrefix+ex.Name, err)
+		}
 	}
+	return nil
+}
+
+// decodeSection unmarshals one JSON section.
+func decodeSection(sections map[string][]byte, name string, v any) error {
+	if err := json.Unmarshal(sections[name], v); err != nil {
+		return fmt.Errorf("checkpoint: decode section %q: %w", name, err)
+	}
+	return nil
+}
+
+// restoreSmall applies the small sections in their serial order: the
+// repository fan-out, orchestrator, DFA, director and fault injector.
+func restoreSmall(sys System, sections map[string][]byte) error {
 	var fanout repository.State
-	if err := decode(secRepoFanout, &fanout); err != nil {
+	if err := decodeSection(sections, secRepoFanout, &fanout); err != nil {
 		return err
 	}
 	if err := sys.Repository.RestoreCheckpointState(fanout); err != nil {
 		return fmt.Errorf("checkpoint: section %q: %w", secRepoFanout, err)
 	}
 	var orch orchestrator.State
-	if err := decode(secOrchestrator, &orch); err != nil {
+	if err := decodeSection(sections, secOrchestrator, &orch); err != nil {
 		return err
 	}
 	if err := sys.Orchestrator.RestoreCheckpointState(orch); err != nil {
 		return fmt.Errorf("checkpoint: section %q: %w", secOrchestrator, err)
 	}
 	var dfaState dfa.State
-	if err := decode(secDFA, &dfaState); err != nil {
+	if err := decodeSection(sections, secDFA, &dfaState); err != nil {
 		return err
 	}
 	sys.DFA.RestoreCheckpointState(dfaState)
 	var dirState director.State
-	if err := decode(secDirector, &dirState); err != nil {
+	if err := decodeSection(sections, secDirector, &dirState); err != nil {
 		return err
 	}
 	if err := sys.Director.RestoreCheckpointState(dirState); err != nil {
 		return fmt.Errorf("checkpoint: section %q: %w", secDirector, err)
 	}
 	var faultState faults.InjectorState
-	if err := decode(secFaults, &faultState); err != nil {
+	if err := decodeSection(sections, secFaults, &faultState); err != nil {
 		return err
 	}
 	if err := sys.Faults.RestoreCheckpointState(faultState); err != nil {
 		return fmt.Errorf("checkpoint: section %q: %w", secFaults, err)
 	}
+	return nil
+}
 
-	var blobs []tunerBlob
-	if err := decode(secTuners, &blobs); err != nil {
-		return err
+// forEach runs job(0), …, job(n-1) on up to GOMAXPROCS goroutines and
+// returns the error of the lowest-numbered failing job — the one a
+// serial loop would have hit first — however the jobs interleave. Jobs
+// are claimed in index order and none starts after a failure, so every
+// job numbered below a failed one has run. The worker count depends on
+// the machine alone; callers make each job's output independent of it.
+func forEach(n int, job func(i int) error) error {
+	errs := make([]error, n)
+	var cursor atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(cursor.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if errs[i] = job(i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
 	}
-	if len(blobs) != len(sys.Tuners) {
-		return fmt.Errorf("%w: section %q holds %d tuners, system has %d", ErrManifest, secTuners, len(blobs), len(sys.Tuners))
-	}
-	for i, t := range sys.Tuners {
-		if err := restoreTuner(t, blobs[i]); err != nil {
-			return err
-		}
-	}
-
-	for _, fm := range sys.Fleet {
-		name := secInstPrefix + fm.ID
-		payload, err := need(name)
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return err
-		}
-		if err := restoreInstance(fm, name, payload); err != nil {
-			return err
-		}
-	}
-
-	// Extras restore last, after every standard subsystem is in place —
-	// a layered service (the fleet control plane) may read through to
-	// restored state from its Restore hook. A registered restorer with no
-	// matching section means the snapshot predates the subsystem: that is
-	// a manifest mismatch, not a silent default.
-	for _, ex := range sys.Extras {
-		if ex.Restore == nil {
-			continue
-		}
-		p, ok := sections[secExtraPrefix+ex.Name]
-		if !ok {
-			return fmt.Errorf("%w: extra section %q missing", ErrManifest, secExtraPrefix+ex.Name)
-		}
-		if err := ex.Restore(p); err != nil {
-			return fmt.Errorf("checkpoint: extra section %q: %w", secExtraPrefix+ex.Name, err)
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +68,13 @@ func fingerprintSystem(s *System) ckptFingerprint {
 // the rebuild-then-restore contract's "same construction parameters".
 func buildCkptFleet(t *testing.T, parallelism int, in *faults.Injector) *System {
 	t.Helper()
+	return buildCkptFleetOf(t, parallelism, in, 6)
+}
+
+// buildCkptFleetOf is buildCkptFleet with n instances; every odd one
+// carries a replica.
+func buildCkptFleetOf(t *testing.T, parallelism int, in *faults.Injector, n int) *System {
+	t.Helper()
 	tb, err := bo.New(bo.Options{Engine: knobs.Postgres, Candidates: 60, MaxSamplesPerFit: 60, UCBBeta: 0.5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -85,8 +93,7 @@ func buildCkptFleet(t *testing.T, parallelism int, in *faults.Injector) *System 
 		func() workload.Generator { return workload.NewYCSB(10*cluster.GiB, 2000) },
 	}
 	plans := []string{"m4.large", "t2.large", "m4.xlarge"}
-	const fleet = 6
-	for i := 0; i < fleet; i++ {
+	for i := 0; i < n; i++ {
 		gen := gens[i%len(gens)]()
 		if _, err := s.AddInstance(InstanceSpec{
 			Provision: cluster.ProvisionSpec{
@@ -424,5 +431,128 @@ func TestTopologyMismatchNamesInstances(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// restage re-encodes a snapshot section by section through
+// checkpoint.NewContainer, so every section keeps a valid CRC. edit sees
+// each section's name and payload and returns the payload to keep, or
+// false to drop the section.
+func restage(t *testing.T, data []byte, edit func(name string, payload []byte) ([]byte, bool)) []byte {
+	t.Helper()
+	man, sections, err := checkpoint.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var secs []checkpoint.RawSection
+	for _, meta := range man.Sections {
+		if p, keep := edit(meta.Name, sections[meta.Name]); keep {
+			secs = append(secs, checkpoint.RawSection{Name: meta.Name, Payload: p})
+		}
+	}
+	c, err := checkpoint.NewContainer(man, secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Bytes()
+}
+
+// TestRestoreRejectsMissingSectionBeforeMutating: a snapshot that lacks
+// the last instance's section must be refused before anything is
+// applied — the repository store, which restores first, stays empty.
+func TestRestoreRejectsMissingSectionBeforeMutating(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds fleets")
+	}
+	data, build := snapshotForCorruption(t)
+	man, _, err := checkpoint.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := "instance/" + man.Instances[len(man.Instances)-1].ID
+	restaged := restage(t, data, func(name string, p []byte) ([]byte, bool) { return p, name != missing })
+
+	s := build()
+	err = s.Restore(bytes.NewReader(restaged))
+	if !errors.Is(err, checkpoint.ErrManifest) || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("want ErrManifest naming %q, got: %v", missing, err)
+	}
+	if n := s.Repository.Len(); n != 0 {
+		t.Errorf("rejected restore loaded %d repository samples", n)
+	}
+}
+
+// TestRestoreRejectsCorruptInstancesInSerialOrder: when several
+// sections fail to decode, the error names the one a serial restore
+// would have hit first, however the concurrent jobs finish. The earlier
+// payload fails only after scanning 8 MiB of leading blanks, the later
+// one at its first byte, so the later job fails first in time.
+func TestRestoreRejectsCorruptInstancesInSerialOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds fleets")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	data, build := snapshotForCorruption(t)
+	const first, second = "instance/db-02", "instance/db-04"
+	restaged := restage(t, data, func(name string, p []byte) ([]byte, bool) {
+		switch name {
+		case first:
+			return append(bytes.Repeat([]byte(" "), 8<<20), p[:len(p)-1]...), true
+		case second:
+			return []byte("}"), true
+		}
+		return p, true
+	})
+	for i := 0; i < 4; i++ {
+		err := build().Restore(bytes.NewReader(restaged))
+		if err == nil || !strings.Contains(err.Error(), first) {
+			t.Fatalf("attempt %d: want an error naming %q, got: %v", i, first, err)
+		}
+	}
+}
+
+// TestSnapshotDeterminismAcrossGOMAXPROCS: the codec encodes and
+// restores on GOMAXPROCS workers, and its bytes must not depend on
+// that count. A 12-instance fleet with replicas, stepped under the
+// medium fault profile, snapshots to one container at 1 and 4 procs;
+// restoring it at either setting gives the same fingerprint and
+// re-encodes to the same bytes.
+func TestSnapshotDeterminismAcrossGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds fleets")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	build := func() *System { return buildCkptFleetOf(t, 2, faults.New(99, faults.Medium()), 12) }
+	snapshotAt := func(s *System, procs int) []byte {
+		t.Helper()
+		runtime.GOMAXPROCS(procs)
+		c, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Bytes()
+	}
+
+	s := build()
+	stepN(s, 8)
+	want := fingerprintSystem(s)
+	snaps := [][]byte{snapshotAt(s, 1), snapshotAt(s, 4)}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatal("snapshot at GOMAXPROCS=4 differs from GOMAXPROCS=1")
+	}
+	for i, data := range snaps {
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			r := build()
+			if err := r.Restore(bytes.NewReader(data)); err != nil {
+				t.Fatalf("snapshot %d restored at GOMAXPROCS=%d: %v", i, procs, err)
+			}
+			if got := fingerprintSystem(r); !reflect.DeepEqual(want, got) {
+				t.Errorf("snapshot %d restored at GOMAXPROCS=%d: fingerprint diverged", i, procs)
+			}
+			if !bytes.Equal(snapshotAt(r, procs), snaps[0]) {
+				t.Errorf("snapshot %d restored at GOMAXPROCS=%d re-encodes to different bytes", i, procs)
+			}
+		}
 	}
 }
