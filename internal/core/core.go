@@ -120,6 +120,11 @@ func NewSystemWithOptions(opts Options, tuners ...tuner.Tuner) (*System, error) 
 	if len(tuners) == 0 {
 		return nil, errors.New("core: need at least one tuner instance")
 	}
+	if opts.Safety != nil {
+		if err := opts.Safety.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	par := opts.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)

@@ -16,6 +16,7 @@ import (
 	"autodbaas/internal/faults"
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/safety"
+	"autodbaas/internal/simdb"
 	"autodbaas/internal/tuner/bo"
 	"autodbaas/internal/workload"
 )
@@ -202,6 +203,20 @@ func TestRestoreRejectsMissingSafetySection(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), safety.SectionName) {
 		t.Fatalf("error does not name the missing section: %v", err)
+	}
+}
+
+// TestSystemRejectsInvalidSafetyOptions: gate options the engine's
+// query log cannot serve refuse to build a system.
+func TestSystemRejectsInvalidSafetyOptions(t *testing.T) {
+	tb, err := bo.New(bo.Options{Engine: knobs.Postgres, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := safety.DefaultOptions()
+	gate.ExplainStatements = simdb.DefaultQueryLogSize + 1
+	if _, err := NewSystemWithOptions(Options{Safety: &gate}, tb); err == nil || !strings.Contains(err.Error(), "explain_statements") {
+		t.Fatalf("want an explain_statements error, got %v", err)
 	}
 }
 

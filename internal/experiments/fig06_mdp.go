@@ -22,6 +22,10 @@ type Fig6Result struct {
 	Accuracy Series
 }
 
+// fig6LogSize is how many of the newest logged statements the episodes
+// draw their pool from; the engine's ring is sized to hold them.
+const fig6LogSize = 2048
+
 // Fig6MDPLearning reproduces Fig. 6: the learning-automata MDP of the
 // async/planner detector running against the production workload, with
 // episodes of ~350–400 steps perturbing planner knobs and collecting
@@ -35,10 +39,11 @@ func Fig6MDPLearning(episodes, stepsPerEpisode int, seed int64) Fig6Result {
 		stepsPerEpisode = 375
 	}
 	eng, err := simdb.NewEngine(simdb.Options{
-		Engine:      knobs.Postgres,
-		Resources:   simdb.Resources{MemoryBytes: 8 * workload.GiB, VCPU: 2, DiskIOPS: 3000, DiskSSD: true},
-		DBSizeBytes: workload.ProductionDBSize,
-		Seed:        seed,
+		Engine:       knobs.Postgres,
+		Resources:    simdb.Resources{MemoryBytes: 8 * workload.GiB, VCPU: 2, DiskIOPS: 3000, DiskSSD: true},
+		DBSizeBytes:  workload.ProductionDBSize,
+		Seed:         seed,
+		QueryLogSize: fig6LogSize,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("fig6: %v", err))
@@ -65,7 +70,7 @@ func Fig6MDPLearning(episodes, stepsPerEpisode int, seed int64) Fig6Result {
 			panic(fmt.Sprintf("fig6: %v", err))
 		}
 	}
-	pool := simdb.TemplateIDs(eng.QueryLog(2048))
+	pool := simdb.TemplateIDs(eng.QueryLog(fig6LogSize))
 	obs.Debugf("fig6: captured %d queries; running %d episodes × %d steps", len(pool), episodes, stepsPerEpisode)
 
 	kcat := eng.KnobCatalog()

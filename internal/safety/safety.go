@@ -79,7 +79,8 @@ type Options struct {
 	// probe window on the cloned engines (default 60).
 	ProbeWindowSec int `json:"probe_window_sec,omitempty"`
 	// ExplainStatements bounds how many recent query-log statements
-	// the Explain phase prices (default 32).
+	// the Explain phase prices (default 32, at most
+	// simdb.DefaultQueryLogSize).
 	ExplainStatements int `json:"explain_statements,omitempty"`
 	// WatchWindows is how many post-apply windows are judged against
 	// the armed baseline before the applied config is promoted to
@@ -153,6 +154,16 @@ func (o Options) withDefaults() Options {
 		o.MaxResamples = d.MaxResamples
 	}
 	return o
+}
+
+// Validate rejects options the gate cannot honour. The Explain phase
+// reads the master's query log, which holds simdb.DefaultQueryLogSize
+// statements; a larger ExplainStatements would silently price fewer.
+func (o Options) Validate() error {
+	if o.ExplainStatements > simdb.DefaultQueryLogSize {
+		return fmt.Errorf("safety: explain_statements %d exceeds the query log's %d slots", o.ExplainStatements, simdb.DefaultQueryLogSize)
+	}
+	return nil
 }
 
 // Veto reasons, the label values of autodbaas_safety_vetoes_total.

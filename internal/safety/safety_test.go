@@ -369,3 +369,26 @@ func TestConcurrentStatusReads(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestValidateExplainStatements: the Explain phase may ask for at most
+// the engine query log's capacity; a larger value is an error, not a
+// silently shorter read. Zero and negative values take the default.
+func TestValidateExplainStatements(t *testing.T) {
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{
+		{-1, true},
+		{0, true},
+		{DefaultOptions().ExplainStatements, true},
+		{simdb.DefaultQueryLogSize, true},
+		{simdb.DefaultQueryLogSize + 1, false},
+		{4096, false},
+	} {
+		o := DefaultOptions()
+		o.ExplainStatements = tc.n
+		if err := o.Validate(); (err == nil) != tc.ok {
+			t.Errorf("explain_statements %d: Validate() = %v, want ok=%v", tc.n, err, tc.ok)
+		}
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/prng"
 	"autodbaas/internal/sqlparse"
-	"autodbaas/internal/workload"
 )
 
 // EngineState is the serializable mutable state of one Engine — every
@@ -47,7 +46,7 @@ type EngineState struct {
 
 	// QueryLog holds every query-log slot's SQL in ring order (unfilled
 	// slots are empty); QueryLogNext and QueryLogFull are the ring's
-	// cursor.
+	// cursor. A replica's ring has no slots.
 	QueryLog     []string `json:"query_log"`
 	QueryLogNext int      `json:"query_log_next"`
 	QueryLogFull bool     `json:"query_log_full"`
@@ -63,8 +62,10 @@ type EngineState struct {
 
 	// Profiles is the per-template statistics store behind
 	// ExplainTemplate — the TDE's plan evaluation plans from it, so it is
-	// state, not cache.
-	Profiles map[string]workload.Query `json:"profiles,omitempty"`
+	// state, not cache. A replica keeps none. TemplateProfile's fields
+	// keep workload.Query's JSON names, so snapshots whose profiles
+	// held whole statements decode into it.
+	Profiles map[string]TemplateProfile `json:"profiles,omitempty"`
 
 	CfgEpoch uint64     `json:"cfg_epoch"`
 	RNG      prng.State `json:"rng"`
@@ -106,7 +107,7 @@ func (e *Engine) CheckpointState() EngineState {
 	}
 	st.QueryLog, st.QueryLogTemplates, st.QueryLogTemplateIdx = encodeLog(e.queryLog.buf)
 	if len(e.profiles) > 0 {
-		st.Profiles = make(map[string]workload.Query, len(e.profiles))
+		st.Profiles = make(map[string]TemplateProfile, len(e.profiles))
 		for k, v := range e.profiles {
 			st.Profiles[k] = v
 		}
@@ -119,14 +120,18 @@ func (e *Engine) CheckpointState() EngineState {
 // checkpointed one; construction parameters are validated by the
 // checkpoint manifest, not here. Hot-path caches are invalidated and
 // rebuild lazily.
+//
+// Snapshots written while engines kept 4,096-slot logs, and logs and
+// profiles on replicas, still restore: a master keeps the newest
+// entries its ring holds (see restoreLogLocked), and a replica drops
+// the snapshot's log and profiles.
 func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(st.QueryLog) != len(e.queryLog.buf) {
-		return fmt.Errorf("simdb: restore: query log size %d, engine built with %d", len(st.QueryLog), len(e.queryLog.buf))
-	}
-	if err := decodeLog(e.queryLog.buf, st); err != nil {
-		return err
+	if !e.replica {
+		if err := e.restoreLogLocked(st); err != nil {
+			return err
+		}
 	}
 	e.cfg = st.Cfg.Clone()
 	e.pendingRestart = st.PendingRestart.Clone()
@@ -152,11 +157,9 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	e.jitterFactor = st.JitterFactor
 	e.down = st.Down
 	e.restarts = st.Restarts
-	e.queryLog.next = st.QueryLogNext
-	e.queryLog.full = st.QueryLogFull
 	e.profiles, e.profileIDs = nil, nil
-	if len(st.Profiles) > 0 {
-		e.profiles = make(map[string]workload.Query, len(st.Profiles))
+	if len(st.Profiles) > 0 && !e.replica {
+		e.profiles = make(map[string]TemplateProfile, len(st.Profiles))
 		for k, v := range st.Profiles {
 			e.profiles[k] = v
 		}
@@ -165,6 +168,36 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	e.rngSrc.Restore(st.RNG)
 	// Drop the memo tied to the pre-restore configuration.
 	e.fkValid = false
+	return nil
+}
+
+// restoreLogLocked overwrites the query log with st's, or returns an
+// error and leaves it untouched. A snapshot ring with more slots than
+// this engine's restores its newest len(ring) entries, oldest first; one
+// with fewer slots, or a cursor outside its slots, is corrupt.
+func (e *Engine) restoreLogLocked(st EngineState) error {
+	r, n := e.queryLog, len(st.QueryLog)
+	if n < len(r.buf) {
+		return fmt.Errorf("simdb: restore: query log has %d slots, engine holds %d", n, len(r.buf))
+	}
+	if st.QueryLogNext < 0 || st.QueryLogNext >= n {
+		return fmt.Errorf("simdb: restore: query log cursor %d outside its %d slots", st.QueryLogNext, n)
+	}
+	if n == len(r.buf) {
+		if err := decodeLog(r.buf, st); err != nil {
+			return err
+		}
+		r.next, r.full = st.QueryLogNext, st.QueryLogFull
+		return nil
+	}
+	old := &ringLog{buf: make([]LogEntry, n), next: st.QueryLogNext, full: st.QueryLogFull}
+	if err := decodeLog(old.buf, st); err != nil {
+		return err
+	}
+	kept := old.last(len(r.buf))
+	clear(r.buf)
+	copy(r.buf, kept)
+	r.next, r.full = len(kept)%len(r.buf), len(kept) == len(r.buf)
 	return nil
 }
 

@@ -124,10 +124,14 @@ type Engine struct {
 	down         bool
 	restarts     int
 
+	// replica marks a slave built by NewReplicaSet. Nothing reads a
+	// replica's query log or profiles (the TDE, the canary and
+	// ExplainTemplate all read the master), so it keeps neither.
+	replica  bool
 	queryLog *ringLog
 	// profiles caches per-template execution statistics for
 	// ExplainTemplate and HypotheticalRunTemplatesMs.
-	profiles map[string]workload.Query
+	profiles map[string]TemplateProfile
 	// profileIDs holds the keys of profiles in ascending order once the
 	// store has reached maxProfiles (nil before, and after a restore):
 	// eviction takes its first entry.
@@ -160,12 +164,23 @@ type Options struct {
 	Start time.Time
 	// Config overrides the catalogue defaults (validated).
 	Config knobs.Config
-	// QueryLogSize bounds the retained query log (default 4096).
+	// QueryLogSize bounds the retained query log (default
+	// DefaultQueryLogSize).
 	QueryLogSize int
 }
 
+// DefaultQueryLogSize is the query log's capacity when
+// Options.QueryLogSize is 0. It is sized to the log's readers: the TDE
+// reads the newest tde.Config.LogBatch entries each tick and the safety
+// canary the newest safety.Options.ExplainStatements, and neither may
+// ask for more than this.
+const DefaultQueryLogSize = 512
+
 // NewEngine constructs a simulated engine.
-func NewEngine(o Options) (*Engine, error) {
+func NewEngine(o Options) (*Engine, error) { return newEngine(o, false) }
+
+// newEngine constructs an engine; a replica gets a zero-slot query log.
+func newEngine(o Options, replica bool) (*Engine, error) {
 	kcat, err := knobs.CatalogFor(o.Engine)
 	if err != nil {
 		return nil, err
@@ -185,8 +200,11 @@ func NewEngine(o Options) (*Engine, error) {
 		start = time.Date(2021, 3, 23, 0, 0, 0, 0, time.UTC)
 	}
 	logSize := o.QueryLogSize
-	if logSize <= 0 {
-		logSize = 4096
+	switch {
+	case replica:
+		logSize = 0
+	case logSize <= 0:
+		logSize = DefaultQueryLogSize
 	}
 	cfg := kcat.DefaultConfig()
 	for k, v := range o.Config {
@@ -210,6 +228,7 @@ func NewEngine(o Options) (*Engine, error) {
 		now:        start,
 		lastCkpt:   start,
 		lastVacuum: start,
+		replica:    replica,
 		queryLog:   newRingLog(logSize),
 		// A fresh engine has touched little data.
 		workingSet: math.Min(o.DBSizeBytes, 64*1024*1024),
@@ -426,9 +445,9 @@ func (e *Engine) QueryLog(n int) []LogEntry {
 	return e.queryLog.last(n)
 }
 
-// QueryLogCap returns the configured query-log capacity. A clone built
-// to receive this engine's CheckpointState must be constructed with the
-// same capacity (RestoreCheckpointState rejects size mismatches).
+// QueryLogCap returns the query-log capacity: Options.QueryLogSize or
+// DefaultQueryLogSize, and 0 on a replica. A clone built with this
+// capacity restores this engine's CheckpointState slot for slot.
 func (e *Engine) QueryLogCap() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -4,11 +4,25 @@ import (
 	"slices"
 
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/workload"
 )
 
 // maxProfiles bounds the template→profile statistics cache.
 const maxProfiles = 4096
+
+// TemplateProfile is what the engine remembers of a template's
+// statements: the class and the peak resource demands that planning and
+// pricing read. The statement text is not kept; nothing reads it.
+type TemplateProfile struct {
+	Class   sqlparse.Class
+	Profile workload.Profile
+}
+
+// query rebuilds the statement shape the planner and pricer take.
+func (p TemplateProfile) query() workload.Query {
+	return workload.Query{Class: p.Class, Profile: p.Profile}
+}
 
 // rememberProfileLocked records the execution profile observed for
 // template id — the simulator's analogue of the statistics a real
@@ -18,8 +32,9 @@ const maxProfiles = 4096
 // memory/temp usage.
 func (e *Engine) rememberProfileLocked(id string, q workload.Query) {
 	if e.profiles == nil {
-		e.profiles = make(map[string]workload.Query, 256)
+		e.profiles = make(map[string]TemplateProfile, 256)
 	}
+	merged := TemplateProfile{Class: q.Class, Profile: q.Profile}
 	old, ok := e.profiles[id]
 	if !ok {
 		if len(e.profiles) >= maxProfiles {
@@ -40,10 +55,9 @@ func (e *Engine) rememberProfileLocked(id string, q workload.Query) {
 			copy(ids, ids[1:i+1])
 			ids[i] = id
 		}
-		e.profiles[id] = q
+		e.profiles[id] = merged
 		return
 	}
-	merged := q
 	p, op := &merged.Profile, &old.Profile
 	if op.MemDemand > p.MemDemand {
 		p.MemDemand = op.MemDemand
@@ -69,11 +83,11 @@ func (e *Engine) rememberProfileLocked(id string, q workload.Query) {
 func (e *Engine) ExplainTemplate(id string) (Plan, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	q, ok := e.profiles[id]
+	p, ok := e.profiles[id]
 	if !ok {
 		return Plan{}, false
 	}
-	return e.planWith(e.flatLocked(), q), true
+	return e.planWith(e.flatLocked(), p.query()), true
 }
 
 // HypotheticalRunTemplatesMs prices the statements remembered for ids
@@ -88,10 +102,11 @@ func (e *Engine) HypotheticalRunTemplatesMs(override knobs.Config, ids []string)
 	var total float64
 	var n int
 	for _, id := range ids {
-		q, ok := e.profiles[id]
+		p, ok := e.profiles[id]
 		if !ok {
 			continue
 		}
+		q := p.query()
 		ms, _ := e.serviceTimeMs(&fk, q, hit, e.planWith(&fk, q))
 		total += ms
 		n++

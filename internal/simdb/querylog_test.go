@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,5 +207,166 @@ func TestQueryLogPastUint16Templates(t *testing.T) {
 	}
 	if got, want := dst.QueryLog(size), src.QueryLog(size); !reflect.DeepEqual(got, want) {
 		t.Fatal("restore changed the query log")
+	}
+}
+
+// legacyProfilesJSON rewrites a state's JSON profiles into the shape
+// snapshots had when profiles held whole statements (SQL and template
+// beside the class and resource profile).
+func legacyProfilesJSON(t *testing.T, st EngineState) EngineState {
+	t.Helper()
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var profiles map[string]map[string]any
+	if err := json.Unmarshal(fields["profiles"], &profiles); err != nil {
+		t.Fatal(err)
+	}
+	for id, p := range profiles {
+		p["SQL"] = "SELECT * FROM t WHERE id = 1"
+		p["Template"] = map[string]any{"ID": id, "Text": "select * from t where id = ?", "Class": p["Class"]}
+	}
+	if fields["profiles"], err = json.Marshal(profiles); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	var out EngineState
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// withoutLog blanks the query-log fields, whose ring layout may differ
+// between engines that hold the same newest entries.
+func withoutLog(st EngineState) EngineState {
+	st.QueryLog, st.QueryLogNext, st.QueryLogFull = nil, 0, false
+	st.QueryLogTemplates, st.QueryLogTemplateIdx = nil, nil
+	return st
+}
+
+// TestRestoreLegacyEngineState: a snapshot written when every engine
+// kept a 4,096-slot log, and replicas kept a log and profiles, restores
+// into today's replica set. The master keeps the newest
+// DefaultQueryLogSize entries in order, the replica drops its log and
+// profiles, and further windows give the stats and state of a replica
+// set that ran today's code from the start.
+func TestRestoreLegacyEngineState(t *testing.T) {
+	opts := Options{Engine: knobs.Postgres, Resources: m4Large(), DBSizeBytes: 4 * workload.GiB, Seed: 11}
+	gen := workload.NewTPCC(4*workload.GiB, 500)
+	// 4 windows fill 768 of the 4,096 slots; 25 wrap the ring.
+	for _, windows := range []int{4, 25} {
+		t.Run(fmt.Sprint(windows), func(t *testing.T) {
+			legacy := opts
+			legacy.QueryLogSize = 4096
+			oldMaster, err := NewEngine(legacy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacy.Seed = opts.Seed + 1 // NewReplicaSet's seed for slave 0
+			oldSlave, err := NewEngine(legacy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewReplicaSet(opts, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < windows; i++ {
+				for _, e := range []*Engine{oldMaster, oldSlave, ref.Master(), ref.Slaves()[0]} {
+					if _, err := e.RunWindow(gen, time.Minute); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			masterSt, slaveSt := oldMaster.CheckpointState(), oldSlave.CheckpointState()
+			if len(masterSt.QueryLog) != 4096 || len(slaveSt.QueryLog) != 4096 || len(slaveSt.Profiles) == 0 {
+				t.Fatal("the legacy states do not carry 4,096-slot logs and replica profiles")
+			}
+
+			rs, err := NewReplicaSet(opts, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rs.Master().RestoreCheckpointState(legacyProfilesJSON(t, masterSt)); err != nil {
+				t.Fatal(err)
+			}
+			if err := rs.Slaves()[0].RestoreCheckpointState(legacyProfilesJSON(t, slaveSt)); err != nil {
+				t.Fatal(err)
+			}
+			master, slave := rs.Master(), rs.Slaves()[0]
+			want := oldMaster.QueryLog(DefaultQueryLogSize)
+			if got := master.QueryLog(DefaultQueryLogSize); len(got) != DefaultQueryLogSize || !reflect.DeepEqual(got, want) {
+				t.Fatalf("restored master log differs from the legacy master's newest %d entries", DefaultQueryLogSize)
+			}
+			if st := slave.CheckpointState(); len(st.QueryLog) != 0 || len(st.Profiles) != 0 {
+				t.Fatalf("restored replica carries %d log slots and %d profiles", len(st.QueryLog), len(st.Profiles))
+			}
+
+			for i := 0; i < 6; i++ {
+				for j, pair := range [][2]*Engine{{master, ref.Master()}, {slave, ref.Slaves()[0]}} {
+					got, err := pair[0].RunWindow(gen, time.Minute)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantSt, err := pair[1].RunWindow(gen, time.Minute)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, wantSt) {
+						t.Fatalf("window %d node %d: stats diverged after the legacy restore", i, j)
+					}
+				}
+				if got, want := master.QueryLog(DefaultQueryLogSize), ref.Master().QueryLog(DefaultQueryLogSize); !reflect.DeepEqual(got, want) {
+					t.Fatalf("window %d: master log diverged after the legacy restore", i)
+				}
+			}
+			for j, pair := range [][2]*Engine{{master, ref.Master()}, {slave, ref.Slaves()[0]}} {
+				if got, want := withoutLog(pair[0].CheckpointState()), withoutLog(pair[1].CheckpointState()); !reflect.DeepEqual(got, want) {
+					t.Fatalf("node %d: state diverged after the legacy restore", j)
+				}
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsShortQueryLog: a snapshot log with fewer slots than
+// the engine's ring, or a cursor outside its slots, is corrupt. The
+// error names the problem and the engine is left untouched.
+func TestRestoreRejectsShortQueryLog(t *testing.T) {
+	e := newPG(t, m4Large(), 4*workload.GiB)
+	for i := 0; i < 3; i++ {
+		if _, err := e.RunWindow(workload.NewTPCC(4*workload.GiB, 500), time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := e.CheckpointState()
+
+	short := before
+	short.QueryLog = before.QueryLog[:DefaultQueryLogSize-1]
+	short.QueryLogTemplateIdx = before.QueryLogTemplateIdx[:2*(DefaultQueryLogSize-1)]
+	cursor := before
+	cursor.QueryLogNext = len(before.QueryLog)
+	for name, tc := range map[string]struct {
+		st   EngineState
+		want string
+	}{
+		"short":  {short, "query log has 511 slots"},
+		"cursor": {cursor, "query log cursor 512"},
+	} {
+		err := e.RestoreCheckpointState(tc.st)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s log: want an error containing %q, got %v", name, tc.want, err)
+		}
+		if got := e.CheckpointState(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("%s log: rejected restore changed the engine", name)
+		}
 	}
 }

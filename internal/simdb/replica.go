@@ -18,6 +18,8 @@ type ReplicaSet struct {
 
 // NewReplicaSet builds a service instance of 1+slaves engines with
 // identical options (seeds are offset per node for divergent noise).
+// The slaves are replicas: they price every window as the master does
+// but keep no query log and no template profiles.
 func NewReplicaSet(o Options, slaves int) (*ReplicaSet, error) {
 	if slaves < 0 {
 		return nil, errors.New("simdb: negative slave count")
@@ -30,7 +32,7 @@ func NewReplicaSet(o Options, slaves int) (*ReplicaSet, error) {
 	for i := 0; i < slaves; i++ {
 		so := o
 		so.Seed = o.Seed + int64(i) + 1
-		s, err := NewEngine(so)
+		s, err := newEngine(so, true)
 		if err != nil {
 			return nil, err
 		}

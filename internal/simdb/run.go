@@ -126,6 +126,9 @@ func (e *Engine) RunWindow(gen workload.Generator, dur time.Duration) (WindowSta
 			}
 		}
 		classCounts[q.Class] += scale
+		if e.replica {
+			continue
+		}
 		id := q.Template.ID
 		if id == "" {
 			// A hand-built query without a carried template.

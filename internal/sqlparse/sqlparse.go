@@ -74,10 +74,10 @@ func (c Class) String() string {
 	}
 }
 
-// Template is a normalized, parameter-free query shape.
+// Template is a normalized, parameter-free query shape: the hash of
+// Normalize's text, and its class.
 type Template struct {
 	ID    string // stable hash of the normalized text
-	Text  string // normalized SQL with literals replaced by '?'
 	Class Class
 }
 
@@ -297,7 +297,6 @@ func computeTemplate(sql string) Template {
 	sum := sha256.Sum256([]byte(norm))
 	return Template{
 		ID:    hex.EncodeToString(sum[:8]),
-		Text:  norm,
 		Class: Classify(norm),
 	}
 }
@@ -311,8 +310,6 @@ type Templatizer struct {
 type TemplateStats struct {
 	Template Template
 	Count    int
-	// LastArgsSQL is the most recent concrete instance observed.
-	LastArgsSQL string
 }
 
 // NewTemplatizer returns an empty templatizer.
@@ -329,7 +326,6 @@ func (t *Templatizer) Observe(sql string) Template {
 		t.templates[tpl.ID] = st
 	}
 	st.Count++
-	st.LastArgsSQL = sql
 	return tpl
 }
 
@@ -344,7 +340,6 @@ func (t *Templatizer) ObserveID(id, sql string) {
 		t.templates[id] = st
 	}
 	st.Count++
-	st.LastArgsSQL = sql
 }
 
 // Stats returns the stats entry for a template ID, or nil.

@@ -109,7 +109,8 @@ func DefaultBaseline() StaticBaseline {
 
 // Config tunes TDE behaviour.
 type Config struct {
-	// LogBatch is how many recent log lines each tick inspects.
+	// LogBatch is how many recent log lines each tick inspects; the
+	// engine's ring holds simdb.DefaultQueryLogSize.
 	LogBatch int
 	// ReservoirSize bounds the sampled template pool.
 	ReservoirSize int
@@ -130,7 +131,7 @@ type Config struct {
 // DefaultConfig returns the paper-faithful defaults.
 func DefaultConfig() Config {
 	return Config{
-		LogBatch:             512,
+		LogBatch:             simdb.DefaultQueryLogSize,
 		ReservoirSize:        64,
 		CapFraction:          0.9,
 		MDPStepFraction:      0.05,
