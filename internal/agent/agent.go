@@ -21,8 +21,8 @@ import (
 	"autodbaas/internal/workload"
 )
 
-// SampleSink receives training samples (the central data repository, or
-// a tuner directly in single-node deployments).
+// SampleSink receives training samples: the central data repository,
+// which the BO tuners it feeds train from.
 type SampleSink interface {
 	Observe(tuner.Sample) error
 }

@@ -116,21 +116,9 @@ func ckptMetrics() {
 	})
 }
 
-// unwrapTuner strips fault-injection wrappers until the concrete tuner
-// surfaces.
-func unwrapTuner(t tuner.Tuner) tuner.Tuner {
-	for {
-		u, ok := t.(interface{ Unwrap() tuner.Tuner })
-		if !ok {
-			return t
-		}
-		t = u.Unwrap()
-	}
-}
-
 // marshalTuner snapshots one (possibly fault-wrapped) tuner.
 func marshalTuner(t tuner.Tuner) (tunerBlob, error) {
-	switch tt := unwrapTuner(t).(type) {
+	switch tt := tuner.Unwrap(t).(type) {
 	case *bo.Tuner:
 		raw, err := json.Marshal(tt.CheckpointState())
 		if err != nil {
@@ -150,7 +138,7 @@ func marshalTuner(t tuner.Tuner) (tunerBlob, error) {
 
 // restoreTuner applies one blob onto the matching rebuilt tuner.
 func restoreTuner(t tuner.Tuner, blob tunerBlob) error {
-	switch tt := unwrapTuner(t).(type) {
+	switch tt := tuner.Unwrap(t).(type) {
 	case *bo.Tuner:
 		if blob.Kind != "ottertune-bo" {
 			return fmt.Errorf("%w: tuner %q is ottertune-bo, snapshot holds %q", ErrManifest, t.Name(), blob.Kind)

@@ -15,7 +15,7 @@ import (
 // measured size plus about 10%; lower one when a change shrinks its kind.
 var sectionCeilings = map[string]int{
 	"repository/store":         108_000,
-	"tuners":                   339_000,
+	"tuners":                   230_000,
 	"instance agent":           341_000,
 	"instance engine log":      658_000,
 	"instance engine profiles": 730_000,

@@ -120,8 +120,10 @@ func AblationWorkloadMapping(seed int64) AblationMappingResult {
 			panic(fmt.Sprintf("ablation mapping: %v", err))
 		}
 		// Rich donor experience, thin target experience.
-		bootstrapOffline(t, seed, 24, donor)
-		bootstrapOffline(t, seed+1, 4, target)
+		repo := subscribe(t)
+		bootstrapOffline(repo, seed, 24, donor)
+		bootstrapOffline(repo, seed+1, 4, target)
+		repo.Flush()
 		return t
 	}
 	probe := offlineSample(knobs.Postgres, target, knobs.Config{}, seed+99)

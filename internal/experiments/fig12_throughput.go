@@ -81,8 +81,8 @@ func throughputRun(engine knobs.Engine, tn tuner.Tuner, gated bool, prodDBs, war
 		panic(fmt.Sprintf("throughput run: %v", err))
 	}
 	// Offline bootstrap: high-quality samples from the standard suites.
-	if bt, ok := tn.(*bo.Tuner); ok {
-		bootstrapOfflineEngine(bt, engine, seed, 10)
+	if _, ok := tn.(*bo.Tuner); ok {
+		bootstrapOfflineEngine(sys.Repository, engine, seed, 10)
 	}
 	opts := agent.Options{TickEvery: 5 * time.Minute, GateSamples: gated}
 	if !gated {
@@ -126,10 +126,10 @@ func throughputRun(engine knobs.Engine, tn tuner.Tuner, gated bool, prodDBs, war
 	return s
 }
 
-// bootstrapOfflineEngine trains a BO tuner offline for either engine.
-func bootstrapOfflineEngine(bt *bo.Tuner, engine knobs.Engine, seed int64, perWorkload int) {
+// bootstrapOfflineEngine uploads offline samples for either engine.
+func bootstrapOfflineEngine(sink agent.SampleSink, engine knobs.Engine, seed int64, perWorkload int) {
 	if engine == knobs.Postgres {
-		bootstrapOffline(bt, seed, perWorkload,
+		bootstrapOffline(sink, seed, perWorkload,
 			workload.NewTPCC(22*workload.GiB, 3300),
 			workload.NewYCSB(18*workload.GiB, 5000),
 			workload.NewWikipedia(12*workload.GiB, 1000),
@@ -137,7 +137,7 @@ func bootstrapOfflineEngine(bt *bo.Tuner, engine knobs.Engine, seed int64, perWo
 		)
 		return
 	}
-	bootstrapOfflineMySQL(bt, seed, perWorkload)
+	bootstrapOfflineMySQL(sink, seed, perWorkload)
 }
 
 // Render renders the comparison.

@@ -151,7 +151,9 @@ func fig14Run(sc ShiftScenario, ticksPerPhase int, seed int64) Fig14ScenarioResu
 	if err != nil {
 		panic(fmt.Sprintf("fig14: %v", err))
 	}
-	bootstrapOffline(bt, seed, 12, fig14Generator(sc.From), fig14Generator(sc.To))
+	repo := subscribe(bt)
+	bootstrapOffline(repo, seed, 12, fig14Generator(sc.From), fig14Generator(sc.To))
+	repo.Flush()
 
 	window := time.Duration(sc.WindowMinutes) * time.Minute
 	runPhase := func(gen workload.Generator, ticks int) (int, map[knobs.Class]int) {

@@ -49,7 +49,9 @@ func Fig15Accuracy(samplesPerWorkload, ticks, agree int, seed int64) Fig15Result
 	if err != nil {
 		panic(fmt.Sprintf("fig15: %v", err))
 	}
-	bootstrapOffline(bt, seed, samplesPerWorkload, gens...)
+	repo := subscribe(bt)
+	bootstrapOffline(repo, seed, samplesPerWorkload, gens...)
+	repo.Flush()
 
 	res := Fig15Result{
 		Accuracy:  map[knobs.Class]float64{},
@@ -58,8 +60,8 @@ func Fig15Accuracy(samplesPerWorkload, ticks, agree int, seed int64) Fig15Result
 	accurate := map[knobs.Class]int{}
 	kcat := knobs.PostgresCatalog()
 	for gi, gen := range gens {
-		// Rank knobs from the tuner's samples of this workload.
-		ranked, rerr := bt.RankKnobs(bt.Store().Samples("offline/" + gen.Name()))
+		// Rank knobs from the repository's samples of this workload.
+		ranked, rerr := bt.RankKnobs(repo.Store().Samples("offline/" + gen.Name()))
 		if rerr != nil {
 			panic(fmt.Sprintf("fig15: rank: %v", rerr))
 		}

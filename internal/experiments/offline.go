@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"time"
 
+	"autodbaas/internal/agent"
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/repository"
 	"autodbaas/internal/simdb"
 	"autodbaas/internal/tuner"
 	"autodbaas/internal/tuner/bo"
@@ -18,17 +20,26 @@ func offlineResources() simdb.Resources {
 	return simdb.Resources{MemoryBytes: 16 * workload.GiB, VCPU: 4, DiskIOPS: 6000, DiskSSD: true}
 }
 
-// bootstrapOffline trains a BO tuner with random-config PostgreSQL
-// samples of the given workloads (the paper's offline bootstrap phase,
-// where "there is no chance of training model corruption with offline
+// subscribe binds a standalone BO tuner to a fresh central repository,
+// which holds the samples the tuner trains on. Callers Flush the
+// repository before the tuner reads.
+func subscribe(bt *bo.Tuner) *repository.Repository {
+	repo := repository.New()
+	repo.Subscribe(bt)
+	return repo
+}
+
+// bootstrapOffline uploads random-config PostgreSQL samples of the
+// given workloads to sink (the paper's offline bootstrap phase, where
+// "there is no chance of training model corruption with offline
 // workloads").
-func bootstrapOffline(bt *bo.Tuner, seed int64, perWorkload int, gens ...workload.Generator) {
-	bootstrapOfflineFor(bt, knobs.Postgres, seed, perWorkload, gens...)
+func bootstrapOffline(sink agent.SampleSink, seed int64, perWorkload int, gens ...workload.Generator) {
+	bootstrapOfflineFor(sink, knobs.Postgres, seed, perWorkload, gens...)
 }
 
 // bootstrapOfflineMySQL is the MySQL flavour with the standard suites.
-func bootstrapOfflineMySQL(bt *bo.Tuner, seed int64, perWorkload int) {
-	bootstrapOfflineFor(bt, knobs.MySQL, seed, perWorkload,
+func bootstrapOfflineMySQL(sink agent.SampleSink, seed int64, perWorkload int) {
+	bootstrapOfflineFor(sink, knobs.MySQL, seed, perWorkload,
 		workload.NewTPCC(22*workload.GiB, 3300),
 		workload.NewYCSB(18*workload.GiB, 5000),
 		workload.NewWikipedia(12*workload.GiB, 1000),
@@ -36,7 +47,7 @@ func bootstrapOfflineMySQL(bt *bo.Tuner, seed int64, perWorkload int) {
 	)
 }
 
-func bootstrapOfflineFor(bt *bo.Tuner, engine knobs.Engine, seed int64, perWorkload int, gens ...workload.Generator) {
+func bootstrapOfflineFor(sink agent.SampleSink, engine knobs.Engine, seed int64, perWorkload int, gens ...workload.Generator) {
 	kcat, err := knobs.CatalogFor(engine)
 	if err != nil {
 		panic(fmt.Sprintf("offline bootstrap: %v", err))
@@ -51,7 +62,7 @@ func bootstrapOfflineFor(bt *bo.Tuner, engine knobs.Engine, seed int64, perWorkl
 			}
 			cfg := kcat.Denormalize(vec, names)
 			s := offlineSample(engine, gen, cfg, seed+int64(gi*1000+i))
-			_ = bt.Observe(s)
+			_ = sink.Observe(s)
 		}
 	}
 }

@@ -5,6 +5,9 @@
 // IaaS, and create a better ML model", §2). It offers both an in-process
 // API and an HTTP server/client pair; the client also serves agents over
 // unix domain sockets, matching the on-VM transport the paper describes.
+// The repository's store is the one copy of the sample history: a
+// subscribed tuner that trains on samples (bo.Tuner) reads them from
+// it, and keeps only what it derives from their delivery.
 //
 // Tuner fan-out is asynchronous: Observe stores the sample and enqueues
 // it on a bounded queue drained by a single background worker that
@@ -166,14 +169,39 @@ func (r *Repository) FaultStats() (redelivered, deduped, reordered int64) {
 }
 
 // Subscribe registers a tuner to receive every future sample (the
-// "tuner instances fetch the new workloads" pull loop, push-modelled).
-// The fan-out queue is drained first so a late subscriber never
-// receives samples observed before it subscribed.
+// "tuner instances fetch the new workloads" pull loop, push-modelled)
+// and binds a tuner that trains from the store, through any
+// decorators, to this repository's store. The fan-out queue is drained
+// first so a late subscriber never receives samples observed before it
+// subscribed.
 func (r *Repository) Subscribe(t tuner.Tuner) {
 	r.Flush()
+	r.bind(t)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.subscribers = append(r.subscribers, &subscriber{t: t, contig: r.nextSeq})
+}
+
+// Rebind binds every subscribed tuner that trains from the store back
+// to this repository's store, after another repository has bound them
+// (a failed shard restore subscribes the shard's tuners to a rebuild
+// it then discards).
+func (r *Repository) Rebind() {
+	r.mu.Lock()
+	subs := append([]*subscriber(nil), r.subscribers...)
+	r.mu.Unlock()
+	for _, sub := range subs {
+		r.bind(sub.t)
+	}
+}
+
+// bind points a tuner that trains from the store instead of keeping
+// its own copy of the samples delivered to it (bo.Tuner) at this
+// repository's store.
+func (r *Repository) bind(t tuner.Tuner) {
+	if sr, ok := tuner.Unwrap(t).(interface{ BindStore(*tuner.Store) }); ok {
+		sr.BindStore(r.store)
+	}
 }
 
 // Unsubscribe removes a previously subscribed tuner. The fan-out queue
@@ -420,36 +448,6 @@ func (r *Repository) Save(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Load reads JSON-line samples, storing each and fanning out to current
-// subscribers (so a freshly booted tuner warms up from the durable
-// store). Note that Load DOES deliver every loaded sample to current
-// subscribers — it goes through Observe, so each sample gets a fresh
-// sequence number and full fan-out. Callers restoring a checkpoint must
-// use LoadQuiet instead: there the subscribed tuners' own state is
-// restored separately, and re-delivery would double-count every sample.
-// The fan-out queue is drained before returning, so subscribers have
-// seen every loaded sample. It returns the number of samples loaded.
-func (r *Repository) Load(rd io.Reader) (int, error) {
-	dec := json.NewDecoder(bufio.NewReader(rd))
-	n := 0
-	for {
-		var s tuner.Sample
-		if err := dec.Decode(&s); err == io.EOF {
-			break
-		} else if err != nil {
-			r.Flush()
-			return n, fmt.Errorf("repository: load: %w", err)
-		}
-		if err := r.Observe(s); err != nil {
-			r.Flush()
-			return n, err
-		}
-		n++
-	}
-	r.Flush()
-	return n, nil
 }
 
 // LoadQuiet reads JSON-line samples into the store WITHOUT fanning them

@@ -79,17 +79,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := New()
-	warm := &countingTuner{engine: knobs.Postgres}
-	dst.Subscribe(warm)
-	n, err := dst.Load(&buf)
+	n, err := dst.LoadQuiet(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 6 || dst.Len() != 6 {
 		t.Fatalf("loaded %d, stored %d", n, dst.Len())
 	}
-	if warm.observed != 6 {
-		t.Fatalf("subscriber warmed with %d", warm.observed)
+	if ws := dst.Store().Workloads(); len(ws) != 2 || ws[0] != "w1" || ws[1] != "w2" {
+		t.Fatalf("workloads = %v", ws)
 	}
 	got := dst.Store().Samples("w1")
 	if len(got) != 5 || got[3].Config["work_mem"] != 3 || got[3].Objective != 30 {
@@ -99,14 +97,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadRejectsGarbage(t *testing.T) {
 	r := New()
-	if _, err := r.Load(strings.NewReader("not json at all")); err == nil {
+	if _, err := r.LoadQuiet(strings.NewReader("not json at all")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
 // TestLoadQuietSkipsFanOut pins the contract checkpoint restore relies
-// on: Load warm-starts subscribers (re-delivering every stored sample),
-// while LoadQuiet only rebuilds the store — subscriber state restored
+// on: LoadQuiet only rebuilds the store — subscriber state restored
 // from a snapshot must not see the samples a second time.
 func TestLoadQuietSkipsFanOut(t *testing.T) {
 	src := New()
@@ -117,23 +114,11 @@ func TestLoadQuietSkipsFanOut(t *testing.T) {
 	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	saved := buf.Bytes()
-
-	loud := New()
-	sub := &countingTuner{engine: knobs.Postgres}
-	loud.Subscribe(sub)
-	if _, err := loud.Load(bytes.NewReader(saved)); err != nil {
-		t.Fatal(err)
-	}
-	loud.Flush()
-	if sub.observed != 4 {
-		t.Fatalf("Load delivered %d samples to the subscriber, want 4", sub.observed)
-	}
 
 	quiet := New()
 	qsub := &countingTuner{engine: knobs.Postgres}
 	quiet.Subscribe(qsub)
-	n, err := quiet.LoadQuiet(bytes.NewReader(saved))
+	n, err := quiet.LoadQuiet(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

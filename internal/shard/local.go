@@ -279,7 +279,9 @@ func (l *Local) snapshot() (*checkpoint.Container, error) {
 // succeeds, so a corrupt snapshot leaves the shard untouched (a shard
 // built by NewLocalWith shares its tuners and injector with the
 // rebuild, so a snapshot that verifies but fails to decode can leave
-// their state half-restored).
+// their state half-restored; the rebuild also subscribed those tuners
+// to its repository, so a failed restore binds them back to the live
+// one).
 func (l *Local) Restore(snapshot []byte) error {
 	man, sections, err := checkpoint.Parse(snapshot)
 	if err != nil {
@@ -296,19 +298,11 @@ func (l *Local) Restore(snapshot []byte) error {
 	}
 
 	fresh := &Local{cfg: l.cfg, pool: l.pool}
-	sys, err := fresh.buildSystem()
-	if err != nil {
+	if err := fresh.rebuild(specs, man, sections); err != nil {
+		l.System().Repository.Rebind()
 		return err
 	}
-	fresh.sys = sys
-	for _, sp := range specs {
-		if err := fresh.AddInstance(sp); err != nil {
-			return fmt.Errorf("shard %s: rebuild instance %q: %w", l.cfg.Name, sp.ID, err)
-		}
-	}
-	if err := sys.RestoreSections(man, sections); err != nil {
-		return fmt.Errorf("shard %s: %w", l.cfg.Name, err)
-	}
+	sys := fresh.sys
 	l.mu.Lock()
 	l.sys = sys
 	l.specs = fresh.specs
@@ -316,6 +310,25 @@ func (l *Local) Restore(snapshot []byte) error {
 	// Re-point the extra hooks at this Local (they were bound to the
 	// scratch value during the rebuild).
 	sys.RegisterCheckpointExtra(specsExtra, l.saveSpecs, l.restoreSpecs)
+	return nil
+}
+
+// rebuild builds the receiver's system, re-provisions specs into it and
+// restores the verified sections onto it.
+func (l *Local) rebuild(specs []InstanceSpec, man checkpoint.Manifest, sections map[string][]byte) error {
+	sys, err := l.buildSystem()
+	if err != nil {
+		return err
+	}
+	l.sys = sys
+	for _, sp := range specs {
+		if err := l.AddInstance(sp); err != nil {
+			return fmt.Errorf("shard %s: rebuild instance %q: %w", l.cfg.Name, sp.ID, err)
+		}
+	}
+	if err := sys.RestoreSections(man, sections); err != nil {
+		return fmt.Errorf("shard %s: %w", l.cfg.Name, err)
+	}
 	return nil
 }
 

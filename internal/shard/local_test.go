@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"autodbaas/internal/checkpoint"
+	"autodbaas/internal/knobs"
 	"autodbaas/internal/tenant"
+	"autodbaas/internal/tuner/bo"
 )
 
 // testConfig is the shard config the suite reuses; tuner defaults
@@ -260,5 +262,67 @@ func TestLocalExportImportMovesLiveState(t *testing.T) {
 	}
 	if members, _ := third.Members(); len(members) != 0 {
 		t.Fatalf("failed import left %d members behind", len(members))
+	}
+}
+
+// TestLocalFailedRestoreKeepsTunersBound: a NewLocalWith shard shares
+// its tuners with the system a restore rebuilds, and the rebuild binds
+// them to its own repository's store. When the restore then fails, the
+// live shard must keep running exactly as a twin that never tried it —
+// its tuners reading the live repository's samples, not the discarded
+// rebuild's.
+func TestLocalFailedRestoreKeepsTunersBound(t *testing.T) {
+	build := func() *Local {
+		tn, err := bo.New(bo.Options{Engine: knobs.Postgres, Candidates: 60, MaxSamplesPerFit: 60, UCBBeta: 0.5, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := NewLocalWith(testConfig("s0", 42), nil, tn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := l.AddInstance(testSpec(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return l
+	}
+	twin, tried := build(), build()
+	stepN(t, twin, 9)
+	want, err := twin.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stepN(t, tried, 6)
+	snap, err := tried.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, sections, err := checkpoint.Parse(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []checkpoint.RawSection
+	for _, sm := range man.Sections {
+		if sm.Name != "director" {
+			kept = append(kept, checkpoint.RawSection{Name: sm.Name, Payload: sections[sm.Name]})
+		}
+	}
+	broken, err := checkpoint.NewContainer(man, kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tried.Restore(broken.Bytes()); !errors.Is(err, checkpoint.ErrManifest) {
+		t.Fatalf("restore without the director section: err = %v, want ErrManifest", err)
+	}
+	stepN(t, tried, 3)
+	got, err := tried.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("failed restore changed the live shard:\n  want: %+v\n  got:  %+v", want, got)
 	}
 }

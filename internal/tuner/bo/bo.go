@@ -70,14 +70,18 @@ type Tuner struct {
 	opts   Options
 	kcat   *knobs.Catalog
 	mcat   *metrics.Catalog
-	store  *tuner.Store
 	rng    *rand.Rand
 	rngSrc *prng.Source // counting source behind rng, for checkpointing
 
 	knobNames []string // tunable knobs, catalogue order
 
+	// store is the central repository's sample store, bound when a
+	// repository subscribes the tuner; training reads samples from it.
+	store *tuner.Store
+
 	// Incrementally maintained per-workload metric-mean vectors, so
 	// workload mapping does not rescan every stored sample per request.
+	// They follow delivery order, so they are the tuner's own state.
 	meanSums   map[string][]float64
 	meanCounts map[string]int
 	meanOrder  []string
@@ -112,7 +116,6 @@ func New(opts Options) (*Tuner, error) {
 		opts:       opts,
 		kcat:       kcat,
 		mcat:       mcat,
-		store:      tuner.NewStore(),
 		rng:        rng,
 		rngSrc:     rngSrc,
 		knobNames:  kcat.TunableNames(),
@@ -130,17 +133,26 @@ func New(opts Options) (*Tuner, error) {
 // Name implements tuner.Tuner.
 func (t *Tuner) Name() string { return "ottertune-bo" }
 
-// Store exposes the underlying sample store (shared with the central
-// data repository in deployments).
-func (t *Tuner) Store() *tuner.Store { return t.store }
+// BindStore points the tuner at the central repository's sample store,
+// which it trains from. repository.Subscribe calls it.
+func (t *Tuner) BindStore(s *tuner.Store) {
+	t.mu.Lock()
+	t.store = s
+	t.mu.Unlock()
+}
 
-// Observe implements tuner.Tuner.
+// Observe implements tuner.Tuner. It is the repository's delivery hook:
+// the sample itself already sits in the bound store, so Observe only
+// folds its metrics into the workload's running mean.
 func (t *Tuner) Observe(s tuner.Sample) error {
 	if s.Engine != t.opts.Engine {
 		return fmt.Errorf("bo: sample for engine %q on a %q tuner", s.Engine, t.opts.Engine)
 	}
-	t.store.Add(s)
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.store == nil {
+		return fmt.Errorf("bo: sample delivered to a tuner no repository has bound")
+	}
 	sum, ok := t.meanSums[s.WorkloadID]
 	if !ok {
 		sum = make([]float64, t.mcat.Len())
@@ -152,13 +164,34 @@ func (t *Tuner) Observe(s tuner.Sample) error {
 		sum[i] += v[i]
 	}
 	t.meanCounts[s.WorkloadID]++
-	t.mu.Unlock()
-	t.trainingSamples.Set(float64(t.store.Len()))
+	t.setTrainingSamplesLocked()
 	return nil
 }
 
-// SampleCount returns the total training samples.
-func (t *Tuner) SampleCount() int { return t.store.Len() }
+// setTrainingSamplesLocked publishes the number of samples delivered.
+func (t *Tuner) setTrainingSamplesLocked() {
+	var n int
+	for _, c := range t.meanCounts {
+		n += c
+	}
+	t.trainingSamples.Set(float64(n))
+}
+
+// samplesLocked returns the workload's samples of the tuner's engine
+// from the bound store, in store order.
+func (t *Tuner) samplesLocked(workloadID string) []tuner.Sample {
+	if t.store == nil {
+		return nil
+	}
+	all := t.store.Samples(workloadID)
+	own := all[:0]
+	for _, s := range all {
+		if s.Engine == t.opts.Engine {
+			own = append(own, s)
+		}
+	}
+	return own
+}
 
 // featureVector converts a sample's metrics into the catalogue-ordered
 // numeric vector.
@@ -245,15 +278,13 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	target := t.store.Samples(req.WorkloadID)
-	var training []tuner.Sample
-	training = append(training, target...)
+	training := t.samplesLocked(req.WorkloadID)
 	mappedID := req.WorkloadID
 	if !t.opts.DisableMapping {
 		id, _, ok := t.mapWorkloadLocked(req.Metrics)
 		if ok && id != req.WorkloadID {
 			mappedID = id
-			training = append(training, t.store.Samples(id)...)
+			training = append(training, t.samplesLocked(id)...)
 		}
 	}
 	if len(training) < 4 {
@@ -439,7 +470,7 @@ func (t *Tuner) BgWriterBaseline(sample metrics.Snapshot) (ckptPerSec, diskLaten
 		return 0, 0, false
 	}
 	var best *tuner.Sample
-	samples := t.store.Samples(mapped)
+	samples := t.samplesLocked(mapped)
 	for i := range samples {
 		s := &samples[i]
 		if s.Window <= 0 {

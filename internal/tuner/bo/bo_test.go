@@ -8,6 +8,7 @@ import (
 
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/metrics"
+	"autodbaas/internal/repository"
 	"autodbaas/internal/simdb"
 	"autodbaas/internal/tuner"
 	"autodbaas/internal/workload"
@@ -50,6 +51,20 @@ func runConfig(t *testing.T, gen workload.Generator, cfg knobs.Config, seed int6
 	}
 }
 
+// newBound builds a tuner subscribed to a fresh central repository, the
+// path every training sample takes to a BO tuner. Upload through the
+// repository and Flush it before the tuner reads.
+func newBound(t *testing.T, opts Options) (*Tuner, *repository.Repository) {
+	t.Helper()
+	tn, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo := repository.New()
+	repo.Subscribe(tn)
+	return tn, repo
+}
+
 // randomConfig draws a random tunable config.
 func randomConfig(rng *rand.Rand, kcat *knobs.Catalog) knobs.Config {
 	names := kcat.TunableNames()
@@ -74,9 +89,22 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestObserveRejectsWrongEngine(t *testing.T) {
-	tn, _ := New(DefaultOptions(knobs.Postgres))
+	tn, _ := newBound(t, DefaultOptions(knobs.Postgres))
 	if err := tn.Observe(tuner.Sample{Engine: knobs.MySQL}); err == nil {
 		t.Fatal("mysql sample accepted by postgres tuner")
+	}
+}
+
+// TestObserveNeedsABoundStore: a tuner trains from the store of the
+// repository that subscribed it, so a sample delivered before any
+// repository bound it has nowhere to be read from.
+func TestObserveNeedsABoundStore(t *testing.T) {
+	tn, _ := New(DefaultOptions(knobs.Postgres))
+	if err := tn.Observe(tuner.Sample{WorkloadID: "w", Engine: knobs.Postgres}); err == nil {
+		t.Fatal("unbound tuner accepted a sample")
+	}
+	if _, _, ok := tn.MapWorkload(metrics.Snapshot{}); ok {
+		t.Fatal("rejected sample reached the workload means")
 	}
 }
 
@@ -89,15 +117,16 @@ func TestRecommendBeforeTraining(t *testing.T) {
 }
 
 func TestWorkloadMappingSeparatesWorkloads(t *testing.T) {
-	tn, _ := New(DefaultOptions(knobs.Postgres))
+	tn, repo := newBound(t, DefaultOptions(knobs.Postgres))
 	tpcc := workload.NewTPCC(26*workload.GiB, 3300)
 	tpch := workload.NewTPCH(24*workload.GiB, 2)
 	rng := rand.New(rand.NewSource(1))
 	kcat := knobs.PostgresCatalog()
 	for i := 0; i < 6; i++ {
-		tn.Observe(runConfig(t, tpcc, randomConfig(rng, kcat), int64(i)))
-		tn.Observe(runConfig(t, tpch, randomConfig(rng, kcat), int64(100+i)))
+		repo.Observe(runConfig(t, tpcc, randomConfig(rng, kcat), int64(i)))
+		repo.Observe(runConfig(t, tpch, randomConfig(rng, kcat), int64(100+i)))
 	}
+	repo.Flush()
 	probe := runConfig(t, tpcc, nil, 999)
 	id, _, ok := tn.MapWorkload(probe.Metrics)
 	if !ok || id != "tpcc" {
@@ -142,18 +171,16 @@ func TestRecommendImprovesThroughput(t *testing.T) {
 	// TopKnobs=0: search the full tunable space — with a knob ranking
 	// that misses a load-bearing knob, the recommendation would freeze
 	// it at its (bad) current value.
-	tn, err := New(Options{Engine: knobs.Postgres, MaxSamplesPerFit: 200, Candidates: 800, UCBBeta: 0.5, TopKnobs: 0, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tn, repo := newBound(t, Options{Engine: knobs.Postgres, MaxSamplesPerFit: 200, Candidates: 800, UCBBeta: 0.5, TopKnobs: 0, Seed: 3})
 	// TPCH is capacity-bound: throughput responds to work_mem (spills),
 	// parallel workers and prefetch depth — the knobs under search.
 	gen := workload.NewTPCH(24*workload.GiB, 2)
 	rng := rand.New(rand.NewSource(3))
 	kcat := knobs.PostgresCatalog()
 	for i := 0; i < 30; i++ {
-		tn.Observe(runConfig(t, gen, randomConfig(rng, kcat), int64(i)))
+		repo.Observe(runConfig(t, gen, randomConfig(rng, kcat), int64(i)))
 	}
+	repo.Flush()
 	probe := runConfig(t, gen, nil, 777)
 	rec, err := tn.Recommend(tuner.Request{
 		InstanceID:  "db-1",
@@ -176,13 +203,14 @@ func TestRecommendImprovesThroughput(t *testing.T) {
 }
 
 func TestRecommendRespectsMemoryBudget(t *testing.T) {
-	tn, _ := New(Options{Engine: knobs.Postgres, Seed: 4, Candidates: 100})
+	tn, repo := newBound(t, Options{Engine: knobs.Postgres, Seed: 4, Candidates: 100})
 	kcat := knobs.PostgresCatalog()
 	rng := rand.New(rand.NewSource(4))
 	gen := workload.NewTPCC(10*workload.GiB, 2000)
 	for i := 0; i < 8; i++ {
-		tn.Observe(runConfig(t, gen, randomConfig(rng, kcat), int64(i)))
+		repo.Observe(runConfig(t, gen, randomConfig(rng, kcat), int64(i)))
 	}
+	repo.Flush()
 	mem := 2.0 * workload.GiB
 	rec, err := tn.Recommend(tuner.Request{
 		Engine: knobs.Postgres, WorkloadID: gen.Name(),
@@ -197,13 +225,14 @@ func TestRecommendRespectsMemoryBudget(t *testing.T) {
 }
 
 func TestThrottleClassNarrowsSearch(t *testing.T) {
-	tn, _ := New(Options{Engine: knobs.Postgres, Seed: 5, Candidates: 100})
+	tn, repo := newBound(t, Options{Engine: knobs.Postgres, Seed: 5, Candidates: 100})
 	kcat := knobs.PostgresCatalog()
 	rng := rand.New(rand.NewSource(5))
 	gen := workload.NewTPCC(10*workload.GiB, 2000)
 	for i := 0; i < 8; i++ {
-		tn.Observe(runConfig(t, gen, randomConfig(rng, kcat), int64(i)))
+		repo.Observe(runConfig(t, gen, randomConfig(rng, kcat), int64(i)))
 	}
+	repo.Flush()
 	cls := knobs.BgWriter
 	cur := kcat.DefaultConfig()
 	rec, err := tn.Recommend(tuner.Request{
@@ -231,7 +260,7 @@ func TestThrottleClassNarrowsSearch(t *testing.T) {
 }
 
 func TestBgWriterBaselineFromMappedWorkload(t *testing.T) {
-	tn, _ := New(DefaultOptions(knobs.Postgres))
+	tn, repo := newBound(t, DefaultOptions(knobs.Postgres))
 	// Cold tuner: no baseline available yet.
 	if _, _, ok := tn.BgWriterBaseline(metrics.Snapshot{}); ok {
 		t.Fatal("cold tuner produced a baseline")
@@ -242,10 +271,11 @@ func TestBgWriterBaselineFromMappedWorkload(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		s := runConfig(t, gen, randomConfig(rng, kcat), int64(i))
 		s.Window = 3 * time.Minute
-		if err := tn.Observe(s); err != nil {
+		if err := repo.Observe(s); err != nil {
 			t.Fatal(err)
 		}
 	}
+	repo.Flush()
 	probe := runConfig(t, gen, nil, 99)
 	rate, lat, ok := tn.BgWriterBaseline(probe.Metrics)
 	if !ok {

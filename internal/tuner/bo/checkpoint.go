@@ -1,20 +1,17 @@
 package bo
 
-import (
-	"autodbaas/internal/prng"
-	"autodbaas/internal/tuner"
-)
+import "autodbaas/internal/prng"
 
-// State is the BO tuner's serializable mutable state: the sample store,
-// the incrementally maintained per-workload metric means and the
-// acquisition RNG position. No fitted model is kept between
-// recommendations, so none is saved; fields that older snapshots carry
-// for one (fit_key, fit_ymax, fit_model, fit_training) are ignored on
-// decode. Options and catalogs are construction parameters; the rebuilt
-// tuner must have been created with identical Options.
+// State is the BO tuner's serializable mutable state: the incrementally
+// maintained per-workload metric means and the acquisition RNG
+// position. The samples are the central repository's, saved with its
+// store, and no fitted model is kept between recommendations, so
+// neither is here; fields that older snapshots carry for them (store,
+// fit_key, fit_ymax, fit_model, fit_training) are ignored on decode.
+// Options and catalogs are construction parameters; the rebuilt tuner
+// must have been created with identical Options.
 type State struct {
 	RNG        prng.State           `json:"rng"`
-	Store      tuner.StoreState     `json:"store"`
 	MeanSums   map[string][]float64 `json:"mean_sums,omitempty"`
 	MeanCounts map[string]int       `json:"mean_counts,omitempty"`
 	MeanOrder  []string             `json:"mean_order,omitempty"`
@@ -26,7 +23,6 @@ func (t *Tuner) CheckpointState() State {
 	defer t.mu.Unlock()
 	st := State{
 		RNG:        t.rngSrc.State(),
-		Store:      t.store.CheckpointState(),
 		MeanSums:   make(map[string][]float64, len(t.meanSums)),
 		MeanCounts: make(map[string]int, len(t.meanCounts)),
 		MeanOrder:  append([]string(nil), t.meanOrder...),
@@ -46,7 +42,6 @@ func (t *Tuner) CheckpointState() State {
 func (t *Tuner) RestoreCheckpointState(st State) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.store.RestoreCheckpointState(st.Store)
 	t.rngSrc.Restore(st.RNG)
 	t.meanSums = make(map[string][]float64, len(st.MeanSums))
 	for id, sum := range st.MeanSums {
@@ -57,6 +52,6 @@ func (t *Tuner) RestoreCheckpointState(st State) error {
 		t.meanCounts[id] = n
 	}
 	t.meanOrder = append([]string(nil), st.MeanOrder...)
-	t.trainingSamples.Set(float64(t.store.Len()))
+	t.setTrainingSamplesLocked()
 	return nil
 }

@@ -1,9 +1,13 @@
 package bo
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,7 +16,8 @@ import (
 	"autodbaas/internal/tuner"
 )
 
-// synthSample builds a deterministic training sample for workload wid.
+// synthSample builds a deterministic PostgreSQL training sample for
+// workload wid.
 func synthSample(kcat *knobs.Catalog, mcat *metrics.Catalog, rng *rand.Rand, wid string, i int) tuner.Sample {
 	cfg := kcat.DefaultConfig()
 	for _, n := range kcat.TunableNames() {
@@ -35,26 +40,25 @@ func synthSample(kcat *knobs.Catalog, mcat *metrics.Catalog, rng *rand.Rand, wid
 	}
 }
 
-// TestRestoreIgnoresFitCacheFields: snapshots written while the tuner
-// still kept its last GP fit between recommendations carry fit_key,
-// fit_ymax, fit_model and fit_training. Such a snapshot must still
-// restore, and the restored tuner must recommend exactly what one
-// restored from the same state without those fields recommends.
+// TestRestoreIgnoresFitCacheFields: older snapshots carry fields the
+// tuner no longer keeps: its last GP fit (fit_key, fit_ymax, fit_model,
+// fit_training) and its private copy of the samples (store), which now
+// come from the repository's store. Such snapshots must still restore,
+// and the restored tuner must recommend exactly what one restored from
+// the same state without those fields recommends.
 func TestRestoreIgnoresFitCacheFields(t *testing.T) {
 	opts := Options{Engine: knobs.Postgres, Candidates: 40, MaxSamplesPerFit: 30, UCBBeta: 0.5, TopKnobs: 6, Seed: 7}
-	src, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src, repo := newBound(t, opts)
 	rng := rand.New(rand.NewSource(13))
 	var samples []tuner.Sample
 	for i := 0; i < 20; i++ {
 		s := synthSample(src.kcat, src.mcat, rng, "wl-a", i)
-		if err := src.Observe(s); err != nil {
+		if err := repo.Observe(s); err != nil {
 			t.Fatal(err)
 		}
 		samples = append(samples, s)
 	}
+	repo.Flush()
 	last := samples[len(samples)-1]
 	cls := knobs.Memory
 	req := tuner.Request{WorkloadID: "wl-a", Metrics: last.Metrics, Current: last.Config, ThrottleClass: &cls}
@@ -62,21 +66,39 @@ func TestRestoreIgnoresFitCacheFields(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var store bytes.Buffer
+	if err := repo.Save(&store); err != nil {
+		t.Fatal(err)
+	}
 	plain, err := json.Marshal(src.CheckpointState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(plain, &doc); err != nil {
-		t.Fatal(err)
+	if bytes.Contains(plain, []byte(`"store"`)) {
+		t.Fatalf("tuner state still carries the samples: %s", plain)
 	}
-	doc["fit_key"] = "wl-a\x00wl-a\x00" + "shared_buffers,work_mem"
-	doc["fit_ymax"] = 2500.0
-	doc["fit_model"] = []byte("GPR2\x00\x00\x00\x02 older binary model")
-	doc["fit_training"] = samples[:8]
-	legacy, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
+	legacy := func(fields map[string]any) []byte {
+		var doc map[string]any
+		if err := json.Unmarshal(plain, &doc); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range fields {
+			doc[k] = v
+		}
+		blob, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	fitCache := map[string]any{
+		"fit_key":      "wl-a\x00wl-a\x00" + "shared_buffers,work_mem",
+		"fit_ymax":     2500.0,
+		"fit_model":    []byte("GPR2\x00\x00\x00\x02 older binary model"),
+		"fit_training": samples[:8],
+	}
+	privateStore := map[string]any{
+		"store": map[string]any{"order": []string{"wl-a"}, "samples": map[string][]tuner.Sample{"wl-a": samples}},
 	}
 
 	restore := func(blob []byte) tuner.Recommendation {
@@ -85,8 +107,8 @@ func TestRestoreIgnoresFitCacheFields(t *testing.T) {
 		if err := json.Unmarshal(blob, &st); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		tn, err := New(opts)
-		if err != nil {
+		tn, repo := newBound(t, opts)
+		if _, err := repo.LoadQuiet(bytes.NewReader(store.Bytes())); err != nil {
 			t.Fatal(err)
 		}
 		if err := tn.RestoreCheckpointState(st); err != nil {
@@ -99,8 +121,87 @@ func TestRestoreIgnoresFitCacheFields(t *testing.T) {
 		rec.Cost = 0 // wall-clock
 		return rec
 	}
-	want, got := restore(plain), restore(legacy)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("snapshot with fit-cache fields recommends differently:\n  with:    %+v\n  without: %+v", got, want)
+	want := restore(plain)
+	for name, blob := range map[string][]byte{
+		"fit cache":     legacy(fitCache),
+		"private store": legacy(privateStore),
+	} {
+		if got := restore(blob); !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshot with %s fields recommends differently:\n  with:    %+v\n  without: %+v", name, got, want)
+		}
+	}
+}
+
+// TestTrainsOnlyOnOwnEngine: the repository stores every engine's
+// samples, so a PostgreSQL tuner bound to it must train on, and map
+// workloads over, its own engine's samples only — even when MySQL
+// samples share the requested workload ID.
+func TestTrainsOnlyOnOwnEngine(t *testing.T) {
+	tn, repo := newBound(t, Options{Engine: knobs.Postgres, Candidates: 40, MaxSamplesPerFit: 100, UCBBeta: 0.5, Seed: 9})
+	mykcat, mymcat := knobs.MySQLCatalog(), metrics.MySQLCatalog()
+	rng := rand.New(rand.NewSource(17))
+	mysql := func(wid string, i int) tuner.Sample {
+		s := synthSample(mykcat, mymcat, rng, wid, i)
+		s.Engine = knobs.MySQL
+		return s
+	}
+	var last tuner.Sample
+	for i := 0; i < 12; i++ {
+		if i%2 == 0 {
+			last = synthSample(tn.kcat, tn.mcat, rng, "shared", i)
+			repo.Observe(last)
+		}
+		repo.Observe(mysql("shared", i))
+		repo.Observe(mysql("mysql-only", i))
+	}
+	repo.Flush()
+	rec, err := tn.Recommend(tuner.Request{Engine: knobs.Postgres, WorkloadID: "shared", Metrics: last.Metrics, Current: last.Config})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.TrainedOn != 6 {
+		t.Fatalf("trained on %d samples, want the 6 PostgreSQL ones (source %q)", rec.TrainedOn, rec.Source)
+	}
+	if !strings.HasPrefix(rec.Source, "gpr:mapped=shared:n=6:") {
+		t.Fatalf("source %q, want mapped=shared over 6 samples", rec.Source)
+	}
+}
+
+// TestReadsRaceUploads: the tuner reads the repository's store while
+// uploads append to it and the fan-out goroutine delivers to the tuner.
+// Run under -race; every upload must still reach the running means once.
+func TestReadsRaceUploads(t *testing.T) {
+	tn, repo := newBound(t, Options{Engine: knobs.Postgres, Candidates: 20, MaxSamplesPerFit: 20, UCBBeta: 0.5, Seed: 11})
+	rng := rand.New(rand.NewSource(19))
+	var samples []tuner.Sample
+	for i := 0; i < 60; i++ {
+		samples = append(samples, synthSample(tn.kcat, tn.mcat, rng, fmt.Sprintf("wl-%d", i%3), i))
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, s := range samples {
+			if err := repo.Observe(s); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for i := 0; i < 30; i++ {
+		s := samples[i]
+		_, _ = tn.Recommend(tuner.Request{WorkloadID: s.WorkloadID, Metrics: s.Metrics, Current: s.Config})
+		tn.BgWriterBaseline(s.Metrics)
+	}
+	wg.Wait()
+	repo.Flush()
+	tn.mu.Lock()
+	defer tn.mu.Unlock()
+	for wid, n := range tn.meanCounts {
+		if n != 20 {
+			t.Errorf("workload %s: %d samples in its mean, want 20", wid, n)
+		}
+	}
+	if len(tn.meanCounts) != 3 {
+		t.Errorf("means for %d workloads, want 3", len(tn.meanCounts))
 	}
 }

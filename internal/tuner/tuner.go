@@ -94,6 +94,19 @@ type Tuner interface {
 	Recommend(Request) (Recommendation, error)
 }
 
+// Unwrap strips decorators (fault injection, timing) that expose the
+// tuner they wrap through an Unwrap method, until the concrete tuner
+// surfaces.
+func Unwrap(t Tuner) Tuner {
+	for {
+		u, ok := t.(interface{ Unwrap() Tuner })
+		if !ok {
+			return t
+		}
+		t = u.Unwrap()
+	}
+}
+
 // ErrNotTrained is returned by Recommend before any usable training.
 var ErrNotTrained = errors.New("tuner: not trained yet")
 
@@ -157,36 +170,4 @@ func (s *Store) Len() int {
 		n += len(v)
 	}
 	return n
-}
-
-// StoreState is the serializable contents of a Store. Order preserves the
-// first-seen workload sequence, which Workloads and All expose.
-type StoreState struct {
-	Order   []string            `json:"order,omitempty"`
-	Samples map[string][]Sample `json:"samples,omitempty"`
-}
-
-// CheckpointState deep-copies the store contents.
-func (s *Store) CheckpointState() StoreState {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st := StoreState{
-		Order:   append([]string(nil), s.order...),
-		Samples: make(map[string][]Sample, len(s.samples)),
-	}
-	for id, v := range s.samples {
-		st.Samples[id] = append([]Sample(nil), v...)
-	}
-	return st
-}
-
-// RestoreCheckpointState overwrites the store contents.
-func (s *Store) RestoreCheckpointState(st StoreState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.order = append([]string(nil), st.Order...)
-	s.samples = make(map[string][]Sample, len(st.Samples))
-	for id, v := range st.Samples {
-		s.samples[id] = append([]Sample(nil), v...)
-	}
 }
