@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -554,5 +555,68 @@ func TestSnapshotDeterminismAcrossGOMAXPROCS(t *testing.T) {
 				t.Errorf("snapshot %d restored at GOMAXPROCS=%d re-encodes to different bytes", i, procs)
 			}
 		}
+	}
+}
+
+// TestRestoreLegacyStoreSection: a snapshot whose repository store is
+// JSON lines, as Save wrote it before the binary codec, restores the
+// same store as the binary section, re-encodes to the binary snapshot's
+// bytes, and resumes to the uninterrupted run's fingerprint.
+func TestRestoreLegacyStoreSection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds fleets")
+	}
+	const cut, more = 8, 6
+	build := func() *System { return buildCkptFleetOf(t, 2, faults.New(99, faults.Medium()), 6) }
+	live := build()
+	stepN(live, cut)
+	var snap bytes.Buffer
+	if err := live.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	var lines bytes.Buffer
+	enc := json.NewEncoder(&lines)
+	for _, s := range live.Repository.Store().All() {
+		if err := enc.Encode(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lines.Len() == 0 {
+		t.Fatal("the fleet stored no samples")
+	}
+	legacySnap := restage(t, snap.Bytes(), func(name string, p []byte) ([]byte, bool) {
+		if name == "repository/store" {
+			return lines.Bytes(), true
+		}
+		return p, true
+	})
+
+	binary, legacy := build(), build()
+	if err := binary.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatalf("binary restore: %v", err)
+	}
+	if err := legacy.Restore(bytes.NewReader(legacySnap)); err != nil {
+		t.Fatalf("legacy restore: %v", err)
+	}
+	if !reflect.DeepEqual(binary.Repository.Store(), legacy.Repository.Store()) {
+		t.Fatal("the legacy store section restores a different store than the binary one")
+	}
+	var again bytes.Buffer
+	if err := legacy.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+		t.Error("a legacy-restored fleet re-encodes to different bytes than the binary snapshot")
+	}
+
+	stepN(live, more)
+	stepN(binary, more)
+	stepN(legacy, more)
+	want := fingerprintSystem(live)
+	if got := fingerprintSystem(binary); !reflect.DeepEqual(want, got) {
+		t.Error("binary-restored fleet diverged from the uninterrupted run")
+	}
+	if got := fingerprintSystem(legacy); !reflect.DeepEqual(want, got) {
+		t.Error("legacy-restored fleet diverged from the uninterrupted run")
 	}
 }

@@ -7,7 +7,10 @@
 // unix domain sockets, matching the on-VM transport the paper describes.
 // The repository's store is the one copy of the sample history: a
 // subscribed tuner that trains on samples (bo.Tuner) reads them from
-// it, and keeps only what it derives from their delivery.
+// it, and keeps only what it derives from their delivery. Save and
+// LoadQuiet carry it through snapshots in a binary, catalogue-ordered
+// codec (codec.go) that names each knob and metric once per engine;
+// LoadQuiet still reads the JSON lines older snapshots hold.
 //
 // Tuner fan-out is asynchronous: Observe stores the sample and enqueues
 // it on a bounded queue drained by a single background worker that
@@ -25,8 +28,7 @@
 package repository
 
 import (
-	"bufio"
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -435,38 +437,54 @@ func (r *Repository) Store() *tuner.Store { return r.store }
 // Len returns the number of stored samples.
 func (r *Repository) Len() int { return r.store.Len() }
 
-// Save writes every stored sample as JSON lines, the repository's
-// durable form — the central data repository survives tuner-instance
-// restarts so "tuning services running on different IaaS'es fetch the
-// new workloads" from one durable store.
+// Save writes every stored sample in the binary store codec (codec.go),
+// the repository's durable form — the central data repository survives
+// tuner-instance restarts so "tuning services running on different
+// IaaS'es fetch the new workloads" from one durable store. Any float
+// value, NaN and ±Inf included, round-trips bit for bit.
 func (r *Repository) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, s := range r.store.All() {
-		if err := enc.Encode(s); err != nil {
-			return fmt.Errorf("repository: save: %w", err)
-		}
+	if _, err := w.Write(encodeStore(r.store.All())); err != nil {
+		return fmt.Errorf("repository: save: %w", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
-// LoadQuiet reads JSON-line samples into the store WITHOUT fanning them
-// out to subscribers and without consuming fan-out sequence numbers.
-// This is the checkpoint-restore ingestion path: subscriber (tuner)
-// state is restored from its own snapshot section, so re-delivering the
-// stored samples would feed every tuner each sample a second time.
+// LoadQuiet reads a store section into the store WITHOUT fanning the
+// samples out to subscribers and without consuming fan-out sequence
+// numbers. This is the checkpoint-restore ingestion path: subscriber
+// (tuner) state is restored from its own snapshot section, so
+// re-delivering the stored samples would feed every tuner each sample a
+// second time. It reads Save's binary codec and, for snapshots written
+// before it, JSON lines (one tuner.Sample per line), told apart by the
+// binary codec's magic. The whole section decodes before the first
+// sample is stored, so on error the store is unchanged.
 func (r *Repository) LoadQuiet(rd io.Reader) (int, error) {
-	dec := json.NewDecoder(bufio.NewReader(rd))
-	n := 0
-	for {
-		var s tuner.Sample
-		if err := dec.Decode(&s); err == io.EOF {
-			break
-		} else if err != nil {
-			return n, fmt.Errorf("repository: load: %w", err)
-		}
-		r.store.Add(s)
-		n++
+	data, err := readSection(rd)
+	if err != nil {
+		return 0, fmt.Errorf("repository: load: %w", err)
 	}
-	return n, nil
+	var samples []tuner.Sample
+	if bytes.HasPrefix(data, []byte(storeMagic)) {
+		samples, err = decodeStore(data)
+	} else {
+		samples, err = decodeLegacy(data)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("repository: load: %w", err)
+	}
+	for _, s := range samples {
+		r.store.Add(s)
+	}
+	return len(samples), nil
+}
+
+// readSection reads all of rd, in one allocation when rd knows how many
+// bytes it holds (a bytes.Reader over a snapshot section does).
+func readSection(rd io.Reader) ([]byte, error) {
+	if l, ok := rd.(interface{ Len() int }); ok {
+		data := make([]byte, l.Len())
+		_, err := io.ReadFull(rd, data)
+		return data, err
+	}
+	return io.ReadAll(rd)
 }
