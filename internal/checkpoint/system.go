@@ -301,11 +301,7 @@ func Encode(sys System) (*Container, error) {
 	}
 	add(secRepoStore, storeBuf.Bytes())
 
-	fanout, err := sys.Repository.CheckpointState()
-	if err != nil {
-		return nil, err
-	}
-	if err := addJSON(secRepoFanout, fanout); err != nil {
+	if err := addJSON(secRepoFanout, sys.Repository.CheckpointState()); err != nil {
 		return nil, err
 	}
 	if err := addJSON(secOrchestrator, sys.Orchestrator.CheckpointState()); err != nil {

@@ -75,9 +75,9 @@ func (s *System) Checkpoint(w io.Writer) error {
 }
 
 // Snapshot stages the system's entire mutable state as a checkpoint
-// container. The fan-out queue is drained first, so the snapshot sits
-// on a clean window boundary; call it between Steps, never concurrently
-// with one.
+// container. The repository releases its held samples first, so the
+// snapshot sits on a clean window boundary; call it between Steps,
+// never concurrently with one.
 func (s *System) Snapshot() (*checkpoint.Container, error) {
 	s.Repository.Flush()
 	return checkpoint.Encode(s.codecView())
@@ -118,8 +118,8 @@ func (s *System) RestoreSections(man checkpoint.Manifest, sections map[string][]
 // tuning agent with its embedded TDE, every node engine (virtual clock
 // and PRNG positions included) and the monitor series — in the snapshot
 // container's "instance/<id>" section format, plus the member's
-// topology pin. The repository fan-out is drained first, so every
-// sample the instance uploaded has reached the tuners and its training
+// topology pin. The repository releases its held samples first, so
+// every sample the instance uploaded has reached the tuners and its training
 // history stays behind with this system. This is the shard runtime's
 // migration export: rebalancing an instance between shards is exactly
 // checkpoint-out here, restore-in via ImportInstanceSection there.

@@ -233,8 +233,8 @@ func (s *System) AddInstance(spec InstanceSpec) (*agent.Agent, error) {
 }
 
 // RemoveInstance deprovisions an instance mid-run: the repository
-// fan-out is drained so every sample the instance uploaded has reached
-// the tuners (its training history outlives it — the fleet-wide warm
+// releases its held samples so every sample the instance uploaded has
+// reached the tuners (its training history outlives it — the fleet-wide warm
 // start the paper's workload mapping relies on), then the agent,
 // monitor, director shard, orchestrator record and fault-site streams
 // are all dropped and the IaaS instance released. The membership
@@ -247,8 +247,8 @@ func (s *System) RemoveInstance(id string) error {
 	if !ok {
 		return fmt.Errorf("core: no agent for %s", id)
 	}
-	// Drain: every queued sample — including ones this instance uploaded
-	// in its final window — is delivered before the member disappears.
+	// Every held sample — including ones this instance uploaded in its
+	// final window — is delivered before the member disappears.
 	s.Repository.Flush()
 	if err := s.Orchestrator.Deprovision(id); err != nil {
 		return err
@@ -467,7 +467,7 @@ func (s *System) snapshotFleet() []stepAgent {
 // phase has no cross-instance state. Then the detection round and the
 // control-plane side effects (director dispatch, repository upload,
 // monitor sampling) are merged strictly in onboarding order, with the
-// repository's async fan-out drained before each dispatch, so throttle
+// repository's held samples released before each dispatch, so throttle
 // counts, monitor series, tuner state and errors are bit-for-bit
 // identical to the sequential schedule at any worker count.
 func (s *System) Step(dur time.Duration) StepResult {
@@ -525,8 +525,8 @@ func (s *System) Step(dur time.Duration) StepResult {
 	for i := range fleet {
 		a := fleet[i].a
 		id := a.Instance().ID
-		// Drain earlier agents' queued samples so this dispatch sees
-		// exactly the tuner state the sequential schedule would.
+		// Release held samples so this dispatch sees exactly the tuner
+		// state the sequential schedule would.
 		s.Repository.Flush()
 		dispatchErr := a.Dispatch(&outs[i])
 		out := outs[i]

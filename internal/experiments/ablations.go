@@ -123,7 +123,6 @@ func AblationWorkloadMapping(seed int64) AblationMappingResult {
 		repo := subscribe(t)
 		bootstrapOffline(repo, seed, 24, donor)
 		bootstrapOffline(repo, seed+1, 4, target)
-		repo.Flush()
 		return t
 	}
 	probe := offlineSample(knobs.Postgres, target, knobs.Config{}, seed+99)

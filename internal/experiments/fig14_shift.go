@@ -153,7 +153,6 @@ func fig14Run(sc ShiftScenario, ticksPerPhase int, seed int64) Fig14ScenarioResu
 	}
 	repo := subscribe(bt)
 	bootstrapOffline(repo, seed, 12, fig14Generator(sc.From), fig14Generator(sc.To))
-	repo.Flush()
 
 	window := time.Duration(sc.WindowMinutes) * time.Minute
 	runPhase := func(gen workload.Generator, ticks int) (int, map[knobs.Class]int) {

@@ -51,7 +51,6 @@ func Fig15Accuracy(samplesPerWorkload, ticks, agree int, seed int64) Fig15Result
 	}
 	repo := subscribe(bt)
 	bootstrapOffline(repo, seed, samplesPerWorkload, gens...)
-	repo.Flush()
 
 	res := Fig15Result{
 		Accuracy:  map[knobs.Class]float64{},

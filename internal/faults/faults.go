@@ -1,12 +1,12 @@
 // Package faults is a deterministic, seeded fault-injection subsystem
 // for chaos-testing the AutoDBaaS control plane. It wraps the existing
 // seams — simdb config application and restarts, per-node disk latency
-// and crash/recover, the repository's async sample fan-out, tuner
+// and crash/recover, the repository's sample fan-out, tuner
 // recommendations and external monitoring — with injectable failures
 // drawn from per-site PRNG streams.
 //
 // Determinism is the design center: every fault site (one node's apply
-// path, one tuner, the fan-out queue, ...) owns its own PRNG stream
+// path, one tuner, the repository fan-out, ...) owns its own PRNG stream
 // seeded from (injector seed, site name). A site's k-th draw therefore
 // depends only on how often that site was consulted, never on goroutine
 // interleaving, so a chaos run is bit-for-bit reproducible from
@@ -330,9 +330,9 @@ func (in *Injector) DropMonitorSample(instanceID string) bool {
 }
 
 // SampleFault implements repository.FaultSource: the fate of one
-// enqueued training sample in the async fan-out. Drawn once per upload
-// (the merge phase enqueues in onboarding order, so the sequence of
-// draws is parallelism-independent).
+// uploaded training sample in the repository's fan-out. Drawn once per
+// upload (the merge phase uploads in onboarding order, so the sequence
+// of draws is parallelism-independent).
 func (in *Injector) SampleFault() (dropFirst, dup bool, delay int) {
 	if in == nil {
 		return false, false, 0

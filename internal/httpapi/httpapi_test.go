@@ -63,7 +63,6 @@ func TestRepositoryServerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo.Flush() // fan-out is async: drain before asserting delivery
 	if obs, _ := ft.counts(); repo.Len() != 1 || obs != 1 {
 		t.Fatalf("repo=%d fanout=%d", repo.Len(), obs)
 	}

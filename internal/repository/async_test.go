@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/tuner"
@@ -32,41 +33,62 @@ func (r *recordingTuner) snapshot() []string {
 	return append([]string(nil), r.ids...)
 }
 
-// TestAsyncFanOutPreservesEnqueueOrder: the single drain worker must
-// deliver samples to each tuner in exactly the order they were
-// observed, across batch boundaries (the batch size is 64; 200 samples
-// span several batches).
-func TestAsyncFanOutPreservesEnqueueOrder(t *testing.T) {
+// TestObserveDeliversBeforeReturning: with no fault source, each
+// subscriber holds the sample, and Stats counts it, as soon as Observe
+// returns; no Flush is needed, and a later Flush changes nothing.
+func TestObserveDeliversBeforeReturning(t *testing.T) {
 	r := New()
 	rec := &recordingTuner{}
 	r.Subscribe(rec)
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := r.Observe(tuner.Sample{WorkloadID: fmt.Sprintf("w-%03d", i), Engine: knobs.Postgres}); err != nil {
+		id := fmt.Sprintf("w-%03d", i)
+		if err := r.Observe(tuner.Sample{WorkloadID: id, Engine: knobs.Postgres}); err != nil {
 			t.Fatal(err)
+		}
+		got := rec.snapshot()
+		if len(got) != i+1 || got[i] != id {
+			t.Fatalf("after Observe(%s) the subscriber holds %d samples ending %v", id, len(got), got[len(got)-1:])
+		}
+		if st := r.Stats(); st.Enqueued != int64(i+1) || st.Delivered != int64(i+1) || st.Pending != 0 {
+			t.Fatalf("after Observe(%s) stats = %+v", id, st)
 		}
 	}
 	r.Flush()
-	got := rec.snapshot()
-	if len(got) != n {
-		t.Fatalf("delivered %d samples, want %d", len(got), n)
+	if got := len(rec.snapshot()); got != n {
+		t.Fatalf("Flush redelivered: %d samples, want %d", got, n)
 	}
-	for i, id := range got {
-		if want := fmt.Sprintf("w-%03d", i); id != want {
-			t.Fatalf("position %d delivered %s, want %s", i, id, want)
-		}
-	}
-	if r.Pending() != 0 {
-		t.Fatalf("pending = %d after Flush", r.Pending())
+	if st := r.Stats(); st.Delivered != n || st.Pending != 0 {
+		t.Fatalf("Flush changed stats: %+v", st)
 	}
 }
 
-// TestAsyncFanOutConcurrentProducers: uploads from many goroutines
-// (the fleet's agents) must all be stored and delivered after Flush.
-func TestAsyncFanOutConcurrentProducers(t *testing.T) {
+// seqTuner records the sequence number of each sample delivered to it.
+// Delivery runs under the repository's lock, and with no fault source
+// the sample being delivered is always the newest upload.
+type seqTuner struct {
+	r    *Repository
+	seqs []int64
+}
+
+func (s *seqTuner) Name() string { return "seq" }
+func (s *seqTuner) Observe(tuner.Sample) error {
+	s.seqs = append(s.seqs, s.r.nextSeq)
+	return nil
+}
+func (s *seqTuner) Recommend(tuner.Request) (tuner.Recommendation, error) {
+	return tuner.Recommendation{}, tuner.ErrNotTrained
+}
+
+// TestConcurrentProducersDeliverEachSeqOnceInOrder: uploads from many
+// goroutines (the fleet's agents) are all stored, and each subscriber
+// receives every sequence number exactly once, in increasing order.
+func TestConcurrentProducersDeliverEachSeqOnceInOrder(t *testing.T) {
 	r := New()
-	rec := &recordingTuner{}
-	r.Subscribe(rec)
+	subs := []*seqTuner{{r: r}, {r: r}}
+	for _, s := range subs {
+		r.Subscribe(s)
+	}
 	const producers, perProducer = 8, 50
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -79,22 +101,83 @@ func TestAsyncFanOutConcurrentProducers(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	r.Flush()
-	if got := len(rec.snapshot()); got != producers*perProducer {
-		t.Fatalf("delivered %d, want %d", got, producers*perProducer)
+	const total = producers * perProducer
+	if r.Len() != total {
+		t.Fatalf("stored %d, want %d", r.Len(), total)
 	}
-	if r.Len() != producers*perProducer {
-		t.Fatalf("stored %d, want %d", r.Len(), producers*perProducer)
+	for i, s := range subs {
+		if len(s.seqs) != total {
+			t.Fatalf("subscriber %d received %d samples, want %d", i, len(s.seqs), total)
+		}
+		for j, seq := range s.seqs {
+			if seq != int64(j+1) {
+				t.Fatalf("subscriber %d delivery %d carried seq %d, want %d", i, j, seq, j+1)
+			}
+		}
+	}
+	if st := r.Stats(); st.Delivered != total || st.Pending != 0 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
-// TestCloseDrainsAndDegradesToSync: Close drains the queue; later
-// Observe calls deliver synchronously so nothing is lost.
-func TestCloseDrainsAndDegradesToSync(t *testing.T) {
+// storeReadingTuner trains from the store it is bound to, as bo.Tuner
+// does: each Observe reads the sample's workload back from the store.
+type storeReadingTuner struct {
+	store *tuner.Store
+	seen  []int
+}
+
+func (s *storeReadingTuner) Name() string                 { return "store-reading" }
+func (s *storeReadingTuner) BindStore(store *tuner.Store) { s.store = store }
+func (s *storeReadingTuner) Observe(sm tuner.Sample) error {
+	s.seen = append(s.seen, len(s.store.Samples(sm.WorkloadID)))
+	return nil
+}
+func (s *storeReadingTuner) Recommend(tuner.Request) (tuner.Recommendation, error) {
+	return tuner.Recommendation{}, tuner.ErrNotTrained
+}
+
+// TestSubscriberReadingItsStoreDoesNotDeadlock: delivery holds the
+// repository's lock, not the store's, so a subscriber that reads its
+// workload's samples through the bound store completes, and sees the
+// sample being delivered already stored.
+func TestSubscriberReadingItsStoreDoesNotDeadlock(t *testing.T) {
 	r := New()
+	sub := &storeReadingTuner{}
+	r.Subscribe(sub)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 3; i++ {
+			_ = r.Observe(tuner.Sample{WorkloadID: "w", Engine: knobs.Postgres})
+		}
+		r.Flush()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Observe did not return: delivery deadlocked on the store")
+	}
+	if fmt.Sprint(sub.seen) != "[1 2 3]" {
+		t.Fatalf("subscriber read %v samples per delivery, want [1 2 3]", sub.seen)
+	}
+}
+
+// TestCloseReleasesHeldSamples: Close releases every sample injected
+// reordering still holds, is idempotent, and Observe keeps delivering
+// afterwards.
+func TestCloseReleasesHeldSamples(t *testing.T) {
+	r := New()
+	r.InjectFaults(&scriptedFaults{fates: []struct {
+		drop, dup bool
+		delay     int
+	}{{delay: 3}}})
 	rec := &recordingTuner{}
 	r.Subscribe(rec)
 	_ = r.Observe(tuner.Sample{WorkloadID: "before", Engine: knobs.Postgres})
+	if got := rec.snapshot(); len(got) != 0 {
+		t.Fatalf("held sample delivered early: %v", got)
+	}
 	r.Close()
 	if got := rec.snapshot(); len(got) != 1 || got[0] != "before" {
 		t.Fatalf("after Close delivered %v", got)
@@ -104,10 +187,14 @@ func TestCloseDrainsAndDegradesToSync(t *testing.T) {
 		t.Fatalf("post-Close observe delivered %v", got)
 	}
 	r.Close() // idempotent
+	if got := len(rec.snapshot()); got != 2 || r.Pending() != 0 {
+		t.Fatalf("second Close: %d delivered, %d pending", got, r.Pending())
+	}
 }
 
 // TestFlushOnEmptyQueueReturnsImmediately guards the fleet scheduler's
-// per-dispatch Flush: on an idle repository it must be a cheap no-op.
+// per-dispatch Flush: on a repository holding nothing it must be a
+// cheap no-op.
 func TestFlushOnEmptyQueueReturnsImmediately(t *testing.T) {
 	r := New()
 	for i := 0; i < 1000; i++ {

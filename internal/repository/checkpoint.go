@@ -37,30 +37,25 @@ type State struct {
 	Reordered   int64             `json:"reordered"`
 }
 
-// CheckpointState captures the fan-out bookkeeping. The queue must be
-// drained (Flush) first: a snapshot with undelivered samples in flight
-// cannot be restored exactly.
-func (r *Repository) CheckpointState() (State, error) {
+// CheckpointState captures the fan-out bookkeeping. Enqueued and
+// Delivered are both the delivered count: delivery is synchronous, so
+// only held samples are ever in flight, and they ride in Delayed.
+func (r *Repository) CheckpointState() State {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.pending) > 0 || r.delivered < r.enqueued {
-		return State{}, fmt.Errorf("repository: checkpoint with %d undelivered samples in the fan-out queue (Flush first)", len(r.pending))
-	}
 	st := State{
 		NextSeq:     r.nextSeq,
-		Enqueued:    r.enqueued,
+		Enqueued:    r.delivered,
 		Delivered:   r.delivered,
-		Redelivered: r.redelivered.Load(),
-		Deduped:     r.deduped.Load(),
-		Reordered:   r.reordered.Load(),
+		Redelivered: r.redelivered,
+		Deduped:     r.deduped,
+		Reordered:   r.reordered,
 	}
 	for _, sub := range r.subscribers {
-		sub.mu.Lock()
 		ss := SubscriberState{Contig: sub.contig}
 		for seq := range sub.sparse {
 			ss.Sparse = append(ss.Sparse, seq)
 		}
-		sub.mu.Unlock()
 		sort.Slice(ss.Sparse, func(i, j int) bool { return ss.Sparse[i] < ss.Sparse[j] })
 		st.Subscribers = append(st.Subscribers, ss)
 	}
@@ -73,24 +68,25 @@ func (r *Repository) CheckpointState() (State, error) {
 			After:     d.after,
 		})
 	}
-	return st, nil
+	return st
 }
 
 // RestoreCheckpointState overwrites the fan-out bookkeeping. The same
 // subscribers must already be registered, in the same order, as when the
-// snapshot was taken (the rebuild re-subscribes the same tuner set).
+// snapshot was taken (the rebuild re-subscribes the same tuner set). A
+// state no CheckpointState could have written is rejected before the
+// first mutation.
 func (r *Repository) RestoreCheckpointState(st State) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.pending) > 0 {
-		return fmt.Errorf("repository: restore with %d samples already in the fan-out queue", len(r.pending))
-	}
 	if len(r.subscribers) != len(st.Subscribers) {
 		return fmt.Errorf("repository: snapshot has %d subscribers, repository has %d", len(st.Subscribers), len(r.subscribers))
 	}
+	if err := st.validate(); err != nil {
+		return fmt.Errorf("repository: %w", err)
+	}
 	for i, ss := range st.Subscribers {
 		sub := r.subscribers[i]
-		sub.mu.Lock()
 		sub.contig = ss.Contig
 		sub.sparse = nil
 		if len(ss.Sparse) > 0 {
@@ -99,10 +95,8 @@ func (r *Repository) RestoreCheckpointState(st State) error {
 				sub.sparse[seq] = true
 			}
 		}
-		sub.mu.Unlock()
 	}
 	r.nextSeq = st.NextSeq
-	r.enqueued = st.Enqueued
 	r.delivered = st.Delivered
 	r.delayed = r.delayed[:0]
 	for _, d := range st.Delayed {
@@ -111,8 +105,38 @@ func (r *Repository) RestoreCheckpointState(st State) error {
 			after: d.After,
 		})
 	}
-	r.redelivered.Store(st.Redelivered)
-	r.deduped.Store(st.Deduped)
-	r.reordered.Store(st.Reordered)
+	r.redelivered = st.Redelivered
+	r.deduped = st.Deduped
+	r.reordered = st.Reordered
+	return nil
+}
+
+// validate reports the first way st differs from every state
+// CheckpointState can write: each uploaded sample is either delivered or
+// held, and every recorded sequence number was issued.
+func (st State) validate() error {
+	if st.Enqueued != st.Delivered {
+		return fmt.Errorf("fan-out enqueued %d != delivered %d", st.Enqueued, st.Delivered)
+	}
+	if st.Delivered < 0 || st.NextSeq < st.Delivered || st.NextSeq-st.Delivered != int64(len(st.Delayed)) {
+		return fmt.Errorf("fan-out delivered %d + %d held != next seq %d", st.Delivered, len(st.Delayed), st.NextSeq)
+	}
+	for i, ss := range st.Subscribers {
+		if ss.Contig < 0 || ss.Contig > st.NextSeq {
+			return fmt.Errorf("subscriber %d watermark %d outside [0, %d]", i, ss.Contig, st.NextSeq)
+		}
+		prev := ss.Contig
+		for _, seq := range ss.Sparse {
+			if seq <= prev || seq > st.NextSeq {
+				return fmt.Errorf("subscriber %d seq %d out of order or outside (%d, %d]", i, seq, ss.Contig, st.NextSeq)
+			}
+			prev = seq
+		}
+	}
+	for _, d := range st.Delayed {
+		if d.Seq <= 0 || d.Seq > st.NextSeq {
+			return fmt.Errorf("held seq %d outside [1, %d]", d.Seq, st.NextSeq)
+		}
+	}
 	return nil
 }
