@@ -8,8 +8,15 @@
 // matrix, so Fit costs O(n³) in the number of training samples — this
 // cubic cost is exactly the "recommendation cost" scalability problem
 // the AutoDBaaS paper attributes to BO-style tuners, and the benchmarks
-// in the repository root measure it directly. The BO tuner fits one
-// model from scratch per recommendation and keeps none between calls.
+// in the repository root measure it directly. The BO tuner still fits
+// from scratch on every recommendation and keeps no model between
+// calls: each tuner owns one Regressor whose kernel-matrix, factor and
+// solve buffers every Fit overwrites, so only the allocation is reused.
+//
+// UCBAbove is the acquisition search's scorer. It skips the O(n²)
+// triangular solve for a candidate whose upper bound at prior variance,
+// mean + β·√(k(q,q)+noise), cannot beat the running best; the bound is
+// exact under floating-point rounding (see UCBAbove).
 package gp
 
 import (
@@ -64,17 +71,21 @@ func (k *SEARD) Eval(a, b []float64) float64 {
 
 // Regressor is a Gaussian-process regression model.
 //
-// A Regressor is not safe for concurrent use: Predict reuses internal
-// scratch buffers so the acquisition search (hundreds of candidate
-// evaluations per recommendation) does not allocate per call.
+// A Regressor is not safe for concurrent use: Fit overwrites buffers it
+// owns and Predict reuses internal scratch, so refits and the
+// acquisition search (hundreds of candidate evaluations per
+// recommendation) do not allocate once the buffers have grown.
 type Regressor struct {
 	Kernel Kernel
 	Noise  float64 // observation noise variance added to the diagonal
 
 	x     [][]float64
 	mean  float64
-	chol  *linalg.Matrix
-	alpha []float64 // K⁻¹(y−mean)
+	chol  *linalg.Matrix // &factor while fitted, nil otherwise
+	alpha []float64      // K⁻¹(y−mean)
+
+	// Fit buffers: the kernel matrix and its Cholesky factor.
+	kmat, factor linalg.Matrix
 
 	// Predict scratch (kernel row and triangular-solve vector).
 	kbuf, vbuf []float64
@@ -90,9 +101,11 @@ func NewRegressor(k Kernel, noise float64) *Regressor {
 }
 
 // Fit trains the model on inputs x and targets y. It replaces any
-// previous fit. x rows are copied by reference; callers must not mutate
-// them afterwards.
+// previous fit; a Fit that fails leaves the model unfitted, because it
+// has already overwritten the previous factor. x rows are copied by
+// reference; callers must not mutate them until the next Fit.
 func (g *Regressor) Fit(x [][]float64, y []float64) error {
+	g.x, g.chol = nil, nil
 	if len(x) == 0 || len(y) == 0 {
 		return ErrNoData
 	}
@@ -101,7 +114,7 @@ func (g *Regressor) Fit(x [][]float64, y []float64) error {
 	}
 	n := len(x)
 	mean := linalg.Mean(y)
-	kmat := linalg.NewMatrix(n, n)
+	kmat := square(&g.kmat, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			v := g.Kernel.Eval(x[i], x[j])
@@ -112,28 +125,43 @@ func (g *Regressor) Fit(x [][]float64, y []float64) error {
 	if err := linalg.AddDiag(kmat, g.Noise); err != nil {
 		return err
 	}
-	chol, err := linalg.Cholesky(kmat)
-	if err != nil {
+	chol := square(&g.factor, n)
+	if err := linalg.CholeskyInto(chol, kmat); err != nil {
 		// Retry with a larger jitter; kernel matrices of near-duplicate
 		// samples (common with repeated DB configs) are near-singular.
 		if err2 := linalg.AddDiag(kmat, 1e-6*float64(n)); err2 != nil {
 			return err2
 		}
-		chol, err = linalg.Cholesky(kmat)
-		if err != nil {
+		if err := linalg.CholeskyInto(chol, kmat); err != nil {
 			return err
 		}
 	}
-	resid := make([]float64, n)
+	alpha := grow(&g.alpha, n)
 	for i, yi := range y {
-		resid[i] = yi - mean
+		alpha[i] = yi - mean
 	}
-	alpha, err := linalg.CholSolve(chol, resid)
-	if err != nil {
+	if err := linalg.CholSolveInto(chol, alpha, alpha); err != nil {
 		return err
 	}
-	g.x, g.mean, g.chol, g.alpha = x, mean, chol, alpha
+	g.x, g.mean, g.chol = x, mean, chol
 	return nil
+}
+
+// square resizes m to n×n, reusing its storage when large enough. The
+// contents are unspecified.
+func square(m *linalg.Matrix, n int) *linalg.Matrix {
+	m.Rows, m.Cols = n, n
+	m.Data = grow(&m.Data, n*n)
+	return m
+}
+
+// grow returns (*buf)[:n], reallocating *buf when its capacity is short.
+func grow(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // Fitted reports whether the model has been trained.
@@ -148,25 +176,43 @@ func (g *Regressor) Predict(q []float64) (mean, variance float64, err error) {
 	if !g.Fitted() {
 		return 0, 0, ErrNotFitted
 	}
-	n := len(g.x)
-	if cap(g.kbuf) < n {
-		g.kbuf = make([]float64, n)
-		g.vbuf = make([]float64, n)
+	mean = g.posteriorMean(q)
+	variance, err = g.posteriorVariance(q)
+	if err != nil {
+		return 0, 0, err
 	}
-	kstar := g.kbuf[:n]
+	return mean, variance, nil
+}
+
+// posteriorMean fills the kernel-row scratch with k(xᵢ, q) and returns
+// the posterior mean at q.
+func (g *Regressor) posteriorMean(q []float64) float64 {
+	kstar := grow(&g.kbuf, len(g.x))
 	for i := range g.x {
 		kstar[i] = g.Kernel.Eval(g.x[i], q)
 	}
-	mean = g.mean + linalg.Dot(kstar, g.alpha)
-	v := g.vbuf[:n]
-	if err := linalg.SolveLowerInto(g.chol, kstar, v); err != nil {
-		return 0, 0, err
+	return g.mean + linalg.Dot(kstar, g.alpha)
+}
+
+// priorVariance is k(q,q) + noise, the variance before conditioning on
+// the training data.
+func (g *Regressor) priorVariance(q []float64) float64 {
+	return g.Kernel.Eval(q, q) + g.Noise
+}
+
+// posteriorVariance returns the posterior variance at q from the kernel
+// row posteriorMean left in scratch: the prior variance less the
+// explained part ‖L⁻¹k*‖², floored at zero.
+func (g *Regressor) posteriorVariance(q []float64) (float64, error) {
+	v := grow(&g.vbuf, len(g.x))
+	if err := linalg.SolveLowerInto(g.chol, g.kbuf, v); err != nil {
+		return 0, err
 	}
-	variance = g.Kernel.Eval(q, q) + g.Noise - linalg.Dot(v, v)
+	variance := g.priorVariance(q) - linalg.Dot(v, v)
 	if variance < 0 {
 		variance = 0
 	}
-	return mean, variance, nil
+	return variance, nil
 }
 
 // UCB returns the upper-confidence-bound acquisition value mean + beta·σ.
@@ -176,4 +222,27 @@ func (g *Regressor) UCB(q []float64, beta float64) (float64, error) {
 		return 0, err
 	}
 	return m + beta*math.Sqrt(v), nil
+}
+
+// UCBAbove is UCB for a search that only keeps a score greater than
+// floor. It returns ok=false without the O(n²) triangular solve when
+// mean + beta·√(k(q,q)+noise) ≤ floor; otherwise it returns UCB's exact
+// value. The skip is exact: the posterior variance is fl(a − b) with
+// a = k(q,q)+noise and b = ‖L⁻¹k*‖² ≥ 0, so it is at most a, and sqrt,
+// multiplication by beta ≥ 0 and adding the mean are all monotone
+// under rounding, so UCB ≤ the bound ≤ floor. A NaN anywhere in the
+// bound, or a negative beta, makes it score normally.
+func (g *Regressor) UCBAbove(q []float64, beta, floor float64) (score float64, ok bool, err error) {
+	if !g.Fitted() {
+		return 0, false, ErrNotFitted
+	}
+	m := g.posteriorMean(q)
+	if beta >= 0 && m+beta*math.Sqrt(g.priorVariance(q)) <= floor {
+		return 0, false, nil
+	}
+	v, err := g.posteriorVariance(q)
+	if err != nil {
+		return 0, false, err
+	}
+	return m + beta*math.Sqrt(v), true, nil
 }

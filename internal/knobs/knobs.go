@@ -424,18 +424,26 @@ func (c *Catalog) FitMemoryBudget(cfg Config, b MemoryBudget) Config {
 // the definition asks for it). Missing knobs use their defaults.
 func (c *Catalog) Normalize(cfg Config, names []string) []float64 {
 	out := make([]float64, len(names))
+	c.NormalizeInto(out, cfg, names)
+	return out
+}
+
+// NormalizeInto is Normalize writing into dst (len(names)) without
+// allocating. Like Normalize it writes 0 for a name the catalogue
+// lacks, so a reused row keeps nothing from a previous call.
+func (c *Catalog) NormalizeInto(dst []float64, cfg Config, names []string) {
 	for i, n := range names {
 		d := c.defs[n]
 		if d == nil {
+			dst[i] = 0
 			continue
 		}
 		v, ok := cfg[n]
 		if !ok {
 			v = d.Default
 		}
-		out[i] = d.normalize(v)
+		dst[i] = d.normalize(v)
 	}
-	return out
 }
 
 // Denormalize maps a [0,1]^d vector back to knob values for names.

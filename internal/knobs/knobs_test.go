@@ -221,3 +221,26 @@ func TestNormalizeMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNormalizeIntoOverwritesDirtyRow: NormalizeInto writes every slot,
+// 0 for a name the catalogue lacks as Normalize does, so a reused row
+// keeps nothing from its previous contents.
+func TestNormalizeIntoOverwritesDirtyRow(t *testing.T) {
+	cat := PostgresCatalog()
+	names := []string{"work_mem", "no_such_knob", "shared_buffers"}
+	cfg := Config{"work_mem": 64 * 1024 * 1024}
+	want := cat.Normalize(cfg, names)
+	dst := []float64{42, 42, 42}
+	cat.NormalizeInto(dst, cfg, names)
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("slot %d (%s) = %g, want %g", i, names[i], dst[i], want[i])
+		}
+	}
+	if dst[1] != 0 {
+		t.Fatalf("unknown knob normalized to %g, want 0", dst[1])
+	}
+	if allocs := testing.AllocsPerRun(10, func() { cat.NormalizeInto(dst, cfg, names) }); allocs > 0 {
+		t.Fatalf("NormalizeInto allocates %.1f objects/op, want 0", allocs)
+	}
+}

@@ -83,31 +83,56 @@ func AddDiag(m *Matrix, v float64) error {
 // be symmetric positive definite; the strictly upper triangle of the
 // result is zero.
 func Cholesky(m *Matrix) (*Matrix, error) {
-	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("%w: Cholesky on %d×%d", ErrShape, m.Rows, m.Cols)
+	l := NewMatrix(m.Rows, m.Rows)
+	if err := CholeskyInto(l, m); err != nil {
+		return nil, err
 	}
+	return l, nil
+}
+
+// CholeskyInto is Cholesky writing the factor into l (n×n, any prior
+// contents) without allocating. It reads only the lower triangle of m,
+// and l must not alias m. On error l holds a partial factor.
+func CholeskyInto(l, m *Matrix) error {
 	n := m.Rows
-	l := NewMatrix(n, n)
+	if m.Cols != n || l.Rows != n || l.Cols != n {
+		return fmt.Errorf("%w: CholeskyInto %d×%d into %d×%d", ErrShape, m.Rows, m.Cols, l.Rows, l.Cols)
+	}
 	for j := 0; j < n; j++ {
+		lj := l.Row(j)
 		d := m.At(j, j)
-		for k := 0; k < j; k++ {
-			ljk := l.At(j, k)
+		for _, ljk := range lj[:j] {
 			d -= ljk * ljk
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%w: pivot %d = %g", ErrNotPositiveDefinite, j, d)
+			return fmt.Errorf("%w: pivot %d = %g", ErrNotPositiveDefinite, j, d)
 		}
 		dj := math.Sqrt(d)
-		l.Set(j, j, dj)
-		for i := j + 1; i < n; i++ {
+		lj[j] = dj
+		clear(lj[j+1:])
+		// Rows i and i+1 accumulate side by side: two independent
+		// chains, each summed in the same order as a row alone.
+		i := j + 1
+		for ; i+1 < n; i += 2 {
+			li, li1 := l.Row(i)[:j], l.Row(i + 1)[:j]
+			s, s1 := m.At(i, j), m.At(i+1, j)
+			for k, ljk := range lj[:j] {
+				s -= li[k] * ljk
+				s1 -= li1[k] * ljk
+			}
+			l.Set(i, j, s/dj)
+			l.Set(i+1, j, s1/dj)
+		}
+		if i < n {
+			li := l.Row(i)[:j]
 			s := m.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+			for k, ljk := range lj[:j] {
+				s -= li[k] * ljk
 			}
 			l.Set(i, j, s/dj)
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // SolveLower solves L·y = b for lower-triangular L (forward substitution).
@@ -130,11 +155,32 @@ func SolveLowerInto(l *Matrix, b, dst []float64) error {
 	if l.Cols != n || len(b) != n || len(dst) != n {
 		return fmt.Errorf("%w: SolveLowerInto %d×%d with b %d dst %d", ErrShape, l.Rows, l.Cols, len(b), len(dst))
 	}
-	for i := 0; i < n; i++ {
+	// Rows i and i+1 accumulate side by side over dst[:i], then row i+1
+	// takes its last term from the fresh dst[i]: each row still sums in
+	// index order, as it would alone.
+	i := 0
+	for ; i+1 < n; i += 2 {
+		row, row1 := l.Row(i)[:i+1], l.Row(i + 1)[:i+2]
+		s, s1 := b[i], b[i+1]
+		for k, x := range dst[:i] {
+			s -= row[k] * x
+			s1 -= row1[k] * x
+		}
+		if row[i] == 0 {
+			return fmt.Errorf("%w: zero diagonal at %d", ErrNotPositiveDefinite, i)
+		}
+		dst[i] = s / row[i]
+		s1 -= row1[i] * dst[i]
+		if row1[i+1] == 0 {
+			return fmt.Errorf("%w: zero diagonal at %d", ErrNotPositiveDefinite, i+1)
+		}
+		dst[i+1] = s1 / row1[i+1]
+	}
+	if i < n {
 		s := b[i]
 		row := l.Row(i)
-		for k := 0; k < i; k++ {
-			s -= row[k] * dst[k]
+		for k, x := range dst[:i] {
+			s -= row[k] * x
 		}
 		if row[i] == 0 {
 			return fmt.Errorf("%w: zero diagonal at %d", ErrNotPositiveDefinite, i)
@@ -147,32 +193,51 @@ func SolveLowerInto(l *Matrix, b, dst []float64) error {
 // SolveUpperFromLower solves Lᵀ·x = y given lower-triangular L
 // (back substitution against the implicit transpose).
 func SolveUpperFromLower(l *Matrix, y []float64) ([]float64, error) {
-	n := l.Rows
-	if l.Cols != n || len(y) != n {
-		return nil, fmt.Errorf("%w: SolveUpperFromLower %d×%d with y %d", ErrShape, l.Rows, l.Cols, len(y))
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		d := l.At(i, i)
-		if d == 0 {
-			return nil, fmt.Errorf("%w: zero diagonal at %d", ErrNotPositiveDefinite, i)
-		}
-		x[i] = s / d
+	x := make([]float64, len(y))
+	if err := SolveUpperFromLowerInto(l, y, x); err != nil {
+		return nil, err
 	}
 	return x, nil
 }
 
+// SolveUpperFromLowerInto is SolveUpperFromLower writing the solution
+// into dst (len n) without allocating. y and dst may alias only if
+// identical.
+func SolveUpperFromLowerInto(l *Matrix, y, dst []float64) error {
+	n := l.Rows
+	if l.Cols != n || len(y) != n || len(dst) != n {
+		return fmt.Errorf("%w: SolveUpperFromLowerInto %d×%d with y %d dst %d", ErrShape, l.Rows, l.Cols, len(y), len(dst))
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= l.At(k, i) * dst[k]
+		}
+		d := l.At(i, i)
+		if d == 0 {
+			return fmt.Errorf("%w: zero diagonal at %d", ErrNotPositiveDefinite, i)
+		}
+		dst[i] = s / d
+	}
+	return nil
+}
+
 // CholSolve solves m·x = b given the Cholesky factor L of m.
 func CholSolve(l *Matrix, b []float64) ([]float64, error) {
-	y, err := SolveLower(l, b)
-	if err != nil {
+	x := make([]float64, len(b))
+	if err := CholSolveInto(l, b, x); err != nil {
 		return nil, err
 	}
-	return SolveUpperFromLower(l, y)
+	return x, nil
+}
+
+// CholSolveInto is CholSolve writing the solution into dst (len n)
+// without allocating. b and dst may alias only if identical.
+func CholSolveInto(l *Matrix, b, dst []float64) error {
+	if err := SolveLowerInto(l, b, dst); err != nil {
+		return err
+	}
+	return SolveUpperFromLowerInto(l, dst, dst)
 }
 
 // AXPY computes y += a·x in place and returns y.

@@ -220,3 +220,141 @@ func TestEuclideanDistanceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// choleskyByAt is the element-accessor factorization CholeskyInto must
+// reproduce bit for bit.
+func choleskyByAt(m *Matrix) (*Matrix, error) {
+	n := m.Rows
+	l := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		d := m.At(j, j)
+		for k := 0; k < j; k++ {
+			ljk := l.At(j, k)
+			d -= ljk * ljk
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return nil, ErrNotPositiveDefinite
+		}
+		dj := math.Sqrt(d)
+		l.Set(j, j, dj)
+		for i := j + 1; i < n; i++ {
+			s := m.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= l.At(i, k) * l.At(j, k)
+			}
+			l.Set(i, j, s/dj)
+		}
+	}
+	return l, nil
+}
+
+// TestCholeskyIntoReusesDirtyBuffer: a factor buffer holding a previous,
+// larger factorization yields the same bits as a fresh one, including a
+// zero upper triangle, and the solves into it match the allocating ones.
+func TestCholeskyIntoReusesDirtyBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	buf := make([]float64, 20*20)
+	for i := range buf {
+		buf[i] = rng.NormFloat64()
+	}
+	for _, n := range []int{20, 7, 13, 1} {
+		m := randSPD(rng, n, 1e-3)
+		want, err := choleskyByAt(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &Matrix{Rows: n, Cols: n, Data: buf[:n*n]}
+		if err := CholeskyInto(l, m); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Data {
+			if math.Float64bits(want.Data[i]) != math.Float64bits(l.Data[i]) {
+				t.Fatalf("n=%d element %d: %g vs %g", n, i, l.Data[i], want.Data[i])
+			}
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		wantX, err := CholSolve(want, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := append([]float64(nil), b...)
+		if err := CholSolveInto(l, x, x); err != nil {
+			t.Fatal(err)
+		}
+		for i := range x {
+			if math.Float64bits(wantX[i]) != math.Float64bits(x[i]) {
+				t.Fatalf("n=%d solve element %d: %g vs %g", n, i, x[i], wantX[i])
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := CholeskyInto(l, m); err != nil {
+				t.Fatal(err)
+			}
+			if err := CholSolveInto(l, b, x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("CholeskyInto+CholSolveInto allocate %.1f objects/op, want 0", allocs)
+		}
+	}
+	if err := CholeskyInto(NewMatrix(2, 2), NewMatrix(3, 3)); !errors.Is(err, ErrShape) {
+		t.Fatalf("mismatched factor buffer: err = %v, want ErrShape", err)
+	}
+	if _, err := Cholesky(NewMatrix(2, 3)); !errors.Is(err, ErrShape) {
+		t.Fatalf("non-square input: err = %v, want ErrShape", err)
+	}
+}
+
+// TestSolvesMatchPlainSubstitution: the paired-row forward solve and
+// the back solve give the bits of one-row-at-a-time substitution, for
+// odd and even sizes, in place and not.
+func TestSolvesMatchPlainSubstitution(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, n := range []int{1, 2, 3, 8, 11} {
+		l, err := Cholesky(randSPD(rng, n, 1e-2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		fwd := make([]float64, n)
+		for i := 0; i < n; i++ {
+			s := b[i]
+			for k := 0; k < i; k++ {
+				s -= l.At(i, k) * fwd[k]
+			}
+			fwd[i] = s / l.At(i, i)
+		}
+		back := make([]float64, n)
+		for i := n - 1; i >= 0; i-- {
+			s := fwd[i]
+			for k := i + 1; k < n; k++ {
+				s -= l.At(k, i) * back[k]
+			}
+			back[i] = s / l.At(i, i)
+		}
+		got := append([]float64(nil), b...)
+		if err := SolveLowerInto(l, got, got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range fwd {
+			if math.Float64bits(got[i]) != math.Float64bits(fwd[i]) {
+				t.Fatalf("n=%d forward element %d: %g vs %g", n, i, got[i], fwd[i])
+			}
+		}
+		if err := SolveUpperFromLowerInto(l, got, got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range back {
+			if math.Float64bits(got[i]) != math.Float64bits(back[i]) {
+				t.Fatalf("n=%d back element %d: %g vs %g", n, i, got[i], back[i])
+			}
+		}
+	}
+}

@@ -13,7 +13,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"autodbaas/internal/linalg"
 )
@@ -91,10 +90,15 @@ func (c *Catalog) Len() int { return len(c.order) }
 // Vector flattens a snapshot into catalogue order (missing → 0).
 func (c *Catalog) Vector(s Snapshot) []float64 {
 	out := make([]float64, len(c.order))
-	for i, n := range c.order {
-		out[i] = s[n]
-	}
+	c.VectorInto(out, s)
 	return out
+}
+
+// VectorInto is Vector writing into dst (len Len()) without allocating.
+func (c *Catalog) VectorInto(dst []float64, s Snapshot) {
+	for i, n := range c.order {
+		dst[i] = s[n]
+	}
 }
 
 // PostgresCatalog returns the PostgreSQL-flavoured metric set exposed by
@@ -199,6 +203,21 @@ func Decile(rows [][]float64) [][]float64 {
 	if len(rows) == 0 {
 		return nil
 	}
+	out := make([][]float64, len(rows))
+	for i := range out {
+		out[i] = make([]float64, len(rows[0]))
+	}
+	DecileInto(out, rows)
+	return out
+}
+
+// DecileInto is Decile writing the bins into dst, whose rows match rows
+// in number and length. dst may be rows itself: the ranges are taken
+// before any row is written.
+func DecileInto(dst, rows [][]float64) {
+	if len(rows) == 0 {
+		return
+	}
 	p := len(rows[0])
 	mins := make([]float64, p)
 	maxs := make([]float64, p)
@@ -214,21 +233,19 @@ func Decile(rows [][]float64) [][]float64 {
 			}
 		}
 	}
-	out := make([][]float64, len(rows))
 	for i, r := range rows {
-		br := make([]float64, p)
+		br := dst[i]
 		for j, v := range r {
+			var b float64
 			if maxs[j] > mins[j] {
-				b := math.Floor(10 * (v - mins[j]) / (maxs[j] - mins[j]))
+				b = math.Floor(10 * (v - mins[j]) / (maxs[j] - mins[j]))
 				if b > 9 {
 					b = 9
 				}
-				br[j] = b
 			}
+			br[j] = b
 		}
-		out[i] = br
 	}
-	return out
 }
 
 // Prune selects informative metric indices from sample rows: it drops
@@ -237,27 +254,66 @@ func Decile(rows [][]float64) [][]float64 {
 // corrMax. Returned indices are sorted ascending. This approximates
 // OtterTune's factor-analysis + k-means pruning with a deterministic,
 // dependency-free procedure.
+//
+// Each column is centred and its sum of squares taken once, so a
+// Pearson pair costs one dot product. The arithmetic is the same as
+// linalg.Variance and linalg.Pearson, in the same order, so the result
+// is bit-identical to calling them per column and per pair.
 func Prune(rows [][]float64, varEps, corrMax float64) []int {
+	var p Pruner
+	return p.Prune(rows, varEps, corrMax)
+}
+
+// Pruner runs Prune on working memory it keeps between calls, so a
+// caller that prunes repeatedly allocates nothing once the buffers have
+// grown. The indices it returns are valid until its next Prune. The
+// zero value is ready to use; a Pruner is not safe for concurrent use.
+type Pruner struct {
+	centred []float64 // column j at [j*n, (j+1)*n), minus its mean
+	ss      []float64 // Σ(x − mean)² of column j
+	kept    []int
+}
+
+// Prune is the package-level Prune on p's buffers.
+func (p *Pruner) Prune(rows [][]float64, varEps, corrMax float64) []int {
 	if len(rows) == 0 {
 		return nil
 	}
-	p := len(rows[0])
-	cols := make([][]float64, p)
-	for j := 0; j < p; j++ {
-		col := make([]float64, len(rows))
-		for i := range rows {
-			col[i] = rows[i][j]
-		}
-		cols[j] = col
+	n, cols := len(rows), len(rows[0])
+	if cap(p.centred) < n*cols {
+		p.centred = make([]float64, n*cols)
 	}
-	var kept []int
-	for j := 0; j < p; j++ {
-		if linalg.Variance(cols[j]) <= varEps {
+	if cap(p.ss) < cols {
+		p.ss = make([]float64, cols)
+	}
+	centred, ss := p.centred[:n*cols], p.ss[:cols]
+	for j := range ss {
+		col := centred[j*n : (j+1)*n]
+		for i, r := range rows {
+			col[i] = r[j]
+		}
+		m := linalg.Mean(col)
+		var s float64
+		for i, v := range col {
+			d := v - m
+			col[i] = d
+			s += d * d
+		}
+		ss[j] = s
+	}
+	kept := p.kept[:0]
+	for j := range ss {
+		var variance float64 // linalg.Variance: 0 below two rows
+		if n >= 2 {
+			variance = ss[j] / float64(n)
+		}
+		if variance <= varEps {
 			continue
 		}
+		cj := centred[j*n : (j+1)*n]
 		dup := false
 		for _, k := range kept {
-			if math.Abs(linalg.Pearson(cols[j], cols[k])) >= corrMax {
+			if math.Abs(pearsonCentred(cj, centred[k*n:(k+1)*n], ss[j], ss[k])) >= corrMax {
 				dup = true
 				break
 			}
@@ -266,8 +322,21 @@ func Prune(rows [][]float64, varEps, corrMax float64) []int {
 			kept = append(kept, j)
 		}
 	}
-	sort.Ints(kept)
+	p.kept = kept
 	return kept
+}
+
+// pearsonCentred is linalg.Pearson over columns already centred, with
+// their sums of squares saa and sbb.
+func pearsonCentred(a, b []float64, saa, sbb float64) float64 {
+	var sab float64
+	for i, da := range a {
+		sab += da * b[i]
+	}
+	if saa == 0 || sbb == 0 {
+		return 0
+	}
+	return sab / math.Sqrt(saa*sbb)
 }
 
 // Project keeps only the given indices of vec, in order.

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"autodbaas/internal/knobs"
 	"autodbaas/internal/linalg"
 	"autodbaas/internal/metrics"
 	"autodbaas/internal/tuner"
@@ -62,32 +63,28 @@ func (r *Repository) SimilarWorkloads(engine string, workloadName, excludeID str
 		n    int
 	}
 	var cands []candidate
+	var view []*tuner.Sample
+	v := make([]float64, mcat.Len())
 	for _, id := range ids {
 		if id == excludeID || !strings.HasSuffix(id, suffix) {
 			continue
 		}
-		samples := store.Samples(id)
-		sum := make([]float64, mcat.Len())
-		n := 0
-		for i := range samples {
-			s := &samples[i]
-			if string(s.Engine) != engine {
-				continue
-			}
-			v := mcat.Vector(s.Metrics)
-			for j := range sum {
-				sum[j] += v[j]
-			}
-			n++
-		}
+		view = store.View(view[:0], id, knobs.Engine(engine), 0)
+		n := len(view)
 		if n < minSamples || n == 0 {
 			continue
 		}
-		mean := make([]float64, len(sum))
-		for j := range sum {
-			mean[j] = sum[j] / float64(n)
+		sum := make([]float64, mcat.Len())
+		for _, s := range view {
+			mcat.VectorInto(v, s.Metrics)
+			for j := range sum {
+				sum[j] += v[j]
+			}
 		}
-		cands = append(cands, candidate{id: id, mean: mean, n: n})
+		for j := range sum {
+			sum[j] /= float64(n)
+		}
+		cands = append(cands, candidate{id: id, mean: sum, n: n})
 	}
 	if len(cands) == 0 {
 		return nil

@@ -15,7 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -86,6 +87,20 @@ type Tuner struct {
 	meanCounts map[string]int
 	meanOrder  []string
 
+	// Working memory reused across calls, so a recommendation does not
+	// allocate in proportion to the history it reads. None of it
+	// carries anything from one call to the next.
+	view     []*tuner.Sample // store view: training samples, or one workload's
+	rowBuf   []float64       // normalized training configs, row-major
+	rows     [][]float64     // row headers into rowBuf
+	yn       []float64       // normalized objectives
+	gpr      *gp.Regressor   // refit from scratch on every Recommend
+	pruner   metrics.Pruner  // workload mapping's metric pruning
+	mapBuf   []float64       // workload mapping: mean rows + target
+	mapRows  [][]float64     // row headers into mapBuf
+	projBuf  []float64       // pruned, then decile-binned, mapping rows
+	projRows [][]float64     // row headers into projBuf
+
 	recommendSeconds *obs.Histogram
 	gprFitSeconds    *obs.Histogram
 	trainingSamples  *obs.Gauge
@@ -121,6 +136,7 @@ func New(opts Options) (*Tuner, error) {
 		knobNames:  kcat.TunableNames(),
 		meanSums:   make(map[string][]float64),
 		meanCounts: make(map[string]int),
+		gpr:        gp.NewRegressor(nil, 1e-3),
 		recommendSeconds: reg.Histogram("autodbaas_tuner_recommend_seconds",
 			"Wall-clock recommendation latency by tuner kind.", nil, obs.L("tuner", "ottertune-bo")),
 		gprFitSeconds: reg.Histogram("autodbaas_tuner_gpr_fit_seconds",
@@ -159,7 +175,7 @@ func (t *Tuner) Observe(s tuner.Sample) error {
 		t.meanSums[s.WorkloadID] = sum
 		t.meanOrder = append(t.meanOrder, s.WorkloadID)
 	}
-	v := t.featureVector(s.Metrics)
+	v := t.mcat.Vector(s.Metrics)
 	for i := range sum {
 		sum[i] += v[i]
 	}
@@ -177,26 +193,14 @@ func (t *Tuner) setTrainingSamplesLocked() {
 	t.trainingSamples.Set(float64(n))
 }
 
-// samplesLocked returns the workload's samples of the tuner's engine
-// from the bound store, in store order.
-func (t *Tuner) samplesLocked(workloadID string) []tuner.Sample {
+// viewLocked appends the workload's samples of the tuner's engine from
+// the bound store to dst, in store order, capped at max as
+// tuner.Store.View allows (max ≤ 0: all of them).
+func (t *Tuner) viewLocked(dst []*tuner.Sample, workloadID string, max int) []*tuner.Sample {
 	if t.store == nil {
-		return nil
+		return dst
 	}
-	all := t.store.Samples(workloadID)
-	own := all[:0]
-	for _, s := range all {
-		if s.Engine == t.opts.Engine {
-			own = append(own, s)
-		}
-	}
-	return own
-}
-
-// featureVector converts a sample's metrics into the catalogue-ordered
-// numeric vector.
-func (t *Tuner) featureVector(m metrics.Snapshot) []float64 {
-	return t.mcat.Vector(m)
+	return t.store.View(dst, workloadID, t.opts.Engine, max)
 }
 
 // MapWorkload finds the stored workload whose deciled mean metric vector
@@ -214,27 +218,26 @@ func (t *Tuner) mapWorkloadLocked(target metrics.Snapshot) (string, float64, boo
 		return "", 0, false
 	}
 	// Build the binning reference over all stored means + target.
-	rows := make([][]float64, 0, len(ids)+1)
-	for _, id := range ids {
+	rows := resizeRows(&t.mapBuf, &t.mapRows, len(ids)+1, t.mcat.Len())
+	for i, id := range ids {
 		sum := t.meanSums[id]
 		n := float64(t.meanCounts[id])
-		mean := make([]float64, len(sum))
-		for i := range sum {
-			mean[i] = sum[i] / n
+		for j := range sum {
+			rows[i][j] = sum[j] / n
 		}
-		rows = append(rows, mean)
 	}
-	tv := t.featureVector(target)
-	rows = append(rows, tv)
-	keep := metrics.Prune(rows, 1e-12, 0.98)
+	t.mcat.VectorInto(rows[len(ids)], target)
+	keep := t.pruner.Prune(rows, 1e-12, 0.98)
 	if len(keep) == 0 {
-		keep = []int{0}
+		keep = append(keep, 0)
 	}
-	pruned := make([][]float64, len(rows))
+	binned := resizeRows(&t.projBuf, &t.projRows, len(rows), len(keep))
 	for i, r := range rows {
-		pruned[i] = metrics.Project(r, keep)
+		for c, j := range keep {
+			binned[i][c] = r[j]
+		}
 	}
-	binned := metrics.Decile(pruned)
+	metrics.DecileInto(binned, binned)
 	targetBin := binned[len(binned)-1]
 	bestID, bestD := "", math.Inf(1)
 	for i, id := range ids {
@@ -246,11 +249,36 @@ func (t *Tuner) mapWorkloadLocked(target metrics.Snapshot) (string, float64, boo
 	return bestID, bestD, true
 }
 
+// resizeRows sizes a reused row-major buffer to n rows of p columns and
+// returns its row headers; the contents are unspecified.
+func resizeRows(buf *[]float64, hdrs *[][]float64, n, p int) [][]float64 {
+	if cap(*buf) < n*p {
+		*buf = make([]float64, n*p)
+	}
+	if cap(*hdrs) < n {
+		*hdrs = make([][]float64, n)
+	}
+	data, rows := (*buf)[:n*p], (*hdrs)[:n]
+	for i := range rows {
+		rows[i] = data[i*p : (i+1)*p : (i+1)*p]
+	}
+	*buf, *hdrs = data, rows
+	return rows
+}
+
 // RankKnobs runs the Lasso regularization path over the given samples
 // and returns tunable knob names by decreasing importance — the ranking
 // the Fig. 15 accuracy experiment compares throttle classes against.
 func (t *Tuner) RankKnobs(samples []tuner.Sample) ([]string, error) {
-	if len(samples) < 4 {
+	ptrs := make([]*tuner.Sample, len(samples))
+	for i := range samples {
+		ptrs[i] = &samples[i]
+	}
+	return t.rankKnobs(ptrs)
+}
+
+func (t *Tuner) rankKnobs(samples []*tuner.Sample) ([]string, error) {
+	if len(samples) < minTraining {
 		return nil, tuner.ErrNotTrained
 	}
 	x := make([][]float64, len(samples))
@@ -270,6 +298,9 @@ func (t *Tuner) RankKnobs(samples []tuner.Sample) ([]string, error) {
 	return out, nil
 }
 
+// minTraining is the fewest samples a knob ranking or a GP fit uses.
+const minTraining = 4
+
 // Recommend implements tuner.Tuner: map the workload, assemble training
 // data (target + mapped), fit the GP and maximize UCB over candidates.
 func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
@@ -278,27 +309,34 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	training := t.samplesLocked(req.WorkloadID)
+	// Most recent samples win when over the fit cap, so each workload's
+	// view only needs its latest fitCap samples (never fewer than the
+	// minTraining the not-trained check counts).
+	fitCap := max(t.opts.MaxSamplesPerFit, minTraining)
+	training := t.viewLocked(t.view[:0], req.WorkloadID, fitCap)
 	mappedID := req.WorkloadID
 	if !t.opts.DisableMapping {
 		id, _, ok := t.mapWorkloadLocked(req.Metrics)
 		if ok && id != req.WorkloadID {
 			mappedID = id
-			training = append(training, t.samplesLocked(id)...)
+			training = t.viewLocked(training, id, fitCap)
 		}
 	}
-	if len(training) < 4 {
+	t.view = training
+	if len(training) < minTraining {
 		return tuner.Recommendation{}, tuner.ErrNotTrained
 	}
-	// Most recent samples win when over the fit cap.
-	sort.SliceStable(training, func(i, j int) bool { return training[i].At.Before(training[j].At) })
+	slices.SortStableFunc(training, func(a, b *tuner.Sample) int { return a.At.Compare(b.At) })
 	if len(training) > t.opts.MaxSamplesPerFit {
 		training = training[len(training)-t.opts.MaxSamplesPerFit:]
 	}
 
 	names := t.searchKnobsLocked(training, req.ThrottleClass)
-	x := make([][]float64, len(training))
-	yn := make([]float64, len(training))
+	x := resizeRows(&t.rowBuf, &t.rows, len(training), len(names))
+	if cap(t.yn) < len(training) {
+		t.yn = make([]float64, len(training))
+	}
+	yn := t.yn[:len(training)]
 	var ymax float64
 	for _, s := range training {
 		if s.Objective > ymax {
@@ -309,11 +347,12 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 		ymax = 1
 	}
 	for i, s := range training {
-		x[i] = t.kcat.Normalize(s.Config, names)
+		t.kcat.NormalizeInto(x[i], s.Config, names)
 		yn[i] = s.Objective / ymax
 	}
 	fitStart := time.Now()
-	model := gp.NewRegressor(gp.NewSEARD(len(names), 0.35, 1.0), 1e-3)
+	model := t.gpr
+	model.Kernel = gp.NewSEARD(len(names), 0.35, 1.0)
 	if err := model.Fit(x, yn); err != nil {
 		return tuner.Recommendation{}, fmt.Errorf("bo: GPR fit: %w", err)
 	}
@@ -387,8 +426,10 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 		if !inRegion(cand) {
 			continue
 		}
-		score, err := model.UCB(cand, t.opts.UCBBeta)
-		if err != nil {
+		// UCBAbove skips the triangular solve only for a candidate whose
+		// score could not pass the comparison below anyway.
+		score, ok, err := model.UCBAbove(cand, t.opts.UCBBeta, bestScore)
+		if err != nil || !ok {
 			continue
 		}
 		if score > bestScore {
@@ -412,7 +453,9 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 	if req.MemoryBytes > 0 {
 		full = t.kcat.FitMemoryBudget(full, knobs.MemoryBudget{TotalBytes: req.MemoryBytes, WorkMemSessions: 8})
 	}
-	src := fmt.Sprintf("gpr:mapped=%s:n=%d:knobs=%d", mappedID, len(training), len(names))
+	// Concatenated rather than fmt.Sprintf: fmt's sync.Pool would make
+	// the allocation count vary under -race.
+	src := "gpr:mapped=" + mappedID + ":n=" + strconv.Itoa(len(training)) + ":knobs=" + strconv.Itoa(len(names))
 	return tuner.Recommendation{
 		Config:    full,
 		Source:    src,
@@ -424,7 +467,7 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 // searchKnobsLocked picks the knob subspace to optimize: the throttled
 // class when given, otherwise the Lasso top-k (falling back to all
 // tunable knobs).
-func (t *Tuner) searchKnobsLocked(training []tuner.Sample, cls *knobs.Class) []string {
+func (t *Tuner) searchKnobsLocked(training []*tuner.Sample, cls *knobs.Class) []string {
 	if cls != nil {
 		var names []string
 		for _, n := range t.kcat.NamesByClass(*cls) {
@@ -437,7 +480,7 @@ func (t *Tuner) searchKnobsLocked(training []tuner.Sample, cls *knobs.Class) []s
 		}
 	}
 	if t.opts.TopKnobs > 0 && t.opts.TopKnobs < len(t.knobNames) {
-		if ranked, err := t.RankKnobs(training); err == nil {
+		if ranked, err := t.rankKnobs(training); err == nil {
 			return ranked[:t.opts.TopKnobs]
 		}
 	}
@@ -470,9 +513,8 @@ func (t *Tuner) BgWriterBaseline(sample metrics.Snapshot) (ckptPerSec, diskLaten
 		return 0, 0, false
 	}
 	var best *tuner.Sample
-	samples := t.samplesLocked(mapped)
-	for i := range samples {
-		s := &samples[i]
+	t.view = t.viewLocked(t.view[:0], mapped, 0)
+	for _, s := range t.view {
 		if s.Window <= 0 {
 			continue
 		}

@@ -167,9 +167,10 @@ func TestTrainsOnlyOnOwnEngine(t *testing.T) {
 	}
 }
 
-// TestReadsRaceUploads: the tuner reads the repository's store while
-// uploads append to it and the fan-out goroutine delivers to the tuner.
-// Run under -race; every upload must still reach the running means once.
+// TestReadsRaceUploads: the tuner reads the repository's store, through
+// views that point at stored samples, while uploads append to it and
+// deliver to the tuner. Run under -race; every upload must still reach
+// the running means once, and every viewed sample must read whole.
 func TestReadsRaceUploads(t *testing.T) {
 	tn, repo := newBound(t, Options{Engine: knobs.Postgres, Candidates: 20, MaxSamplesPerFit: 20, UCBBeta: 0.5, Seed: 11})
 	rng := rand.New(rand.NewSource(19))
@@ -187,10 +188,17 @@ func TestReadsRaceUploads(t *testing.T) {
 			}
 		}
 	}()
+	var view []*tuner.Sample
 	for i := 0; i < 30; i++ {
 		s := samples[i]
 		_, _ = tn.Recommend(tuner.Request{WorkloadID: s.WorkloadID, Metrics: s.Metrics, Current: s.Config})
 		tn.BgWriterBaseline(s.Metrics)
+		view = repo.Store().View(view[:0], s.WorkloadID, knobs.Postgres, 5)
+		for _, v := range view {
+			if v.WorkloadID != s.WorkloadID || v.Config["work_mem"] <= 0 || v.Objective < 500 {
+				t.Errorf("viewed sample read torn: %+v", v)
+			}
+		}
 	}
 	wg.Wait()
 	repo.Flush()

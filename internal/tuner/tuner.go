@@ -111,26 +111,63 @@ func Unwrap(t Tuner) Tuner {
 var ErrNotTrained = errors.New("tuner: not trained yet")
 
 // Store is an in-memory sample store grouped by workload — the schema of
-// the central data repository. It is safe for concurrent use.
+// the central data repository. It is safe for concurrent use. A stored
+// sample is never modified, so View can hand out pointers to it.
 type Store struct {
 	mu      sync.RWMutex
 	samples map[string][]Sample
 	order   []string
+	// unordered marks workloads with a sample added before an earlier
+	// one's At; View caps only workloads absent from it.
+	unordered map[string]bool
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{samples: make(map[string][]Sample)}
+	return &Store{samples: make(map[string][]Sample), unordered: make(map[string]bool)}
 }
 
 // Add appends a sample to its workload.
 func (s *Store) Add(sm Sample) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.samples[sm.WorkloadID]; !ok {
+	prev, ok := s.samples[sm.WorkloadID]
+	if !ok {
 		s.order = append(s.order, sm.WorkloadID)
 	}
-	s.samples[sm.WorkloadID] = append(s.samples[sm.WorkloadID], sm)
+	if len(prev) > 0 && sm.At.Before(prev[len(prev)-1].At) {
+		s.unordered[sm.WorkloadID] = true
+	}
+	s.samples[sm.WorkloadID] = append(prev, sm)
+}
+
+// View appends to dst pointers to the workload's samples of engine, in
+// store order, and returns the extended slice; it copies no sample.
+// With max > 0 it may stop at the workload's last max samples of
+// engine: it does so only when they were added in At order, so that no
+// earlier one can be among the max latest (by At, ties by position) of
+// any sample set this view is part of. The pointers stay valid and
+// safe to read while later Adds append.
+func (s *Store) View(dst []*Sample, workloadID string, engine knobs.Engine, max int) []*Sample {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	src := s.samples[workloadID]
+	if max <= 0 || s.unordered[workloadID] {
+		max = len(src)
+	}
+	start, n := len(src), 0
+	for start > 0 && n < max {
+		start--
+		if src[start].Engine == engine {
+			n++
+		}
+	}
+	for i := start; i < len(src); i++ {
+		if src[i].Engine == engine {
+			dst = append(dst, &src[i])
+		}
+	}
+	return dst
 }
 
 // Workloads returns workload IDs in first-seen order.

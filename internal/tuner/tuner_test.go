@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -58,5 +59,50 @@ func TestSampleFieldsRoundTrip(t *testing.T) {
 	}
 	if s.Config["work_mem"] != 1 || s.Metrics["xact_commit"] != 5 || !s.Quality {
 		t.Fatal("fields lost")
+	}
+}
+
+// viewObjectives lists the objectives a view returned.
+func viewObjectives(v []*Sample) []float64 {
+	out := make([]float64, len(v))
+	for i, s := range v {
+		out[i] = s.Objective
+	}
+	return out
+}
+
+// TestStoreViewCapsOnlyOrderedWorkloads: View filters by engine, keeps
+// store order, caps at the last max samples of the engine while the
+// workload's At values arrived in order (ties included), returns every
+// sample once one arrived out of order, and aliases the stored samples.
+func TestStoreViewCapsOnlyOrderedWorkloads(t *testing.T) {
+	base := time.Date(2021, 3, 23, 0, 0, 0, 0, time.UTC)
+	s := NewStore()
+	for i := 0; i < 6; i++ {
+		eng := knobs.Postgres
+		if i%3 == 2 {
+			eng = knobs.MySQL
+		}
+		s.Add(Sample{WorkloadID: "w", Engine: eng, Objective: float64(i), At: base.Add(time.Duration(i/2) * time.Minute)})
+	}
+	if got := viewObjectives(s.View(nil, "w", knobs.Postgres, 0)); !reflect.DeepEqual(got, []float64{0, 1, 3, 4}) {
+		t.Fatalf("uncapped view = %v", got)
+	}
+	if got := viewObjectives(s.View(nil, "w", knobs.Postgres, 3)); !reflect.DeepEqual(got, []float64{1, 3, 4}) {
+		t.Fatalf("capped view = %v", got)
+	}
+	dst := []*Sample{{Objective: -1}}
+	if got := viewObjectives(s.View(dst, "w", knobs.MySQL, 1)); !reflect.DeepEqual(got, []float64{-1, 5}) {
+		t.Fatalf("view appended to dst = %v", got)
+	}
+	if v := s.View(nil, "w", knobs.Postgres, 1); v[0] != &s.samples["w"][4] {
+		t.Fatal("view copied the sample instead of pointing at the stored one")
+	}
+	s.Add(Sample{WorkloadID: "w", Engine: knobs.Postgres, Objective: 6, At: base})
+	if got := viewObjectives(s.View(nil, "w", knobs.Postgres, 2)); !reflect.DeepEqual(got, []float64{0, 1, 3, 4, 6}) {
+		t.Fatalf("view of an out-of-order workload = %v, want every sample", got)
+	}
+	if got := s.View(nil, "none", knobs.Postgres, 2); len(got) != 0 {
+		t.Fatalf("missing workload viewed as %v", got)
 	}
 }
