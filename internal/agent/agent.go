@@ -28,6 +28,8 @@ type SampleSink interface {
 }
 
 // EventSink receives TDE events (the config director, possibly remote).
+// req is the instance's tuning request when ev is a throttle, and the
+// zero Request for the other kinds, which ask for no recommendation.
 type EventSink interface {
 	HandleEvent(instanceID string, ev tde.Event, req tuner.Request) error
 }
@@ -84,6 +86,9 @@ type Agent struct {
 	lastPeriodic time.Time
 	lastSnap     metrics.Snapshot
 	lastSnapAt   time.Time
+	// spareSnap is the map the next uploaded sample's delta base is
+	// read into; it holds nothing between uploads.
+	spareSnap metrics.Snapshot
 
 	uploaded   int
 	suppressed int
@@ -92,6 +97,8 @@ type Agent struct {
 	// dbGauges caches the per-semantic-counter export gauges for this
 	// instance so the per-tick export is map-free after warm-up.
 	dbGauges map[string]*obs.Gauge
+	// counterBuf is the export's reused read of the engine's counters.
+	counterBuf map[string]float64
 }
 
 // agentMetrics are the agent's registry handles, resolved once.
@@ -248,9 +255,14 @@ func (a *Agent) RunWindowLocal(dur time.Duration) WindowOutcome {
 // the repository honouring the TDE gate. The detection round belongs
 // here, not in the local phase: its checkpoint detector consults the
 // tuner's baseline, which earlier agents' uploads in the same step may
-// have grown — exactly as in the sequential schedule. Dispatch must be
-// called from one goroutine at a time per agent, in the same order
-// windows ran; it fills out.Events.
+// have grown — exactly as in the sequential schedule. The tuning
+// request is built only when one is sent: for the round's first
+// throttle, or when a periodic request is due. Until then nothing has
+// touched the engine since the round (the director handles the other
+// event kinds without it), so the request is the one a build right
+// after the round would give. Dispatch must be called from one
+// goroutine at a time per agent, in the same order windows ran; it
+// fills out.Events.
 func (a *Agent) Dispatch(out *WindowOutcome) error {
 	if !out.ticked {
 		return nil
@@ -266,21 +278,31 @@ func (a *Agent) Dispatch(out *WindowOutcome) error {
 	span.SetAttr("wall_ms", fmt.Sprintf("%.3f", time.Since(tickStart).Seconds()*1e3))
 	span.EndAt(master.Now())
 	a.exportDBCounters(master)
-	req := a.buildRequest(out.Stats)
 	var dispatchErr error
 	switch a.opts.Mode {
 	case ModePeriodic:
 		if out.tickAt.Sub(a.lastPeriodic) >= a.opts.PeriodicEvery {
 			a.lastPeriodic = out.tickAt
-			if derr := a.opts.Tuning.RequestTuning(a.inst.ID, req); derr != nil && !errors.Is(derr, tuner.ErrNotTrained) {
+			if derr := a.opts.Tuning.RequestTuning(a.inst.ID, a.buildRequest()); derr != nil && !errors.Is(derr, tuner.ErrNotTrained) {
 				dispatchErr = derr
 				a.m.dispatchError.Inc()
 			}
 		}
 	default:
 		if a.events != nil {
+			// One request, built at the round's first throttle, serves
+			// every throttle of the round.
+			var req tuner.Request
+			built := false
 			for _, ev := range out.Events {
-				if derr := a.events.HandleEvent(a.inst.ID, ev, req); derr != nil && !errors.Is(derr, tuner.ErrNotTrained) {
+				var evReq tuner.Request
+				if ev.Kind == tde.KindThrottle {
+					if !built {
+						req, built = a.buildRequest(), true
+					}
+					evReq = req
+				}
+				if derr := a.events.HandleEvent(a.inst.ID, ev, evReq); derr != nil && !errors.Is(derr, tuner.ErrNotTrained) {
 					dispatchErr = derr
 					a.m.dispatchError.Inc()
 				}
@@ -291,8 +313,10 @@ func (a *Agent) Dispatch(out *WindowOutcome) error {
 	return dispatchErr
 }
 
-// buildRequest assembles the recommendation request for this window.
-func (a *Agent) buildRequest(st simdb.WindowStats) tuner.Request {
+// buildRequest assembles the recommendation request for this window:
+// the metric delta since the last upload base, and a copy of the live
+// config. Dispatch calls it only for a request it sends.
+func (a *Agent) buildRequest() tuner.Request {
 	master := a.inst.Replica.Master()
 	return tuner.Request{
 		InstanceID:  a.inst.ID,
@@ -325,14 +349,17 @@ func (a *Agent) maybeUpload(st simdb.WindowStats, events []tde.Event, now time.T
 		a.suppressed++
 		a.m.suppressed.Inc()
 		// refresh the delta base even when suppressing, so the next
-		// uploaded sample covers only its own period.
+		// uploaded sample covers only its own period. Nothing else
+		// holds lastSnap, so it is rewritten in place.
 		master := a.inst.Replica.Master()
-		a.lastSnap = master.Snapshot()
+		a.lastSnap = master.SnapshotInto(a.lastSnap)
 		a.lastSnapAt = now
 		return
 	}
+	// The new delta base is read into the spare map, which then trades
+	// places with lastSnap: the sample keeps only the delta.
 	master := a.inst.Replica.Master()
-	snap := master.Snapshot()
+	snap := master.SnapshotInto(a.spareSnap)
 	sample := tuner.Sample{
 		WorkloadID: a.workloadID(),
 		Engine:     a.inst.Engine,
@@ -343,7 +370,7 @@ func (a *Agent) maybeUpload(st simdb.WindowStats, events []tde.Event, now time.T
 		Window:     now.Sub(a.lastSnapAt),
 		At:         now,
 	}
-	a.lastSnap = snap
+	a.spareSnap, a.lastSnap = a.lastSnap, snap
 	a.lastSnapAt = now
 	if err := a.samples.Observe(sample); err == nil {
 		a.uploaded++
@@ -356,8 +383,10 @@ func (a *Agent) maybeUpload(st simdb.WindowStats, events []tde.Event, now time.T
 // exportDBCounters publishes the master engine's semantic counters
 // (checkpoints, bgwriter pages, spills, WAL bytes, ...) as labeled
 // gauges — the uniform cross-engine export the control plane scrapes.
+// It reads the counters into a map it reuses.
 func (a *Agent) exportDBCounters(master *simdb.Engine) {
-	for sem, v := range master.Counters() {
+	a.counterBuf = master.CountersInto(a.counterBuf)
+	for sem, v := range a.counterBuf {
 		g, ok := a.dbGauges[sem]
 		if !ok {
 			g = obs.Default().Gauge("autodbaas_simdb_counter",

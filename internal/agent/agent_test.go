@@ -15,14 +15,16 @@ import (
 type recordingSink struct {
 	mu      sync.Mutex
 	events  []tde.Event
+	reqs    []tuner.Request // the request sent with each event
 	tunings int
 	samples []tuner.Sample
 }
 
-func (r *recordingSink) HandleEvent(_ string, ev tde.Event, _ tuner.Request) error {
+func (r *recordingSink) HandleEvent(_ string, ev tde.Event, req tuner.Request) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.events = append(r.events, ev)
+	r.reqs = append(r.reqs, req)
 	return nil
 }
 
@@ -81,6 +83,23 @@ func TestTDEEventsDispatchedAndSamplesGated(t *testing.T) {
 	}
 	if len(sink.events) == 0 {
 		t.Fatal("no events dispatched for a spill-heavy workload")
+	}
+	// A throttle carries the instance's tuning request; the other kinds
+	// carry the zero request.
+	kinds := map[tde.EventKind]int{}
+	for i, ev := range sink.events {
+		kinds[ev.Kind]++
+		req := sink.reqs[i]
+		if ev.Kind == tde.KindThrottle {
+			if req.InstanceID != "db-1" || req.Current == nil || req.Metrics == nil {
+				t.Fatalf("throttle %d carried an incomplete request %+v", i, req)
+			}
+		} else if req.InstanceID != "" || req.Current != nil || req.Metrics != nil {
+			t.Fatalf("%s event %d carried a request", ev.Kind, i)
+		}
+	}
+	if kinds[tde.KindThrottle] == 0 || kinds[tde.KindBufferAdvisory] == 0 {
+		t.Fatalf("event kinds %v: need throttles and buffer advisories to check both", kinds)
 	}
 	if len(sink.samples) == 0 {
 		t.Fatal("no samples uploaded despite throttles")

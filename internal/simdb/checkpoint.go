@@ -194,7 +194,7 @@ func (e *Engine) restoreLogLocked(st EngineState) error {
 	if err := decodeLog(old.buf, st); err != nil {
 		return err
 	}
-	kept := old.last(len(r.buf))
+	kept := old.lastInto(nil, len(r.buf))
 	clear(r.buf)
 	copy(r.buf, kept)
 	r.next, r.full = len(kept)%len(r.buf), len(kept) == len(r.buf)

@@ -265,6 +265,16 @@ func (e *Engine) Config() knobs.Config {
 	return e.cfg.Clone()
 }
 
+// Knob returns one knob of the active configuration without copying
+// the rest, with map-index semantics: (0, false) for a knob the config
+// does not hold.
+func (e *Engine) Knob(name string) (float64, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	v, ok := e.cfg[name]
+	return v, ok
+}
+
 // PendingRestartConfig returns staged restart-required knob values.
 func (e *Engine) PendingRestartConfig() knobs.Config {
 	e.mu.Lock()
@@ -438,11 +448,20 @@ type LogEntry struct {
 	TemplateID string
 }
 
-// QueryLog returns up to n most recent log entries, oldest first.
-func (e *Engine) QueryLog(n int) []LogEntry {
+// QueryLog returns up to n most recent log entries, oldest first, in a
+// new slice.
+func (e *Engine) QueryLog(n int) []LogEntry { return e.QueryLogInto(nil, n) }
+
+// QueryLogInto reads up to n most recent log entries, oldest first,
+// into dst's backing array when it is large enough (a new one when it
+// is not) and returns the filled slice. Entries of dst past the
+// returned length are left as they were. A caller that keeps dst
+// between reads should clear it after use, so that it does not keep
+// statements alive that the ring has since overwritten.
+func (e *Engine) QueryLogInto(dst []LogEntry, n int) []LogEntry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.queryLog.last(n)
+	return e.queryLog.lastInto(dst, n)
 }
 
 // QueryLogCap returns the query-log capacity: Options.QueryLogSize or
@@ -454,27 +473,41 @@ func (e *Engine) QueryLogCap() int {
 	return len(e.queryLog.buf)
 }
 
-// Counters returns a copy of the engine's semantic counters (the
+// CountersInto writes the engine's semantic counters (the
 // engine-neutral names: spill_files, spill_bytes, ckpt_req, ckpt_bytes,
-// bgwriter pages, ...). The same quantities appear under engine-native
-// names in Snapshot; this surface lets the control plane export them
-// uniformly across PostgreSQL and MySQL instances.
-func (e *Engine) Counters() map[string]float64 {
+// bgwriter pages, ...) into dst, after deleting whatever dst held, and
+// returns it; a nil dst gets a new map. The same quantities appear
+// under engine-native names in Snapshot; this surface lets the control
+// plane export them uniformly across PostgreSQL and MySQL instances.
+func (e *Engine) CountersInto(dst map[string]float64) map[string]float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make(map[string]float64, len(e.counters))
-	for k, v := range e.counters {
-		out[k] = v
+	if dst == nil {
+		dst = make(map[string]float64, len(e.counters))
+	} else {
+		clear(dst)
 	}
-	return out
+	for k, v := range e.counters {
+		dst[k] = v
+	}
+	return dst
 }
 
 // Snapshot returns the current metric snapshot in the engine's native
-// metric schema.
-func (e *Engine) Snapshot() metrics.Snapshot {
+// metric schema, in a new map.
+func (e *Engine) Snapshot() metrics.Snapshot { return e.SnapshotInto(nil) }
+
+// SnapshotInto writes the current metric snapshot into s, after
+// deleting whatever s held, and returns it; a nil s gets a new map.
+// The result equals Snapshot().
+func (e *Engine) SnapshotInto(s metrics.Snapshot) metrics.Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s := make(metrics.Snapshot, e.mcat.Len())
+	if s == nil {
+		s = make(metrics.Snapshot, e.mcat.Len())
+	} else {
+		clear(s)
+	}
 	for sem, val := range e.counters {
 		if name, ok := e.semMap[sem]; ok {
 			s[name] += val
@@ -598,22 +631,25 @@ func (r *ringLog) add(le LogEntry) {
 	}
 }
 
-func (r *ringLog) last(n int) []LogEntry {
+// lastInto fills dst (reallocated only when its capacity is short)
+// with the newest min(n, stored) entries, oldest first.
+func (r *ringLog) lastInto(dst []LogEntry, n int) []LogEntry {
 	size := r.next
 	if r.full {
 		size = len(r.buf)
 	}
-	if n > size {
-		n = size
+	n = max(0, min(n, size))
+	if cap(dst) < n {
+		dst = make([]LogEntry, n)
 	}
-	out := make([]LogEntry, n)
+	dst = dst[:n]
 	start := r.next - n
 	if start < 0 {
 		start += len(r.buf)
 	}
-	k := copy(out, r.buf[start:])
-	copy(out[k:], r.buf)
-	return out
+	k := copy(dst, r.buf[start:])
+	copy(dst[k:], r.buf)
+	return dst
 }
 
 // clampNonNeg keeps profile-driven magnitudes sane.

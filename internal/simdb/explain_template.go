@@ -97,8 +97,7 @@ func (e *Engine) ExplainTemplate(id string) (Plan, bool) {
 func (e *Engine) HypotheticalRunTemplatesMs(override knobs.Config, ids []string) (float64, int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	fk, cfg := e.overlayLocked(override)
-	hit := e.hitRatioLocked(cfg)
+	fk, hit := e.overlayLocked(override)
 	var total float64
 	var n int
 	for _, id := range ids {

@@ -48,39 +48,18 @@ type flatKnobs struct {
 	bufferPool float64 // the engine's buffer-pool knob
 }
 
-// newFlatKnobs flattens cfg for this engine flavour.
+// newFlatKnobs flattens cfg for this engine flavour: each knob that
+// flatField maps lands in its field, and the buffer-pool knob in
+// bufferPool.
 func (e *Engine) newFlatKnobs(cfg knobs.Config) flatKnobs {
-	return flatKnobs{
-		workMem:  cfg["work_mem"],
-		maintMem: cfg["maintenance_work_mem"],
-		tempBuf:  cfg["temp_buffers"],
-		sortBuf:  cfg["sort_buffer_size"],
-		joinBuf:  cfg["join_buffer_size"],
-		keyBuf:   cfg["key_buffer_size"],
-		tmpTable: cfg["tmp_table_size"],
-
-		randomPageCost:    cfg["random_page_cost"],
-		seqPageCost:       cfg["seq_page_cost"],
-		cpuTupleCost:      cfg["cpu_tuple_cost"],
-		effectiveCacheSiz: cfg["effective_cache_size"],
-		maxParPerGather:   cfg["max_parallel_workers_per_gather"],
-		eqRangeDiveLimit:  cfg["eq_range_index_dive_limit"],
-
-		effectiveIOConc:      cfg["effective_io_concurrency"],
-		maxWorkerProcesses:   cfg["max_worker_processes"],
-		innodbThreadConcurr:  cfg["innodb_thread_concurrency"],
-		innodbMaxDirtyPct:    cfg["innodb_max_dirty_pages_pct"],
-		innodbIOCapacity:     cfg["innodb_io_capacity"],
-		innodbLRUScanDepth:   cfg["innodb_lru_scan_depth"],
-		innodbLogFileSize:    cfg["innodb_log_file_size"],
-		bgwriterDelay:        cfg["bgwriter_delay"],
-		bgwriterLRUMaxpages:  cfg["bgwriter_lru_maxpages"],
-		checkpointTimeout:    cfg["checkpoint_timeout"],
-		maxWALSize:           cfg["max_wal_size"],
-		ckptCompletionTarget: cfg["checkpoint_completion_target"],
-
-		bufferPool: cfg[e.kcat.BufferPoolKnob()],
+	var fk flatKnobs
+	for name, v := range cfg {
+		if f := flatField(&fk, name); f != nil {
+			*f = v
+		}
 	}
+	fk.bufferPool = cfg[e.kcat.BufferPoolKnob()]
+	return fk
 }
 
 // flatLocked returns the flattened view of the active config, rebuilt
@@ -94,22 +73,103 @@ func (e *Engine) flatLocked() *flatKnobs {
 	return &e.fk
 }
 
-// overlayLocked clones the active config, applies override on top and
-// returns both the flattened view and the merged config (the latter for
-// the map-based hit-ratio / memory-footprint model). Shared by every
-// hypothetical-probe entry point (ExplainWith, HypotheticalRunMs,
-// HypotheticalRunTemplatesMs). An empty override is the active config
-// itself: the memoised view and e.cfg, which the caller must only read
-// and only under e.mu.
-func (e *Engine) overlayLocked(override knobs.Config) (flatKnobs, knobs.Config) {
-	if len(override) == 0 {
-		return *e.flatLocked(), e.cfg
+// flatField returns the field of fk that holds knob name, or nil when
+// no field reads that knob. The buffer-pool field is not listed: which
+// knob fills it depends on the engine, and that knob sends an overlay
+// down the clone path.
+func flatField(fk *flatKnobs, name string) *float64 {
+	switch name {
+	case "work_mem":
+		return &fk.workMem
+	case "maintenance_work_mem":
+		return &fk.maintMem
+	case "temp_buffers":
+		return &fk.tempBuf
+	case "sort_buffer_size":
+		return &fk.sortBuf
+	case "join_buffer_size":
+		return &fk.joinBuf
+	case "key_buffer_size":
+		return &fk.keyBuf
+	case "tmp_table_size":
+		return &fk.tmpTable
+	case "random_page_cost":
+		return &fk.randomPageCost
+	case "seq_page_cost":
+		return &fk.seqPageCost
+	case "cpu_tuple_cost":
+		return &fk.cpuTupleCost
+	case "effective_cache_size":
+		return &fk.effectiveCacheSiz
+	case "max_parallel_workers_per_gather":
+		return &fk.maxParPerGather
+	case "eq_range_index_dive_limit":
+		return &fk.eqRangeDiveLimit
+	case "effective_io_concurrency":
+		return &fk.effectiveIOConc
+	case "max_worker_processes":
+		return &fk.maxWorkerProcesses
+	case "innodb_thread_concurrency":
+		return &fk.innodbThreadConcurr
+	case "innodb_max_dirty_pages_pct":
+		return &fk.innodbMaxDirtyPct
+	case "innodb_io_capacity":
+		return &fk.innodbIOCapacity
+	case "innodb_lru_scan_depth":
+		return &fk.innodbLRUScanDepth
+	case "innodb_log_file_size":
+		return &fk.innodbLogFileSize
+	case "bgwriter_delay":
+		return &fk.bgwriterDelay
+	case "bgwriter_lru_maxpages":
+		return &fk.bgwriterLRUMaxpages
+	case "checkpoint_timeout":
+		return &fk.checkpointTimeout
+	case "max_wal_size":
+		return &fk.maxWALSize
+	case "checkpoint_completion_target":
+		return &fk.ckptCompletionTarget
 	}
-	cfg := e.cfg.Clone()
+	return nil
+}
+
+// overlayLocked returns the flattened view and the cache hit ratio of
+// the active config with override applied on top, leaving the active
+// config untouched. It backs HypotheticalRunTemplatesMs.
+//
+// Usually nothing is copied but the view: the memoised one is copied
+// and the fields the override names are patched. newFlatKnobs fills
+// every field through flatField too, so this equals flattening a
+// merged copy of the config, and a knob no field reads changes nothing.
+// The hit ratio reads the buffer-pool knob and MemoryFootprint, which
+// sums only memory-class knobs; an override naming one of those (the
+// canary's full configs do) is merged into a clone of the config
+// instead.
+func (e *Engine) overlayLocked(override knobs.Config) (flatKnobs, float64) {
+	fk := *e.flatLocked()
 	for k, v := range override {
-		cfg[k] = v
+		if e.readByHitRatio(k) {
+			cfg := e.cfg.Clone()
+			for name, val := range override {
+				cfg[name] = val
+			}
+			return e.newFlatKnobs(cfg), e.hitRatioLocked(cfg)
+		}
+		if f := flatField(&fk, k); f != nil {
+			*f = v
+		}
 	}
-	return e.newFlatKnobs(cfg), cfg
+	return fk, e.hitRatioLocked(e.cfg)
+}
+
+// readByHitRatio reports whether hitRatioLocked reads knob name: the
+// buffer-pool knob, or a memory-class knob of this engine's catalogue.
+func (e *Engine) readByHitRatio(name string) bool {
+	if name == e.kcat.BufferPoolKnob() {
+		return true
+	}
+	d := e.kcat.Def(name)
+	return d != nil && d.Class == knobs.Memory
 }
 
 // bumpEpochLocked invalidates the flattened knob view. Called whenever

@@ -141,28 +141,6 @@ func (e *Engine) planWith(fk *flatKnobs, q workload.Query) Plan {
 	return p
 }
 
-// Explain returns the plan for q under the active configuration. It
-// goes through planWith like RunWindow, so EXPLAIN output and execution
-// pricing can never disagree.
-func (e *Engine) Explain(q workload.Query) Plan {
-	e.mu.Lock()
-	p := e.planWith(e.flatLocked(), q)
-	e.mu.Unlock()
-	return p
-}
-
-// ExplainWith returns the plan for q under an alternative configuration
-// overlay (unknown/absent knobs fall back to the active values). The
-// TDE's MDP probe uses this to run cost/benefit analysis for candidate
-// async/planner knob values without perturbing the live process.
-func (e *Engine) ExplainWith(override knobs.Config, q workload.Query) Plan {
-	e.mu.Lock()
-	fk, _ := e.overlayLocked(override)
-	p := e.planWith(&fk, q)
-	e.mu.Unlock()
-	return p
-}
-
 // ioOverlapFactor models asynchronous-IO overlap: deeper prefetch hides
 // miss latency up to the device's parallelism, then costs coordination.
 func (e *Engine) ioOverlapFactor(fk *flatKnobs) float64 {
@@ -207,7 +185,7 @@ func (e *Engine) trueScanFactor() float64 {
 // serviceTimeMs prices one query's execution given the current cache
 // hit ratio and a pre-computed plan (from planWith).
 // It is the single source of truth for both live execution (RunWindow)
-// and hypothetical probes (HypotheticalRunMs).
+// and hypothetical probes (HypotheticalRunTemplatesMs).
 func (e *Engine) serviceTimeMs(fk *flatKnobs, q workload.Query, hitRatio float64, plan Plan) (ms float64, spillBytes float64) {
 	readBytes := clampNonNeg(q.Profile.ReadBytes)
 	if plan.Scan == IndexScan {
@@ -259,22 +237,6 @@ func (e *Engine) serviceTimeMs(fk *flatKnobs, q workload.Query, hitRatio float64
 	ioMs += writePages / math.Max(1, e.res.DiskIOPS) * 200 // mostly buffered
 
 	return cpuMs + ioMs, spillBytes
-}
-
-// HypotheticalRunMs prices a batch of queries under a config overlay
-// without mutating engine state. The TDE's MDP probe compares this
-// against the live config to compute profit/loss for a knob step.
-func (e *Engine) HypotheticalRunMs(override knobs.Config, qs []workload.Query) float64 {
-	e.mu.Lock()
-	fk, cfg := e.overlayLocked(override)
-	hit := e.hitRatioLocked(cfg)
-	var total float64
-	for _, q := range qs {
-		ms, _ := e.serviceTimeMs(&fk, q, hit, e.planWith(&fk, q))
-		total += ms
-	}
-	e.mu.Unlock()
-	return total
 }
 
 // hitRatioLocked models the buffer-pool hit ratio for cfg against the

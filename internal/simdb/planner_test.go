@@ -1,6 +1,7 @@
 package simdb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -33,9 +34,44 @@ func pointQuery() workload.Query {
 	}
 }
 
+// remember records q's profile under an ID of its own (its class and
+// profile), as RunWindow does for an executed statement, and returns
+// the ID.
+func remember(e *Engine, q workload.Query) string {
+	id := fmt.Sprintf("%d/%+v", q.Class, q.Profile)
+	e.mu.Lock()
+	e.rememberProfileLocked(id, q)
+	e.mu.Unlock()
+	return id
+}
+
+// explain plans q through ExplainTemplate.
+func explain(t *testing.T, e *Engine, q workload.Query) Plan {
+	t.Helper()
+	p, ok := e.ExplainTemplate(remember(e, q))
+	if !ok {
+		t.Fatal("a remembered template was not explained")
+	}
+	return p
+}
+
+// price prices qs under override through HypotheticalRunTemplatesMs.
+func price(t *testing.T, e *Engine, override knobs.Config, qs []workload.Query) float64 {
+	t.Helper()
+	ids := make([]string, len(qs))
+	for i, q := range qs {
+		ids[i] = remember(e, q)
+	}
+	ms, n := e.HypotheticalRunTemplatesMs(override, ids)
+	if n != len(qs) {
+		t.Fatalf("priced %d of %d statements", n, len(qs))
+	}
+	return ms
+}
+
 func TestExplainReportsSpill(t *testing.T) {
 	e := newPG(t, m4XLarge(), 24*workload.GiB)
-	p := e.Explain(aggQuery(350)) // default work_mem = 4MB
+	p := explain(t, e, aggQuery(350)) // default work_mem = 4MB
 	if !p.UsesDisk {
 		t.Fatal("350MB aggregation must spill under 4MB work_mem")
 	}
@@ -45,45 +81,49 @@ func TestExplainReportsSpill(t *testing.T) {
 	if err := e.ApplyConfig(knobs.Config{"work_mem": workload.GiB}, ApplyReload); err != nil {
 		t.Fatal(err)
 	}
-	if p := e.Explain(aggQuery(350)); p.UsesDisk {
+	if p := explain(t, e, aggQuery(350)); p.UsesDisk {
 		t.Fatal("1GB work_mem should not spill on 350MB demand")
 	}
 }
 
-func TestExplainWithOverlayDoesNotMutate(t *testing.T) {
+func TestHypotheticalOverlayDoesNotMutate(t *testing.T) {
 	e := newPG(t, m4XLarge(), 24*workload.GiB)
-	p := e.ExplainWith(knobs.Config{"work_mem": workload.GiB}, aggQuery(350))
-	if p.UsesDisk {
+	qs := []workload.Query{aggQuery(350)}
+	live := price(t, e, nil, qs)
+	if fitting := price(t, e, knobs.Config{"work_mem": workload.GiB}, qs); !(fitting < live) {
 		t.Fatal("overlay not applied")
 	}
 	if e.Config()["work_mem"] != 4*1024*1024 {
-		t.Fatal("ExplainWith mutated live config")
+		t.Fatal("the overlay mutated the live config")
+	}
+	if again := price(t, e, nil, qs); again != live {
+		t.Fatalf("live pricing moved after an overlay: %g, then %g", live, again)
 	}
 }
 
 func TestIndexScanChosenForSelectiveQueries(t *testing.T) {
 	e := newPG(t, m4XLarge(), 24*workload.GiB)
-	if p := e.Explain(pointQuery()); p.Scan != IndexScan {
+	if p := explain(t, e, pointQuery()); p.Scan != IndexScan {
 		t.Fatalf("point query planned as %v", p.Scan)
 	}
 	// A hostile cost configuration flips the plan to seq scan.
 	if err := e.ApplyConfig(knobs.Config{"random_page_cost": 10, "seq_page_cost": 0.1, "cpu_tuple_cost": 0.001}, ApplyReload); err != nil {
 		t.Fatal(err)
 	}
-	if p := e.Explain(pointQuery()); p.Scan != SeqScan {
+	if p := explain(t, e, pointQuery()); p.Scan != SeqScan {
 		t.Fatalf("hostile costs still planned %v", p.Scan)
 	}
 }
 
 func TestParallelWorkersRequestedForBigScans(t *testing.T) {
 	e := newPG(t, m4XLarge(), 24*workload.GiB)
-	if p := e.Explain(aggQuery(350)); p.ParallelWorkers != 0 {
+	if p := explain(t, e, aggQuery(350)); p.ParallelWorkers != 0 {
 		t.Fatal("default max_parallel_workers_per_gather=0 must stay serial")
 	}
 	if err := e.ApplyConfig(knobs.Config{"max_parallel_workers_per_gather": 8}, ApplyReload); err != nil {
 		t.Fatal(err)
 	}
-	p := e.Explain(aggQuery(350))
+	p := explain(t, e, aggQuery(350))
 	if p.ParallelWorkers < 1 {
 		t.Fatal("big parallelizable scan did not request workers")
 	}
@@ -92,8 +132,8 @@ func TestParallelWorkersRequestedForBigScans(t *testing.T) {
 func TestParallelismImprovesHypotheticalCost(t *testing.T) {
 	e := newPG(t, m4XLarge(), 24*workload.GiB)
 	qs := []workload.Query{aggQuery(2), aggQuery(2)} // fits memory; CPU-bound
-	serial := e.HypotheticalRunMs(nil, qs)
-	par := e.HypotheticalRunMs(knobs.Config{"max_parallel_workers_per_gather": 8}, qs)
+	serial := price(t, e, nil, qs)
+	par := price(t, e, knobs.Config{"max_parallel_workers_per_gather": 8}, qs)
 	if !(par < serial) {
 		t.Fatalf("parallel cost %.1f not below serial %.1f", par, serial)
 	}
@@ -102,8 +142,8 @@ func TestParallelismImprovesHypotheticalCost(t *testing.T) {
 func TestHypotheticalSpillCostVisible(t *testing.T) {
 	e := newPG(t, m4XLarge(), 24*workload.GiB)
 	qs := []workload.Query{aggQuery(350)}
-	spilling := e.HypotheticalRunMs(nil, qs)
-	fitting := e.HypotheticalRunMs(knobs.Config{"work_mem": workload.GiB}, qs)
+	spilling := price(t, e, nil, qs)
+	fitting := price(t, e, knobs.Config{"work_mem": workload.GiB}, qs)
 	if !(fitting < spilling) {
 		t.Fatalf("fitting cost %.1f not below spilling %.1f", fitting, spilling)
 	}
@@ -119,7 +159,7 @@ func TestMySQLPlannerUsesJoinBufferForJoins(t *testing.T) {
 			ReadBytes: workload.GiB,
 		},
 	}
-	p := e.Explain(join)
+	p := explain(t, e, join)
 	if p.MemGranted != e.Config()["join_buffer_size"] {
 		t.Fatalf("join granted %g, want join_buffer_size %g", p.MemGranted, e.Config()["join_buffer_size"])
 	}
@@ -128,7 +168,7 @@ func TestMySQLPlannerUsesJoinBufferForJoins(t *testing.T) {
 		Class:   sqlparse.ClassSort,
 		Profile: workload.Profile{MemDemand: 10 * 1024 * 1024, ReadBytes: workload.GiB},
 	}
-	if p := e.Explain(sortQ); p.MemGranted != e.Config()["sort_buffer_size"] {
+	if p := explain(t, e, sortQ); p.MemGranted != e.Config()["sort_buffer_size"] {
 		t.Fatalf("sort granted %g, want sort_buffer_size", p.MemGranted)
 	}
 }
@@ -175,7 +215,7 @@ func TestSplitDisksReducesDataDiskLoad(t *testing.T) {
 
 func TestPlanFormat(t *testing.T) {
 	e := newPG(t, m4XLarge(), 24*workload.GiB)
-	out := e.Explain(aggQuery(350)).Format()
+	out := explain(t, e, aggQuery(350)).Format()
 	for _, want := range []string{"Seq Scan", "cost=", "Work Area", "(Disk)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
@@ -184,7 +224,7 @@ func TestPlanFormat(t *testing.T) {
 	if err := e.ApplyConfig(knobs.Config{"work_mem": workload.GiB, "max_parallel_workers_per_gather": 4}, ApplyReload); err != nil {
 		t.Fatal(err)
 	}
-	out2 := e.Explain(aggQuery(350)).Format()
+	out2 := explain(t, e, aggQuery(350)).Format()
 	if !strings.Contains(out2, "(Memory)") || !strings.Contains(out2, "Workers Planned") {
 		t.Fatalf("tuned plan rendering:\n%s", out2)
 	}

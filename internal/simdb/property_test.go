@@ -10,7 +10,7 @@ import (
 	"autodbaas/internal/workload"
 )
 
-// Property: HypotheticalRunMs is non-negative and monotone in spill
+// Property: HypotheticalRunTemplatesMs is non-negative and monotone in spill
 // relief — granting strictly more working memory never increases the
 // hypothetical cost of a fixed query batch (the cache-footprint feedback
 // is excluded by keeping the overlay memory fixed and varying only the
@@ -28,8 +28,8 @@ func TestHypotheticalMonotoneInWorkMemProperty(t *testing.T) {
 		lim := 64.0 * 1024 * 1024
 		a := d.Min + r.Float64()*(lim-d.Min)
 		b := a + r.Float64()*(lim-a)
-		costA := e.HypotheticalRunMs(knobs.Config{"work_mem": a}, qs)
-		costB := e.HypotheticalRunMs(knobs.Config{"work_mem": b}, qs)
+		costA := price(t, e, knobs.Config{"work_mem": a}, qs)
+		costB := price(t, e, knobs.Config{"work_mem": b}, qs)
 		return costA >= 0 && costB >= 0 && costB <= costA*1.0001
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -52,7 +52,7 @@ func TestPlanConsistencyProperty(t *testing.T) {
 	for _, gen := range gens {
 		for i := 0; i < 200; i++ {
 			q := gen.Sample(rng)
-			p := e.Explain(q)
+			p := explain(t, e, q)
 			wantDisk := p.MemRequired > p.MemGranted ||
 				p.MaintRequired > p.MaintGranted ||
 				p.TempRequired > p.TempGranted
@@ -108,7 +108,7 @@ func TestRingLogProperty(t *testing.T) {
 			r.add(lines[i])
 		}
 		k := rng.Intn(cap + 10)
-		got := r.last(k)
+		got := r.lastInto(nil, k)
 		want := k
 		if want > n {
 			want = n

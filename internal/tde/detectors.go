@@ -16,13 +16,13 @@ import (
 // them; any plan that would use disk for a working area implicates the
 // corresponding memory knob. Throttles pass through the entropy filter,
 // which may convert a run of them into a plan-upgrade signal.
-func (t *TDE) detectMemoryLocked(now time.Time) []Event {
+func (t *TDE) detectMemoryLocked(now time.Time, ids []string) []Event {
 	type finding struct {
 		knob  string
 		class sqlparse.Class
 	}
 	seen := map[string]finding{}
-	for _, id := range t.reservoir.Sample() {
+	for _, id := range ids {
 		st := t.templatizer.Stats(id)
 		if st == nil {
 			continue
@@ -80,7 +80,7 @@ func (t *TDE) detectMemoryLocked(now time.Time) []Event {
 
 	// Buffer-pool advisory: the gauged working set vs the (restart-only)
 	// buffer-pool knob, consumed by the maintenance-window logic.
-	pool := t.db.Config()[t.kcat.BufferPoolKnob()]
+	pool, _ := t.db.Knob(t.kcat.BufferPoolKnob())
 	if ws := t.db.WorkingSetBytes(); ws > 1.15*pool {
 		events = append(events, Event{
 			At: now, Kind: KindBufferAdvisory, Class: knobs.Memory,
@@ -149,7 +149,10 @@ func (t *TDE) atCapLocked(knob string) bool {
 // detectBgWriterLocked implements §3.2: compare the live system's
 // checkpoint-rate-to-disk-latency ratio against the mapped baseline.
 func (t *TDE) detectBgWriterLocked(now time.Time) []Event {
-	snap := t.db.Snapshot()
+	// The snapshot goes into the spare map, which then trades places
+	// with lastSnap: two maps serve every tick.
+	t.spareSnap = t.db.SnapshotInto(t.spareSnap)
+	snap := t.spareSnap
 	elapsed := now.Sub(t.lastSnapAt).Seconds()
 	if elapsed <= 0 {
 		return nil
@@ -165,7 +168,7 @@ func (t *TDE) detectBgWriterLocked(now time.Time) []Event {
 		// max_wal_size signal.
 		ckptDelta = snap["checkpoints_req"] - t.lastSnap["checkpoints_req"]
 	}
-	t.lastSnap = snap
+	t.spareSnap, t.lastSnap = t.lastSnap, snap
 	t.lastSnapAt = now
 
 	// Use the write-side latency: the paper monitors "disk-write
@@ -211,8 +214,7 @@ func (t *TDE) detectBgWriterLocked(now time.Time) []Event {
 // detectAsyncPlannerLocked implements §3.3: one learning-automata step
 // per planner knob per tick, pricing reservoir-sampled statements under
 // the perturbed configuration. A profitable step raises a throttle.
-func (t *TDE) detectAsyncPlannerLocked(now time.Time) []Event {
-	ids := t.reservoir.Sample()
+func (t *TDE) detectAsyncPlannerLocked(now time.Time, ids []string) []Event {
 	if len(ids) == 0 {
 		return nil
 	}
@@ -220,12 +222,13 @@ func (t *TDE) detectAsyncPlannerLocked(now time.Time) []Event {
 	if n > len(ids) {
 		n = len(ids)
 	}
-	sampled := make([]string, 0, n)
+	sampled := t.sampled[:0]
 	for _, id := range ids[:n] {
 		if t.templatizer.Stats(id) != nil {
 			sampled = append(sampled, id)
 		}
 	}
+	t.sampled = sampled
 	if len(sampled) == 0 {
 		return nil
 	}
@@ -234,17 +237,21 @@ func (t *TDE) detectAsyncPlannerLocked(now time.Time) []Event {
 		return nil
 	}
 
-	liveCfg := t.db.Config()
+	if t.probe == nil {
+		t.probe = make(knobs.Config, 1)
+	}
 	var events []Event
 	for _, a := range t.automata {
 		// Track the live knob value: tuner recommendations may have
 		// moved it since the last tick.
-		if v, ok := liveCfg[a.Knob]; ok {
+		if v, ok := t.db.Knob(a.Knob); ok {
 			_ = a.SetValue(v)
 		}
 		act := a.Choose(t.rng)
 		cand := a.Candidate(act)
-		alt, _ := t.db.HypotheticalRunTemplatesMs(knobs.Config{a.Knob: cand}, sampled)
+		clear(t.probe)
+		t.probe[a.Knob] = cand
+		alt, _ := t.db.HypotheticalRunTemplatesMs(t.probe, sampled)
 		profit := cur - alt
 		rewarded := profit > t.cfg.MDPMinProfitFraction*cur
 		a.Feedback(act, rewarded)

@@ -83,7 +83,8 @@ type Event struct {
 type Baseline interface {
 	// BgWriterBaseline maps the live metric sample to a reference
 	// (checkpointsPerSecond, diskLatencyMs). ok=false when no mapping
-	// is possible yet (cold start).
+	// is possible yet (cold start). The TDE reuses the sample's map, so
+	// an implementation must not keep it past the call.
 	BgWriterBaseline(sample metrics.Snapshot) (ckptPerSec, diskLatencyMs float64, ok bool)
 }
 
@@ -159,6 +160,15 @@ type TDE struct {
 	lastSnap   metrics.Snapshot
 	lastSnapAt time.Time
 
+	// Per-round scratch, reused from tick to tick and never
+	// checkpointed: the query-log read, the snapshot the bgwriter
+	// detector swaps with lastSnap, the MDP's priced sample and its
+	// one-knob override.
+	logBuf    []simdb.LogEntry
+	spareSnap metrics.Snapshot
+	sampled   []string
+	probe     knobs.Config
+
 	// throttle counters per class (the paper's evaluation metric).
 	throttles map[knobs.Class]int
 	upgrades  int
@@ -206,7 +216,6 @@ func New(db *simdb.Engine, cfg Config, baseline Baseline) (*TDE, error) {
 // whose unit step is a fixed fraction of its range.
 func buildAutomata(db *simdb.Engine) ([]*mdp.Automaton, error) {
 	kcat := db.KnobCatalog()
-	cfg := db.Config()
 	var out []*mdp.Automaton
 	for _, name := range kcat.NamesByClass(knobs.AsyncPlanner) {
 		def := kcat.Def(name)
@@ -217,7 +226,8 @@ func buildAutomata(db *simdb.Engine) ([]*mdp.Automaton, error) {
 		if step <= 0 {
 			continue
 		}
-		a, err := mdp.NewAutomaton(name, cfg[name], step, def.Min, def.Max)
+		v, _ := db.Knob(name)
+		a, err := mdp.NewAutomaton(name, v, step, def.Min, def.Max)
 		if err != nil {
 			return nil, fmt.Errorf("tde: automaton for %s: %w", name, err)
 		}
@@ -257,23 +267,29 @@ func (t *TDE) Tick() []Event {
 	defer t.mu.Unlock()
 	// Ingest the recent query log into the template statistics and the
 	// reservoir. The engine resolved every entry's template when it ran
-	// the statement, so nothing is re-templated here.
-	for _, le := range t.db.QueryLog(t.cfg.LogBatch) {
+	// the statement, so nothing is re-templated here. The log is read
+	// into a reused buffer, cleared afterwards so that it does not keep
+	// statements alive that the ring has since overwritten.
+	t.logBuf = t.db.QueryLogInto(t.logBuf, t.cfg.LogBatch)
+	for _, le := range t.logBuf {
 		t.templatizer.ObserveID(le.TemplateID, le.SQL)
 		t.reservoir.Offer(le.TemplateID)
 	}
+	clear(t.logBuf)
 	return t.detectLocked()
 }
 
 // detectLocked runs the three detectors on the ingested state and
-// counts what they raised.
+// counts what they raised. The reservoir is read once for the memory
+// and MDP detectors; neither changes it.
 func (t *TDE) detectLocked() []Event {
 	t.ticks++
 	now := t.db.Now()
+	ids := t.reservoir.Sample()
 	var events []Event
-	events = append(events, t.detectMemoryLocked(now)...)
+	events = append(events, t.detectMemoryLocked(now, ids)...)
 	events = append(events, t.detectBgWriterLocked(now)...)
-	events = append(events, t.detectAsyncPlannerLocked(now)...)
+	events = append(events, t.detectAsyncPlannerLocked(now, ids)...)
 
 	for _, ev := range events {
 		switch ev.Kind {

@@ -1,6 +1,8 @@
 package tde
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -253,5 +255,61 @@ func TestDefaultBaselineValues(t *testing.T) {
 	r, l, ok := b.BgWriterBaseline(nil)
 	if !ok || l != 2.0 || r <= 0 {
 		t.Fatalf("baseline = %g/%g/%v", r, l, ok)
+	}
+}
+
+// TestQuietTickAllocsIndependentOfLogBatch: after warm-up, a tick that
+// raises nothing allocates the same number of objects at LogBatch 64
+// and 512, and about the same bytes: the log is read into a buffer the
+// TDE reuses, not copied each tick.
+func TestQuietTickAllocsIndependentOfLogBatch(t *testing.T) {
+	measure := func(batch int) (allocs, bytes float64) {
+		t.Helper()
+		db, err := simdb.NewEngine(simdb.Options{
+			Engine:      knobs.Postgres,
+			Resources:   simdb.Resources{MemoryBytes: 8 * workload.GiB, VCPU: 2, DiskIOPS: 3000, DiskSSD: true},
+			DBSizeBytes: 2 * workload.GiB,
+			Seed:        11,
+			// A pool larger than the data set: no buffer advisory.
+			Config: knobs.Config{"shared_buffers": 4 * workload.GiB},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.LogBatch = batch
+		cfg.MDPMinProfitFraction = math.Inf(1) // no probe can pay
+		td, err := New(db, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := workload.NewYCSB(2*workload.GiB, 500)
+		quiet := func() {
+			if ev := td.Tick(); len(ev) != 0 {
+				t.Fatalf("LogBatch %d: a tick raised %+v", batch, ev)
+			}
+		}
+		for i := 0; i < 6; i++ {
+			if _, err := db.RunWindow(gen, 5*time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			quiet()
+		}
+		const runs = 50
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			quiet()
+		}
+		runtime.ReadMemStats(&m1)
+		return testing.AllocsPerRun(runs, quiet), float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := measure(64)
+	largeAllocs, largeBytes := measure(simdb.DefaultQueryLogSize)
+	if smallAllocs != largeAllocs {
+		t.Fatalf("a quiet tick allocates %v objects at LogBatch 64 and %v at %d", smallAllocs, largeAllocs, simdb.DefaultQueryLogSize)
+	}
+	if largeBytes > smallBytes+512 {
+		t.Fatalf("a quiet tick allocates %.0f B at LogBatch 64 and %.0f B at %d", smallBytes, largeBytes, simdb.DefaultQueryLogSize)
 	}
 }
