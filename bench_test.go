@@ -155,7 +155,7 @@ func BenchmarkAblationTemplating(b *testing.B) {
 	gen := workload.NewProduction()
 	lines := make([]string, 4096)
 	for i := range lines {
-		lines[i] = gen.Sample(rng).SQL
+		lines[i] = gen.Sample(rng).Text()
 	}
 	tz := sqlparse.NewTemplatizer()
 	b.ResetTimer()

@@ -54,7 +54,7 @@ func main() {
 	for i := 0; i < *n; i++ {
 		q := gen.Sample(rng)
 		fmt.Printf("%s;  -- class=%s mem=%.1fMB read=%.1fMB write=%.1fMB\n",
-			q.SQL, q.Class,
+			q.Text(), q.Class,
 			q.Profile.MemDemand/workload.MiB,
 			q.Profile.ReadBytes/workload.MiB,
 			q.Profile.WriteBytes/workload.MiB)

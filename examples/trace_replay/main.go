@@ -57,8 +57,9 @@ func main() {
 		}
 		var spills float64
 		var windows int
+		replay := textByTemplate{Generator: tr, text: make(map[string]string)}
 		for i := 0; i < 6; i++ {
-			st, err := eng.RunWindow(tr, time.Minute)
+			st, err := eng.RunWindow(replay, time.Minute)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -68,10 +69,12 @@ func main() {
 		fmt.Printf("== %s config: %.0f MB spilled over %d minutes ==\n",
 			variant.name, spills/(1<<20), windows)
 		// Show what EXPLAIN says about one heavy template from the log.
+		// The log keeps template IDs, not text; the replay remembers a
+		// statement of each template to print.
 		for _, le := range eng.QueryLog(400) {
 			plan, ok := eng.ExplainTemplate(le.TemplateID)
 			if ok && plan.MemRequired > 50*(1<<20) {
-				fmt.Printf("EXPLAIN %.60s...\n%s\n", le.SQL, plan.Format())
+				fmt.Printf("EXPLAIN %.60s...\n%s\n", replay.text[le.TemplateID], plan.Format())
 				break
 			}
 		}
@@ -81,4 +84,18 @@ func main() {
 	cat := knobs.PostgresCatalog()
 	fmt.Println("== postgresql.conf fragment for the tuned knobs ==")
 	fmt.Print(cat.RenderConf(tuned))
+}
+
+// textByTemplate replays a generator and remembers the text of the
+// latest statement it handed out for each template.
+type textByTemplate struct {
+	workload.Generator
+	text map[string]string
+}
+
+// Sample implements workload.Generator.
+func (g textByTemplate) Sample(rng *rand.Rand) workload.Query {
+	q := g.Generator.Sample(rng)
+	g.text[q.Template.ID] = q.Text()
+	return q
 }

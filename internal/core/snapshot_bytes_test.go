@@ -17,7 +17,7 @@ var sectionCeilings = map[string]int{
 	"repository/store":         26_800,
 	"tuners":                   230_000,
 	"instance agent":           341_000,
-	"instance engine log":      658_000,
+	"instance engine log":      47_200,
 	"instance engine profiles": 730_000,
 	"instance engine other":    27_500,
 	"instance monitor":         34_500,
@@ -26,15 +26,15 @@ var sectionCeilings = map[string]int{
 
 // engineLogFields are the EngineState JSON fields that hold the query log.
 var engineLogFields = map[string]bool{
-	"query_log": true, "query_log_next": true, "query_log_full": true,
-	"query_log_templates": true, "query_log_template_idx": true,
+	"query_log": true, "query_log_slots": true, "query_log_next": true, "query_log_full": true,
+	"query_log_templates": true, "query_log_classes": true, "query_log_template_idx": true,
 }
 
 // snapshotSectionBytes splits a snapshot's bytes by section kind. Within
 // an instance section it counts the JSON values of the agent, each
 // node's query log, profiles and remaining engine state, and the monitor.
 // It also reports, per replica node, how many log slots and profiles it
-// carries.
+// carries. No node may write per-slot SQL text.
 func snapshotSectionBytes(t *testing.T, data []byte) (sizes map[string]int, replicaLog, replicaProfiles map[string]int) {
 	t.Helper()
 	_, sections, err := checkpoint.Parse(data)
@@ -59,6 +59,9 @@ func snapshotSectionBytes(t *testing.T, data []byte) (sizes map[string]int, repl
 			sizes["instance agent"] += len(inst.Agent)
 			sizes["instance monitor"] += len(inst.Monitor)
 			for i, node := range inst.Nodes {
+				if _, ok := node["query_log"]; ok {
+					t.Errorf("%s node %d writes its query log's SQL text", name, i)
+				}
 				for field, v := range node {
 					switch {
 					case engineLogFields[field]:
@@ -72,17 +75,19 @@ func snapshotSectionBytes(t *testing.T, data []byte) (sizes map[string]int, repl
 				if i == 0 {
 					continue
 				}
-				var slots []string
+				var slots int
 				var profiles map[string]json.RawMessage
-				if err := json.Unmarshal(node["query_log"], &slots); err != nil {
-					t.Fatalf("%s node %d: %v", name, i, err)
+				if v, ok := node["query_log_slots"]; ok {
+					if err := json.Unmarshal(v, &slots); err != nil {
+						t.Fatalf("%s node %d: %v", name, i, err)
+					}
 				}
 				if p, ok := node["profiles"]; ok {
 					if err := json.Unmarshal(p, &profiles); err != nil {
 						t.Fatalf("%s node %d: %v", name, i, err)
 					}
 				}
-				replicaLog[name] += len(slots)
+				replicaLog[name] += slots
 				replicaProfiles[name] += len(profiles)
 			}
 		default:

@@ -47,7 +47,7 @@ func entropySeries(name string, gen workload.Generator, windows, perWindow int, 
 	for w := 0; w < windows; w++ {
 		tz := sqlparse.NewTemplatizer()
 		for i := 0; i < perWindow; i++ {
-			tz.Observe(gen.Sample(rng).SQL)
+			tz.Observe(gen.Sample(rng).Text())
 		}
 		counts := make([]int, sqlparse.NumClasses)
 		for cls, n := range tz.ClassHistogram() {

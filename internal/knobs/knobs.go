@@ -117,9 +117,10 @@ var ErrMemoryBudget = errors.New("knobs: memory knobs exceed instance budget")
 
 // Catalog is an ordered set of knob definitions for one engine.
 type Catalog struct {
-	Engine Engine
-	defs   map[string]*Def
-	order  []string
+	Engine  Engine
+	defs    map[string]*Def
+	order   []string
+	tunable []string // the knobs of order without Restart, in order
 }
 
 func newCatalog(engine Engine, defs []Def) *Catalog {
@@ -128,6 +129,9 @@ func newCatalog(engine Engine, defs []Def) *Catalog {
 		d := defs[i]
 		c.defs[d.Name] = &d
 		c.order = append(c.order, d.Name)
+		if !d.Restart {
+			c.tunable = append(c.tunable, d.Name)
+		}
 	}
 	return c
 }
@@ -251,16 +255,13 @@ func (c *Catalog) NamesByClass(cls Class) []string {
 	return out
 }
 
-// TunableNames returns knobs applicable without a restart.
-func (c *Catalog) TunableNames() []string {
-	var out []string
-	for _, n := range c.order {
-		if !c.defs[n].Restart {
-			out = append(out, n)
-		}
-	}
-	return out
-}
+// TunableNames returns knobs applicable without a restart, in
+// catalogue order, in a new slice.
+func (c *Catalog) TunableNames() []string { return append([]string(nil), c.tunable...) }
+
+// Tunables is TunableNames without the copy: the catalogue's own list,
+// which callers must not modify.
+func (c *Catalog) Tunables() []string { return c.tunable }
 
 // RestartNames returns "non-tunable" knobs (restart required to apply).
 func (c *Catalog) RestartNames() []string {

@@ -265,8 +265,7 @@ func (o *Orchestrator) ReconcileTick(now time.Time) []string {
 		if !ok {
 			continue
 		}
-		live := inst.Replica.Master().Config()
-		if tunableEqual(inst.Replica.Master().KnobCatalog(), live, want) && !anyNodeDown(inst) {
+		if tunableInSync(inst.Replica.Master(), want) && !anyNodeDown(inst) {
 			o.mu.Lock()
 			delete(o.driftSince, inst.ID)
 			delete(o.repairFails, inst.ID)
@@ -371,7 +370,10 @@ func (o *Orchestrator) repairNode(node *simdb.Engine, want knobs.Config, method 
 
 // anyNodeDown reports whether any node of the instance is down.
 func anyNodeDown(inst *cluster.Instance) bool {
-	for _, node := range inst.Replica.Nodes() {
+	if inst.Replica.Master().Down() {
+		return true
+	}
+	for _, node := range inst.Replica.Slaves() {
 		if node.Down() {
 			return true
 		}
@@ -379,12 +381,16 @@ func anyNodeDown(inst *cluster.Instance) bool {
 	return false
 }
 
-// tunableEqual compares only knobs applicable without restart: restart
-// knobs legitimately differ until the next maintenance window.
-func tunableEqual(cat *knobs.Catalog, a, b knobs.Config) bool {
-	for _, n := range cat.TunableNames() {
-		av, aok := a[n]
-		bv, bok := b[n]
+// tunableInSync reports whether eng's active config matches want on
+// every knob applicable without restart (restart knobs legitimately
+// differ until the next maintenance window). A knob must be present in
+// both or in neither. It reads each knob through Engine.Knob and the
+// catalogue's own name list, so a tick over in-sync instances copies
+// no config.
+func tunableInSync(eng *simdb.Engine, want knobs.Config) bool {
+	for _, n := range eng.KnobCatalog().Tunables() {
+		av, aok := eng.Knob(n)
+		bv, bok := want[n]
 		if aok != bok || av != bv {
 			return false
 		}

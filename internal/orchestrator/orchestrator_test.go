@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -141,5 +142,25 @@ func TestDriftClearedIfConfigConverges(t *testing.T) {
 	}
 	if o.Reconciliations() != 0 {
 		t.Fatal("reconciliation counted despite convergence")
+	}
+}
+
+// TestReconcileTickInSyncAllocsFlat: a tick over instances whose live
+// configs match their persisted ones copies no config, so it allocates
+// the same over 64 instances as over 4.
+func TestReconcileTickInSyncAllocsFlat(t *testing.T) {
+	now := time.Date(2021, 3, 23, 10, 0, 0, 0, time.UTC)
+	allocs := func(n int) float64 {
+		o := New()
+		for i := 0; i < n; i++ {
+			provision(t, o, fmt.Sprintf("db-%02d", i))
+		}
+		if got := o.ReconcileTick(now); len(got) != 0 {
+			t.Fatalf("in-sync instances reconciled: %v", got)
+		}
+		return testing.AllocsPerRun(20, func() { o.ReconcileTick(now) })
+	}
+	if small, large := allocs(4), allocs(64); small != large {
+		t.Fatalf("an in-sync tick allocates %v objects over 4 instances and %v over 64", small, large)
 	}
 }

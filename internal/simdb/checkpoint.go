@@ -3,7 +3,6 @@ package simdb
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"autodbaas/internal/knobs"
@@ -44,20 +43,25 @@ type EngineState struct {
 	Down         bool      `json:"down"`
 	Restarts     int       `json:"restarts"`
 
-	// QueryLog holds every query-log slot's SQL in ring order (unfilled
-	// slots are empty); QueryLogNext and QueryLogFull are the ring's
-	// cursor. A replica's ring has no slots.
-	QueryLog     []string `json:"query_log"`
-	QueryLogNext int      `json:"query_log_next"`
-	QueryLogFull bool     `json:"query_log_full"`
-	// QueryLogTemplates and QueryLogTemplateIdx carry each slot's
-	// template ID so a restore need not re-template the log:
-	// QueryLogTemplates lists the distinct IDs, and QueryLogTemplateIdx
-	// packs one little-endian uint16 per slot indexing into it (base64
-	// in JSON). Snapshots written before these fields existed lack them;
-	// such a restore templates each filled slot once. Both are omitted
-	// when the log has more distinct IDs than a uint16 can index.
+	// The query log keeps each slot's template, not its text.
+	// QueryLogSlots is the ring's slot count (0 on a replica) and
+	// QueryLogNext and QueryLogFull its cursor. QueryLogTemplates lists
+	// the distinct template IDs (the empty ID for unfilled slots),
+	// QueryLogClasses holds one class byte per ID, and
+	// QueryLogTemplateIdx packs one little-endian index into them per
+	// slot: a uint16, or a uint32 when there are more than 65,536 IDs
+	// (both byte slices are base64 in JSON).
+	//
+	// QueryLog is read only from snapshots written while the log kept
+	// every slot's SQL text; they have no class table and no slot count
+	// (the slot count is len(QueryLog)), and a restore templates each
+	// filled slot's text once.
+	QueryLog            []string `json:"query_log,omitempty"`
+	QueryLogSlots       int      `json:"query_log_slots,omitempty"`
+	QueryLogNext        int      `json:"query_log_next"`
+	QueryLogFull        bool     `json:"query_log_full"`
 	QueryLogTemplates   []string `json:"query_log_templates,omitempty"`
+	QueryLogClasses     []byte   `json:"query_log_classes,omitempty"`
 	QueryLogTemplateIdx []byte   `json:"query_log_template_idx,omitempty"`
 
 	// Profiles is the per-template statistics store behind
@@ -97,6 +101,7 @@ func (e *Engine) CheckpointState() EngineState {
 		JitterFactor:     e.jitterFactor,
 		Down:             e.down,
 		Restarts:         e.restarts,
+		QueryLogSlots:    len(e.queryLog.buf),
 		QueryLogNext:     e.queryLog.next,
 		QueryLogFull:     e.queryLog.full,
 		CfgEpoch:         e.cfgEpoch,
@@ -105,7 +110,7 @@ func (e *Engine) CheckpointState() EngineState {
 	for k, v := range e.counters {
 		st.Counters[k] = v
 	}
-	st.QueryLog, st.QueryLogTemplates, st.QueryLogTemplateIdx = encodeLog(e.queryLog.buf)
+	st.QueryLogTemplates, st.QueryLogClasses, st.QueryLogTemplateIdx = encodeLog(e.queryLog.buf)
 	if len(e.profiles) > 0 {
 		st.Profiles = make(map[string]TemplateProfile, len(e.profiles))
 		for k, v := range e.profiles {
@@ -176,7 +181,10 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 // this engine's restores its newest len(ring) entries, oldest first; one
 // with fewer slots, or a cursor outside its slots, is corrupt.
 func (e *Engine) restoreLogLocked(st EngineState) error {
-	r, n := e.queryLog, len(st.QueryLog)
+	r, n := e.queryLog, st.QueryLogSlots
+	if st.QueryLogClasses == nil {
+		n = len(st.QueryLog)
+	}
 	if n < len(r.buf) {
 		return fmt.Errorf("simdb: restore: query log has %d slots, engine holds %d", n, len(r.buf))
 	}
@@ -201,53 +209,80 @@ func (e *Engine) restoreLogLocked(st EngineState) error {
 	return nil
 }
 
-// encodeLog splits the ring's entries into the snapshot's per-slot SQL,
-// distinct-ID table and packed index (see EngineState).
-func encodeLog(buf []LogEntry) (sqls, ids []string, idx []byte) {
-	sqls = make([]string, len(buf))
-	for i, le := range buf {
-		sqls[i] = le.SQL
-	}
+// encodeLog splits the ring's entries into the snapshot's distinct-ID
+// table, class table and packed index (see EngineState).
+func encodeLog(buf []LogEntry) (ids []string, classes, idx []byte) {
+	pos := make(map[string]uint32, 256)
 	idx = make([]byte, 2*len(buf))
-	pos := make(map[string]int, 256)
 	for i, le := range buf {
 		p, ok := pos[le.TemplateID]
 		if !ok {
-			if len(ids) > math.MaxUint16 {
-				return sqls, nil, nil
-			}
-			p = len(ids)
+			p = uint32(len(ids))
 			pos[le.TemplateID] = p
 			ids = append(ids, le.TemplateID)
+			classes = append(classes, byte(le.Class))
 		}
-		binary.LittleEndian.PutUint16(idx[2*i:], uint16(p))
+		binary.LittleEndian.PutUint16(idx[2*i:], uint16(p)) // rewritten below if p overflows
 	}
-	return sqls, ids, idx
+	if logIdxWidth(len(ids)) == 4 {
+		idx = make([]byte, 4*len(buf))
+		for i, le := range buf {
+			binary.LittleEndian.PutUint32(idx[4*i:], pos[le.TemplateID])
+		}
+	}
+	return ids, classes, idx
+}
+
+// logIdxWidth is the bytes per slot of the packed index over a table of
+// n template IDs.
+func logIdxWidth(n int) int {
+	if n > 1<<16 {
+		return 4
+	}
+	return 2
 }
 
 // decodeLog overwrites buf with st's query-log entries, or returns an
-// error and leaves buf untouched. A snapshot without the template
-// fields has each filled slot templated once.
+// error and leaves buf untouched. A snapshot without a class table
+// keeps its slots' SQL text, and each filled slot is templated once.
 func decodeLog(buf []LogEntry, st EngineState) error {
-	idx := st.QueryLogTemplateIdx
-	if idx != nil {
-		if len(idx) != 2*len(st.QueryLog) {
-			return fmt.Errorf("simdb: restore: query log template index has %d bytes for %d slots", len(idx), len(st.QueryLog))
-		}
-		for i := 0; i < len(idx); i += 2 {
-			if p := int(binary.LittleEndian.Uint16(idx[i:])); p >= len(st.QueryLogTemplates) {
-				return fmt.Errorf("simdb: restore: query log slot %d names template %d of %d", i/2, p, len(st.QueryLogTemplates))
+	if st.QueryLogClasses == nil {
+		for i, sql := range st.QueryLog {
+			buf[i] = LogEntry{}
+			if st.QueryLogFull || i < st.QueryLogNext {
+				tpl := sqlparse.TemplateOf(sql)
+				buf[i] = LogEntry{TemplateID: tpl.ID, Class: tpl.Class}
 			}
 		}
+		return nil
 	}
-	for i, sql := range st.QueryLog {
-		buf[i] = LogEntry{SQL: sql}
-		switch {
-		case idx != nil:
-			buf[i].TemplateID = st.QueryLogTemplates[binary.LittleEndian.Uint16(idx[2*i:])]
-		case st.QueryLogFull || i < st.QueryLogNext:
-			buf[i].TemplateID = sqlparse.TemplateOf(sql).ID
+	ids, classes, idx := st.QueryLogTemplates, st.QueryLogClasses, st.QueryLogTemplateIdx
+	if len(classes) != len(ids) {
+		return fmt.Errorf("simdb: restore: query log class table has %d entries for %d template IDs", len(classes), len(ids))
+	}
+	for i, c := range classes {
+		if int(c) >= sqlparse.NumClasses {
+			return fmt.Errorf("simdb: restore: query log template %d has class %d, want below %d", i, c, sqlparse.NumClasses)
 		}
+	}
+	w := logIdxWidth(len(ids))
+	if len(idx) != w*len(buf) {
+		return fmt.Errorf("simdb: restore: query log template index has %d bytes for %d slots", len(idx), len(buf))
+	}
+	at := func(i int) int {
+		if w == 4 {
+			return int(binary.LittleEndian.Uint32(idx[4*i:]))
+		}
+		return int(binary.LittleEndian.Uint16(idx[2*i:]))
+	}
+	for i := range buf {
+		if p := at(i); p >= len(ids) {
+			return fmt.Errorf("simdb: restore: query log slot %d names template %d of %d", i, p, len(ids))
+		}
+	}
+	for i := range buf {
+		p := at(i)
+		buf[i] = LogEntry{TemplateID: ids[p], Class: sqlparse.Class(classes[p])}
 	}
 	return nil
 }

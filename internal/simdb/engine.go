@@ -27,6 +27,7 @@ import (
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/metrics"
 	"autodbaas/internal/prng"
+	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/workload"
 )
 
@@ -440,12 +441,15 @@ func (e *Engine) Crash() {
 	e.down = true
 }
 
-// LogEntry is one query-log line: the executed statement and the ID of
-// its template, resolved once when the engine priced the statement.
-// TemplateID always equals sqlparse.TemplateOf(SQL).ID.
+// LogEntry is one query-log line: the template ID and class of the
+// executed statement, taken from the template the statement carried
+// when the engine priced it. They always equal sqlparse.TemplateOf of
+// the statement's text. The text itself is not logged: every reader of
+// the log (the TDE's class histogram and reservoir, EXPLAIN, the
+// canary) needs only the template.
 type LogEntry struct {
-	SQL        string
 	TemplateID string
+	Class      sqlparse.Class
 }
 
 // QueryLog returns up to n most recent log entries, oldest first, in a
@@ -455,9 +459,7 @@ func (e *Engine) QueryLog(n int) []LogEntry { return e.QueryLogInto(nil, n) }
 // QueryLogInto reads up to n most recent log entries, oldest first,
 // into dst's backing array when it is large enough (a new one when it
 // is not) and returns the filled slice. Entries of dst past the
-// returned length are left as they were. A caller that keeps dst
-// between reads should clear it after use, so that it does not keep
-// statements alive that the ring has since overwritten.
+// returned length are left as they were.
 func (e *Engine) QueryLogInto(dst []LogEntry, n int) []LogEntry {
 	e.mu.Lock()
 	defer e.mu.Unlock()

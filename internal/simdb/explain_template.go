@@ -19,22 +19,17 @@ type TemplateProfile struct {
 	Profile workload.Profile
 }
 
-// query rebuilds the statement shape the planner and pricer take.
-func (p TemplateProfile) query() workload.Query {
-	return workload.Query{Class: p.Class, Profile: p.Profile}
-}
-
 // rememberProfileLocked records the execution profile observed for
 // template id — the simulator's analogue of the statistics a real
 // engine accumulates and consults when asked to EXPLAIN a statement.
 // Resource demands are kept as high-water marks across instances of the
 // template, matching how per-statement statistics views report peak
 // memory/temp usage.
-func (e *Engine) rememberProfileLocked(id string, q workload.Query) {
+func (e *Engine) rememberProfileLocked(id string, cls sqlparse.Class, prof *workload.Profile) {
 	if e.profiles == nil {
 		e.profiles = make(map[string]TemplateProfile, 256)
 	}
-	merged := TemplateProfile{Class: q.Class, Profile: q.Profile}
+	merged := TemplateProfile{Class: cls, Profile: *prof}
 	old, ok := e.profiles[id]
 	if !ok {
 		if len(e.profiles) >= maxProfiles {
@@ -87,13 +82,14 @@ func (e *Engine) ExplainTemplate(id string) (Plan, bool) {
 	if !ok {
 		return Plan{}, false
 	}
-	return e.planWith(e.flatLocked(), p.query()), true
+	return e.planWith(e.flatLocked(), p.Class, &p.Profile), true
 }
 
 // HypotheticalRunTemplatesMs prices the statements remembered for ids
 // under a config overlay, skipping IDs without remembered statistics.
 // It returns the total estimated execution time and how many
-// statements were priced.
+// statements were priced. Each remembered profile is priced where the
+// lookup left it; nothing rebuilds a statement.
 func (e *Engine) HypotheticalRunTemplatesMs(override knobs.Config, ids []string) (float64, int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -105,8 +101,8 @@ func (e *Engine) HypotheticalRunTemplatesMs(override knobs.Config, ids []string)
 		if !ok {
 			continue
 		}
-		q := p.query()
-		ms, _ := e.serviceTimeMs(&fk, q, hit, e.planWith(&fk, q))
+		plan := e.planWith(&fk, p.Class, &p.Profile)
+		ms, _ := e.serviceTimeMs(&fk, p.Class, &p.Profile, hit, &plan)
 		total += ms
 		n++
 	}

@@ -71,8 +71,8 @@ func referenceRunMs(e *Engine, override knobs.Config, ids []string) (float64, in
 		if !ok {
 			continue
 		}
-		q := p.query()
-		ms, _ := e.serviceTimeMs(&fk, q, hit, e.planWith(&fk, q))
+		plan := e.planWith(&fk, p.Class, &p.Profile)
+		ms, _ := e.serviceTimeMs(&fk, p.Class, &p.Profile, hit, &plan)
 		total += ms
 		n++
 	}

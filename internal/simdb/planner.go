@@ -45,10 +45,11 @@ type Plan struct {
 	UsesDisk bool
 }
 
-// grants returns the working-area grants of fk for this engine flavour.
-func (e *Engine) grants(fk *flatKnobs, q workload.Query) (work, maint, temp float64) {
+// grants returns the working-area grants of fk for this engine flavour
+// to a statement of class cls.
+func (e *Engine) grants(fk *flatKnobs, cls sqlparse.Class) (work, maint, temp float64) {
 	if e.engineName == string(knobs.MySQL) {
-		switch q.Class {
+		switch cls {
 		case sqlparse.ClassJoin:
 			work = fk.joinBuf
 		default:
@@ -59,12 +60,13 @@ func (e *Engine) grants(fk *flatKnobs, q workload.Query) (work, maint, temp floa
 	return fk.workMem, fk.maintMem, fk.tempBuf
 }
 
-// selectivity estimates the fraction of pages an index path would touch.
-func selectivity(q workload.Query) float64 {
-	if !q.Profile.IndexFriendly {
+// selectivity estimates the fraction of pages an index path would touch
+// for a statement of class cls and profile p.
+func selectivity(cls sqlparse.Class, p *workload.Profile) float64 {
+	if !p.IndexFriendly {
 		return 1
 	}
-	switch q.Class {
+	switch cls {
 	case sqlparse.ClassSimpleSelect, sqlparse.ClassInsert, sqlparse.ClassUpdate, sqlparse.ClassDelete:
 		return 0.02
 	default:
@@ -72,25 +74,26 @@ func selectivity(q workload.Query) float64 {
 	}
 }
 
-// planWith computes the plan for q under the flattened knob view
-// without touching state. It is a pure function of (fk, resources,
-// dbSize, q.Class, q.Profile).
-func (e *Engine) planWith(fk *flatKnobs, q workload.Query) Plan {
-	work, maint, temp := e.grants(fk, q)
+// planWith computes the plan for a statement of class cls and profile
+// prof under the flattened knob view without touching state. It is a
+// pure function of (fk, resources, dbSize, cls, *prof); prof is read in
+// place, never copied.
+func (e *Engine) planWith(fk *flatKnobs, cls sqlparse.Class, prof *workload.Profile) Plan {
+	work, maint, temp := e.grants(fk, cls)
 	p := Plan{
-		MemRequired:   q.Profile.MemDemand,
+		MemRequired:   prof.MemDemand,
 		MemGranted:    work,
-		MaintRequired: q.Profile.MaintMem,
+		MaintRequired: prof.MaintMem,
 		MaintGranted:  maint,
-		TempRequired:  q.Profile.TempBytes,
+		TempRequired:  prof.TempBytes,
 		TempGranted:   temp,
 	}
-	p.UsesDisk = q.Profile.MemDemand > work ||
-		q.Profile.MaintMem > maint ||
-		q.Profile.TempBytes > temp
+	p.UsesDisk = prof.MemDemand > work ||
+		prof.MaintMem > maint ||
+		prof.TempBytes > temp
 
-	pages := math.Max(1, q.Profile.ReadBytes/PageSize)
-	sel := selectivity(q)
+	pages := math.Max(1, prof.ReadBytes/PageSize)
+	sel := selectivity(cls, prof)
 
 	if e.engineName == string(knobs.MySQL) {
 		// MySQL 5.6 has no parallel query; planner choice reduces to
@@ -99,7 +102,7 @@ func (e *Engine) planWith(fk *flatKnobs, q workload.Query) Plan {
 		dive := fk.eqRangeDiveLimit
 		indexCost := sel * pages * 1.4 * (1 + 10/math.Max(1, dive))
 		seqCost := pages
-		if q.Profile.IndexFriendly && indexCost < seqCost {
+		if prof.IndexFriendly && indexCost < seqCost {
 			p.Scan = IndexScan
 			p.EstimatedCost = indexCost
 		} else {
@@ -117,10 +120,10 @@ func (e *Engine) planWith(fk *flatKnobs, q workload.Query) Plan {
 	// planner's eyes (PostgreSQL discounts random_page_cost when it
 	// believes pages are cached).
 	cacheDiscount := math.Min(1, math.Max(0.25, e.dbSize/math.Max(1, 4*ecs)))
-	tuples := math.Max(1, q.Profile.ReadBytes/256)
+	tuples := math.Max(1, prof.ReadBytes/256)
 	indexCost := sel*pages*rpc*cacheDiscount + tuples*sel*ctc
 	seqCost := pages*spc + tuples*ctc
-	if q.Profile.IndexFriendly && indexCost < seqCost {
+	if prof.IndexFriendly && indexCost < seqCost {
 		p.Scan = IndexScan
 		p.EstimatedCost = indexCost
 	} else {
@@ -131,7 +134,7 @@ func (e *Engine) planWith(fk *flatKnobs, q workload.Query) Plan {
 	// clears the threshold; the planner requests workers proportional
 	// to the scan size, capped by the per-gather knob.
 	maxPar := fk.maxParPerGather
-	if q.Profile.Parallelizable && maxPar >= 1 && p.EstimatedCost > 5000 {
+	if prof.Parallelizable && maxPar >= 1 && p.EstimatedCost > 5000 {
 		want := int(math.Min(maxPar, math.Max(1, math.Log2(pages/1000))))
 		if want > 0 {
 			p.ParallelWorkers = want
@@ -182,15 +185,16 @@ func (e *Engine) trueScanFactor() float64 {
 	return 5.0
 }
 
-// serviceTimeMs prices one query's execution given the current cache
-// hit ratio and a pre-computed plan (from planWith).
+// serviceTimeMs prices the execution of a statement of class cls and
+// profile prof given the current cache hit ratio and its plan (from
+// planWith), reading prof and plan in place.
 // It is the single source of truth for both live execution (RunWindow)
 // and hypothetical probes (HypotheticalRunTemplatesMs).
-func (e *Engine) serviceTimeMs(fk *flatKnobs, q workload.Query, hitRatio float64, plan Plan) (ms float64, spillBytes float64) {
-	readBytes := clampNonNeg(q.Profile.ReadBytes)
+func (e *Engine) serviceTimeMs(fk *flatKnobs, cls sqlparse.Class, prof *workload.Profile, hitRatio float64, plan *Plan) (ms float64, spillBytes float64) {
+	readBytes := clampNonNeg(prof.ReadBytes)
 	if plan.Scan == IndexScan {
 		// Index path reads less data but with random access.
-		readBytes = readBytes * selectivity(q) * e.trueScanFactor()
+		readBytes = readBytes * selectivity(cls, prof) * e.trueScanFactor()
 		if !e.res.DiskSSD {
 			// On spinning disks random access hurts more than the
 			// volume discount helps for mid-selectivity scans.
@@ -233,7 +237,7 @@ func (e *Engine) serviceTimeMs(fk *flatKnobs, q workload.Query, hitRatio float64
 		cpuMs *= 1.3
 	}
 
-	writePages := clampNonNeg(q.Profile.WriteBytes) / PageSize
+	writePages := clampNonNeg(prof.WriteBytes) / PageSize
 	ioMs += writePages / math.Max(1, e.res.DiskIOPS) * 200 // mostly buffered
 
 	return cpuMs + ioMs, spillBytes

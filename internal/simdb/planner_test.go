@@ -40,7 +40,7 @@ func pointQuery() workload.Query {
 func remember(e *Engine, q workload.Query) string {
 	id := fmt.Sprintf("%d/%+v", q.Class, q.Profile)
 	e.mu.Lock()
-	e.rememberProfileLocked(id, q)
+	e.rememberProfileLocked(id, q.Class, &q.Profile)
 	e.mu.Unlock()
 	return id
 }

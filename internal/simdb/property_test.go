@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/workload"
 )
 
@@ -104,7 +105,7 @@ func TestRingLogProperty(t *testing.T) {
 		n := rng.Intn(100)
 		lines := make([]LogEntry, n)
 		for i := range lines {
-			lines[i] = LogEntry{SQL: string(rune('a'+i%26)) + string(rune('0'+i%10)), TemplateID: string(rune('A' + i%26))}
+			lines[i] = LogEntry{TemplateID: string(rune('a'+i%26)) + string(rune('0'+i%10)), Class: sqlparse.Class(i % sqlparse.NumClasses)}
 			r.add(lines[i])
 		}
 		k := rng.Intn(cap + 10)

@@ -30,6 +30,36 @@ func (handBuilt) Sample(rng *rand.Rand) workload.Query {
 	}
 }
 
+// recorder hands out its generator's statements and keeps the text of
+// each, in order.
+type recorder struct {
+	workload.Generator
+	texts *[]string
+}
+
+func (r recorder) Sample(rng *rand.Rand) workload.Query {
+	q := r.Generator.Sample(rng)
+	*r.texts = append(*r.texts, q.Text())
+	return q
+}
+
+// withSlotSQL rewrites st, the state of a master whose log received
+// texts in order from its first slot on, into the format snapshots had
+// while the log kept every slot's SQL text: per-slot SQL, no class
+// table and no slot count. keepIdx keeps the template table and index
+// the later of those snapshots also carried.
+func withSlotSQL(st EngineState, texts []string, keepIdx bool) EngineState {
+	sqls := make([]string, st.QueryLogSlots)
+	for k, text := range texts {
+		sqls[k%len(sqls)] = text
+	}
+	st.QueryLog, st.QueryLogSlots, st.QueryLogClasses = sqls, 0, nil
+	if !keepIdx {
+		st.QueryLogTemplates, st.QueryLogTemplateIdx = nil, nil
+	}
+	return st
+}
+
 // logContractGenerators covers every generator family, a replayed trace
 // and a hand-built query without a template.
 func logContractGenerators(t *testing.T) []workload.Generator {
@@ -57,8 +87,8 @@ func logContractGenerators(t *testing.T) []workload.Generator {
 }
 
 // TestQueryLogTemplateIDsMatchSQL pins the query log's contract: every
-// entry's TemplateID is exactly TemplateOf(SQL).ID, whichever generator
-// produced the statement.
+// entry's TemplateID and Class are exactly TemplateOf of the executed
+// statement's text, whichever generator produced the statement.
 func TestQueryLogTemplateIDsMatchSQL(t *testing.T) {
 	for _, eng := range []knobs.Engine{knobs.Postgres, knobs.MySQL} {
 		e, err := NewEngine(Options{Engine: eng, Resources: m4Large(), DBSizeBytes: 4 * workload.GiB, Seed: 7})
@@ -66,26 +96,29 @@ func TestQueryLogTemplateIDsMatchSQL(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, gen := range logContractGenerators(t) {
-			if _, err := e.RunWindow(gen, time.Minute); err != nil {
+			var texts []string
+			if _, err := e.RunWindow(recorder{gen, &texts}, time.Minute); err != nil {
 				t.Fatal(err)
 			}
 			log := e.QueryLog(windowSampleCap)
-			if len(log) != windowSampleCap {
-				t.Fatalf("%s/%s: window logged %d entries, want %d", eng, gen.Name(), len(log), windowSampleCap)
+			if len(log) != windowSampleCap || len(texts) != windowSampleCap {
+				t.Fatalf("%s/%s: window sampled %d statements and logged %d entries, want %d", eng, gen.Name(), len(texts), len(log), windowSampleCap)
 			}
-			for _, le := range log {
-				if want := sqlparse.TemplateOf(le.SQL).ID; le.TemplateID != want {
-					t.Fatalf("%s/%s: entry %q has template %q, TemplateOf gives %q", eng, gen.Name(), le.SQL, le.TemplateID, want)
+			for i, le := range log {
+				if want := sqlparse.TemplateOf(texts[i]); le != (LogEntry{TemplateID: want.ID, Class: want.Class}) {
+					t.Fatalf("%s/%s: entry %+v for %q, TemplateOf gives %+v", eng, gen.Name(), le, texts[i], want)
 				}
 			}
 		}
 	}
 }
 
-// TestQueryLogSurvivesRestore checks both restore paths reproduce the
+// TestQueryLogSurvivesRestore checks every restore path reproduces the
 // log exactly, for a wrapped ring and for a partly filled one: a state
-// carrying the template fields, and a JSON state written without them
-// (each slot is then templated on restore).
+// in memory and through JSON, and JSON states in the two formats that
+// kept every slot's SQL text, with and without the template table and
+// index (each filled slot is then templated on restore). Every one
+// re-checkpoints to the same template table, class table and index.
 func TestQueryLogSurvivesRestore(t *testing.T) {
 	for _, logSize := range []int{500, 4096} {
 		t.Run(fmt.Sprint(logSize), func(t *testing.T) {
@@ -94,15 +127,16 @@ func TestQueryLogSurvivesRestore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var texts []string
 			for _, gen := range logContractGenerators(t) {
-				if _, err := src.RunWindow(gen, time.Minute); err != nil {
+				if _, err := src.RunWindow(recorder{gen, &texts}, time.Minute); err != nil {
 					t.Fatal(err)
 				}
 			}
 			want := src.QueryLog(logSize)
 			st := src.CheckpointState()
-			if st.QueryLogTemplateIdx == nil {
-				t.Fatal("checkpoint state carries no template index")
+			if st.QueryLogTemplateIdx == nil || st.QueryLogClasses == nil || st.QueryLog != nil || st.QueryLogSlots != logSize {
+				t.Fatal("checkpoint state does not carry the template-indexed log alone")
 			}
 
 			restoreInto := func(st EngineState) *Engine {
@@ -120,20 +154,12 @@ func TestQueryLogSurvivesRestore(t *testing.T) {
 				t.Fatal("in-memory restore changed the query log")
 			}
 
-			raw, err := json.Marshal(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var fields map[string]json.RawMessage
-			if err := json.Unmarshal(raw, &fields); err != nil {
-				t.Fatal(err)
-			}
-			for _, variant := range []string{"with template fields", "without template fields"} {
-				if variant == "without template fields" {
-					delete(fields, "query_log_templates")
-					delete(fields, "query_log_template_idx")
-				}
-				raw, err := json.Marshal(fields)
+			for variant, vst := range map[string]EngineState{
+				"today's format":                   st,
+				"slot SQL with the template index": withSlotSQL(st, texts, true),
+				"slot SQL alone":                   withSlotSQL(st, texts, false),
+			} {
+				raw, err := json.Marshal(vst)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,11 +169,13 @@ func TestQueryLogSurvivesRestore(t *testing.T) {
 				}
 				dst := restoreInto(decoded)
 				if got := dst.QueryLog(logSize); !reflect.DeepEqual(got, want) {
-					t.Fatalf("JSON restore %s changed the query log", variant)
+					t.Fatalf("JSON restore of %s changed the query log", variant)
 				}
-				if again := dst.CheckpointState(); !reflect.DeepEqual(again.QueryLogTemplateIdx, st.QueryLogTemplateIdx) ||
-					!reflect.DeepEqual(again.QueryLogTemplates, st.QueryLogTemplates) {
-					t.Fatalf("JSON restore %s re-checkpoints a different template index", variant)
+				if again := dst.CheckpointState(); again.QueryLog != nil || again.QueryLogSlots != st.QueryLogSlots ||
+					!reflect.DeepEqual(again.QueryLogTemplateIdx, st.QueryLogTemplateIdx) ||
+					!reflect.DeepEqual(again.QueryLogTemplates, st.QueryLogTemplates) ||
+					!reflect.DeepEqual(again.QueryLogClasses, st.QueryLogClasses) {
+					t.Fatalf("JSON restore of %s re-checkpoints a different log", variant)
 				}
 			}
 		})
@@ -180,9 +208,45 @@ func TestRestoreRejectsBadQueryLogIndex(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsBadQueryLogClasses: a class byte that names no
+// query class, or a class table whose length differs from the template
+// table's, is corrupt. The error names the problem and the engine is
+// left untouched.
+func TestRestoreRejectsBadQueryLogClasses(t *testing.T) {
+	e := newPG(t, m4Large(), 4*workload.GiB)
+	if _, err := e.RunWindow(workload.NewTPCC(4*workload.GiB, 500), time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	before := e.CheckpointState()
+
+	badClass := before
+	badClass.QueryLogClasses = append([]byte(nil), before.QueryLogClasses...)
+	badClass.QueryLogClasses[len(badClass.QueryLogClasses)-1] = byte(sqlparse.NumClasses)
+	short := before
+	short.QueryLogClasses = before.QueryLogClasses[:len(before.QueryLogClasses)-1]
+	long := before
+	long.QueryLogClasses = append(append([]byte(nil), before.QueryLogClasses...), 0)
+	for name, tc := range map[string]struct {
+		st   EngineState
+		want string
+	}{
+		"class past the last": {badClass, fmt.Sprintf("has class %d", sqlparse.NumClasses)},
+		"short class table":   {short, fmt.Sprintf("class table has %d entries for %d template IDs", len(short.QueryLogClasses), len(before.QueryLogTemplates))},
+		"long class table":    {long, fmt.Sprintf("class table has %d entries for %d template IDs", len(long.QueryLogClasses), len(before.QueryLogTemplates))},
+	} {
+		err := e.RestoreCheckpointState(tc.st)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: want an error containing %q, got %v", name, tc.want, err)
+		}
+		if got := e.CheckpointState(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("%s: rejected restore changed the engine", name)
+		}
+	}
+}
+
 // TestQueryLogPastUint16Templates: a log holding more distinct template
-// IDs than a uint16 indexes checkpoints without the index and still
-// restores exactly, by templating each slot.
+// IDs than a uint16 indexes checkpoints a 4-byte index and restores
+// exactly.
 func TestQueryLogPastUint16Templates(t *testing.T) {
 	const size = 1<<16 + 2
 	opts := Options{Engine: knobs.Postgres, Resources: m4Large(), DBSizeBytes: workload.GiB, Seed: 1, QueryLogSize: size}
@@ -191,12 +255,11 @@ func TestQueryLogPastUint16Templates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < size; i++ {
-		sql := fmt.Sprintf("SELECT c%d FROM t", i)
-		src.queryLog.add(LogEntry{SQL: sql, TemplateID: sqlparse.TemplateOf(sql).ID})
+		src.queryLog.add(LogEntry{TemplateID: fmt.Sprintf("t%d", i), Class: sqlparse.Class(i % sqlparse.NumClasses)})
 	}
 	st := src.CheckpointState()
-	if st.QueryLogTemplateIdx != nil || st.QueryLogTemplates != nil {
-		t.Fatal("template index written for more IDs than a uint16 indexes")
+	if len(st.QueryLogTemplates) != size || len(st.QueryLogTemplateIdx) != 4*size {
+		t.Fatalf("%d template IDs indexed by %d bytes, want %d IDs by %d", len(st.QueryLogTemplates), len(st.QueryLogTemplateIdx), size, 4*size)
 	}
 	dst, err := NewEngine(opts)
 	if err != nil {
@@ -247,17 +310,18 @@ func legacyProfilesJSON(t *testing.T, st EngineState) EngineState {
 // withoutLog blanks the query-log fields, whose ring layout may differ
 // between engines that hold the same newest entries.
 func withoutLog(st EngineState) EngineState {
-	st.QueryLog, st.QueryLogNext, st.QueryLogFull = nil, 0, false
-	st.QueryLogTemplates, st.QueryLogTemplateIdx = nil, nil
+	st.QueryLog, st.QueryLogSlots, st.QueryLogNext, st.QueryLogFull = nil, 0, 0, false
+	st.QueryLogTemplates, st.QueryLogClasses, st.QueryLogTemplateIdx = nil, nil, nil
 	return st
 }
 
 // TestRestoreLegacyEngineState: a snapshot written when every engine
-// kept a 4,096-slot log, and replicas kept a log and profiles, restores
-// into today's replica set. The master keeps the newest
-// DefaultQueryLogSize entries in order, the replica drops its log and
-// profiles, and further windows give the stats and state of a replica
-// set that ran today's code from the start.
+// kept a 4,096-slot log of SQL text, and replicas kept a log and
+// profiles, restores into today's replica set. The master keeps the
+// newest DefaultQueryLogSize entries in order, with the template IDs
+// and classes of their text, and re-checkpoints them in today's format;
+// the replica drops its log and profiles; and further windows give the
+// stats and state of a replica set that ran today's code from the start.
 func TestRestoreLegacyEngineState(t *testing.T) {
 	opts := Options{Engine: knobs.Postgres, Resources: m4Large(), DBSizeBytes: 4 * workload.GiB, Seed: 11}
 	gen := workload.NewTPCC(4*workload.GiB, 500)
@@ -279,14 +343,22 @@ func TestRestoreLegacyEngineState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var masterTexts, slaveTexts []string
 			for i := 0; i < windows; i++ {
-				for _, e := range []*Engine{oldMaster, oldSlave, ref.Master(), ref.Slaves()[0]} {
-					if _, err := e.RunWindow(gen, time.Minute); err != nil {
+				for _, run := range []struct {
+					e   *Engine
+					gen workload.Generator
+				}{
+					{oldMaster, recorder{gen, &masterTexts}}, {oldSlave, recorder{gen, &slaveTexts}},
+					{ref.Master(), gen}, {ref.Slaves()[0], gen},
+				} {
+					if _, err := run.e.RunWindow(run.gen, time.Minute); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			masterSt, slaveSt := oldMaster.CheckpointState(), oldSlave.CheckpointState()
+			masterSt := withSlotSQL(oldMaster.CheckpointState(), masterTexts, true)
+			slaveSt := withSlotSQL(oldSlave.CheckpointState(), slaveTexts, true)
 			if len(masterSt.QueryLog) != 4096 || len(slaveSt.QueryLog) != 4096 || len(slaveSt.Profiles) == 0 {
 				t.Fatal("the legacy states do not carry 4,096-slot logs and replica profiles")
 			}
@@ -306,8 +378,12 @@ func TestRestoreLegacyEngineState(t *testing.T) {
 			if got := master.QueryLog(DefaultQueryLogSize); len(got) != DefaultQueryLogSize || !reflect.DeepEqual(got, want) {
 				t.Fatalf("restored master log differs from the legacy master's newest %d entries", DefaultQueryLogSize)
 			}
-			if st := slave.CheckpointState(); len(st.QueryLog) != 0 || len(st.Profiles) != 0 {
-				t.Fatalf("restored replica carries %d log slots and %d profiles", len(st.QueryLog), len(st.Profiles))
+			again := master.CheckpointState()
+			if again.QueryLog != nil || again.QueryLogSlots != DefaultQueryLogSize || len(again.QueryLogClasses) != len(again.QueryLogTemplates) {
+				t.Fatal("restored master does not re-checkpoint its log in today's format")
+			}
+			if st := slave.CheckpointState(); st.QueryLogSlots != 0 || len(st.QueryLog) != 0 || len(st.Profiles) != 0 {
+				t.Fatalf("restored replica carries %d log slots and %d profiles", st.QueryLogSlots, len(st.Profiles))
 			}
 
 			for i := 0; i < 6; i++ {
@@ -350,10 +426,10 @@ func TestRestoreRejectsShortQueryLog(t *testing.T) {
 	before := e.CheckpointState()
 
 	short := before
-	short.QueryLog = before.QueryLog[:DefaultQueryLogSize-1]
+	short.QueryLogSlots = DefaultQueryLogSize - 1
 	short.QueryLogTemplateIdx = before.QueryLogTemplateIdx[:2*(DefaultQueryLogSize-1)]
 	cursor := before
-	cursor.QueryLogNext = len(before.QueryLog)
+	cursor.QueryLogNext = before.QueryLogSlots
 	for name, tc := range map[string]struct {
 		st   EngineState
 		want string

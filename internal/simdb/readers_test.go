@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"autodbaas/internal/metrics"
+	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/workload"
 )
 
@@ -41,13 +42,13 @@ func TestQueryLogIntoMatchesCopy(t *testing.T) {
 	for _, added := range []int{0, 3, size, size + 5, 3*size + 1} {
 		r := newRingLog(size)
 		for i := 0; i < added; i++ {
-			r.add(LogEntry{SQL: fmt.Sprintf("q%d", i), TemplateID: fmt.Sprintf("t%d", i%3)})
+			r.add(LogEntry{TemplateID: fmt.Sprintf("t%d", i), Class: sqlparse.Class(i % 3)})
 		}
 		for _, n := range []int{0, 1, size / 2, size, size + 3} {
 			want := copyLast(r, n)
 			dirty := make([]LogEntry, size+4)
 			for i := range dirty {
-				dirty[i] = LogEntry{SQL: "stale", TemplateID: "stale"}
+				dirty[i] = LogEntry{TemplateID: "stale", Class: sqlparse.ClassOther}
 			}
 			for name, dst := range map[string][]LogEntry{"nil": nil, "short": make([]LogEntry, 1), "dirty": dirty} {
 				got := r.lastInto(dst, n)

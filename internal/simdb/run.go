@@ -101,16 +101,19 @@ func (e *Engine) RunWindow(gen workload.Generator, dur time.Duration) (WindowSta
 	var classCounts [sqlparse.NumClasses]float64
 	workerPool := fk.maxWorkerProcesses // postgres only; 0 for mysql
 
-	for i, q := range sample {
-		plan := e.planWith(fk, q)
-		ms, spill := e.serviceTimeMs(fk, q, hit, plan)
+	// The sample is read in place: a Query is about 150 bytes, too large
+	// to copy per statement into the loop variable and the pricing calls.
+	for i := range sample {
+		q := &sample[i]
+		plan := e.planWith(fk, q.Class, &q.Profile)
+		ms, spill := e.serviceTimeMs(fk, q.Class, &q.Profile, hit, &plan)
 		ms *= jitter * e.surgeSlowdownLocked()
 		times[i] = ms
 		sumMs += ms
 		readLogical += q.Profile.ReadBytes
 		eff := q.Profile.ReadBytes
 		if plan.Scan == IndexScan {
-			eff *= selectivity(q)
+			eff *= selectivity(q.Class, &q.Profile)
 		}
 		readMiss += eff * (1 - hit)
 		writeBytes += q.Profile.WriteBytes
@@ -129,13 +132,13 @@ func (e *Engine) RunWindow(gen workload.Generator, dur time.Duration) (WindowSta
 		if e.replica {
 			continue
 		}
-		id := q.Template.ID
-		if id == "" {
+		tpl := q.Template
+		if tpl.ID == "" {
 			// A hand-built query without a carried template.
-			id = sqlparse.TemplateOf(q.SQL).ID
+			tpl = sqlparse.TemplateOf(q.Text())
 		}
-		e.queryLog.add(LogEntry{SQL: q.SQL, TemplateID: id})
-		e.rememberProfileLocked(id, q)
+		e.queryLog.add(LogEntry{TemplateID: tpl.ID, Class: tpl.Class})
+		e.rememberProfileLocked(tpl.ID, q.Class, &q.Profile)
 	}
 	avgMs := sumMs / float64(n)
 	st.AvgServiceMs = avgMs

@@ -329,33 +329,21 @@ func (t *Templatizer) Observe(sql string) Template {
 	return tpl
 }
 
-// ObserveID records one query whose template ID the caller already
-// knows — an engine query-log entry, whose ID is TemplateOf(sql).ID.
-// It templates sql only the first time it sees id, so it updates the
-// same statistics Observe(sql) would without re-templating.
-func (t *Templatizer) ObserveID(id, sql string) {
-	st, ok := t.templates[id]
+// ObserveTemplate records one query whose template the caller already
+// knows — an engine query-log entry, whose ID and class are those of
+// TemplateOf of the statement's text. It updates the same statistics
+// Observe would, and templates nothing.
+func (t *Templatizer) ObserveTemplate(tpl Template) {
+	st, ok := t.templates[tpl.ID]
 	if !ok {
-		st = &TemplateStats{Template: TemplateOf(sql)}
-		t.templates[id] = st
+		st = &TemplateStats{Template: tpl}
+		t.templates[tpl.ID] = st
 	}
 	st.Count++
 }
 
 // Stats returns the stats entry for a template ID, or nil.
 func (t *Templatizer) Stats(id string) *TemplateStats { return t.templates[id] }
-
-// Templates returns all observed templates (unspecified order).
-func (t *Templatizer) Templates() []*TemplateStats {
-	out := make([]*TemplateStats, 0, len(t.templates))
-	for _, st := range t.templates {
-		out = append(out, st)
-	}
-	return out
-}
-
-// Len returns the number of distinct templates observed.
-func (t *Templatizer) Len() int { return len(t.templates) }
 
 // ClassHistogram counts observations per class across all templates.
 func (t *Templatizer) ClassHistogram() map[Class]int {
@@ -365,9 +353,6 @@ func (t *Templatizer) ClassHistogram() map[Class]int {
 	}
 	return h
 }
-
-// Reset clears all accumulated templates.
-func (t *Templatizer) Reset() { t.templates = make(map[string]*TemplateStats) }
 
 // CheckpointState captures the accumulated template statistics (values,
 // not pointers, so the snapshot is stable).

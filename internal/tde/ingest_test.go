@@ -1,25 +1,49 @@
 package tde
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/obs"
+	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/workload"
 )
 
-// referenceTick is a tick whose ingest templates every log line from
-// its raw SQL (Templatizer.Observe) instead of taking the ID the engine
-// logged with it.
-func referenceTick(t *TDE) []Event {
+// recorder hands out its generator's statements and keeps the text of
+// each, in order: the statement stream an engine's query log records.
+type recorder struct {
+	workload.Generator
+	texts *[]string
+}
+
+func (r recorder) Sample(rng *rand.Rand) workload.Query {
+	q := r.Generator.Sample(rng)
+	*r.texts = append(*r.texts, q.Text())
+	return q
+}
+
+// newest is the part of texts a tick reads: the newest entries the
+// engine's ring holds, up to the TDE's log batch.
+func newest(t *TDE, texts []string) []string {
+	n := min(len(texts), t.cfg.LogBatch, t.db.QueryLogCap())
+	return texts[len(texts)-n:]
+}
+
+// referenceTick is a tick whose ingest templates the text of every
+// statement the log holds (Templatizer.Observe) instead of taking the
+// template the engine logged for it. texts is the engine's whole
+// statement stream.
+func referenceTick(t *TDE, texts []string) []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, le := range t.db.QueryLog(t.cfg.LogBatch) {
-		tpl := t.templatizer.Observe(le.SQL)
+	for _, sql := range newest(t, texts) {
+		tpl := t.templatizer.Observe(sql)
 		t.reservoir.Offer(tpl.ID)
 	}
 	return t.detectLocked()
@@ -33,9 +57,9 @@ func templateLookups() float64 {
 }
 
 // TestTickMatchesRawSQLIngest runs a TDE and a reference TDE over the
-// same engine log. Ingesting by logged template ID must leave the
+// same engine log. Ingesting by logged template must leave the
 // templatizer state, reservoir sample and events byte-identical to
-// templating each line's SQL.
+// templating the text of each logged statement.
 func TestTickMatchesRawSQLIngest(t *testing.T) {
 	for _, eng := range []knobs.Engine{knobs.Postgres, knobs.MySQL} {
 		t.Run(string(eng), func(t *testing.T) {
@@ -46,12 +70,13 @@ func TestTickMatchesRawSQLIngest(t *testing.T) {
 				workload.NewTwitter(21*workload.GiB, 8000),
 				workload.NewTPCH(21*workload.GiB, 40),
 			}
+			var texts []string
 			var events int
 			for i := 0; i < 18; i++ {
-				if _, err := db.RunWindow(gens[i%len(gens)], 5*time.Minute); err != nil {
+				if _, err := db.RunWindow(recorder{gens[i%len(gens)], &texts}, 5*time.Minute); err != nil {
 					t.Fatal(err)
 				}
-				got, want := td.Tick(), referenceTick(ref)
+				got, want := td.Tick(), referenceTick(ref, texts)
 				if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
 					t.Fatalf("tick %d: events differ:\n  got  %s\n  want %s", i, g, w)
 				}
@@ -72,38 +97,68 @@ func TestTickMatchesRawSQLIngest(t *testing.T) {
 	}
 }
 
-// TestTickDoesNotTemplate: once the templatizer knows every template in
-// the log, a tick templates no SQL, even log lines it has never seen.
+// TestLogIngestMatchesTextIngest: for every generator, a replayed trace
+// among them, a TDE fed through RunWindow's query log ends with the
+// templatizer state that Observe of each statement's text builds over
+// the same sample stream.
+func TestLogIngestMatchesTextIngest(t *testing.T) {
+	var buf bytes.Buffer
+	if err := workload.RecordTrace(&buf, workload.NewAdulteratedTPCC(4*workload.GiB, 500, 0.5), rand.New(rand.NewSource(5)), 300); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := workload.LoadTrace(&buf, "replay", 4*workload.GiB, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gen := range []workload.Generator{
+		workload.NewTPCC(4*workload.GiB, 500),
+		workload.NewYCSB(4*workload.GiB, 500),
+		workload.NewWikipedia(4*workload.GiB, 500),
+		workload.NewTwitter(4*workload.GiB, 500),
+		workload.NewTPCH(4*workload.GiB, 10),
+		workload.NewCHBench(4*workload.GiB, 500),
+		workload.NewProduction(),
+		workload.NewAdulteratedTPCC(4*workload.GiB, 500, 0.8),
+		trace,
+	} {
+		t.Run(gen.Name(), func(t *testing.T) {
+			db := newEngine(t, knobs.Postgres, 4*workload.GiB)
+			td := newTDE(t, db)
+			want := sqlparse.NewTemplatizer()
+			var texts []string
+			for i := 0; i < 5; i++ {
+				if _, err := db.RunWindow(recorder{gen, &texts}, 5*time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				td.Tick()
+				for _, sql := range newest(td, texts) {
+					want.Observe(sql)
+				}
+			}
+			if got := td.templatizer.CheckpointState(); !reflect.DeepEqual(got, want.CheckpointState()) {
+				t.Fatalf("log ingest state %v, text ingest state %v", got, want.CheckpointState())
+			}
+		})
+	}
+}
+
+// TestTickDoesNotTemplate: no tick templates SQL, the first one
+// included, though every template it ingests there is new to it.
 func TestTickDoesNotTemplate(t *testing.T) {
 	db := newEngine(t, knobs.Postgres, 21*workload.GiB)
 	td := newTDE(t, db)
-	gen := workload.NewTPCC(21*workload.GiB, 3000)
-	var known int
+	gen := workload.NewProduction()
 	for i := 0; i < 8; i++ {
 		if _, err := db.RunWindow(gen, 5*time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		allKnown := true
-		for _, le := range db.QueryLog(td.cfg.LogBatch) {
-			if td.templatizer.Stats(le.TemplateID) == nil {
-				allKnown = false
-			}
-		}
 		before := templateLookups()
 		td.Tick()
-		if allKnown {
-			known++
-			if after := templateLookups(); after != before {
-				t.Fatalf("window %d: tick over known templates made %.0f template lookups", i, after-before)
-			}
+		if after := templateLookups(); after != before {
+			t.Fatalf("window %d: tick made %.0f template lookups", i, after-before)
 		}
 	}
-	if known == 0 {
-		t.Fatal("no window's log was fully known to the templatizer")
-	}
-	before := templateLookups()
-	td.Tick()
-	if after := templateLookups(); after != before {
-		t.Fatalf("repeat tick made %.0f template lookups", after-before)
+	if len(td.templatizer.CheckpointState()) == 0 {
+		t.Fatal("the ticks ingested no template")
 	}
 }

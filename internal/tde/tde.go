@@ -266,16 +266,15 @@ func (t *TDE) Tick() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Ingest the recent query log into the template statistics and the
-	// reservoir. The engine resolved every entry's template when it ran
-	// the statement, so nothing is re-templated here. The log is read
-	// into a reused buffer, cleared afterwards so that it does not keep
-	// statements alive that the ring has since overwritten.
+	// reservoir. Every entry carries the template ID and class the
+	// engine took from the executed statement, so nothing is templated
+	// here, not even a template's first sighting. The log is read into
+	// a reused buffer.
 	t.logBuf = t.db.QueryLogInto(t.logBuf, t.cfg.LogBatch)
 	for _, le := range t.logBuf {
-		t.templatizer.ObserveID(le.TemplateID, le.SQL)
+		t.templatizer.ObserveTemplate(sqlparse.Template{ID: le.TemplateID, Class: le.Class})
 		t.reservoir.Offer(le.TemplateID)
 	}
-	clear(t.logBuf)
 	return t.detectLocked()
 }
 

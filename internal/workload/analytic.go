@@ -36,22 +36,22 @@ func NewTPCH(size, rate float64) *TPCH {
 	t.mix = newMixSampler([]choice{
 		// Q1-style: full scan + wide aggregation.
 		{30, func(rng *rand.Rand) Query {
-			return qt(q1Tpl, q1SQL.render(1+intn(rng, 12)),
+			return qt(q1Tpl, q1SQL.with(1+intn(rng, 12)),
 				Profile{MemDemand: jitter(rng, 180*MiB), ReadBytes: jitter(rng, lineitem*0.6), Parallelizable: true})
 		}},
 		// Q3-style: 3-way join + sort.
 		{25, func(rng *rand.Rand) Query {
-			return qt(q3Tpl, q3SQL.render(intn(rng, 5)),
+			return qt(q3Tpl, q3SQL.with(intn(rng, 5)),
 				Profile{MemDemand: jitter(rng, 350*MiB), ReadBytes: jitter(rng, lineitem*0.3), Parallelizable: true})
 		}},
 		// Q6-style: selective scan, light memory.
 		{25, func(rng *rand.Rand) Query {
-			return qt(q6Tpl, q6SQL.render(1+intn(rng, 4), 5+intn(rng, 4)),
+			return qt(q6Tpl, q6SQL.with(1+intn(rng, 4), 5+intn(rng, 4)),
 				Profile{MemDemand: jitter(rng, 8*MiB), ReadBytes: jitter(rng, lineitem*0.2), Parallelizable: true})
 		}},
 		// Q18-style: big hash join + ORDER BY.
 		{20, func(rng *rand.Rand) Query {
-			return qt(q18Tpl, q18SQL.render(100*(1+intn(rng, 3))),
+			return qt(q18Tpl, q18SQL.with(100*(1+intn(rng, 3))),
 				Profile{MemDemand: jitter(rng, 420*MiB), ReadBytes: jitter(rng, lineitem*0.5), Parallelizable: true})
 		}},
 	})

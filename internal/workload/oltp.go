@@ -37,31 +37,31 @@ func NewTPCC(size, rate float64) *TPCC {
 	t.mix = newMixSampler([]choice{
 		// New-Order (45%): reads item/stock, inserts order lines.
 		{45, func(rng *rand.Rand) Query {
-			return qt(newOrderTpl, newOrderSQL.render(
+			return qt(newOrderTpl, newOrderSQL.with(
 				intn(rng, 1_000_000), intn(rng, 10), intn(rng, 100), intn(rng, 15), intn(rng, 100_000), 1+intn(rng, 10)),
 				Profile{ReadBytes: jitter(rng, 24*row), WriteBytes: jitter(rng, 8*row), IndexFriendly: true})
 		}},
 		// Payment (43%): balance updates.
 		{43, func(rng *rand.Rand) Query {
-			return qt(paymentTpl, paymentSQL.render(
+			return qt(paymentTpl, paymentSQL.with(
 				1+intn(rng, 5000), intn(rng, 100), intn(rng, 10), intn(rng, 3000)),
 				Profile{ReadBytes: jitter(rng, 6*row), WriteBytes: jitter(rng, 3*row), IndexFriendly: true})
 		}},
 		// Order-Status (4%): customer's latest order.
 		{4, func(rng *rand.Rand) Query {
-			return qt(orderStatusTpl, orderStatusSQL.render(
+			return qt(orderStatusTpl, orderStatusSQL.with(
 				intn(rng, 100), intn(rng, 10), intn(rng, 3000)),
 				Profile{MemDemand: jitter(rng, 384*KiB), ReadBytes: jitter(rng, 40*row), IndexFriendly: true})
 		}},
 		// Delivery (4%): batch of updates + a delete of new_order rows.
 		{4, func(rng *rand.Rand) Query {
-			return qt(deliveryTpl, deliverySQL.render(
+			return qt(deliveryTpl, deliverySQL.with(
 				intn(rng, 100), intn(rng, 10), intn(rng, 1_000_000)),
 				Profile{MaintMem: jitter(rng, 256*KiB), ReadBytes: jitter(rng, 10*row), WriteBytes: jitter(rng, 4*row), IndexFriendly: true})
 		}},
 		// Stock-Level (4%): join district/order_line/stock with a count.
 		{4, func(rng *rand.Rand) Query {
-			return qt(stockLevelTpl, stockLevelSQL.render(
+			return qt(stockLevelTpl, stockLevelSQL.with(
 				intn(rng, 100), 10+intn(rng, 10)),
 				Profile{MemDemand: jitter(rng, 512*KiB), ReadBytes: jitter(rng, 600*row), Parallelizable: true})
 		}},
@@ -108,17 +108,17 @@ func NewYCSB(size, rate float64) *YCSB {
 	y.update = newIdentSite("UPDATE usertable SET field%d = '%x' WHERE ycsb_key = 'user%d'", ycsbFields)
 	y.mix = newMixSampler([]choice{
 		{50, func(rng *rand.Rand) Query {
-			return qt(readTpl, readSQL.render(intn(rng, 10_000_000)),
+			return qt(readTpl, readSQL.with(intn(rng, 10_000_000)),
 				Profile{ReadBytes: jitter(rng, row), IndexFriendly: true})
 		}},
 		// field%d interpolates a column name: one template per field.
 		{45, func(rng *rand.Rand) Query {
 			f := rng.Intn(ycsbFields)
-			return qt(y.update.tpls[f], y.update.sql.render(int64(f), rng.Int63(), intn(rng, 10_000_000)),
+			return qt(y.update.tpls[f], y.update.sql.with(int64(f), rng.Int63(), intn(rng, 10_000_000)),
 				Profile{ReadBytes: jitter(rng, row), WriteBytes: jitter(rng, row), IndexFriendly: true})
 		}},
 		{5, func(rng *rand.Rand) Query {
-			return qt(insertTpl, insertSQL.render(intn(rng, 100_000_000), rng.Int63()),
+			return qt(insertTpl, insertSQL.with(intn(rng, 100_000_000), rng.Int63()),
 				Profile{WriteBytes: jitter(rng, row), IndexFriendly: true})
 		}},
 	})
@@ -164,19 +164,19 @@ func NewWikipedia(size, rate float64) *Wikipedia {
 	)
 	w.mix = newMixSampler([]choice{
 		{80, func(rng *rand.Rand) Query {
-			return qt(pageTpl, pageSQL.render(intn(rng, 4), intn(rng, 5_000_000)),
+			return qt(pageTpl, pageSQL.with(intn(rng, 4), intn(rng, 5_000_000)),
 				Profile{ReadBytes: jitter(rng, page), IndexFriendly: true})
 		}},
 		{12, func(rng *rand.Rand) Query {
-			return qt(revTpl, revSQL.render(intn(rng, 5_000_000)),
+			return qt(revTpl, revSQL.with(intn(rng, 5_000_000)),
 				Profile{ReadBytes: jitter(rng, 2*page), IndexFriendly: true})
 		}},
 		{5, func(rng *rand.Rand) Query {
-			return qt(addRevTpl, addRevSQL.render(intn(rng, 5_000_000), rng.Int63n(1e9), rng.Int63n(2e9)),
+			return qt(addRevTpl, addRevSQL.with(intn(rng, 5_000_000), rng.Int63n(1e9), rng.Int63n(2e9)),
 				Profile{WriteBytes: jitter(rng, page), IndexFriendly: true})
 		}},
 		{3, func(rng *rand.Rand) Query {
-			return qt(touchTpl, touchSQL.render(rng.Int63n(1e9), rng.Int63n(2e9), intn(rng, 5_000_000)),
+			return qt(touchTpl, touchSQL.with(rng.Int63n(1e9), rng.Int63n(2e9), intn(rng, 5_000_000)),
 				Profile{ReadBytes: jitter(rng, page/4), WriteBytes: jitter(rng, page/4), IndexFriendly: true})
 		}},
 	})
@@ -223,19 +223,19 @@ func NewTwitter(size, rate float64) *Twitter {
 	tw.mix = newMixSampler([]choice{
 		// Timeline: followers join + ORDER BY recency.
 		{40, func(rng *rand.Rand) Query {
-			return qt(timelineTpl, timelineSQL.render(intn(rng, 2_000_000)),
+			return qt(timelineTpl, timelineSQL.with(intn(rng, 2_000_000)),
 				Profile{MemDemand: jitter(rng, 3.5*MiB), ReadBytes: jitter(rng, 400*tweet), Parallelizable: true, IndexFriendly: true})
 		}},
 		{35, func(rng *rand.Rand) Query {
-			return qt(byUserTpl, byUserSQL.render(intn(rng, 2_000_000)),
+			return qt(byUserTpl, byUserSQL.with(intn(rng, 2_000_000)),
 				Profile{MemDemand: jitter(rng, 512*KiB), ReadBytes: jitter(rng, 60*tweet), IndexFriendly: true})
 		}},
 		{15, func(rng *rand.Rand) Query {
-			return qt(tweetTpl, tweetSQL.render(intn(rng, 2_000_000), rng.Int63(), rng.Int63n(2e9)),
+			return qt(tweetTpl, tweetSQL.with(intn(rng, 2_000_000), rng.Int63(), rng.Int63n(2e9)),
 				Profile{WriteBytes: jitter(rng, tweet), IndexFriendly: true})
 		}},
 		{10, func(rng *rand.Rand) Query {
-			return qt(followsTpl, followsSQL.render(intn(rng, 2_000_000)),
+			return qt(followsTpl, followsSQL.with(intn(rng, 2_000_000)),
 				Profile{ReadBytes: jitter(rng, 100*16), IndexFriendly: true})
 		}},
 	})

@@ -52,36 +52,36 @@ func NewProduction() *Production {
 		// Telemetry ingest: the overwhelming majority (41M/day).
 		{41_000_000, func(rng *rand.Rand) Query {
 			t := table(rng)
-			return qt(p.insert.tpls[t], p.insert.sql.render(int64(t), intn(rng, 500_000), rng.Int63n(2e9), rng.Int63()),
+			return qt(p.insert.tpls[t], p.insert.sql.with(int64(t), intn(rng, 500_000), rng.Int63n(2e9), rng.Int63()),
 				Profile{WriteBytes: jitter(rng, row), IndexFriendly: true})
 		}},
 		// Point lookups (71K/day stated + unaccounted remainder ≈ 1M/day).
 		{1_000_000, func(rng *rand.Rand) Query {
 			t := table(rng)
-			return qt(p.lookup.tpls[t], p.lookup.sql.render(int64(t), intn(rng, 500_000), rng.Int63n(2e9)),
+			return qt(p.lookup.tpls[t], p.lookup.sql.with(int64(t), intn(rng, 500_000), rng.Int63n(2e9)),
 				Profile{ReadBytes: jitter(rng, 20*row), IndexFriendly: true})
 		}},
 		// Dashboard aggregations (reporting, mornings in practice).
 		{80_000, func(rng *rand.Rand) Query {
 			t := table(rng)
-			return qt(p.dashboard.tpls[t], p.dashboard.sql.render(int64(t), rng.Int63n(2e9)),
+			return qt(p.dashboard.tpls[t], p.dashboard.sql.with(int64(t), rng.Int63n(2e9)),
 				Profile{MemDemand: jitter(rng, 48*MiB), ReadBytes: jitter(rng, 200*MiB), Parallelizable: true})
 		}},
 		// Cross-table correlation joins.
 		{30_000, func(rng *rand.Rand) Query {
 			t := table(rng)
-			return qt(p.join.tpls[t], p.join.sql.render(int64(t), intn(rng, 20)),
+			return qt(p.join.tpls[t], p.join.sql.with(int64(t), intn(rng, 20)),
 				Profile{MemDemand: jitter(rng, 24*MiB), ReadBytes: jitter(rng, 80*MiB), Parallelizable: true})
 		}},
 		// Updates (34K/day).
 		{34_000, func(rng *rand.Rand) Query {
-			return qt(devUpdateTpl, devUpdateSQL.render(rng.Int63n(2e9), intn(rng, 500_000)),
+			return qt(devUpdateTpl, devUpdateSQL.with(rng.Int63n(2e9), intn(rng, 500_000)),
 				Profile{ReadBytes: jitter(rng, 2*row), WriteBytes: jitter(rng, row), IndexFriendly: true})
 		}},
 		// Deletes (0.8K/day, retention cleanup).
 		{800, func(rng *rand.Rand) Query {
 			t := table(rng)
-			return qt(p.purge.tpls[t], p.purge.sql.render(int64(t), rng.Int63n(1e9)),
+			return qt(p.purge.tpls[t], p.purge.sql.with(int64(t), rng.Int63n(1e9)),
 				Profile{MaintMem: jitter(rng, 16*MiB), ReadBytes: jitter(rng, 10*MiB), WriteBytes: jitter(rng, 5*MiB)})
 		}},
 	})
@@ -161,12 +161,12 @@ func NewAdulteratedTPCC(size, rate, p float64) *AdulteratedTPCC {
 		// Complex sorts/aggregations: ~350 MB of working memory (Fig. 2's
 		// "TPCC + aggregation" row).
 		{30, func(rng *rand.Rand) Query {
-			return qt(aggTpl, aggSQL.render(50+intn(rng, 100)),
+			return qt(aggTpl, aggSQL.with(50+intn(rng, 100)),
 				Profile{MemDemand: jitter(rng, 350*MiB), ReadBytes: jitter(rng, 400*MiB), Parallelizable: true})
 		}},
 		// Heavy standalone sorts.
 		{20, func(rng *rand.Rand) Query {
-			return qt(sortTpl, sortSQL.render(20+intn(rng, 50)),
+			return qt(sortTpl, sortSQL.with(20+intn(rng, 50)),
 				Profile{MemDemand: jitter(rng, 200*MiB), ReadBytes: jitter(rng, 300*MiB), Parallelizable: true})
 		}},
 		// Index create/drop: maintenance_work_mem pressure.
@@ -180,7 +180,7 @@ func NewAdulteratedTPCC(size, rate, p float64) *AdulteratedTPCC {
 		}},
 		// Bulk deletes: maintenance pressure via cleanup.
 		{10, func(rng *rand.Rand) Query {
-			return qt(cleanupTpl, cleanupSQL.render(rng.Int63n(1e9)),
+			return qt(cleanupTpl, cleanupSQL.with(rng.Int63n(1e9)),
 				Profile{MaintMem: jitter(rng, 128*MiB), ReadBytes: jitter(rng, 150*MiB), WriteBytes: jitter(rng, 80*MiB)})
 		}},
 		// Temp tables + aggregation over them: temp_buffers pressure.

@@ -8,15 +8,19 @@ import (
 )
 
 // sqlFormat is a printf-style SQL format compiled once, at generator
-// construction, into its literal pieces and integer verbs. render then
-// builds each statement with strconv into a stack buffer: no fmt, no
-// boxed arguments, and the returned string is its only allocation. The
-// text is byte-identical to fmt.Sprintf of the same format and
-// arguments (FuzzSQLFormat pins this).
+// construction, into its literal pieces and integer verbs. A sampled
+// statement keeps the format and its drawn arguments (a stmt) and
+// renders nothing; render builds the text, when a reader asks for it,
+// with strconv into a stack buffer: no fmt, no boxed arguments, and the
+// returned string is its only allocation. The text is byte-identical to
+// fmt.Sprintf of the same format and arguments (FuzzSQLFormat pins
+// this). A format is never modified after compileSQL, so the statements
+// of concurrent windows share it freely.
 //
-// The verbs are %d and %x, optionally zero-padded to a width (%02d).
-// compileSQL panics on anything else, so a bad format fails when its
-// generator is built rather than when a statement is drawn.
+// The verbs are %d and %x, optionally zero-padded to a width (%02d), at
+// most maxSQLArgs of them. compileSQL panics on anything else, so a bad
+// format fails when its generator is built rather than when a statement
+// is drawn.
 type sqlFormat struct {
 	lits  []string // len(verbs)+1 literal pieces around the verbs
 	verbs []sqlVerb
@@ -31,6 +35,17 @@ type sqlVerb struct {
 // sqlBufLen is the stack buffer render builds into; longer statements
 // still render correctly, at the cost of one extra allocation.
 const sqlBufLen = 320
+
+// maxSQLArgs bounds a format's verbs: a stmt holds its arguments inline.
+const maxSQLArgs = 6
+
+// stmt is one drawn statement: its compiled format and the arguments
+// drawn for its verbs (the first len(f.verbs) of args). The zero stmt
+// carries no format.
+type stmt struct {
+	f    *sqlFormat
+	args [maxSQLArgs]int64
+}
 
 func compileSQL(format string) *sqlFormat {
 	f := &sqlFormat{}
@@ -63,7 +78,20 @@ func compileSQL(format string) *sqlFormat {
 		lit = j + 1
 	}
 	f.lits = append(f.lits, format[lit:])
+	if len(f.verbs) > maxSQLArgs {
+		panic(fmt.Sprintf("workload: SQL format %q has %d verbs, more than %d", format, len(f.verbs), maxSQLArgs))
+	}
 	return f
+}
+
+// with binds args (one per verb) to the format without rendering it.
+func (f *sqlFormat) with(args ...int64) stmt {
+	if len(args) != len(f.verbs) {
+		panic(fmt.Sprintf("workload: SQL format wants %d arguments, got %d", len(f.verbs), len(args)))
+	}
+	s := stmt{f: f}
+	copy(s.args[:], args)
+	return s
 }
 
 // render formats args (one per verb) into a statement.

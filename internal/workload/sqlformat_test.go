@@ -41,8 +41,9 @@ func TestCompileSQLRejectsOtherVerbs(t *testing.T) {
 		}()
 		f()
 	}
-	for _, format := range []string{"%s", "a %v", "100%%", "trailing %", "%0d", "%2d", "%5.2f", "%0"} {
+	for _, format := range []string{"%s", "a %v", "100%%", "trailing %", "%0d", "%2d", "%5.2f", "%0", "%d%d%d%d%d%d%d"} {
 		mustPanic(fmt.Sprintf("compileSQL(%q)", format), func() { compileSQL(format) })
 	}
 	mustPanic("render with too few arguments", func() { compileSQL("a = %d AND b = %d").render(1) })
+	mustPanic("with too few arguments", func() { compileSQL("a = %d AND b = %d").with(1) })
 }

@@ -55,7 +55,7 @@ func TestScheduleSelectsByTime(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	q := sched.SampleAt(rng, t0.Add(2*time.Hour))
-	if q.SQL == "" {
+	if q.Text() == "" {
 		t.Fatal("empty sample")
 	}
 	if sched.Name() != "ycsb-schedule" {

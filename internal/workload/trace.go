@@ -32,7 +32,7 @@ const mbF = 1024 * 1024
 
 func toRecord(q Query) TraceRecord {
 	return TraceRecord{
-		SQL:     q.SQL,
+		SQL:     q.Text(),
 		Class:   q.Class.String(),
 		MemMB:   q.Profile.MemDemand / mbF,
 		MaintMB: q.Profile.MaintMem / mbF,

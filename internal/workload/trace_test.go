@@ -30,7 +30,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	var heavy int
 	for i := 0; i < 500; i++ {
 		q := tr.Sample(rng2)
-		if q.SQL == "" {
+		if q.Text() == "" {
 			t.Fatal("empty replayed SQL")
 		}
 		if q.Profile.MemDemand > 50*MiB {

@@ -4,9 +4,10 @@
 // every throttle class, and a synthetic stand-in for the paper's 33-day
 // production customer trace (132 tables, 42.13M queries/day, 59 GB).
 //
-// A Generator produces Query values: each carries the raw SQL text the
-// TDE's log pipeline sees plus an execution profile (memory demand,
-// read/write volume) the simulated engine prices. Offered load comes
+// A Generator produces Query values: each carries its template and class
+// (what the TDE's log pipeline reads), the means to render its SQL text
+// on demand, and an execution profile (memory demand, read/write volume)
+// the simulated engine prices. Offered load comes
 // from RequestRate, which for the production workload reproduces the
 // diurnal arrival curve of the paper's Figure 8.
 package workload
@@ -52,15 +53,33 @@ type Profile struct {
 
 // Query is one SQL statement with its execution profile.
 //
-// Template is the pre-computed normalized form of SQL: generators fill
-// it once at construction so the engine's per-query hot path (plan
-// cache lookup, profile memoisation) never re-normalizes the text.
-// Class always equals Template.Class when Template is set.
+// Template is the pre-computed normalized form of the statement:
+// generators fill it once at construction so the engine's per-query hot
+// path (query log, profile memoisation) never templates text. Class
+// always equals Template.Class when Template is set.
+//
+// A statement drawn from a compiled format carries the format and its
+// drawn arguments, not text: Text renders it on demand, and only the
+// readers of text (trace recording, the entropy figure, workloadgen)
+// pay for that. SQL holds the text of a statement built from text — a
+// trace replay, or a site whose template must be derived from its text
+// — and is empty otherwise.
 type Query struct {
 	SQL      string
 	Class    sqlparse.Class
 	Template sqlparse.Template
 	Profile  Profile
+	stmt     stmt
+}
+
+// Text returns the statement's SQL text: SQL for a statement built from
+// text, else its format rendered with its arguments, byte for byte what
+// fmt.Sprintf of the format would give.
+func (q Query) Text() string {
+	if q.stmt.f == nil {
+		return q.SQL
+	}
+	return q.stmt.f.render(q.stmt.args[:len(q.stmt.f.verbs)]...)
 }
 
 // Generator produces a stream of queries plus offered load over time.
@@ -115,10 +134,10 @@ func (m *mixSampler) sample(rng *rand.Rand) Query {
 	return m.choices[len(m.choices)-1].make(rng)
 }
 
-// q builds a Query, templating the SQL text through sqlparse so that
-// generator classes always agree with what the TDE's log pipeline will
+// q builds a Query from SQL text, templating it through sqlparse so that
+// generator classes always agree with what the TDE's log pipeline would
 // infer from the same text. The full Template rides along so downstream
-// consumers (profile memoisation) skip re-normalizing.
+// consumers (query log, profile memoisation) skip re-normalizing.
 func q(sql string, p Profile) Query {
 	tpl := sqlparse.TemplateOf(sql)
 	return Query{SQL: sql, Class: tpl.Class, Template: tpl, Profile: p}
@@ -141,11 +160,11 @@ func litTpl(f *sqlFormat, canon ...int64) sqlparse.Template {
 // intn draws rng.Intn(n) as a render argument.
 func intn(rng *rand.Rand, n int) int64 { return int64(rng.Intn(n)) }
 
-// qt builds a Query from SQL whose template is already known (a litTpl
-// constant for its call site, or an identSite's entry for the
-// statement's identifier).
-func qt(tpl sqlparse.Template, sql string, p Profile) Query {
-	return Query{SQL: sql, Class: tpl.Class, Template: tpl, Profile: p}
+// qt builds a Query from a drawn statement whose template is already
+// known (a litTpl constant for its call site, or an identSite's entry
+// for the statement's identifier). Nothing is rendered.
+func qt(tpl sqlparse.Template, s stmt, p Profile) Query {
+	return Query{Class: tpl.Class, Template: tpl, Profile: p, stmt: s}
 }
 
 // jitter returns v scaled by a lognormal-ish factor in roughly [0.5, 2].
