@@ -72,7 +72,7 @@ func main() {
 		// The log keeps template IDs, not text; the replay remembers a
 		// statement of each template to print.
 		for _, le := range eng.QueryLog(400) {
-			plan, ok := eng.ExplainTemplate(le.TemplateID)
+			plan, _, ok := eng.ExplainTemplate(le.TemplateID)
 			if ok && plan.MemRequired > 50*(1<<20) {
 				fmt.Printf("EXPLAIN %.60s...\n%s\n", replay.text[le.TemplateID], plan.Format())
 				break

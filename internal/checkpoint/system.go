@@ -88,11 +88,13 @@ type tunerBlob struct {
 
 // instancePayload is one "instance/<id>" section: the agent state
 // (embedding the TDE), every node engine (master first, then slaves in
-// replica order) and the monitor series.
+// replica order) and the monitor's sample count. The TDE and monitor
+// states check themselves as they decode, so a bad one fails the
+// section before anything restores.
 type instancePayload struct {
-	Agent   agent.State                `json:"agent"`
-	Nodes   []simdb.EngineState        `json:"nodes"`
-	Monitor map[string][]monitor.Point `json:"monitor,omitempty"`
+	Agent   agent.State         `json:"agent"`
+	Nodes   []simdb.EngineState `json:"nodes"`
+	Monitor monitor.State       `json:"monitor"`
 }
 
 // metrics are the subsystem's registry handles, resolved once.
@@ -165,8 +167,8 @@ func restoreTuner(t tuner.Tuner, blob tunerBlob) error {
 // EncodeInstance serializes one fleet member's state exactly as a full
 // snapshot's "instance/<id>" section would — the tuning agent (TDE
 // embedded), every node engine (master first, then slaves in replica
-// order, virtual clocks and PRNG positions included) and the monitor
-// series — plus the topology pin for the member. It is the migration
+// order, virtual clocks and PRNG positions included) and the monitor's
+// sample count — plus the topology pin for the member. It is the migration
 // wire format: a shard checkpoints an instance out with EncodeInstance
 // and the destination shard restores it with DecodeInstance; no new
 // serialization format exists for rebalancing.
@@ -202,7 +204,7 @@ func DecodeInstance(fm FleetMember, meta InstanceMeta, payload []byte) error {
 }
 
 // restoreInstance applies one "instance/<id>" payload onto a rebuilt
-// member: node engines first, then the agent, then the monitor series.
+// member: node engines first, then the agent, then the monitor count.
 func restoreInstance(fm FleetMember, name string, payload []byte) error {
 	var p instancePayload
 	if err := json.Unmarshal(payload, &p); err != nil {

@@ -19,15 +19,16 @@ import (
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/monitor"
 	"autodbaas/internal/prng"
+	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/tuner/bo"
 	"autodbaas/internal/tuner/rl"
 	"autodbaas/internal/workload"
 )
 
 // ckptFingerprint is the deep fleet fingerprint the resume guarantee is
-// stated over: everything fleetFingerprint covers, plus the full
-// monitor series (values and timestamps, not just lengths) and the
-// per-class TDE throttle counters.
+// stated over: everything fleetFingerprint covers, plus each monitor's
+// state (its last sample's timestamp, not just its count), each TDE's
+// class histogram and the per-class TDE throttle counters.
 type ckptFingerprint struct {
 	Throttles       map[string]map[knobs.Class]int
 	Samples         int
@@ -35,7 +36,8 @@ type ckptFingerprint struct {
 	Recommendations int
 	ApplyFailures   int
 	PlanUpgrades    int
-	Monitor         map[string]map[string][]monitor.Point
+	Monitor         map[string]monitor.State
+	Classes         map[string][sqlparse.NumClasses]int
 	Configs         map[string]knobs.Config
 	Clocks          map[string]time.Time
 }
@@ -47,7 +49,8 @@ func fingerprintSystem(s *System) ckptFingerprint {
 	fp := ckptFingerprint{
 		Throttles: make(map[string]map[knobs.Class]int),
 		Samples:   s.Repository.Len(),
-		Monitor:   make(map[string]map[string][]monitor.Point),
+		Monitor:   make(map[string]monitor.State),
+		Classes:   make(map[string][sqlparse.NumClasses]int),
 		Configs:   make(map[string]knobs.Config),
 		Clocks:    make(map[string]time.Time),
 	}
@@ -55,6 +58,7 @@ func fingerprintSystem(s *System) ckptFingerprint {
 	for _, a := range s.Agents() {
 		id := a.Instance().ID
 		fp.Throttles[id] = a.TDE().Throttles()
+		fp.Classes[id] = a.TDE().CheckpointState().Classes
 		fp.Configs[id] = a.Instance().Replica.Master().Config()
 		fp.Clocks[id] = a.Instance().Replica.Master().Now()
 		if m, ok := s.Monitor(id); ok {

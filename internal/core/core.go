@@ -550,17 +550,12 @@ func (s *System) Step(dur time.Duration) StepResult {
 		if s.safety != nil {
 			s.Director.SafetyObserve(a.Instance(), out.Stats, out.Err == nil)
 		}
-		// External monitoring (the Dynatrace substitute), sampled after
-		// dispatch as in the sequential schedule. An injected monitor
-		// loss drops the whole sampling round for this window, as if the
-		// scrape timed out.
+		// External monitoring (the Dynatrace substitute) counts one
+		// scrape per window, after dispatch as in the sequential
+		// schedule. An injected monitor loss drops this window's scrape,
+		// as if it timed out.
 		if mon := fleet[i].mon; mon != nil && !s.faults.DropMonitorSample(id) {
-			now := a.Instance().Replica.Master().Now()
-			st := out.Stats
-			_ = mon.Series("disk_latency_ms").Append(now, st.DiskLatencyMs)
-			_ = mon.Series("iops").Append(now, st.IOPS)
-			_ = mon.Series("throughput_qps").Append(now, st.Achieved)
-			_ = mon.Series("p99_latency_ms").Append(now, st.P99Ms)
+			_ = mon.Series("disk_latency_ms").Append(a.Instance().Replica.Master().Now(), out.Stats.DiskLatencyMs)
 		}
 	}
 	s.Repository.Flush()

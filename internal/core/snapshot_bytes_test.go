@@ -16,11 +16,11 @@ import (
 var sectionCeilings = map[string]int{
 	"repository/store":         26_800,
 	"tuners":                   230_000,
-	"instance agent":           341_000,
+	"instance agent":           53_000,
 	"instance engine log":      47_200,
 	"instance engine profiles": 730_000,
 	"instance engine other":    27_500,
-	"instance monitor":         34_500,
+	"instance monitor":         555,
 	"other sections":           17_500,
 }
 

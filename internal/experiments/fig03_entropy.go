@@ -39,19 +39,15 @@ func Fig3Entropy(p float64, windows, queriesPerWindow int, seed int64) Fig3Resul
 	return res
 }
 
-// entropySeries streams windows of queries through the TDE's templating
-// pipeline and evaluates η per window.
+// entropySeries templates windows of query text, counts each window's
+// statements per class and evaluates η per window.
 func entropySeries(name string, gen workload.Generator, windows, perWindow int, seed int64) Series {
 	rng := rand.New(rand.NewSource(seed))
 	s := Series{Name: name}
 	for w := 0; w < windows; w++ {
-		tz := sqlparse.NewTemplatizer()
-		for i := 0; i < perWindow; i++ {
-			tz.Observe(gen.Sample(rng).Text())
-		}
 		counts := make([]int, sqlparse.NumClasses)
-		for cls, n := range tz.ClassHistogram() {
-			counts[int(cls)] += n
+		for i := 0; i < perWindow; i++ {
+			counts[sqlparse.TemplateOf(gen.Sample(rng).Text()).Class]++
 		}
 		s.Points = append(s.Points, Point{X: float64(w), Y: entropy.Normalized(counts)})
 	}

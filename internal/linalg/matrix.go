@@ -135,21 +135,9 @@ func CholeskyInto(l, m *Matrix) error {
 	return nil
 }
 
-// SolveLower solves L·y = b for lower-triangular L (forward substitution).
-func SolveLower(l *Matrix, b []float64) ([]float64, error) {
-	n := l.Rows
-	if l.Cols != n || len(b) != n {
-		return nil, fmt.Errorf("%w: SolveLower %d×%d with b %d", ErrShape, l.Rows, l.Cols, len(b))
-	}
-	y := make([]float64, n)
-	if err := SolveLowerInto(l, b, y); err != nil {
-		return nil, err
-	}
-	return y, nil
-}
-
-// SolveLowerInto is SolveLower writing the solution into dst (len n)
-// without allocating. b and dst may alias only if identical.
+// SolveLowerInto solves L·y = b for lower-triangular L (forward
+// substitution), writing y into dst (len n) without allocating. b and
+// dst may alias only if identical.
 func SolveLowerInto(l *Matrix, b, dst []float64) error {
 	n := l.Rows
 	if l.Cols != n || len(b) != n || len(dst) != n {
@@ -190,18 +178,9 @@ func SolveLowerInto(l *Matrix, b, dst []float64) error {
 	return nil
 }
 
-// SolveUpperFromLower solves Lᵀ·x = y given lower-triangular L
-// (back substitution against the implicit transpose).
-func SolveUpperFromLower(l *Matrix, y []float64) ([]float64, error) {
-	x := make([]float64, len(y))
-	if err := SolveUpperFromLowerInto(l, y, x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveUpperFromLowerInto is SolveUpperFromLower writing the solution
-// into dst (len n) without allocating. y and dst may alias only if
+// SolveUpperFromLowerInto solves Lᵀ·x = y given lower-triangular L
+// (back substitution against the implicit transpose), writing x into
+// dst (len n) without allocating. y and dst may alias only if
 // identical.
 func SolveUpperFromLowerInto(l *Matrix, y, dst []float64) error {
 	n := l.Rows
@@ -222,17 +201,9 @@ func SolveUpperFromLowerInto(l *Matrix, y, dst []float64) error {
 	return nil
 }
 
-// CholSolve solves m·x = b given the Cholesky factor L of m.
-func CholSolve(l *Matrix, b []float64) ([]float64, error) {
-	x := make([]float64, len(b))
-	if err := CholSolveInto(l, b, x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// CholSolveInto is CholSolve writing the solution into dst (len n)
-// without allocating. b and dst may alias only if identical.
+// CholSolveInto solves m·x = b given the Cholesky factor L of m,
+// writing x into dst (len n) without allocating. b and dst may alias
+// only if identical.
 func CholSolveInto(l *Matrix, b, dst []float64) error {
 	if err := SolveLowerInto(l, b, dst); err != nil {
 		return err

@@ -79,9 +79,9 @@ func TestCholSolveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Cholesky: %v", err)
 	}
-	got, err := CholSolve(l, rhs)
-	if err != nil {
-		t.Fatalf("CholSolve: %v", err)
+	got := make([]float64, n)
+	if err := CholSolveInto(l, rhs, got); err != nil {
+		t.Fatalf("CholSolveInto: %v", err)
 	}
 	for i := range x {
 		if !almostEqual(got[i], x[i], 1e-8) {
@@ -92,55 +92,20 @@ func TestCholSolveRoundTrip(t *testing.T) {
 
 func TestSolveLowerAndUpper(t *testing.T) {
 	l := mat2(2, 0, 1, 3)
-	y, err := SolveLower(l, []float64{4, 10})
-	if err != nil {
+	y := make([]float64, 2)
+	if err := SolveLowerInto(l, []float64{4, 10}, y); err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(y[0], 2, 1e-12) || !almostEqual(y[1], 8.0/3, 1e-12) {
 		t.Fatalf("forward solve = %v", y)
 	}
-	x, err := SolveUpperFromLower(l, []float64{4, 9})
-	if err != nil {
+	x := make([]float64, 2)
+	if err := SolveUpperFromLowerInto(l, []float64{4, 9}, x); err != nil {
 		t.Fatal(err)
 	}
 	// Lᵀ = [[2,1],[0,3]]; x₂ = 3, x₁ = (4-3)/2 = 0.5
 	if !almostEqual(x[1], 3, 1e-12) || !almostEqual(x[0], 0.5, 1e-12) {
 		t.Fatalf("backward solve = %v", x)
-	}
-}
-
-// TestSolveLowerIntoMatchesSolveLower pins the zero-alloc variant.
-func TestSolveLowerIntoMatchesSolveLower(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := randSPD(rng, 12, 1e-2)
-	l, err := Cholesky(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, 12)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	want, err := SolveLower(l, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, 12)
-	if err := SolveLowerInto(l, b, dst); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Float64bits(want[i]) != math.Float64bits(dst[i]) {
-			t.Fatalf("element %d: %g vs %g", i, want[i], dst[i])
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := SolveLowerInto(l, b, dst); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("SolveLowerInto allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -250,7 +215,8 @@ func choleskyByAt(m *Matrix) (*Matrix, error) {
 
 // TestCholeskyIntoReusesDirtyBuffer: a factor buffer holding a previous,
 // larger factorization yields the same bits as a fresh one, including a
-// zero upper triangle, and the solves into it match the allocating ones.
+// zero upper triangle, and the solves into it match the solves against
+// the reference factor.
 func TestCholeskyIntoReusesDirtyBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	buf := make([]float64, 20*20)
@@ -276,8 +242,8 @@ func TestCholeskyIntoReusesDirtyBuffer(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		wantX, err := CholSolve(want, b)
-		if err != nil {
+		wantX := make([]float64, n)
+		if err := CholSolveInto(want, b, wantX); err != nil {
 			t.Fatal(err)
 		}
 		x := append([]float64(nil), b...)

@@ -1,26 +1,52 @@
 package monitor
 
-// CheckpointState captures every retained point of every series, keyed
-// by series name. The retention bound is a construction parameter.
-func (a *Agent) CheckpointState() map[string][]Point {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string][]Point, len(a.series))
-	for name, s := range a.series {
-		out[name] = s.All()
-	}
-	return out
+import (
+	"encoding/json"
+	"fmt"
+	"time"
+)
+
+// State is an agent's snapshot: its sample count and the timestamp of
+// the last accepted sample. The retention bound is a construction
+// parameter.
+type State struct {
+	Count int       `json:"count"`
+	Last  time.Time `json:"last"`
 }
 
-// RestoreCheckpointState replaces the agent's series with the snapshot's.
-func (a *Agent) RestoreCheckpointState(state map[string][]Point) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.series = make(map[string]*Series, len(state))
-	for name, pts := range state {
-		s := NewSeries(a.max)
-		s.points = make([]Point, len(pts))
-		copy(s.points, pts)
-		a.series[name] = s
+// UnmarshalJSON decodes a State. A snapshot written while the agent
+// kept point series holds them under their names instead; the
+// disk_latency_ms series' length and last timestamp carry over. A
+// negative count is rejected.
+func (st *State) UnmarshalJSON(data []byte) error {
+	var v struct {
+		Count  int                      `json:"count"`
+		Last   time.Time                `json:"last"`
+		Points []struct{ At time.Time } `json:"disk_latency_ms"`
 	}
+	if err := json.Unmarshal(data, &v); err != nil {
+		return err
+	}
+	st.Count, st.Last = v.Count, v.Last
+	if n := len(v.Points); n > 0 {
+		st.Count, st.Last = n, v.Points[n-1].At
+	}
+	if st.Count < 0 {
+		return fmt.Errorf("monitor: negative sample count %d", st.Count)
+	}
+	return nil
+}
+
+// CheckpointState captures the agent's sample count.
+func (a *Agent) CheckpointState() State {
+	a.s.mu.Lock()
+	defer a.s.mu.Unlock()
+	return State{Count: a.s.n, Last: a.s.last}
+}
+
+// RestoreCheckpointState replaces the agent's sample count.
+func (a *Agent) RestoreCheckpointState(st State) {
+	a.s.mu.Lock()
+	defer a.s.mu.Unlock()
+	a.s.n, a.s.last = st.Count, st.Last
 }

@@ -1,209 +1,60 @@
 // Package monitor is the external monitoring substitute for the
-// Dynatrace agents the paper relies on: a small in-memory time-series
-// store with windowed statistics and the peak-spacing analysis the
-// background-writer throttle detector needs ("the time difference
-// between peaks in disk-latency is observed and averaged out for
-// consecutive peaks", §3.2).
+// Dynatrace agents the paper relies on. Each database service instance
+// has one agent, scraped once per observation window. The bgwriter
+// detector reads engine statistics instead of the monitor's peaks
+// (EXPERIMENTS.md, divergence 1), and the fleet reads only how many
+// scrapes were accepted, so that count is all an agent keeps.
 package monitor
 
 import (
 	"errors"
-	"math"
-	"sort"
 	"sync"
 	"time"
 )
 
-// Point is one time-series observation.
-type Point struct {
-	At    time.Time
-	Value float64
-}
-
-// Series is an append-only time series, safe for concurrent use.
-type Series struct {
-	mu     sync.RWMutex
-	points []Point
-	max    int // retention bound (0 = unbounded)
-}
-
-// NewSeries returns a series retaining at most max points (0: unbounded).
-func NewSeries(max int) *Series { return &Series{max: max} }
-
-// Append records one observation. Out-of-order appends are rejected to
-// keep window queries simple (monitoring agents sample monotonically).
+// ErrOutOfOrder rejects an append older than the last accepted one
+// (monitoring agents sample monotonically).
 var ErrOutOfOrder = errors.New("monitor: out-of-order append")
 
-// Append adds a point; timestamps must be non-decreasing.
-func (s *Series) Append(at time.Time, v float64) error {
+// Series counts accepted samples, safe for concurrent use.
+type Series struct {
+	mu   sync.Mutex
+	max  int // retention bound (0 = unbounded)
+	n    int
+	last time.Time
+}
+
+// Append accepts one sample; timestamps must be non-decreasing. Only
+// the acceptance is recorded: nothing reads a sample's value.
+func (s *Series) Append(at time.Time, _ float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := len(s.points); n > 0 && at.Before(s.points[n-1].At) {
+	if at.Before(s.last) {
 		return ErrOutOfOrder
 	}
-	s.points = append(s.points, Point{At: at, Value: v})
-	if s.max > 0 && len(s.points) > s.max {
-		s.points = s.points[len(s.points)-s.max:]
+	s.last = at
+	if s.max == 0 || s.n < s.max {
+		s.n++
 	}
 	return nil
 }
 
-// Len returns the number of retained points.
+// Len returns how many accepted samples the retention bound would keep.
 func (s *Series) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.points)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
 }
 
-// Range returns a copy of the points in [from, to).
-func (s *Series) Range(from, to time.Time) []Point {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	lo := sort.Search(len(s.points), func(i int) bool { return !s.points[i].At.Before(from) })
-	hi := sort.Search(len(s.points), func(i int) bool { return !s.points[i].At.Before(to) })
-	out := make([]Point, hi-lo)
-	copy(out, s.points[lo:hi])
-	return out
-}
-
-// All returns a copy of every retained point.
-func (s *Series) All() []Point {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Point, len(s.points))
-	copy(out, s.points)
-	return out
-}
-
-// Last returns the most recent point, or false.
-func (s *Series) Last() (Point, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.points) == 0 {
-		return Point{}, false
-	}
-	return s.points[len(s.points)-1], true
-}
-
-// Stats summarizes a point slice.
-type Stats struct {
-	Count    int
-	Mean     float64
-	Min, Max float64
-	P95      float64
-}
-
-// Summarize computes Stats over points.
-func Summarize(points []Point) Stats {
-	if len(points) == 0 {
-		return Stats{}
-	}
-	vals := make([]float64, len(points))
-	var sum float64
-	mn, mx := math.Inf(1), math.Inf(-1)
-	for i, p := range points {
-		vals[i] = p.Value
-		sum += p.Value
-		if p.Value < mn {
-			mn = p.Value
-		}
-		if p.Value > mx {
-			mx = p.Value
-		}
-	}
-	sort.Float64s(vals)
-	idx := int(math.Ceil(0.95*float64(len(vals)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return Stats{
-		Count: len(points),
-		Mean:  sum / float64(len(points)),
-		Min:   mn,
-		Max:   mx,
-		P95:   vals[idx],
-	}
-}
-
-// Peak is a detected local maximum.
-type Peak struct {
-	At    time.Time
-	Value float64
-}
-
-// DetectPeaks finds local maxima whose value exceeds mean + k·stddev of
-// the series. A peak must be strictly greater than its neighbours.
-func DetectPeaks(points []Point, k float64) []Peak {
-	if len(points) < 3 {
-		return nil
-	}
-	var sum, sumsq float64
-	for _, p := range points {
-		sum += p.Value
-		sumsq += p.Value * p.Value
-	}
-	n := float64(len(points))
-	mean := sum / n
-	sd := math.Sqrt(math.Max(0, sumsq/n-mean*mean))
-	threshold := mean + k*sd
-	var peaks []Peak
-	for i := 1; i < len(points)-1; i++ {
-		v := points[i].Value
-		if v > threshold && v > points[i-1].Value && v >= points[i+1].Value {
-			peaks = append(peaks, Peak{At: points[i].At, Value: v})
-		}
-	}
-	return peaks
-}
-
-// MeanPeakSpacing returns the average time between consecutive peaks,
-// or 0 when fewer than two peaks exist. The bgwriter detector divides
-// checkpoint counts by this to estimate "checkpointing per unit time".
-func MeanPeakSpacing(peaks []Peak) time.Duration {
-	if len(peaks) < 2 {
-		return 0
-	}
-	var total time.Duration
-	for i := 1; i < len(peaks); i++ {
-		total += peaks[i].At.Sub(peaks[i-1].At)
-	}
-	return total / time.Duration(len(peaks)-1)
-}
-
-// Agent is a named collection of series — one monitoring endpoint per
-// database service instance.
+// Agent is one monitoring endpoint per database service instance. Its
+// metrics (disk latency, IOPS, throughput, p99 latency) are scraped
+// together, so it keeps one series and every name reads it.
 type Agent struct {
-	mu     sync.Mutex
-	series map[string]*Series
-	max    int
+	s Series
 }
 
-// NewAgent returns an agent whose series retain max points each.
-func NewAgent(max int) *Agent {
-	return &Agent{series: make(map[string]*Series), max: max}
-}
+// NewAgent returns an agent whose series retains max samples.
+func NewAgent(max int) *Agent { return &Agent{s: Series{max: max}} }
 
-// Series returns (creating if needed) the series with the given name
-// (e.g. "disk_latency_ms", "iops", "throughput_qps").
-func (a *Agent) Series(name string) *Series {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s, ok := a.series[name]
-	if !ok {
-		s = NewSeries(a.max)
-		a.series[name] = s
-	}
-	return s
-}
-
-// Names returns the registered series names (sorted).
-func (a *Agent) Names() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.series))
-	for n := range a.series {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+// Series returns the agent's series; every name shares it.
+func (a *Agent) Series(string) *Series { return &a.s }

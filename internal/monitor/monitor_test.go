@@ -1,8 +1,8 @@
 package monitor
 
 import (
+	"encoding/json"
 	"errors"
-	"math"
 	"testing"
 	"time"
 )
@@ -11,8 +11,8 @@ var t0 = time.Date(2021, 3, 23, 0, 0, 0, 0, time.UTC)
 
 func at(sec int) time.Time { return t0.Add(time.Duration(sec) * time.Second) }
 
-func TestAppendAndRange(t *testing.T) {
-	s := NewSeries(0)
+func TestAppendCountsAccepted(t *testing.T) {
+	s := NewAgent(0).Series("disk_latency_ms")
 	for i := 0; i < 10; i++ {
 		if err := s.Append(at(i), float64(i)); err != nil {
 			t.Fatal(err)
@@ -21,14 +21,10 @@ func TestAppendAndRange(t *testing.T) {
 	if s.Len() != 10 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	pts := s.Range(at(3), at(7))
-	if len(pts) != 4 || pts[0].Value != 3 || pts[3].Value != 6 {
-		t.Fatalf("range = %v", pts)
-	}
 }
 
 func TestAppendOutOfOrderRejected(t *testing.T) {
-	s := NewSeries(0)
+	s := NewAgent(0).Series("disk_latency_ms")
 	if err := s.Append(at(5), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -39,106 +35,62 @@ func TestAppendOutOfOrderRejected(t *testing.T) {
 	if err := s.Append(at(5), 3); err != nil {
 		t.Fatal(err)
 	}
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d, want the 2 accepted samples", s.Len())
+	}
 }
 
 func TestRetentionBound(t *testing.T) {
-	s := NewSeries(5)
+	a := NewAgent(5)
 	for i := 0; i < 20; i++ {
-		s.Append(at(i), float64(i))
+		a.Series("disk_latency_ms").Append(at(i), float64(i))
 	}
-	if s.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", s.Len())
+	if n := a.Series("disk_latency_ms").Len(); n != 5 {
+		t.Fatalf("Len = %d, want 5", n)
 	}
-	last, ok := s.Last()
-	if !ok || last.Value != 19 {
-		t.Fatalf("Last = %+v", last)
-	}
-	all := s.All()
-	if all[0].Value != 15 {
-		t.Fatalf("oldest retained = %v", all[0])
+	if st := a.CheckpointState(); st.Count != 5 || !st.Last.Equal(at(19)) {
+		t.Fatalf("state = %+v, want 5 samples, the last at %v", st, at(19))
 	}
 }
 
+// TestLastEmpty: a fresh agent has no last sample, so any timestamp is
+// in order.
 func TestLastEmpty(t *testing.T) {
-	s := NewSeries(0)
-	if _, ok := s.Last(); ok {
-		t.Fatal("Last on empty series returned ok")
+	a := NewAgent(0)
+	if st := a.CheckpointState(); st.Count != 0 || !st.Last.IsZero() {
+		t.Fatalf("fresh agent state = %+v", st)
+	}
+	if err := a.Series("iops").Append(time.Time{}, 1); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	pts := []Point{{at(0), 1}, {at(1), 2}, {at(2), 3}, {at(3), 4}}
-	st := Summarize(pts)
-	if st.Count != 4 || st.Mean != 2.5 || st.Min != 1 || st.Max != 4 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.P95 != 4 {
-		t.Fatalf("P95 = %g", st.P95)
-	}
-	if Summarize(nil).Count != 0 {
-		t.Fatal("empty summarize")
-	}
-}
-
-func TestDetectPeaksFindsSpikes(t *testing.T) {
-	var pts []Point
-	for i := 0; i < 100; i++ {
-		v := 1.0
-		if i%20 == 10 {
-			v = 10
-		}
-		pts = append(pts, Point{at(i), v})
-	}
-	peaks := DetectPeaks(pts, 1.5)
-	if len(peaks) != 5 {
-		t.Fatalf("found %d peaks, want 5", len(peaks))
-	}
-	spacing := MeanPeakSpacing(peaks)
-	if spacing != 20*time.Second {
-		t.Fatalf("spacing = %v, want 20s", spacing)
-	}
-}
-
-func TestDetectPeaksFlatSeries(t *testing.T) {
-	var pts []Point
-	for i := 0; i < 50; i++ {
-		pts = append(pts, Point{at(i), 2})
-	}
-	if got := DetectPeaks(pts, 1); len(got) != 0 {
-		t.Fatalf("flat series produced %d peaks", len(got))
-	}
-	if DetectPeaks(pts[:2], 1) != nil {
-		t.Fatal("short series should return nil")
-	}
-}
-
-func TestMeanPeakSpacingDegenerate(t *testing.T) {
-	if MeanPeakSpacing(nil) != 0 || MeanPeakSpacing([]Peak{{at(1), 5}}) != 0 {
-		t.Fatal("degenerate spacing not 0")
-	}
-}
-
-func TestAgentSeriesIdentityAndNames(t *testing.T) {
+func TestAgentSeriesIdentity(t *testing.T) {
 	a := NewAgent(100)
-	s1 := a.Series("disk_latency_ms")
-	s2 := a.Series("disk_latency_ms")
-	if s1 != s2 {
-		t.Fatal("Series not stable per name")
-	}
-	a.Series("iops")
-	names := a.Names()
-	if len(names) != 2 || names[0] != "disk_latency_ms" || names[1] != "iops" {
-		t.Fatalf("names = %v", names)
+	if a.Series("disk_latency_ms") != a.Series("iops") {
+		t.Fatal("an agent's metrics do not share one series")
 	}
 }
 
-func TestSummarizeP95Math(t *testing.T) {
-	var pts []Point
-	for i := 1; i <= 100; i++ {
-		pts = append(pts, Point{at(i), float64(i)})
+func TestCheckpointRoundTrip(t *testing.T) {
+	a := NewAgent(100)
+	for i := 0; i < 7; i++ {
+		a.Series("disk_latency_ms").Append(at(i), 1)
 	}
-	st := Summarize(pts)
-	if math.Abs(st.P95-95) > 1 {
-		t.Fatalf("P95 = %g, want ≈95", st.P95)
+	raw, err := json.Marshal(a.CheckpointState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st State
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	b := NewAgent(100)
+	b.RestoreCheckpointState(st)
+	if b.CheckpointState() != a.CheckpointState() {
+		t.Fatalf("restored %+v, want %+v", b.CheckpointState(), a.CheckpointState())
+	}
+	if err := b.Series("iops").Append(at(5), 1); !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("restored agent accepted a sample older than its last: %v", err)
 	}
 }

@@ -58,13 +58,6 @@ func (l *Logger) SetLevel(level Level) { l.level.Store(int32(level)) }
 // Enabled reports whether a message at level would be emitted.
 func (l *Logger) Enabled(level Level) bool { return level >= Level(l.level.Load()) }
 
-// SetOutput redirects the logger (tests).
-func (l *Logger) SetOutput(w io.Writer) {
-	l.mu.Lock()
-	l.w = w
-	l.mu.Unlock()
-}
-
 func (l *Logger) logf(level Level, format string, args ...interface{}) {
 	if !l.Enabled(level) {
 		return
@@ -79,33 +72,12 @@ func (l *Logger) logf(level Level, format string, args ...interface{}) {
 // Debugf logs at debug level.
 func (l *Logger) Debugf(format string, args ...interface{}) { l.logf(LevelDebug, format, args...) }
 
-// Infof logs at info level.
-func (l *Logger) Infof(format string, args ...interface{}) { l.logf(LevelInfo, format, args...) }
-
-// Warnf logs at warn level.
-func (l *Logger) Warnf(format string, args ...interface{}) { l.logf(LevelWarn, format, args...) }
-
-// Errorf logs at error level.
-func (l *Logger) Errorf(format string, args ...interface{}) { l.logf(LevelError, format, args...) }
-
 // defaultLogger is quiet by default (warnings and errors only) so
 // `go test ./...` output stays clean; AUTODBAAS_LOG=debug opens it up.
 var defaultLogger = NewLogger(os.Stderr, LevelWarn)
-
-// DefaultLogger returns the process-wide logger.
-func DefaultLogger() *Logger { return defaultLogger }
 
 // SetLevel sets the process-wide logger's level.
 func SetLevel(level Level) { defaultLogger.SetLevel(level) }
 
 // Debugf logs to the process-wide logger.
 func Debugf(format string, args ...interface{}) { defaultLogger.Debugf(format, args...) }
-
-// Infof logs to the process-wide logger.
-func Infof(format string, args ...interface{}) { defaultLogger.Infof(format, args...) }
-
-// Warnf logs to the process-wide logger.
-func Warnf(format string, args ...interface{}) { defaultLogger.Warnf(format, args...) }
-
-// Errorf logs to the process-wide logger.
-func Errorf(format string, args ...interface{}) { defaultLogger.Errorf(format, args...) }

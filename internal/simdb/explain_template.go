@@ -73,16 +73,17 @@ func (e *Engine) rememberProfileLocked(id string, cls sqlparse.Class, prof *work
 }
 
 // ExplainTemplate plans template id (a query-log entry's TemplateID)
-// using the statistics remembered for it. It reports ok=false when the
-// template has never been executed (no statistics to plan from).
-func (e *Engine) ExplainTemplate(id string) (Plan, bool) {
+// using the statistics remembered for it, and returns the class it
+// remembers too. It reports ok=false when the template has never been
+// executed (no statistics to plan from).
+func (e *Engine) ExplainTemplate(id string) (Plan, sqlparse.Class, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	p, ok := e.profiles[id]
 	if !ok {
-		return Plan{}, false
+		return Plan{}, 0, false
 	}
-	return e.planWith(e.flatLocked(), p.Class, &p.Profile), true
+	return e.planWith(e.flatLocked(), p.Class, &p.Profile), p.Class, true
 }
 
 // HypotheticalRunTemplatesMs prices the statements remembered for ids

@@ -22,9 +22,12 @@ func TestExplainTemplateAfterExecution(t *testing.T) {
 	log := e.QueryLog(100)
 	var planned, spilling int
 	for _, le := range log {
-		p, ok := e.ExplainTemplate(le.TemplateID)
+		p, cls, ok := e.ExplainTemplate(le.TemplateID)
 		if !ok {
 			continue
+		}
+		if cls != le.Class {
+			t.Fatalf("template %s: explained as class %s, logged as %s", le.TemplateID, cls, le.Class)
 		}
 		planned++
 		if p.UsesDisk {
@@ -41,7 +44,7 @@ func TestExplainTemplateAfterExecution(t *testing.T) {
 
 func TestExplainTemplateUnknown(t *testing.T) {
 	e := newPG(t, m4Large(), workload.GiB)
-	if _, ok := e.ExplainTemplate(sqlparse.TemplateOf("SELECT * FROM never_executed WHERE id = 1").ID); ok {
+	if _, _, ok := e.ExplainTemplate(sqlparse.TemplateOf("SELECT * FROM never_executed WHERE id = 1").ID); ok {
 		t.Fatal("unknown template explained")
 	}
 }

@@ -48,7 +48,7 @@ func remember(e *Engine, q workload.Query) string {
 // explain plans q through ExplainTemplate.
 func explain(t *testing.T, e *Engine, q workload.Query) Plan {
 	t.Helper()
-	p, ok := e.ExplainTemplate(remember(e, q))
+	p, _, ok := e.ExplainTemplate(remember(e, q))
 	if !ok {
 		t.Fatal("a remembered template was not explained")
 	}

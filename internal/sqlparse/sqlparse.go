@@ -9,10 +9,11 @@
 // power the TDE needs (statement verb, clause markers, literal
 // stripping), which matches how production log-templating tools work.
 //
-// Templating is on the per-query hot path of the whole system (every
-// sampled query and every inspected log line goes through it), so
-// Normalize and Classify are written allocation-free and TemplateOf is
-// memoised behind a sharded LRU (see template_cache.go).
+// Generators template each call site once, and the engine logs the
+// template a statement carries, so no fleet window templates text. The
+// paths that do (trace loading, the entropy figure) get an
+// allocation-free Normalize and Classify, and TemplateOf is memoised
+// behind a sharded FIFO cache (see template_cache.go).
 package sqlparse
 
 import (
@@ -298,77 +299,5 @@ func computeTemplate(sql string) Template {
 	return Template{
 		ID:    hex.EncodeToString(sum[:8]),
 		Class: Classify(norm),
-	}
-}
-
-// Templatizer deduplicates a query stream into templates with counts.
-type Templatizer struct {
-	templates map[string]*TemplateStats
-}
-
-// TemplateStats tracks per-template occurrence data.
-type TemplateStats struct {
-	Template Template
-	Count    int
-}
-
-// NewTemplatizer returns an empty templatizer.
-func NewTemplatizer() *Templatizer {
-	return &Templatizer{templates: make(map[string]*TemplateStats)}
-}
-
-// Observe records one raw query and returns its template.
-func (t *Templatizer) Observe(sql string) Template {
-	tpl := TemplateOf(sql)
-	st, ok := t.templates[tpl.ID]
-	if !ok {
-		st = &TemplateStats{Template: tpl}
-		t.templates[tpl.ID] = st
-	}
-	st.Count++
-	return tpl
-}
-
-// ObserveTemplate records one query whose template the caller already
-// knows — an engine query-log entry, whose ID and class are those of
-// TemplateOf of the statement's text. It updates the same statistics
-// Observe would, and templates nothing.
-func (t *Templatizer) ObserveTemplate(tpl Template) {
-	st, ok := t.templates[tpl.ID]
-	if !ok {
-		st = &TemplateStats{Template: tpl}
-		t.templates[tpl.ID] = st
-	}
-	st.Count++
-}
-
-// Stats returns the stats entry for a template ID, or nil.
-func (t *Templatizer) Stats(id string) *TemplateStats { return t.templates[id] }
-
-// ClassHistogram counts observations per class across all templates.
-func (t *Templatizer) ClassHistogram() map[Class]int {
-	h := make(map[Class]int)
-	for _, st := range t.templates {
-		h[st.Template.Class] += st.Count
-	}
-	return h
-}
-
-// CheckpointState captures the accumulated template statistics (values,
-// not pointers, so the snapshot is stable).
-func (t *Templatizer) CheckpointState() map[string]TemplateStats {
-	out := make(map[string]TemplateStats, len(t.templates))
-	for id, st := range t.templates {
-		out[id] = *st
-	}
-	return out
-}
-
-// RestoreCheckpointState overwrites the accumulated statistics.
-func (t *Templatizer) RestoreCheckpointState(state map[string]TemplateStats) {
-	t.templates = make(map[string]*TemplateStats, len(state))
-	for id, st := range state {
-		cp := st
-		t.templates[id] = &cp
 	}
 }

@@ -87,25 +87,6 @@ func TestTemplateOfStableID(t *testing.T) {
 	}
 }
 
-func TestTemplatizerCountsAndHistogram(t *testing.T) {
-	tz := NewTemplatizer()
-	tz.Observe("SELECT * FROM t WHERE id = 1")
-	tz.Observe("SELECT * FROM t WHERE id = 2")
-	tz.Observe("INSERT INTO t VALUES (1)")
-	if n := len(tz.CheckpointState()); n != 2 {
-		t.Fatalf("%d templates, want 2", n)
-	}
-	h := tz.ClassHistogram()
-	if h[ClassSimpleSelect] != 2 || h[ClassInsert] != 1 {
-		t.Fatalf("histogram = %v", h)
-	}
-	tpl := tz.Observe("SELECT * FROM t WHERE id = 3")
-	st := tz.Stats(tpl.ID)
-	if st == nil || st.Count != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestClassStringsDistinct(t *testing.T) {
 	seen := map[string]bool{}
 	for c := Class(0); int(c) < NumClasses; c++ {

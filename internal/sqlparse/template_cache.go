@@ -12,13 +12,12 @@ import (
 // (workload.litTpl, one canonical statement per call site, or per table
 // or column of an identifier site), AdulteratedTPCC's DDL sites
 // (workload.q; their literal-free text repeats, so it hits once warm),
-// trace loading, Templatizer.Observe (the entropy figure), a hand-built
-// statement without a template reaching the engine, and restoring an
-// engine snapshot whose query log kept SQL text. The TDE tick and the
-// generators' other sample paths are not among them: statements carry
-// their template from the call site, the engine logs each statement's
-// template ID and class, and the tick ingests those through
-// Templatizer.ObserveTemplate, first sightings included. Fresh text
+// trace loading, the entropy figure, a hand-built statement without a
+// template reaching the engine, and restoring an engine snapshot whose
+// query log kept SQL text. The TDE tick and the generators' other
+// sample paths are not among them: statements carry their template from
+// the call site, the engine logs each statement's template ID and
+// class, and the tick ingests those, first sightings included. Fresh text
 // with random literals mostly misses — that is fine, the miss cost is
 // one extra map probe.
 //

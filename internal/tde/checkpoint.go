@@ -1,6 +1,7 @@
 package tde
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -15,22 +16,22 @@ import (
 
 // State is the TDE's serializable mutable state: the detection RNG
 // position (shared with the reservoir), the entropy filter counters,
-// the accumulated template statistics, the reservoir contents, every
+// the class histogram of ingested statements, the reservoir contents, every
 // automaton's learned value/probabilities, the last metric snapshot the
 // delta detectors diff against, and the throttle counters. The engine
 // binding, catalog and baseline are construction parameters and come
 // from the rebuild.
 type State struct {
-	RNG        prng.State                        `json:"rng"`
-	Filter     entropy.FilterState               `json:"filter"`
-	Templates  map[string]sqlparse.TemplateStats `json:"templates,omitempty"`
-	Reservoir  sampling.ReservoirState[string]   `json:"reservoir"`
-	Automata   []mdp.AutomatonState              `json:"automata,omitempty"`
-	LastSnap   metrics.Snapshot                  `json:"last_snap,omitempty"`
-	LastSnapAt time.Time                         `json:"last_snap_at"`
-	Throttles  map[knobs.Class]int               `json:"throttles,omitempty"`
-	Upgrades   int                               `json:"upgrades"`
-	Ticks      int                               `json:"ticks"`
+	RNG        prng.State                      `json:"rng"`
+	Filter     entropy.FilterState             `json:"filter"`
+	Classes    [sqlparse.NumClasses]int        `json:"classes"`
+	Reservoir  sampling.ReservoirState[string] `json:"reservoir"`
+	Automata   []mdp.AutomatonState            `json:"automata,omitempty"`
+	LastSnap   metrics.Snapshot                `json:"last_snap,omitempty"`
+	LastSnapAt time.Time                       `json:"last_snap_at"`
+	Throttles  map[knobs.Class]int             `json:"throttles,omitempty"`
+	Upgrades   int                             `json:"upgrades"`
+	Ticks      int                             `json:"ticks"`
 }
 
 // CheckpointState captures the TDE's mutable state.
@@ -40,7 +41,7 @@ func (t *TDE) CheckpointState() State {
 	st := State{
 		RNG:        t.rngSrc.State(),
 		Filter:     t.filter.CheckpointState(),
-		Templates:  t.templatizer.CheckpointState(),
+		Classes:    t.classes,
 		Reservoir:  t.reservoir.CheckpointState(),
 		LastSnap:   t.lastSnap.Clone(),
 		LastSnapAt: t.lastSnapAt,
@@ -84,7 +85,7 @@ func (t *TDE) RestoreCheckpointState(st State) error {
 	}
 	t.rngSrc.Restore(st.RNG)
 	t.filter.RestoreCheckpointState(st.Filter)
-	t.templatizer.RestoreCheckpointState(st.Templates)
+	t.classes = st.Classes
 	t.lastSnap = st.LastSnap.Clone()
 	t.lastSnapAt = st.LastSnapAt
 	t.throttles = make(map[knobs.Class]int, len(st.Throttles))
@@ -93,5 +94,40 @@ func (t *TDE) RestoreCheckpointState(st State) error {
 	}
 	t.upgrades = st.Upgrades
 	t.ticks = st.Ticks
+	return nil
+}
+
+// legacyTemplate is one entry of the per-template table a snapshot held
+// while the TDE kept one: the template and how often it was ingested.
+type legacyTemplate struct {
+	Template struct{ Class sqlparse.Class }
+	Count    int
+}
+
+// UnmarshalJSON decodes a State. A snapshot written while the TDE kept a
+// per-template table holds that table instead of Classes; each entry's
+// count is added to its class. A negative count, or a class sqlparse
+// does not define, is rejected.
+func (st *State) UnmarshalJSON(data []byte) error {
+	type plain State
+	v := struct {
+		*plain
+		Templates map[string]legacyTemplate `json:"templates"`
+	}{plain: (*plain)(st)}
+	if err := json.Unmarshal(data, &v); err != nil {
+		return err
+	}
+	for id, lt := range v.Templates {
+		cls := lt.Template.Class
+		if cls < 0 || int(cls) >= sqlparse.NumClasses || lt.Count < 0 {
+			return fmt.Errorf("tde: template %s has class %d and count %d", id, cls, lt.Count)
+		}
+		st.Classes[cls] += lt.Count
+	}
+	for cls, n := range st.Classes {
+		if n < 0 {
+			return fmt.Errorf("tde: negative count %d for class %s", n, sqlparse.Class(cls))
+		}
+	}
 	return nil
 }

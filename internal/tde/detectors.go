@@ -13,9 +13,10 @@ import (
 
 // detectMemoryLocked implements the §3.1 memory-knob detector: sampled
 // templates are EXPLAINed from the statistics the engine remembers for
-// them; any plan that would use disk for a working area implicates the
-// corresponding memory knob. Throttles pass through the entropy filter,
-// which may convert a run of them into a plan-upgrade signal.
+// them, their class included; any plan that would use disk for a
+// working area implicates the corresponding memory knob. Throttles pass
+// through the entropy filter, which may convert a run of them into a
+// plan-upgrade signal.
 func (t *TDE) detectMemoryLocked(now time.Time, ids []string) []Event {
 	type finding struct {
 		knob  string
@@ -23,25 +24,21 @@ func (t *TDE) detectMemoryLocked(now time.Time, ids []string) []Event {
 	}
 	seen := map[string]finding{}
 	for _, id := range ids {
-		st := t.templatizer.Stats(id)
-		if st == nil {
-			continue
-		}
-		plan, ok := t.db.ExplainTemplate(id)
+		plan, cls, ok := t.db.ExplainTemplate(id)
 		if !ok || !plan.UsesDisk {
 			continue
 		}
 		if plan.MemRequired > plan.MemGranted {
-			k := t.workAreaKnob(st.Template.Class)
-			seen[k] = finding{k, st.Template.Class}
+			k := t.workAreaKnob(cls)
+			seen[k] = finding{k, cls}
 		}
 		if plan.MaintRequired > plan.MaintGranted {
 			k := t.maintKnob()
-			seen[k] = finding{k, st.Template.Class}
+			seen[k] = finding{k, cls}
 		}
 		if plan.TempRequired > plan.TempGranted {
 			k := t.tempKnob()
-			seen[k] = finding{k, st.Template.Class}
+			seen[k] = finding{k, cls}
 		}
 	}
 
@@ -49,7 +46,7 @@ func (t *TDE) detectMemoryLocked(now time.Time, ids []string) []Event {
 	if len(seen) == 0 {
 		t.filter.ObserveQuiet()
 	} else {
-		hist := t.classHistogramLocked()
+		hist := t.classes[:]
 		// Visit knobs in name order: the entropy filter counts throttles
 		// in sequence, so map order would make the verdicts random.
 		implicated := make([]string, 0, len(seen))
@@ -115,16 +112,6 @@ func (t *TDE) tempKnob() string {
 		return "tmp_table_size"
 	}
 	return "temp_buffers"
-}
-
-// classHistogramLocked converts the templatizer's class histogram into
-// the fixed-width count vector the entropy filter expects.
-func (t *TDE) classHistogramLocked() []int {
-	hist := make([]int, sqlparse.NumClasses)
-	for cls, n := range t.templatizer.ClassHistogram() {
-		hist[int(cls)] += n
-	}
-	return hist
 }
 
 // atCapLocked reports whether a knob is effectively maxed out: near its
@@ -218,20 +205,7 @@ func (t *TDE) detectAsyncPlannerLocked(now time.Time, ids []string) []Event {
 	if len(ids) == 0 {
 		return nil
 	}
-	n := t.cfg.MDPSampleQueries
-	if n > len(ids) {
-		n = len(ids)
-	}
-	sampled := t.sampled[:0]
-	for _, id := range ids[:n] {
-		if t.templatizer.Stats(id) != nil {
-			sampled = append(sampled, id)
-		}
-	}
-	t.sampled = sampled
-	if len(sampled) == 0 {
-		return nil
-	}
+	sampled := ids[:min(t.cfg.MDPSampleQueries, len(ids))]
 	cur, priced := t.db.HypotheticalRunTemplatesMs(nil, sampled)
 	if priced == 0 || cur <= 0 {
 		return nil

@@ -2,7 +2,6 @@ package tde
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -36,14 +35,15 @@ func newest(t *TDE, texts []string) []string {
 }
 
 // referenceTick is a tick whose ingest templates the text of every
-// statement the log holds (Templatizer.Observe) instead of taking the
+// statement the log holds (sqlparse.TemplateOf) instead of taking the
 // template the engine logged for it. texts is the engine's whole
 // statement stream.
 func referenceTick(t *TDE, texts []string) []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, sql := range newest(t, texts) {
-		tpl := t.templatizer.Observe(sql)
+		tpl := sqlparse.TemplateOf(sql)
+		t.classes[tpl.Class]++
 		t.reservoir.Offer(tpl.ID)
 	}
 	return t.detectLocked()
@@ -57,9 +57,9 @@ func templateLookups() float64 {
 }
 
 // TestTickMatchesRawSQLIngest runs a TDE and a reference TDE over the
-// same engine log. Ingesting by logged template must leave the
-// templatizer state, reservoir sample and events byte-identical to
-// templating the text of each logged statement.
+// same engine log. Ingesting by logged template must leave the class
+// histogram, reservoir sample and events identical to templating the
+// text of each logged statement.
 func TestTickMatchesRawSQLIngest(t *testing.T) {
 	for _, eng := range []knobs.Engine{knobs.Postgres, knobs.MySQL} {
 		t.Run(string(eng), func(t *testing.T) {
@@ -81,10 +81,8 @@ func TestTickMatchesRawSQLIngest(t *testing.T) {
 					t.Fatalf("tick %d: events differ:\n  got  %s\n  want %s", i, g, w)
 				}
 				events += len(got)
-				gs, _ := json.Marshal(td.templatizer.CheckpointState())
-				ws, _ := json.Marshal(ref.templatizer.CheckpointState())
-				if string(gs) != string(ws) {
-					t.Fatalf("tick %d: templatizer state differs", i)
+				if td.classes != ref.classes {
+					t.Fatalf("tick %d: class histograms differ: %v, want %v", i, td.classes, ref.classes)
 				}
 				if !reflect.DeepEqual(td.reservoir.Sample(), ref.reservoir.Sample()) {
 					t.Fatalf("tick %d: reservoir samples differ", i)
@@ -99,7 +97,7 @@ func TestTickMatchesRawSQLIngest(t *testing.T) {
 
 // TestLogIngestMatchesTextIngest: for every generator, a replayed trace
 // among them, a TDE fed through RunWindow's query log ends with the
-// templatizer state that Observe of each statement's text builds over
+// class histogram that TemplateOf of each statement's text gives over
 // the same sample stream.
 func TestLogIngestMatchesTextIngest(t *testing.T) {
 	var buf bytes.Buffer
@@ -124,7 +122,7 @@ func TestLogIngestMatchesTextIngest(t *testing.T) {
 		t.Run(gen.Name(), func(t *testing.T) {
 			db := newEngine(t, knobs.Postgres, 4*workload.GiB)
 			td := newTDE(t, db)
-			want := sqlparse.NewTemplatizer()
+			var want [sqlparse.NumClasses]int
 			var texts []string
 			for i := 0; i < 5; i++ {
 				if _, err := db.RunWindow(recorder{gen, &texts}, 5*time.Minute); err != nil {
@@ -132,11 +130,11 @@ func TestLogIngestMatchesTextIngest(t *testing.T) {
 				}
 				td.Tick()
 				for _, sql := range newest(td, texts) {
-					want.Observe(sql)
+					want[sqlparse.TemplateOf(sql).Class]++
 				}
 			}
-			if got := td.templatizer.CheckpointState(); !reflect.DeepEqual(got, want.CheckpointState()) {
-				t.Fatalf("log ingest state %v, text ingest state %v", got, want.CheckpointState())
+			if td.classes != want {
+				t.Fatalf("log ingest histogram %v, text ingest histogram %v", td.classes, want)
 			}
 		})
 	}
@@ -158,7 +156,7 @@ func TestTickDoesNotTemplate(t *testing.T) {
 			t.Fatalf("window %d: tick made %.0f template lookups", i, after-before)
 		}
 	}
-	if len(td.templatizer.CheckpointState()) == 0 {
-		t.Fatal("the ticks ingested no template")
+	if td.classes == ([sqlparse.NumClasses]int{}) {
+		t.Fatal("the ticks ingested no statement")
 	}
 }

@@ -151,22 +151,20 @@ type TDE struct {
 	rngSrc *prng.Source // counting source behind rng (shared with reservoir)
 	kcat   *knobs.Catalog
 
-	filter      *entropy.Filter
-	templatizer *sqlparse.Templatizer
-	reservoir   *sampling.Reservoir[string]
-	automata    []*mdp.Automaton
-	baseline    Baseline
+	filter    *entropy.Filter
+	classes   [sqlparse.NumClasses]int // logged statements per class
+	reservoir *sampling.Reservoir[string]
+	automata  []*mdp.Automaton
+	baseline  Baseline
 
 	lastSnap   metrics.Snapshot
 	lastSnapAt time.Time
 
 	// Per-round scratch, reused from tick to tick and never
 	// checkpointed: the query-log read, the snapshot the bgwriter
-	// detector swaps with lastSnap, the MDP's priced sample and its
-	// one-knob override.
+	// detector swaps with lastSnap, and the MDP's one-knob override.
 	logBuf    []simdb.LogEntry
 	spareSnap metrics.Snapshot
-	sampled   []string
 	probe     knobs.Config
 
 	// throttle counters per class (the paper's evaluation metric).
@@ -192,18 +190,17 @@ func New(db *simdb.Engine, cfg Config, baseline Baseline) (*TDE, error) {
 		return nil, err
 	}
 	t := &TDE{
-		db:          db,
-		cfg:         cfg,
-		rng:         rng,
-		rngSrc:      rngSrc,
-		kcat:        db.KnobCatalog(),
-		filter:      entropy.NewFilter(),
-		templatizer: sqlparse.NewTemplatizer(),
-		reservoir:   res,
-		baseline:    baseline,
-		throttles:   make(map[knobs.Class]int),
-		lastSnap:    db.Snapshot(),
-		lastSnapAt:  db.Now(),
+		db:         db,
+		cfg:        cfg,
+		rng:        rng,
+		rngSrc:     rngSrc,
+		kcat:       db.KnobCatalog(),
+		filter:     entropy.NewFilter(),
+		reservoir:  res,
+		baseline:   baseline,
+		throttles:  make(map[knobs.Class]int),
+		lastSnap:   db.Snapshot(),
+		lastSnapAt: db.Now(),
 	}
 	t.automata, err = buildAutomata(db)
 	if err != nil {
@@ -265,14 +262,13 @@ func (t *TDE) Ticks() int {
 func (t *TDE) Tick() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Ingest the recent query log into the template statistics and the
+	// Ingest the recent query log into the class histogram and the
 	// reservoir. Every entry carries the template ID and class the
 	// engine took from the executed statement, so nothing is templated
-	// here, not even a template's first sighting. The log is read into
-	// a reused buffer.
+	// here. The log is read into a reused buffer.
 	t.logBuf = t.db.QueryLogInto(t.logBuf, t.cfg.LogBatch)
 	for _, le := range t.logBuf {
-		t.templatizer.ObserveTemplate(sqlparse.Template{ID: le.TemplateID, Class: le.Class})
+		t.classes[le.Class]++
 		t.reservoir.Offer(le.TemplateID)
 	}
 	return t.detectLocked()
