@@ -7,18 +7,18 @@ import (
 	"autodbaas/internal/tde"
 )
 
-// State is the agent's serializable mutable state: the tick/periodic
-// gates, the delta-base snapshot the next upload diffs against, the
-// upload counters, and the embedded TDE's state. Sinks, the instance
-// binding and the workload generator are construction parameters.
+// State is the agent's mutable state: the tick/periodic gates, the
+// delta-base snapshot the next upload diffs against, the upload
+// counters, and the embedded TDE's state. Sinks, the instance binding
+// and the workload generator are construction parameters.
 type State struct {
-	LastTick     time.Time        `json:"last_tick"`
-	LastPeriodic time.Time        `json:"last_periodic"`
-	LastSnap     metrics.Snapshot `json:"last_snap,omitempty"`
-	LastSnapAt   time.Time        `json:"last_snap_at"`
-	Uploaded     int              `json:"uploaded"`
-	Suppressed   int              `json:"suppressed"`
-	TDE          tde.State        `json:"tde"`
+	LastTick     time.Time
+	LastPeriodic time.Time
+	LastSnap     metrics.Snapshot
+	LastSnapAt   time.Time
+	Uploaded     int
+	Suppressed   int
+	TDE          tde.State
 }
 
 // CheckpointState captures the agent's mutable state. Agents are stepped

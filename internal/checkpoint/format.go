@@ -3,7 +3,7 @@
 // holding the entire mutable state of a core.System — per-instance
 // simulated engines (virtual clocks and PRNG stream positions
 // included), tuner models, director shards, repository fan-out
-// watermarks, monitor series and orchestrator persistence — such that
+// watermarks, monitor sample counts and orchestrator persistence — such that
 // restoring a snapshot into a freshly rebuilt System and stepping
 // forward produces bit-for-bit the same fleet fingerprint as the
 // uninterrupted run, at any parallelism, clean or under fault
@@ -34,8 +34,9 @@ import (
 )
 
 // FormatVersion is the container version this build writes and the only
-// one it restores.
-const FormatVersion = 1
+// one it restores. Version 2 writes every "instance/<id>" section in the
+// binary codec of instance.go; version 1 wrote them as JSON.
+const FormatVersion = 2
 
 var magic = [4]byte{'A', 'D', 'B', 'C'}
 

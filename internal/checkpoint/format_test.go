@@ -108,3 +108,15 @@ func TestNestedContainer(t *testing.T) {
 		t.Fatalf("inner container = %+v, %v", man, innerSecs)
 	}
 }
+
+// TestParseRejectsV1: a container whose header says version 1 — the
+// JSON instance sections — fails with ErrVersion, and the error names
+// v1.
+func TestParseRejectsV1(t *testing.T) {
+	v1 := append([]byte(nil), sampleContainer(t)...)
+	binary.LittleEndian.PutUint16(v1[4:6], 1)
+	_, _, err := Parse(v1)
+	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "v1") {
+		t.Fatalf("want ErrVersion naming v1, got %v", err)
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"autodbaas/internal/obs"
 	"autodbaas/internal/orchestrator"
 	"autodbaas/internal/repository"
-	"autodbaas/internal/simdb"
 	"autodbaas/internal/tuner"
 	"autodbaas/internal/tuner/bo"
 	"autodbaas/internal/tuner/rl"
@@ -84,17 +83,6 @@ type tunerBlob struct {
 	Name  string          `json:"name"`
 	Kind  string          `json:"kind"`
 	State json.RawMessage `json:"state"`
-}
-
-// instancePayload is one "instance/<id>" section: the agent state
-// (embedding the TDE), every node engine (master first, then slaves in
-// replica order) and the monitor's sample count. The TDE and monitor
-// states check themselves as they decode, so a bad one fails the
-// section before anything restores.
-type instancePayload struct {
-	Agent   agent.State         `json:"agent"`
-	Nodes   []simdb.EngineState `json:"nodes"`
-	Monitor monitor.State       `json:"monitor"`
 }
 
 // metrics are the subsystem's registry handles, resolved once.
@@ -165,28 +153,13 @@ func restoreTuner(t tuner.Tuner, blob tunerBlob) error {
 }
 
 // EncodeInstance serializes one fleet member's state exactly as a full
-// snapshot's "instance/<id>" section would — the tuning agent (TDE
-// embedded), every node engine (master first, then slaves in replica
-// order, virtual clocks and PRNG positions included) and the monitor's
-// sample count — plus the topology pin for the member. It is the migration
-// wire format: a shard checkpoints an instance out with EncodeInstance
-// and the destination shard restores it with DecodeInstance; no new
-// serialization format exists for rebalancing.
-func EncodeInstance(fm FleetMember) ([]byte, InstanceMeta, error) {
-	inst := fm.Agent.Instance()
-	payload := instancePayload{Agent: fm.Agent.CheckpointState()}
-	payload.Nodes = append(payload.Nodes, inst.Replica.Master().CheckpointState())
-	for _, sl := range inst.Replica.Slaves() {
-		payload.Nodes = append(payload.Nodes, sl.CheckpointState())
-	}
-	if fm.Monitor != nil {
-		payload.Monitor = fm.Monitor.CheckpointState()
-	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return nil, InstanceMeta{}, fmt.Errorf("checkpoint: encode instance %q: %w", fm.ID, err)
-	}
-	return raw, instanceMeta(fm), nil
+// snapshot's "instance/<id>" section would (instance.go), plus its
+// topology pin. It is the migration wire format: a shard checkpoints an
+// instance out with EncodeInstance and the destination shard restores
+// it with DecodeInstance.
+func EncodeInstance(fm FleetMember) ([]byte, InstanceMeta) {
+	st := captureInstance(fm)
+	return AppendInstance(nil, &st, fm.Agent.Instance().Engine), instanceMeta(fm)
 }
 
 // DecodeInstance restores an EncodeInstance payload onto a freshly
@@ -201,32 +174,6 @@ func DecodeInstance(fm FleetMember, meta InstanceMeta, payload []byte) error {
 		return fmt.Errorf("%w: instance %q is %+v, migration payload holds %+v", ErrManifest, fm.ID, got, meta)
 	}
 	return restoreInstance(fm, secInstPrefix+fm.ID, payload)
-}
-
-// restoreInstance applies one "instance/<id>" payload onto a rebuilt
-// member: node engines first, then the agent, then the monitor count.
-func restoreInstance(fm FleetMember, name string, payload []byte) error {
-	var p instancePayload
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return fmt.Errorf("checkpoint: decode section %q: %w", name, err)
-	}
-	inst := fm.Agent.Instance()
-	nodes := append([]*simdb.Engine{inst.Replica.Master()}, inst.Replica.Slaves()...)
-	if len(p.Nodes) != len(nodes) {
-		return fmt.Errorf("%w: section %q holds %d nodes, instance has %d", ErrManifest, name, len(p.Nodes), len(nodes))
-	}
-	for i, node := range nodes {
-		if err := node.RestoreCheckpointState(p.Nodes[i]); err != nil {
-			return fmt.Errorf("checkpoint: section %q node %d: %w", name, i, err)
-		}
-	}
-	if err := fm.Agent.RestoreCheckpointState(p.Agent); err != nil {
-		return fmt.Errorf("checkpoint: section %q agent: %w", name, err)
-	}
-	if fm.Monitor != nil {
-		fm.Monitor.RestoreCheckpointState(p.Monitor)
-	}
-	return nil
 }
 
 // instanceMeta derives the topology pin for one fleet member.
@@ -352,20 +299,15 @@ func Encode(sys System) (*Container, error) {
 	// store and the tuner blob above: overlapping those two large
 	// buffers with the fan-out would raise the peak heap of a snapshot.
 	// Each lands in its fleet slot, so the layout stays in onboarding
-	// order whatever the worker count.
+	// order whatever the worker count. Encoding an instance cannot fail.
 	man.Instances = make([]InstanceMeta, len(sys.Fleet))
 	insts := make([]section, len(sys.Fleet))
-	if err := forEach(len(sys.Fleet), func(i int) error {
-		raw, meta, err := EncodeInstance(sys.Fleet[i])
-		if err != nil {
-			return err
-		}
+	_ = forEach(len(sys.Fleet), func(i int) error {
+		raw, meta := EncodeInstance(sys.Fleet[i])
 		man.Instances[i] = meta
 		insts[i] = bytesSection(secInstPrefix+meta.ID, raw)
 		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	sections = append(sections, insts...)
 
 	c, err := stage(man, sections)

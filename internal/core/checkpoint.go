@@ -133,7 +133,8 @@ func (s *System) ExportInstanceSection(id string) ([]byte, checkpoint.InstanceMe
 	if !ok {
 		return nil, checkpoint.InstanceMeta{}, fmt.Errorf("core: no agent for %s", id)
 	}
-	return checkpoint.EncodeInstance(checkpoint.FleetMember{ID: id, Gen: gen, Agent: a, Monitor: mon})
+	raw, meta := checkpoint.EncodeInstance(checkpoint.FleetMember{ID: id, Gen: gen, Agent: a, Monitor: mon})
+	return raw, meta, nil
 }
 
 // ImportInstanceSection restores an exported instance section onto a

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -490,8 +489,9 @@ func TestRestoreRejectsMissingSectionBeforeMutating(t *testing.T) {
 // TestRestoreRejectsCorruptInstancesInSerialOrder: when several
 // sections fail to decode, the error names the one a serial restore
 // would have hit first, however the concurrent jobs finish. The earlier
-// payload fails only after scanning 8 MiB of leading blanks, the later
-// one at its first byte, so the later job fails first in time.
+// payload fails only after decoding half a million counters, at its
+// trailing byte; the later one at its first, so the later job fails
+// first in time.
 func TestRestoreRejectsCorruptInstancesInSerialOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds fleets")
@@ -502,7 +502,12 @@ func TestRestoreRejectsCorruptInstancesInSerialOrder(t *testing.T) {
 	restaged := restage(t, data, func(name string, p []byte) ([]byte, bool) {
 		switch name {
 		case first:
-			return append(bytes.Repeat([]byte(" "), 8<<20), p[:len(p)-1]...), true
+			slow := editInstance(t, p, func(st *checkpoint.InstanceState) {
+				for i := 0; i < 500_000; i++ {
+					st.Nodes[0].Counters[fmt.Sprint("pad_", i)] = 1
+				}
+			})
+			return append(slow, 0), true
 		case second:
 			return []byte("}"), true
 		}
@@ -562,65 +567,37 @@ func TestSnapshotDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacyStoreSection: a snapshot whose repository store is
-// JSON lines, as Save wrote it before the binary codec, restores the
-// same store as the binary section, re-encodes to the binary snapshot's
-// bytes, and resumes to the uninterrupted run's fingerprint.
-func TestRestoreLegacyStoreSection(t *testing.T) {
+// TestCheckpointIdempotence: checkpoint → restore → checkpoint gives a
+// byte-identical container, and the restored fleet and the one that
+// wrote it snapshot identically again after stepping on. The fleet has
+// 12 instances, every odd one with a replica, under the medium fault
+// profile.
+func TestCheckpointIdempotence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds fleets")
 	}
-	const cut, more = 8, 6
-	build := func() *System { return buildCkptFleetOf(t, 2, faults.New(99, faults.Medium()), 6) }
-	live := build()
-	stepN(live, cut)
-	var snap bytes.Buffer
-	if err := live.Checkpoint(&snap); err != nil {
-		t.Fatal(err)
-	}
-	var lines bytes.Buffer
-	enc := json.NewEncoder(&lines)
-	for _, s := range live.Repository.Store().All() {
-		if err := enc.Encode(s); err != nil {
+	build := func() *System { return buildCkptFleetOf(t, 2, faults.New(99, faults.Medium()), 12) }
+	snapshot := func(s *System) []byte {
+		t.Helper()
+		c, err := s.Snapshot()
+		if err != nil {
 			t.Fatal(err)
 		}
+		return c.Bytes()
 	}
-	if lines.Len() == 0 {
-		t.Fatal("the fleet stored no samples")
-	}
-	legacySnap := restage(t, snap.Bytes(), func(name string, p []byte) ([]byte, bool) {
-		if name == "repository/store" {
-			return lines.Bytes(), true
-		}
-		return p, true
-	})
-
-	binary, legacy := build(), build()
-	if err := binary.Restore(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatalf("binary restore: %v", err)
-	}
-	if err := legacy.Restore(bytes.NewReader(legacySnap)); err != nil {
-		t.Fatalf("legacy restore: %v", err)
-	}
-	if !reflect.DeepEqual(binary.Repository.Store(), legacy.Repository.Store()) {
-		t.Fatal("the legacy store section restores a different store than the binary one")
-	}
-	var again bytes.Buffer
-	if err := legacy.Checkpoint(&again); err != nil {
+	live := build()
+	stepN(live, 8)
+	first := snapshot(live)
+	restored := build()
+	if err := restored.Restore(bytes.NewReader(first)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again.Bytes(), snap.Bytes()) {
-		t.Error("a legacy-restored fleet re-encodes to different bytes than the binary snapshot")
+	if !bytes.Equal(snapshot(restored), first) {
+		t.Fatal("a restored fleet checkpoints to different bytes")
 	}
-
-	stepN(live, more)
-	stepN(binary, more)
-	stepN(legacy, more)
-	want := fingerprintSystem(live)
-	if got := fingerprintSystem(binary); !reflect.DeepEqual(want, got) {
-		t.Error("binary-restored fleet diverged from the uninterrupted run")
-	}
-	if got := fingerprintSystem(legacy); !reflect.DeepEqual(want, got) {
-		t.Error("legacy-restored fleet diverged from the uninterrupted run")
+	stepN(live, 4)
+	stepN(restored, 4)
+	if !bytes.Equal(snapshot(restored), snapshot(live)) {
+		t.Fatal("after 4 more windows the restored fleet checkpoints to different bytes than the live one")
 	}
 }

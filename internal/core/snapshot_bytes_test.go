@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"sort"
 	"strings"
 	"testing"
@@ -16,25 +15,21 @@ import (
 var sectionCeilings = map[string]int{
 	"repository/store":         26_800,
 	"tuners":                   230_000,
-	"instance agent":           53_000,
-	"instance engine log":      47_200,
-	"instance engine profiles": 730_000,
-	"instance engine other":    27_500,
-	"instance monitor":         555,
-	"other sections":           17_500,
+	"instance agent":           25_200,
+	"instance engine log":      39_200,
+	"instance engine profiles": 142_400,
+	"instance engine other":    22_800,
+	"instance monitor":         106,
+	"other sections":           17_400,
 }
 
-// engineLogFields are the EngineState JSON fields that hold the query log.
-var engineLogFields = map[string]bool{
-	"query_log": true, "query_log_slots": true, "query_log_next": true, "query_log_full": true,
-	"query_log_templates": true, "query_log_classes": true, "query_log_template_idx": true,
-}
-
-// snapshotSectionBytes splits a snapshot's bytes by section kind. Within
-// an instance section it counts the JSON values of the agent, each
-// node's query log, profiles and remaining engine state, and the monitor.
+// snapshotSectionBytes splits a snapshot's bytes by section kind. An
+// instance section is read through the codec's own decoder, which
+// reports the bytes of its agent, each node's query log, profiles and
+// remaining engine state, and the monitor; the section's name header,
+// mostly the engine's knob and counter names, counts as engine state.
 // It also reports, per replica node, how many log slots and profiles it
-// carries. No node may write per-slot SQL text.
+// carries.
 func snapshotSectionBytes(t *testing.T, data []byte) (sizes map[string]int, replicaLog, replicaProfiles map[string]int) {
 	t.Helper()
 	_, sections, err := checkpoint.Parse(data)
@@ -48,47 +43,18 @@ func snapshotSectionBytes(t *testing.T, data []byte) (sizes map[string]int, repl
 		case name == "repository/store" || name == "tuners":
 			sizes[name] += len(payload)
 		case strings.HasPrefix(name, "instance/"):
-			var inst struct {
-				Agent   json.RawMessage              `json:"agent"`
-				Nodes   []map[string]json.RawMessage `json:"nodes"`
-				Monitor json.RawMessage              `json:"monitor"`
-			}
-			if err := json.Unmarshal(payload, &inst); err != nil {
+			st, sz, err := checkpoint.ParseInstance(payload)
+			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			sizes["instance agent"] += len(inst.Agent)
-			sizes["instance monitor"] += len(inst.Monitor)
-			for i, node := range inst.Nodes {
-				if _, ok := node["query_log"]; ok {
-					t.Errorf("%s node %d writes its query log's SQL text", name, i)
-				}
-				for field, v := range node {
-					switch {
-					case engineLogFields[field]:
-						sizes["instance engine log"] += len(v)
-					case field == "profiles":
-						sizes["instance engine profiles"] += len(v)
-					default:
-						sizes["instance engine other"] += len(v)
-					}
-				}
-				if i == 0 {
-					continue
-				}
-				var slots int
-				var profiles map[string]json.RawMessage
-				if v, ok := node["query_log_slots"]; ok {
-					if err := json.Unmarshal(v, &slots); err != nil {
-						t.Fatalf("%s node %d: %v", name, i, err)
-					}
-				}
-				if p, ok := node["profiles"]; ok {
-					if err := json.Unmarshal(p, &profiles); err != nil {
-						t.Fatalf("%s node %d: %v", name, i, err)
-					}
-				}
-				replicaLog[name] += slots
-				replicaProfiles[name] += len(profiles)
+			sizes["instance agent"] += sz.Agent
+			sizes["instance monitor"] += sz.Monitor
+			sizes["instance engine log"] += sz.Log
+			sizes["instance engine profiles"] += sz.Profiles
+			sizes["instance engine other"] += sz.Engine
+			for _, node := range st.Nodes[1:] {
+				replicaLog[name] += node.QueryLogSlots
+				replicaProfiles[name] += len(node.Profiles)
 			}
 		default:
 			sizes["other sections"] += len(payload)

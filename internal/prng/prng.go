@@ -1,29 +1,15 @@
-// Package prng wraps math/rand's default source with a step counter so
-// a PRNG stream's exact position can be checkpointed and restored.
+// Package prng is math/rand's default generator with a step counter, so
+// a stream's position checkpoints as (seed, steps drawn) and restores
+// by reseeding and skipping that many outputs.
 //
-// The checkpoint subsystem must resume every random stream — instance
-// engines, fault-injection sites, tuner candidate samplers — at the bit
-// the interrupted run would have drawn next. math/rand.Rand offers no
-// way to export its state, but its generator is deterministic: the same
-// seed replays the same sequence. A Source therefore records (seed,
-// steps drawn) and restores by reseeding and discarding that many
-// draws. The underlying generator is the stock math/rand source, so
-// wrapping it changes no simulated behavior: every Int63/Uint64 a
-// *rand.Rand pulls advances the native generator by exactly one step
-// either way.
-//
-// Replay cost is linear in steps: about 4 ns per discarded draw on a
-// 2 vCPU host, so a stream of a few hundred thousand draws restores in
-// about a millisecond. A fleet restore replays every stream, though.
-// The seed-1 snapshot at the end of the bench's steady-fleet workload
-// (60 instances, 210 five-minute windows) holds 128 streams with 23.2 M
-// draws between them, and a profile put Restore at 0.27 s of the
-// ≈ 0.95 s of CPU that two such restores took. The draw count, and so
-// this cost, grows linearly with run length.
-//
-// The one math/rand.Rand method a Source cannot make restorable is
-// Read, which buffers partial words inside the Rand itself; nothing in
-// this codebase uses it (TestRandReadUnused pins that).
+// The generator is math/rand's additive lagged-Fibonacci one, run here:
+// x_n = x_{n−607} + x_{n−273} (mod 2^64), seeded by solving backwards
+// from rand.NewSource(seed)'s first 607 outputs, so every stream is the
+// stock one bit for bit. No output among 273 consecutive ones depends
+// on another, so Restore skips in blocks of independent additions:
+// 0.7–0.8 ns per step on a 2 vCPU host (BenchmarkRestore), where
+// discarding stock draws one by one takes 4.0–4.4 ns each. Rand.Read,
+// which buffers inside the Rand, is unused (TestRandReadUnused).
 package prng
 
 import (
@@ -31,20 +17,23 @@ import (
 	"math/rand"
 )
 
-// Source is a counting math/rand Source64.
-//
-// It is not safe for concurrent use, matching the *rand.Rand values it
-// backs; every holder in this codebase guards its RNG with the same
-// lock that guards the rest of its state.
+// The lags; x_{n−lagShort} sits tapOff slots after the oldest, x_{n−lagLong}.
+const lagLong, lagShort, tapOff = 607, 273, 607 - 273
+
+// Source is a counting math/rand Source64. It is not safe for
+// concurrent use, matching the *rand.Rand values it backs.
 type Source struct {
 	seed  int64
 	steps uint64
-	src   rand.Source64
+	vec   [lagLong]uint64 // the last lagLong outputs; vec[pos] is the oldest
+	pos   int
 }
 
 // NewSource returns a counting source seeded like rand.NewSource(seed).
 func NewSource(seed int64) *Source {
-	return &Source{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
+	s := &Source{}
+	s.Seed(seed)
+	return s
 }
 
 // New returns a *rand.Rand over a fresh counting source, plus the
@@ -55,23 +44,39 @@ func New(seed int64) (*rand.Rand, *Source) {
 }
 
 // Int63 implements rand.Source.
-func (s *Source) Int63() int64 {
-	s.steps++
-	return s.src.Int63()
-}
+func (s *Source) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
 
-// Uint64 implements rand.Source64. The native source derives Int63 and
-// Uint64 from the same single generator step, so both count as one.
+// Uint64 implements rand.Source64. Int63 and Uint64 both take one
+// generator step, as in the stock source.
 func (s *Source) Uint64() uint64 {
 	s.steps++
-	return s.src.Uint64()
+	tap := s.pos + tapOff
+	if tap >= lagLong {
+		tap -= lagLong
+	}
+	x := s.vec[s.pos] + s.vec[tap]
+	s.vec[s.pos] = x
+	if s.pos++; s.pos == lagLong {
+		s.pos = 0
+	}
+	return x
 }
 
-// Seed implements rand.Source, resetting the step count.
+// Seed implements rand.Source, resetting the step count. The ring is
+// filled with x_{−607} … x_{−1}: the values from which the recurrence
+// yields the stock source's first 607 outputs, x_0 … x_606.
 func (s *Source) Seed(seed int64) {
-	s.seed = seed
-	s.steps = 0
-	s.src = rand.NewSource(seed).(rand.Source64)
+	s.seed, s.steps, s.pos = seed, 0, 0
+	native := rand.NewSource(seed).(rand.Source64)
+	for i := range s.vec {
+		s.vec[i] = native.Uint64()
+	}
+	// x_{i−607} = x_i − x_{i−273}, in place from the top: x_{i−273} is
+	// still the output vec[i−273] for i ≥ 273, and for i < 273 it is
+	// vec[i+334], already solved.
+	for i := lagLong - 1; i >= 0; i-- {
+		s.vec[i] -= s.vec[(i+tapOff)%lagLong]
+	}
 }
 
 // State is a serializable PRNG stream position.
@@ -83,20 +88,41 @@ type State struct {
 // State returns the stream's current position.
 func (s *Source) State() State { return State{Seed: s.seed, Steps: s.steps} }
 
-// Restore repositions the stream: reseed and replay st.Steps discarded
-// draws so the next value matches what the checkpointed stream would
-// have produced.
+// Restore repositions the stream where the checkpointed one stood.
 func (s *Source) Restore(st State) {
 	s.Seed(st.Seed)
-	for i := uint64(0); i < st.Steps; i++ {
-		s.src.Uint64()
-	}
+	s.skip(st.Steps)
 	s.steps = st.Steps
+}
+
+// skip advances the ring by n outputs. A block of at most lagShort
+// outputs reads no slot it writes, so its additions are independent;
+// blocks are also cut where the written or the read range wraps.
+func (s *Source) skip(n uint64) {
+	for n > 0 {
+		tap := s.pos + tapOff
+		if tap >= lagLong {
+			tap -= lagLong
+		}
+		k := min(lagShort, lagLong-s.pos, lagLong-tap)
+		if uint64(k) > n {
+			k = int(n)
+		}
+		dst, src := s.vec[s.pos:s.pos+k], s.vec[tap:tap+k]
+		src = src[:len(dst)]
+		for i := range dst {
+			dst[i] += src[i]
+		}
+		if s.pos += k; s.pos == lagLong {
+			s.pos = 0
+		}
+		n -= uint64(k)
+	}
 }
 
 // FromState builds a *rand.Rand positioned at st.
 func FromState(st State) (*rand.Rand, *Source) {
-	src := NewSource(st.Seed)
+	src := &Source{}
 	src.Restore(st)
 	return rand.New(src), src
 }

@@ -1,8 +1,14 @@
 package prng
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -93,5 +99,80 @@ func TestRestoreInPlace(t *testing.T) {
 	other.Restore(st)
 	if got := rand.New(other).Uint64(); got != want {
 		t.Fatalf("restored draw %d, want %d", got, want)
+	}
+}
+
+// TestRestoreSkipMatchesNative: a source restored at any step count —
+// around the recurrence's lags, where the skip's blocks are cut, and
+// far past them — continues exactly as a stock math/rand stream of the
+// same seed that has drawn that many values.
+func TestRestoreSkipMatchesNative(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
+		for _, steps := range []uint64{0, 1, 272, 273, 274, 606, 607, 608, 1_000_003} {
+			native := rand.New(rand.NewSource(seed))
+			for i := uint64(0); i < steps; i++ {
+				native.Uint64()
+			}
+			restored, src := FromState(State{Seed: seed, Steps: steps})
+			for i := 0; i < 2000; i++ {
+				var a, b uint64
+				if i%2 == 0 {
+					a, b = native.Uint64(), restored.Uint64()
+				} else {
+					a, b = uint64(native.Int63()), uint64(restored.Int63())
+				}
+				if a != b {
+					t.Fatalf("seed %d restored at %d: draw %d is %d, native %d", seed, steps, i, b, a)
+				}
+			}
+			if got := src.State(); got != (State{Seed: seed, Steps: steps + 2000}) {
+				t.Fatalf("seed %d restored at %d: state %+v after 2000 draws", seed, steps, got)
+			}
+		}
+	}
+}
+
+// TestRandReadUnused: Rand.Read buffers bytes inside the Rand, where a
+// Source's (seed, steps) cannot see them, so no program file may call
+// it. Every call of a Read method in a file that imports math/rand is
+// reported; a file that needs io.Reader.Read beside math/rand should
+// move one of them elsewhere.
+func TestRandReadUnused(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		imports := false
+		for _, imp := range f.Imports {
+			imports = imports || imp.Path.Value == `"math/rand"`
+		}
+		if !imports {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Read" {
+					t.Errorf("%s: calls Read in a file that imports math/rand", fset.Position(call.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkRestore measures a restore of a million-draw stream.
+func BenchmarkRestore(b *testing.B) {
+	src := NewSource(1)
+	for i := 0; i < b.N; i++ {
+		src.Restore(State{Seed: 1, Steps: 1_000_000})
 	}
 }

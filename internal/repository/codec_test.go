@@ -8,12 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"autodbaas/internal/bincodec"
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/tuner"
 )
 
 // legacyLines writes samples as JSON lines, the store section Save
-// wrote before the binary codec.
+// wrote before the binary codec; LoadQuiet now rejects it.
 func legacyLines(t testing.TB, samples []tuner.Sample) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -77,9 +78,9 @@ func saved(t testing.TB, r *Repository) []byte {
 }
 
 // TestStoreCodecMatchesLegacy: the binary section restores exactly the
-// store the JSON lines restore — maps nil or empty as they were, and
-// every time in the location encoding/json gives it — and a restored
-// store re-encodes to the same bytes.
+// store that a JSON round trip of each sample gives — maps nil or empty
+// as they were, and every time in the location encoding/json gives
+// it — and a restored store re-encodes to the same bytes.
 func TestStoreCodecMatchesLegacy(t *testing.T) {
 	src := New()
 	for _, s := range codecSamples() {
@@ -90,7 +91,15 @@ func TestStoreCodecMatchesLegacy(t *testing.T) {
 		t.Fatalf("Save wrote no binary magic: %q", section[:8])
 	}
 	binary := storeOf(t, section)
-	legacy := storeOf(t, legacyLines(t, src.Store().All()))
+	legacy := New()
+	dec := json.NewDecoder(bytes.NewReader(legacyLines(t, src.Store().All())))
+	for dec.More() {
+		var s tuner.Sample
+		if err := dec.Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		legacy.Store().Add(s)
+	}
 	if !reflect.DeepEqual(binary.Store(), legacy.Store()) {
 		t.Fatalf("binary restore differs from the legacy restore\n  binary: %+v\n  legacy: %+v", binary.Store().All(), legacy.Store().All())
 	}
@@ -113,10 +122,10 @@ func TestStoreHeadersAreCatalogueOrdered(t *testing.T) {
 	for _, s := range codecSamples() {
 		src.Store().Add(s)
 	}
-	d := &decoder{b: saved(t, src)[len(storeMagic)+1:]}
-	got := make([]engineHeader, d.count(3))
+	d := bincodec.NewDecoder(saved(t, src)[len(storeMagic)+1:])
+	got := make([]engineHeader, d.Count(3))
 	for i := range got {
-		got[i] = engineHeader{engine: knobs.Engine(d.str()), knobs: d.names(), metrics: d.names()}
+		got[i] = engineHeader{engine: knobs.Engine(d.Str()), knobs: d.Names(), metrics: d.Names()}
 	}
 	want := []engineHeader{
 		{engine: knobs.Postgres,
@@ -125,8 +134,8 @@ func TestStoreHeadersAreCatalogueOrdered(t *testing.T) {
 		{engine: knobs.MySQL, knobs: []string{"sort_buffer_size"}, metrics: []string{}},
 		{engine: "oracle", knobs: []string{"pga_aggregate_target", "sga_target"}, metrics: []string{"a", "z"}},
 	}
-	if d.err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("headers = %+v (%v), want %+v", got, d.err, want)
+	if d.Err() != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("headers = %+v (%v), want %+v", got, d.Err(), want)
 	}
 }
 
@@ -174,15 +183,15 @@ func TestLoadQuietFailsAtomically(t *testing.T) {
 	// One engine with one knob, one sample whose sparse config bitmap
 	// also marks a second, absent name.
 	stray := append([]byte(storeMagic), storeVersion, 1)
-	stray = appendStrings(appendStrings(appendString(stray, "postgres"), []string{"work_mem"}), nil)
-	stray = append(appendString(append(stray, 1), "w"), 1)
+	stray = bincodec.AppendStrings(bincodec.AppendStrings(bincodec.AppendString(stray, "postgres"), []string{"work_mem"}), nil)
+	stray = append(bincodec.AppendString(append(stray, 1), "w"), 1)
 	stray = append(stray, 0, flagConfigSparse|flagMetricsNil, 0b11)
 	stray = append(stray, make([]byte, 16)...) // the knob value, Objective
 	stray = append(stray, 0, 0, 0)             // Window, At
 	for name, bad := range map[string][]byte{
 		"binary cut":     section[:len(section)-1],
 		"binary trailer": append(append([]byte(nil), section...), 0),
-		"legacy cut":     legacy[:len(legacy)-2],
+		"JSON lines":     legacy,
 		"version":        append([]byte(storeMagic), 2),
 		"stray bit":      stray,
 	} {

@@ -9,8 +9,7 @@
 // subscribed tuner that trains on samples (bo.Tuner) reads them from
 // it, and keeps only what it derives from their delivery. Save and
 // LoadQuiet carry it through snapshots in a binary, catalogue-ordered
-// codec (codec.go) that names each knob and metric once per engine;
-// LoadQuiet still reads the JSON lines older snapshots hold.
+// codec (codec.go) that names each knob and metric once per engine.
 //
 // Tuner fan-out is synchronous: Observe stores the sample and delivers
 // it to every subscriber before it returns, in upload order. A
@@ -340,21 +339,18 @@ func (r *Repository) Save(w io.Writer) error {
 // numbers. This is the checkpoint-restore ingestion path: subscriber
 // (tuner) state is restored from its own snapshot section, so
 // re-delivering the stored samples would feed every tuner each sample a
-// second time. It reads Save's binary codec and, for snapshots written
-// before it, JSON lines (one tuner.Sample per line), told apart by the
-// binary codec's magic. The whole section decodes before the first
-// sample is stored, so on error the store is unchanged.
+// second time. It reads Save's binary codec; a section without its
+// magic is rejected. The whole section decodes before the first sample
+// is stored, so on error the store is unchanged.
 func (r *Repository) LoadQuiet(rd io.Reader) (int, error) {
 	data, err := readSection(rd)
 	if err != nil {
 		return 0, fmt.Errorf("repository: load: %w", err)
 	}
-	var samples []tuner.Sample
-	if bytes.HasPrefix(data, []byte(storeMagic)) {
-		samples, err = decodeStore(data)
-	} else {
-		samples, err = decodeLegacy(data)
+	if !bytes.HasPrefix(data, []byte(storeMagic)) {
+		return 0, fmt.Errorf("repository: load: section does not open with the store magic %q", storeMagic)
 	}
+	samples, err := decodeStore(data)
 	if err != nil {
 		return 0, fmt.Errorf("repository: load: %w", err)
 	}

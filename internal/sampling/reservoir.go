@@ -77,13 +77,9 @@ func (r *Reservoir[T]) CheckpointState() ReservoirState[T] {
 	return ReservoirState[T]{Seen: r.seen, Items: r.Sample()}
 }
 
-// RestoreCheckpointState overwrites the reservoir contents. The state's
-// item count must fit this reservoir's capacity.
-func (r *Reservoir[T]) RestoreCheckpointState(st ReservoirState[T]) error {
-	if len(st.Items) > r.k {
-		return errors.New("sampling: restored reservoir exceeds capacity")
-	}
+// RestoreCheckpointState overwrites the reservoir contents. The caller
+// has checked that the state holds min(Seen, Cap()) items.
+func (r *Reservoir[T]) RestoreCheckpointState(st ReservoirState[T]) {
 	r.items = append(r.items[:0], st.Items...)
 	r.seen = st.Seen
-	return nil
 }

@@ -10,38 +10,38 @@ import (
 	"autodbaas/internal/sqlparse"
 )
 
-// EngineState is the serializable mutable state of one Engine — every
-// field the simulation's determinism depends on. The flattened knob
-// memo and the window scratch are deliberately absent: the memo is an
-// exact copy of map reads, so a restored engine rebuilds it lazily with
-// identical results. Construction parameters (catalogues,
-// resources, DB size) are likewise absent: restore targets an engine
-// rebuilt with the same Options.
+// EngineState is the mutable state of one Engine — every field the
+// simulation's determinism depends on. The flattened knob memo and the
+// window scratch are deliberately absent: the memo is an exact copy of
+// map reads, so a restored engine rebuilds it lazily with identical
+// results. Construction parameters (catalogues, resources, DB size) are
+// likewise absent: restore targets an engine rebuilt with the same
+// Options.
 type EngineState struct {
-	Cfg            knobs.Config `json:"cfg"`
-	PendingRestart knobs.Config `json:"pending_restart,omitempty"`
+	Cfg            knobs.Config
+	PendingRestart knobs.Config
 
-	Counters map[string]float64 `json:"counters"`
+	Counters map[string]float64
 
-	Now              time.Time     `json:"now"`
-	WorkingSet       float64       `json:"working_set"`
-	DirtyBytes       float64       `json:"dirty_bytes"`
-	WalSinceCkpt     float64       `json:"wal_since_ckpt"`
-	LastCkpt         time.Time     `json:"last_ckpt"`
-	LastVacuum       time.Time     `json:"last_vacuum"`
-	CkptSurgeLeft    time.Duration `json:"ckpt_surge_left"`
-	CkptSurgeRate    float64       `json:"ckpt_surge_rate"`
-	DiskLatency      float64       `json:"disk_latency"`
-	DiskWriteLatency float64       `json:"disk_write_latency"`
-	IOPS             float64       `json:"iops"`
-	LastQPS          float64       `json:"last_qps"`
-	LastP99          float64       `json:"last_p99"`
-	ActiveConns      float64       `json:"active_conns"`
+	Now              time.Time
+	WorkingSet       float64
+	DirtyBytes       float64
+	WalSinceCkpt     float64
+	LastCkpt         time.Time
+	LastVacuum       time.Time
+	CkptSurgeLeft    time.Duration
+	CkptSurgeRate    float64
+	DiskLatency      float64
+	DiskWriteLatency float64
+	IOPS             float64
+	LastQPS          float64
+	LastP99          float64
+	ActiveConns      float64
 
-	JitterUntil  time.Time `json:"jitter_until"`
-	JitterFactor float64   `json:"jitter_factor"`
-	Down         bool      `json:"down"`
-	Restarts     int       `json:"restarts"`
+	JitterUntil  time.Time
+	JitterFactor float64
+	Down         bool
+	Restarts     int
 
 	// The query log keeps each slot's template, not its text.
 	// QueryLogSlots is the ring's slot count (0 on a replica) and
@@ -49,30 +49,21 @@ type EngineState struct {
 	// the distinct template IDs (the empty ID for unfilled slots),
 	// QueryLogClasses holds one class byte per ID, and
 	// QueryLogTemplateIdx packs one little-endian index into them per
-	// slot: a uint16, or a uint32 when there are more than 65,536 IDs
-	// (both byte slices are base64 in JSON).
-	//
-	// QueryLog is read only from snapshots written while the log kept
-	// every slot's SQL text; they have no class table and no slot count
-	// (the slot count is len(QueryLog)), and a restore templates each
-	// filled slot's text once.
-	QueryLog            []string `json:"query_log,omitempty"`
-	QueryLogSlots       int      `json:"query_log_slots,omitempty"`
-	QueryLogNext        int      `json:"query_log_next"`
-	QueryLogFull        bool     `json:"query_log_full"`
-	QueryLogTemplates   []string `json:"query_log_templates,omitempty"`
-	QueryLogClasses     []byte   `json:"query_log_classes,omitempty"`
-	QueryLogTemplateIdx []byte   `json:"query_log_template_idx,omitempty"`
+	// slot: a uint16, or a uint32 when there are more than 65,536 IDs.
+	QueryLogSlots       int
+	QueryLogNext        int
+	QueryLogFull        bool
+	QueryLogTemplates   []string
+	QueryLogClasses     []byte
+	QueryLogTemplateIdx []byte
 
 	// Profiles is the per-template statistics store behind
 	// ExplainTemplate — the TDE's plan evaluation plans from it, so it is
-	// state, not cache. A replica keeps none. TemplateProfile's fields
-	// keep workload.Query's JSON names, so snapshots whose profiles
-	// held whole statements decode into it.
-	Profiles map[string]TemplateProfile `json:"profiles,omitempty"`
+	// state, not cache. A replica keeps none.
+	Profiles map[string]TemplateProfile
 
-	CfgEpoch uint64     `json:"cfg_epoch"`
-	RNG      prng.State `json:"rng"`
+	CfgEpoch uint64
+	RNG      prng.State
 }
 
 // CheckpointState captures the engine's mutable state.
@@ -120,23 +111,21 @@ func (e *Engine) CheckpointState() EngineState {
 	return st
 }
 
-// RestoreCheckpointState overwrites the engine's mutable state with st.
-// The engine must have been constructed with the same Options as the
+// RestoreCheckpointState overwrites the engine's mutable state with st,
+// or returns CheckState's error and leaves the engine untouched. The
+// engine must have been constructed with the same Options as the
 // checkpointed one; construction parameters are validated by the
 // checkpoint manifest, not here. Hot-path caches are invalidated and
 // rebuild lazily.
-//
-// Snapshots written while engines kept 4,096-slot logs, and logs and
-// profiles on replicas, still restore: a master keeps the newest
-// entries its ring holds (see restoreLogLocked), and a replica drops
-// the snapshot's log and profiles.
 func (e *Engine) RestoreCheckpointState(st EngineState) error {
+	if err := e.CheckState(st); err != nil {
+		return err
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.replica {
-		if err := e.restoreLogLocked(st); err != nil {
-			return err
-		}
+	if r := e.queryLog; len(r.buf) > 0 {
+		decodeLog(r.buf, st)
+		r.next, r.full = st.QueryLogNext, st.QueryLogFull
 	}
 	e.cfg = st.Cfg.Clone()
 	e.pendingRestart = st.PendingRestart.Clone()
@@ -163,7 +152,7 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	e.down = st.Down
 	e.restarts = st.Restarts
 	e.profiles, e.profileIDs = nil, nil
-	if len(st.Profiles) > 0 && !e.replica {
+	if len(st.Profiles) > 0 {
 		e.profiles = make(map[string]TemplateProfile, len(st.Profiles))
 		for k, v := range st.Profiles {
 			e.profiles[k] = v
@@ -176,36 +165,37 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	return nil
 }
 
-// restoreLogLocked overwrites the query log with st's, or returns an
-// error and leaves it untouched. A snapshot ring with more slots than
-// this engine's restores its newest len(ring) entries, oldest first; one
-// with fewer slots, or a cursor outside its slots, is corrupt.
-func (e *Engine) restoreLogLocked(st EngineState) error {
-	r, n := e.queryLog, st.QueryLogSlots
-	if st.QueryLogClasses == nil {
-		n = len(st.QueryLog)
+// CheckState returns why st cannot restore into this engine, or nil: a
+// query log that does not describe this engine's ring, or profiles on a
+// replica. It reads only construction parameters, so it takes no lock.
+func (e *Engine) CheckState(st EngineState) error {
+	n := len(e.queryLog.buf)
+	if st.QueryLogSlots != n {
+		return fmt.Errorf("simdb: restore: query log has %d slots, engine holds %d", st.QueryLogSlots, n)
 	}
-	if n < len(r.buf) {
-		return fmt.Errorf("simdb: restore: query log has %d slots, engine holds %d", n, len(r.buf))
-	}
-	if st.QueryLogNext < 0 || st.QueryLogNext >= n {
+	if st.QueryLogNext < 0 || st.QueryLogNext >= max(n, 1) || n == 0 && st.QueryLogFull {
 		return fmt.Errorf("simdb: restore: query log cursor %d outside its %d slots", st.QueryLogNext, n)
 	}
-	if n == len(r.buf) {
-		if err := decodeLog(r.buf, st); err != nil {
-			return err
+	if e.replica && len(st.Profiles) > 0 {
+		return fmt.Errorf("simdb: restore: a replica holds %d profiles, want none", len(st.Profiles))
+	}
+	ids, classes, idx := st.QueryLogTemplates, st.QueryLogClasses, st.QueryLogTemplateIdx
+	if len(classes) != len(ids) {
+		return fmt.Errorf("simdb: restore: query log class table has %d entries for %d template IDs", len(classes), len(ids))
+	}
+	for i, c := range classes {
+		if int(c) >= sqlparse.NumClasses {
+			return fmt.Errorf("simdb: restore: query log template %d has class %d, want below %d", i, c, sqlparse.NumClasses)
 		}
-		r.next, r.full = st.QueryLogNext, st.QueryLogFull
-		return nil
 	}
-	old := &ringLog{buf: make([]LogEntry, n), next: st.QueryLogNext, full: st.QueryLogFull}
-	if err := decodeLog(old.buf, st); err != nil {
-		return err
+	if len(idx) != logIdxWidth(len(ids))*n {
+		return fmt.Errorf("simdb: restore: query log template index has %d bytes for %d slots", len(idx), n)
 	}
-	kept := old.lastInto(nil, len(r.buf))
-	clear(r.buf)
-	copy(r.buf, kept)
-	r.next, r.full = len(kept)%len(r.buf), len(kept) == len(r.buf)
+	for i := 0; i < n; i++ {
+		if p := logIdxAt(idx, len(ids), i); p >= len(ids) {
+			return fmt.Errorf("simdb: restore: query log slot %d names template %d of %d", i, p, len(ids))
+		}
+	}
 	return nil
 }
 
@@ -242,47 +232,20 @@ func logIdxWidth(n int) int {
 	return 2
 }
 
-// decodeLog overwrites buf with st's query-log entries, or returns an
-// error and leaves buf untouched. A snapshot without a class table
-// keeps its slots' SQL text, and each filled slot is templated once.
-func decodeLog(buf []LogEntry, st EngineState) error {
-	if st.QueryLogClasses == nil {
-		for i, sql := range st.QueryLog {
-			buf[i] = LogEntry{}
-			if st.QueryLogFull || i < st.QueryLogNext {
-				tpl := sqlparse.TemplateOf(sql)
-				buf[i] = LogEntry{TemplateID: tpl.ID, Class: tpl.Class}
-			}
-		}
-		return nil
+// logIdxAt reads slot i of a packed index over a table of n IDs.
+func logIdxAt(idx []byte, n, i int) int {
+	if logIdxWidth(n) == 4 {
+		return int(binary.LittleEndian.Uint32(idx[4*i:]))
 	}
-	ids, classes, idx := st.QueryLogTemplates, st.QueryLogClasses, st.QueryLogTemplateIdx
-	if len(classes) != len(ids) {
-		return fmt.Errorf("simdb: restore: query log class table has %d entries for %d template IDs", len(classes), len(ids))
-	}
-	for i, c := range classes {
-		if int(c) >= sqlparse.NumClasses {
-			return fmt.Errorf("simdb: restore: query log template %d has class %d, want below %d", i, c, sqlparse.NumClasses)
-		}
-	}
-	w := logIdxWidth(len(ids))
-	if len(idx) != w*len(buf) {
-		return fmt.Errorf("simdb: restore: query log template index has %d bytes for %d slots", len(idx), len(buf))
-	}
-	at := func(i int) int {
-		if w == 4 {
-			return int(binary.LittleEndian.Uint32(idx[4*i:]))
-		}
-		return int(binary.LittleEndian.Uint16(idx[2*i:]))
-	}
+	return int(binary.LittleEndian.Uint16(idx[2*i:]))
+}
+
+// decodeLog overwrites buf with st's query-log entries, which
+// CheckState has accepted.
+func decodeLog(buf []LogEntry, st EngineState) {
+	ids, classes := st.QueryLogTemplates, st.QueryLogClasses
 	for i := range buf {
-		if p := at(i); p >= len(ids) {
-			return fmt.Errorf("simdb: restore: query log slot %d names template %d of %d", i, p, len(ids))
-		}
-	}
-	for i := range buf {
-		p := at(i)
+		p := logIdxAt(st.QueryLogTemplateIdx, len(ids), i)
 		buf[i] = LogEntry{TemplateID: ids[p], Class: sqlparse.Class(classes[p])}
 	}
-	return nil
 }

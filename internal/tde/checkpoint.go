@@ -1,7 +1,6 @@
 package tde
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -14,24 +13,24 @@ import (
 	"autodbaas/internal/sqlparse"
 )
 
-// State is the TDE's serializable mutable state: the detection RNG
-// position (shared with the reservoir), the entropy filter counters,
-// the class histogram of ingested statements, the reservoir contents, every
-// automaton's learned value/probabilities, the last metric snapshot the
-// delta detectors diff against, and the throttle counters. The engine
-// binding, catalog and baseline are construction parameters and come
-// from the rebuild.
+// State is the TDE's mutable state: the detection RNG position (shared
+// with the reservoir), the entropy filter counters, the class histogram
+// of ingested statements, the reservoir contents, every automaton's
+// learned value/probabilities (in the TDE's automaton order), the last
+// metric snapshot the delta detectors diff against, and the throttle
+// counters. The engine binding, catalog and baseline are construction
+// parameters and come from the rebuild.
 type State struct {
-	RNG        prng.State                      `json:"rng"`
-	Filter     entropy.FilterState             `json:"filter"`
-	Classes    [sqlparse.NumClasses]int        `json:"classes"`
-	Reservoir  sampling.ReservoirState[string] `json:"reservoir"`
-	Automata   []mdp.AutomatonState            `json:"automata,omitempty"`
-	LastSnap   metrics.Snapshot                `json:"last_snap,omitempty"`
-	LastSnapAt time.Time                       `json:"last_snap_at"`
-	Throttles  map[knobs.Class]int             `json:"throttles,omitempty"`
-	Upgrades   int                             `json:"upgrades"`
-	Ticks      int                             `json:"ticks"`
+	RNG        prng.State
+	Filter     entropy.FilterState
+	Classes    [sqlparse.NumClasses]int
+	Reservoir  sampling.ReservoirState[string]
+	Automata   []mdp.AutomatonState
+	LastSnap   metrics.Snapshot
+	LastSnapAt time.Time
+	Throttles  map[knobs.Class]int
+	Upgrades   int
+	Ticks      int
 }
 
 // CheckpointState captures the TDE's mutable state.
@@ -58,31 +57,39 @@ func (t *TDE) CheckpointState() State {
 	return st
 }
 
-// RestoreCheckpointState overwrites the TDE's mutable state. The TDE
-// must have been built against the same engine configuration (its
-// automata set must match the snapshot's knob-for-knob).
+// CheckState returns why st cannot restore into this TDE, or nil: its
+// automata are not this TDE's in order, or hold a probability outside
+// [0, 1], or its reservoir does not hold min(seen, capacity) items. It
+// reads only construction parameters, so it takes no lock.
+func (t *TDE) CheckState(st State) error {
+	if len(st.Automata) != len(t.automata) {
+		return fmt.Errorf("tde: snapshot has %d automata, engine built %d", len(st.Automata), len(t.automata))
+	}
+	for i, as := range st.Automata {
+		if p := as.Probs; as.Knob != t.automata[i].Knob || !(p[0] >= 0 && p[0] <= 1 && p[1] >= 0 && p[1] <= 1) {
+			return fmt.Errorf("tde: snapshot automaton %d is for knob %q with probabilities %v, engine built %q", i, as.Knob, p, t.automata[i].Knob)
+		}
+	}
+	res, k := st.Reservoir, t.reservoir.Cap()
+	if res.Seen < 0 || len(res.Items) > k || len(res.Items) < min(res.Seen, k) {
+		return fmt.Errorf("tde: reservoir holds %d items after %d offers, capacity %d", len(res.Items), res.Seen, k)
+	}
+	return nil
+}
+
+// RestoreCheckpointState overwrites the TDE's mutable state, or returns
+// CheckState's error and leaves it untouched. The TDE must have been
+// built against the same engine configuration.
 func (t *TDE) RestoreCheckpointState(st State) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	byKnob := make(map[string]mdp.AutomatonState, len(st.Automata))
-	for _, as := range st.Automata {
-		byKnob[as.Knob] = as
-	}
-	if len(byKnob) != len(t.automata) {
-		return fmt.Errorf("tde: snapshot has %d automata, engine built %d", len(byKnob), len(t.automata))
-	}
-	for _, a := range t.automata {
-		as, ok := byKnob[a.Knob]
-		if !ok {
-			return fmt.Errorf("tde: snapshot missing automaton state for knob %q", a.Knob)
-		}
-		if err := a.RestoreCheckpointState(as); err != nil {
-			return err
-		}
-	}
-	if err := t.reservoir.RestoreCheckpointState(st.Reservoir); err != nil {
+	if err := t.CheckState(st); err != nil {
 		return err
 	}
+	for i, a := range t.automata {
+		a.RestoreCheckpointState(st.Automata[i])
+	}
+	t.reservoir.RestoreCheckpointState(st.Reservoir)
 	t.rngSrc.Restore(st.RNG)
 	t.filter.RestoreCheckpointState(st.Filter)
 	t.classes = st.Classes
@@ -94,40 +101,5 @@ func (t *TDE) RestoreCheckpointState(st State) error {
 	}
 	t.upgrades = st.Upgrades
 	t.ticks = st.Ticks
-	return nil
-}
-
-// legacyTemplate is one entry of the per-template table a snapshot held
-// while the TDE kept one: the template and how often it was ingested.
-type legacyTemplate struct {
-	Template struct{ Class sqlparse.Class }
-	Count    int
-}
-
-// UnmarshalJSON decodes a State. A snapshot written while the TDE kept a
-// per-template table holds that table instead of Classes; each entry's
-// count is added to its class. A negative count, or a class sqlparse
-// does not define, is rejected.
-func (st *State) UnmarshalJSON(data []byte) error {
-	type plain State
-	v := struct {
-		*plain
-		Templates map[string]legacyTemplate `json:"templates"`
-	}{plain: (*plain)(st)}
-	if err := json.Unmarshal(data, &v); err != nil {
-		return err
-	}
-	for id, lt := range v.Templates {
-		cls := lt.Template.Class
-		if cls < 0 || int(cls) >= sqlparse.NumClasses || lt.Count < 0 {
-			return fmt.Errorf("tde: template %s has class %d and count %d", id, cls, lt.Count)
-		}
-		st.Classes[cls] += lt.Count
-	}
-	for cls, n := range st.Classes {
-		if n < 0 {
-			return fmt.Errorf("tde: negative count %d for class %s", n, sqlparse.Class(cls))
-		}
-	}
 	return nil
 }

@@ -6,10 +6,8 @@ import "autodbaas/internal/prng"
 // maintained per-workload metric means and the acquisition RNG
 // position. The samples are the central repository's, saved with its
 // store, and no fitted model is kept between recommendations, so
-// neither is here; fields that older snapshots carry for them (store,
-// fit_key, fit_ymax, fit_model, fit_training) are ignored on decode.
-// Options and catalogs are construction parameters; the rebuilt tuner
-// must have been created with identical Options.
+// neither is here. Options and catalogs are construction parameters;
+// the rebuilt tuner must have been created with identical Options.
 type State struct {
 	RNG        prng.State           `json:"rng"`
 	MeanSums   map[string][]float64 `json:"mean_sums,omitempty"`
