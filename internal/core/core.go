@@ -307,8 +307,8 @@ func (s *System) ResizeInstance(id, plan string, seed int64, opts agent.Options)
 	}
 	s.mu.Lock()
 	s.agents[id] = a
-	// Fresh monitor: the old series mixed plans; keep every series
-	// single-plan, as ApproveUpgrade does.
+	// Fresh monitor: the scrape count restarts on the new plan, as
+	// ApproveUpgrade does.
 	s.monitors[id] = monitor.NewAgent(100_000)
 	s.generation++
 	s.memberGens[id] = s.generation
@@ -627,8 +627,7 @@ func (s *System) ApproveUpgrade(id string, seed int64) (*agent.Agent, error) {
 	}
 	s.mu.Lock()
 	s.agents[id] = a
-	// Fresh monitor: the old series mixed pre-upgrade measurements with
-	// the new plan's; a monitor reset keeps every series single-plan.
+	// Fresh monitor: the scrape count restarts on the new plan.
 	s.monitors[id] = monitor.NewAgent(100_000)
 	s.mu.Unlock()
 	if s.safety != nil {

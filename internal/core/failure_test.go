@@ -96,7 +96,12 @@ func TestCrashedMasterRecoversViaRedeploy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Step(5 * time.Minute)
-	a.Instance().Replica.Master().Crash()
+	crashed := false
+	a.Instance().Replica.Master().SetFaultHooks(&simdb.FaultHooks{WindowStart: func() simdb.WindowFault {
+		crash := !crashed
+		crashed = true
+		return simdb.WindowFault{Crash: crash}
+	}})
 	res := sys.Step(5 * time.Minute)
 	if !errors.Is(res.Errors["flaky"], simdb.ErrDown) {
 		t.Fatalf("crash not surfaced: %v", res.Errors["flaky"])

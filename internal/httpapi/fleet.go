@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -72,8 +71,7 @@ func writeFleetError(w http.ResponseWriter, err error) {
 
 func (s *FleetServer) createTenant(w http.ResponseWriter, r *http.Request) {
 	var t tenant.Tenant
-	if err := json.NewDecoder(r.Body).Decode(&t); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode tenant: %w", err))
+	if !decodeBody(w, r, &t, "tenant") {
 		return
 	}
 	if err := s.svc.CreateTenant(t); err != nil {
@@ -107,8 +105,7 @@ func (s *FleetServer) deleteTenant(w http.ResponseWriter, r *http.Request) {
 
 func (s *FleetServer) createDatabase(w http.ResponseWriter, r *http.Request) {
 	var spec fleet.DatabaseSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode database spec: %w", err))
+	if !decodeBody(w, r, &spec, "database spec") {
 		return
 	}
 	tid := r.PathValue("id")
@@ -136,8 +133,7 @@ type resizeRequest struct {
 
 func (s *FleetServer) resizeDatabase(w http.ResponseWriter, r *http.Request) {
 	var req resizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode resize request: %w", err))
+	if !decodeBody(w, r, &req, "resize request") {
 		return
 	}
 	if req.Plan == "" {
@@ -164,8 +160,7 @@ type rebalanceRequest struct {
 // via the checkpoint codec, and desired state is untouched.
 func (s *FleetServer) rebalanceDatabase(w http.ResponseWriter, r *http.Request) {
 	var req rebalanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode rebalance request: %w", err))
+	if !decodeBody(w, r, &req, "rebalance request") {
 		return
 	}
 	if req.Shard == "" {

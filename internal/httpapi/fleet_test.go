@@ -3,6 +3,7 @@ package httpapi
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -43,18 +44,27 @@ func newFleetService(t *testing.T, maxInstances int) *fleet.Service {
 	return svc
 }
 
-// call drives one request through the handler.
+// call drives one request through h over a real HTTP connection and
+// records the response.
 func call(t *testing.T, h http.Handler, method, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
-	var req *http.Request
-	if body == "" {
-		req = httptest.NewRequest(method, path, nil)
-	} else {
-		req = httptest.NewRequest(method, path, strings.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	defer resp.Body.Close()
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
+	rec.Code = resp.StatusCode
+	if _, err := io.Copy(rec.Body, resp.Body); err != nil {
+		t.Fatalf("%s %s: read body: %v", method, path, err)
+	}
 	return rec
 }
 

@@ -7,95 +7,25 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"math/rand"
 	"net"
 	"net/http"
-	"net/url"
-	"syscall"
 	"time"
 
 	"autodbaas/internal/director"
 	"autodbaas/internal/knobs"
-	"autodbaas/internal/obs"
 	"autodbaas/internal/repository"
 	"autodbaas/internal/tde"
 	"autodbaas/internal/tuner"
 )
 
-// ---- client retry policy ----
-
-// Transient network blips (a dropped connection mid-day) used to lose
-// the sample or event silently; clients now retry with exponential
-// backoff + full jitter. Only network-level failures are retried —
-// once the server answered, whatever it said is authoritative.
-const (
-	clientMaxAttempts = 3
-	clientRetryBase   = 25 * time.Millisecond
-)
-
-// isTransientNetErr reports whether err is a network-level failure
-// worth retrying (refused/reset connections, timeouts, dropped conns).
-func isTransientNetErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
-	}
-	var oe *net.OpError
-	if errors.As(err, &oe) {
-		return true
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	return errors.Is(err, syscall.ECONNRESET) ||
-		errors.Is(err, syscall.ECONNREFUSED) ||
-		errors.Is(err, syscall.EPIPE)
-}
-
-// doWithRetry issues the request built by mk up to clientMaxAttempts
-// times. mk is called per attempt so request bodies are fresh readers.
-func doWithRetry(hc *http.Client, path string, mk func() (*http.Request, error)) (*http.Response, error) {
-	var lastErr error
-	for attempt := 0; attempt < clientMaxAttempts; attempt++ {
-		if attempt > 0 {
-			// Exponential backoff with full jitter: 25–50ms, 50–100ms.
-			d := clientRetryBase << (attempt - 1)
-			d += time.Duration(rand.Int63n(int64(d)))
-			time.Sleep(d)
-			obs.Default().Counter("autodbaas_httpapi_client_retries_total",
-				"HTTP client retries after transient network errors, by path.",
-				obs.L("path", path)).Inc()
-		}
-		req, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		resp, err := hc.Do(req)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !isTransientNetErr(err) {
-			return nil, err
-		}
-		obs.Debugf("httpapi: %s attempt %d failed transiently: %v", path, attempt+1, err)
-	}
-	return nil, lastErr
-}
-
 // ---- wire types ----
 
-// wireEvent serializes tde.Event; Entropy is NaN-safe via pointer.
+// wireEvent is tde.Event on the wire; an absent Entropy decodes as NaN.
 type wireEvent struct {
 	At         time.Time `json:"at"`
 	Kind       int       `json:"kind"`
@@ -104,18 +34,6 @@ type wireEvent struct {
 	Entropy    *float64  `json:"entropy,omitempty"`
 	WorkingSet float64   `json:"working_set"`
 	Reason     string    `json:"reason"`
-}
-
-func toWireEvent(ev tde.Event) wireEvent {
-	w := wireEvent{
-		At: ev.At, Kind: int(ev.Kind), Class: int(ev.Class),
-		Knob: ev.Knob, WorkingSet: ev.WorkingSet, Reason: ev.Reason,
-	}
-	if !math.IsNaN(ev.Entropy) {
-		e := ev.Entropy
-		w.Entropy = &e
-	}
-	return w
 }
 
 func fromWireEvent(w wireEvent) tde.Event {
@@ -165,6 +83,27 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
+// maxBodyBytes caps every request body a handler decodes, so one client
+// cannot make the server buffer a JSON value of any size.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it answers the request itself — 413 past the cap, 400 for
+// malformed JSON, what naming the payload — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("decode %s: body exceeds %d bytes", what, maxBodyBytes))
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decode %s: %w", what, err))
+	}
+	return false
+}
+
 // ---- repository service ----
 
 // RepositoryServer serves the central data repository API.
@@ -192,8 +131,7 @@ func (s *RepositoryServer) handleSamples(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	var sm tuner.Sample
-	if err := json.NewDecoder(r.Body).Decode(&sm); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &sm, "sample") {
 		return
 	}
 	if err := s.repo.Observe(sm); err != nil {
@@ -213,71 +151,6 @@ func (s *RepositoryServer) handleStats(w http.ResponseWriter, r *http.Request) {
 		"workloads":      s.repo.Store().Workloads(),
 		"pending_fanout": s.repo.Pending(),
 	})
-}
-
-// RepositoryClient talks to a RepositoryServer; it implements
-// agent.SampleSink.
-type RepositoryClient struct {
-	base string
-	hc   *http.Client
-}
-
-// NewRepositoryClient returns a client for a TCP base URL.
-func NewRepositoryClient(baseURL string) *RepositoryClient {
-	return &RepositoryClient{base: baseURL, hc: &http.Client{Timeout: 30 * time.Second}}
-}
-
-// NewRepositoryClientUnix returns a client dialing a unix socket.
-func NewRepositoryClientUnix(socketPath string) *RepositoryClient {
-	return &RepositoryClient{
-		base: "http://unix",
-		hc: &http.Client{
-			Timeout: 30 * time.Second,
-			Transport: &http.Transport{
-				DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
-					var d net.Dialer
-					return d.DialContext(ctx, "unix", socketPath)
-				},
-			},
-		},
-	}
-}
-
-// Observe implements agent.SampleSink over HTTP.
-func (c *RepositoryClient) Observe(s tuner.Sample) error {
-	return c.post("/v1/samples", s, nil)
-}
-
-func (c *RepositoryClient) post(path string, body, out interface{}) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := doWithRetry(c.hc, path, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(buf))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	})
-	if err != nil {
-		return err
-	}
-	obs.Default().Counter("autodbaas_httpapi_upload_bytes_total",
-		"Request payload bytes sent by control-plane HTTP clients, by path.",
-		obs.L("path", path)).Add(float64(len(buf)))
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		var er errorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&er)
-		return fmt.Errorf("httpapi: %s: %s (%s)", path, resp.Status, er.Error)
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
 }
 
 // ---- director service ----
@@ -310,8 +183,7 @@ func (s *DirectorServer) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req eventRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req, "event") {
 		return
 	}
 	if err := s.dir.HandleEvent(req.InstanceID, fromWireEvent(req.Event), req.Request); err != nil {
@@ -333,8 +205,7 @@ func (s *DirectorServer) handleTuning(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req tuningRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req, "tuning request") {
 		return
 	}
 	if err := s.dir.RequestTuning(req.InstanceID, req.Request); err != nil {
@@ -370,8 +241,7 @@ func (s *DirectorServer) handleMaintenance(w http.ResponseWriter, r *http.Reques
 		return
 	}
 	var req instanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req, "maintenance request") {
 		return
 	}
 	if err := s.dir.MaintenanceWindowByID(req.InstanceID); err != nil {
@@ -392,73 +262,6 @@ func (s *DirectorServer) handleUpgrades(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"pending": s.dir.PendingUpgradeRequests(id)})
-}
-
-// DirectorClient talks to a DirectorServer; it implements
-// agent.EventSink.
-type DirectorClient struct {
-	base string
-	hc   *http.Client
-}
-
-// NewDirectorClient returns a client for a TCP base URL.
-func NewDirectorClient(baseURL string) *DirectorClient {
-	return &DirectorClient{base: baseURL, hc: &http.Client{Timeout: 60 * time.Second}}
-}
-
-// HandleEvent implements agent.EventSink over HTTP.
-func (c *DirectorClient) HandleEvent(instanceID string, ev tde.Event, req tuner.Request) error {
-	body := eventRequest{InstanceID: instanceID, Event: toWireEvent(ev), Request: req}
-	return (&RepositoryClient{base: c.base, hc: c.hc}).post("/v1/events", body, nil)
-}
-
-// RequestTuning issues a periodic-mode tuning request over HTTP.
-func (c *DirectorClient) RequestTuning(instanceID string, req tuner.Request) error {
-	body := tuningRequest{InstanceID: instanceID, Request: req}
-	return (&RepositoryClient{base: c.base, hc: c.hc}).post("/v1/tuning-requests", body, nil)
-}
-
-// MaintenanceWindow triggers the scheduled-downtime logic remotely.
-func (c *DirectorClient) MaintenanceWindow(instanceID string) error {
-	return (&RepositoryClient{base: c.base, hc: c.hc}).post("/v1/maintenance", instanceRequest{InstanceID: instanceID}, nil)
-}
-
-// PendingUpgradeRequests fetches the plan-upgrade queue length.
-func (c *DirectorClient) PendingUpgradeRequests(instanceID string) (int, error) {
-	resp, err := doWithRetry(c.hc, "/v1/upgrade-requests", func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, c.base+"/v1/upgrade-requests?instance_id="+url.QueryEscape(instanceID), nil)
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return 0, fmt.Errorf("httpapi: upgrade-requests: %s", resp.Status)
-	}
-	var out map[string]int
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, err
-	}
-	return out["pending"], nil
-}
-
-// Counters fetches the director counters.
-func (c *DirectorClient) Counters() (tuning, recs, failures, upgrades int, err error) {
-	resp, err := doWithRetry(c.hc, "/v1/counters", func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, c.base+"/v1/counters", nil)
-	})
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return 0, 0, 0, 0, fmt.Errorf("httpapi: counters: %s", resp.Status)
-	}
-	var out countersResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return out.TuningRequests, out.Recommendations, out.ApplyFailures, out.PlanUpgrades, nil
 }
 
 // newServer builds the http.Server every autodbaas endpoint runs on.

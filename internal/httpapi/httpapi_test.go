@@ -1,12 +1,17 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -48,20 +53,26 @@ func (f *fakeTuner) counts() (int, int) {
 	return f.observed, f.recommended
 }
 
+// postJSON posts v, JSON-encoded, to path over a real connection.
+func postJSON(t *testing.T, h http.Handler, path string, v interface{}) *httptest.ResponseRecorder {
+	t.Helper()
+	body, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return call(t, h, "POST", path, string(body))
+}
+
 func TestRepositoryServerRoundTrip(t *testing.T) {
 	repo := repository.New()
 	ft := &fakeTuner{}
 	repo.Subscribe(ft)
-	srv := httptest.NewServer(NewRepositoryServer(repo))
-	defer srv.Close()
-
-	client := NewRepositoryClient(srv.URL)
-	err := client.Observe(tuner.Sample{
+	rec := postJSON(t, NewRepositoryServer(repo), "/v1/samples", tuner.Sample{
 		WorkloadID: "w1", Engine: knobs.Postgres,
 		Config: knobs.Config{"work_mem": 1}, Objective: 42, At: time.Now(),
 	})
-	if err != nil {
-		t.Fatal(err)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("POST /v1/samples = %d %s", rec.Code, rec.Body)
 	}
 	if obs, _ := ft.counts(); repo.Len() != 1 || obs != 1 {
 		t.Fatalf("repo=%d fanout=%d", repo.Len(), obs)
@@ -84,13 +95,25 @@ func TestRepositoryOverUnixSocket(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- Serve(ctx, l, NewRepositoryServer(repo)) }()
 
-	client := NewRepositoryClientUnix(sock)
-	if err := client.Observe(tuner.Sample{WorkloadID: "unix-w", Engine: knobs.MySQL, Objective: 7}); err != nil {
+	hc := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "unix", sock)
+		},
+	}}
+	body, err := json.Marshal(tuner.Sample{WorkloadID: "unix-w", Engine: knobs.MySQL, Objective: 7})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if repo.Len() != 1 {
-		t.Fatalf("repo len = %d", repo.Len())
+	resp, err := hc.Post("http://unix/v1/samples", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || repo.Len() != 1 {
+		t.Fatalf("POST over unix socket = %d, repo len = %d", resp.StatusCode, repo.Len())
+	}
+	hc.CloseIdleConnections()
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("serve: %v", err)
@@ -120,16 +143,18 @@ func setupDirector(t *testing.T) (*director.Director, *fakeTuner, *cluster.Insta
 
 func TestDirectorServerEventFlow(t *testing.T) {
 	dir, ft, inst := setupDirector(t)
-	srv := httptest.NewServer(NewDirectorServer(dir))
-	defer srv.Close()
-	client := NewDirectorClient(srv.URL)
+	srv := NewDirectorServer(dir)
 
-	ev := tde.Event{
-		At: time.Now(), Kind: tde.KindThrottle, Class: knobs.Memory,
-		Knob: "work_mem", Entropy: math.NaN(), Reason: "test",
+	ev := eventRequest{
+		InstanceID: "db-1",
+		Event: wireEvent{
+			At: time.Now(), Kind: int(tde.KindThrottle), Class: int(knobs.Memory),
+			Knob: "work_mem", Reason: "test",
+		},
+		Request: tuner.Request{Engine: knobs.Postgres},
 	}
-	if err := client.HandleEvent("db-1", ev, tuner.Request{Engine: knobs.Postgres}); err != nil {
-		t.Fatal(err)
+	if rec := postJSON(t, srv, "/v1/events", ev); rec.Code != http.StatusAccepted {
+		t.Fatalf("POST /v1/events = %d %s", rec.Code, rec.Body)
 	}
 	if _, recs := ft.counts(); recs != 1 {
 		t.Fatal("throttle did not reach the tuner")
@@ -137,43 +162,44 @@ func TestDirectorServerEventFlow(t *testing.T) {
 	if inst.Replica.Master().Config()["work_mem"] != 16*1024*1024 {
 		t.Fatal("recommendation not applied through HTTP path")
 	}
-	if err := client.RequestTuning("db-1", tuner.Request{Engine: knobs.Postgres}); err != nil {
+	tr := tuningRequest{InstanceID: "db-1", Request: tuner.Request{Engine: knobs.Postgres}}
+	if rec := postJSON(t, srv, "/v1/tuning-requests", tr); rec.Code != http.StatusAccepted {
+		t.Fatalf("POST /v1/tuning-requests = %d %s", rec.Code, rec.Body)
+	}
+	var c countersResponse
+	rec := call(t, srv, "GET", "/v1/counters", "")
+	if err := json.Unmarshal(rec.Body.Bytes(), &c); err != nil {
 		t.Fatal(err)
 	}
-	reqs, recs, fails, upgrades, err := client.Counters()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reqs != 2 || recs != 2 || fails != 0 || upgrades != 0 {
-		t.Fatalf("counters = %d/%d/%d/%d", reqs, recs, fails, upgrades)
+	if c != (countersResponse{TuningRequests: 2, Recommendations: 2}) {
+		t.Fatalf("counters = %+v", c)
 	}
 }
 
 func TestDirectorServerRejectsUnknownInstance(t *testing.T) {
 	dir, _, _ := setupDirector(t)
-	srv := httptest.NewServer(NewDirectorServer(dir))
-	defer srv.Close()
-	client := NewDirectorClient(srv.URL)
-	ev := tde.Event{Kind: tde.KindThrottle, Class: knobs.Memory, Entropy: math.NaN()}
-	if err := client.HandleEvent("ghost", ev, tuner.Request{}); err == nil {
-		t.Fatal("unknown instance accepted over HTTP")
+	ev := eventRequest{InstanceID: "ghost", Event: wireEvent{Kind: int(tde.KindThrottle), Class: int(knobs.Memory)}}
+	if rec := postJSON(t, NewDirectorServer(dir), "/v1/events", ev); rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("unknown instance: %d %s", rec.Code, rec.Body)
 	}
 }
 
+// TestWireEventNaNEntropy: an event without entropy decodes as NaN, and
+// a present one survives the wire.
 func TestWireEventNaNEntropy(t *testing.T) {
-	ev := tde.Event{Kind: tde.KindThrottle, Entropy: math.NaN()}
-	w := toWireEvent(ev)
-	if w.Entropy != nil {
-		t.Fatal("NaN entropy should serialize as absent")
+	var w wireEvent
+	if err := json.Unmarshal([]byte(`{"kind":0}`), &w); err != nil {
+		t.Fatal(err)
 	}
-	back := fromWireEvent(w)
-	if !math.IsNaN(back.Entropy) {
+	if back := fromWireEvent(w); !math.IsNaN(back.Entropy) {
 		t.Fatal("absent entropy should deserialize as NaN")
 	}
-	ev2 := tde.Event{Kind: tde.KindPlanUpgrade, Entropy: 0.87}
-	back2 := fromWireEvent(toWireEvent(ev2))
-	if back2.Entropy != 0.87 || back2.Kind != tde.KindPlanUpgrade {
-		t.Fatalf("round trip lost data: %+v", back2)
+	if err := json.Unmarshal([]byte(fmt.Sprintf(`{"kind":%d,"entropy":0.87}`, tde.KindPlanUpgrade)), &w); err != nil {
+		t.Fatal(err)
+	}
+	back := fromWireEvent(w)
+	if back.Entropy != 0.87 || back.Kind != tde.KindPlanUpgrade {
+		t.Fatalf("round trip lost data: %+v", back)
 	}
 }
 
@@ -200,32 +226,78 @@ func TestHTTPMethodValidation(t *testing.T) {
 }
 
 func TestDirectorMaintenanceAndUpgradeEndpoints(t *testing.T) {
-	dir, _, inst := setupDirector(t)
-	srv := httptest.NewServer(NewDirectorServer(dir))
-	defer srv.Close()
-	client := NewDirectorClient(srv.URL)
+	dir, _, _ := setupDirector(t)
+	srv := NewDirectorServer(dir)
 
 	// Maintenance on a fresh instance is a no-op but must succeed.
-	if err := client.MaintenanceWindow("db-1"); err != nil {
-		t.Fatal(err)
+	if rec := postJSON(t, srv, "/v1/maintenance", instanceRequest{InstanceID: "db-1"}); rec.Code != http.StatusOK {
+		t.Fatalf("maintenance: %d %s", rec.Code, rec.Body)
 	}
-	if err := client.MaintenanceWindow("ghost"); err == nil {
-		t.Fatal("unknown instance accepted")
+	if rec := postJSON(t, srv, "/v1/maintenance", instanceRequest{InstanceID: "ghost"}); rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("unknown instance accepted: %d %s", rec.Code, rec.Body)
 	}
 	// Upgrade queue starts empty, grows with plan-upgrade events.
-	n, err := client.PendingUpgradeRequests("db-1")
-	if err != nil || n != 0 {
-		t.Fatalf("pending = %d, err %v", n, err)
+	pending := func() int {
+		t.Helper()
+		var out map[string]int
+		rec := call(t, srv, "GET", "/v1/upgrade-requests?instance_id=db-1", "")
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("upgrade-requests: %d %s", rec.Code, rec.Body)
+		}
+		return out["pending"]
 	}
-	ev := tde.Event{Kind: tde.KindPlanUpgrade, Class: knobs.Memory, Entropy: 0.9}
-	if err := client.HandleEvent("db-1", ev, tuner.Request{}); err != nil {
-		t.Fatal(err)
+	if n := pending(); n != 0 {
+		t.Fatalf("pending = %d", n)
 	}
-	n, err = client.PendingUpgradeRequests("db-1")
-	if err != nil || n != 1 {
-		t.Fatalf("pending after event = %d, err %v", n, err)
+	entropy := 0.9
+	ev := eventRequest{InstanceID: "db-1", Event: wireEvent{Kind: int(tde.KindPlanUpgrade), Class: int(knobs.Memory), Entropy: &entropy}}
+	if rec := postJSON(t, srv, "/v1/events", ev); rec.Code != http.StatusAccepted {
+		t.Fatalf("plan-upgrade event: %d %s", rec.Code, rec.Body)
 	}
-	_ = inst
+	if n := pending(); n != 1 {
+		t.Fatalf("pending after event = %d", n)
+	}
+	if rec := call(t, srv, "GET", "/v1/upgrade-requests", ""); rec.Code != http.StatusBadRequest {
+		t.Fatalf("upgrade-requests without instance_id = %d", rec.Code)
+	}
+}
+
+// TestOversizeBodyRejected posts a body twice the cap to every route
+// that decodes one; each must answer 413 without acting on it. The
+// routes run in parallel because the server lingers before closing a
+// connection whose body it left unread.
+func TestOversizeBodyRejected(t *testing.T) {
+	dir, _, _ := setupDirector(t)
+	repo := repository.New()
+	svc := newFleetService(t, 4)
+	fleetSrv := NewFleetServer(svc)
+	huge := `{"pad":"` + strings.Repeat("x", 2<<20) + `"}`
+	routes := []struct {
+		h            http.Handler
+		method, path string
+	}{
+		{NewRepositoryServer(repo), "POST", "/v1/samples"},
+		{NewDirectorServer(dir), "POST", "/v1/events"},
+		{NewDirectorServer(dir), "POST", "/v1/tuning-requests"},
+		{NewDirectorServer(dir), "POST", "/v1/maintenance"},
+		{fleetSrv, "POST", "/v1/tenants"},
+		{fleetSrv, "POST", "/v1/tenants/t1/databases"},
+		{fleetSrv, "PATCH", "/v1/tenants/t1/databases/d1"},
+		{fleetSrv, "POST", "/v1/tenants/t1/databases/d1/rebalance"},
+	}
+	t.Run("routes", func(t *testing.T) {
+		for _, tc := range routes {
+			t.Run(tc.method+tc.path, func(t *testing.T) {
+				t.Parallel()
+				if rec := call(t, tc.h, tc.method, tc.path, huge); rec.Code != http.StatusRequestEntityTooLarge {
+					t.Errorf("2 MiB body = %d, want 413 (%.80s)", rec.Code, rec.Body)
+				}
+			})
+		}
+	})
+	if repo.Len() != 0 || len(svc.ListTenants()) != 0 {
+		t.Fatalf("oversize bodies mutated state: %d samples, %d tenants", repo.Len(), len(svc.ListTenants()))
+	}
 }
 
 // TestServeTimeouts pins the server hardening contract: every endpoint

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"autodbaas/internal/obs"
-	"autodbaas/internal/simclock"
 )
 
 // parseExposition is a minimal Prometheus text-format 0.0.4 reader: it
@@ -62,7 +61,7 @@ func TestObsHandlerMetricsRoundTrip(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(5)
 
-	srv := httptest.NewServer(NewObsHandler(reg, obs.NewTracer(nil, 8)))
+	srv := httptest.NewServer(NewObsHandler(reg, obs.NewTracer(8)))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -112,7 +111,7 @@ func TestObsHandlerMetricsRoundTrip(t *testing.T) {
 func TestObsHandlerMetricsJSON(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("js_hits_total", "Hits.").Add(2)
-	srv := httptest.NewServer(NewObsHandler(reg, obs.NewTracer(nil, 8)))
+	srv := httptest.NewServer(NewObsHandler(reg, obs.NewTracer(8)))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics.json")
@@ -131,11 +130,8 @@ func TestObsHandlerMetricsJSON(t *testing.T) {
 
 func TestObsHandlerDebugSpans(t *testing.T) {
 	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	clock := simclock.NewVirtual(base)
-	tr := obs.NewTracer(clock, 8)
-	root := tr.Start("director", "recommend")
-	clock.Advance(3 * time.Minute)
-	root.End()
+	tr := obs.NewTracer(8)
+	tr.StartAt("director", "recommend", base).EndAt(base.Add(3 * time.Minute))
 
 	srv := httptest.NewServer(NewObsHandler(obs.NewRegistry(), tr))
 	defer srv.Close()
@@ -173,7 +169,7 @@ func TestObsHandlerDebugSpans(t *testing.T) {
 }
 
 func TestObsHandlerMethodNotAllowed(t *testing.T) {
-	srv := httptest.NewServer(NewObsHandler(obs.NewRegistry(), obs.NewTracer(nil, 8)))
+	srv := httptest.NewServer(NewObsHandler(obs.NewRegistry(), obs.NewTracer(8)))
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/metrics", "text/plain", strings.NewReader("x"))
 	if err != nil {

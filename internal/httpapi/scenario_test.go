@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"testing"
 
 	"autodbaas/internal/scenario"
@@ -16,8 +15,7 @@ func TestScenarioServerStatus(t *testing.T) {
 	}
 	srv := NewScenarioServer(func() scenario.Status { return st })
 
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/scenario", nil))
+	rec := call(t, srv, "GET", "/v1/scenario", "")
 	if rec.Code != 200 {
 		t.Fatalf("GET /v1/scenario = %d, want 200", rec.Code)
 	}
@@ -29,8 +27,7 @@ func TestScenarioServerStatus(t *testing.T) {
 		t.Fatalf("status round-trip: got %+v, want %+v", got, st)
 	}
 
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/scenario", nil))
+	rec = call(t, srv, "POST", "/v1/scenario", "")
 	if rec.Code != 405 {
 		t.Fatalf("POST /v1/scenario = %d, want 405", rec.Code)
 	}

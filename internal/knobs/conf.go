@@ -1,21 +1,18 @@
 package knobs
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // RenderConf renders a configuration in the engine's native config-file
 // syntax — postgresql.conf for PostgreSQL, a [mysqld] section for MySQL.
-// Byte-valued knobs are printed with the largest exact binary unit, so
-// the output round-trips through ParseConf bit-for-bit. Knobs are
-// ordered by class then catalogue order, with class headers, the way a
-// DBA-maintained file would read.
+// Byte-valued knobs are printed with the largest exact binary unit and
+// millisecond knobs in whole seconds where exact, so every value is
+// printed without loss. Knobs are ordered by class then catalogue
+// order, with class headers, the way a DBA-maintained file would read.
 func (c *Catalog) RenderConf(cfg Config) string {
 	var b strings.Builder
 	if c.Engine == MySQL {
@@ -70,110 +67,4 @@ func formatBytes(v float64) string {
 		}
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// ParseConf parses a config file in the engine's syntax back into a
-// Config. Unknown knobs and malformed lines are reported as errors with
-// line numbers; comments, blank lines and a [mysqld] section header are
-// skipped.
-func (c *Catalog) ParseConf(r io.Reader) (Config, error) {
-	cfg := Config{}
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "[") {
-			continue
-		}
-		eq := strings.IndexByte(line, '=')
-		if eq < 0 {
-			return nil, fmt.Errorf("knobs: line %d: no '=' in %q", lineNo, line)
-		}
-		name := strings.TrimSpace(line[:eq])
-		raw := strings.TrimSpace(line[eq+1:])
-		// Strip trailing comments.
-		if h := strings.IndexByte(raw, '#'); h >= 0 {
-			raw = strings.TrimSpace(raw[:h])
-		}
-		raw = strings.Trim(raw, `'"`)
-		d := c.defs[name]
-		if d == nil {
-			return nil, fmt.Errorf("knobs: line %d: %w: %q", lineNo, ErrUnknownKnob, name)
-		}
-		v, err := d.parseValue(raw)
-		if err != nil {
-			return nil, fmt.Errorf("knobs: line %d: %s: %w", lineNo, name, err)
-		}
-		cfg[name] = v
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return cfg, nil
-}
-
-// parseValue parses an engine-file value with unit suffixes.
-func (d *Def) parseValue(raw string) (float64, error) {
-	lower := strings.ToLower(raw)
-	mult := 1.0
-	num := lower
-	switch {
-	case strings.HasSuffix(lower, "gb"):
-		mult, num = 1<<30, lower[:len(lower)-2]
-	case strings.HasSuffix(lower, "mb"):
-		mult, num = 1<<20, lower[:len(lower)-2]
-	case strings.HasSuffix(lower, "kb"):
-		mult, num = 1<<10, lower[:len(lower)-2]
-	case strings.HasSuffix(lower, "ms"):
-		num = lower[:len(lower)-2]
-	case strings.HasSuffix(lower, "min"):
-		mult, num = 60_000, lower[:len(lower)-3]
-	case strings.HasSuffix(lower, "s"):
-		mult, num = 1000, lower[:len(lower)-1]
-	}
-	num = strings.TrimSpace(num)
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad value %q", raw)
-	}
-	switch d.Unit {
-	case Bytes:
-		if mult == 1000 { // a bare trailing 's' on a byte knob is bogus
-			return 0, fmt.Errorf("time suffix on byte knob: %q", raw)
-		}
-		return v * mult, nil
-	case Milliseconds:
-		if mult == 1 || mult == 1000 || mult == 60_000 {
-			return v * mult, nil
-		}
-		return 0, fmt.Errorf("byte suffix on time knob: %q", raw)
-	default:
-		if mult != 1 {
-			return 0, fmt.Errorf("unit suffix on plain knob: %q", raw)
-		}
-		return v, nil
-	}
-}
-
-// Diff returns the knobs whose values differ between two configs, in
-// catalogue order — what a DBA would review before an apply.
-func (c *Catalog) Diff(from, to Config) []string {
-	var names []string
-	for _, n := range c.order {
-		fv, fok := from[n]
-		tv, tok := to[n]
-		if fok != tok || fv != tv {
-			names = append(names, n)
-		}
-	}
-	// Unknown-to-catalogue keys are appended sorted, so Diff is total.
-	var extra []string
-	for n := range to {
-		if c.defs[n] == nil {
-			extra = append(extra, n)
-		}
-	}
-	sort.Strings(extra)
-	return append(names, extra...)
 }

@@ -1,10 +1,8 @@
 package knobs
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestRenderConfPostgresShape(t *testing.T) {
@@ -40,109 +38,5 @@ func TestRenderConfMySQLHeader(t *testing.T) {
 	}
 	if !strings.Contains(out, "sort_buffer_size = 256kB") {
 		t.Fatalf("value formatting wrong:\n%s", out)
-	}
-}
-
-func TestParseConfRoundTrip(t *testing.T) {
-	for _, cat := range []*Catalog{PostgresCatalog(), MySQLCatalog()} {
-		cfg := cat.DefaultConfig()
-		out := cat.RenderConf(cfg)
-		back, err := cat.ParseConf(strings.NewReader(out))
-		if err != nil {
-			t.Fatalf("%s: parse: %v", cat.Engine, err)
-		}
-		if !back.Equal(cfg) {
-			for k, v := range cfg {
-				if back[k] != v {
-					t.Fatalf("%s: %s: %g → %g", cat.Engine, k, v, back[k])
-				}
-			}
-		}
-	}
-}
-
-func TestParseConfHandlesCommentsAndQuotes(t *testing.T) {
-	cat := PostgresCatalog()
-	in := `
-# tuned by autodbaas
-work_mem = '64MB'   # per-op memory
-checkpoint_timeout = 5min
-
-[overridden section ignored]
-random_page_cost = 1.1
-`
-	cfg, err := cat.ParseConf(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg["work_mem"] != 64*1024*1024 {
-		t.Fatalf("work_mem = %g", cfg["work_mem"])
-	}
-	if cfg["checkpoint_timeout"] != 300_000 {
-		t.Fatalf("checkpoint_timeout = %g", cfg["checkpoint_timeout"])
-	}
-	if cfg["random_page_cost"] != 1.1 {
-		t.Fatalf("random_page_cost = %g", cfg["random_page_cost"])
-	}
-}
-
-func TestParseConfErrors(t *testing.T) {
-	cat := PostgresCatalog()
-	cases := []string{
-		"no equals sign here",
-		"bogus_knob = 1",
-		"work_mem = notanumber",
-		"work_mem = 5s",            // time suffix on a byte knob
-		"checkpoint_timeout = 5MB", // byte suffix on a time knob
-		"random_page_cost = 4MB",   // suffix on a plain knob
-	}
-	for _, in := range cases {
-		if _, err := cat.ParseConf(strings.NewReader(in)); err == nil {
-			t.Fatalf("accepted %q", in)
-		}
-	}
-}
-
-func TestDiff(t *testing.T) {
-	cat := PostgresCatalog()
-	a := Config{"work_mem": 1, "random_page_cost": 4}
-	b := Config{"work_mem": 2, "random_page_cost": 4, "mystery": 9}
-	d := cat.Diff(a, b)
-	if len(d) != 2 || d[0] != "work_mem" || d[1] != "mystery" {
-		t.Fatalf("diff = %v", d)
-	}
-	if got := cat.Diff(a, a); len(got) != 0 {
-		t.Fatalf("self-diff = %v", got)
-	}
-}
-
-// Property: RenderConf → ParseConf round-trips any valid random config.
-func TestConfRoundTripProperty(t *testing.T) {
-	for _, cat := range []*Catalog{PostgresCatalog(), MySQLCatalog()} {
-		cat := cat
-		names := cat.Names()
-		f := func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
-			vec := make([]float64, len(names))
-			for i := range vec {
-				vec[i] = rng.Float64()
-			}
-			cfg := cat.Denormalize(vec, names)
-			back, err := cat.ParseConf(strings.NewReader(cat.RenderConf(cfg)))
-			if err != nil {
-				return false
-			}
-			for k, v := range cfg {
-				// Byte units round-trip exactly only on unit multiples;
-				// allow a relative epsilon from decimal formatting.
-				if diff := back[k] - v; diff > 1e-9*(1+v) || diff < -1e-9*(1+v) {
-					return false
-				}
-			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-			t.Fatalf("%s: %v", cat.Engine, err)
-		}
 	}
 }

@@ -160,94 +160,3 @@ func (a *Automaton) Feedback(act Action, rewarded bool) {
 		}
 	}
 }
-
-// Env evaluates a candidate knob value, returning the profit of moving
-// the knob there (positive: execution cost decreased; the response
-// B of the paper's MDP).
-type Env func(knob string, candidate float64) (profit float64)
-
-// StepResult records one MDP step.
-type StepResult struct {
-	Knob      string
-	Action    Action
-	Candidate float64
-	Profit    float64
-	Rewarded  bool
-}
-
-// EpisodeResult aggregates one episode (350–400 steps in the paper).
-type EpisodeResult struct {
-	Steps int
-	// TotalReward is the net cost improvement over the episode: the sum
-	// of signed per-step profits (losses subtract), the quantity that
-	// grows as the policy converges (Fig. 6a).
-	TotalReward float64
-	// Accuracy is the fraction of steps whose chosen action was the
-	// profitable one, among steps where a profitable direction existed
-	// at all — the learning-accuracy series of Fig. 6(b). Steps at a
-	// local optimum (no action profits) are excluded.
-	Accuracy float64
-	// Throttles counts profitable steps, each of which raises a
-	// throttle signal to the config director.
-	Throttles int
-}
-
-// Trainer runs episodes over a set of automata.
-type Trainer struct {
-	Automata []*Automaton
-	// CommitOnReward moves the automaton's value when a step profits
-	// (the TDE keeps the better value while awaiting the tuner).
-	CommitOnReward bool
-}
-
-// NewTrainer returns a Trainer over the automata with commit-on-reward
-// semantics.
-func NewTrainer(automata ...*Automaton) *Trainer {
-	return &Trainer{Automata: automata, CommitOnReward: true}
-}
-
-// RunEpisode performs steps rounds; each round picks every automaton in
-// turn, samples an action, queries env and applies feedback. It returns
-// the episode aggregate and per-step trace.
-func (t *Trainer) RunEpisode(rng *rand.Rand, env Env, steps int) (EpisodeResult, []StepResult) {
-	if steps <= 0 || len(t.Automata) == 0 {
-		return EpisodeResult{}, nil
-	}
-	var res EpisodeResult
-	var gradientSteps, correctSteps int
-	trace := make([]StepResult, 0, steps)
-	for s := 0; s < steps; s++ {
-		a := t.Automata[s%len(t.Automata)]
-		act := a.Choose(rng)
-		cand := a.Candidate(act)
-		profit := env(a.Knob, cand)
-		// Probe the opposite direction too, so accuracy can be judged
-		// against "was there a profitable move at all".
-		other := Increase
-		if act == Increase {
-			other = Decrease
-		}
-		otherProfit := env(a.Knob, a.Candidate(other))
-		rewarded := profit > 0
-		a.Feedback(act, rewarded)
-		res.TotalReward += profit
-		if profit > 0 || otherProfit > 0 {
-			gradientSteps++
-			if rewarded && profit >= otherProfit {
-				correctSteps++
-			}
-		}
-		if rewarded {
-			res.Throttles++
-			if t.CommitOnReward {
-				a.Commit(act)
-			}
-		}
-		trace = append(trace, StepResult{Knob: a.Knob, Action: act, Candidate: cand, Profit: profit, Rewarded: rewarded})
-		res.Steps++
-	}
-	if gradientSteps > 0 {
-		res.Accuracy = float64(correctSteps) / float64(gradientSteps)
-	}
-	return res, trace
-}

@@ -59,15 +59,47 @@ func TestFeedbackKeepsExplorationFloor(t *testing.T) {
 	}
 }
 
+// episode runs steps Choose/Feedback rounds of a against profit, the
+// gain of moving the knob to a candidate value, committing every
+// profitable move. It returns the summed profit, the number of
+// profitable steps, and the fraction of steps with a profitable
+// direction on which the automaton took the better one.
+func episode(a *Automaton, rng *rand.Rand, profit func(float64) float64, steps int) (reward float64, throttles int, accuracy float64) {
+	var gradient, correct int
+	for s := 0; s < steps; s++ {
+		act := a.Choose(rng)
+		other := Increase
+		if act == Increase {
+			other = Decrease
+		}
+		p, q := profit(a.Candidate(act)), profit(a.Candidate(other))
+		a.Feedback(act, p > 0)
+		reward += p
+		if p > 0 || q > 0 {
+			gradient++
+			if p > 0 && p >= q {
+				correct++
+			}
+		}
+		if p > 0 {
+			throttles++
+			a.Commit(act)
+		}
+	}
+	if gradient > 0 {
+		accuracy = float64(correct) / float64(gradient)
+	}
+	return reward, throttles, accuracy
+}
+
 func TestAutomatonConvergesToProfitableDirection(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a, _ := NewAutomaton("random_page_cost", 4, 0.25, 1, 10)
 	// True optimum at 1.5: moving toward it profits.
-	env := func(_ string, cand float64) float64 {
+	profit := func(cand float64) float64 {
 		return math.Abs(a.Value()-1.5) - math.Abs(cand-1.5)
 	}
-	tr := NewTrainer(a)
-	res, _ := tr.RunEpisode(rng, env, 400)
+	_, throttles, _ := episode(a, rng, profit, 400)
 	if a.Value() > 2.5 {
 		t.Fatalf("did not converge toward optimum: value = %g", a.Value())
 	}
@@ -75,7 +107,7 @@ func TestAutomatonConvergesToProfitableDirection(t *testing.T) {
 	if !(pd > 0.5) {
 		t.Fatalf("decrease probability = %g, want > 0.5 near optimum-from-above", pd)
 	}
-	if res.Throttles == 0 {
+	if throttles == 0 {
 		t.Fatal("profitable episode raised no throttles")
 	}
 }
@@ -86,76 +118,24 @@ func TestEpisodicRewardImprovesAcrossEpisodes(t *testing.T) {
 	// profitable direction stays "increase" throughout.
 	rng := rand.New(rand.NewSource(2))
 	a, _ := NewAutomaton("effective_io_concurrency", 1, 1, 0, 10_000)
-	env := func(_ string, cand float64) float64 {
-		return (math.Abs(a.Value()-9000) - math.Abs(cand-9000))
+	profit := func(cand float64) float64 {
+		return math.Abs(a.Value()-9000) - math.Abs(cand-9000)
 	}
-	tr := NewTrainer(a)
-	first, _ := tr.RunEpisode(rng, env, 100)
+	firstReward, _, firstAcc := episode(a, rng, profit, 100)
 	for i := 0; i < 3; i++ {
-		tr.RunEpisode(rng, env, 100)
+		episode(a, rng, profit, 100)
 	}
-	last, _ := tr.RunEpisode(rng, env, 100)
-	if !(last.Accuracy > first.Accuracy) {
-		t.Fatalf("accuracy did not improve: %.2f → %.2f", first.Accuracy, last.Accuracy)
+	lastReward, _, lastAcc := episode(a, rng, profit, 100)
+	if !(lastAcc > firstAcc) {
+		t.Fatalf("accuracy did not improve: %.2f → %.2f", firstAcc, lastAcc)
 	}
-	if !(last.TotalReward > first.TotalReward) {
-		t.Fatalf("reward did not improve: %.1f → %.1f", first.TotalReward, last.TotalReward)
-	}
-}
-
-func TestRunEpisodeDegenerate(t *testing.T) {
-	tr := NewTrainer()
-	res, trace := tr.RunEpisode(rand.New(rand.NewSource(3)), func(string, float64) float64 { return 1 }, 10)
-	if res.Steps != 0 || trace != nil {
-		t.Fatal("empty trainer should no-op")
-	}
-	a, _ := NewAutomaton("k", 5, 1, 0, 10)
-	tr2 := NewTrainer(a)
-	if res, _ := tr2.RunEpisode(rand.New(rand.NewSource(4)), func(string, float64) float64 { return 1 }, 0); res.Steps != 0 {
-		t.Fatal("zero steps should no-op")
-	}
-}
-
-func TestTraceRecordsSteps(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a, _ := NewAutomaton("k", 5, 1, 0, 10)
-	tr := NewTrainer(a)
-	res, trace := tr.RunEpisode(rng, func(_ string, cand float64) float64 { return cand - 5 }, 50)
-	if len(trace) != 50 || res.Steps != 50 {
-		t.Fatalf("trace len %d, steps %d", len(trace), res.Steps)
-	}
-	for _, s := range trace {
-		if s.Knob != "k" {
-			t.Fatalf("trace knob %q", s.Knob)
-		}
-		if s.Rewarded != (s.Profit > 0) {
-			t.Fatal("reward flag inconsistent with profit")
-		}
+	if !(lastReward > firstReward) {
+		t.Fatalf("reward did not improve: %.1f → %.1f", firstReward, lastReward)
 	}
 }
 
 func TestActionString(t *testing.T) {
 	if Increase.String() != "increase" || Decrease.String() != "decrease" {
 		t.Fatal("action strings wrong")
-	}
-}
-
-func TestMultiKnobRoundRobin(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a1, _ := NewAutomaton("k1", 5, 1, 0, 10)
-	a2, _ := NewAutomaton("k2", 5, 1, 0, 10)
-	tr := NewTrainer(a1, a2)
-	var k1Steps, k2Steps int
-	_, trace := tr.RunEpisode(rng, func(string, float64) float64 { return -1 }, 40)
-	for _, s := range trace {
-		switch s.Knob {
-		case "k1":
-			k1Steps++
-		case "k2":
-			k2Steps++
-		}
-	}
-	if k1Steps != 20 || k2Steps != 20 {
-		t.Fatalf("round-robin uneven: %d/%d", k1Steps, k2Steps)
 	}
 }

@@ -30,12 +30,3 @@ func CacheFrom(r *Registry, name string) CacheMetrics {
 		Evictions: r.Counter("autodbaas_cache_evictions_total", "Entries evicted to make room.", l),
 	}
 }
-
-// HitRate returns hits/(hits+misses), or 0 with no traffic.
-func (c CacheMetrics) HitRate() float64 {
-	h, m := c.Hits.Value(), c.Misses.Value()
-	if h+m == 0 {
-		return 0
-	}
-	return h / (h + m)
-}

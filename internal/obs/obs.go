@@ -1,7 +1,7 @@
 // Package obs is the control-plane observability subsystem: a
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
 // histograms with labels, Prometheus-style text exposition and a JSON
-// snapshot), a lightweight span tracer keyed to simclock virtual time,
+// snapshot), a lightweight span tracer keyed to explicit virtual instants,
 // and a small leveled logger. It is stdlib-only and cheap enough for
 // the control plane's hot paths: instrument handles are resolved once
 // (sharded map) and updated with atomics thereafter.
@@ -24,10 +24,9 @@ var defaultRegistry = NewRegistry()
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
 
-// defaultTracer is the process-wide tracer. Components that know a
-// virtual timeline record spans with explicit instants (StartAt/EndAt);
-// everything else falls back to the real clock.
-var defaultTracer = NewTracer(nil, 256)
+// defaultTracer is the process-wide tracer. Components record spans at
+// explicit instants on their own virtual timeline (StartAt/EndAt).
+var defaultTracer = NewTracer(256)
 
 // DefaultTracer returns the process-wide tracer.
 func DefaultTracer() *Tracer { return defaultTracer }

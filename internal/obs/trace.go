@@ -7,14 +7,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"autodbaas/internal/simclock"
 )
 
-// SpanData is one finished span. Start/End are instants on the tracer's
-// clock — for the simulated fleet that is *virtual* time, so a span dump
-// of a simulated day reads as a coherent timeline regardless of how fast
-// the simulation actually ran. Wall-clock costs travel in Attrs.
+// SpanData is one finished span. Start/End are the instants the caller
+// passed — for the simulated fleet that is *virtual* time, so a span
+// dump of a simulated day reads as a coherent timeline regardless of how
+// fast the simulation actually ran. Wall-clock costs travel in Attrs.
 type SpanData struct {
 	ID        uint64            `json:"id"`
 	ParentID  uint64            `json:"parent_id,omitempty"`
@@ -25,20 +23,14 @@ type SpanData struct {
 	Attrs     map[string]string `json:"attrs,omitempty"`
 }
 
-// Duration returns the span's (virtual) duration.
-func (s SpanData) Duration() time.Duration { return s.End.Sub(s.Start) }
-
-// Span is an in-flight span; call End (or EndAt) exactly once to record
-// it into the tracer's per-component ring buffer.
+// Span is an in-flight span; call EndAt exactly once to record it into
+// the tracer's per-component ring buffer.
 type Span struct {
 	tr   *Tracer
 	data SpanData
 	mu   sync.Mutex
 	done bool
 }
-
-// ID returns the span's tracer-unique ID.
-func (s *Span) ID() uint64 { return s.data.ID }
 
 // SetAttr attaches a key/value attribute.
 func (s *Span) SetAttr(k, v string) {
@@ -53,15 +45,6 @@ func (s *Span) SetAttr(k, v string) {
 	s.mu.Unlock()
 }
 
-// StartChild opens a child span in the same component at the tracer's
-// current time.
-func (s *Span) StartChild(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.StartChildAt(name, s.tr.now())
-}
-
 // StartChildAt opens a child span at an explicit instant.
 func (s *Span) StartChildAt(name string, at time.Time) *Span {
 	if s == nil {
@@ -70,14 +53,6 @@ func (s *Span) StartChildAt(name string, at time.Time) *Span {
 	c := s.tr.StartAt(s.data.Component, name, at)
 	c.data.ParentID = s.data.ID
 	return c
-}
-
-// End closes the span at the tracer's current time.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.EndAt(s.tr.now())
 }
 
 // EndAt closes the span at an explicit instant and records it.
@@ -130,12 +105,10 @@ func (r *spanRing) spans() []SpanData {
 	return out
 }
 
-// Tracer records spans into per-component ring buffers. Timestamps come
-// from a simclock.Clock so virtual-time experiments produce coherent
-// traces; callers that track their own virtual timeline (the simulated
-// engines do) use the *At variants with explicit instants.
+// Tracer records spans into per-component ring buffers. Callers pass
+// every instant explicitly, because each simulated engine keeps its own
+// virtual timeline.
 type Tracer struct {
-	clock   simclock.Clock
 	ringCap int
 	nextID  atomic.Uint64
 
@@ -143,42 +116,16 @@ type Tracer struct {
 	rings map[string]*spanRing
 }
 
-// NewTracer returns a tracer over the given clock (nil: real time) with
-// per-component rings of ringCap finished spans (<=0: 256).
-func NewTracer(clock simclock.Clock, ringCap int) *Tracer {
-	if clock == nil {
-		clock = simclock.Real{}
-	}
+// NewTracer returns a tracer with per-component rings of ringCap
+// finished spans (<=0: 256).
+func NewTracer(ringCap int) *Tracer {
 	if ringCap <= 0 {
 		ringCap = 256
 	}
-	return &Tracer{clock: clock, ringCap: ringCap, rings: make(map[string]*spanRing)}
+	return &Tracer{ringCap: ringCap, rings: make(map[string]*spanRing)}
 }
 
-// SetClock swaps the tracer's clock (e.g. onto an experiment's Virtual
-// clock). Only affects spans started afterwards via Start/StartChild.
-func (t *Tracer) SetClock(c simclock.Clock) {
-	if c == nil {
-		c = simclock.Real{}
-	}
-	t.mu.Lock()
-	t.clock = c
-	t.mu.Unlock()
-}
-
-func (t *Tracer) now() time.Time {
-	t.mu.RLock()
-	c := t.clock
-	t.mu.RUnlock()
-	return c.Now()
-}
-
-// Start opens a span at the tracer clock's current time.
-func (t *Tracer) Start(component, name string) *Span {
-	return t.StartAt(component, name, t.now())
-}
-
-// StartAt opens a span at an explicit instant (virtual timelines).
+// StartAt opens a span at an explicit instant.
 func (t *Tracer) StartAt(component, name string, at time.Time) *Span {
 	return &Span{tr: t, data: SpanData{
 		ID:        t.nextID.Add(1),
@@ -232,13 +179,6 @@ func (t *Tracer) Spans(component string) []SpanData {
 		return out[i].ID < out[j].ID
 	})
 	return out
-}
-
-// Reset drops all recorded spans.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.rings = make(map[string]*spanRing)
-	t.mu.Unlock()
 }
 
 // WriteJSON writes all spans grouped by component; component filters to

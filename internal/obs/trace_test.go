@@ -6,23 +6,20 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"autodbaas/internal/simclock"
 )
 
-// TestSpanParentChildVirtualTime drives spans off a Virtual clock and
-// asserts parent/child linkage and ordering on virtual start instants.
-func TestSpanParentChildVirtualTime(t *testing.T) {
-	vc := simclock.NewVirtualAtZero()
-	tr := NewTracer(vc, 16)
+// t0 is the virtual instant the tracer tests start their timelines at.
+var t0 = time.Date(2021, 3, 23, 0, 0, 0, 0, time.UTC)
 
-	root := tr.Start("director", "recommend")
-	vc.Advance(2 * time.Minute)
-	child := root.StartChild("gpr-fit")
-	vc.Advance(3 * time.Minute)
-	child.End()
-	vc.Advance(time.Minute)
-	root.End()
+// TestSpanParentChildVirtualTime records spans at explicit virtual
+// instants and asserts parent/child linkage and ordering on start.
+func TestSpanParentChildVirtualTime(t *testing.T) {
+	tr := NewTracer(16)
+
+	root := tr.StartAt("director", "recommend", t0)
+	child := root.StartChildAt("gpr-fit", t0.Add(2*time.Minute))
+	child.EndAt(t0.Add(5 * time.Minute))
+	root.EndAt(t0.Add(6 * time.Minute))
 
 	spans := tr.Spans("director")
 	if len(spans) != 2 {
@@ -36,10 +33,10 @@ func TestSpanParentChildVirtualTime(t *testing.T) {
 	if spans[1].ParentID != spans[0].ID {
 		t.Errorf("child ParentID = %d, want %d", spans[1].ParentID, spans[0].ID)
 	}
-	if got := spans[0].Duration(); got != 6*time.Minute {
+	if got := spans[0].End.Sub(spans[0].Start); got != 6*time.Minute {
 		t.Errorf("root virtual duration = %v, want 6m", got)
 	}
-	if got := spans[1].Duration(); got != 3*time.Minute {
+	if got := spans[1].End.Sub(spans[1].Start); got != 3*time.Minute {
 		t.Errorf("child virtual duration = %v, want 3m", got)
 	}
 	if !spans[1].Start.Equal(spans[0].Start.Add(2 * time.Minute)) {
@@ -48,8 +45,7 @@ func TestSpanParentChildVirtualTime(t *testing.T) {
 }
 
 func TestTracerExplicitInstants(t *testing.T) {
-	tr := NewTracer(nil, 8)
-	t0 := time.Date(2021, 3, 23, 8, 0, 0, 0, time.UTC)
+	tr := NewTracer(8)
 	sp := tr.StartAt("agent", "tde-tick", t0)
 	sp.SetAttr("instance", "db-001")
 	sp.EndAt(t0.Add(5 * time.Minute))
@@ -60,14 +56,13 @@ func TestTracerExplicitInstants(t *testing.T) {
 	if spans[0].Attrs["instance"] != "db-001" {
 		t.Errorf("attr lost: %+v", spans[0].Attrs)
 	}
-	if spans[0].Duration() != 5*time.Minute {
-		t.Errorf("duration = %v", spans[0].Duration())
+	if d := spans[0].End.Sub(spans[0].Start); d != 5*time.Minute {
+		t.Errorf("duration = %v", d)
 	}
 }
 
 func TestTracerRingEviction(t *testing.T) {
-	tr := NewTracer(nil, 4)
-	t0 := time.Date(2021, 3, 23, 0, 0, 0, 0, time.UTC)
+	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
 		sp := tr.StartAt("c", "s", t0.Add(time.Duration(i)*time.Second))
 		sp.EndAt(t0.Add(time.Duration(i)*time.Second + time.Millisecond))
@@ -83,16 +78,16 @@ func TestTracerRingEviction(t *testing.T) {
 }
 
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(nil, 64)
+	tr := NewTracer(64)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				sp := tr.Start("comp", "op")
+				sp := tr.StartAt("comp", "op", t0)
 				sp.SetAttr("g", "x")
-				sp.End()
+				sp.EndAt(t0)
 			}
 		}(g)
 	}
@@ -103,9 +98,9 @@ func TestTracerConcurrent(t *testing.T) {
 }
 
 func TestTracerWriteJSON(t *testing.T) {
-	tr := NewTracer(nil, 8)
-	sp := tr.Start("dfa", "apply")
-	sp.End()
+	tr := NewTracer(8)
+	sp := tr.StartAt("dfa", "apply", t0)
+	sp.EndAt(t0)
 	var b bytes.Buffer
 	if err := tr.WriteJSON(&b, ""); err != nil {
 		t.Fatal(err)
@@ -117,9 +112,9 @@ func TestTracerWriteJSON(t *testing.T) {
 	if len(out["dfa"]) != 1 {
 		t.Fatalf("span dump = %+v", out)
 	}
-	// Double End must not duplicate the span.
-	sp.End()
+	// A second EndAt must not duplicate the span.
+	sp.EndAt(t0)
 	if got := len(tr.Spans("dfa")); got != 1 {
-		t.Fatalf("double End recorded %d spans", got)
+		t.Fatalf("double EndAt recorded %d spans", got)
 	}
 }

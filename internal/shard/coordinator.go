@@ -70,8 +70,9 @@ func (f FleetFingerprint) Merged() Fingerprint {
 }
 
 // Coordinator drives a fixed set of named shards as one fleet: instance
-// placement, the fan-out/merge of every window step, rebalancing,
-// nested fleet snapshots and per-shard crash recovery. Shards are fully
+// placement, the fan-out/merge of every window step, rebalancing and
+// nested fleet snapshots. A lost worker is recovered by restoring the
+// fleet snapshot into a coordinator over its replacement. Shards are fully
 // independent vertical slices — each owns its orchestrator, director,
 // repository and tuner pool for its cohort — so the cross-shard merge
 // has no ordering hazards and the fleet result is the deterministic
@@ -85,16 +86,6 @@ type Coordinator struct {
 
 	windows   int
 	throttles int // cumulative across all windows
-
-	// durations logs every window's length since the last
-	// SnapshotShards — with per-shard snapshots it is the recovery
-	// recipe: restore the dead shard's snapshot, replay these windows.
-	durations  []time.Duration
-	snaps      map[string][]byte
-	snapWindow int
-	// dirty marks shards whose membership changed after the last
-	// SnapshotShards; their snapshot + replay recipe is stale.
-	dirty map[string]bool
 
 	// extras are caller sections riding in fleet snapshots as
 	// "extra/<name>" — the coordinator twin of
@@ -120,8 +111,6 @@ func NewCoordinator(shards ...Shard) (*Coordinator, error) {
 	c := &Coordinator{
 		byName: make(map[string]Shard, len(shards)),
 		assign: make(map[string]string),
-		snaps:  make(map[string][]byte),
-		dirty:  make(map[string]bool),
 	}
 	for _, sh := range shards {
 		name := sh.Name()
@@ -273,7 +262,6 @@ func (c *Coordinator) AddInstanceTo(shardName string, spec InstanceSpec) error {
 	c.mu.Lock()
 	c.assign[spec.ID] = shardName
 	c.order = append(c.order, spec.ID)
-	c.dirty[shardName] = true
 	c.mu.Unlock()
 	return nil
 }
@@ -298,7 +286,6 @@ func (c *Coordinator) RemoveInstance(id string) error {
 			break
 		}
 	}
-	c.dirty[name] = true
 	c.mu.Unlock()
 	return nil
 }
@@ -312,13 +299,7 @@ func (c *Coordinator) ResizeInstance(id, plan string, seed int64, agentCfg Agent
 	if !ok {
 		return fmt.Errorf("shard: no instance %q in the fleet", id)
 	}
-	if err := sh.ResizeInstance(id, plan, seed, agentCfg); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.dirty[name] = true
-	c.mu.Unlock()
-	return nil
+	return sh.ResizeInstance(id, plan, seed, agentCfg)
 }
 
 // Step advances the whole fleet one observation window: every shard
@@ -369,7 +350,6 @@ func (c *Coordinator) Step(dur time.Duration) (StepResult, error) {
 	c.mu.Lock()
 	c.windows = want
 	c.throttles += out.Throttles
-	c.durations = append(c.durations, dur)
 	c.mu.Unlock()
 	return out, nil
 }
@@ -394,20 +374,6 @@ func fanOut(shards []Shard, op string, fn func(i int, sh Shard) error) error {
 		}
 	}
 	return nil
-}
-
-// RunFor steps the fleet with the given window until total has elapsed,
-// returning the aggregate throttle count.
-func (c *Coordinator) RunFor(total, window time.Duration) (int, error) {
-	var throttles int
-	for elapsed := time.Duration(0); elapsed < total; elapsed += window {
-		res, err := c.Step(window)
-		if err != nil {
-			return throttles, err
-		}
-		throttles += res.Throttles
-	}
-	return throttles, nil
 }
 
 // Counters aggregates every shard's counters into fleet totals.
@@ -484,8 +450,6 @@ func (c *Coordinator) Rebalance(id, toShard string) error {
 	}
 	c.mu.Lock()
 	c.assign[id] = toShard
-	c.dirty[fromName] = true
-	c.dirty[toShard] = true
 	c.mu.Unlock()
 	return nil
 }
@@ -502,8 +466,7 @@ type coordinatorState struct {
 // Checkpoint writes a fleet snapshot to w: an outer ADBC container whose
 // sections are the coordinator's control state plus every shard's full
 // snapshot ("shard/<name>") — each itself a complete inner container,
-// so every byte gets two layers of CRC verification and the shard
-// snapshots double as the per-shard recovery baseline.
+// so every byte gets two layers of CRC verification.
 func (c *Coordinator) Checkpoint(w io.Writer) error {
 	snap, err := c.snapshot()
 	if err != nil {
@@ -647,10 +610,6 @@ func (c *Coordinator) RestoreSections(sections map[string][]byte) error {
 	for id, name := range st.Assign {
 		c.assign[id] = name
 	}
-	c.durations = nil
-	c.snaps = make(map[string][]byte)
-	c.snapWindow = st.Windows
-	c.dirty = make(map[string]bool)
 	extras := append([]coordExtra(nil), c.extras...)
 	c.mu.Unlock()
 
@@ -677,83 +636,6 @@ func namesOf(shards []Shard) []string {
 		out = append(out, sh.Name())
 	}
 	return out
-}
-
-// SnapshotShards captures every shard's snapshot in memory and resets
-// the replay log — the recovery baseline for RecoverShard. Call it
-// between Steps; the snapshots are per-shard, so recovering one dead
-// worker later touches nothing else.
-func (c *Coordinator) SnapshotShards() error {
-	c.mu.Lock()
-	shards := append([]Shard(nil), c.shards...)
-	c.mu.Unlock()
-	blobs := make([][]byte, len(shards))
-	if err := fanOut(shards, "snapshot", func(i int, sh Shard) (err error) {
-		blobs[i], err = sh.Checkpoint()
-		return err
-	}); err != nil {
-		return err
-	}
-	snaps := make(map[string][]byte, len(shards))
-	for i, sh := range shards {
-		snaps[sh.Name()] = blobs[i]
-	}
-	c.mu.Lock()
-	c.snaps = snaps
-	c.snapWindow = c.windows
-	c.durations = nil
-	c.dirty = make(map[string]bool)
-	c.mu.Unlock()
-	return nil
-}
-
-// ReplaceShard swaps a (dead) shard for a replacement with the same
-// name — a fresh Remote to a restarted worker process, or a fresh
-// Local — and rebuilds its state: restore the shard's last snapshot,
-// then replay the logged windows since. Shards are fully independent,
-// so replaying one shard alone reproduces its state bit-for-bit; the
-// rest of the fleet is never touched. Fails if membership on the shard
-// changed after the last SnapshotShards (the replay recipe is stale)
-// or if no snapshot exists.
-func (c *Coordinator) ReplaceShard(name string, replacement Shard) error {
-	if replacement.Name() != name {
-		return fmt.Errorf("shard: replacement is named %q, want %q", replacement.Name(), name)
-	}
-	c.mu.Lock()
-	old, ok := c.byName[name]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("shard: no shard %q in the map", name)
-	}
-	snap, haveSnap := c.snaps[name]
-	dirty := c.dirty[name]
-	replay := append([]time.Duration(nil), c.durations...)
-	c.mu.Unlock()
-	if !haveSnap {
-		return fmt.Errorf("shard %q: no recovery snapshot (call SnapshotShards between steps)", name)
-	}
-	if dirty {
-		return fmt.Errorf("shard %q: membership changed since the last SnapshotShards; take a fresh snapshot before recovery", name)
-	}
-	if err := replacement.Restore(snap); err != nil {
-		return err
-	}
-	for i, dur := range replay {
-		if _, err := replacement.Step(dur); err != nil {
-			return fmt.Errorf("shard %q: replay window %d/%d: %w", name, i+1, len(replay), err)
-		}
-	}
-	c.mu.Lock()
-	for i, sh := range c.shards {
-		if sh.Name() == name {
-			c.shards[i] = replacement
-			break
-		}
-	}
-	c.byName[name] = replacement
-	c.mu.Unlock()
-	old.Close()
-	return nil
 }
 
 // Close releases every shard.

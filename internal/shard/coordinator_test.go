@@ -192,12 +192,12 @@ func newRemoteCoordinator(t *testing.T, cfgs []Config) (*Coordinator, map[string
 	return c, kills
 }
 
-// TestCrossProcessDeterminism is the tentpole acceptance test: a fixed
-// (seed, topology, shard map) produces bit-for-bit the same fleet
-// fingerprint whether the shards run in-process or as three worker
-// processes — clean and under medium fault injection — and, for the
-// multi-process fleet, across killing one worker mid-run and restoring
-// its replacement from the shard snapshot + replay log.
+// TestCrossProcessDeterminism: a fixed (seed, topology, shard map)
+// produces bit-for-bit the same fleet fingerprint whether the shards run
+// in-process or as three worker processes — clean and under medium
+// fault injection — and, for the multi-process fleet, across killing
+// one worker mid-run and restoring the fleet snapshot into a coordinator
+// over the survivors plus a fresh worker.
 func TestCrossProcessDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process determinism sweep")
@@ -231,20 +231,23 @@ func TestCrossProcessDeterminism(t *testing.T) {
 				t.Fatalf("placement degenerate: only %d shard(s) hold instances", shardsUsed)
 			}
 
-			remote, kills := newRemoteCoordinator(t, cfgs)
-			defer remote.Close()
-			populate(t, remote, fleetSize)
+			first, kills := newRemoteCoordinator(t, cfgs)
+			populate(t, first, fleetSize)
 
-			// First leg, then capture the recovery baseline.
-			fleetStepN(t, remote, 4)
-			if err := remote.SnapshotShards(); err != nil {
+			// First leg, then the fleet snapshot; the windows after it
+			// are lost with the worker.
+			fleetStepN(t, first, 4)
+			var snap bytes.Buffer
+			if err := first.Checkpoint(&snap); err != nil {
 				t.Fatal(err)
 			}
-			fleetStepN(t, remote, 4)
+			fleetStepN(t, first, 4)
 
-			// Kill the middle worker mid-run and restore a fresh process
-			// from the shard snapshot + replay log.
+			// Kill the middle worker mid-run and restore the snapshot
+			// into a coordinator over the survivors and a fresh process.
 			kills["s1"]()
+			dead, _ := first.Shard("s1")
+			dead.Close()
 			addr, _ := spawnWorker(t)
 			fresh, err := Dial("tcp", addr)
 			if err != nil {
@@ -253,10 +256,21 @@ func TestCrossProcessDeterminism(t *testing.T) {
 			if err := fresh.Init(cfgs[1]); err != nil {
 				t.Fatal(err)
 			}
-			if err := remote.ReplaceShard("s1", fresh); err != nil {
+			s0, _ := first.Shard("s0")
+			s2, _ := first.Shard("s2")
+			remote, err := NewCoordinator(s0, fresh, s2)
+			if err != nil {
 				t.Fatal(err)
 			}
-			fleetStepN(t, remote, windows-8)
+			defer remote.Close()
+			_, sections, err := checkpoint.Inspect(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := remote.RestoreSections(sections); err != nil {
+				t.Fatal(err)
+			}
+			fleetStepN(t, remote, windows-4)
 
 			got, err := remote.Fingerprint()
 			if err != nil {
@@ -455,7 +469,6 @@ func TestFanOutNamesFirstFailingShard(t *testing.T) {
 
 	for op, err := range map[string]error{
 		"checkpoint": c.Checkpoint(io.Discard),
-		"snapshot":   c.SnapshotShards(),
 		"restore":    c.RestoreSections(sections),
 	} {
 		if err == nil || !strings.HasPrefix(err.Error(), `shard "a": `+op+": ") {
@@ -660,52 +673,4 @@ func TestRebalanceWhileCircuitOpen(t *testing.T) {
 		t.Errorf("source still tracks a circuit for migrated instance %s", tripped)
 	}
 	fleetStepN(t, c, 2)
-}
-
-// TestReplaceShardGuards pins the recovery preconditions: no snapshot
-// and stale membership both refuse with actionable errors.
-func TestReplaceShardGuards(t *testing.T) {
-	cfgs := shardConfigs("")[:2]
-	c := newLocalCoordinator(t, cfgs)
-	if err := c.AddInstanceTo("s0", testSpec(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddInstanceTo("s1", testSpec(1)); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh, err := NewLocal(cfgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReplaceShard("s0", fresh); err == nil || !strings.Contains(err.Error(), "no recovery snapshot") {
-		t.Fatalf("err = %v, want missing-snapshot refusal", err)
-	}
-	if err := c.SnapshotShards(); err != nil {
-		t.Fatal(err)
-	}
-	// Membership change invalidates the replay recipe for that shard.
-	var onS0 string
-	for _, id := range c.Instances() {
-		if name, _ := c.Assignment(id); name == "s0" {
-			onS0 = id
-			break
-		}
-	}
-	if onS0 == "" {
-		t.Fatal("nothing placed on s0")
-	}
-	if err := c.RemoveInstance(onS0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReplaceShard("s0", fresh); err == nil || !strings.Contains(err.Error(), "membership changed") {
-		t.Fatalf("err = %v, want stale-membership refusal", err)
-	}
-	mismatch, err := NewLocal(testConfig("other", 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReplaceShard("s0", mismatch); err == nil {
-		t.Fatal("name-mismatched replacement accepted")
-	}
 }

@@ -243,9 +243,6 @@ func (e *Engine) EngineName() string { return e.engineName }
 // KnobCatalog returns the engine's knob catalogue.
 func (e *Engine) KnobCatalog() *knobs.Catalog { return e.kcat }
 
-// MetricCatalog returns the engine's metric catalogue.
-func (e *Engine) MetricCatalog() *metrics.Catalog { return e.mcat }
-
 // Resources returns the hosting resources.
 func (e *Engine) Resources() Resources { return e.res }
 
@@ -432,13 +429,6 @@ func (e *Engine) restartLocked() {
 	e.dirtyBytes = 0
 	e.walSinceCkpt = 0
 	e.lastCkpt = e.now
-}
-
-// Crash marks the process as crashed (used in failure-injection tests).
-func (e *Engine) Crash() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.down = true
 }
 
 // LogEntry is one query-log line: the template ID and class of the

@@ -348,7 +348,7 @@ func TestRestartColdCache(t *testing.T) {
 
 func TestDownEngineTimePasses(t *testing.T) {
 	e := newPG(t, m4Large(), workload.GiB)
-	e.Crash()
+	e.SetFaultHooks(&FaultHooks{WindowStart: func() WindowFault { return WindowFault{Crash: true} }})
 	before := e.Now()
 	_, err := e.RunWindow(workload.NewYCSB(workload.GiB, 10), time.Minute)
 	if !errors.Is(err, ErrDown) {

@@ -406,17 +406,3 @@ func (e *Engine) WorkingSetBytes() float64 {
 	defer e.mu.Unlock()
 	return e.workingSet
 }
-
-// DiskLatencyMs returns the latest data-disk latency gauge.
-func (e *Engine) DiskLatencyMs() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.diskLatency
-}
-
-// DiskWriteLatencyMs returns the latest write-side latency gauge.
-func (e *Engine) DiskWriteLatencyMs() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.diskWriteLatency
-}

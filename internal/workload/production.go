@@ -31,9 +31,6 @@ const ProductionTables = 132
 // ProductionDBSize is the traced database size (59 GB).
 const ProductionDBSize = 59 * GiB
 
-// ProductionQueriesPerDay is the traced average daily query volume.
-const ProductionQueriesPerDay = 42_130_000.0
-
 // NewProduction returns the production-trace generator.
 func NewProduction() *Production {
 	p := &Production{}
@@ -95,7 +92,7 @@ func (p *Production) Name() string { return "production" }
 func (p *Production) DBSizeBytes() float64 { return ProductionDBSize }
 
 // RequestRate implements Generator. The curve integrates to
-// approximately ProductionQueriesPerDay over 24 hours: a base load, a
+// approximately the traced 42.13M daily queries: a base load, a
 // sharp 8–11 AM surge peaking around 9:30, an afternoon shoulder and a
 // low-amplitude ripple from batch jobs.
 func (p *Production) RequestRate(at time.Time) float64 {

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// SimEpoch is the virtual-time origin every simulated engine starts at
-// (simclock.NewVirtualAtZero). Scenario load shapes are phrased in
+// SimEpoch is the virtual-time origin every simulated engine starts its
+// own clock at. Scenario load shapes are phrased in
 // minutes since scenario start; an instance provisioned mid-scenario
 // still starts its own clock at SimEpoch, so its shape carries the
 // offset between the two timelines.

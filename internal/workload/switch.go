@@ -35,16 +35,6 @@ func (s *Switch) Flipped() bool {
 	return s.flipped
 }
 
-// SetFlipped overwrites the shift bit — the checkpoint-restore hook for
-// workload-shift experiments. Generators are construction parameters
-// under the rebuild-then-restore contract; the Switch's one mutable bit
-// is the exception, restored with this setter.
-func (s *Switch) SetFlipped(v bool) {
-	s.mu.Lock()
-	s.flipped = v
-	s.mu.Unlock()
-}
-
 func (s *Switch) current() Generator {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -72,69 +62,3 @@ func (s *Switch) RequestRate(at time.Time) float64 { return s.current().RequestR
 
 // Sample implements Generator.
 func (s *Switch) Sample(rng *rand.Rand) Query { return s.current().Sample(rng) }
-
-// Schedule wraps a generator list with flip times, producing a workload
-// whose identity changes over (virtual) time — a multi-phase trace.
-type Schedule struct {
-	phases []SchedulePhase
-}
-
-// SchedulePhase is one leg of a Schedule.
-type SchedulePhase struct {
-	// From is the instant this phase's generator takes over.
-	From time.Time
-	Gen  Generator
-}
-
-// NewSchedule builds a schedule; phases must be in ascending From order
-// and non-empty. Before the first phase's From, the first generator is
-// used.
-func NewSchedule(phases ...SchedulePhase) *Schedule {
-	if len(phases) == 0 {
-		panic("workload: empty schedule")
-	}
-	for i := 1; i < len(phases); i++ {
-		if phases[i].From.Before(phases[i-1].From) {
-			panic("workload: schedule phases out of order")
-		}
-	}
-	return &Schedule{phases: phases}
-}
-
-// at returns the generator active at the given time.
-func (s *Schedule) at(t time.Time) Generator {
-	cur := s.phases[0].Gen
-	for _, p := range s.phases {
-		if t.Before(p.From) {
-			break
-		}
-		cur = p.Gen
-	}
-	return cur
-}
-
-// Name implements Generator (the first phase names the schedule).
-func (s *Schedule) Name() string { return s.phases[0].Gen.Name() + "-schedule" }
-
-// DBSizeBytes implements Generator: the maximum across phases.
-func (s *Schedule) DBSizeBytes() float64 {
-	var max float64
-	for _, p := range s.phases {
-		if v := p.Gen.DBSizeBytes(); v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// RequestRate implements Generator.
-func (s *Schedule) RequestRate(at time.Time) float64 { return s.at(at).RequestRate(at) }
-
-// SampleAt draws a query from the phase active at the given time.
-func (s *Schedule) SampleAt(rng *rand.Rand, at time.Time) Query { return s.at(at).Sample(rng) }
-
-// Sample implements Generator using the first phase; engines that track
-// virtual time should prefer SampleAt. (The simulated engine samples
-// through the Generator interface, which carries no clock; Schedule is
-// therefore usually wrapped per-phase or driven via Switch.)
-func (s *Schedule) Sample(rng *rand.Rand) Query { return s.phases[0].Gen.Sample(rng) }

@@ -199,7 +199,7 @@ func TestProductionArrivalCurve(t *testing.T) {
 		}
 	}
 	// Paper: 42.13M queries/day on average; the curve should land within 20%.
-	if integral < 0.8*ProductionQueriesPerDay || integral > 1.2*ProductionQueriesPerDay {
+	if integral < 0.8*42.13e6 || integral > 1.2*42.13e6 {
 		t.Fatalf("daily volume = %.1fM, want ≈ 42.13M", integral/1e6)
 	}
 	// Peak must fall in the 8–11 AM microservice surge window.
