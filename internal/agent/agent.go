@@ -81,6 +81,7 @@ type Agent struct {
 	opts    Options
 	events  EventSink
 	samples SampleSink
+	mcat    *metrics.Catalog // the engine's, for a sample's metric vector
 
 	lastTick     time.Time
 	lastPeriodic time.Time
@@ -148,6 +149,10 @@ func New(inst *cluster.Instance, gen workload.Generator, events EventSink, sampl
 	if err != nil {
 		return nil, err
 	}
+	mcat, err := metrics.CatalogFor(string(inst.Engine))
+	if err != nil {
+		return nil, err
+	}
 	return &Agent{
 		inst:         inst,
 		gen:          gen,
@@ -155,6 +160,7 @@ func New(inst *cluster.Instance, gen workload.Generator, events EventSink, sampl
 		opts:         opts,
 		events:       events,
 		samples:      samples,
+		mcat:         mcat,
 		lastTick:     master.Now(),
 		lastPeriodic: master.Now(),
 		lastSnap:     master.Snapshot(),
@@ -357,14 +363,15 @@ func (a *Agent) maybeUpload(st simdb.WindowStats, events []tde.Event, now time.T
 		return
 	}
 	// The new delta base is read into the spare map, which then trades
-	// places with lastSnap: the sample keeps only the delta.
+	// places with lastSnap: the sample keeps only the delta, as a
+	// vector, and the config as one.
 	master := a.inst.Replica.Master()
 	snap := master.SnapshotInto(a.spareSnap)
 	sample := tuner.Sample{
 		WorkloadID: a.workloadID(),
 		Engine:     a.inst.Engine,
-		Config:     master.Config(),
-		Metrics:    metrics.Delta(a.lastSnap, snap),
+		Config:     master.ConfigVector(),
+		Metrics:    a.mcat.Delta(a.lastSnap, snap),
 		Objective:  st.Achieved,
 		Quality:    throttled,
 		Window:     now.Sub(a.lastSnapAt),

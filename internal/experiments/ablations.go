@@ -126,10 +126,14 @@ func AblationWorkloadMapping(seed int64) AblationMappingResult {
 		return t
 	}
 	probe := offlineSample(knobs.Postgres, target, knobs.Config{}, seed+99)
+	probeCfg, probeMetrics, err := probe.Maps()
+	if err != nil {
+		panic(fmt.Sprintf("ablation mapping: %v", err))
+	}
 	run := func(tn *bo.Tuner) float64 {
 		rec, err := tn.Recommend(tuner.Request{
 			Engine: knobs.Postgres, WorkloadID: "offline/" + target.Name(),
-			Metrics: probe.Metrics, Current: probe.Config,
+			Metrics: probeMetrics, Current: probeCfg,
 			MemoryBytes: offlineResources().MemoryBytes,
 		})
 		if err != nil {

@@ -16,8 +16,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"autodbaas/internal/metrics"
 )
 
 // Point is one (x, y) sample of a series.
@@ -139,10 +137,4 @@ func RenderSeries(title string, series ...Series) string {
 // mb formats bytes as megabytes.
 func mb(v float64) string {
 	return fmt.Sprintf("%.1f MB", v/(1024*1024))
-}
-
-// deltaSnap is a tiny alias for metric snapshot deltas used across the
-// harnesses.
-func deltaSnap(before, after metrics.Snapshot) metrics.Snapshot {
-	return metrics.Delta(before, after)
 }

@@ -7,6 +7,7 @@ import (
 
 	"autodbaas/internal/agent"
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/metrics"
 	"autodbaas/internal/repository"
 	"autodbaas/internal/simdb"
 	"autodbaas/internal/tuner"
@@ -88,6 +89,10 @@ func offlineSample(engine knobs.Engine, gen workload.Generator, cfg knobs.Config
 	// capacity rather than the offered rate — without this, samples are
 	// offered-bound and carry no knob signal for ranking or the GP.
 	sat := workload.FixedRate{Generator: gen, Rate: 1e9}
+	mcat, err := metrics.CatalogFor(string(engine))
+	if err != nil {
+		panic(fmt.Sprintf("offline sample: %v", err))
+	}
 	eng := mk()
 	if err := eng.ApplyConfig(cfg, simdb.ApplyReload); err != nil {
 		// Budget-violating random draws: shrink and retry on a fresh
@@ -112,8 +117,8 @@ func offlineSample(engine knobs.Engine, gen workload.Generator, cfg knobs.Config
 	return tuner.Sample{
 		WorkloadID: "offline/" + gen.Name(),
 		Engine:     engine,
-		Config:     eng.Config(),
-		Metrics:    deltaSnap(before, eng.Snapshot()),
+		Config:     eng.ConfigVector(),
+		Metrics:    mcat.Delta(before, eng.Snapshot()),
 		Objective:  last.Achieved,
 		Quality:    true,
 		Window:     3 * time.Minute,

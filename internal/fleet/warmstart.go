@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 
+	"autodbaas/internal/knobs"
 	"autodbaas/internal/obs"
 	"autodbaas/internal/tenant"
 )
@@ -119,9 +120,13 @@ func (s *Service) warmStartLocked(id string, bp tenant.Blueprint) error {
 	s.m.warmstart.seeded.Add(float64(seeded))
 	if !ws.SkipConfigApply {
 		if best, ok := repo.BestSample(donor.WorkloadID); ok {
+			kcat, err := knobs.CatalogFor(best.Engine)
+			if err != nil {
+				return fmt.Errorf("fleet: warm start %s from %s: %w", id, donor.WorkloadID, err)
+			}
 			// Best-effort: a chaos-injected apply failure must not fail
 			// the provision.
-			_ = sys.SeedConfig(id, best.Config)
+			_ = sys.SeedConfig(id, kcat.Config(best.Config))
 		}
 	}
 	return nil

@@ -121,15 +121,11 @@ func TestWarmStartAppliesDonorConfig(t *testing.T) {
 	tuned["work_mem"] = 16 << 20
 	tuned["random_page_cost"] = 2.0
 	for i := 0; i < 4; i++ {
-		cfg := tuned.Clone()
-		if err := repo.Observe(tuner.Sample{
-			WorkloadID: "ghost/donor/tpcc",
-			Engine:     knobs.Postgres,
-			Config:     cfg,
-			Metrics:    snap.Clone(),
-			Objective:  1000 + float64(i),
-			Quality:    true,
-		}); err != nil {
+		s := tuner.Sample{WorkloadID: "ghost/donor/tpcc", Engine: knobs.Postgres, Objective: 1000 + float64(i), Quality: true}
+		if err := s.SetMaps(tuned, snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := repo.Observe(s); err != nil {
 			t.Fatal(err)
 		}
 	}

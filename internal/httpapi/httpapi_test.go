@@ -67,10 +67,11 @@ func TestRepositoryServerRoundTrip(t *testing.T) {
 	repo := repository.New()
 	ft := &fakeTuner{}
 	repo.Subscribe(ft)
-	rec := postJSON(t, NewRepositoryServer(repo), "/v1/samples", tuner.Sample{
-		WorkloadID: "w1", Engine: knobs.Postgres,
-		Config: knobs.Config{"work_mem": 1}, Objective: 42, At: time.Now(),
-	})
+	sample := tuner.Sample{WorkloadID: "w1", Engine: knobs.Postgres, Objective: 42, At: time.Now()}
+	if err := sample.SetMaps(knobs.Config{"work_mem": 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	rec := postJSON(t, NewRepositoryServer(repo), "/v1/samples", sample)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("POST /v1/samples = %d %s", rec.Code, rec.Body)
 	}
@@ -78,8 +79,29 @@ func TestRepositoryServerRoundTrip(t *testing.T) {
 		t.Fatalf("repo=%d fanout=%d", repo.Len(), obs)
 	}
 	got := repo.Store().Samples("w1")
-	if len(got) != 1 || got[0].Objective != 42 {
+	if len(got) != 1 || got[0].Objective != 42 || got[0].Config.Vals[0] != 0 || !got[0].Config.Has(1) || got[0].Config.Vals[1] != 1 {
 		t.Fatalf("stored = %+v", got)
+	}
+}
+
+// TestRepositoryServerRejectsUnknownNames: a sample naming a knob or
+// metric its engine's catalogue lacks, or an engine without one, is a
+// 400 that names it, and nothing is stored.
+func TestRepositoryServerRejectsUnknownNames(t *testing.T) {
+	repo := repository.New()
+	h := NewRepositoryServer(repo)
+	for _, tc := range []struct{ body, name string }{
+		{`{"workload_id":"w","engine":"postgres","config":{"not_a_knob":1}}`, "not_a_knob"},
+		{`{"workload_id":"w","engine":"mysql","metrics":{"xact_commit":1}}`, "xact_commit"},
+		{`{"workload_id":"w","engine":"oracle"}`, "oracle"},
+	} {
+		rec := call(t, h, "POST", "/v1/samples", tc.body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.name) {
+			t.Errorf("%s: %d %s, want a 400 naming %s", tc.body, rec.Code, rec.Body, tc.name)
+		}
+	}
+	if repo.Len() != 0 {
+		t.Fatalf("rejected samples stored: %d", repo.Len())
 	}
 }
 

@@ -119,15 +119,24 @@ var ErrMemoryBudget = errors.New("knobs: memory knobs exceed instance budget")
 type Catalog struct {
 	Engine  Engine
 	defs    map[string]*Def
+	index   map[string]int // knob name → catalogue position
+	byIndex []*Def         // defs in catalogue order
 	order   []string
 	tunable []string // the knobs of order without Restart, in order
 }
 
+// newCatalog builds a catalogue in definition order. A Vector's
+// presence mask has one bit per knob, so a catalogue holds at most 64.
 func newCatalog(engine Engine, defs []Def) *Catalog {
-	c := &Catalog{Engine: engine, defs: make(map[string]*Def, len(defs))}
+	if len(defs) > 64 {
+		panic(fmt.Sprintf("knobs: %s catalogue has %d knobs, a Vector holds at most 64", engine, len(defs)))
+	}
+	c := &Catalog{Engine: engine, defs: make(map[string]*Def, len(defs)), index: make(map[string]int, len(defs))}
 	for i := range defs {
 		d := defs[i]
 		c.defs[d.Name] = &d
+		c.index[d.Name] = i
+		c.byIndex = append(c.byIndex, &d)
 		c.order = append(c.order, d.Name)
 		if !d.Restart {
 			c.tunable = append(c.tunable, d.Name)
@@ -226,20 +235,42 @@ func MySQLCatalog() *Catalog {
 	})
 }
 
-// CatalogFor returns the catalogue for the engine, or an error.
+// catalogs holds one shared catalogue per engine. A catalogue is never
+// modified after newCatalog, so every reader may share it.
+var catalogs = map[Engine]*Catalog{Postgres: PostgresCatalog(), MySQL: MySQLCatalog()}
+
+// CatalogFor returns the engine's shared catalogue, or an error.
 func CatalogFor(e Engine) (*Catalog, error) {
-	switch e {
-	case Postgres:
-		return PostgresCatalog(), nil
-	case MySQL:
-		return MySQLCatalog(), nil
-	default:
-		return nil, fmt.Errorf("knobs: unsupported engine %q", e)
+	if c, ok := catalogs[e]; ok {
+		return c, nil
 	}
+	return nil, fmt.Errorf("knobs: unsupported engine %q", e)
 }
 
 // Def returns the definition for name, or nil if unknown.
 func (c *Catalog) Def(name string) *Def { return c.defs[name] }
+
+// Len returns the number of knobs.
+func (c *Catalog) Len() int { return len(c.order) }
+
+// Index returns name's catalogue position, and false if it is unknown.
+func (c *Catalog) Index(name string) (int, bool) {
+	i, ok := c.index[name]
+	return i, ok
+}
+
+// AppendIndices appends the catalogue position of each of names to dst,
+// −1 for a name the catalogue lacks, and returns the extended slice.
+func (c *Catalog) AppendIndices(dst []int, names []string) []int {
+	for _, n := range names {
+		i, ok := c.index[n]
+		if !ok {
+			i = -1
+		}
+		dst = append(dst, i)
+	}
+	return dst
+}
 
 // Names returns knob names in catalogue order.
 func (c *Catalog) Names() []string { return append([]string(nil), c.order...) }
@@ -422,28 +453,85 @@ func (c *Catalog) FitMemoryBudget(cfg Config, b MemoryBudget) Config {
 }
 
 // Normalize maps the listed knobs of cfg into [0,1]^d (log scale where
-// the definition asks for it). Missing knobs use their defaults.
+// the definition asks for it). Missing knobs use their defaults, and a
+// name the catalogue lacks maps to 0.
 func (c *Catalog) Normalize(cfg Config, names []string) []float64 {
 	out := make([]float64, len(names))
-	c.NormalizeInto(out, cfg, names)
-	return out
-}
-
-// NormalizeInto is Normalize writing into dst (len(names)) without
-// allocating. Like Normalize it writes 0 for a name the catalogue
-// lacks, so a reused row keeps nothing from a previous call.
-func (c *Catalog) NormalizeInto(dst []float64, cfg Config, names []string) {
 	for i, n := range names {
 		d := c.defs[n]
 		if d == nil {
-			dst[i] = 0
 			continue
 		}
 		v, ok := cfg[n]
 		if !ok {
 			v = d.Default
 		}
-		dst[i] = d.normalize(v)
+		out[i] = d.normalize(v)
+	}
+	return out
+}
+
+// Vector is a Config in catalogue order, the form a stored training
+// sample keeps: Vals[i] is the value of the catalogue's i-th knob when
+// bit i of Set is on, and 0 otherwise. A nil Vals stands for a nil
+// Config; any other Vals has one slot per catalogue knob.
+type Vector struct {
+	Vals []float64
+	Set  uint64
+}
+
+// Has reports whether the knob at catalogue position i is present.
+func (v Vector) Has(i int) bool { return v.Set&(1<<i) != 0 }
+
+// FromConfig returns cfg in catalogue order. A nil cfg gives the zero
+// Vector; a knob the catalogue lacks fails, naming it.
+func (c *Catalog) FromConfig(cfg Config) (Vector, error) {
+	if cfg == nil {
+		return Vector{}, nil
+	}
+	v := Vector{Vals: make([]float64, len(c.order))}
+	for n, x := range cfg {
+		i, ok := c.index[n]
+		if !ok {
+			return Vector{}, fmt.Errorf("%w: %q for %s", ErrUnknownKnob, n, c.Engine)
+		}
+		v.Vals[i] = x
+		v.Set |= 1 << i
+	}
+	return v, nil
+}
+
+// Config returns v as a map: nil for the zero Vector.
+func (c *Catalog) Config(v Vector) Config {
+	if v.Vals == nil {
+		return nil
+	}
+	cfg := make(Config, len(c.order))
+	for i, n := range c.order {
+		if v.Has(i) {
+			cfg[n] = v.Vals[i]
+		}
+	}
+	return cfg
+}
+
+// NormalizeVectorInto is Normalize of a Vector, written into dst
+// (len(idx)) without allocating, for the catalogue positions of the
+// names (AppendIndices): a gather, with no name lookup. An absent knob
+// normalizes its default, and a −1 position writes 0, so a reused row
+// keeps nothing from a previous call.
+func (c *Catalog) NormalizeVectorInto(dst []float64, v Vector, idx []int) {
+	for k, i := range idx {
+		if i < 0 {
+			dst[k] = 0
+			continue
+		}
+		d := c.byIndex[i]
+		x := d.Default
+		if v.Has(i) {
+			x = v.Vals[i]
+		}
+		dst[k] = d.normalize(x)
 	}
 }
 

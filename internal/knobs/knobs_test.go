@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -222,25 +223,51 @@ func TestNormalizeMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestNormalizeIntoOverwritesDirtyRow: NormalizeInto writes every slot,
-// 0 for a name the catalogue lacks as Normalize does, so a reused row
-// keeps nothing from its previous contents.
-func TestNormalizeIntoOverwritesDirtyRow(t *testing.T) {
+// TestNormalizeVectorIntoOverwritesDirtyRow: NormalizeVectorInto gives
+// Normalize's values — an absent knob at its default, 0 for a name the
+// catalogue lacks — into every slot of a dirty row, without
+// allocating.
+func TestNormalizeVectorIntoOverwritesDirtyRow(t *testing.T) {
 	cat := PostgresCatalog()
-	names := []string{"work_mem", "no_such_knob", "shared_buffers"}
-	cfg := Config{"work_mem": 64 * 1024 * 1024}
+	names := []string{"work_mem", "no_such_knob", "shared_buffers", "cpu_tuple_cost"}
+	cfg := Config{"work_mem": 64 * 1024 * 1024, "cpu_tuple_cost": 0.5}
 	want := cat.Normalize(cfg, names)
-	dst := []float64{42, 42, 42}
-	cat.NormalizeInto(dst, cfg, names)
+	v, err := cat.FromConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := cat.AppendIndices(nil, names)
+	dst := []float64{42, 42, 42, 42}
+	cat.NormalizeVectorInto(dst, v, idx)
 	for i := range want {
 		if dst[i] != want[i] {
 			t.Fatalf("slot %d (%s) = %g, want %g", i, names[i], dst[i], want[i])
 		}
 	}
-	if dst[1] != 0 {
-		t.Fatalf("unknown knob normalized to %g, want 0", dst[1])
+	if dst[1] != 0 || idx[1] != -1 {
+		t.Fatalf("unknown knob at position %d normalized to %g, want -1 and 0", idx[1], dst[1])
 	}
-	if allocs := testing.AllocsPerRun(10, func() { cat.NormalizeInto(dst, cfg, names) }); allocs > 0 {
-		t.Fatalf("NormalizeInto allocates %.1f objects/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { cat.NormalizeVectorInto(dst, v, idx) }); allocs > 0 {
+		t.Fatalf("NormalizeVectorInto allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestVectorRoundTrip: a config goes to a Vector and back unchanged,
+// nil stays nil and empty stays empty, and a knob the catalogue lacks
+// fails, naming it.
+func TestVectorRoundTrip(t *testing.T) {
+	cat := MySQLCatalog()
+	for _, cfg := range []Config{nil, {}, {"sort_buffer_size": 1 << 20}, cat.DefaultConfig()} {
+		v, err := cat.FromConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := cat.Config(v)
+		if (back == nil) != (cfg == nil) || !back.Equal(cfg) {
+			t.Fatalf("%v came back as %v", cfg, back)
+		}
+	}
+	if _, err := cat.FromConfig(Config{"work_mem": 1}); !errors.Is(err, ErrUnknownKnob) || !strings.Contains(err.Error(), "work_mem") {
+		t.Fatalf("unknown knob: err = %v", err)
 	}
 }

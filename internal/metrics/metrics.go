@@ -64,15 +64,21 @@ func Delta(before, after Snapshot) Snapshot {
 // Catalog is an ordered metric definition set.
 type Catalog struct {
 	defs  map[string]*Def
+	index map[string]int // metric name → catalogue position
 	order []string
 }
 
-// NewCatalog builds a catalogue preserving definition order.
+// NewCatalog builds a catalogue preserving definition order. A Vector's
+// presence mask has one bit per metric, so it holds at most 64.
 func NewCatalog(defs []Def) *Catalog {
-	c := &Catalog{defs: make(map[string]*Def, len(defs))}
+	if len(defs) > 64 {
+		panic(fmt.Sprintf("metrics: catalogue has %d metrics, a Vector holds at most 64", len(defs)))
+	}
+	c := &Catalog{defs: make(map[string]*Def, len(defs)), index: make(map[string]int, len(defs))}
 	for i := range defs {
 		d := defs[i]
 		c.defs[d.Name] = &d
+		c.index[d.Name] = i
 		c.order = append(c.order, d.Name)
 	}
 	return c
@@ -99,6 +105,86 @@ func (c *Catalog) VectorInto(dst []float64, s Snapshot) {
 	for i, n := range c.order {
 		dst[i] = s[n]
 	}
+}
+
+// Index returns name's catalogue position, and false if it is unknown.
+func (c *Catalog) Index(name string) (int, bool) {
+	i, ok := c.index[name]
+	return i, ok
+}
+
+// Vector is a Snapshot in catalogue order, the form a stored training
+// sample keeps: Vals[i] is the value of the catalogue's i-th metric
+// when bit i of Set is on, and 0 otherwise. A nil Vals stands for a nil
+// Snapshot; any other Vals has one slot per catalogue metric.
+type Vector struct {
+	Vals []float64
+	Set  uint64
+}
+
+// Has reports whether the metric at catalogue position i is present.
+func (v Vector) Has(i int) bool { return v.Set&(1<<i) != 0 }
+
+// At returns the metric at catalogue position i: 0 when absent, as a
+// Snapshot reads a missing name.
+func (v Vector) At(i int) float64 {
+	if !v.Has(i) {
+		return 0
+	}
+	return v.Vals[i]
+}
+
+// Delta is the package-level Delta written straight into a Vector:
+// after − before for each catalogue metric either snapshot holds, −before
+// for one only before holds. Names outside the catalogue are skipped.
+func (c *Catalog) Delta(before, after Snapshot) Vector {
+	v := Vector{Vals: make([]float64, len(c.order))}
+	for i, n := range c.order {
+		a, inAfter := after[n]
+		b, inBefore := before[n]
+		switch {
+		case inAfter:
+			v.Vals[i] = a - b
+		case inBefore:
+			v.Vals[i] = -b
+		default:
+			continue
+		}
+		v.Set |= 1 << i
+	}
+	return v
+}
+
+// FromSnapshot returns s in catalogue order. A nil s gives the zero
+// Vector; a metric the catalogue lacks fails, naming it.
+func (c *Catalog) FromSnapshot(s Snapshot) (Vector, error) {
+	if s == nil {
+		return Vector{}, nil
+	}
+	v := Vector{Vals: make([]float64, len(c.order))}
+	for n, x := range s {
+		i, ok := c.index[n]
+		if !ok {
+			return Vector{}, fmt.Errorf("metrics: unknown metric %q", n)
+		}
+		v.Vals[i] = x
+		v.Set |= 1 << i
+	}
+	return v, nil
+}
+
+// Snapshot returns v as a map: nil for the zero Vector.
+func (c *Catalog) Snapshot(v Vector) Snapshot {
+	if v.Vals == nil {
+		return nil
+	}
+	s := make(Snapshot, len(c.order))
+	for i, n := range c.order {
+		if v.Has(i) {
+			s[n] = v.Vals[i]
+		}
+	}
+	return s
 }
 
 // PostgresCatalog returns the PostgreSQL-flavoured metric set exposed by
@@ -183,17 +269,17 @@ func MySQLCatalog() *Catalog {
 	})
 }
 
-// CatalogFor returns the metric catalogue for an engine name
+// catalogs holds one shared catalogue per engine. A catalogue is never
+// modified after NewCatalog, so every reader may share it.
+var catalogs = map[string]*Catalog{"postgres": PostgresCatalog(), "mysql": MySQLCatalog()}
+
+// CatalogFor returns the shared metric catalogue for an engine name
 // ("postgres" or "mysql").
 func CatalogFor(engine string) (*Catalog, error) {
-	switch engine {
-	case "postgres":
-		return PostgresCatalog(), nil
-	case "mysql":
-		return MySQLCatalog(), nil
-	default:
-		return nil, fmt.Errorf("metrics: unsupported engine %q", engine)
+	if c, ok := catalogs[engine]; ok {
+		return c, nil
 	}
+	return nil, fmt.Errorf("metrics: unsupported engine %q", engine)
 }
 
 // Decile bins every component of vec into {0,…,9} according to the

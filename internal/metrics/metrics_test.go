@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -37,6 +38,33 @@ func TestDelta(t *testing.T) {
 	d := Delta(before, after)
 	if d["a"] != 15 || d["b"] != 0 || d["new"] != 7 || d["gone"] != -3 {
 		t.Fatalf("delta = %v", d)
+	}
+}
+
+// TestCatalogDeltaMatchesDelta: Catalog.Delta holds exactly the names
+// and bits metrics.Delta gives — names in either snapshot, −0 and a
+// name only before included — and its Snapshot is that map.
+func TestCatalogDeltaMatchesDelta(t *testing.T) {
+	c := PostgresCatalog()
+	negZero := math.Copysign(0, -1)
+	before := Snapshot{"xact_commit": 10, "blks_read": 0, "iops": 3, "temp_files": negZero, "deadlocks": math.NaN()}
+	after := Snapshot{"xact_commit": 25, "blks_hit": negZero, "iops": 3, "wal_bytes": 0, "deadlocks": 1}
+	for _, pair := range [][2]Snapshot{{before, after}, {after, before}, {nil, after}, {before, nil}, {nil, nil}} {
+		want := Delta(pair[0], pair[1])
+		v := c.Delta(pair[0], pair[1])
+		got := c.Snapshot(v)
+		if len(got) != len(want) {
+			t.Fatalf("Delta(%v, %v): %v, want %v", pair[0], pair[1], got, want)
+		}
+		for k, w := range want {
+			i, _ := c.Index(k)
+			if g, ok := got[k]; !ok || math.Float64bits(g) != math.Float64bits(w) || math.Float64bits(v.At(i)) != math.Float64bits(w) {
+				t.Fatalf("Delta(%v, %v)[%s] = %v, want %v", pair[0], pair[1], k, g, w)
+			}
+		}
+	}
+	if v, err := c.FromSnapshot(Snapshot{"com_commit": 1}); err == nil || v.Vals != nil {
+		t.Fatal("a metric outside the catalogue was accepted")
 	}
 }
 

@@ -2,7 +2,9 @@ package repository
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"autodbaas/internal/bincodec"
@@ -31,12 +33,13 @@ import (
 //	string:   uvarint length | bytes
 //	float64:  math.Float64bits, uint64 LE
 //
-// An engine's names are the keys its samples actually carry, in
-// catalogue order, with keys outside the catalogue after them in sorted
-// order; a reader needs no catalogue. Values travel bit for bit, so
-// NaN, ±Inf and −0 survive. A time's location is rebuilt from its zone
-// offset, as encoding/json rebuilds it. The primitives are package
-// bincodec's.
+// An engine's names are the knobs and metrics its samples carry, in
+// catalogue order: the set bits of the OR of their presence masks. A
+// reader maps them back to catalogue positions, so it needs the
+// engine's catalogues and rejects a name outside them. Values travel
+// bit for bit, so NaN, ±Inf and −0 survive. A time's location is
+// rebuilt from its zone offset, as encoding/json rebuilds it. The
+// primitives are package bincodec's.
 const (
 	storeMagic   = "ADBS"
 	storeVersion = 1
@@ -58,21 +61,22 @@ const (
 // section before anything is allocated for them.
 const minSampleBytes = 1 + 1 + 8 + 1 + 2
 
-// engineHeader is one engine's name lists.
+// engineHeader is one engine's name lists, as the set bits of a
+// presence mask over its catalogues.
 type engineHeader struct {
-	engine  knobs.Engine
-	knobs   []string
-	metrics []string
+	engine        knobs.Engine
+	knobs, mets   uint64
+	knobN, metN   int   // catalogue lengths, the size of a vector
+	knobIx, metIx []int // header position → catalogue position
 }
 
 // encodeStore encodes samples, which must be grouped by workload in
-// first-seen order (tuner.Store.All's order).
-func encodeStore(samples []tuner.Sample) []byte {
+// first-seen order (tuner.Store.All's order). It fails on a sample
+// whose engine has no catalogues but which carries a vector.
+func encodeStore(samples []tuner.Sample) ([]byte, error) {
 	var (
 		engines   []engineHeader
 		engineIdx = make(map[knobs.Engine]int)
-		knobSets  []map[string]bool
-		metSets   []map[string]bool
 		workloads []string
 		counts    []int
 		size      = len(storeMagic) + 16
@@ -84,33 +88,16 @@ func encodeStore(samples []tuner.Sample) []byte {
 			e = len(engines)
 			engineIdx[s.Engine] = e
 			engines = append(engines, engineHeader{engine: s.Engine})
-			knobSets = append(knobSets, make(map[string]bool))
-			metSets = append(metSets, make(map[string]bool))
 		}
-		for k := range s.Config {
-			knobSets[e][k] = true
-		}
-		for k := range s.Metrics {
-			metSets[e][k] = true
-		}
+		h := &engines[e]
+		h.knobs |= s.Config.Set
+		h.mets |= s.Metrics.Set
 		if n := len(workloads); n == 0 || workloads[n-1] != s.WorkloadID {
 			workloads = append(workloads, s.WorkloadID)
 			counts = append(counts, 0)
 		}
 		counts[len(counts)-1]++
-		size += 32 + 8*(len(s.Config)+len(s.Metrics))
-	}
-	for e := range engines {
-		h := &engines[e]
-		var knobOrder, metOrder []string
-		if c, err := knobs.CatalogFor(h.engine); err == nil {
-			knobOrder = c.Names()
-		}
-		if c, err := metrics.CatalogFor(string(h.engine)); err == nil {
-			metOrder = c.Names()
-		}
-		h.knobs = bincodec.CatalogueOrder(knobSets[e], knobOrder)
-		h.metrics = bincodec.CatalogueOrder(metSets[e], metOrder)
+		size += 32 + 8*(bits.OnesCount64(s.Config.Set)+bits.OnesCount64(s.Metrics.Set))
 	}
 
 	b := make([]byte, 0, size)
@@ -118,9 +105,21 @@ func encodeStore(samples []tuner.Sample) []byte {
 	b = append(b, storeVersion)
 	b = binary.AppendUvarint(b, uint64(len(engines)))
 	for _, h := range engines {
+		var knobNames, metNames []string
+		if h.knobs|h.mets != 0 {
+			kc, err := knobs.CatalogFor(h.engine)
+			if err != nil {
+				return nil, err
+			}
+			mc, err := metrics.CatalogFor(string(h.engine))
+			if err != nil {
+				return nil, err
+			}
+			knobNames, metNames = maskNames(kc.Names(), h.knobs), maskNames(mc.Names(), h.mets)
+		}
 		b = bincodec.AppendString(b, string(h.engine))
-		b = bincodec.AppendStrings(b, h.knobs)
-		b = bincodec.AppendStrings(b, h.metrics)
+		b = bincodec.AppendStrings(b, knobNames)
+		b = bincodec.AppendStrings(b, metNames)
 	}
 	b = binary.AppendUvarint(b, uint64(len(workloads)))
 	for i, w := range workloads {
@@ -135,19 +134,65 @@ func encodeStore(samples []tuner.Sample) []byte {
 		if s.Quality {
 			flags |= flagQuality
 		}
-		flags |= bincodec.ValuesFlag(s.Config, h.knobs, flagConfigNil, flagConfigSparse)
-		flags |= bincodec.ValuesFlag(s.Metrics, h.metrics, flagMetricsNil, flagMetricsSparse)
+		flags |= vectorFlag(s.Config.Vals, s.Config.Set, h.knobs, flagConfigNil, flagConfigSparse)
+		flags |= vectorFlag(s.Metrics.Vals, s.Metrics.Set, h.mets, flagMetricsNil, flagMetricsSparse)
 		_, offset := s.At.Zone()
 		if offset != 0 {
 			flags |= flagAtZoned
 		}
 		b = binary.AppendUvarint(b, uint64(e))
 		b = append(b, flags)
-		b = bincodec.AppendValues(b, s.Config, h.knobs, flags&flagConfigSparse != 0)
-		b = bincodec.AppendValues(b, s.Metrics, h.metrics, flags&flagMetricsSparse != 0)
+		b = appendVector(b, s.Config.Vals, s.Config.Set, h.knobs, flags&flagConfigSparse != 0)
+		b = appendVector(b, s.Metrics.Vals, s.Metrics.Set, h.mets, flags&flagMetricsSparse != 0)
 		b = bincodec.AppendF64(b, s.Objective)
 		b = binary.AppendVarint(b, int64(s.Window))
 		b = bincodec.AppendTime(b, s.At, offset != 0)
+	}
+	return b, nil
+}
+
+// maskNames lists the names at mask's set bits, in order.
+func maskNames(names []string, mask uint64) []string {
+	out := make([]string, 0, bits.OnesCount64(mask))
+	for m := mask; m != 0; m &= m - 1 {
+		out = append(out, names[bits.TrailingZeros64(m)])
+	}
+	return out
+}
+
+// vectorFlag returns the flag a vector needs against hdr, its engine's
+// header mask (a superset of set).
+func vectorFlag(vals []float64, set, hdr uint64, nilFlag, sparseFlag byte) byte {
+	switch {
+	case vals == nil:
+		return nilFlag
+	case set != hdr:
+		return sparseFlag
+	}
+	return 0
+}
+
+// appendVector writes a vector's values in header order, behind a
+// presence bitmap over the header (bit j of byte j/8) when sparse. A
+// nil vector writes nothing.
+func appendVector(b []byte, vals []float64, set, hdr uint64, sparse bool) []byte {
+	if vals == nil {
+		return b
+	}
+	bitmap := len(b)
+	if sparse {
+		b = append(b, make([]byte, (bits.OnesCount64(hdr)+7)/8)...)
+	}
+	j := 0
+	for m := hdr; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if set&(1<<i) != 0 {
+			if sparse {
+				b[bitmap+j/8] |= 1 << (j % 8)
+			}
+			b = bincodec.AppendF64(b, vals[i])
+		}
+		j++
 	}
 	return b
 }
@@ -161,7 +206,27 @@ func decodeStore(data []byte) ([]tuner.Sample, error) {
 	}
 	engines := make([]engineHeader, d.Count(3))
 	for i := range engines {
-		engines[i] = engineHeader{engine: knobs.Engine(d.Str()), knobs: d.Names(), metrics: d.Names()}
+		h := &engines[i]
+		h.engine = knobs.Engine(d.Str())
+		knobNames, metNames := d.Names(), d.Names()
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		kc, err := knobs.CatalogFor(h.engine)
+		if err != nil {
+			return nil, err
+		}
+		mc, err := metrics.CatalogFor(string(h.engine))
+		if err != nil {
+			return nil, err
+		}
+		h.knobN, h.metN = kc.Len(), mc.Len()
+		if h.knobIx, err = headerIndex(knobNames, kc.Index); err != nil {
+			return nil, fmt.Errorf("%s knob header: %w", h.engine, err)
+		}
+		if h.metIx, err = headerIndex(metNames, mc.Index); err != nil {
+			return nil, fmt.Errorf("%s metric header: %w", h.engine, err)
+		}
 	}
 	workloads := make([]string, d.Count(2))
 	counts := make([]int, len(workloads))
@@ -192,23 +257,73 @@ func decodeStore(data []byte) ([]tuner.Sample, error) {
 				return nil, fmt.Errorf("sample has unknown flags %#x", flags)
 			}
 			h := &engines[e]
-			samples = append(samples, tuner.Sample{
-				WorkloadID: id,
-				Engine:     h.engine,
-				Config:     d.Values(h.knobs, flags&flagConfigNil != 0, flags&flagConfigSparse != 0),
-				Metrics:    d.Values(h.metrics, flags&flagMetricsNil != 0, flags&flagMetricsSparse != 0),
-				Objective:  d.F64(),
-				Quality:    flags&flagQuality != 0,
-				Window:     time.Duration(d.Varint()),
-				At:         d.Time(flags&flagAtZoned != 0),
-			})
+			s := tuner.Sample{WorkloadID: id, Engine: h.engine, Quality: flags&flagQuality != 0}
+			s.Config.Vals, s.Config.Set = readVector(d, h.knobIx, h.knobN, flags&flagConfigNil != 0, flags&flagConfigSparse != 0)
+			s.Metrics.Vals, s.Metrics.Set = readVector(d, h.metIx, h.metN, flags&flagMetricsNil != 0, flags&flagMetricsSparse != 0)
+			s.Objective = d.F64()
+			s.Window = time.Duration(d.Varint())
+			s.At = d.Time(flags&flagAtZoned != 0)
 			if d.Err() != nil {
 				return nil, fmt.Errorf("sample: %w", d.Err())
 			}
+			samples = append(samples, s)
 		}
 	}
 	if d.Len() > 0 {
 		return nil, fmt.Errorf("%d bytes after the last sample", d.Len())
 	}
 	return samples, nil
+}
+
+// headerIndex maps a header's names to catalogue positions, which must
+// ascend: an encoder lists a header in catalogue order.
+func headerIndex(names []string, index func(string) (int, bool)) ([]int, error) {
+	out := make([]int, len(names))
+	for j, n := range names {
+		i, ok := index(n)
+		if !ok {
+			return nil, fmt.Errorf("%q is not in the catalogue", n)
+		}
+		if j > 0 && i <= out[j-1] {
+			return nil, fmt.Errorf("%q is out of catalogue order", n)
+		}
+		out[j] = i
+	}
+	return out, nil
+}
+
+// readVector reads an appendVector vector into a slice of n catalogue
+// slots, idx mapping header positions to them. It fails before
+// allocating one the rest of the section cannot hold.
+func readVector(d *bincodec.Decoder, idx []int, n int, isNil, sparse bool) ([]float64, uint64) {
+	if isNil {
+		return nil, 0
+	}
+	present := len(idx)
+	var bitmap []byte
+	if sparse {
+		bitmap = d.Take((len(idx) + 7) / 8)
+		if r := len(idx) % 8; d.Err() == nil && r != 0 && bitmap[len(bitmap)-1]>>r != 0 {
+			d.Fail(errors.New("presence bitmap marks a name past the header"))
+		}
+		present = 0
+		for _, c := range bitmap {
+			present += bits.OnesCount8(c)
+		}
+	}
+	if present > d.Len()/8 {
+		d.Fail(bincodec.ErrShort)
+	}
+	if d.Err() != nil {
+		return nil, 0
+	}
+	vals := make([]float64, n)
+	var set uint64
+	for j, i := range idx {
+		if !sparse || bitmap[j/8]&(1<<(j%8)) != 0 {
+			vals[i] = d.F64()
+			set |= 1 << i
+		}
+	}
+	return vals, set
 }

@@ -2,14 +2,17 @@ package repository
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"autodbaas/internal/bincodec"
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/metrics"
 	"autodbaas/internal/tuner"
 )
 
@@ -27,35 +30,177 @@ func legacyLines(t testing.TB, samples []tuner.Sample) []byte {
 	return buf.Bytes()
 }
 
-// codecSamples covers every shape the codec distinguishes: two
-// catalogued engines and one without a catalogue, keys outside the
-// catalogue, nil, empty, dense and sparse maps, zoned and zero times,
-// and samples of one workload spread over engines.
-func codecSamples() []tuner.Sample {
+// mapSample is a sample in map form, the shape the store section's
+// encoder read before samples became vectors.
+type mapSample struct {
+	tuner.Sample
+	config  knobs.Config
+	metrics metrics.Snapshot
+}
+
+// vectorOf returns m's sample with its maps as vectors.
+func vectorOf(t testing.TB, m mapSample) tuner.Sample {
+	t.Helper()
+	s := m.Sample
+	if err := s.SetMaps(m.config, m.metrics); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// configOf returns a sample's config in map form.
+func configOf(t testing.TB, s tuner.Sample) knobs.Config {
+	t.Helper()
+	cfg, _, err := s.Maps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// codecMapSamples covers every shape the codec distinguishes: both
+// engines, nil, empty, dense, sparse and full maps, zoned and zero
+// times, and samples of one workload spread over engines.
+func codecMapSamples() []mapSample {
 	at := time.Date(2021, 3, 23, 4, 5, 6, 789, time.UTC)
-	return []tuner.Sample{
-		{WorkloadID: "tpcc", Engine: knobs.Postgres,
-			Config:    knobs.Config{"work_mem": 4 << 20, "shared_buffers": 1 << 30, "not_a_knob": 3},
-			Metrics:   map[string]float64{"xact_commit": 120, "blks_hit": 7.5},
-			Objective: 812.25, Quality: true, Window: 5 * time.Minute, At: at},
-		{WorkloadID: "tpcc", Engine: knobs.Postgres,
-			Config:    knobs.Config{"work_mem": 8 << 20},
-			Metrics:   map[string]float64{},
-			Objective: -1, Window: -time.Second, At: at.In(time.FixedZone("IST", 5*3600+1800))},
-		{WorkloadID: "tpcc", Engine: knobs.MySQL,
-			Config: knobs.Config{"sort_buffer_size": 1 << 18}, Objective: 3},
-		{WorkloadID: "ycsb", Engine: knobs.Postgres,
-			Config: knobs.Config{}, Metrics: map[string]float64{"blks_hit": 0},
-			At: at.In(time.FixedZone("", -7*3600))},
-		{WorkloadID: "ycsb", Engine: "oracle",
-			Config:  knobs.Config{"sga_target": 2, "pga_aggregate_target": 1},
-			Metrics: map[string]float64{"z": 1, "a": 2}, At: at.Add(time.Hour)},
-		{WorkloadID: "ycsb", Engine: knobs.Postgres, At: at.In(time.Local)},
+	pgKnobs, myKnobs := knobs.PostgresCatalog().DefaultConfig(), knobs.MySQLCatalog().DefaultConfig()
+	pgMetrics := metrics.Snapshot{}
+	for i, n := range metrics.PostgresCatalog().Names() {
+		pgMetrics[n] = float64(i) * 1.5
+	}
+	return []mapSample{
+		{tuner.Sample{WorkloadID: "tpcc", Engine: knobs.Postgres, Objective: 812.25, Quality: true, Window: 5 * time.Minute, At: at},
+			knobs.Config{"work_mem": 4 << 20, "shared_buffers": 1 << 30},
+			metrics.Snapshot{"xact_commit": 120, "blks_hit": 7.5}},
+		{tuner.Sample{WorkloadID: "tpcc", Engine: knobs.Postgres, Objective: -1, Window: -time.Second, At: at.In(time.FixedZone("IST", 5*3600+1800))},
+			knobs.Config{"work_mem": 8 << 20}, metrics.Snapshot{}},
+		{tuner.Sample{WorkloadID: "tpcc", Engine: knobs.MySQL, Objective: 3},
+			knobs.Config{"sort_buffer_size": 1 << 18}, nil},
+		{tuner.Sample{WorkloadID: "ycsb", Engine: knobs.Postgres, At: at.In(time.FixedZone("", -7*3600))},
+			knobs.Config{}, metrics.Snapshot{"blks_hit": 0}},
+		{tuner.Sample{WorkloadID: "ycsb", Engine: knobs.MySQL, At: at.Add(time.Hour)},
+			myKnobs, metrics.Snapshot{"iops": 2, "com_commit": 1}},
+		{tuner.Sample{WorkloadID: "ycsb", Engine: knobs.Postgres, At: at.In(time.Local)}, nil, nil},
 		// As many keys as the engine's first sample, but not the same
 		// ones: the header must come from every sample's keys.
-		{WorkloadID: "ycsb", Engine: knobs.Postgres,
-			Config:  knobs.Config{"checkpoint_timeout": 300, "shared_buffers": 1 << 29, "work_mem": 1 << 20},
-			Metrics: map[string]float64{"blks_hit": 2, "tup_fetched": 3, "xact_commit": 1}},
+		{tuner.Sample{WorkloadID: "ycsb", Engine: knobs.Postgres},
+			knobs.Config{"checkpoint_timeout": 300, "shared_buffers": 1 << 29, "work_mem": 1 << 20},
+			metrics.Snapshot{"blks_hit": 2, "tup_fetched": 3, "xact_commit": 1}},
+		{tuner.Sample{WorkloadID: "full", Engine: knobs.Postgres, Objective: 9, Window: time.Minute, At: at},
+			pgKnobs, pgMetrics},
+	}
+}
+
+func codecSamples(t testing.TB) []tuner.Sample {
+	var out []tuner.Sample
+	for _, m := range codecMapSamples() {
+		out = append(out, vectorOf(t, m))
+	}
+	return out
+}
+
+// mapEncodeStore is the store section's encoder as it was over map-form
+// samples: each engine's header is the keys its samples carry, in
+// catalogue order, and values are looked up by name. It is the
+// reference encodeStore must match byte for byte.
+func mapEncodeStore(samples []mapSample) []byte {
+	type header struct {
+		engine           knobs.Engine
+		knobs, metrics   []string
+		knobSet, metrSet map[string]bool
+	}
+	var (
+		engines   []*header
+		engineIdx = make(map[knobs.Engine]int)
+		workloads []string
+		counts    []int
+	)
+	for _, s := range samples {
+		e, ok := engineIdx[s.Engine]
+		if !ok {
+			e = len(engines)
+			engineIdx[s.Engine] = e
+			engines = append(engines, &header{engine: s.Engine, knobSet: map[string]bool{}, metrSet: map[string]bool{}})
+		}
+		for k := range s.config {
+			engines[e].knobSet[k] = true
+		}
+		for k := range s.metrics {
+			engines[e].metrSet[k] = true
+		}
+		if n := len(workloads); n == 0 || workloads[n-1] != s.WorkloadID {
+			workloads = append(workloads, s.WorkloadID)
+			counts = append(counts, 0)
+		}
+		counts[len(counts)-1]++
+	}
+	for _, h := range engines {
+		kc, _ := knobs.CatalogFor(h.engine)
+		mc, _ := metrics.CatalogFor(string(h.engine))
+		h.knobs = bincodec.CatalogueOrder(h.knobSet, kc.Names())
+		h.metrics = bincodec.CatalogueOrder(h.metrSet, mc.Names())
+	}
+	b := append([]byte(storeMagic), storeVersion)
+	b = binary.AppendUvarint(b, uint64(len(engines)))
+	for _, h := range engines {
+		b = bincodec.AppendStrings(bincodec.AppendStrings(bincodec.AppendString(b, string(h.engine)), h.knobs), h.metrics)
+	}
+	b = binary.AppendUvarint(b, uint64(len(workloads)))
+	for i, w := range workloads {
+		b = binary.AppendUvarint(bincodec.AppendString(b, w), uint64(counts[i]))
+	}
+	for _, s := range samples {
+		e := engineIdx[s.Engine]
+		h := engines[e]
+		var flags byte
+		if s.Quality {
+			flags |= flagQuality
+		}
+		flags |= bincodec.ValuesFlag(s.config, h.knobs, flagConfigNil, flagConfigSparse)
+		flags |= bincodec.ValuesFlag(s.metrics, h.metrics, flagMetricsNil, flagMetricsSparse)
+		_, offset := s.At.Zone()
+		if offset != 0 {
+			flags |= flagAtZoned
+		}
+		b = append(binary.AppendUvarint(b, uint64(e)), flags)
+		b = bincodec.AppendValues(b, s.config, h.knobs, flags&flagConfigSparse != 0)
+		b = bincodec.AppendValues(b, s.metrics, h.metrics, flags&flagMetricsSparse != 0)
+		b = bincodec.AppendF64(b, s.Objective)
+		b = binary.AppendVarint(b, int64(s.Window))
+		b = bincodec.AppendTime(b, s.At, offset != 0)
+	}
+	return b
+}
+
+// TestStoreCodecMatchesMapEncoder: the vector encoder writes the bytes
+// the map-keyed encoder wrote for the same samples — nil, empty, sparse
+// and full — so the store section did not change.
+func TestStoreCodecMatchesMapEncoder(t *testing.T) {
+	maps := codecMapSamples()
+	src := New()
+	for _, m := range maps {
+		src.Store().Add(vectorOf(t, m))
+	}
+	// Store.All groups by workload in first-seen order; the reference
+	// takes the same order.
+	var grouped []mapSample
+	for _, w := range src.Store().Workloads() {
+		for _, m := range maps {
+			if m.WorkloadID == w {
+				grouped = append(grouped, m)
+			}
+		}
+	}
+	want := mapEncodeStore(grouped)
+	if got := saved(t, src); !bytes.Equal(got, want) {
+		t.Fatalf("store section differs from the map encoder's\n  got  %x\n  want %x", got, want)
+	}
+	for i, m := range grouped {
+		one := New()
+		one.Store().Add(vectorOf(t, m))
+		if got, want := saved(t, one), mapEncodeStore(grouped[i:i+1]); !bytes.Equal(got, want) {
+			t.Errorf("sample %s/%d: got %x, want %x", m.WorkloadID, i, got, want)
+		}
 	}
 }
 
@@ -83,7 +228,7 @@ func saved(t testing.TB, r *Repository) []byte {
 // it — and a restored store re-encodes to the same bytes.
 func TestStoreCodecMatchesLegacy(t *testing.T) {
 	src := New()
-	for _, s := range codecSamples() {
+	for _, s := range codecSamples(t) {
 		src.Store().Add(s)
 	}
 	section := saved(t, src)
@@ -115,24 +260,26 @@ func TestStoreCodecMatchesLegacy(t *testing.T) {
 }
 
 // TestStoreHeadersAreCatalogueOrdered: each engine's header lists the
-// keys its samples carry, in catalogue order, then keys outside the
-// catalogue, sorted.
+// knobs and metrics its samples carry, in catalogue order.
 func TestStoreHeadersAreCatalogueOrdered(t *testing.T) {
 	src := New()
-	for _, s := range codecSamples() {
+	for _, s := range codecSamples(t)[:7] {
 		src.Store().Add(s)
 	}
-	d := bincodec.NewDecoder(saved(t, src)[len(storeMagic)+1:])
-	got := make([]engineHeader, d.Count(3))
-	for i := range got {
-		got[i] = engineHeader{engine: knobs.Engine(d.Str()), knobs: d.Names(), metrics: d.Names()}
+	type header struct {
+		engine         knobs.Engine
+		knobs, metrics []string
 	}
-	want := []engineHeader{
+	d := bincodec.NewDecoder(saved(t, src)[len(storeMagic)+1:])
+	got := make([]header, d.Count(3))
+	for i := range got {
+		got[i] = header{engine: knobs.Engine(d.Str()), knobs: d.Names(), metrics: d.Names()}
+	}
+	want := []header{
 		{engine: knobs.Postgres,
-			knobs:   []string{"shared_buffers", "work_mem", "checkpoint_timeout", "not_a_knob"},
+			knobs:   []string{"shared_buffers", "work_mem", "checkpoint_timeout"},
 			metrics: []string{"xact_commit", "tup_fetched", "blks_hit"}},
-		{engine: knobs.MySQL, knobs: []string{"sort_buffer_size"}, metrics: []string{}},
-		{engine: "oracle", knobs: []string{"pga_aggregate_target", "sga_target"}, metrics: []string{"a", "z"}},
+		{engine: knobs.MySQL, knobs: knobs.MySQLCatalog().Names(), metrics: []string{"com_commit", "iops"}},
 	}
 	if d.Err() != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("headers = %+v (%v), want %+v", got, d.Err(), want)
@@ -147,12 +294,11 @@ func TestSaveNonFiniteValues(t *testing.T) {
 	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
 	src := New()
 	for i, v := range odd {
-		src.Store().Add(tuner.Sample{
-			WorkloadID: "w", Engine: knobs.Postgres,
-			Config:    knobs.Config{"work_mem": v, "shared_buffers": 1},
-			Metrics:   map[string]float64{"xact_commit": v},
-			Objective: v, At: time.Unix(int64(i), 0).UTC(),
-		})
+		src.Store().Add(vectorOf(t, mapSample{
+			tuner.Sample{WorkloadID: "w", Engine: knobs.Postgres, Objective: v, At: time.Unix(int64(i), 0).UTC()},
+			knobs.Config{"work_mem": v, "shared_buffers": 1},
+			metrics.Snapshot{"xact_commit": v},
+		}))
 	}
 	dst := storeOf(t, saved(t, src))
 	got := dst.Store().Samples("w")
@@ -161,8 +307,12 @@ func TestSaveNonFiniteValues(t *testing.T) {
 	}
 	for i, v := range odd {
 		want := math.Float64bits(v)
+		_, m, err := got[i].Maps()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for where, g := range map[string]float64{
-			"config": got[i].Config["work_mem"], "metrics": got[i].Metrics["xact_commit"], "objective": got[i].Objective,
+			"config": configOf(t, got[i])["work_mem"], "metrics": m["xact_commit"], "objective": got[i].Objective,
 		} {
 			if math.Float64bits(g) != want {
 				t.Errorf("sample %d %s: bits %#x, want %#x", i, where, math.Float64bits(g), want)
@@ -175,7 +325,7 @@ func TestSaveNonFiniteValues(t *testing.T) {
 // even at its last byte, leaves the store as it was.
 func TestLoadQuietFailsAtomically(t *testing.T) {
 	src := New()
-	for _, s := range codecSamples() {
+	for _, s := range codecSamples(t) {
 		src.Store().Add(s)
 	}
 	section := saved(t, src)
@@ -210,7 +360,7 @@ func TestLoadQuietFailsAtomically(t *testing.T) {
 // store unchanged, or loads every sample it reports; it never panics.
 func FuzzLoadStore(f *testing.F) {
 	src := New()
-	for _, s := range codecSamples() {
+	for _, s := range codecSamples(f) {
 		src.Store().Add(s)
 	}
 	f.Add(saved(f, src))
@@ -230,4 +380,51 @@ func FuzzLoadStore(f *testing.F) {
 			t.Fatalf("loaded %d samples, store grew by %d", n, r.Len()-len(before))
 		}
 	})
+}
+
+// oneSampleSection is a store section of one engine with the given
+// headers and one sample that carries neither vector.
+func oneSampleSection(engine string, knobNames, metricNames []string) []byte {
+	b := append([]byte(storeMagic), storeVersion, 1)
+	b = bincodec.AppendStrings(bincodec.AppendStrings(bincodec.AppendString(b, engine), knobNames), metricNames)
+	b = append(bincodec.AppendString(append(b, 1), "w"), 1)
+	b = append(b, 0, flagConfigNil|flagMetricsNil)
+	b = append(b, make([]byte, 8)...) // Objective
+	return append(b, 0, 0, 0)         // Window, At
+}
+
+// TestLoadRejectsNamesOutsideTheCatalogue: a header naming a knob or
+// metric outside its engine's catalogue, naming one twice or out of
+// catalogue order, or an engine without catalogues fails, naming it;
+// and Save refuses a vector it could not name.
+func TestLoadRejectsNamesOutsideTheCatalogue(t *testing.T) {
+	if _, err := New().LoadQuiet(bytes.NewReader(oneSampleSection("postgres", []string{"shared_buffers", "work_mem"}, []string{"xact_commit"}))); err != nil {
+		t.Fatalf("a valid section fails: %v", err)
+	}
+	for _, tc := range []struct {
+		name          string
+		engine        string
+		knobs, metric []string
+	}{
+		{"not_a_knob", "postgres", []string{"work_mem", "not_a_knob"}, nil},
+		{"com_commit", "postgres", nil, []string{"com_commit"}},
+		{"work_mem", "mysql", []string{"work_mem"}, nil},
+		{"oracle", "oracle", nil, nil},
+		{"work_mem", "postgres", []string{"work_mem", "work_mem"}, nil},
+		{"shared_buffers", "postgres", []string{"work_mem", "shared_buffers"}, nil},
+	} {
+		r := New()
+		_, err := r.LoadQuiet(bytes.NewReader(oneSampleSection(tc.engine, tc.knobs, tc.metric)))
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s %v %v: err = %v, want one naming %s", tc.engine, tc.knobs, tc.metric, err, tc.name)
+		}
+		if r.Len() != 0 {
+			t.Errorf("%s: a failed load stored %d samples", tc.name, r.Len())
+		}
+	}
+	r := New()
+	r.Store().Add(tuner.Sample{WorkloadID: "w", Engine: "oracle", Config: knobs.Vector{Vals: []float64{1}, Set: 1}})
+	if err := r.Save(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "oracle") {
+		t.Fatalf("Save of a vector without a catalogue: err = %v", err)
+	}
 }

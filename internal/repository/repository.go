@@ -328,7 +328,11 @@ func (r *Repository) Len() int { return r.store.Len() }
 // IaaS'es fetch the new workloads" from one durable store. Any float
 // value, NaN and ±Inf included, round-trips bit for bit.
 func (r *Repository) Save(w io.Writer) error {
-	if _, err := w.Write(encodeStore(r.store.All())); err != nil {
+	b, err := encodeStore(r.store.All())
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	if err != nil {
 		return fmt.Errorf("repository: save: %w", err)
 	}
 	return nil

@@ -65,11 +65,11 @@ func TestSubscribeAfterSamplesOnlySeesNew(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	src := New()
 	for i := 0; i < 5; i++ {
-		src.Observe(tuner.Sample{
-			WorkloadID: "w1", Engine: knobs.Postgres,
-			Config:    knobs.Config{"work_mem": float64(i)},
-			Objective: float64(i * 10),
-		})
+		s := tuner.Sample{WorkloadID: "w1", Engine: knobs.Postgres, Objective: float64(i * 10)}
+		if err := s.SetMaps(knobs.Config{"work_mem": float64(i)}, nil); err != nil {
+			t.Fatal(err)
+		}
+		src.Observe(s)
 	}
 	src.Observe(tuner.Sample{WorkloadID: "w2", Engine: knobs.Postgres, Objective: 7})
 
@@ -89,7 +89,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("workloads = %v", ws)
 	}
 	got := dst.Store().Samples("w1")
-	if len(got) != 5 || got[3].Config["work_mem"] != 3 || got[3].Objective != 30 {
+	if len(got) != 5 || configOf(t, got[3])["work_mem"] != 3 || got[3].Objective != 30 {
 		t.Fatalf("w1 samples = %+v", got)
 	}
 }

@@ -64,7 +64,6 @@ func (r *Repository) SimilarWorkloads(engine string, workloadName, excludeID str
 	}
 	var cands []candidate
 	var view []*tuner.Sample
-	v := make([]float64, mcat.Len())
 	for _, id := range ids {
 		if id == excludeID || !strings.HasSuffix(id, suffix) {
 			continue
@@ -76,9 +75,8 @@ func (r *Repository) SimilarWorkloads(engine string, workloadName, excludeID str
 		}
 		sum := make([]float64, mcat.Len())
 		for _, s := range view {
-			mcat.VectorInto(v, s.Metrics)
 			for j := range sum {
-				sum[j] += v[j]
+				sum[j] += s.Metrics.At(j)
 			}
 		}
 		for j := range sum {

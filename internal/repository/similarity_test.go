@@ -26,14 +26,11 @@ func simSample(t *testing.T, wid string, level, objective float64) tuner.Sample 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tuner.Sample{
-		WorkloadID: wid,
-		Engine:     knobs.Postgres,
-		Config:     kcat.DefaultConfig(),
-		Metrics:    snap,
-		Objective:  objective,
-		Quality:    true,
+	s := tuner.Sample{WorkloadID: wid, Engine: knobs.Postgres, Objective: objective, Quality: true}
+	if err := s.SetMaps(kcat.DefaultConfig(), snap); err != nil {
+		t.Fatal(err)
 	}
+	return s
 }
 
 // TestSimilarWorkloadsRanksByCentrality seeds three same-kind workloads —

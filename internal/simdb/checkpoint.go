@@ -166,8 +166,9 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 }
 
 // CheckState returns why st cannot restore into this engine, or nil: a
-// query log that does not describe this engine's ring, or profiles on a
-// replica. It reads only construction parameters, so it takes no lock.
+// query log that does not describe this engine's ring, profiles on a
+// replica, or a config naming a knob outside the engine's catalogue. It
+// reads only construction parameters, so it takes no lock.
 func (e *Engine) CheckState(st EngineState) error {
 	n := len(e.queryLog.buf)
 	if st.QueryLogSlots != n {
@@ -178,6 +179,13 @@ func (e *Engine) CheckState(st EngineState) error {
 	}
 	if e.replica && len(st.Profiles) > 0 {
 		return fmt.Errorf("simdb: restore: a replica holds %d profiles, want none", len(st.Profiles))
+	}
+	for _, cfg := range []knobs.Config{st.Cfg, st.PendingRestart} {
+		for k := range cfg {
+			if e.kcat.Def(k) == nil {
+				return fmt.Errorf("simdb: restore: config names %q, which the %s catalogue lacks", k, e.engineName)
+			}
+		}
 	}
 	ids, classes, idx := st.QueryLogTemplates, st.QueryLogClasses, st.QueryLogTemplateIdx
 	if len(classes) != len(ids) {

@@ -161,7 +161,7 @@ type Options struct {
 	DBSizeBytes float64
 	// Seed makes the engine deterministic.
 	Seed int64
-	// Start is the initial simulated instant (zero: 2021-03-23 00:00 UTC).
+	// Start is the initial simulated instant (zero: workload.SimEpoch).
 	Start time.Time
 	// Config overrides the catalogue defaults (validated).
 	Config knobs.Config
@@ -198,7 +198,7 @@ func newEngine(o Options, replica bool) (*Engine, error) {
 	}
 	start := o.Start
 	if start.IsZero() {
-		start = time.Date(2021, 3, 23, 0, 0, 0, 0, time.UTC)
+		start = workload.SimEpoch
 	}
 	logSize := o.QueryLogSize
 	switch {
@@ -261,6 +261,19 @@ func (e *Engine) Config() knobs.Config {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.cfg.Clone()
+}
+
+// ConfigVector returns the active configuration in catalogue order,
+// without the map copy Config makes.
+func (e *Engine) ConfigVector() knobs.Vector {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	// cfg holds only catalogue knobs: every write to it is validated.
+	v, err := e.kcat.FromConfig(e.cfg)
+	if err != nil {
+		panic(fmt.Sprintf("simdb: active config: %v", err))
+	}
+	return v
 }
 
 // Knob returns one knob of the active configuration without copying

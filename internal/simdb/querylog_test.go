@@ -262,3 +262,28 @@ func TestRestoreRejectsShortQueryLog(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsUnknownKnob: a restored config or staged restart
+// config naming a knob outside the engine's catalogue is corrupt (the
+// engine reads its config by catalogue position), and the engine is
+// left untouched.
+func TestRestoreRejectsUnknownKnob(t *testing.T) {
+	e := newPG(t, m4Large(), 4*workload.GiB)
+	before := e.CheckpointState()
+	cfg, staged := before, before
+	cfg.Cfg = before.Cfg.Clone()
+	cfg.Cfg["innodb_io_capacity"] = 200
+	staged.PendingRestart = knobs.Config{"not_a_knob": 1}
+	for name, tc := range map[string]struct {
+		st   EngineState
+		want string
+	}{"config": {cfg, `"innodb_io_capacity"`}, "staged": {staged, `"not_a_knob"`}} {
+		err := e.RestoreCheckpointState(tc.st)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: want an error naming %s, got %v", name, tc.want, err)
+		}
+		if got := e.CheckpointState(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("%s: rejected restore changed the engine", name)
+		}
+	}
+}

@@ -263,7 +263,7 @@ func TestIsSpaceByteMatchesUnicode(t *testing.T) {
 }
 
 // TestTemplateCacheTransparent proves the memo is exact: TemplateOf
-// agrees with the uncached computeTemplate on every corpus entry, twice
+// agrees with the uncached ComputeTemplate on every corpus entry, twice
 // (second pass hits the cache).
 func TestTemplateCacheTransparent(t *testing.T) {
 	ResetTemplateCache()
@@ -271,7 +271,7 @@ func TestTemplateCacheTransparent(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for _, sql := range corpus {
 			got := TemplateOf(sql)
-			want := computeTemplate(sql)
+			want := ComputeTemplate(sql)
 			if got != want {
 				t.Fatalf("pass %d: TemplateOf(%q) = %+v, want %+v", pass, sql, got, want)
 			}
@@ -300,7 +300,7 @@ func TestTemplateCacheEviction(t *testing.T) {
 	}
 	// A fresh lookup after heavy eviction still computes correctly.
 	sql := "select after_eviction from t where id in (1,2,3)"
-	if got, want := TemplateOf(sql), computeTemplate(sql); got != want {
+	if got, want := TemplateOf(sql), ComputeTemplate(sql); got != want {
 		t.Fatalf("post-eviction TemplateOf = %+v, want %+v", got, want)
 	}
 }

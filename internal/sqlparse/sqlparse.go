@@ -288,12 +288,15 @@ func TemplateOf(sql string) Template {
 	if tpl, ok := templateCacheGet(sql); ok {
 		return tpl
 	}
-	tpl := computeTemplate(sql)
+	tpl := ComputeTemplate(sql)
 	templateCachePut(sql, tpl)
 	return tpl
 }
 
-func computeTemplate(sql string) Template {
+// ComputeTemplate is TemplateOf without the cache: it neither reads nor
+// fills it. Callers that keep their own templates (a generator's
+// identifier sites) use it.
+func ComputeTemplate(sql string) Template {
 	norm := Normalize(sql)
 	sum := sha256.Sum256([]byte(norm))
 	return Template{

@@ -75,6 +75,11 @@ type Tuner struct {
 	rngSrc *prng.Source // counting source behind rng, for checkpointing
 
 	knobNames []string // tunable knobs, catalogue order
+	knobIdx   []int    // their catalogue positions
+
+	// BgWriterBaseline's metrics: the engine's checkpoint counter and
+	// write latency, as catalogue positions.
+	ckptIdx, wlatIdx int
 
 	// store is the central repository's sample store, bound when a
 	// repository subscribes the tuner; training reads samples from it.
@@ -91,6 +96,7 @@ type Tuner struct {
 	// allocate in proportion to the history it reads. None of it
 	// carries anything from one call to the next.
 	view     []*tuner.Sample // store view: training samples, or one workload's
+	idxBuf   []int           // the searched knobs' catalogue positions
 	rowBuf   []float64       // normalized training configs, row-major
 	rows     [][]float64     // row headers into rowBuf
 	yn       []float64       // normalized objectives
@@ -125,15 +131,28 @@ func New(opts Options) (*Tuner, error) {
 	if opts.UCBBeta < 0 {
 		opts.UCBBeta = 1.2
 	}
+	ckpt := "checkpoints_req"
+	if opts.Engine == knobs.MySQL {
+		ckpt = "innodb_checkpoints"
+	}
+	ckptIdx, ok1 := mcat.Index(ckpt)
+	wlatIdx, ok2 := mcat.Index("disk_write_latency_ms")
+	if !ok1 || !ok2 {
+		return nil, fmt.Errorf("bo: %s metric catalogue lacks the bgwriter baseline's metrics", opts.Engine)
+	}
 	reg := obs.Default()
 	rng, rngSrc := prng.New(opts.Seed)
+	knobNames := kcat.TunableNames()
 	return &Tuner{
 		opts:       opts,
 		kcat:       kcat,
 		mcat:       mcat,
 		rng:        rng,
 		rngSrc:     rngSrc,
-		knobNames:  kcat.TunableNames(),
+		knobNames:  knobNames,
+		knobIdx:    kcat.AppendIndices(nil, knobNames),
+		ckptIdx:    ckptIdx,
+		wlatIdx:    wlatIdx,
 		meanSums:   make(map[string][]float64),
 		meanCounts: make(map[string]int),
 		gpr:        gp.NewRegressor(nil, 1e-3),
@@ -175,9 +194,8 @@ func (t *Tuner) Observe(s tuner.Sample) error {
 		t.meanSums[s.WorkloadID] = sum
 		t.meanOrder = append(t.meanOrder, s.WorkloadID)
 	}
-	v := t.mcat.Vector(s.Metrics)
 	for i := range sum {
-		sum[i] += v[i]
+		sum[i] += s.Metrics.At(i)
 	}
 	t.meanCounts[s.WorkloadID]++
 	t.setTrainingSamplesLocked()
@@ -284,7 +302,8 @@ func (t *Tuner) rankKnobs(samples []*tuner.Sample) ([]string, error) {
 	x := make([][]float64, len(samples))
 	y := make([]float64, len(samples))
 	for i, s := range samples {
-		x[i] = t.kcat.Normalize(s.Config, t.knobNames)
+		x[i] = make([]float64, len(t.knobIdx))
+		t.kcat.NormalizeVectorInto(x[i], s.Config, t.knobIdx)
 		y[i] = s.Objective
 	}
 	imps, err := lasso.RankPath(x, y, []float64{0.5, 0.2, 0.08, 0.03, 0.01})
@@ -346,8 +365,10 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 	if ymax <= 0 {
 		ymax = 1
 	}
+	idx := t.kcat.AppendIndices(t.idxBuf[:0], names)
+	t.idxBuf = idx
 	for i, s := range training {
-		t.kcat.NormalizeInto(x[i], s.Config, names)
+		t.kcat.NormalizeVectorInto(x[i], s.Config, idx)
 		yn[i] = s.Objective / ymax
 	}
 	fitStart := time.Now()
@@ -525,15 +546,9 @@ func (t *Tuner) BgWriterBaseline(sample metrics.Snapshot) (ckptPerSec, diskLaten
 	if best == nil {
 		return 0, 0, false
 	}
-	var ckpts float64
-	if t.opts.Engine == knobs.MySQL {
-		ckpts = best.Metrics["innodb_checkpoints"]
-	} else {
-		ckpts = best.Metrics["checkpoints_req"]
-	}
-	lat := best.Metrics["disk_write_latency_ms"]
+	lat := best.Metrics.At(t.wlatIdx)
 	if lat <= 0 {
 		return 0, 0, false
 	}
-	return ckpts / best.Window.Seconds(), lat, true
+	return best.Metrics.At(t.ckptIdx) / best.Window.Seconds(), lat, true
 }

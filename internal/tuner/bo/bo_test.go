@@ -40,15 +40,38 @@ func runConfig(t *testing.T, gen workload.Generator, cfg knobs.Config, seed int6
 			t.Fatal(err)
 		}
 	}
-	return tuner.Sample{
+	return withMaps(tuner.Sample{
 		WorkloadID: gen.Name(),
 		Engine:     knobs.Postgres,
-		Config:     e.Config(),
-		Metrics:    metrics.Delta(before, e.Snapshot()),
 		Objective:  last.Achieved,
 		Quality:    true,
 		At:         e.Now(),
+	}, e.Config(), metrics.Delta(before, e.Snapshot()))
+}
+
+// withMaps returns s carrying cfg and m, in map form, as its vectors.
+func withMaps(s tuner.Sample, cfg knobs.Config, m metrics.Snapshot) tuner.Sample {
+	if err := s.SetMaps(cfg, m); err != nil {
+		panic(err)
 	}
+	return s
+}
+
+// configOf and metricsOf return a sample's vectors in map form.
+func configOf(s tuner.Sample) knobs.Config {
+	cfg, _, err := s.Maps()
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}
+
+func metricsOf(s tuner.Sample) metrics.Snapshot {
+	_, m, err := s.Maps()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // newBound builds a tuner subscribed to a fresh central repository, the
@@ -128,12 +151,12 @@ func TestWorkloadMappingSeparatesWorkloads(t *testing.T) {
 	}
 	repo.Flush()
 	probe := runConfig(t, tpcc, nil, 999)
-	id, _, ok := tn.MapWorkload(probe.Metrics)
+	id, _, ok := tn.MapWorkload(metricsOf(probe))
 	if !ok || id != "tpcc" {
 		t.Fatalf("TPCC probe mapped to %q (ok=%v)", id, ok)
 	}
 	probe2 := runConfig(t, tpch, nil, 998)
-	id2, _, _ := tn.MapWorkload(probe2.Metrics)
+	id2, _, _ := tn.MapWorkload(metricsOf(probe2))
 	if id2 != "tpch" {
 		t.Fatalf("TPCH probe mapped to %q", id2)
 	}
@@ -148,10 +171,10 @@ func TestRankKnobsFindsInfluentialKnob(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		cfg := randomConfig(rng, kcat)
 		u := kcat.Normalize(cfg, []string{"work_mem"})[0]
-		samples = append(samples, tuner.Sample{
+		samples = append(samples, withMaps(tuner.Sample{
 			Engine: knobs.Postgres, WorkloadID: "synthetic",
-			Config: cfg, Objective: 1000*u + rng.NormFloat64()*5,
-		})
+			Objective: 1000*u + rng.NormFloat64()*5,
+		}, cfg, nil))
 	}
 	ranked, err := tn.RankKnobs(samples)
 	if err != nil {
@@ -186,8 +209,8 @@ func TestRecommendImprovesThroughput(t *testing.T) {
 		InstanceID:  "db-1",
 		Engine:      knobs.Postgres,
 		WorkloadID:  gen.Name(),
-		Metrics:     probe.Metrics,
-		Current:     probe.Config,
+		Metrics:     metricsOf(probe),
+		Current:     configOf(probe),
 		MemoryBytes: 16 * workload.GiB,
 	})
 	if err != nil {
@@ -277,7 +300,7 @@ func TestBgWriterBaselineFromMappedWorkload(t *testing.T) {
 	}
 	repo.Flush()
 	probe := runConfig(t, gen, nil, 99)
-	rate, lat, ok := tn.BgWriterBaseline(probe.Metrics)
+	rate, lat, ok := tn.BgWriterBaseline(metricsOf(probe))
 	if !ok {
 		t.Fatal("trained tuner produced no baseline")
 	}

@@ -28,16 +28,14 @@ func synthSample(kcat *knobs.Catalog, mcat *metrics.Catalog, rng *rand.Rand, wid
 	for _, name := range mcat.Names() {
 		snap[name] = rng.Float64() * 1000
 	}
-	return tuner.Sample{
+	return withMaps(tuner.Sample{
 		WorkloadID: wid,
-		Engine:     knobs.Postgres,
-		Config:     cfg,
-		Metrics:    snap,
+		Engine:     kcat.Engine,
 		Objective:  500 + rng.Float64()*2000,
 		Quality:    true,
 		Window:     5 * time.Minute,
 		At:         time.Date(2021, 3, 23, 0, 0, 0, 0, time.UTC).Add(time.Duration(i) * 5 * time.Minute),
-	}
+	}, cfg, snap)
 }
 
 // TestRestoreIgnoresFitCacheFields: older snapshots carry fields the
@@ -61,7 +59,7 @@ func TestRestoreIgnoresFitCacheFields(t *testing.T) {
 	repo.Flush()
 	last := samples[len(samples)-1]
 	cls := knobs.Memory
-	req := tuner.Request{WorkloadID: "wl-a", Metrics: last.Metrics, Current: last.Config, ThrottleClass: &cls}
+	req := tuner.Request{WorkloadID: "wl-a", Metrics: metricsOf(last), Current: configOf(last), ThrottleClass: &cls}
 	if _, err := src.Recommend(req); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +153,7 @@ func TestTrainsOnlyOnOwnEngine(t *testing.T) {
 		repo.Observe(mysql("mysql-only", i))
 	}
 	repo.Flush()
-	rec, err := tn.Recommend(tuner.Request{Engine: knobs.Postgres, WorkloadID: "shared", Metrics: last.Metrics, Current: last.Config})
+	rec, err := tn.Recommend(tuner.Request{Engine: knobs.Postgres, WorkloadID: "shared", Metrics: metricsOf(last), Current: configOf(last)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +189,11 @@ func TestReadsRaceUploads(t *testing.T) {
 	var view []*tuner.Sample
 	for i := 0; i < 30; i++ {
 		s := samples[i]
-		_, _ = tn.Recommend(tuner.Request{WorkloadID: s.WorkloadID, Metrics: s.Metrics, Current: s.Config})
-		tn.BgWriterBaseline(s.Metrics)
+		_, _ = tn.Recommend(tuner.Request{WorkloadID: s.WorkloadID, Metrics: metricsOf(s), Current: configOf(s)})
+		tn.BgWriterBaseline(metricsOf(s))
 		view = repo.Store().View(view[:0], s.WorkloadID, knobs.Postgres, 5)
 		for _, v := range view {
-			if v.WorkloadID != s.WorkloadID || v.Config["work_mem"] <= 0 || v.Objective < 500 {
+			if v.WorkloadID != s.WorkloadID || configOf(*v)["work_mem"] <= 0 || v.Objective < 500 {
 				t.Errorf("viewed sample read torn: %+v", v)
 			}
 		}

@@ -57,7 +57,7 @@ func referenceRecommend(t *Tuner, req tuner.Request) (tuner.Recommendation, erro
 		ymax = 1
 	}
 	for i, s := range training {
-		x[i] = t.kcat.Normalize(s.Config, names)
+		x[i] = t.kcat.Normalize(configOf(s), names)
 		yn[i] = s.Objective / ymax
 	}
 	model := gp.NewRegressor(gp.NewSEARD(len(names), 0.35, 1.0), 1e-3)
@@ -221,7 +221,7 @@ func referenceSearchKnobs(t *Tuner, training []tuner.Sample, cls *knobs.Class) [
 		x := make([][]float64, len(training))
 		y := make([]float64, len(training))
 		for i, s := range training {
-			x[i] = t.kcat.Normalize(s.Config, t.knobNames)
+			x[i] = t.kcat.Normalize(configOf(s), t.knobNames)
 			y[i] = s.Objective
 		}
 		if imps, err := lasso.RankPath(x, y, []float64{0.5, 0.2, 0.08, 0.03, 0.01}); err == nil {
@@ -250,10 +250,10 @@ func referenceBgWriterBaseline(t *Tuner, sample metrics.Snapshot) (float64, floa
 			best = s
 		}
 	}
-	if best == nil || best.Metrics["disk_write_latency_ms"] <= 0 {
+	if best == nil || metricsOf(*best)["disk_write_latency_ms"] <= 0 {
 		return 0, 0, false
 	}
-	return best.Metrics["checkpoints_req"] / best.Window.Seconds(), best.Metrics["disk_write_latency_ms"], true
+	return metricsOf(*best)["checkpoints_req"] / best.Window.Seconds(), metricsOf(*best)["disk_write_latency_ms"], true
 }
 
 // equivalenceCase is one point of the TestRecommendMatchesReference grid.
@@ -336,7 +336,7 @@ func runEquivalence(t *testing.T, tc equivalenceCase, seed int64) {
 				clock++
 				s := synthSample(kcat, mcat, rng, wid, at)
 				if tc.duplicates {
-					s.Config = dupCfg.Clone()
+					s.Config = dupCfg
 				}
 				batch = append(batch, s)
 				if tc.mysql {
@@ -363,7 +363,7 @@ func runEquivalence(t *testing.T, tc equivalenceCase, seed int64) {
 			upload()
 		}
 		probe := uploaded[rng.Intn(len(uploaded))]
-		req := tuner.Request{Engine: knobs.Postgres, WorkloadID: probe.WorkloadID, Metrics: probe.Metrics, Current: probe.Config}
+		req := tuner.Request{Engine: knobs.Postgres, WorkloadID: probe.WorkloadID, Metrics: metricsOf(probe), Current: configOf(probe)}
 		switch call % 5 {
 		case 1:
 			req.WorkloadID = "wl-unseen" // trains on a mapped workload only
@@ -377,7 +377,7 @@ func runEquivalence(t *testing.T, tc equivalenceCase, seed int64) {
 			req.ThrottleClass = &cls
 		}
 		if tc.constraint {
-			center := uploaded[rng.Intn(len(uploaded))].Config
+			center := configOf(uploaded[rng.Intn(len(uploaded))])
 			req.Constraint = &tuner.Constraint{Center: center, Radius: 0.15 + 0.1*float64(call%3), Exclude: exclude}
 		}
 
@@ -400,8 +400,8 @@ func runEquivalence(t *testing.T, tc equivalenceCase, seed int64) {
 		if g, w := got.rngSrc.State(), want.rngSrc.State(); g != w {
 			t.Fatalf("call %d: RNG at %+v, reference at %+v", call, g, w)
 		}
-		gr, gl, gok := got.BgWriterBaseline(probe.Metrics)
-		wr, wl, wok := referenceBgWriterBaseline(want, probe.Metrics)
+		gr, gl, gok := got.BgWriterBaseline(metricsOf(probe))
+		wr, wl, wok := referenceBgWriterBaseline(want, metricsOf(probe))
 		if gr != wr || gl != wl || gok != wok {
 			t.Fatalf("call %d: baseline (%g, %g, %v), reference (%g, %g, %v)", call, gr, gl, gok, wr, wl, wok)
 		}
@@ -423,7 +423,7 @@ func TestRecommendAllocsIndependentOfHistory(t *testing.T) {
 			}
 		}
 		cls := knobs.BgWriter
-		req := tuner.Request{Engine: knobs.Postgres, WorkloadID: last.WorkloadID, Metrics: last.Metrics, Current: last.Config, ThrottleClass: &cls}
+		req := tuner.Request{Engine: knobs.Postgres, WorkloadID: last.WorkloadID, Metrics: metricsOf(last), Current: configOf(last), ThrottleClass: &cls}
 		recommend := func() {
 			if _, err := tn.Recommend(req); err != nil {
 				t.Fatal(err)

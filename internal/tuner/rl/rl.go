@@ -76,6 +76,7 @@ type Tuner struct {
 	rngSrc *prng.Source // counting source behind rng, for checkpointing
 
 	knobNames []string
+	knobIdx   []int // knobNames' catalogue positions
 	stateDim  int
 
 	actor, actorTarget   *nn.Network
@@ -163,6 +164,7 @@ func New(opts Options) (*Tuner, error) {
 		rng:          rng,
 		rngSrc:       rngSrc,
 		knobNames:    knobNames,
+		knobIdx:      kcat.AppendIndices(nil, knobNames),
 		stateDim:     stateDim,
 		actor:        actor,
 		actorTarget:  actorTarget,
@@ -196,17 +198,15 @@ func (t *Tuner) TrainSteps() int {
 	return t.trained
 }
 
-// state normalizes the metric snapshot into the network input. Values
-// are squashed with x/(1+|x|) after a log-ish compression to keep the
-// scale bounded without per-metric statistics.
-func (t *Tuner) state(m metrics.Snapshot) []float64 {
-	raw := t.mcat.Vector(m)
-	out := make([]float64, len(raw))
+// state normalizes a metric vector in catalogue order into the network
+// input, in place. Values are squashed with x/(1+|x|) after a log-ish
+// compression to keep the scale bounded without per-metric statistics.
+func state(raw []float64) []float64 {
 	for i, v := range raw {
 		c := v / 1e6
-		out[i] = c / (1 + abs(c))
+		raw[i] = c / (1 + abs(c))
 	}
-	return out
+	return raw
 }
 
 func abs(v float64) float64 {
@@ -227,8 +227,13 @@ func (t *Tuner) Observe(s tuner.Sample) error {
 	defer t.mu.Unlock()
 	t.observed++
 	key := s.WorkloadID
-	cur := t.state(s.Metrics)
-	action := t.kcat.Normalize(s.Config, t.knobNames)
+	cur := make([]float64, t.stateDim)
+	for i := range cur {
+		cur[i] = s.Metrics.At(i)
+	}
+	cur = state(cur)
+	action := make([]float64, len(t.knobIdx))
+	t.kcat.NormalizeVectorInto(action, s.Config, t.knobIdx)
 	ep, ok := t.episodes[key]
 	if !ok {
 		ep = &episode{}
@@ -340,7 +345,7 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 	if t.observed == 0 {
 		return tuner.Recommendation{}, tuner.ErrNotTrained
 	}
-	st := t.state(req.Metrics)
+	st := state(t.mcat.Vector(req.Metrics))
 	act, err := t.actor.Forward(st)
 	if err != nil {
 		return tuner.Recommendation{}, err

@@ -51,12 +51,7 @@ func TestRecommendIsValidAndCheap(t *testing.T) {
 		for d := range vec {
 			vec[d] = rng.Float64()
 		}
-		tn.Observe(tuner.Sample{
-			Engine: knobs.Postgres, WorkloadID: "w",
-			Config:    kcat.Denormalize(vec, names),
-			Metrics:   snap(100 + rng.Float64()*100),
-			Objective: 100 + rng.Float64()*100,
-		})
+		tn.Observe(pgSample("w", kcat.Denormalize(vec, names), snap(100+rng.Float64()*100), 100+rng.Float64()*100))
 	}
 	rec, err := tn.Recommend(tuner.Request{
 		Engine: knobs.Postgres, WorkloadID: "w", Metrics: snap(150),
@@ -91,12 +86,7 @@ func TestTransitionsAndTrainingHappen(t *testing.T) {
 		for d := range vec {
 			vec[d] = rng.Float64()
 		}
-		tn.Observe(tuner.Sample{
-			Engine: knobs.Postgres, WorkloadID: "w",
-			Config:    kcat.Denormalize(vec, names),
-			Metrics:   snap(float64(100 + i)),
-			Objective: float64(100 + i),
-		})
+		tn.Observe(pgSample("w", kcat.Denormalize(vec, names), snap(float64(100+i)), float64(100+i)))
 	}
 	if tn.Observed() != 40 {
 		t.Fatalf("observed = %d", tn.Observed())
@@ -127,12 +117,7 @@ func TestPolicyLearnsRewardDirection(t *testing.T) {
 		}
 		// Objective proportional to knob 0's setting.
 		obj := 50 + 200*vec[0]
-		tn.Observe(tuner.Sample{
-			Engine: knobs.Postgres, WorkloadID: "w",
-			Config:    kcat.Denormalize(vec, names),
-			Metrics:   st,
-			Objective: obj,
-		})
+		tn.Observe(pgSample("w", kcat.Denormalize(vec, names), st, obj))
 		prevObj = obj
 	}
 	_ = prevObj
@@ -153,12 +138,7 @@ func TestReplayBufferBounded(t *testing.T) {
 	tn, _ := New(opts)
 	kcat := knobs.PostgresCatalog()
 	for i := 0; i < 100; i++ {
-		tn.Observe(tuner.Sample{
-			Engine: knobs.Postgres, WorkloadID: "w",
-			Config:    kcat.DefaultConfig(),
-			Metrics:   snap(float64(i)),
-			Objective: float64(i),
-		})
+		tn.Observe(pgSample("w", kcat.DefaultConfig(), snap(float64(i)), float64(i)))
 	}
 	tn.mu.Lock()
 	n := len(tn.replay)
@@ -172,8 +152,8 @@ func TestSeparateEpisodesPerWorkload(t *testing.T) {
 	tn, _ := New(DefaultOptions(knobs.Postgres))
 	kcat := knobs.PostgresCatalog()
 	cfg := kcat.DefaultConfig()
-	tn.Observe(tuner.Sample{Engine: knobs.Postgres, WorkloadID: "a", Config: cfg, Metrics: snap(10), Objective: 10})
-	tn.Observe(tuner.Sample{Engine: knobs.Postgres, WorkloadID: "b", Config: cfg, Metrics: snap(20), Objective: 20})
+	tn.Observe(pgSample("a", cfg, snap(10), 10))
+	tn.Observe(pgSample("b", cfg, snap(20), 20))
 	tn.mu.Lock()
 	transitions := len(tn.replay)
 	episodes := len(tn.episodes)
@@ -184,4 +164,13 @@ func TestSeparateEpisodesPerWorkload(t *testing.T) {
 	if episodes != 2 {
 		t.Fatalf("episodes = %d", episodes)
 	}
+}
+
+// pgSample builds a Postgres training sample for workload w.
+func pgSample(w string, cfg knobs.Config, m metrics.Snapshot, objective float64) tuner.Sample {
+	s := tuner.Sample{Engine: knobs.Postgres, WorkloadID: w, Objective: objective}
+	if err := s.SetMaps(cfg, m); err != nil {
+		panic(err)
+	}
+	return s
 }

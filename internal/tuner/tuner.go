@@ -6,7 +6,9 @@
 package tuner
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -16,23 +18,113 @@ import (
 
 // Sample is one training observation: the delta metrics observed while a
 // workload executed under a configuration, plus the objective (the
-// paper's X_{m,i,j} matrices, flattened).
+// paper's X_{m,i,j} matrices, flattened). Config and Metrics are
+// vectors in the order of the engine's knob and metric catalogues; the
+// JSON form keeps them as name-keyed maps.
 type Sample struct {
+	WorkloadID string
+	Engine     knobs.Engine
+	Config     knobs.Vector
+	Metrics    metrics.Vector
+	// Objective is the tuning target (throughput in qps).
+	Objective float64
+	// Quality marks whether the sample was captured while the database
+	// actually needed tuning (TDE-gated). Low-quality samples are the
+	// paper's model-corruption vector.
+	Quality bool
+	// Window is the observation period the delta metrics cover, needed
+	// to turn counter deltas into rates (e.g. checkpoints/second for the
+	// bgwriter baseline).
+	Window time.Duration
+	At     time.Time
+}
+
+// sampleJSON is Sample's wire form, with name-keyed maps.
+type sampleJSON struct {
 	WorkloadID string           `json:"workload_id"`
 	Engine     knobs.Engine     `json:"engine"`
 	Config     knobs.Config     `json:"config"`
 	Metrics    metrics.Snapshot `json:"metrics"`
-	// Objective is the tuning target (throughput in qps).
-	Objective float64 `json:"objective"`
-	// Quality marks whether the sample was captured while the database
-	// actually needed tuning (TDE-gated). Low-quality samples are the
-	// paper's model-corruption vector.
-	Quality bool `json:"quality"`
-	// Window is the observation period the delta metrics cover, needed
-	// to turn counter deltas into rates (e.g. checkpoints/second for the
-	// bgwriter baseline).
-	Window time.Duration `json:"window"`
-	At     time.Time     `json:"at"`
+	Objective  float64          `json:"objective"`
+	Quality    bool             `json:"quality"`
+	Window     time.Duration    `json:"window"`
+	At         time.Time        `json:"at"`
+}
+
+// catalogues returns the engine's knob and metric catalogues.
+func catalogues(e knobs.Engine) (*knobs.Catalog, *metrics.Catalog, error) {
+	kc, err := knobs.CatalogFor(e)
+	if err != nil {
+		return nil, nil, err
+	}
+	mc, err := metrics.CatalogFor(string(e))
+	if err != nil {
+		return nil, nil, err
+	}
+	return kc, mc, nil
+}
+
+// Maps returns the sample's config and metrics as maps (nil for a nil
+// vector), named by its engine's catalogues.
+func (s *Sample) Maps() (knobs.Config, metrics.Snapshot, error) {
+	if s.Config.Vals == nil && s.Metrics.Vals == nil {
+		return nil, nil, nil
+	}
+	kc, mc, err := catalogues(s.Engine)
+	if err != nil {
+		return nil, nil, err
+	}
+	return kc.Config(s.Config), mc.Snapshot(s.Metrics), nil
+}
+
+// SetMaps stores cfg and m as the sample's vectors. It fails, naming
+// it, on a knob or metric the engine's catalogues lack, and on an
+// engine without catalogues.
+func (s *Sample) SetMaps(cfg knobs.Config, m metrics.Snapshot) error {
+	kc, mc, err := catalogues(s.Engine)
+	if err != nil {
+		return fmt.Errorf("tuner: sample: %w", err)
+	}
+	cv, err := kc.FromConfig(cfg)
+	if err != nil {
+		return fmt.Errorf("tuner: sample config: %w", err)
+	}
+	mv, err := mc.FromSnapshot(m)
+	if err != nil {
+		return fmt.Errorf("tuner: sample metrics: %w", err)
+	}
+	s.Config, s.Metrics = cv, mv
+	return nil
+}
+
+// MarshalJSON writes the sample with its config and metrics as maps,
+// the bytes the map-typed fields gave.
+func (s Sample) MarshalJSON() ([]byte, error) {
+	cfg, m, err := s.Maps()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(sampleJSON{
+		WorkloadID: s.WorkloadID, Engine: s.Engine, Config: cfg, Metrics: m,
+		Objective: s.Objective, Quality: s.Quality, Window: s.Window, At: s.At,
+	})
+}
+
+// UnmarshalJSON reads MarshalJSON's form, rejecting what SetMaps does.
+func (s *Sample) UnmarshalJSON(b []byte) error {
+	var w sampleJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	out := Sample{
+		WorkloadID: w.WorkloadID, Engine: w.Engine,
+		Objective: w.Objective, Quality: w.Quality, Window: w.Window, At: w.At,
+	}
+	if err := out.SetMaps(w.Config, w.Metrics); err != nil {
+		return err
+	}
+	*s = out
+	return nil
 }
 
 // Request asks a tuner for a new configuration.
@@ -112,7 +204,8 @@ var ErrNotTrained = errors.New("tuner: not trained yet")
 
 // Store is an in-memory sample store grouped by workload — the schema of
 // the central data repository. It is safe for concurrent use. A stored
-// sample is never modified, so View can hand out pointers to it.
+// sample, its vectors included, is never modified, so View can hand out
+// pointers to it and copies of it may share its vectors.
 type Store struct {
 	mu      sync.RWMutex
 	samples map[string][]Sample

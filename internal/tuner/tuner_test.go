@@ -51,14 +51,16 @@ func TestSampleFieldsRoundTrip(t *testing.T) {
 	s := Sample{
 		WorkloadID: "prod-1",
 		Engine:     knobs.Postgres,
-		Config:     knobs.Config{"work_mem": 1},
-		Metrics:    metrics.Snapshot{"xact_commit": 5},
 		Objective:  123,
 		Quality:    true,
 		At:         at,
 	}
-	if s.Config["work_mem"] != 1 || s.Metrics["xact_commit"] != 5 || !s.Quality {
-		t.Fatal("fields lost")
+	if err := s.SetMaps(knobs.Config{"work_mem": 1}, metrics.Snapshot{"xact_commit": 5}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, m, err := s.Maps()
+	if err != nil || cfg["work_mem"] != 1 || len(cfg) != 1 || m["xact_commit"] != 5 || len(m) != 1 || !s.Quality {
+		t.Fatalf("fields lost: %v %v %v", cfg, m, err)
 	}
 }
 

@@ -114,7 +114,7 @@ func NewYCSB(size, rate float64) *YCSB {
 		// field%d interpolates a column name: one template per field.
 		{45, func(rng *rand.Rand) Query {
 			f := rng.Intn(ycsbFields)
-			return qt(y.update.tpls[f], y.update.sql.with(int64(f), rng.Int63(), intn(rng, 10_000_000)),
+			return qt(y.update.tpl(int64(f)), y.update.sql.with(int64(f), rng.Int63(), intn(rng, 10_000_000)),
 				Profile{ReadBytes: jitter(rng, row), WriteBytes: jitter(rng, row), IndexFriendly: true})
 		}},
 		{5, func(rng *rand.Rand) Query {

@@ -37,7 +37,7 @@ func NewProduction() *Production {
 	row := 700.0
 	table := func(rng *rand.Rand) int { return rng.Intn(ProductionTables) }
 	// The events_%d sites interpolate table names: one template per
-	// table — the point of the 132-table schema — derived up front.
+	// table — the point of the 132-table schema — derived on first draw.
 	p.insert = newIdentSite("INSERT INTO events_%d (device_id, ts, payload) VALUES (%d, %d, '%x')", ProductionTables)
 	p.lookup = newIdentSite("SELECT payload FROM events_%d WHERE device_id = %d AND ts > %d", ProductionTables)
 	p.dashboard = newIdentSite("SELECT device_id, COUNT(*), MAX(ts) FROM events_%d WHERE ts > %d GROUP BY device_id ORDER BY 2 DESC", ProductionTables)
@@ -49,25 +49,25 @@ func NewProduction() *Production {
 		// Telemetry ingest: the overwhelming majority (41M/day).
 		{41_000_000, func(rng *rand.Rand) Query {
 			t := table(rng)
-			return qt(p.insert.tpls[t], p.insert.sql.with(int64(t), intn(rng, 500_000), rng.Int63n(2e9), rng.Int63()),
+			return qt(p.insert.tpl(int64(t)), p.insert.sql.with(int64(t), intn(rng, 500_000), rng.Int63n(2e9), rng.Int63()),
 				Profile{WriteBytes: jitter(rng, row), IndexFriendly: true})
 		}},
 		// Point lookups (71K/day stated + unaccounted remainder ≈ 1M/day).
 		{1_000_000, func(rng *rand.Rand) Query {
 			t := table(rng)
-			return qt(p.lookup.tpls[t], p.lookup.sql.with(int64(t), intn(rng, 500_000), rng.Int63n(2e9)),
+			return qt(p.lookup.tpl(int64(t)), p.lookup.sql.with(int64(t), intn(rng, 500_000), rng.Int63n(2e9)),
 				Profile{ReadBytes: jitter(rng, 20*row), IndexFriendly: true})
 		}},
 		// Dashboard aggregations (reporting, mornings in practice).
 		{80_000, func(rng *rand.Rand) Query {
 			t := table(rng)
-			return qt(p.dashboard.tpls[t], p.dashboard.sql.with(int64(t), rng.Int63n(2e9)),
+			return qt(p.dashboard.tpl(int64(t)), p.dashboard.sql.with(int64(t), rng.Int63n(2e9)),
 				Profile{MemDemand: jitter(rng, 48*MiB), ReadBytes: jitter(rng, 200*MiB), Parallelizable: true})
 		}},
 		// Cross-table correlation joins.
 		{30_000, func(rng *rand.Rand) Query {
 			t := table(rng)
-			return qt(p.join.tpls[t], p.join.sql.with(int64(t), intn(rng, 20)),
+			return qt(p.join.tpl(int64(t)), p.join.sql.with(int64(t), intn(rng, 20)),
 				Profile{MemDemand: jitter(rng, 24*MiB), ReadBytes: jitter(rng, 80*MiB), Parallelizable: true})
 		}},
 		// Updates (34K/day).
@@ -78,7 +78,7 @@ func NewProduction() *Production {
 		// Deletes (0.8K/day, retention cleanup).
 		{800, func(rng *rand.Rand) Query {
 			t := table(rng)
-			return qt(p.purge.tpls[t], p.purge.sql.with(int64(t), rng.Int63n(1e9)),
+			return qt(p.purge.tpl(int64(t)), p.purge.sql.with(int64(t), rng.Int63n(1e9)),
 				Profile{MaintMem: jitter(rng, 16*MiB), ReadBytes: jitter(rng, 10*MiB), WriteBytes: jitter(rng, 5*MiB)})
 		}},
 	})
@@ -127,7 +127,14 @@ type AdulteratedTPCC struct {
 	// by an adulterant with probability P (the paper plots P=0.8 and 0.5).
 	P          float64
 	adulterant *mixSampler
+	// The DDL sites, each naming one of adulterantIdents indexes or
+	// temp tables: one template per identifier.
+	createIdx, dropIdx, scratch identSite
 }
+
+// adulterantIdents is how many indexes and temp tables the DDL
+// adulterants name.
+const adulterantIdents = 1000
 
 // NewAdulteratedTPCC wraps a TPCC of the given size/rate with
 // adulteration probability p ∈ [0,1].
@@ -138,16 +145,17 @@ func NewAdulteratedTPCC(size, rate, p float64) *AdulteratedTPCC {
 	if p > 1 {
 		p = 1
 	}
-	a := &AdulteratedTPCC{base: NewTPCC(size, rate), P: p}
+	a := &AdulteratedTPCC{
+		base:      NewTPCC(size, rate),
+		P:         p,
+		createIdx: newIdentSite("CREATE INDEX idx_adult_%d ON order_line (ol_i_id, ol_w_id)", adulterantIdents),
+		dropIdx:   newIdentSite("DROP INDEX idx_adult_%d", adulterantIdents),
+		scratch:   newIdentSite("CREATE TEMP TABLE scratch_%d AS SELECT ol_i_id, SUM(ol_amount) s FROM order_line GROUP BY ol_i_id", adulterantIdents),
+	}
 	var (
 		aggSQL     = compileSQL("SELECT ol_i_id, SUM(ol_amount), COUNT(*) FROM order_line JOIN stock ON ol_i_id = s_i_id GROUP BY ol_i_id ORDER BY SUM(ol_amount) DESC LIMIT %d")
 		sortSQL    = compileSQL("SELECT c_id, c_balance FROM customer WHERE c_w_id < %d ORDER BY c_balance DESC")
 		cleanupSQL = compileSQL("DELETE FROM history WHERE h_date < %d")
-		// The DDL sites name one of 1000 indexes or temp tables. Their
-		// text has no literals, so q's template cache serves them.
-		createIdxSQL = compileSQL("CREATE INDEX idx_adult_%d ON order_line (ol_i_id, ol_w_id)")
-		dropIdxSQL   = compileSQL("DROP INDEX idx_adult_%d")
-		scratchSQL   = compileSQL("CREATE TEMP TABLE scratch_%d AS SELECT ol_i_id, SUM(ol_amount) s FROM order_line GROUP BY ol_i_id")
 	)
 	var (
 		aggTpl     = litTpl(aggSQL, 50)
@@ -168,11 +176,13 @@ func NewAdulteratedTPCC(size, rate, p float64) *AdulteratedTPCC {
 		}},
 		// Index create/drop: maintenance_work_mem pressure.
 		{15, func(rng *rand.Rand) Query {
-			return q(createIdxSQL.render(intn(rng, 1000)),
+			i := intn(rng, adulterantIdents)
+			return qt(a.createIdx.tpl(i), a.createIdx.sql.with(i),
 				Profile{MaintMem: jitter(rng, 512*MiB), ReadBytes: jitter(rng, 800*MiB), WriteBytes: jitter(rng, 200*MiB)})
 		}},
 		{5, func(rng *rand.Rand) Query {
-			return q(dropIdxSQL.render(intn(rng, 1000)),
+			i := intn(rng, adulterantIdents)
+			return qt(a.dropIdx.tpl(i), a.dropIdx.sql.with(i),
 				Profile{MaintMem: jitter(rng, 32*MiB), WriteBytes: jitter(rng, 8*MiB)})
 		}},
 		// Bulk deletes: maintenance pressure via cleanup.
@@ -182,7 +192,8 @@ func NewAdulteratedTPCC(size, rate, p float64) *AdulteratedTPCC {
 		}},
 		// Temp tables + aggregation over them: temp_buffers pressure.
 		{20, func(rng *rand.Rand) Query {
-			return q(scratchSQL.render(intn(rng, 1000)),
+			i := intn(rng, adulterantIdents)
+			return qt(a.scratch.tpl(i), a.scratch.sql.with(i),
 				Profile{MemDemand: jitter(rng, 150*MiB), TempBytes: jitter(rng, 400*MiB), ReadBytes: jitter(rng, 400*MiB)})
 		}},
 	})

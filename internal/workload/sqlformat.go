@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 
 	"autodbaas/internal/sqlparse"
 )
@@ -124,22 +125,31 @@ func (v sqlVerb) append(b []byte, x int64) []byte {
 }
 
 // identSite is a call site whose first verb interpolates an identifier
-// drawn from a bounded set — table events_<i>, column field<i> — and
-// whose other verbs expand to literals. Each identifier names its own
-// template; tpls[i] is the one for identifier i, derived once with
-// litTpl, so the site never templates a statement at sample time.
+// drawn from a bounded set — table events_<i>, column field<i>, index
+// idx_adult_<i> — and whose other verbs expand to literals. Each
+// identifier names its own template. tpl fills identifier i's slot on
+// first use, from the text with every other verb at 0, and templates it
+// without the template cache; neither setup nor a later draw of i
+// templates anything.
 type identSite struct {
 	sql  *sqlFormat
-	tpls []sqlparse.Template
+	tpls []atomic.Pointer[sqlparse.Template]
 }
 
-// newIdentSite compiles format and templates each of its n identifiers.
+// newIdentSite compiles format for n identifiers; it templates none.
 func newIdentSite(format string, n int) identSite {
-	s := identSite{sql: compileSQL(format), tpls: make([]sqlparse.Template, n)}
-	canon := make([]int64, len(s.sql.verbs))
-	for i := range s.tpls {
-		canon[0] = int64(i)
-		s.tpls[i] = litTpl(s.sql, canon...)
+	return identSite{sql: compileSQL(format), tpls: make([]atomic.Pointer[sqlparse.Template], n)}
+}
+
+// tpl returns identifier i's template. Concurrent first draws of i may
+// each compute it; they store equal values.
+func (s identSite) tpl(i int64) sqlparse.Template {
+	if t := s.tpls[i].Load(); t != nil {
+		return *t
 	}
-	return s
+	var canon [maxSQLArgs]int64
+	canon[0] = i
+	t := sqlparse.ComputeTemplate(s.sql.render(canon[:len(s.sql.verbs)]...))
+	s.tpls[i].Store(&t)
+	return t
 }

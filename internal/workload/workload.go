@@ -134,25 +134,16 @@ func (m *mixSampler) sample(rng *rand.Rand) Query {
 	return m.choices[len(m.choices)-1].make(rng)
 }
 
-// q builds a Query from SQL text, templating it through sqlparse so that
-// generator classes always agree with what the TDE's log pipeline would
-// infer from the same text. The full Template rides along so downstream
-// consumers (query log, profile memoisation) skip re-normalizing.
-func q(sql string, p Profile) Query {
-	tpl := sqlparse.TemplateOf(sql)
-	return Query{SQL: sql, Class: tpl.Class, Template: tpl, Profile: p}
-}
-
 // litTpl derives the template of a compiled SQL format whose verbs all
 // expand to literal values (bare numbers, or text inside quotes).
 // Normalization replaces literals with placeholders, so every
 // instantiation of such a format shares one template; deriving it once
 // at generator construction — from a canonical instantiation with the
 // given args — takes the normalize/hash work off the per-query path.
-// A format that interpolates an identifier (table or column name)
-// yields a different template per identifier: an identSite holds one
-// litTpl per identifier of a bounded set, and only unbounded ones keep
-// using q. TestGeneratorTemplatesMatchSQL enforces the contract.
+// A format that interpolates an identifier (table, column or index
+// name) yields a different template per identifier: an identSite holds
+// one per identifier of a bounded set, derived on its first draw.
+// TestGeneratorTemplatesMatchSQL enforces the contract.
 func litTpl(f *sqlFormat, canon ...int64) sqlparse.Template {
 	return sqlparse.TemplateOf(f.render(canon...))
 }
@@ -161,8 +152,8 @@ func litTpl(f *sqlFormat, canon ...int64) sqlparse.Template {
 func intn(rng *rand.Rand, n int) int64 { return int64(rng.Intn(n)) }
 
 // qt builds a Query from a drawn statement whose template is already
-// known (a litTpl constant for its call site, or an identSite's entry
-// for the statement's identifier). Nothing is rendered.
+// known (a litTpl constant for its call site, or an identSite's
+// template for the statement's identifier). Nothing is rendered.
 func qt(tpl sqlparse.Template, s stmt, p Profile) Query {
 	return Query{Class: tpl.Class, Template: tpl, Profile: p, stmt: s}
 }
