@@ -85,11 +85,6 @@ type Agent struct {
 
 	lastTick     time.Time
 	lastPeriodic time.Time
-	lastSnap     metrics.Snapshot
-	lastSnapAt   time.Time
-	// spareSnap is the map the next uploaded sample's delta base is
-	// read into; it holds nothing between uploads.
-	spareSnap metrics.Snapshot
 
 	uploaded   int
 	suppressed int
@@ -163,8 +158,6 @@ func New(inst *cluster.Instance, gen workload.Generator, events EventSink, sampl
 		mcat:         mcat,
 		lastTick:     master.Now(),
 		lastPeriodic: master.Now(),
-		lastSnap:     master.Snapshot(),
-		lastSnapAt:   master.Now(),
 		m:            newAgentMetrics(obs.Default()),
 		dbGauges:     make(map[string]*obs.Gauge),
 	}, nil
@@ -320,15 +313,16 @@ func (a *Agent) Dispatch(out *WindowOutcome) error {
 }
 
 // buildRequest assembles the recommendation request for this window:
-// the metric delta since the last upload base, and a copy of the live
+// the metric delta over the TDE's latest period, and a copy of the live
 // config. Dispatch calls it only for a request it sends.
 func (a *Agent) buildRequest() tuner.Request {
 	master := a.inst.Replica.Master()
+	prev, cur, _, _ := a.tde.Snapshots()
 	return tuner.Request{
 		InstanceID:  a.inst.ID,
 		Engine:      a.inst.Engine,
 		WorkloadID:  a.workloadID(),
-		Metrics:     metrics.Delta(a.lastSnap, master.Snapshot()),
+		Metrics:     metrics.Delta(prev, cur),
 		Current:     master.Config(),
 		MemoryBytes: master.Resources().MemoryBytes,
 	}
@@ -339,7 +333,8 @@ func (a *Agent) workloadID() string {
 }
 
 // maybeUpload sends the training sample for the elapsed TDE period,
-// honouring the TDE gate.
+// honouring the TDE gate. The period's delta is the TDE's: the master
+// snapshots its tick took and diffed against.
 func (a *Agent) maybeUpload(st simdb.WindowStats, events []tde.Event, now time.Time) {
 	if a.samples == nil {
 		return
@@ -354,31 +349,21 @@ func (a *Agent) maybeUpload(st simdb.WindowStats, events []tde.Event, now time.T
 	if a.opts.GateSamples && !throttled {
 		a.suppressed++
 		a.m.suppressed.Inc()
-		// refresh the delta base even when suppressing, so the next
-		// uploaded sample covers only its own period. Nothing else
-		// holds lastSnap, so it is rewritten in place.
-		master := a.inst.Replica.Master()
-		a.lastSnap = master.SnapshotInto(a.lastSnap)
-		a.lastSnapAt = now
 		return
 	}
-	// The new delta base is read into the spare map, which then trades
-	// places with lastSnap: the sample keeps only the delta, as a
-	// vector, and the config as one.
-	master := a.inst.Replica.Master()
-	snap := master.SnapshotInto(a.spareSnap)
+	// The sample keeps only the delta, as a vector, and the config as
+	// one.
+	prev, cur, prevAt, curAt := a.tde.Snapshots()
 	sample := tuner.Sample{
 		WorkloadID: a.workloadID(),
 		Engine:     a.inst.Engine,
-		Config:     master.ConfigVector(),
-		Metrics:    a.mcat.Delta(a.lastSnap, snap),
+		Config:     a.inst.Replica.Master().ConfigVector(),
+		Metrics:    a.mcat.Delta(prev, cur),
 		Objective:  st.Achieved,
 		Quality:    throttled,
-		Window:     now.Sub(a.lastSnapAt),
+		Window:     curAt.Sub(prevAt),
 		At:         now,
 	}
-	a.spareSnap, a.lastSnap = a.lastSnap, snap
-	a.lastSnapAt = now
 	if err := a.samples.Observe(sample); err == nil {
 		a.uploaded++
 		a.m.uploaded.Inc()

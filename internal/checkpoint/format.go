@@ -34,9 +34,10 @@ import (
 )
 
 // FormatVersion is the container version this build writes and the only
-// one it restores. Version 2 writes every "instance/<id>" section in the
-// binary codec of instance.go; version 1 wrote them as JSON.
-const FormatVersion = 2
+// one it restores. Version 3 stores an instance's master metric snapshot
+// once, in its TDE state; version 2 also stored the agent's copy, and
+// version 1 wrote instance sections as JSON, not in instance.go's codec.
+const FormatVersion = 3
 
 var magic = [4]byte{'A', 'D', 'B', 'C'}
 
@@ -84,7 +85,6 @@ type Manifest struct {
 	FormatVersion int            `json:"format_version"`
 	Window        int            `json:"window"`
 	Generation    int            `json:"generation,omitempty"`
-	Parallelism   int            `json:"parallelism"`
 	Tuners        []string       `json:"tuners,omitempty"`
 	Instances     []InstanceMeta `json:"instances,omitempty"`
 	HasFaults     bool           `json:"has_faults"`

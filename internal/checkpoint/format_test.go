@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
 
 func sampleContainer(t *testing.T) []byte {
 	t.Helper()
-	man := Manifest{Window: 42, Parallelism: 4, Tuners: []string{"ottertune-bo"}}
+	man := Manifest{Window: 42, Tuners: []string{"ottertune-bo"}}
 	c, err := NewContainer(man, []RawSection{
 		{Name: "alpha", Payload: []byte("alpha-payload")},
 		{Name: "beta", Payload: bytes.Repeat([]byte{0xAB}, 300)},
@@ -36,7 +37,7 @@ func TestContainerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Window != 42 || man.Parallelism != 4 || len(man.Tuners) != 1 {
+	if man.Window != 42 || len(man.Tuners) != 1 {
 		t.Fatalf("manifest = %+v", man)
 	}
 	if string(sections["alpha"]) != "alpha-payload" || len(sections["beta"]) != 300 {
@@ -109,14 +110,16 @@ func TestNestedContainer(t *testing.T) {
 	}
 }
 
-// TestParseRejectsV1: a container whose header says version 1 — the
-// JSON instance sections — fails with ErrVersion, and the error names
-// v1.
+// TestParseRejectsV1: a container whose header says version 1 (JSON
+// instance sections) or 2 (an agent copy of the metric snapshot) fails
+// with ErrVersion, and the error names the version.
 func TestParseRejectsV1(t *testing.T) {
-	v1 := append([]byte(nil), sampleContainer(t)...)
-	binary.LittleEndian.PutUint16(v1[4:6], 1)
-	_, _, err := Parse(v1)
-	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "v1") {
-		t.Fatalf("want ErrVersion naming v1, got %v", err)
+	for _, v := range []uint16{1, 2} {
+		old := append([]byte(nil), sampleContainer(t)...)
+		binary.LittleEndian.PutUint16(old[4:6], v)
+		_, _, err := Parse(old)
+		if name := fmt.Sprintf("v%d", v); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("want ErrVersion naming %s, got %v", name, err)
+		}
 	}
 }

@@ -222,8 +222,6 @@ func (c *coder) profiles(m *map[string]simdb.TemplateProfile) {
 func (c *coder) agent(a *agent.State) {
 	c.time(&a.LastTick)
 	c.time(&a.LastPeriodic)
-	c.values((*map[string]float64)(&a.LastSnap))
-	c.time(&a.LastSnapAt)
 	c.int(&a.Uploaded)
 	c.int(&a.Suppressed)
 
@@ -273,7 +271,7 @@ func captureInstance(fm FleetMember) (st InstanceState) {
 // AppendInstance appends st as the instance section of an engine
 // instance, whose catalogues order the name header.
 func AppendInstance(b []byte, st *InstanceState, engine knobs.Engine) []byte {
-	maps := []map[string]float64{st.Agent.LastSnap, st.Agent.TDE.LastSnap}
+	maps := []map[string]float64{st.Agent.TDE.LastSnap}
 	for _, n := range st.Nodes {
 		maps = append(maps, n.Cfg, n.PendingRestart, n.Counters)
 	}

@@ -51,9 +51,8 @@ type Extra struct {
 // explicit handles avoids an import cycle and makes the snapshot
 // surface auditable in one place.
 type System struct {
-	Window      int
-	Generation  int
-	Parallelism int
+	Window     int
+	Generation int
 
 	Orchestrator *orchestrator.Orchestrator
 	DFA          *dfa.DFA
@@ -287,10 +286,9 @@ func Encode(sys System) (*Container, error) {
 	}
 
 	man := Manifest{
-		Window:      sys.Window,
-		Generation:  sys.Generation,
-		Parallelism: sys.Parallelism,
-		HasFaults:   sys.Faults != nil,
+		Window:     sys.Window,
+		Generation: sys.Generation,
+		HasFaults:  sys.Faults != nil,
 	}
 	for _, t := range sys.Tuners {
 		man.Tuners = append(man.Tuners, t.Name())

@@ -24,7 +24,6 @@ func (s *System) codecView() checkpoint.System {
 	view := checkpoint.System{
 		Window:       s.windows,
 		Generation:   s.generation,
-		Parallelism:  s.parallelism,
 		Orchestrator: s.Orchestrator,
 		DFA:          s.DFA,
 		Director:     s.Director,

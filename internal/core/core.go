@@ -176,9 +176,6 @@ func NewSystemWithOptions(opts Options, tuners ...tuner.Tuner) (*System, error) 
 // off).
 func (s *System) SafetyGate() *safety.Gate { return s.safety }
 
-// Parallelism returns the configured fleet-step parallelism.
-func (s *System) Parallelism() int { return s.parallelism }
-
 // InstanceSpec describes one database service instance to onboard.
 type InstanceSpec struct {
 	Provision cluster.ProvisionSpec

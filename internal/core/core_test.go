@@ -55,7 +55,7 @@ func TestAddInstanceWiring(t *testing.T) {
 	if _, ok := s.Monitor("db-1"); !ok {
 		t.Fatal("monitor missing")
 	}
-	if _, err := s.Orchestrator.Credentials("db-1"); err != nil {
+	if err := s.Orchestrator.Known("db-1"); err != nil {
 		t.Fatal("orchestrator does not know the instance")
 	}
 	if len(s.Agents()) != 1 {

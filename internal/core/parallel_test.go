@@ -159,8 +159,8 @@ func TestParallelismAccessorAndDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Parallelism() != 3 {
-		t.Fatalf("parallelism = %d, want 3", s.Parallelism())
+	if s.parallelism != 3 {
+		t.Fatalf("parallelism = %d, want 3", s.parallelism)
 	}
 	tn2, err := bo.New(bo.DefaultOptions(knobs.Postgres))
 	if err != nil {
@@ -170,7 +170,7 @@ func TestParallelismAccessorAndDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Parallelism() < 1 {
-		t.Fatalf("default parallelism = %d, want >= 1", def.Parallelism())
+	if def.parallelism < 1 {
+		t.Fatalf("default parallelism = %d, want >= 1", def.parallelism)
 	}
 }

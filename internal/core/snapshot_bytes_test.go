@@ -15,12 +15,12 @@ import (
 var sectionCeilings = map[string]int{
 	"repository/store":         26_800,
 	"tuners":                   230_000,
-	"instance agent":           25_200,
+	"instance agent":           21_800,
 	"instance engine log":      39_200,
 	"instance engine profiles": 142_400,
 	"instance engine other":    22_800,
 	"instance monitor":         106,
-	"other sections":           17_400,
+	"other sections":           16_300,
 }
 
 // snapshotSectionBytes splits a snapshot's bytes by section kind. An

@@ -1,10 +1,10 @@
 // Package dfa implements the Data Federation Agent: the component that
 // actually lands configuration recommendations on database service
-// instances. It fetches credentials from the service orchestrator,
-// selects the engine-specific adapter, applies the config to all nodes
-// of the instance — slaves first, so a crash rejects the recommendation
-// before the master is touched — and persists accepted configs back to
-// the orchestrator (paper §2, §4).
+// instances. It refuses instances the service orchestrator does not
+// manage, selects the engine-specific adapter, applies the config to all
+// nodes of the instance — slaves first, so a crash rejects the
+// recommendation before the master is touched — and persists accepted
+// configs back to the orchestrator (paper §2, §4).
 package dfa
 
 import (
@@ -141,19 +141,19 @@ func (d *DFA) Rejected() int {
 	return d.rejected
 }
 
-// Apply lands cfg on the instance: credentials are fetched from the
-// orchestrator (authenticating the management path), the adapter applies
-// slave-first, and on success the config is persisted so re-deployments
-// keep it. Restart-required knobs are staged by the engines and picked
-// up at the next maintenance restart.
+// Apply lands cfg on the instance: an instance the orchestrator did not
+// provision is refused, the adapter applies slave-first, and on success
+// the config is persisted so re-deployments keep it. Restart-required
+// knobs are staged by the engines and picked up at the next maintenance
+// restart.
 func (d *DFA) Apply(inst *cluster.Instance, cfg knobs.Config, method simdb.ApplyMethod) error {
 	if inst == nil {
 		return errors.New("dfa: nil instance")
 	}
 	start := time.Now()
 	defer func() { d.m.applySeconds.Observe(time.Since(start).Seconds()) }()
-	if _, err := d.orch.Credentials(inst.ID); err != nil {
-		return fmt.Errorf("dfa: credentials: %w", err)
+	if err := d.orch.Known(inst.ID); err != nil {
+		return fmt.Errorf("dfa: %w", err)
 	}
 	d.mu.Lock()
 	adapter, ok := d.adapters[inst.Engine]

@@ -6,13 +6,11 @@ import (
 	"autodbaas/internal/knobs"
 )
 
-// State is the orchestrator's serializable mutable state: credentials
-// (crypto-random at Provision time, so they must ride the snapshot to
-// survive a rebuild), the persisted config truth, and the reconciler's
-// drift/backoff bookkeeping. The provisioner topology and the watcher
-// tunables are construction parameters.
+// State is the orchestrator's serializable mutable state: the persisted
+// config truth (whose keys are the managed instances) and the
+// reconciler's drift/backoff bookkeeping. The provisioner topology and
+// the watcher tunables are construction parameters.
 type State struct {
-	Creds           map[string]Credentials  `json:"creds,omitempty"`
 	Persisted       map[string]knobs.Config `json:"persisted,omitempty"`
 	DriftSince      map[string]time.Time    `json:"drift_since,omitempty"`
 	RepairFails     map[string]int          `json:"repair_fails,omitempty"`
@@ -27,7 +25,6 @@ func (o *Orchestrator) CheckpointState() State {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	st := State{
-		Creds:           make(map[string]Credentials, len(o.creds)),
 		Persisted:       make(map[string]knobs.Config, len(o.persisted)),
 		DriftSince:      make(map[string]time.Time, len(o.driftSince)),
 		RepairFails:     make(map[string]int, len(o.repairFails)),
@@ -35,9 +32,6 @@ func (o *Orchestrator) CheckpointState() State {
 		Reconciliations: o.reconciliations,
 		Retries:         o.retries,
 		Escalations:     o.escalations,
-	}
-	for id, c := range o.creds {
-		st.Creds[id] = c
 	}
 	for id, cfg := range o.persisted {
 		st.Persisted[id] = cfg.Clone()
@@ -58,10 +52,6 @@ func (o *Orchestrator) CheckpointState() State {
 func (o *Orchestrator) RestoreCheckpointState(st State) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.creds = make(map[string]Credentials, len(st.Creds))
-	for id, c := range st.Creds {
-		o.creds[id] = c
-	}
 	o.persisted = make(map[string]knobs.Config, len(st.Persisted))
 	for id, cfg := range st.Persisted {
 		o.persisted[id] = cfg.Clone()

@@ -1,14 +1,13 @@
 // Package orchestrator implements the Service Orchestrator of the
 // AutoDBaaS architecture (§2, §4): lifecycle operations for database
-// service instances, credential management, durable configuration
-// persistence (so re-deployments never lose tuned knobs), and the
-// reconciler that watches for config drift between the persisted truth
-// and what the master node actually runs.
+// service instances, durable configuration persistence (so
+// re-deployments never lose tuned knobs), and the reconciler that
+// watches for config drift between the persisted truth and what the
+// master node actually runs. An instance is known to the orchestrator
+// exactly while it has a persisted configuration.
 package orchestrator
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -20,12 +19,6 @@ import (
 	"autodbaas/internal/simdb"
 )
 
-// Credentials authenticate management-plane access to an instance.
-type Credentials struct {
-	Username string `json:"username"`
-	Password string `json:"password"`
-}
-
 // ErrUnknownInstance is returned for operations on unknown instance IDs.
 var ErrUnknownInstance = errors.New("orchestrator: unknown instance")
 
@@ -33,8 +26,9 @@ var ErrUnknownInstance = errors.New("orchestrator: unknown instance")
 type Orchestrator struct {
 	mu sync.Mutex
 
-	prov      *cluster.Provisioner
-	creds     map[string]Credentials
+	prov *cluster.Provisioner
+	// persisted holds each provisioned instance's configuration truth;
+	// its keys are the instances this orchestrator manages.
 	persisted map[string]knobs.Config
 	// driftSince records when a divergence between the persisted config
 	// and the master's live config was first observed. A down node counts
@@ -93,7 +87,6 @@ func newOrchestratorMetrics(r *obs.Registry) orchestratorMetrics {
 func New() *Orchestrator {
 	return &Orchestrator{
 		prov:           cluster.NewProvisioner(),
-		creds:          make(map[string]Credentials),
 		persisted:      make(map[string]knobs.Config),
 		driftSince:     make(map[string]time.Time),
 		repairFails:    make(map[string]int),
@@ -109,8 +102,8 @@ func New() *Orchestrator {
 // Provisioner exposes the underlying IaaS provisioner.
 func (o *Orchestrator) Provisioner() *cluster.Provisioner { return o.prov }
 
-// Provision creates an instance, generates credentials and persists its
-// initial (default) configuration.
+// Provision creates an instance and persists its initial (default)
+// configuration.
 func (o *Orchestrator) Provision(spec cluster.ProvisionSpec) (*cluster.Instance, error) {
 	inst, err := o.prov.Provision(spec)
 	if err != nil {
@@ -118,36 +111,21 @@ func (o *Orchestrator) Provision(spec cluster.ProvisionSpec) (*cluster.Instance,
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.creds[spec.ID] = Credentials{
-		Username: "svc_" + spec.ID,
-		Password: randomToken(),
-	}
 	o.persisted[spec.ID] = inst.Replica.Master().Config()
 	o.m.instances.Add(1)
 	return inst, nil
 }
 
-func randomToken() string {
-	b := make([]byte, 16)
-	if _, err := rand.Read(b); err != nil {
-		// crypto/rand failing is unrecoverable in a real deployment;
-		// in simulation fall back to a fixed marker.
-		return "fallback-token"
-	}
-	return hex.EncodeToString(b)
-}
-
 // Deprovision tears an instance down: the reconciler stops watching it,
-// its credentials and persisted configuration are forgotten, and the
-// IaaS instance is released. Dynamic fleet membership requires this to
-// be safe mid-run — nothing here touches any other instance's state.
+// its persisted configuration is forgotten, and the IaaS instance is
+// released. Dynamic fleet membership requires this to be safe mid-run —
+// nothing here touches any other instance's state.
 func (o *Orchestrator) Deprovision(id string) error {
 	o.mu.Lock()
-	if _, ok := o.creds[id]; !ok {
+	if _, ok := o.persisted[id]; !ok {
 		o.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownInstance, id)
 	}
-	delete(o.creds, id)
 	delete(o.persisted, id)
 	delete(o.driftSince, id)
 	delete(o.repairFails, id)
@@ -160,22 +138,22 @@ func (o *Orchestrator) Deprovision(id string) error {
 	return nil
 }
 
-// Credentials returns the management credentials for an instance.
-func (o *Orchestrator) Credentials(id string) (Credentials, error) {
+// Known returns ErrUnknownInstance unless id was provisioned here and
+// not deprovisioned since.
+func (o *Orchestrator) Known(id string) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	c, ok := o.creds[id]
-	if !ok {
-		return Credentials{}, fmt.Errorf("%w: %s", ErrUnknownInstance, id)
+	if _, ok := o.persisted[id]; !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownInstance, id)
 	}
-	return c, nil
+	return nil
 }
 
 // PersistConfig durably records cfg as the instance's source of truth.
 func (o *Orchestrator) PersistConfig(id string, cfg knobs.Config) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if _, ok := o.creds[id]; !ok {
+	if _, ok := o.persisted[id]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownInstance, id)
 	}
 	o.persisted[id] = cfg.Clone()
@@ -301,13 +279,12 @@ func (o *Orchestrator) ReconcileTick(now time.Time) []string {
 			o.m.escalations.Inc()
 		}
 		if err := o.repairDrift(inst, want, method); err != nil {
-			// Repair failed; back off exponentially before trying again.
+			// Repair failed; back off exponentially, up to 16×, before
+			// trying again. The shift is capped before it is taken, so a
+			// long failure streak cannot overflow it.
 			o.mu.Lock()
 			o.repairFails[inst.ID]++
-			backoff := o.RetryBackoff << (o.repairFails[inst.ID] - 1)
-			if max := 16 * o.RetryBackoff; backoff > max {
-				backoff = max
-			}
+			backoff := o.RetryBackoff << min(o.repairFails[inst.ID]-1, 4)
 			o.retryAt[inst.ID] = now.Add(backoff)
 			o.mu.Unlock()
 			continue

@@ -26,9 +26,8 @@ func provision(t *testing.T, o *Orchestrator, id string) *cluster.Instance {
 func TestProvisionGeneratesCredentialsAndPersists(t *testing.T) {
 	o := New()
 	inst := provision(t, o, "db-1")
-	c, err := o.Credentials("db-1")
-	if err != nil || c.Username == "" || c.Password == "" {
-		t.Fatalf("credentials = %+v, err %v", c, err)
+	if err := o.Known("db-1"); err != nil {
+		t.Fatal(err)
 	}
 	cfg, err := o.PersistedConfig("db-1")
 	if err != nil {
@@ -37,7 +36,7 @@ func TestProvisionGeneratesCredentialsAndPersists(t *testing.T) {
 	if !cfg.Equal(inst.Replica.Master().Config()) {
 		t.Fatal("initial persisted config differs from live config")
 	}
-	if _, err := o.Credentials("nope"); !errors.Is(err, ErrUnknownInstance) {
+	if err := o.Known("nope"); !errors.Is(err, ErrUnknownInstance) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -191,3 +191,32 @@ func TestDownNodeCountsAsDrift(t *testing.T) {
 		t.Fatalf("reconciliations = %d, want 1", o.Reconciliations())
 	}
 }
+
+// TestRepairBackoffCapsLongFailureStreaks: after a long streak of failed
+// repairs the next backoff is still the 16× cap, not an overflowed
+// shift that would retry (and escalate) on every tick.
+func TestRepairBackoffCapsLongFailureStreaks(t *testing.T) {
+	for _, fails := range []int{28, 63} {
+		o := New()
+		inst := provision(t, o, "db-s")
+		master := inst.Replica.Master()
+		if err := master.ApplyConfig(knobs.Config{"work_mem": 32 * 1024 * 1024}, simdb.ApplyReload); err != nil {
+			t.Fatal(err)
+		}
+		master.SetFaultHooks(&simdb.FaultHooks{BeforeApply: func(simdb.ApplyMethod) error { return simdb.ErrDown }})
+		now := time.Date(2021, 3, 23, 10, 0, 0, 0, time.UTC)
+		st := o.CheckpointState()
+		st.DriftSince["db-s"] = now.Add(-time.Hour)
+		st.RepairFails["db-s"] = fails
+		if err := o.RestoreCheckpointState(st); err != nil {
+			t.Fatal(err)
+		}
+		if got := o.ReconcileTick(now); len(got) != 0 {
+			t.Fatalf("failing repair reported as repaired: %v", got)
+		}
+		want := now.Add(16 * o.RetryBackoff)
+		if got := o.CheckpointState().RetryAt["db-s"]; !got.Equal(want) {
+			t.Fatalf("after %d failed repairs: retry at %v, want %v", fails+1, got, want)
+		}
+	}
+}

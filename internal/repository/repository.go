@@ -2,9 +2,8 @@
 // database of training workloads all tuner instances read from and all
 // tuning agents upload to ("this helps all tuning services to get the
 // new unknown workloads, which might have been observed on a different
-// IaaS, and create a better ML model", §2). It offers both an in-process
-// API and an HTTP server/client pair; the client also serves agents over
-// unix domain sockets, matching the on-VM transport the paper describes.
+// IaaS, and create a better ML model", §2). Agents reach it through its
+// in-process API; package httpapi serves the same API over HTTP.
 // The repository's store is the one copy of the sample history: a
 // subscribed tuner that trains on samples (bo.Tuner) reads them from
 // it, and keeps only what it derives from their delivery. Save and

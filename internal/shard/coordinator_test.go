@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -281,6 +282,72 @@ func TestCrossProcessDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSnapshotBytesReproducible: a fleet snapshot is a pure function of
+// (config, seed, window). Fleets built from scratch with the same seeds
+// and stepped the same windows write byte-identical snapshots, flat (one
+// shard) and over 3 local shards, clean and under medium faults, and
+// whatever their step parallelism.
+func TestSnapshotBytesReproducible(t *testing.T) {
+	if testing.Short() {
+		t.Skip("snapshot reproducibility sweep")
+	}
+	for _, profile := range []string{"", "medium"} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("faults=%q/shards=%d", profile, shards), func(t *testing.T) {
+				var want []byte
+				for _, par := range []int{1, 1, 4, 4} {
+					cfgs := shardConfigs(profile)[:shards]
+					for i := range cfgs {
+						cfgs[i].Parallelism = par
+					}
+					c := newLocalCoordinator(t, cfgs)
+					populate(t, c, 12)
+					fleetStepN(t, c, 24)
+					var snap bytes.Buffer
+					if err := c.Checkpoint(&snap); err != nil {
+						t.Fatal(err)
+					}
+					c.Close()
+					if want == nil {
+						want = snap.Bytes()
+					} else if !bytes.Equal(want, snap.Bytes()) {
+						t.Fatalf("P=%d: snapshot differs from the first build's in %s", par, differingSection(t, want, snap.Bytes()))
+					}
+				}
+			})
+		}
+	}
+}
+
+// differingSection names the first section, by name, whose bytes differ
+// between two snapshot containers, descending into nested containers.
+func differingSection(t *testing.T, a, b []byte) string {
+	t.Helper()
+	_, as, err := checkpoint.Parse(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, bs, err := checkpoint.Parse(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(as))
+	for name := range as {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if bytes.Equal(as[name], bs[name]) {
+			continue
+		}
+		if _, _, err := checkpoint.Parse(as[name]); err == nil {
+			return name + " > " + differingSection(t, as[name], bs[name])
+		}
+		return name
+	}
+	return "the manifest"
 }
 
 // TestCoordinatorCheckpointRestore: a fleet snapshot (outer container

@@ -17,9 +17,10 @@ import (
 // with the reservoir), the entropy filter counters, the class histogram
 // of ingested statements, the reservoir contents, every automaton's
 // learned value/probabilities (in the TDE's automaton order), the last
-// metric snapshot the delta detectors diff against, and the throttle
-// counters. The engine binding, catalog and baseline are construction
-// parameters and come from the rebuild.
+// metric snapshot the next tick's deltas (the bgwriter detector's and
+// the agent's) diff against, and the throttle counters. The engine
+// binding, catalog and baseline are construction parameters and come
+// from the rebuild.
 type State struct {
 	RNG        prng.State
 	Filter     entropy.FilterState

@@ -136,11 +136,15 @@ func (t *TDE) atCapLocked(knob string) bool {
 // detectBgWriterLocked implements §3.2: compare the live system's
 // checkpoint-rate-to-disk-latency ratio against the mapped baseline.
 func (t *TDE) detectBgWriterLocked(now time.Time) []Event {
-	// The snapshot goes into the spare map, which then trades places
-	// with lastSnap: two maps serve every tick.
-	t.spareSnap = t.db.SnapshotInto(t.spareSnap)
-	snap := t.spareSnap
-	elapsed := now.Sub(t.lastSnapAt).Seconds()
+	// This tick's snapshot is read into the map of the one before last,
+	// which then trades places with lastSnap: two maps serve every tick.
+	// The swap comes before any early return, so Snapshots always
+	// describes the latest tick.
+	t.prevSnap = t.db.SnapshotInto(t.prevSnap)
+	t.prevSnap, t.lastSnap = t.lastSnap, t.prevSnap
+	t.prevSnapAt, t.lastSnapAt = t.lastSnapAt, now
+	prev, snap := t.prevSnap, t.lastSnap
+	elapsed := now.Sub(t.prevSnapAt).Seconds()
 	if elapsed <= 0 {
 		return nil
 	}
@@ -148,15 +152,13 @@ func (t *TDE) detectBgWriterLocked(now time.Time) []Event {
 	if t.db.EngineName() == string(knobs.MySQL) {
 		// InnoDB checkpoints are redo-capacity driven; all of them
 		// indicate flushing pressure.
-		ckptDelta = snap["innodb_checkpoints"] - t.lastSnap["innodb_checkpoints"]
+		ckptDelta = snap["innodb_checkpoints"] - prev["innodb_checkpoints"]
 	} else {
 		// Scheduled (timed) checkpoints are benign; requested ones mean
 		// the WAL filled before the schedule — the classic undersized
 		// max_wal_size signal.
-		ckptDelta = snap["checkpoints_req"] - t.lastSnap["checkpoints_req"]
+		ckptDelta = snap["checkpoints_req"] - prev["checkpoints_req"]
 	}
-	t.spareSnap, t.lastSnap = t.lastSnap, snap
-	t.lastSnapAt = now
 
 	// Use the write-side latency: the paper monitors "disk-write
 	// latency" (its split-disk strategy exists precisely to isolate

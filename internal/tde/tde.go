@@ -157,15 +157,19 @@ type TDE struct {
 	automata  []*mdp.Automaton
 	baseline  Baseline
 
-	lastSnap   metrics.Snapshot
-	lastSnapAt time.Time
+	// lastSnap is the master metric snapshot taken by the latest tick
+	// (at construction before the first), at lastSnapAt. prevSnap is
+	// the one it replaced, at prevSnapAt; the next tick reads into its
+	// map. The agent's deltas read both through Snapshots, so this is
+	// the instance's only copy. Only lastSnap is checkpointed: the next
+	// tick makes it prevSnap.
+	lastSnap, prevSnap     metrics.Snapshot
+	lastSnapAt, prevSnapAt time.Time
 
 	// Per-round scratch, reused from tick to tick and never
-	// checkpointed: the query-log read, the snapshot the bgwriter
-	// detector swaps with lastSnap, and the MDP's one-knob override.
-	logBuf    []simdb.LogEntry
-	spareSnap metrics.Snapshot
-	probe     knobs.Config
+	// checkpointed: the query-log read and the MDP's one-knob override.
+	logBuf []simdb.LogEntry
+	probe  knobs.Config
 
 	// throttle counters per class (the paper's evaluation metric).
 	throttles map[knobs.Class]int
@@ -256,6 +260,17 @@ func (t *TDE) Ticks() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.ticks
+}
+
+// Snapshots returns the master metric snapshots of the latest Tick: the
+// one it took (cur, at curAt) and the one before it (prev, at prevAt),
+// the construction-time snapshot on the first tick. Both maps are the
+// TDE's own; they stay valid until the next Tick and must not be
+// modified.
+func (t *TDE) Snapshots() (prev, cur metrics.Snapshot, prevAt, curAt time.Time) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.prevSnap, t.lastSnap, t.prevSnapAt, t.lastSnapAt
 }
 
 // Tick runs one detection round and returns the raised events.
