@@ -61,8 +61,6 @@ type Options struct {
 	// TDE detected a throttle (high-quality capture). When false the
 	// agent uploads every window — the corruption-prone baseline.
 	GateSamples bool
-	// TDEConfig tunes the embedded detection engine.
-	TDEConfig tde.Config
 	// Baseline feeds the bgwriter detector (nil: paper default).
 	Baseline tde.Baseline
 	// Mode selects event-driven (TDE) or periodic tuning requests.
@@ -128,9 +126,6 @@ func New(inst *cluster.Instance, gen workload.Generator, events EventSink, sampl
 	if opts.TickEvery <= 0 {
 		opts.TickEvery = 5 * time.Minute
 	}
-	if opts.TDEConfig.LogBatch == 0 {
-		opts.TDEConfig = tde.DefaultConfig()
-	}
 	if opts.Mode == ModePeriodic {
 		if opts.Tuning == nil {
 			return nil, errors.New("agent: ModePeriodic requires a TuningSink")
@@ -140,7 +135,7 @@ func New(inst *cluster.Instance, gen workload.Generator, events EventSink, sampl
 		}
 	}
 	master := inst.Replica.Master()
-	td, err := tde.New(master, opts.TDEConfig, opts.Baseline)
+	td, err := tde.New(master, tde.DefaultConfig(), opts.Baseline)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -10,9 +11,9 @@ import (
 	"autodbaas/internal/tenant"
 )
 
-// controlSection is the fleet service's snapshot section; it rides in
-// the coordinator's container as "extra/fleet".
-const controlSection = "fleet"
+// controlSection is the fleet service's snapshot section, the last one
+// of the coordinator's container.
+const controlSection = "extra/fleet"
 
 // tenantRecord is one tenant's row of the control-plane section.
 type tenantRecord struct {
@@ -36,25 +37,23 @@ type controlState struct {
 	WarmSeeded   int64          `json:"warmstart_samples_seeded_total,omitempty"`
 }
 
-// saveControlState is the extra hook of the coordinator's snapshot. It
-// runs under stepMu (every snapshot does), so desired state is stable.
+// saveControlState encodes the control-plane section. Callers hold
+// stepMu (every snapshot does), so desired state is stable.
 func (s *Service) saveControlState() ([]byte, error) {
 	order := s.coord.Instances()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ctl := controlState{
-		Order:        order,
-		Provisions:   s.provisions,
-		Deprovisions: s.deprovisions,
-		Resizes:      s.resizes,
-		WarmHits:     s.warmHits,
-		WarmMisses:   s.warmMisses,
-		WarmSeeded:   s.warmSeeded,
+		Order:      order,
+		WarmHits:   s.warmHits,
+		WarmMisses: s.warmMisses,
+		WarmSeeded: s.warmSeeded,
 	}
-	for _, tid := range s.sortedTenantIDsLocked() {
-		ts := s.tenants[tid]
+	ctl.Provisions, ctl.Deprovisions, ctl.Resizes = s.model.Totals()
+	for _, tid := range sortedKeys(s.model.tenants) {
+		ts := s.model.tenants[tid]
 		rec := tenantRecord{Tenant: ts.Tenant, Deleted: ts.deleted, DBs: []dbState{}}
-		for _, did := range sortedDBIDs(ts) {
+		for _, did := range sortedKeys(ts.DBs) {
 			rec.DBs = append(rec.DBs, *ts.DBs[did])
 		}
 		ctl.Tenants = append(ctl.Tenants, rec)
@@ -64,8 +63,8 @@ func (s *Service) saveControlState() ([]byte, error) {
 
 // CheckpointNow writes a snapshot — the coordinator's fleet container,
 // with every shard's container nested in it and the control-plane
-// section riding as an extra — to dir and refreshes dir/latest.ckpt. It
-// waits for a running Step to finish.
+// section last — to dir and refreshes dir/latest.ckpt. It waits for a
+// running Step to finish.
 func (s *Service) CheckpointNow(dir string) (string, error) {
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()
@@ -75,7 +74,13 @@ func (s *Service) CheckpointNow(dir string) (string, error) {
 // checkpoint writes one snapshot. Callers hold stepMu.
 func (s *Service) checkpoint(dir string) (string, error) {
 	window := s.coord.Window()
-	path, err := checkpoint.SaveFile(dir, window, s.coord.Checkpoint)
+	path, err := checkpoint.SaveFile(dir, window, func(w io.Writer) error {
+		ctl, err := s.saveControlState()
+		if err != nil {
+			return err
+		}
+		return s.coord.Checkpoint(w, checkpoint.RawSection{Name: controlSection, Payload: ctl})
+	})
 	if err != nil {
 		return "", err
 	}
@@ -119,7 +124,7 @@ func (s *Service) RestoreFrom(path string) error {
 	if err != nil {
 		return err
 	}
-	raw, ok := sections["extra/"+controlSection]
+	raw, ok := sections[controlSection]
 	if !ok {
 		return fmt.Errorf("%w: snapshot has no fleet control-plane section (written by a bare engine?)", checkpoint.ErrManifest)
 	}
@@ -147,7 +152,7 @@ func (s *Service) RestoreFrom(path string) error {
 		return fmt.Errorf("fleet: restore into a non-empty service (%d instances); rebuild it first", n)
 	}
 	s.mu.Lock()
-	declared := len(s.tenants)
+	declared := len(s.model.tenants)
 	s.mu.Unlock()
 	if declared != 0 {
 		return fmt.Errorf("fleet: restore into a service with %d tenants declared; rebuild it first", declared)
@@ -165,10 +170,10 @@ func (s *Service) RestoreFrom(path string) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tenants = tenants
-	s.provisions, s.deprovisions, s.resizes = ctl.Provisions, ctl.Deprovisions, ctl.Resizes
+	s.model.tenants = tenants
+	s.model.provisions, s.model.deprovisions, s.model.resizes = ctl.Provisions, ctl.Deprovisions, ctl.Resizes
 	s.warmHits, s.warmMisses, s.warmSeeded = ctl.WarmHits, ctl.WarmMisses, ctl.WarmSeeded
-	s.m.tenants.Set(float64(len(s.tenants)))
+	s.m.tenants.Set(float64(len(tenants)))
 	s.m.instances.Set(float64(len(ctl.Order)))
 	return nil
 }

@@ -11,30 +11,27 @@
 // Placement, stepping, status, fingerprints and snapshots take the same
 // path on every layout: a snapshot is the coordinator's container with
 // one shard container nested per shard and the fleet's control-plane
-// section riding as an extra.
+// section last.
 //
 // The API mutations (create/delete tenant, create/resize/delete
-// database) only edit desired state; all engine side effects happen
-// inside Step, which reconciles first — provisioning Pending databases,
-// applying pending resizes (re-blueprint + tuner warm start from the
-// shared repository history), draining and removing deleted ones — and
-// then advances the whole fleet one observation window. Reconciliation
-// iterates tenants and databases in sorted ID order, so a scripted
-// lifecycle schedule produces the same onboarding order, the same
-// membership generations and therefore bit-for-bit the same fleet
-// fingerprint at every parallelism level, clean or under fault
-// injection, across kill/restore.
+// database) only edit desired state, held in a Model; all engine side
+// effects happen inside Step, which reconciles first — provisioning
+// Pending databases, applying pending resizes (re-blueprint + tuner warm
+// start from the shared repository history), draining and removing
+// deleted ones — and then advances the whole fleet one observation
+// window. Reconciliation iterates tenants and databases in sorted ID
+// order, so a scripted lifecycle schedule produces the same onboarding
+// order, the same membership generations and therefore bit-for-bit the
+// same fleet fingerprint at every parallelism level, clean or under
+// fault injection, across kill/restore.
 package fleet
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
 	"sync"
 	"time"
 
-	"autodbaas/internal/cluster"
 	"autodbaas/internal/core"
 	"autodbaas/internal/faults"
 	"autodbaas/internal/obs"
@@ -121,30 +118,6 @@ func (c Config) oneLocalShard() bool {
 	return false
 }
 
-// dbState is the desired+observed record of one database service. It is
-// JSON-serializable: the control-plane section of a snapshot is exactly
-// these records plus the onboarding order.
-type dbState struct {
-	ID        string          `json:"id"`
-	Blueprint string          `json:"blueprint"`
-	Plan      string          `json:"plan"` // current plan (tracks resizes)
-	Seed      int64           `json:"seed"` // engine seed of the last (re-)provision
-	Joins     int             `json:"joins"`
-	Phase     tenant.Phase    `json:"phase"`
-	Warmup    int             `json:"warmup,omitempty"`       // windows left in WarmUp
-	Pending   string          `json:"pending_plan,omitempty"` // resize target
-	Deleting  bool            `json:"deleting,omitempty"`
-	Shape     *workload.Shape `json:"shape,omitempty"` // load shape over the blueprint's workload
-}
-
-// tenantState is one tenant's desired state. deleted marks the tenant
-// itself for removal once its last database has drained.
-type tenantState struct {
-	Tenant  tenant.Tenant
-	DBs     map[string]*dbState
-	deleted bool
-}
-
 // Service is the fleet control plane. All methods are safe for
 // concurrent use.
 type Service struct {
@@ -159,7 +132,11 @@ type Service struct {
 	// (nil otherwise): the home of System() and of warm starts.
 	local *shard.Local
 
-	tenants map[string]*tenantState
+	// model is the desired state: tenant and database records, the
+	// mutation checks, the reconcile phase machine and lifecycle totals.
+	// The service performs its engine side effects (provision, resize,
+	// deprovision).
+	model *Model
 
 	// Snapshot cadence and the newest snapshot written, under mu.
 	ckptDir        string
@@ -167,12 +144,9 @@ type Service struct {
 	ckptLastPath   string
 	ckptLastWindow int
 
-	provisions   int64
-	deprovisions int64
-	resizes      int64
-	warmHits     int64
-	warmMisses   int64
-	warmSeeded   int64
+	warmHits   int64
+	warmMisses int64
+	warmSeeded int64
 
 	m fleetMetrics
 }
@@ -242,15 +216,15 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		cfg:     cfg,
-		coord:   coord,
-		tenants: make(map[string]*tenantState),
-		m:       newFleetMetrics(obs.Default()),
+		cfg:   cfg,
+		coord: coord,
+		model: NewModel(cfg.Tiers, cfg.Blueprints),
+		m:     newFleetMetrics(obs.Default()),
 	}
+	s.model.seed, s.model.fx = cfg.Seed, s
 	if len(shards) == 1 {
 		s.local, _ = shards[0].(*shard.Local)
 	}
-	coord.RegisterCheckpointExtra(controlSection, s.saveControlState, nil)
 	return s, nil
 }
 
@@ -279,57 +253,23 @@ func (s *Service) Tiers() map[string]tenant.Tier { return s.cfg.Tiers }
 // Blueprints returns the service catalogue's blueprints.
 func (s *Service) Blueprints() map[string]tenant.Blueprint { return s.cfg.Blueprints }
 
-// instanceID forms the core.System instance ID of one database.
-func instanceID(tenantID, dbID string) string { return tenantID + "/" + dbID }
-
-// instSeed derives the deterministic engine seed for the join-th
-// (re-)provision of an instance: root seed XOR fnv64a(id#join). It
-// depends only on names and join counts, never on wall time or
-// interleaving.
-func (s *Service) instSeed(id string, join int) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s#%d", id, join)
-	return s.cfg.Seed ^ int64(h.Sum64())
+// mutate applies one API mutation to the desired-state model.
+func (s *Service) mutate(apply func(*Model) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	err := apply(s.model)
+	s.m.tenants.Set(float64(len(s.model.tenants)))
+	return err
 }
 
-// CreateTenant declares a tenant. The tier must exist.
+// CreateTenant declares a tenant (see Model.CreateTenant).
 func (s *Service) CreateTenant(t tenant.Tenant) error {
-	if !tenant.ValidID(t.ID) {
-		return fmt.Errorf("%w: tenant ID %q (want %s)", ErrInvalid, t.ID, "lowercase alphanumeric with ._-")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.cfg.Tiers[t.Tier]; !ok {
-		return fmt.Errorf("%w: tier %q", ErrNotFound, t.Tier)
-	}
-	if _, dup := s.tenants[t.ID]; dup {
-		return fmt.Errorf("%w: tenant %q already exists", ErrConflict, t.ID)
-	}
-	s.tenants[t.ID] = &tenantState{Tenant: t, DBs: make(map[string]*dbState)}
-	s.m.tenants.Set(float64(len(s.tenants)))
-	return nil
+	return s.mutate(func(m *Model) error { return m.CreateTenant(t) })
 }
 
-// DeleteTenant marks every database of the tenant for deletion; the
-// tenant record disappears once the reconciler has drained them all. A
-// tenant with no databases goes away immediately.
+// DeleteTenant marks a tenant for removal (see Model.DeleteTenant).
 func (s *Service) DeleteTenant(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ts, ok := s.tenants[id]
-	if !ok {
-		return fmt.Errorf("%w: tenant %q", ErrNotFound, id)
-	}
-	if len(ts.DBs) == 0 {
-		delete(s.tenants, id)
-		s.m.tenants.Set(float64(len(s.tenants)))
-		return nil
-	}
-	ts.deleted = true
-	for _, db := range ts.DBs {
-		db.Deleting = true
-	}
-	return nil
+	return s.mutate(func(m *Model) error { return m.DeleteTenant(id) })
 }
 
 // DatabaseSpec is the creation request for one database service.
@@ -344,158 +284,45 @@ type DatabaseSpec struct {
 	Shape *workload.Shape `json:"shape,omitempty"`
 }
 
-// CreateDatabase declares a database. Provisioning happens at the next
-// reconcile tick.
+// CreateDatabase declares a database (see Model.CreateDatabase).
 func (s *Service) CreateDatabase(tenantID string, spec DatabaseSpec) error {
-	if !tenant.ValidID(spec.ID) {
-		return fmt.Errorf("%w: database ID %q", ErrInvalid, spec.ID)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ts, ok := s.tenants[tenantID]
-	if !ok {
-		return fmt.Errorf("%w: tenant %q", ErrNotFound, tenantID)
-	}
-	if ts.deleted {
-		return fmt.Errorf("%w: tenant %q is being deprovisioned", ErrConflict, tenantID)
-	}
-	bp, ok := s.cfg.Blueprints[spec.Blueprint]
-	if !ok {
-		return fmt.Errorf("%w: blueprint %q", ErrNotFound, spec.Blueprint)
-	}
-	tier := s.cfg.Tiers[ts.Tenant.Tier]
-	plan := spec.Plan
-	if plan == "" {
-		plan = bp.Plan
-	}
-	if _, err := cluster.TypeByName(plan); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if !tier.AllowsPlan(plan) {
-		return fmt.Errorf("%w: tier %q does not allow plan %q (allowed: %v)", ErrInvalid, tier.Name, plan, tier.AllowedPlans)
-	}
-	live := 0
-	for _, db := range ts.DBs {
-		if db.Phase != tenant.Deprovisioned {
-			live++
-		}
-	}
-	if live >= tier.MaxInstances {
-		return fmt.Errorf("%w: tier %q quota reached (%d instances)", ErrInvalid, tier.Name, tier.MaxInstances)
-	}
-	if _, dup := ts.DBs[spec.ID]; dup {
-		return fmt.Errorf("%w: database %q already exists", ErrConflict, spec.ID)
-	}
-	if spec.Shape != nil {
-		if err := spec.Shape.Validate(); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-	}
-	ts.DBs[spec.ID] = &dbState{
-		ID:        spec.ID,
-		Blueprint: spec.Blueprint,
-		Plan:      plan,
-		Phase:     tenant.Pending,
-		Shape:     spec.Shape,
-	}
-	return nil
+	return s.mutate(func(m *Model) error { return m.CreateDatabase(tenantID, spec) })
 }
 
-// DeleteDatabase marks a database for drain + deprovision at the next
-// reconcile tick. Deleting one that is already draining is a conflict.
+// DeleteDatabase marks a database for removal (see Model.DeleteDatabase).
 func (s *Service) DeleteDatabase(tenantID, dbID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ts, ok := s.tenants[tenantID]
-	if !ok {
-		return fmt.Errorf("%w: tenant %q", ErrNotFound, tenantID)
-	}
-	db, ok := ts.DBs[dbID]
-	if !ok {
-		return fmt.Errorf("%w: database %q", ErrNotFound, dbID)
-	}
-	if db.Deleting {
-		return fmt.Errorf("%w: database %q is already being deprovisioned", ErrConflict, dbID)
-	}
-	db.Deleting = true
-	return nil
+	return s.mutate(func(m *Model) error { return m.DeleteDatabase(tenantID, dbID) })
 }
 
-// ResizeDatabase requests a move to a different VM plan (up or down);
-// the reconciler applies it as a re-blueprint with a tuner warm start.
+// ResizeDatabase requests a new VM plan (see Model.ResizeDatabase).
 func (s *Service) ResizeDatabase(tenantID, dbID, plan string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ts, ok := s.tenants[tenantID]
-	if !ok {
-		return fmt.Errorf("%w: tenant %q", ErrNotFound, tenantID)
-	}
-	db, ok := ts.DBs[dbID]
-	if !ok {
-		return fmt.Errorf("%w: database %q", ErrNotFound, dbID)
-	}
-	if db.Deleting {
-		return fmt.Errorf("%w: database %q is being deprovisioned", ErrConflict, dbID)
-	}
-	if _, err := cluster.TypeByName(plan); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	tier := s.cfg.Tiers[ts.Tenant.Tier]
-	if !tier.AllowsPlan(plan) {
-		return fmt.Errorf("%w: tier %q does not allow plan %q (allowed: %v)", ErrInvalid, tier.Name, plan, tier.AllowedPlans)
-	}
-	if plan == db.Plan && db.Pending == "" {
-		return fmt.Errorf("%w: database %q is already on plan %q", ErrConflict, dbID, plan)
-	}
-	if db.Phase == tenant.Pending {
-		// Not provisioned yet: just change the declaration.
-		db.Plan = plan
-		return nil
-	}
-	db.Pending = plan
-	return nil
+	return s.mutate(func(m *Model) error { return m.ResizeDatabase(tenantID, dbID, plan) })
 }
 
-// sortedTenantIDs returns tenant IDs sorted — the reconciler's
-// deterministic iteration order. Callers hold s.mu.
-func (s *Service) sortedTenantIDsLocked() []string {
-	ids := make([]string, 0, len(s.tenants))
-	for id := range s.tenants {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-func sortedDBIDs(ts *tenantState) []string {
-	ids := make([]string, 0, len(ts.DBs))
-	for id := range ts.DBs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// provisionLocked stamps one database out of its blueprint onto its
-// shard. Callers hold s.mu.
-func (s *Service) provisionLocked(ts *tenantState, db *dbState) error {
-	bp := s.cfg.Blueprints[db.Blueprint]
-	id := instanceID(ts.Tenant.ID, db.ID)
-	db.Joins++
-	db.Seed = s.instSeed(id, db.Joins)
+// provision stamps one database out of its blueprint onto its shard:
+// the engine side of a Pending → WarmUp transition. Callers hold s.mu.
+func (s *Service) provision(id string, db *dbState, bp tenant.Blueprint) error {
 	if err := s.coord.AddInstance(instanceSpec(id, db, bp)); err != nil {
 		return err
 	}
-	if err := s.warmStartLocked(id, bp); err != nil {
+	return s.warmStartLocked(id, bp)
+}
+
+// resize re-blueprints a database onto its pending plan. Callers hold
+// s.mu.
+func (s *Service) resize(id string, db *dbState, bp tenant.Blueprint) error {
+	if err := s.coord.ResizeInstance(id, db.Pending, db.Seed, agentConfig(bp)); err != nil {
 		return err
 	}
-	tier := s.cfg.Tiers[ts.Tenant.Tier]
-	db.Phase = tenant.WarmUp
-	db.Warmup = tier.WarmupWindows
-	s.provisions++
-	s.m.provisions.Inc()
-	return nil
+	// A resized workload normally keeps its own history (the warm start
+	// the paper already gets from shared tuners); the hook only seeds
+	// when the history is empty.
+	return s.warmStartLocked(id, bp)
 }
+
+// deprovision removes a drained database from its shard. Callers hold
+// s.mu.
+func (s *Service) deprovision(id string) error { return s.coord.RemoveInstance(id) }
 
 // instanceSpec assembles the declarative engine spec for one database:
 // the blueprint's workload and agent settings, the record's current
@@ -526,75 +353,23 @@ func agentConfig(bp tenant.Blueprint) shard.AgentConfig {
 	}
 }
 
-// reconcileLocked drives observed membership toward desired state:
-// remove drained databases, apply resizes, provision pending ones,
-// count down warm-ups. One pass per Step, in sorted (tenant, database)
-// order so side effects land in a deterministic sequence.
+// reconcileLocked drives observed membership toward desired state: one
+// pass of the model's phase machine per Step, whose engine side effects
+// land through s. The lifecycle counters follow the model's totals,
+// which count every transition the pass completed. Callers hold s.mu.
 func (s *Service) reconcileLocked() error {
 	start := time.Now()
 	defer func() { s.m.reconcile.Observe(time.Since(start).Seconds()) }()
-
-	for _, tid := range s.sortedTenantIDsLocked() {
-		ts := s.tenants[tid]
-		for _, did := range sortedDBIDs(ts) {
-			db := ts.DBs[did]
-			switch {
-			case db.Deleting && db.Phase == tenant.Pending:
-				// Never provisioned: nothing to drain.
-				db.Phase = tenant.Deprovisioned
-				delete(ts.DBs, did)
-			case db.Deleting && db.Phase == tenant.Draining:
-				// The final window has run; drain the fan-out and release.
-				if err := s.coord.RemoveInstance(instanceID(tid, did)); err != nil {
-					return fmt.Errorf("fleet: deprovision %s/%s: %w", tid, did, err)
-				}
-				db.Phase = tenant.Deprovisioned
-				delete(ts.DBs, did)
-				s.deprovisions++
-				s.m.deprovisions.Inc()
-			case db.Deleting:
-				// WarmUp or Tuned: grant one final observation window so
-				// in-flight samples land, then remove next tick.
-				db.Phase = tenant.Draining
-			case db.Pending != "":
-				bp := s.cfg.Blueprints[db.Blueprint]
-				id := instanceID(tid, did)
-				db.Joins++
-				db.Seed = s.instSeed(id, db.Joins)
-				if err := s.coord.ResizeInstance(id, db.Pending, db.Seed, agentConfig(bp)); err != nil {
-					return fmt.Errorf("fleet: resize %s/%s: %w", tid, did, err)
-				}
-				// A resized workload normally keeps its own history (the
-				// warm start the paper already gets from shared tuners);
-				// the hook only seeds when the history is empty.
-				if err := s.warmStartLocked(id, bp); err != nil {
-					return err
-				}
-				db.Plan = db.Pending
-				db.Pending = ""
-				db.Phase = tenant.WarmUp
-				db.Warmup = s.cfg.Tiers[ts.Tenant.Tier].WarmupWindows
-				s.resizes++
-				s.m.resizes.Inc()
-			case db.Phase == tenant.Pending:
-				if err := s.provisionLocked(ts, db); err != nil {
-					return fmt.Errorf("fleet: provision %s/%s: %w", tid, did, err)
-				}
-			case db.Phase == tenant.WarmUp:
-				if db.Warmup > 0 {
-					db.Warmup--
-				}
-				if db.Warmup == 0 {
-					db.Phase = tenant.Tuned
-				}
-			}
-		}
-		// A deleted tenant lingers until its last database is drained.
-		if ts.deleted && len(ts.DBs) == 0 {
-			delete(s.tenants, tid)
-		}
+	p0, d0, r0 := s.model.Totals()
+	err := s.model.Reconcile()
+	p1, d1, r1 := s.model.Totals()
+	s.m.provisions.Add(float64(p1 - p0))
+	s.m.deprovisions.Add(float64(d1 - d0))
+	s.m.resizes.Add(float64(r1 - r0))
+	if err != nil {
+		return err
 	}
-	s.m.tenants.Set(float64(len(s.tenants)))
+	s.m.tenants.Set(float64(len(s.model.tenants)))
 	s.m.instances.Set(float64(len(s.coord.Instances())))
 	return nil
 }
@@ -649,25 +424,18 @@ func (s *Service) Counters() (shard.Counters, error) { return s.coord.Counters()
 // invisible to the tenant. The target must be another shard in the map.
 func (s *Service) Rebalance(tenantID, dbID, toShard string) error {
 	s.mu.Lock()
-	ts, ok := s.tenants[tenantID]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: tenant %q", ErrNotFound, tenantID)
-	}
-	db, ok := ts.DBs[dbID]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: database %q", ErrNotFound, dbID)
-	}
-	if db.Phase == tenant.Pending {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: database %q is not provisioned yet", ErrConflict, dbID)
-	}
-	if db.Deleting {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: database %q is being deprovisioned", ErrConflict, dbID)
+	_, db, err := s.model.database(tenantID, dbID)
+	switch {
+	case err != nil:
+	case db.Phase == tenant.Pending:
+		err = fmt.Errorf("%w: database %q is not provisioned yet", ErrConflict, dbID)
+	case db.Deleting:
+		err = fmt.Errorf("%w: database %q is being deprovisioned", ErrConflict, dbID)
 	}
 	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	if _, ok := s.coord.Shard(toShard); !ok {
 		return fmt.Errorf("%w: no shard %q in the fleet's shard map %v", ErrInvalid, toShard, s.coord.ShardNames())
 	}

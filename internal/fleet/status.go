@@ -74,7 +74,7 @@ func (s *Service) statusLocked(ts *tenantState, gens map[string]int) TenantStatu
 		Deleting:  ts.deleted,
 		Databases: []DatabaseStatus{},
 	}
-	for _, did := range sortedDBIDs(ts) {
+	for _, did := range sortedKeys(ts.DBs) {
 		db := ts.DBs[did]
 		id := instanceID(ts.Tenant.ID, db.ID)
 		shardName, _ := s.coord.Assignment(id)
@@ -115,7 +115,7 @@ func (s *Service) GetTenant(id string) (TenantStatus, bool) {
 	gens := s.memberGens()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ts, ok := s.tenants[id]
+	ts, ok := s.model.tenants[id]
 	if !ok {
 		return TenantStatus{}, false
 	}
@@ -141,9 +141,9 @@ func (s *Service) ListTenants() []TenantStatus {
 	gens := s.memberGens()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]TenantStatus, 0, len(s.tenants))
-	for _, tid := range s.sortedTenantIDsLocked() {
-		out = append(out, s.statusLocked(s.tenants[tid], gens))
+	out := make([]TenantStatus, 0, len(s.model.tenants))
+	for _, tid := range sortedKeys(s.model.tenants) {
+		out = append(out, s.statusLocked(s.model.tenants[tid], gens))
 	}
 	return out
 }
@@ -163,15 +163,16 @@ func (s *Service) Summary() Summary {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	provisions, deprovisions, resizes := s.model.Totals()
 	return Summary{
 		Window:           window,
 		Generation:       gen,
 		Samples:          samples,
-		Tenants:          len(s.tenants),
+		Tenants:          len(s.model.tenants),
 		Instances:        size,
-		Provisions:       s.provisions,
-		Deprovisions:     s.deprovisions,
-		Resizes:          s.resizes,
+		Provisions:       provisions,
+		Deprovisions:     deprovisions,
+		Resizes:          resizes,
 		SafetyVetoes:     sv,
 		SafetyCanaryRuns: sc,
 		SafetyRollbacks:  sr,
@@ -231,8 +232,8 @@ func (s *Service) Fingerprint() (Fingerprint, error) {
 
 	phases := make(map[string]string)
 	s.mu.Lock()
-	fp.Provisions, fp.Deprovisions, fp.Resizes = s.provisions, s.deprovisions, s.resizes
-	for _, ts := range s.tenants {
+	fp.Provisions, fp.Deprovisions, fp.Resizes = s.model.Totals()
+	for _, ts := range s.model.tenants {
 		for _, db := range ts.DBs {
 			phases[instanceID(ts.Tenant.ID, db.ID)] = db.Phase.String()
 		}

@@ -40,9 +40,6 @@ type WarmStartConfig struct {
 	// MaxSeedSamples caps how many donor samples are re-labelled into
 	// the new workload, most recent first (default 32).
 	MaxSeedSamples int
-	// SkipConfigApply disables step 2 (the donor best-config apply),
-	// leaving only history seeding — the ablation knob.
-	SkipConfigApply bool
 }
 
 func (w *WarmStartConfig) minDonorSamples() int {
@@ -118,16 +115,14 @@ func (s *Service) warmStartLocked(id string, bp tenant.Blueprint) error {
 	s.warmSeeded += seeded
 	s.m.warmstart.hits.Inc()
 	s.m.warmstart.seeded.Add(float64(seeded))
-	if !ws.SkipConfigApply {
-		if best, ok := repo.BestSample(donor.WorkloadID); ok {
-			kcat, err := knobs.CatalogFor(best.Engine)
-			if err != nil {
-				return fmt.Errorf("fleet: warm start %s from %s: %w", id, donor.WorkloadID, err)
-			}
-			// Best-effort: a chaos-injected apply failure must not fail
-			// the provision.
-			_ = sys.SeedConfig(id, kcat.Config(best.Config))
+	if best, ok := repo.BestSample(donor.WorkloadID); ok {
+		kcat, err := knobs.CatalogFor(best.Engine)
+		if err != nil {
+			return fmt.Errorf("fleet: warm start %s from %s: %w", id, donor.WorkloadID, err)
 		}
+		// Best-effort: a chaos-injected apply failure must not fail the
+		// provision.
+		_ = sys.SeedConfig(id, kcat.Config(best.Config))
 	}
 	return nil
 }

@@ -52,10 +52,19 @@ func TestLibraryBaseline(t *testing.T) {
 		"tuning-regression": {"+safe", RunConfig{Parallelism: 4, Safety: true}},
 	}
 	var rows []libraryRow
+	replay := func(name, row string, cfg RunConfig) {
+		plan, res := compileLibrary(t, name), runLibrary(t, name, cfg)
+		// The compile-time preview is the replay's own outcome.
+		if plan.PeakInstances != res.PeakInstances || plan.TotalProvisions != res.Provisions {
+			t.Errorf("%s: compile preview peak %d / provisions %d, replay peak %d / provisions %d",
+				row, plan.PeakInstances, plan.TotalProvisions, res.PeakInstances, res.Provisions)
+		}
+		rows = append(rows, summarize(row, res))
+	}
 	for _, name := range scenarios.Names() {
-		rows = append(rows, summarize(name, runLibrary(t, name, RunConfig{Parallelism: 4})))
+		replay(name, name, RunConfig{Parallelism: 4})
 		if tw, ok := twins[name]; ok {
-			rows = append(rows, summarize(name+tw.suffix, runLibrary(t, name, tw.cfg)))
+			replay(name, name+tw.suffix, tw.cfg)
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })

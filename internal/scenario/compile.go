@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"autodbaas/internal/cluster"
 	"autodbaas/internal/fleet"
 	"autodbaas/internal/tenant"
 	"autodbaas/internal/workload"
@@ -61,8 +60,8 @@ type Plan struct {
 
 // Compile turns a parsed scenario into a runnable plan. Beyond the
 // structural checks Parse already did, Compile expands onboarding
-// waves and statically replays the whole schedule against the fleet's
-// desired-state rules (quotas, duplicate IDs, tier/plan legality,
+// waves and replays the whole schedule through the fleet's own
+// desired-state model (IDs, quotas, duplicates, tier/plan legality,
 // delete/resize lifecycle ordering), so a scenario that would fail
 // mid-run is rejected here — before any fleet exists to mutate.
 func (sc *Scenario) Compile() (*Plan, error) {
@@ -189,79 +188,29 @@ func (sc *Scenario) Compile() (*Plan, error) {
 	return p, nil
 }
 
-// simDB / simTenant mirror the fleet service's desired-state records
-// for the compile-time replay.
-type simDB struct {
-	phase    tenant.Phase
-	warmup   int
-	plan     string
-	pending  string
-	deleting bool
-}
-
-type simTenant struct {
-	tier    string
-	deleted bool
-	dbs     map[string]*simDB
-}
-
-// dryRun statically replays the schedule against the same rules the
-// fleet service enforces at runtime (fleet.Service mutations +
-// reconcile), so every rejected scenario is rejected before a fleet is
-// built. The replay also records the capacity preview.
+// dryRun replays the schedule through the fleet's own desired-state
+// model — the mutation checks and reconcile phase machine a
+// fleet.Service runs, minus the engine — so every scenario the fleet
+// would reject mid-run is rejected before a fleet is built. The replay
+// also records the capacity preview.
 func (p *Plan) dryRun() error {
-	tenants := map[string]*simTenant{}
+	model := fleet.NewModel(p.Tiers, p.Blueprints)
 	byWindow := map[int][]Action{}
 	for _, a := range p.Actions {
 		byWindow[a.Window] = append(byWindow[a.Window], a)
 	}
-
-	live := 0
 	for w := 0; w < p.Windows; w++ {
 		for _, a := range byWindow[w] {
-			if err := p.applySim(tenants, a); err != nil {
+			if err := a.apply(model); err != nil {
 				return fmt.Errorf("window %d: %s %s: %w", w, a.Kind, a.Tenant, err)
 			}
 		}
-		// Reconcile pass: same transitions, sorted order.
-		for _, tid := range sortedKeys(tenants) {
-			ts := tenants[tid]
-			for _, did := range sortedKeys(ts.dbs) {
-				db := ts.dbs[did]
-				switch {
-				case db.deleting && db.phase == tenant.Pending:
-					delete(ts.dbs, did)
-				case db.deleting && db.phase == tenant.Draining:
-					delete(ts.dbs, did)
-					live--
-				case db.deleting:
-					db.phase = tenant.Draining
-				case db.pending != "":
-					db.plan = db.pending
-					db.pending = ""
-					db.phase = tenant.WarmUp
-					db.warmup = p.Tiers[ts.tier].WarmupWindows
-				case db.phase == tenant.Pending:
-					db.phase = tenant.WarmUp
-					db.warmup = p.Tiers[ts.tier].WarmupWindows
-					live++
-					p.TotalProvisions++
-				case db.phase == tenant.WarmUp:
-					if db.warmup > 0 {
-						db.warmup--
-					}
-					if db.warmup == 0 {
-						db.phase = tenant.Tuned
-					}
-				}
-			}
-			if ts.deleted && len(ts.dbs) == 0 {
-				delete(tenants, tid)
-			}
+		if err := model.Reconcile(); err != nil {
+			return fmt.Errorf("window %d: %w", w, err)
 		}
-		if live > p.PeakInstances {
-			p.PeakInstances = live
-		}
+		provisions, deprovisions, _ := model.Totals()
+		p.PeakInstances = max(p.PeakInstances, int(provisions-deprovisions))
+		p.TotalProvisions = int(provisions)
 	}
 	if p.TotalProvisions == 0 {
 		return fmt.Errorf("schedule never provisions a database")
@@ -269,106 +218,18 @@ func (p *Plan) dryRun() error {
 	return nil
 }
 
-// applySim mirrors the fleet service's mutation checks.
-func (p *Plan) applySim(tenants map[string]*simTenant, a Action) error {
-	switch a.Kind {
-	case ActCreateTenant:
-		if _, ok := p.Tiers[a.Tier]; !ok {
-			return fmt.Errorf("unknown tier %q", a.Tier)
-		}
-		if _, dup := tenants[a.Tenant]; dup {
-			return fmt.Errorf("tenant already exists")
-		}
-		tenants[a.Tenant] = &simTenant{tier: a.Tier, dbs: map[string]*simDB{}}
-	case ActDeleteTenant:
-		ts, ok := tenants[a.Tenant]
-		if !ok {
-			return fmt.Errorf("unknown tenant")
-		}
-		if len(ts.dbs) == 0 {
-			delete(tenants, a.Tenant)
-			return nil
-		}
-		ts.deleted = true
-		for _, db := range ts.dbs {
-			db.deleting = true
-		}
-	case ActCreateDatabase:
-		ts, ok := tenants[a.Tenant]
-		if !ok {
-			return fmt.Errorf("unknown tenant")
-		}
-		if ts.deleted {
-			return fmt.Errorf("tenant is being deprovisioned")
-		}
-		bp, ok := p.Blueprints[a.Spec.Blueprint]
-		if !ok {
-			return fmt.Errorf("unknown blueprint %q", a.Spec.Blueprint)
-		}
-		tier := p.Tiers[ts.tier]
-		plan := a.Spec.Plan
-		if plan == "" {
-			plan = bp.Plan
-		}
-		if _, err := cluster.TypeByName(plan); err != nil {
-			return err
-		}
-		if !tier.AllowsPlan(plan) {
-			return fmt.Errorf("tier %q does not allow plan %q (allowed: %v)", tier.Name, plan, tier.AllowedPlans)
-		}
-		if len(ts.dbs) >= tier.MaxInstances {
-			return fmt.Errorf("tier %q quota reached (%d instances)", tier.Name, tier.MaxInstances)
-		}
-		if _, dup := ts.dbs[a.Spec.ID]; dup {
-			return fmt.Errorf("database %q already exists", a.Spec.ID)
-		}
-		ts.dbs[a.Spec.ID] = &simDB{phase: tenant.Pending, plan: plan}
-	case ActDeleteDatabase:
-		ts, ok := tenants[a.Tenant]
-		if !ok {
-			return fmt.Errorf("unknown tenant")
-		}
-		db, ok := ts.dbs[a.Database]
-		if !ok {
-			return fmt.Errorf("unknown database %q", a.Database)
-		}
-		if db.deleting {
-			return fmt.Errorf("database %q is already being deprovisioned", a.Database)
-		}
-		db.deleting = true
-	case ActResize:
-		ts, ok := tenants[a.Tenant]
-		if !ok {
-			return fmt.Errorf("unknown tenant")
-		}
-		db, ok := ts.dbs[a.Database]
-		if !ok {
-			return fmt.Errorf("unknown database %q", a.Database)
-		}
-		if db.deleting {
-			return fmt.Errorf("database %q is being deprovisioned", a.Database)
-		}
-		if _, err := cluster.TypeByName(a.Plan); err != nil {
-			return err
-		}
-		tier := p.Tiers[ts.tier]
-		if !tier.AllowsPlan(a.Plan) {
-			return fmt.Errorf("tier %q does not allow plan %q (allowed: %v)", tier.Name, a.Plan, tier.AllowedPlans)
-		}
-		if a.Plan == db.plan && db.pending == "" {
-			return fmt.Errorf("database %q is already on plan %q", a.Database, a.Plan)
-		}
-		if db.phase == tenant.Pending {
-			db.plan = a.Plan
-			return nil
-		}
-		db.pending = a.Plan
-	}
-	return nil
+// desiredState is what an action mutates: a live fleet.Service or the
+// dry run's bare fleet.Model.
+type desiredState interface {
+	CreateTenant(tenant.Tenant) error
+	DeleteTenant(id string) error
+	CreateDatabase(tenantID string, spec fleet.DatabaseSpec) error
+	DeleteDatabase(tenantID, dbID string) error
+	ResizeDatabase(tenantID, dbID, plan string) error
 }
 
-// apply replays one action against a live fleet service.
-func (a Action) apply(svc *fleet.Service) error {
+// apply replays one action against a fleet's desired state.
+func (a Action) apply(svc desiredState) error {
 	switch a.Kind {
 	case ActCreateTenant:
 		return svc.CreateTenant(tenant.Tenant{ID: a.Tenant, Tier: a.Tier})
@@ -382,13 +243,4 @@ func (a Action) apply(svc *fleet.Service) error {
 		return svc.ResizeDatabase(a.Tenant, a.Database, a.Plan)
 	}
 	return fmt.Errorf("scenario: unknown action kind %q", a.Kind)
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -11,6 +11,21 @@ import (
 
 func runLibrary(t *testing.T, name string, cfg RunConfig) *Result {
 	t.Helper()
+	r, err := NewRunner(compileLibrary(t, name), cfg)
+	if err != nil {
+		t.Fatalf("%s: runner: %v", name, err)
+	}
+	defer r.Close()
+	res, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatalf("%s: run: %v", name, err)
+	}
+	return res
+}
+
+// compileLibrary parses and compiles one library scenario.
+func compileLibrary(t *testing.T, name string) *Plan {
+	t.Helper()
 	src, err := scenarios.Source(name)
 	if err != nil {
 		t.Fatal(err)
@@ -23,16 +38,7 @@ func runLibrary(t *testing.T, name string, cfg RunConfig) *Result {
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
 	}
-	r, err := NewRunner(p, cfg)
-	if err != nil {
-		t.Fatalf("%s: runner: %v", name, err)
-	}
-	defer r.Close()
-	res, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatalf("%s: run: %v", name, err)
-	}
-	return res
+	return p
 }
 
 func timelineCSV(t *testing.T, res *Result) []byte {

@@ -208,6 +208,20 @@ func TestInvalidScenarios(t *testing.T) {
       blueprint: pg-oltp-small
       offboard-after: 4h
 `, "past the scenario end"},
+		{"event tenant id not an identifier", validDoc + `events:
+  - at: 30m
+    create-tenant:
+      id: Bad_Tenant
+      tier: dev
+`, "tenant ID"},
+		{"wave tenant id too long", validDoc + `events:
+  - at: 30m
+    onboard-wave:
+      prefix: ` + strings.Repeat("w", 62) + `
+      count: 1
+      tier: dev
+      blueprint: pg-oltp-small
+`, "tenant ID"},
 		{"tab indentation", "name: t\n\tseed: 1\n", "tab"},
 		{"non-integer seed", strings.Replace(validDoc, "seed: 1", "seed: one", 1), "integer"},
 		{"never provisions", `name: t

@@ -86,18 +86,6 @@ type Coordinator struct {
 
 	windows   int
 	throttles int // cumulative across all windows
-
-	// extras are caller sections riding in fleet snapshots as
-	// "extra/<name>" — the coordinator twin of
-	// core.System.RegisterCheckpointExtra.
-	extras []coordExtra
-}
-
-// coordExtra is one registered snapshot extra.
-type coordExtra struct {
-	name    string
-	save    func() ([]byte, error)
-	restore func([]byte) error
 }
 
 // NewCoordinator assembles a coordinator over the given shards. The
@@ -191,24 +179,6 @@ func (c *Coordinator) Members() ([]core.Member, error) {
 		}
 	}
 	return out, nil
-}
-
-// RegisterCheckpointExtra attaches a caller section to fleet snapshots,
-// stored as "extra/<name>" in the outer container — the coordinator
-// twin of core.System.RegisterCheckpointExtra. The save hook runs on
-// every Checkpoint; the restore hook (may be nil) runs at the end of
-// Restore and fails the restore if the snapshot lacks the section.
-// Registering the same name again replaces the hooks.
-func (c *Coordinator) RegisterCheckpointExtra(name string, save func() ([]byte, error), restore func([]byte) error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.extras {
-		if c.extras[i].name == name {
-			c.extras[i] = coordExtra{name: name, save: save, restore: restore}
-			return
-		}
-	}
-	c.extras = append(c.extras, coordExtra{name: name, save: save, restore: restore})
 }
 
 // Place picks the shard for an instance by rendezvous hashing over the
@@ -466,9 +436,10 @@ type coordinatorState struct {
 // Checkpoint writes a fleet snapshot to w: an outer ADBC container whose
 // sections are the coordinator's control state plus every shard's full
 // snapshot ("shard/<name>") — each itself a complete inner container,
-// so every byte gets two layers of CRC verification.
-func (c *Coordinator) Checkpoint(w io.Writer) error {
-	snap, err := c.snapshot()
+// so every byte gets two layers of CRC verification — then the caller's
+// extra sections in order (the fleet service's control plane).
+func (c *Coordinator) Checkpoint(w io.Writer, extra ...checkpoint.RawSection) error {
+	snap, err := c.snapshot(extra)
 	if err != nil {
 		return err
 	}
@@ -480,10 +451,9 @@ func (c *Coordinator) Checkpoint(w io.Writer) error {
 // once; sections still land in shard-map order. An in-process shard's
 // container is nested as staged, never copied; a remote shard's
 // arrives as one blob frame and is nested as such.
-func (c *Coordinator) snapshot() (*checkpoint.Container, error) {
+func (c *Coordinator) snapshot(extra []checkpoint.RawSection) (*checkpoint.Container, error) {
 	c.mu.Lock()
 	shards := append([]Shard(nil), c.shards...)
-	extras := append([]coordExtra(nil), c.extras...)
 	st := coordinatorState{
 		Windows:   c.windows,
 		Throttles: c.throttles,
@@ -502,7 +472,7 @@ func (c *Coordinator) snapshot() (*checkpoint.Container, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: encode coordinator state: %w", err)
 	}
-	secs := make([]checkpoint.RawSection, 1+len(shards), 1+len(shards)+len(extras))
+	secs := make([]checkpoint.RawSection, 1+len(shards), 1+len(shards)+len(extra))
 	secs[0] = checkpoint.RawSection{Name: coordinatorSection, Payload: ctl}
 	err = fanOut(shards, "checkpoint", func(i int, sh Shard) (err error) {
 		sec := &secs[1+i]
@@ -517,13 +487,7 @@ func (c *Coordinator) snapshot() (*checkpoint.Container, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, ex := range extras {
-		payload, err := ex.save()
-		if err != nil {
-			return nil, fmt.Errorf("shard: checkpoint extra %q: %w", ex.name, err)
-		}
-		secs = append(secs, checkpoint.RawSection{Name: "extra/" + ex.name, Payload: payload})
-	}
+	secs = append(secs, extra...)
 	return checkpoint.NewContainer(checkpoint.Manifest{Window: st.Windows}, secs)
 }
 
@@ -610,23 +574,7 @@ func (c *Coordinator) RestoreSections(sections map[string][]byte) error {
 	for id, name := range st.Assign {
 		c.assign[id] = name
 	}
-	extras := append([]coordExtra(nil), c.extras...)
 	c.mu.Unlock()
-
-	// Extras restore last, mirroring the core container's contract: a
-	// registered restorer with no matching section fails the restore.
-	for _, ex := range extras {
-		if ex.restore == nil {
-			continue
-		}
-		payload, ok := sections["extra/"+ex.name]
-		if !ok {
-			return fmt.Errorf("%w: snapshot lacks the registered extra section %q", checkpoint.ErrManifest, "extra/"+ex.name)
-		}
-		if err := ex.restore(payload); err != nil {
-			return fmt.Errorf("shard: restore extra %q: %w", ex.name, err)
-		}
-	}
 	return nil
 }
 

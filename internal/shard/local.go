@@ -83,7 +83,7 @@ func (l *Local) buildSystem() (*core.System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: %w", l.cfg.Name, err)
 	}
-	sys.RegisterCheckpointExtra(specsExtra, l.saveSpecs, l.restoreSpecs)
+	sys.RegisterCheckpointExtra(specsExtra, l.saveSpecs, nil)
 	return sys, nil
 }
 
@@ -142,17 +142,6 @@ func (l *Local) saveSpecs() ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return json.Marshal(l.specs)
-}
-
-func (l *Local) restoreSpecs(p []byte) error {
-	var specs []InstanceSpec
-	if err := json.Unmarshal(p, &specs); err != nil {
-		return fmt.Errorf("shard %s: specs section: %w", l.cfg.Name, err)
-	}
-	l.mu.Lock()
-	l.specs = specs
-	l.mu.Unlock()
-	return nil
 }
 
 // Name implements Shard.
@@ -297,39 +286,38 @@ func (l *Local) Restore(snapshot []byte) error {
 		return fmt.Errorf("shard %s: specs section: %w", l.cfg.Name, err)
 	}
 
-	fresh := &Local{cfg: l.cfg, pool: l.pool}
-	if err := fresh.rebuild(specs, man, sections); err != nil {
+	sys, err := l.rebuild(specs, man, sections)
+	if err != nil {
 		l.System().Repository.Rebind()
 		return err
 	}
-	sys := fresh.sys
 	l.mu.Lock()
-	l.sys = sys
-	l.specs = fresh.specs
+	l.sys, l.specs = sys, specs
 	l.mu.Unlock()
-	// Re-point the extra hooks at this Local (they were bound to the
-	// scratch value during the rebuild).
-	sys.RegisterCheckpointExtra(specsExtra, l.saveSpecs, l.restoreSpecs)
 	return nil
 }
 
-// rebuild builds the receiver's system, re-provisions specs into it and
-// restores the verified sections onto it.
-func (l *Local) rebuild(specs []InstanceSpec, man checkpoint.Manifest, sections map[string][]byte) error {
+// rebuild builds a fresh system, re-provisions specs into it and
+// restores the verified sections onto it, leaving the receiver's live
+// system and specs untouched.
+func (l *Local) rebuild(specs []InstanceSpec, man checkpoint.Manifest, sections map[string][]byte) (*core.System, error) {
 	sys, err := l.buildSystem()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	l.sys = sys
 	for _, sp := range specs {
-		if err := l.AddInstance(sp); err != nil {
-			return fmt.Errorf("shard %s: rebuild instance %q: %w", l.cfg.Name, sp.ID, err)
+		cs, err := sp.CoreSpec()
+		if err == nil {
+			_, err = sys.AddInstance(cs)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("shard %s: rebuild instance %q: %w", l.cfg.Name, sp.ID, err)
 		}
 	}
 	if err := sys.RestoreSections(man, sections); err != nil {
-		return fmt.Errorf("shard %s: %w", l.cfg.Name, err)
+		return nil, fmt.Errorf("shard %s: %w", l.cfg.Name, err)
 	}
-	return nil
+	return sys, nil
 }
 
 // ExportInstance implements Shard: the migration-out half of a

@@ -119,8 +119,6 @@ type Config struct {
 	// exceeds this fraction of its maximum or of what the instance
 	// budget allows.
 	CapFraction float64
-	// MDPStep fraction of a knob's range used as the unit step.
-	MDPStepFraction float64
 	// MDPSampleQueries is how many sampled statements the MDP prices.
 	MDPSampleQueries int
 	// MDPMinProfitFraction: a probe must beat the current config by this
@@ -135,7 +133,6 @@ func DefaultConfig() Config {
 		LogBatch:             simdb.DefaultQueryLogSize,
 		ReservoirSize:        64,
 		CapFraction:          0.9,
-		MDPStepFraction:      0.05,
 		MDPSampleQueries:     32,
 		MDPMinProfitFraction: 0.02,
 	}
