@@ -93,9 +93,8 @@ type textByTemplate struct {
 	text map[string]string
 }
 
-// Sample implements workload.Generator.
-func (g textByTemplate) Sample(rng *rand.Rand) workload.Query {
-	q := g.Generator.Sample(rng)
+// SampleInto implements workload.Generator.
+func (g textByTemplate) SampleInto(rng *rand.Rand, q *workload.Query) {
+	g.Generator.SampleInto(rng, q)
 	g.text[q.Template.ID] = q.Text()
-	return q
 }

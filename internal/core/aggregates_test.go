@@ -94,6 +94,7 @@ func (g *distinctScans) Sample(*rand.Rand) workload.Query {
 	g.next++
 	return workload.Query{Class: tpl.Class, Template: tpl, Profile: workload.Profile{ReadBytes: 64 * workload.KiB, MemDemand: 8 << 20}}
 }
+func (g *distinctScans) SampleInto(rng *rand.Rand, q *workload.Query) { *q = g.Sample(rng) }
 
 // aggregateBytes runs one instance of g for windows windows and returns
 // the bytes its instance section spends on the agent (the TDE within it)

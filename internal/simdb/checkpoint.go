@@ -104,8 +104,8 @@ func (e *Engine) CheckpointState() EngineState {
 	st.QueryLogTemplates, st.QueryLogClasses, st.QueryLogTemplateIdx = encodeLog(e.queryLog.buf)
 	if len(e.profiles) > 0 {
 		st.Profiles = make(map[string]TemplateProfile, len(e.profiles))
-		for k, v := range e.profiles {
-			st.Profiles[k] = v
+		for k, i := range e.profiles {
+			st.Profiles[k] = e.profileTab[i].TemplateProfile
 		}
 	}
 	return st
@@ -151,11 +151,13 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	e.jitterFactor = st.JitterFactor
 	e.down = st.Down
 	e.restarts = st.Restarts
-	e.profiles, e.profileIDs = nil, nil
+	e.profiles, e.profileTab, e.profileIDs = nil, nil, nil
 	if len(st.Profiles) > 0 {
-		e.profiles = make(map[string]TemplateProfile, len(st.Profiles))
+		e.profiles = make(map[string]int, len(st.Profiles))
+		e.profileTab = make([]profileEntry, 0, len(st.Profiles))
 		for k, v := range st.Profiles {
-			e.profiles[k] = v
+			e.profiles[k] = len(e.profileTab)
+			e.profileTab = append(e.profileTab, profileEntry{TemplateProfile: v})
 		}
 	}
 	e.cfgEpoch = st.CfgEpoch

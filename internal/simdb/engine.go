@@ -131,8 +131,15 @@ type Engine struct {
 	replica  bool
 	queryLog *ringLog
 	// profiles caches per-template execution statistics for
-	// ExplainTemplate and HypotheticalRunTemplatesMs.
-	profiles map[string]TemplateProfile
+	// ExplainTemplate and HypotheticalRunTemplatesMs: it maps a template
+	// ID to its entry's slot in profileTab, where a statement merges in
+	// place. The table holds no pointers, and grows by append rather
+	// than by one allocation per template.
+	profiles   map[string]int
+	profileTab []profileEntry
+	// priceStamp numbers HypotheticalRunTemplatesMs calls (see
+	// profileEntry); it is scratch, not state, and no snapshot holds it.
+	priceStamp uint64
 	// profileIDs holds the keys of profiles in ascending order once the
 	// store has reached maxProfiles (nil before, and after a restore):
 	// eviction takes its first entry.

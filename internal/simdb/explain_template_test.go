@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -89,6 +90,7 @@ func (g *tableScan) Sample(*rand.Rand) workload.Query {
 	tpl := sqlparse.TemplateOf(sql)
 	return workload.Query{SQL: sql, Class: tpl.Class, Template: tpl, Profile: workload.Profile{ReadBytes: 8 * workload.KiB}}
 }
+func (g *tableScan) SampleInto(rng *rand.Rand, q *workload.Query) { *q = g.Sample(rng) }
 
 // Past maxProfiles templates the statistics store evicts, and which
 // entry goes must not depend on map iteration order: two engines fed
@@ -136,4 +138,100 @@ func TestProfileEvictionIsDeterministic(t *testing.T) {
 	if string(run(a, genA, maxProfiles+3000)) != string(run(c, &genC, maxProfiles+3000)) {
 		t.Fatal("a restored engine evicts differently from the one it was checkpointed from")
 	}
+}
+
+// variedScans draws from a pool of more templates than the statistics
+// store holds, each statement with a freshly drawn profile and class,
+// and keeps every statement it hands out.
+type variedScans struct {
+	tpls []sqlparse.Template
+	sent []workload.Query
+}
+
+func (g *variedScans) Name() string                  { return "varied-scans" }
+func (g *variedScans) DBSizeBytes() float64          { return workload.GiB }
+func (g *variedScans) RequestRate(time.Time) float64 { return 1000 }
+func (g *variedScans) Sample(rng *rand.Rand) (q workload.Query) {
+	g.SampleInto(rng, &q)
+	return q
+}
+func (g *variedScans) SampleInto(rng *rand.Rand, q *workload.Query) {
+	tpl := g.tpls[rng.Intn(len(g.tpls))]
+	*q = workload.Query{Class: tpl.Class, Template: tpl, Profile: workload.Profile{
+		MemDemand: float64(rng.Intn(4)) * workload.MiB, MaintMem: float64(rng.Intn(3)) * workload.MiB,
+		TempBytes: float64(rng.Intn(3)) * workload.MiB, ReadBytes: rng.Float64() * workload.MiB,
+		WriteBytes: float64(rng.Intn(2)) * workload.KiB, Parallelizable: rng.Intn(2) == 0, IndexFriendly: rng.Intn(2) == 0,
+	}}
+	if rng.Intn(4) == 0 {
+		q.Class = sqlparse.ClassSort // a template's class may change between statements
+	}
+	g.sent = append(g.sent, *q)
+}
+
+// referenceRemember is the statistics store's merge as it was when each
+// statement rebuilt its template's entry by value: the new statement's
+// class, flags and demands, except where the old demand is higher, and
+// past maxProfiles the smallest template ID evicted first.
+func referenceRemember(store map[string]TemplateProfile, id string, cls sqlparse.Class, prof workload.Profile) {
+	merged := TemplateProfile{Class: cls, Profile: prof}
+	old, ok := store[id]
+	if !ok {
+		if len(store) >= maxProfiles {
+			victim := ""
+			for k := range store {
+				if victim == "" || k < victim {
+					victim = k
+				}
+			}
+			delete(store, victim)
+		}
+		store[id] = merged
+		return
+	}
+	p, op := &merged.Profile, &old.Profile
+	for _, f := range [][2]*float64{{&p.MemDemand, &op.MemDemand}, {&p.MaintMem, &op.MaintMem}, {&p.TempBytes, &op.TempBytes}, {&p.ReadBytes, &op.ReadBytes}, {&p.WriteBytes, &op.WriteBytes}} {
+		if *f[1] > *f[0] {
+			*f[0] = *f[1]
+		}
+	}
+	store[id] = merged
+}
+
+// TestProfileMergeMatchesReference: the store's in-place merge, and the
+// slot an evicted template hands to the next one, remember exactly what
+// rebuilding each entry by value remembered, before the cap, past it,
+// and after a restore.
+func TestProfileMergeMatchesReference(t *testing.T) {
+	gen := &variedScans{}
+	for i := 0; i < maxProfiles+400; i++ {
+		gen.tpls = append(gen.tpls, sqlparse.TemplateOf(fmt.Sprintf("SELECT v FROM t_%d WHERE k = 1", i)))
+	}
+	e := newPG(t, m4Large(), workload.GiB)
+	want := map[string]TemplateProfile{}
+	check := func(windows int) {
+		t.Helper()
+		for w := 0; w < windows; w++ {
+			gen.sent = gen.sent[:0]
+			if _, err := e.RunWindow(gen, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range gen.sent {
+				referenceRemember(want, q.Template.ID, q.Class, q.Profile)
+			}
+		}
+		if got := e.CheckpointState().Profiles; !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d statements the store holds %d profiles that differ from the reference's %d", len(gen.sent), len(got), len(want))
+		}
+	}
+	check(5)
+	check(300)
+	if len(want) != maxProfiles {
+		t.Fatalf("the reference holds %d profiles; the stream never reached the cap %d", len(want), maxProfiles)
+	}
+	r := newPG(t, m4Large(), workload.GiB)
+	if err := r.RestoreCheckpointState(e.CheckpointState()); err != nil {
+		t.Fatal(err)
+	}
+	e = r
+	check(20)
 }

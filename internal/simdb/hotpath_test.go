@@ -92,3 +92,4 @@ func (c *cannedGen) RequestRate(at time.Time) float64 { return c.inner.RequestRa
 func (c *cannedGen) Sample(rng *rand.Rand) workload.Query {
 	return c.queries[rng.Intn(len(c.queries))]
 }
+func (c *cannedGen) SampleInto(rng *rand.Rand, q *workload.Query) { *q = c.Sample(rng) }

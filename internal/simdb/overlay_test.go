@@ -59,7 +59,8 @@ func referenceOverlay(e *Engine, override knobs.Config) (flatKnobs, float64) {
 	return referenceFlatKnobs(e, cfg), e.hitRatioLocked(cfg)
 }
 
-// referenceRunMs is HypotheticalRunTemplatesMs over referenceOverlay.
+// referenceRunMs is HypotheticalRunTemplatesMs over referenceOverlay,
+// pricing every entry of ids afresh, repeats included.
 func referenceRunMs(e *Engine, override knobs.Config, ids []string) (float64, int) {
 	fk, hit := referenceOverlay(e, override)
 	e.mu.Lock()
@@ -67,12 +68,14 @@ func referenceRunMs(e *Engine, override knobs.Config, ids []string) (float64, in
 	var total float64
 	var n int
 	for _, id := range ids {
-		p, ok := e.profiles[id]
+		i, ok := e.profiles[id]
 		if !ok {
 			continue
 		}
-		plan := e.planWith(&fk, p.Class, &p.Profile)
-		ms, _ := e.serviceTimeMs(&fk, p.Class, &p.Profile, hit, &plan)
+		p := &e.profileTab[i]
+		var plan Plan
+		e.planWith(&fk, p.Class, &p.Profile, &plan)
+		ms, _ := e.serviceTimeMs(p.Class, &p.Profile, hit, e.ioOverlapFactor(&fk), &plan)
 		total += ms
 		n++
 	}
@@ -178,6 +181,78 @@ func TestOverlayPatchMatchesClone(t *testing.T) {
 			}
 			if _, n := e.HypotheticalRunTemplatesMs(nil, ids); n == 0 {
 				t.Fatal("no statement was priced: the comparison proved nothing")
+			}
+		})
+	}
+}
+
+// TestHypotheticalPricingMatchesReference: HypotheticalRunTemplatesMs
+// prices each distinct ID once per call and adds the kept price for its
+// repeats. Over ID lists with repeats and with IDs that have no
+// profile, under no override, a patched one-knob override and a
+// clone-path memory-knob override, in alternation and across windows
+// that move the remembered profiles, every total must equal to the bit,
+// with the same count, a plain loop that prices every entry afresh.
+// Once warm, a call that takes no clone allocates nothing.
+func TestHypotheticalPricingMatchesReference(t *testing.T) {
+	overrides := map[knobs.Engine][2]knobs.Config{
+		knobs.Postgres: {{"random_page_cost": 2.5}, {"work_mem": 256 * 1024 * 1024}},
+		knobs.MySQL:    {{"eq_range_index_dive_limit": 40}, {"sort_buffer_size": 16 * 1024 * 1024}},
+	}
+	gens := []workload.Generator{
+		workload.NewTPCC(24*workload.GiB, 3000),
+		workload.NewTPCH(24*workload.GiB, 40),
+		workload.NewProduction(),
+	}
+	for _, eng := range []knobs.Engine{knobs.Postgres, knobs.MySQL} {
+		t.Run(string(eng), func(t *testing.T) {
+			e, err := NewEngine(Options{Engine: eng, Resources: m4Large(), DBSizeBytes: 24 * workload.GiB, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			patched, cloned := overrides[eng][0], overrides[eng][1]
+			for k := range patched {
+				if e.readByHitRatio(k) {
+					t.Fatalf("%s takes the clone path; want a patched override", k)
+				}
+			}
+			for k := range cloned {
+				if !e.readByHitRatio(k) {
+					t.Fatalf("%s takes the patch path; want a clone-path override", k)
+				}
+			}
+			var logged []string
+			for w := 0; w < 9; w++ {
+				if _, err := e.RunWindow(gens[w%len(gens)], 5*time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				logged = TemplateIDs(e.QueryLog(64))
+				first := logged[0]
+				lists := [][]string{
+					nil,
+					logged,
+					append([]string{"never-executed", first, "never-executed"}, logged...),
+					{first, first, first, "never-executed", first},
+					{"never-executed", "never-executed"},
+				}
+				for _, ids := range lists {
+					for _, override := range []knobs.Config{nil, patched, cloned, nil} {
+						got, n := e.HypotheticalRunTemplatesMs(override, ids)
+						want, wantN := referenceRunMs(e, override, ids)
+						if math.Float64bits(got) != math.Float64bits(want) || n != wantN {
+							t.Fatalf("window %d, override %v, %d ids: got %v over %d statements, reference %v over %d",
+								w, override, len(ids), got, n, want, wantN)
+						}
+					}
+				}
+			}
+			if _, n := e.HypotheticalRunTemplatesMs(nil, logged); n != len(logged) {
+				t.Fatalf("priced %d of %d logged statements", n, len(logged))
+			}
+			for _, override := range []knobs.Config{nil, patched} {
+				if allocs := testing.AllocsPerRun(20, func() { e.HypotheticalRunTemplatesMs(override, logged) }); allocs != 0 {
+					t.Fatalf("override %v: a warm call made %v allocations, want 0", override, allocs)
+				}
 			}
 		})
 	}

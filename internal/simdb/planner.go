@@ -74,25 +74,22 @@ func selectivity(cls sqlparse.Class, p *workload.Profile) float64 {
 	}
 }
 
-// planWith computes the plan for a statement of class cls and profile
-// prof under the flattened knob view without touching state. It is a
-// pure function of (fk, resources, dbSize, cls, *prof); prof is read in
+// planWith fills p with the plan for a statement of class cls and
+// profile prof under the flattened knob view, without touching state.
+// It is a pure function of (fk, resources, dbSize, cls, *prof) and sets
+// every field of p, so a caller can reuse one Plan; prof is read in
 // place, never copied.
-func (e *Engine) planWith(fk *flatKnobs, cls sqlparse.Class, prof *workload.Profile) Plan {
+func (e *Engine) planWith(fk *flatKnobs, cls sqlparse.Class, prof *workload.Profile, p *Plan) {
 	work, maint, temp := e.grants(fk, cls)
-	p := Plan{
-		MemRequired:   prof.MemDemand,
-		MemGranted:    work,
-		MaintRequired: prof.MaintMem,
-		MaintGranted:  maint,
-		TempRequired:  prof.TempBytes,
-		TempGranted:   temp,
-	}
+	p.MemRequired, p.MemGranted = prof.MemDemand, work
+	p.MaintRequired, p.MaintGranted = prof.MaintMem, maint
+	p.TempRequired, p.TempGranted = prof.TempBytes, temp
 	p.UsesDisk = prof.MemDemand > work ||
 		prof.MaintMem > maint ||
 		prof.TempBytes > temp
+	p.ParallelWorkers = 0
 
-	pages := math.Max(1, prof.ReadBytes/PageSize)
+	pages := max(1, prof.ReadBytes/PageSize)
 	sel := selectivity(cls, prof)
 
 	if e.engineName == string(knobs.MySQL) {
@@ -100,7 +97,7 @@ func (e *Engine) planWith(fk *flatKnobs, cls sqlparse.Class, prof *workload.Prof
 		// index-vs-scan driven by optimizer knobs (approximated via
 		// eq_range_index_dive_limit as an index-preference proxy).
 		dive := fk.eqRangeDiveLimit
-		indexCost := sel * pages * 1.4 * (1 + 10/math.Max(1, dive))
+		indexCost := sel * pages * 1.4 * (1 + 10/max(1, dive))
 		seqCost := pages
 		if prof.IndexFriendly && indexCost < seqCost {
 			p.Scan = IndexScan
@@ -109,7 +106,7 @@ func (e *Engine) planWith(fk *flatKnobs, cls sqlparse.Class, prof *workload.Prof
 			p.Scan = SeqScan
 			p.EstimatedCost = seqCost
 		}
-		return p
+		return
 	}
 
 	rpc := fk.randomPageCost
@@ -119,8 +116,8 @@ func (e *Engine) planWith(fk *flatKnobs, cls sqlparse.Class, prof *workload.Prof
 	// A larger assumed cache makes random access cheaper in the
 	// planner's eyes (PostgreSQL discounts random_page_cost when it
 	// believes pages are cached).
-	cacheDiscount := math.Min(1, math.Max(0.25, e.dbSize/math.Max(1, 4*ecs)))
-	tuples := math.Max(1, prof.ReadBytes/256)
+	cacheDiscount := min(1, max(0.25, e.dbSize/max(1, 4*ecs)))
+	tuples := max(1, prof.ReadBytes/256)
 	indexCost := sel*pages*rpc*cacheDiscount + tuples*sel*ctc
 	seqCost := pages*spc + tuples*ctc
 	if prof.IndexFriendly && indexCost < seqCost {
@@ -135,13 +132,12 @@ func (e *Engine) planWith(fk *flatKnobs, cls sqlparse.Class, prof *workload.Prof
 	// to the scan size, capped by the per-gather knob.
 	maxPar := fk.maxParPerGather
 	if prof.Parallelizable && maxPar >= 1 && p.EstimatedCost > 5000 {
-		want := int(math.Min(maxPar, math.Max(1, math.Log2(pages/1000))))
+		want := int(min(maxPar, max(1, math.Log2(pages/1000))))
 		if want > 0 {
 			p.ParallelWorkers = want
 			p.EstimatedCost = p.EstimatedCost/float64(want+1) + 500*float64(want)
 		}
 	}
-	return p
 }
 
 // ioOverlapFactor models asynchronous-IO overlap: deeper prefetch hides
@@ -186,11 +182,12 @@ func (e *Engine) trueScanFactor() float64 {
 }
 
 // serviceTimeMs prices the execution of a statement of class cls and
-// profile prof given the current cache hit ratio and its plan (from
-// planWith), reading prof and plan in place.
+// profile prof given the current cache hit ratio, the knob view's
+// ioOverlapFactor (computed once per window or probe) and its plan
+// (from planWith), reading prof and plan in place.
 // It is the single source of truth for both live execution (RunWindow)
 // and hypothetical probes (HypotheticalRunTemplatesMs).
-func (e *Engine) serviceTimeMs(fk *flatKnobs, cls sqlparse.Class, prof *workload.Profile, hitRatio float64, plan *Plan) (ms float64, spillBytes float64) {
+func (e *Engine) serviceTimeMs(cls sqlparse.Class, prof *workload.Profile, hitRatio, overlap float64, plan *Plan) (ms float64, spillBytes float64) {
 	readBytes := clampNonNeg(prof.ReadBytes)
 	if plan.Scan == IndexScan {
 		// Index path reads less data but with random access.
@@ -217,7 +214,7 @@ func (e *Engine) serviceTimeMs(fk *flatKnobs, cls sqlparse.Class, prof *workload
 	// queueing overhead — an interior optimum the MDP probe can find.
 	missBytes := readBytes * (1 - hitRatio)
 	missPages := missBytes / PageSize
-	ioMs := missPages / math.Max(1, e.res.DiskIOPS) * 1000 / e.ioOverlapFactor(fk)
+	ioMs := missPages / max(1, e.res.DiskIOPS) * 1000 / overlap
 
 	// Spills: working areas that do not fit are written out and read back.
 	if plan.UsesDisk {
@@ -232,13 +229,13 @@ func (e *Engine) serviceTimeMs(fk *flatKnobs, cls sqlparse.Class, prof *workload
 			spillBytes += plan.TempRequired - plan.TempGranted
 		}
 		spillPages := 2 * spillBytes / PageSize // write + read back
-		ioMs += spillPages / math.Max(1, e.res.DiskIOPS) * 1000
+		ioMs += spillPages / max(1, e.res.DiskIOPS) * 1000
 		// External algorithms are also CPU-costlier (merge passes).
 		cpuMs *= 1.3
 	}
 
 	writePages := clampNonNeg(prof.WriteBytes) / PageSize
-	ioMs += writePages / math.Max(1, e.res.DiskIOPS) * 200 // mostly buffered
+	ioMs += writePages / max(1, e.res.DiskIOPS) * 200 // mostly buffered
 
 	return cpuMs + ioMs, spillBytes
 }

@@ -28,6 +28,7 @@ func (handBuilt) Sample(rng *rand.Rand) workload.Query {
 		Profile: workload.Profile{ReadBytes: 8192, IndexFriendly: true},
 	}
 }
+func (g handBuilt) SampleInto(rng *rand.Rand, q *workload.Query) { *q = g.Sample(rng) }
 
 // recorder hands out its generator's statements and keeps the text of
 // each, in order.
@@ -36,10 +37,9 @@ type recorder struct {
 	texts *[]string
 }
 
-func (r recorder) Sample(rng *rand.Rand) workload.Query {
-	q := r.Generator.Sample(rng)
+func (r recorder) SampleInto(rng *rand.Rand, q *workload.Query) {
+	r.Generator.SampleInto(rng, q)
 	*r.texts = append(*r.texts, q.Text())
-	return q
 }
 
 // logContractGenerators covers every generator family, a replayed trace

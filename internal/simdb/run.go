@@ -74,14 +74,14 @@ func (e *Engine) RunWindow(gen workload.Generator, dur time.Duration) (WindowSta
 	total := offered * seconds
 	st := WindowStats{Start: start, Duration: dur, Offered: offered}
 
-	n := int(math.Min(windowSampleCap, math.Max(1, total)))
+	n := int(min(windowSampleCap, max(1, total)))
 	if cap(e.sampleBuf) < n {
 		e.sampleBuf = make([]workload.Query, n)
 		e.timesBuf = make([]float64, n)
 	}
 	sample := e.sampleBuf[:n]
 	for i := range sample {
-		sample[i] = gen.Sample(e.rng)
+		gen.SampleInto(e.rng, &sample[i])
 	}
 	scale := total / float64(n)
 
@@ -100,14 +100,18 @@ func (e *Engine) RunWindow(gen workload.Generator, dur time.Duration) (WindowSta
 	var parLaunched, parDenied float64
 	var classCounts [sqlparse.NumClasses]float64
 	workerPool := fk.maxWorkerProcesses // postgres only; 0 for mysql
+	overlap := e.ioOverlapFactor(fk)
+	slowdown := jitter * e.surgeSlowdownLocked()
 
-	// The sample is read in place: a Query is about 150 bytes, too large
-	// to copy per statement into the loop variable and the pricing calls.
+	// The sample is drawn and read in place, and each plan is filled in
+	// place: a Query is about 150 bytes and a Plan 80, too large to copy
+	// per statement.
+	var plan Plan
 	for i := range sample {
 		q := &sample[i]
-		plan := e.planWith(fk, q.Class, &q.Profile)
-		ms, spill := e.serviceTimeMs(fk, q.Class, &q.Profile, hit, &plan)
-		ms *= jitter * e.surgeSlowdownLocked()
+		e.planWith(fk, q.Class, &q.Profile, &plan)
+		ms, spill := e.serviceTimeMs(q.Class, &q.Profile, hit, overlap, &plan)
+		ms *= slowdown
 		times[i] = ms
 		sumMs += ms
 		readLogical += q.Profile.ReadBytes
@@ -144,7 +148,7 @@ func (e *Engine) RunWindow(gen workload.Generator, dur time.Duration) (WindowSta
 	st.AvgServiceMs = avgMs
 	// The k-th order statistic is the same value whether obtained by a
 	// full sort or by selection; selection is O(n).
-	st.P99Ms = selectKth(times, int(math.Min(float64(n-1), math.Ceil(0.99*float64(n)))))
+	st.P99Ms = selectKth(times, int(min(float64(n-1), math.Ceil(0.99*float64(n)))))
 
 	// Capacity model (Little's law-ish): VCPU serving queries serially.
 	capacityQPS := float64(e.res.VCPU) / (avgMs / 1000) * 0.9

@@ -21,10 +21,9 @@ type recorder struct {
 	texts *[]string
 }
 
-func (r recorder) Sample(rng *rand.Rand) workload.Query {
-	q := r.Generator.Sample(rng)
+func (r recorder) SampleInto(rng *rand.Rand, q *workload.Query) {
+	r.Generator.SampleInto(rng, q)
 	*r.texts = append(*r.texts, q.Text())
-	return q
 }
 
 // newest is the part of texts a tick reads: the newest entries the

@@ -11,51 +11,24 @@ import (
 type TPCH struct {
 	size float64
 	rate float64
-	mix  *mixSampler
+	mix  mixSampler
+
+	q1, q3, q6, q18 litSite
 }
 
 // NewTPCH returns a TPCH generator over size bytes offering rate
 // queries/second (analytic rates are low; the paper's Fig. 14 uses a
 // 24 GB TPCH load).
 func NewTPCH(size, rate float64) *TPCH {
-	t := &TPCH{size: size, rate: rate}
-	// Scan volumes scale with the dataset: lineitem is ~70% of TPCH.
-	lineitem := size * 0.7
-	var (
-		q1SQL  = compileSQL("SELECT l_returnflag, l_linestatus, SUM(l_quantity), AVG(l_extendedprice) FROM lineitem WHERE l_shipdate <= '1998-%02d-01' GROUP BY l_returnflag, l_linestatus")
-		q3SQL  = compileSQL("SELECT o_orderkey, SUM(l_extendedprice) FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON l_orderkey = o_orderkey WHERE c_mktsegment = 'SEG%d' GROUP BY o_orderkey ORDER BY 2 DESC")
-		q6SQL  = compileSQL("SELECT SUM(l_extendedprice * l_discount) FROM lineitem WHERE l_discount BETWEEN 0.0%d AND 0.0%d")
-		q18SQL = compileSQL("SELECT c_name, o_orderkey, SUM(l_quantity) FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON o_orderkey = l_orderkey GROUP BY c_name, o_orderkey ORDER BY SUM(l_quantity) DESC LIMIT %d")
-	)
-	var (
-		q1Tpl  = litTpl(q1SQL, 1)
-		q3Tpl  = litTpl(q3SQL, 0)
-		q6Tpl  = litTpl(q6SQL, 1, 5)
-		q18Tpl = litTpl(q18SQL, 100)
-	)
-	t.mix = newMixSampler([]choice{
-		// Q1-style: full scan + wide aggregation.
-		{30, func(rng *rand.Rand) Query {
-			return qt(q1Tpl, q1SQL.with(1+intn(rng, 12)),
-				Profile{MemDemand: jitter(rng, 180*MiB), ReadBytes: jitter(rng, lineitem*0.6), Parallelizable: true})
-		}},
-		// Q3-style: 3-way join + sort.
-		{25, func(rng *rand.Rand) Query {
-			return qt(q3Tpl, q3SQL.with(intn(rng, 5)),
-				Profile{MemDemand: jitter(rng, 350*MiB), ReadBytes: jitter(rng, lineitem*0.3), Parallelizable: true})
-		}},
-		// Q6-style: selective scan, light memory.
-		{25, func(rng *rand.Rand) Query {
-			return qt(q6Tpl, q6SQL.with(1+intn(rng, 4), 5+intn(rng, 4)),
-				Profile{MemDemand: jitter(rng, 8*MiB), ReadBytes: jitter(rng, lineitem*0.2), Parallelizable: true})
-		}},
-		// Q18-style: big hash join + ORDER BY.
-		{20, func(rng *rand.Rand) Query {
-			return qt(q18Tpl, q18SQL.with(100*(1+intn(rng, 3))),
-				Profile{MemDemand: jitter(rng, 420*MiB), ReadBytes: jitter(rng, lineitem*0.5), Parallelizable: true})
-		}},
-	})
-	return t
+	return &TPCH{
+		size: size,
+		rate: rate,
+		mix:  newMixSampler(30, 25, 25, 20),
+		q1:   newLitSite("SELECT l_returnflag, l_linestatus, SUM(l_quantity), AVG(l_extendedprice) FROM lineitem WHERE l_shipdate <= '1998-%02d-01' GROUP BY l_returnflag, l_linestatus", 1),
+		q3:   newLitSite("SELECT o_orderkey, SUM(l_extendedprice) FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON l_orderkey = o_orderkey WHERE c_mktsegment = 'SEG%d' GROUP BY o_orderkey ORDER BY 2 DESC", 0),
+		q6:   newLitSite("SELECT SUM(l_extendedprice * l_discount) FROM lineitem WHERE l_discount BETWEEN 0.0%d AND 0.0%d", 1, 5),
+		q18:  newLitSite("SELECT c_name, o_orderkey, SUM(l_quantity) FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON o_orderkey = l_orderkey GROUP BY c_name, o_orderkey ORDER BY SUM(l_quantity) DESC LIMIT %d", 100),
+	}
 }
 
 // Name implements Generator.
@@ -68,7 +41,27 @@ func (t *TPCH) DBSizeBytes() float64 { return t.size }
 func (t *TPCH) RequestRate(time.Time) float64 { return t.rate }
 
 // Sample implements Generator.
-func (t *TPCH) Sample(rng *rand.Rand) Query { return t.mix.sample(rng) }
+func (t *TPCH) Sample(rng *rand.Rand) (q Query) { t.SampleInto(rng, &q); return q }
+
+// SampleInto implements Generator.
+func (t *TPCH) SampleInto(rng *rand.Rand, q *Query) {
+	// Scan volumes scale with the dataset: lineitem is ~70% of TPCH.
+	lineitem := t.size * 0.7
+	switch t.mix.pick(rng) {
+	case 0: // Q1-style: full scan + wide aggregation.
+		t.q1.fill(q, 1+intn(rng, 12))
+		q.Profile = Profile{MemDemand: jitter(rng, 180*MiB), ReadBytes: jitter(rng, lineitem*0.6), Parallelizable: true}
+	case 1: // Q3-style: 3-way join + sort.
+		t.q3.fill(q, intn(rng, 5))
+		q.Profile = Profile{MemDemand: jitter(rng, 350*MiB), ReadBytes: jitter(rng, lineitem*0.3), Parallelizable: true}
+	case 2: // Q6-style: selective scan, light memory.
+		t.q6.fill(q, 1+intn(rng, 4), 5+intn(rng, 4))
+		q.Profile = Profile{MemDemand: jitter(rng, 8*MiB), ReadBytes: jitter(rng, lineitem*0.2), Parallelizable: true}
+	default: // Q18-style: big hash join + ORDER BY.
+		t.q18.fill(q, 100*(1+intn(rng, 3)))
+		q.Profile = Profile{MemDemand: jitter(rng, 420*MiB), ReadBytes: jitter(rng, lineitem*0.5), Parallelizable: true}
+	}
+}
 
 // CHBench is the CH-benCHmark: TPCC transactions with concurrent
 // TPCH-style analytic queries over the same schema (the mixed workload
@@ -103,9 +96,13 @@ func (c *CHBench) DBSizeBytes() float64 { return c.size }
 func (c *CHBench) RequestRate(time.Time) float64 { return c.rate }
 
 // Sample implements Generator.
-func (c *CHBench) Sample(rng *rand.Rand) Query {
+func (c *CHBench) Sample(rng *rand.Rand) (q Query) { c.SampleInto(rng, &q); return q }
+
+// SampleInto implements Generator.
+func (c *CHBench) SampleInto(rng *rand.Rand, q *Query) {
 	if rng.Float64() < c.olapFraction {
-		return c.olap.Sample(rng)
+		c.olap.SampleInto(rng, q)
+		return
 	}
-	return c.oltp.Sample(rng)
+	c.oltp.SampleInto(rng, q)
 }

@@ -12,61 +12,24 @@ import (
 type TPCC struct {
 	size float64
 	rate float64
-	mix  *mixSampler
+	mix  mixSampler
+
+	newOrder, payment, orderStatus, delivery, stockLevel litSite
 }
 
 // NewTPCC returns a TPCC generator over a dataset of size bytes offering
 // rate queries/second.
 func NewTPCC(size, rate float64) *TPCC {
-	t := &TPCC{size: size, rate: rate}
-	row := 512.0 // average row bytes
-	var (
-		newOrderSQL    = compileSQL("INSERT INTO order_line (ol_o_id, ol_d_id, ol_w_id, ol_number, ol_i_id, ol_quantity) VALUES (%d, %d, %d, %d, %d, %d)")
-		paymentSQL     = compileSQL("UPDATE customer SET c_balance = c_balance - %d WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d")
-		orderStatusSQL = compileSQL("SELECT o_id, o_entry_d FROM oorder WHERE o_w_id = %d AND o_d_id = %d AND o_c_id = %d ORDER BY o_id")
-		deliverySQL    = compileSQL("DELETE FROM new_order WHERE no_w_id = %d AND no_d_id = %d AND no_o_id = %d")
-		stockLevelSQL  = compileSQL("SELECT COUNT(DISTINCT s_i_id) FROM order_line JOIN stock ON ol_i_id = s_i_id WHERE ol_w_id = %d AND s_quantity < %d")
-	)
-	var (
-		newOrderTpl    = litTpl(newOrderSQL, 0, 0, 0, 0, 0, 0)
-		paymentTpl     = litTpl(paymentSQL, 0, 0, 0, 0)
-		orderStatusTpl = litTpl(orderStatusSQL, 0, 0, 0)
-		deliveryTpl    = litTpl(deliverySQL, 0, 0, 0)
-		stockLevelTpl  = litTpl(stockLevelSQL, 0, 0)
-	)
-	t.mix = newMixSampler([]choice{
-		// New-Order (45%): reads item/stock, inserts order lines.
-		{45, func(rng *rand.Rand) Query {
-			return qt(newOrderTpl, newOrderSQL.with(
-				intn(rng, 1_000_000), intn(rng, 10), intn(rng, 100), intn(rng, 15), intn(rng, 100_000), 1+intn(rng, 10)),
-				Profile{ReadBytes: jitter(rng, 24*row), WriteBytes: jitter(rng, 8*row), IndexFriendly: true})
-		}},
-		// Payment (43%): balance updates.
-		{43, func(rng *rand.Rand) Query {
-			return qt(paymentTpl, paymentSQL.with(
-				1+intn(rng, 5000), intn(rng, 100), intn(rng, 10), intn(rng, 3000)),
-				Profile{ReadBytes: jitter(rng, 6*row), WriteBytes: jitter(rng, 3*row), IndexFriendly: true})
-		}},
-		// Order-Status (4%): customer's latest order.
-		{4, func(rng *rand.Rand) Query {
-			return qt(orderStatusTpl, orderStatusSQL.with(
-				intn(rng, 100), intn(rng, 10), intn(rng, 3000)),
-				Profile{MemDemand: jitter(rng, 384*KiB), ReadBytes: jitter(rng, 40*row), IndexFriendly: true})
-		}},
-		// Delivery (4%): batch of updates + a delete of new_order rows.
-		{4, func(rng *rand.Rand) Query {
-			return qt(deliveryTpl, deliverySQL.with(
-				intn(rng, 100), intn(rng, 10), intn(rng, 1_000_000)),
-				Profile{MaintMem: jitter(rng, 256*KiB), ReadBytes: jitter(rng, 10*row), WriteBytes: jitter(rng, 4*row), IndexFriendly: true})
-		}},
-		// Stock-Level (4%): join district/order_line/stock with a count.
-		{4, func(rng *rand.Rand) Query {
-			return qt(stockLevelTpl, stockLevelSQL.with(
-				intn(rng, 100), 10+intn(rng, 10)),
-				Profile{MemDemand: jitter(rng, 512*KiB), ReadBytes: jitter(rng, 600*row), Parallelizable: true})
-		}},
-	})
-	return t
+	return &TPCC{
+		size:        size,
+		rate:        rate,
+		mix:         newMixSampler(45, 43, 4, 4, 4),
+		newOrder:    newLitSite("INSERT INTO order_line (ol_o_id, ol_d_id, ol_w_id, ol_number, ol_i_id, ol_quantity) VALUES (%d, %d, %d, %d, %d, %d)", 0, 0, 0, 0, 0, 0),
+		payment:     newLitSite("UPDATE customer SET c_balance = c_balance - %d WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d", 0, 0, 0, 0),
+		orderStatus: newLitSite("SELECT o_id, o_entry_d FROM oorder WHERE o_w_id = %d AND o_d_id = %d AND o_c_id = %d ORDER BY o_id", 0, 0, 0),
+		delivery:    newLitSite("DELETE FROM new_order WHERE no_w_id = %d AND no_d_id = %d AND no_o_id = %d", 0, 0, 0),
+		stockLevel:  newLitSite("SELECT COUNT(DISTINCT s_i_id) FROM order_line JOIN stock ON ol_i_id = s_i_id WHERE ol_w_id = %d AND s_quantity < %d", 0, 0),
+	}
 }
 
 // Name implements Generator.
@@ -79,15 +42,38 @@ func (t *TPCC) DBSizeBytes() float64 { return t.size }
 func (t *TPCC) RequestRate(time.Time) float64 { return t.rate }
 
 // Sample implements Generator.
-func (t *TPCC) Sample(rng *rand.Rand) Query { return t.mix.sample(rng) }
+func (t *TPCC) Sample(rng *rand.Rand) (q Query) { t.SampleInto(rng, &q); return q }
+
+// SampleInto implements Generator.
+func (t *TPCC) SampleInto(rng *rand.Rand, q *Query) {
+	const row = 512.0 // average row bytes
+	switch t.mix.pick(rng) {
+	case 0: // New-Order (45%): reads item/stock, inserts order lines.
+		t.newOrder.fill(q, intn(rng, 1_000_000), intn(rng, 10), intn(rng, 100), intn(rng, 15), intn(rng, 100_000), 1+intn(rng, 10))
+		q.Profile = Profile{ReadBytes: jitter(rng, 24*row), WriteBytes: jitter(rng, 8*row), IndexFriendly: true}
+	case 1: // Payment (43%): balance updates.
+		t.payment.fill(q, 1+intn(rng, 5000), intn(rng, 100), intn(rng, 10), intn(rng, 3000))
+		q.Profile = Profile{ReadBytes: jitter(rng, 6*row), WriteBytes: jitter(rng, 3*row), IndexFriendly: true}
+	case 2: // Order-Status (4%): customer's latest order.
+		t.orderStatus.fill(q, intn(rng, 100), intn(rng, 10), intn(rng, 3000))
+		q.Profile = Profile{MemDemand: jitter(rng, 384*KiB), ReadBytes: jitter(rng, 40*row), IndexFriendly: true}
+	case 3: // Delivery (4%): batch of updates + a delete of new_order rows.
+		t.delivery.fill(q, intn(rng, 100), intn(rng, 10), intn(rng, 1_000_000))
+		q.Profile = Profile{MaintMem: jitter(rng, 256*KiB), ReadBytes: jitter(rng, 10*row), WriteBytes: jitter(rng, 4*row), IndexFriendly: true}
+	default: // Stock-Level (4%): join district/order_line/stock with a count.
+		t.stockLevel.fill(q, intn(rng, 100), 10+intn(rng, 10))
+		q.Profile = Profile{MemDemand: jitter(rng, 512*KiB), ReadBytes: jitter(rng, 600*row), Parallelizable: true}
+	}
+}
 
 // YCSB is a key-value style mix: point reads/updates/inserts, no joins,
 // no sorts — per the paper's Fig. 2 it uses no working memory at all.
 type YCSB struct {
-	size   float64
-	rate   float64
-	mix    *mixSampler
-	update identSite // UPDATE ... SET field<i>
+	size         float64
+	rate         float64
+	mix          mixSampler
+	read, insert litSite
+	update       identSite // UPDATE ... SET field<i>
 }
 
 // ycsbFields is the number of usertable value columns (field0..field9).
@@ -95,34 +81,14 @@ const ycsbFields = 10
 
 // NewYCSB returns a YCSB (workload-A-ish) generator.
 func NewYCSB(size, rate float64) *YCSB {
-	y := &YCSB{size: size, rate: rate}
-	row := 1100.0 // 1 KB values + key overhead
-	var (
-		readSQL   = compileSQL("SELECT field0, field1 FROM usertable WHERE ycsb_key = 'user%d'")
-		insertSQL = compileSQL("INSERT INTO usertable (ycsb_key, field0) VALUES ('user%d', '%x')")
-	)
-	var (
-		readTpl   = litTpl(readSQL, 0)
-		insertTpl = litTpl(insertSQL, 0, 0)
-	)
-	y.update = newIdentSite("UPDATE usertable SET field%d = '%x' WHERE ycsb_key = 'user%d'", ycsbFields)
-	y.mix = newMixSampler([]choice{
-		{50, func(rng *rand.Rand) Query {
-			return qt(readTpl, readSQL.with(intn(rng, 10_000_000)),
-				Profile{ReadBytes: jitter(rng, row), IndexFriendly: true})
-		}},
-		// field%d interpolates a column name: one template per field.
-		{45, func(rng *rand.Rand) Query {
-			f := rng.Intn(ycsbFields)
-			return qt(y.update.tpl(int64(f)), y.update.sql.with(int64(f), rng.Int63(), intn(rng, 10_000_000)),
-				Profile{ReadBytes: jitter(rng, row), WriteBytes: jitter(rng, row), IndexFriendly: true})
-		}},
-		{5, func(rng *rand.Rand) Query {
-			return qt(insertTpl, insertSQL.with(intn(rng, 100_000_000), rng.Int63()),
-				Profile{WriteBytes: jitter(rng, row), IndexFriendly: true})
-		}},
-	})
-	return y
+	return &YCSB{
+		size:   size,
+		rate:   rate,
+		mix:    newMixSampler(50, 45, 5),
+		read:   newLitSite("SELECT field0, field1 FROM usertable WHERE ycsb_key = 'user%d'", 0),
+		insert: newLitSite("INSERT INTO usertable (ycsb_key, field0) VALUES ('user%d', '%x')", 0, 0),
+		update: newIdentSite("UPDATE usertable SET field%d = '%x' WHERE ycsb_key = 'user%d'", ycsbFields),
+	}
 }
 
 // Name implements Generator.
@@ -135,7 +101,23 @@ func (y *YCSB) DBSizeBytes() float64 { return y.size }
 func (y *YCSB) RequestRate(time.Time) float64 { return y.rate }
 
 // Sample implements Generator.
-func (y *YCSB) Sample(rng *rand.Rand) Query { return y.mix.sample(rng) }
+func (y *YCSB) Sample(rng *rand.Rand) (q Query) { y.SampleInto(rng, &q); return q }
+
+// SampleInto implements Generator.
+func (y *YCSB) SampleInto(rng *rand.Rand, q *Query) {
+	const row = 1100.0 // 1 KB values + key overhead
+	switch y.mix.pick(rng) {
+	case 0:
+		y.read.fill(q, intn(rng, 10_000_000))
+		q.Profile = Profile{ReadBytes: jitter(rng, row), IndexFriendly: true}
+	case 1: // field%d interpolates a column name: one template per field.
+		y.update.fill(q, intn(rng, ycsbFields), rng.Int63(), intn(rng, 10_000_000))
+		q.Profile = Profile{ReadBytes: jitter(rng, row), WriteBytes: jitter(rng, row), IndexFriendly: true}
+	default:
+		y.insert.fill(q, intn(rng, 100_000_000), rng.Int63())
+		q.Profile = Profile{WriteBytes: jitter(rng, row), IndexFriendly: true}
+	}
+}
 
 // Wikipedia models the OLTP-Bench Wikipedia trace: read-dominated page
 // lookups with occasional revision inserts; like YCSB it exercises no
@@ -143,44 +125,22 @@ func (y *YCSB) Sample(rng *rand.Rand) Query { return y.mix.sample(rng) }
 type Wikipedia struct {
 	size float64
 	rate float64
-	mix  *mixSampler
+	mix  mixSampler
+
+	page, rev, addRev, touch litSite
 }
 
 // NewWikipedia returns a Wikipedia generator.
 func NewWikipedia(size, rate float64) *Wikipedia {
-	w := &Wikipedia{size: size, rate: rate}
-	page := 8 * KiB
-	var (
-		pageSQL   = compileSQL("SELECT page_id, page_latest FROM page WHERE page_namespace = %d AND page_title = 'T%d'")
-		revSQL    = compileSQL("SELECT rev_id, rev_text_id FROM revision WHERE rev_page = %d")
-		addRevSQL = compileSQL("INSERT INTO revision (rev_page, rev_text_id, rev_timestamp) VALUES (%d, %d, %d)")
-		touchSQL  = compileSQL("UPDATE page SET page_latest = %d, page_touched = %d WHERE page_id = %d")
-	)
-	var (
-		pageTpl   = litTpl(pageSQL, 0, 0)
-		revTpl    = litTpl(revSQL, 0)
-		addRevTpl = litTpl(addRevSQL, 0, 0, 0)
-		touchTpl  = litTpl(touchSQL, 0, 0, 0)
-	)
-	w.mix = newMixSampler([]choice{
-		{80, func(rng *rand.Rand) Query {
-			return qt(pageTpl, pageSQL.with(intn(rng, 4), intn(rng, 5_000_000)),
-				Profile{ReadBytes: jitter(rng, page), IndexFriendly: true})
-		}},
-		{12, func(rng *rand.Rand) Query {
-			return qt(revTpl, revSQL.with(intn(rng, 5_000_000)),
-				Profile{ReadBytes: jitter(rng, 2*page), IndexFriendly: true})
-		}},
-		{5, func(rng *rand.Rand) Query {
-			return qt(addRevTpl, addRevSQL.with(intn(rng, 5_000_000), rng.Int63n(1e9), rng.Int63n(2e9)),
-				Profile{WriteBytes: jitter(rng, page), IndexFriendly: true})
-		}},
-		{3, func(rng *rand.Rand) Query {
-			return qt(touchTpl, touchSQL.with(rng.Int63n(1e9), rng.Int63n(2e9), intn(rng, 5_000_000)),
-				Profile{ReadBytes: jitter(rng, page/4), WriteBytes: jitter(rng, page/4), IndexFriendly: true})
-		}},
-	})
-	return w
+	return &Wikipedia{
+		size:   size,
+		rate:   rate,
+		mix:    newMixSampler(80, 12, 5, 3),
+		page:   newLitSite("SELECT page_id, page_latest FROM page WHERE page_namespace = %d AND page_title = 'T%d'", 0, 0),
+		rev:    newLitSite("SELECT rev_id, rev_text_id FROM revision WHERE rev_page = %d", 0),
+		addRev: newLitSite("INSERT INTO revision (rev_page, rev_text_id, rev_timestamp) VALUES (%d, %d, %d)", 0, 0, 0),
+		touch:  newLitSite("UPDATE page SET page_latest = %d, page_touched = %d WHERE page_id = %d", 0, 0, 0),
+	}
 }
 
 // Name implements Generator.
@@ -193,7 +153,26 @@ func (w *Wikipedia) DBSizeBytes() float64 { return w.size }
 func (w *Wikipedia) RequestRate(time.Time) float64 { return w.rate }
 
 // Sample implements Generator.
-func (w *Wikipedia) Sample(rng *rand.Rand) Query { return w.mix.sample(rng) }
+func (w *Wikipedia) Sample(rng *rand.Rand) (q Query) { w.SampleInto(rng, &q); return q }
+
+// SampleInto implements Generator.
+func (w *Wikipedia) SampleInto(rng *rand.Rand, q *Query) {
+	const page = 8 * KiB
+	switch w.mix.pick(rng) {
+	case 0:
+		w.page.fill(q, intn(rng, 4), intn(rng, 5_000_000))
+		q.Profile = Profile{ReadBytes: jitter(rng, page), IndexFriendly: true}
+	case 1:
+		w.rev.fill(q, intn(rng, 5_000_000))
+		q.Profile = Profile{ReadBytes: jitter(rng, 2*page), IndexFriendly: true}
+	case 2:
+		w.addRev.fill(q, intn(rng, 5_000_000), rng.Int63n(1e9), rng.Int63n(2e9))
+		q.Profile = Profile{WriteBytes: jitter(rng, page), IndexFriendly: true}
+	default:
+		w.touch.fill(q, rng.Int63n(1e9), rng.Int63n(2e9), intn(rng, 5_000_000))
+		q.Profile = Profile{ReadBytes: jitter(rng, page/4), WriteBytes: jitter(rng, page/4), IndexFriendly: true}
+	}
+}
 
 // Twitter models the OLTP-Bench Twitter mix: timeline reads with ORDER
 // BY (moderate working memory), tweet inserts and follow updates. It is
@@ -201,45 +180,22 @@ func (w *Wikipedia) Sample(rng *rand.Rand) Query { return w.mix.sample(rng) }
 type Twitter struct {
 	size float64
 	rate float64
-	mix  *mixSampler
+	mix  mixSampler
+
+	timeline, byUser, tweet, follows litSite
 }
 
 // NewTwitter returns a Twitter generator.
 func NewTwitter(size, rate float64) *Twitter {
-	tw := &Twitter{size: size, rate: rate}
-	tweet := 280.0 * 2
-	var (
-		timelineSQL = compileSQL("SELECT t.id, t.text FROM tweets t JOIN follows f ON t.uid = f.f2 WHERE f.f1 = %d ORDER BY t.createdate LIMIT 20")
-		byUserSQL   = compileSQL("SELECT id, text FROM tweets WHERE uid = %d ORDER BY createdate LIMIT 10")
-		tweetSQL    = compileSQL("INSERT INTO tweets (uid, text, createdate) VALUES (%d, 'msg%x', %d)")
-		followsSQL  = compileSQL("SELECT f2 FROM follows WHERE f1 = %d")
-	)
-	var (
-		timelineTpl = litTpl(timelineSQL, 0)
-		byUserTpl   = litTpl(byUserSQL, 0)
-		tweetTpl    = litTpl(tweetSQL, 0, 0, 0)
-		followsTpl  = litTpl(followsSQL, 0)
-	)
-	tw.mix = newMixSampler([]choice{
-		// Timeline: followers join + ORDER BY recency.
-		{40, func(rng *rand.Rand) Query {
-			return qt(timelineTpl, timelineSQL.with(intn(rng, 2_000_000)),
-				Profile{MemDemand: jitter(rng, 3.5*MiB), ReadBytes: jitter(rng, 400*tweet), Parallelizable: true, IndexFriendly: true})
-		}},
-		{35, func(rng *rand.Rand) Query {
-			return qt(byUserTpl, byUserSQL.with(intn(rng, 2_000_000)),
-				Profile{MemDemand: jitter(rng, 512*KiB), ReadBytes: jitter(rng, 60*tweet), IndexFriendly: true})
-		}},
-		{15, func(rng *rand.Rand) Query {
-			return qt(tweetTpl, tweetSQL.with(intn(rng, 2_000_000), rng.Int63(), rng.Int63n(2e9)),
-				Profile{WriteBytes: jitter(rng, tweet), IndexFriendly: true})
-		}},
-		{10, func(rng *rand.Rand) Query {
-			return qt(followsTpl, followsSQL.with(intn(rng, 2_000_000)),
-				Profile{ReadBytes: jitter(rng, 100*16), IndexFriendly: true})
-		}},
-	})
-	return tw
+	return &Twitter{
+		size:     size,
+		rate:     rate,
+		mix:      newMixSampler(40, 35, 15, 10),
+		timeline: newLitSite("SELECT t.id, t.text FROM tweets t JOIN follows f ON t.uid = f.f2 WHERE f.f1 = %d ORDER BY t.createdate LIMIT 20", 0),
+		byUser:   newLitSite("SELECT id, text FROM tweets WHERE uid = %d ORDER BY createdate LIMIT 10", 0),
+		tweet:    newLitSite("INSERT INTO tweets (uid, text, createdate) VALUES (%d, 'msg%x', %d)", 0, 0, 0),
+		follows:  newLitSite("SELECT f2 FROM follows WHERE f1 = %d", 0),
+	}
 }
 
 // Name implements Generator.
@@ -252,4 +208,23 @@ func (tw *Twitter) DBSizeBytes() float64 { return tw.size }
 func (tw *Twitter) RequestRate(time.Time) float64 { return tw.rate }
 
 // Sample implements Generator.
-func (tw *Twitter) Sample(rng *rand.Rand) Query { return tw.mix.sample(rng) }
+func (tw *Twitter) Sample(rng *rand.Rand) (q Query) { tw.SampleInto(rng, &q); return q }
+
+// SampleInto implements Generator.
+func (tw *Twitter) SampleInto(rng *rand.Rand, q *Query) {
+	const tweet = 280.0 * 2
+	switch tw.mix.pick(rng) {
+	case 0: // Timeline: followers join + ORDER BY recency.
+		tw.timeline.fill(q, intn(rng, 2_000_000))
+		q.Profile = Profile{MemDemand: jitter(rng, 3.5*MiB), ReadBytes: jitter(rng, 400*tweet), Parallelizable: true, IndexFriendly: true}
+	case 1:
+		tw.byUser.fill(q, intn(rng, 2_000_000))
+		q.Profile = Profile{MemDemand: jitter(rng, 512*KiB), ReadBytes: jitter(rng, 60*tweet), IndexFriendly: true}
+	case 2:
+		tw.tweet.fill(q, intn(rng, 2_000_000), rng.Int63(), rng.Int63n(2e9))
+		q.Profile = Profile{WriteBytes: jitter(rng, tweet), IndexFriendly: true}
+	default:
+		tw.follows.fill(q, intn(rng, 2_000_000))
+		q.Profile = Profile{ReadBytes: jitter(rng, 100*16), IndexFriendly: true}
+	}
+}

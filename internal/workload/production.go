@@ -20,9 +20,10 @@ import (
 // reporting window), which is also what gives the TDE's async/planner
 // and memory detectors something to observe on this workload.
 type Production struct {
-	mix *mixSampler
+	mix mixSampler
 	// The events_<i> call sites, each with one template per table.
 	insert, lookup, dashboard, join, purge identSite
+	devUpdate                              litSite
 }
 
 // ProductionTables is the table count of the traced customer schema.
@@ -33,56 +34,18 @@ const ProductionDBSize = 59 * GiB
 
 // NewProduction returns the production-trace generator.
 func NewProduction() *Production {
-	p := &Production{}
-	row := 700.0
-	table := func(rng *rand.Rand) int { return rng.Intn(ProductionTables) }
 	// The events_%d sites interpolate table names: one template per
 	// table — the point of the 132-table schema — derived on first draw.
-	p.insert = newIdentSite("INSERT INTO events_%d (device_id, ts, payload) VALUES (%d, %d, '%x')", ProductionTables)
-	p.lookup = newIdentSite("SELECT payload FROM events_%d WHERE device_id = %d AND ts > %d", ProductionTables)
-	p.dashboard = newIdentSite("SELECT device_id, COUNT(*), MAX(ts) FROM events_%d WHERE ts > %d GROUP BY device_id ORDER BY 2 DESC", ProductionTables)
-	p.join = newIdentSite("SELECT a.device_id FROM events_%d a JOIN devices d ON a.device_id = d.id WHERE d.region = 'R%d'", ProductionTables)
-	p.purge = newIdentSite("DELETE FROM events_%d WHERE ts < %d", ProductionTables)
-	devUpdateSQL := compileSQL("UPDATE devices SET last_seen = %d WHERE id = %d")
-	devUpdateTpl := litTpl(devUpdateSQL, 0, 0)
-	p.mix = newMixSampler([]choice{
-		// Telemetry ingest: the overwhelming majority (41M/day).
-		{41_000_000, func(rng *rand.Rand) Query {
-			t := table(rng)
-			return qt(p.insert.tpl(int64(t)), p.insert.sql.with(int64(t), intn(rng, 500_000), rng.Int63n(2e9), rng.Int63()),
-				Profile{WriteBytes: jitter(rng, row), IndexFriendly: true})
-		}},
-		// Point lookups (71K/day stated + unaccounted remainder ≈ 1M/day).
-		{1_000_000, func(rng *rand.Rand) Query {
-			t := table(rng)
-			return qt(p.lookup.tpl(int64(t)), p.lookup.sql.with(int64(t), intn(rng, 500_000), rng.Int63n(2e9)),
-				Profile{ReadBytes: jitter(rng, 20*row), IndexFriendly: true})
-		}},
-		// Dashboard aggregations (reporting, mornings in practice).
-		{80_000, func(rng *rand.Rand) Query {
-			t := table(rng)
-			return qt(p.dashboard.tpl(int64(t)), p.dashboard.sql.with(int64(t), rng.Int63n(2e9)),
-				Profile{MemDemand: jitter(rng, 48*MiB), ReadBytes: jitter(rng, 200*MiB), Parallelizable: true})
-		}},
-		// Cross-table correlation joins.
-		{30_000, func(rng *rand.Rand) Query {
-			t := table(rng)
-			return qt(p.join.tpl(int64(t)), p.join.sql.with(int64(t), intn(rng, 20)),
-				Profile{MemDemand: jitter(rng, 24*MiB), ReadBytes: jitter(rng, 80*MiB), Parallelizable: true})
-		}},
-		// Updates (34K/day).
-		{34_000, func(rng *rand.Rand) Query {
-			return qt(devUpdateTpl, devUpdateSQL.with(rng.Int63n(2e9), intn(rng, 500_000)),
-				Profile{ReadBytes: jitter(rng, 2*row), WriteBytes: jitter(rng, row), IndexFriendly: true})
-		}},
-		// Deletes (0.8K/day, retention cleanup).
-		{800, func(rng *rand.Rand) Query {
-			t := table(rng)
-			return qt(p.purge.tpl(int64(t)), p.purge.sql.with(int64(t), rng.Int63n(1e9)),
-				Profile{MaintMem: jitter(rng, 16*MiB), ReadBytes: jitter(rng, 10*MiB), WriteBytes: jitter(rng, 5*MiB)})
-		}},
-	})
-	return p
+	return &Production{
+		// Queries per day, in SampleInto's case order.
+		mix:       newMixSampler(41_000_000, 1_000_000, 80_000, 30_000, 34_000, 800),
+		insert:    newIdentSite("INSERT INTO events_%d (device_id, ts, payload) VALUES (%d, %d, '%x')", ProductionTables),
+		lookup:    newIdentSite("SELECT payload FROM events_%d WHERE device_id = %d AND ts > %d", ProductionTables),
+		dashboard: newIdentSite("SELECT device_id, COUNT(*), MAX(ts) FROM events_%d WHERE ts > %d GROUP BY device_id ORDER BY 2 DESC", ProductionTables),
+		join:      newIdentSite("SELECT a.device_id FROM events_%d a JOIN devices d ON a.device_id = d.id WHERE d.region = 'R%d'", ProductionTables),
+		purge:     newIdentSite("DELETE FROM events_%d WHERE ts < %d", ProductionTables),
+		devUpdate: newLitSite("UPDATE devices SET last_seen = %d WHERE id = %d", 0, 0),
+	}
 }
 
 // Name implements Generator.
@@ -111,7 +74,32 @@ func (p *Production) RequestRate(at time.Time) float64 {
 func sq(x float64) float64 { return x * x }
 
 // Sample implements Generator.
-func (p *Production) Sample(rng *rand.Rand) Query { return p.mix.sample(rng) }
+func (p *Production) Sample(rng *rand.Rand) (q Query) { p.SampleInto(rng, &q); return q }
+
+// SampleInto implements Generator.
+func (p *Production) SampleInto(rng *rand.Rand, q *Query) {
+	const row = 700.0
+	switch p.mix.pick(rng) {
+	case 0: // Telemetry ingest: the overwhelming majority (41M/day).
+		p.insert.fill(q, intn(rng, ProductionTables), intn(rng, 500_000), rng.Int63n(2e9), rng.Int63())
+		q.Profile = Profile{WriteBytes: jitter(rng, row), IndexFriendly: true}
+	case 1: // Point lookups (71K/day stated + unaccounted remainder ≈ 1M/day).
+		p.lookup.fill(q, intn(rng, ProductionTables), intn(rng, 500_000), rng.Int63n(2e9))
+		q.Profile = Profile{ReadBytes: jitter(rng, 20*row), IndexFriendly: true}
+	case 2: // Dashboard aggregations (reporting, mornings in practice).
+		p.dashboard.fill(q, intn(rng, ProductionTables), rng.Int63n(2e9))
+		q.Profile = Profile{MemDemand: jitter(rng, 48*MiB), ReadBytes: jitter(rng, 200*MiB), Parallelizable: true}
+	case 3: // Cross-table correlation joins.
+		p.join.fill(q, intn(rng, ProductionTables), intn(rng, 20))
+		q.Profile = Profile{MemDemand: jitter(rng, 24*MiB), ReadBytes: jitter(rng, 80*MiB), Parallelizable: true}
+	case 4: // Updates (34K/day).
+		p.devUpdate.fill(q, rng.Int63n(2e9), intn(rng, 500_000))
+		q.Profile = Profile{ReadBytes: jitter(rng, 2*row), WriteBytes: jitter(rng, row), IndexFriendly: true}
+	default: // Deletes (0.8K/day, retention cleanup).
+		p.purge.fill(q, intn(rng, ProductionTables), rng.Int63n(1e9))
+		q.Profile = Profile{MaintMem: jitter(rng, 16*MiB), ReadBytes: jitter(rng, 10*MiB), WriteBytes: jitter(rng, 5*MiB)}
+	}
+}
 
 // AdulteratedTPCC is the paper's probe workload (§3.1, Figs. 3–4): plain
 // TPCC whose per-query work_mem footprint (~0.5 MB) is too small to
@@ -126,10 +114,11 @@ type AdulteratedTPCC struct {
 	// P is the adulteration probability: each sampled query is replaced
 	// by an adulterant with probability P (the paper plots P=0.8 and 0.5).
 	P          float64
-	adulterant *mixSampler
+	adulterant mixSampler
 	// The DDL sites, each naming one of adulterantIdents indexes or
 	// temp tables: one template per identifier.
 	createIdx, dropIdx, scratch identSite
+	agg, sort, cleanup          litSite
 }
 
 // adulterantIdents is how many indexes and temp tables the DDL
@@ -145,59 +134,17 @@ func NewAdulteratedTPCC(size, rate, p float64) *AdulteratedTPCC {
 	if p > 1 {
 		p = 1
 	}
-	a := &AdulteratedTPCC{
-		base:      NewTPCC(size, rate),
-		P:         p,
-		createIdx: newIdentSite("CREATE INDEX idx_adult_%d ON order_line (ol_i_id, ol_w_id)", adulterantIdents),
-		dropIdx:   newIdentSite("DROP INDEX idx_adult_%d", adulterantIdents),
-		scratch:   newIdentSite("CREATE TEMP TABLE scratch_%d AS SELECT ol_i_id, SUM(ol_amount) s FROM order_line GROUP BY ol_i_id", adulterantIdents),
+	return &AdulteratedTPCC{
+		base:       NewTPCC(size, rate),
+		P:          p,
+		adulterant: newMixSampler(30, 20, 15, 5, 10, 20),
+		createIdx:  newIdentSite("CREATE INDEX idx_adult_%d ON order_line (ol_i_id, ol_w_id)", adulterantIdents),
+		dropIdx:    newIdentSite("DROP INDEX idx_adult_%d", adulterantIdents),
+		scratch:    newIdentSite("CREATE TEMP TABLE scratch_%d AS SELECT ol_i_id, SUM(ol_amount) s FROM order_line GROUP BY ol_i_id", adulterantIdents),
+		agg:        newLitSite("SELECT ol_i_id, SUM(ol_amount), COUNT(*) FROM order_line JOIN stock ON ol_i_id = s_i_id GROUP BY ol_i_id ORDER BY SUM(ol_amount) DESC LIMIT %d", 50),
+		sort:       newLitSite("SELECT c_id, c_balance FROM customer WHERE c_w_id < %d ORDER BY c_balance DESC", 20),
+		cleanup:    newLitSite("DELETE FROM history WHERE h_date < %d", 0),
 	}
-	var (
-		aggSQL     = compileSQL("SELECT ol_i_id, SUM(ol_amount), COUNT(*) FROM order_line JOIN stock ON ol_i_id = s_i_id GROUP BY ol_i_id ORDER BY SUM(ol_amount) DESC LIMIT %d")
-		sortSQL    = compileSQL("SELECT c_id, c_balance FROM customer WHERE c_w_id < %d ORDER BY c_balance DESC")
-		cleanupSQL = compileSQL("DELETE FROM history WHERE h_date < %d")
-	)
-	var (
-		aggTpl     = litTpl(aggSQL, 50)
-		sortTpl    = litTpl(sortSQL, 20)
-		cleanupTpl = litTpl(cleanupSQL, 0)
-	)
-	a.adulterant = newMixSampler([]choice{
-		// Complex sorts/aggregations: ~350 MB of working memory (Fig. 2's
-		// "TPCC + aggregation" row).
-		{30, func(rng *rand.Rand) Query {
-			return qt(aggTpl, aggSQL.with(50+intn(rng, 100)),
-				Profile{MemDemand: jitter(rng, 350*MiB), ReadBytes: jitter(rng, 400*MiB), Parallelizable: true})
-		}},
-		// Heavy standalone sorts.
-		{20, func(rng *rand.Rand) Query {
-			return qt(sortTpl, sortSQL.with(20+intn(rng, 50)),
-				Profile{MemDemand: jitter(rng, 200*MiB), ReadBytes: jitter(rng, 300*MiB), Parallelizable: true})
-		}},
-		// Index create/drop: maintenance_work_mem pressure.
-		{15, func(rng *rand.Rand) Query {
-			i := intn(rng, adulterantIdents)
-			return qt(a.createIdx.tpl(i), a.createIdx.sql.with(i),
-				Profile{MaintMem: jitter(rng, 512*MiB), ReadBytes: jitter(rng, 800*MiB), WriteBytes: jitter(rng, 200*MiB)})
-		}},
-		{5, func(rng *rand.Rand) Query {
-			i := intn(rng, adulterantIdents)
-			return qt(a.dropIdx.tpl(i), a.dropIdx.sql.with(i),
-				Profile{MaintMem: jitter(rng, 32*MiB), WriteBytes: jitter(rng, 8*MiB)})
-		}},
-		// Bulk deletes: maintenance pressure via cleanup.
-		{10, func(rng *rand.Rand) Query {
-			return qt(cleanupTpl, cleanupSQL.with(rng.Int63n(1e9)),
-				Profile{MaintMem: jitter(rng, 128*MiB), ReadBytes: jitter(rng, 150*MiB), WriteBytes: jitter(rng, 80*MiB)})
-		}},
-		// Temp tables + aggregation over them: temp_buffers pressure.
-		{20, func(rng *rand.Rand) Query {
-			i := intn(rng, adulterantIdents)
-			return qt(a.scratch.tpl(i), a.scratch.sql.with(i),
-				Profile{MemDemand: jitter(rng, 150*MiB), TempBytes: jitter(rng, 400*MiB), ReadBytes: jitter(rng, 400*MiB)})
-		}},
-	})
-	return a
 }
 
 // Name implements Generator.
@@ -210,9 +157,39 @@ func (a *AdulteratedTPCC) DBSizeBytes() float64 { return a.base.DBSizeBytes() }
 func (a *AdulteratedTPCC) RequestRate(at time.Time) float64 { return a.base.RequestRate(at) }
 
 // Sample implements Generator.
-func (a *AdulteratedTPCC) Sample(rng *rand.Rand) Query {
+func (a *AdulteratedTPCC) Sample(rng *rand.Rand) (q Query) { a.SampleInto(rng, &q); return q }
+
+// SampleInto implements Generator.
+func (a *AdulteratedTPCC) SampleInto(rng *rand.Rand, q *Query) {
 	if rng.Float64() < a.P {
-		return a.adulterant.sample(rng)
+		a.adulterate(rng, q)
+		return
 	}
-	return a.base.Sample(rng)
+	a.base.SampleInto(rng, q)
+}
+
+// adulterate draws one adulterant into q.
+func (a *AdulteratedTPCC) adulterate(rng *rand.Rand, q *Query) {
+	switch a.adulterant.pick(rng) {
+	case 0:
+		// Complex sorts/aggregations: ~350 MB of working memory (Fig. 2's
+		// "TPCC + aggregation" row).
+		a.agg.fill(q, 50+intn(rng, 100))
+		q.Profile = Profile{MemDemand: jitter(rng, 350*MiB), ReadBytes: jitter(rng, 400*MiB), Parallelizable: true}
+	case 1: // Heavy standalone sorts.
+		a.sort.fill(q, 20+intn(rng, 50))
+		q.Profile = Profile{MemDemand: jitter(rng, 200*MiB), ReadBytes: jitter(rng, 300*MiB), Parallelizable: true}
+	case 2: // Index create/drop: maintenance_work_mem pressure.
+		a.createIdx.fill(q, intn(rng, adulterantIdents))
+		q.Profile = Profile{MaintMem: jitter(rng, 512*MiB), ReadBytes: jitter(rng, 800*MiB), WriteBytes: jitter(rng, 200*MiB)}
+	case 3:
+		a.dropIdx.fill(q, intn(rng, adulterantIdents))
+		q.Profile = Profile{MaintMem: jitter(rng, 32*MiB), WriteBytes: jitter(rng, 8*MiB)}
+	case 4: // Bulk deletes: maintenance pressure via cleanup.
+		a.cleanup.fill(q, rng.Int63n(1e9))
+		q.Profile = Profile{MaintMem: jitter(rng, 128*MiB), ReadBytes: jitter(rng, 150*MiB), WriteBytes: jitter(rng, 80*MiB)}
+	default: // Temp tables + aggregation over them: temp_buffers pressure.
+		a.scratch.fill(q, intn(rng, adulterantIdents))
+		q.Profile = Profile{MemDemand: jitter(rng, 150*MiB), TempBytes: jitter(rng, 400*MiB), ReadBytes: jitter(rng, 400*MiB)}
+	}
 }

@@ -141,6 +141,10 @@ func newIdentSite(format string, n int) identSite {
 	return identSite{sql: compileSQL(format), tpls: make([]atomic.Pointer[sqlparse.Template], n)}
 }
 
+// fill sets q to the site's statement with args drawn for its verbs,
+// the first of them the identifier.
+func (s identSite) fill(q *Query, args ...int64) { q.set(s.tpl(args[0]), s.sql, args...) }
+
 // tpl returns identifier i's template. Concurrent first draws of i may
 // each compute it; they store equal values.
 func (s identSite) tpl(i int64) sqlparse.Template {

@@ -62,3 +62,6 @@ func (s *Switch) RequestRate(at time.Time) float64 { return s.current().RequestR
 
 // Sample implements Generator.
 func (s *Switch) Sample(rng *rand.Rand) Query { return s.current().Sample(rng) }
+
+// SampleInto implements Generator.
+func (s *Switch) SampleInto(rng *rand.Rand, q *Query) { s.current().SampleInto(rng, q) }

@@ -121,6 +121,9 @@ func (t *Trace) Len() int { return len(t.queries) }
 
 // Sample implements Generator: uniform draw over the recorded queries
 // (replay with the trace's empirical mix).
-func (t *Trace) Sample(rng *rand.Rand) Query {
-	return t.queries[rng.Intn(len(t.queries))]
+func (t *Trace) Sample(rng *rand.Rand) (q Query) { t.SampleInto(rng, &q); return q }
+
+// SampleInto implements Generator.
+func (t *Trace) SampleInto(rng *rand.Rand, q *Query) {
+	*q = t.queries[rng.Intn(len(t.queries))]
 }

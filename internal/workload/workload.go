@@ -92,70 +92,81 @@ type Generator interface {
 	RequestRate(at time.Time) float64
 	// Sample draws one query.
 	Sample(rng *rand.Rand) Query
+	// SampleInto draws the query Sample would draw into *q, overwriting
+	// every field, so a caller can reuse its slots from draw to draw.
+	SampleInto(rng *rand.Rand, q *Query)
 }
 
 // Window draws n queries from g.
 func Window(g Generator, rng *rand.Rand, n int) []Query {
 	out := make([]Query, n)
 	for i := range out {
-		out[i] = g.Sample(rng)
+		g.SampleInto(rng, &out[i])
 	}
 	return out
 }
 
-// choice is an internal weighted query-template sampler shared by the
-// concrete generators.
-type choice struct {
-	weight float64
-	make   func(rng *rand.Rand) Query
-}
-
+// mixSampler picks a generator's call site by weight. It returns the
+// site's index, and the generator's SampleInto switches on it and fills
+// the caller's Query in place: a func value per site would make the
+// *Query escape, and returning the Query would copy it.
 type mixSampler struct {
-	choices []choice
+	weights []float64
 	total   float64
 }
 
-func newMixSampler(choices []choice) *mixSampler {
+func newMixSampler(weights ...float64) mixSampler {
 	var total float64
-	for _, c := range choices {
-		total += c.weight
+	for _, w := range weights {
+		total += w
 	}
-	return &mixSampler{choices: choices, total: total}
+	return mixSampler{weights: weights, total: total}
 }
 
-func (m *mixSampler) sample(rng *rand.Rand) Query {
+func (m *mixSampler) pick(rng *rand.Rand) int {
 	r := rng.Float64() * m.total
-	for _, c := range m.choices {
-		if r < c.weight {
-			return c.make(rng)
+	for i, w := range m.weights {
+		if r < w {
+			return i
 		}
-		r -= c.weight
+		r -= w
 	}
-	return m.choices[len(m.choices)-1].make(rng)
+	return len(m.weights) - 1
 }
 
-// litTpl derives the template of a compiled SQL format whose verbs all
-// expand to literal values (bare numbers, or text inside quotes).
-// Normalization replaces literals with placeholders, so every
-// instantiation of such a format shares one template; deriving it once
-// at generator construction — from a canonical instantiation with the
-// given args — takes the normalize/hash work off the per-query path.
-// A format that interpolates an identifier (table, column or index
-// name) yields a different template per identifier: an identSite holds
-// one per identifier of a bounded set, derived on its first draw.
+// litSite is a call site whose verbs all expand to literal values (bare
+// numbers, or text inside quotes). Normalization replaces literals with
+// placeholders, so every instantiation of its format shares one
+// template; deriving it once at generator construction — from a
+// canonical instantiation with the given args — takes the
+// normalize/hash work off the per-query path. A format that
+// interpolates an identifier (table, column or index name) yields a
+// different template per identifier: an identSite holds one per
+// identifier of a bounded set, derived on its first draw.
 // TestGeneratorTemplatesMatchSQL enforces the contract.
-func litTpl(f *sqlFormat, canon ...int64) sqlparse.Template {
-	return sqlparse.TemplateOf(f.render(canon...))
+type litSite struct {
+	sql *sqlFormat
+	tpl sqlparse.Template
 }
+
+func newLitSite(format string, canon ...int64) litSite {
+	f := compileSQL(format)
+	return litSite{sql: f, tpl: sqlparse.TemplateOf(f.render(canon...))}
+}
+
+// fill sets q to the site's statement with args drawn for its verbs.
+func (s *litSite) fill(q *Query, args ...int64) { q.set(s.tpl, s.sql, args...) }
 
 // intn draws rng.Intn(n) as a render argument.
 func intn(rng *rand.Rand, n int) int64 { return int64(rng.Intn(n)) }
 
-// qt builds a Query from a drawn statement whose template is already
-// known (a litTpl constant for its call site, or an identSite's
-// template for the statement's identifier). Nothing is rendered.
-func qt(tpl sqlparse.Template, s stmt, p Profile) Query {
-	return Query{Class: tpl.Class, Template: tpl, Profile: p, stmt: s}
+// set makes q the statement of format f with args whose template is
+// already known (its litSite's, or an identSite's for the statement's
+// identifier), clearing whatever q held before. Nothing is rendered;
+// the caller sets the Profile.
+func (q *Query) set(tpl sqlparse.Template, f *sqlFormat, args ...int64) {
+	q.SQL, q.Class, q.Template = "", tpl.Class, tpl
+	q.stmt = f.with(args...)
 }
 
 // jitter returns v scaled by a lognormal-ish factor in roughly [0.5, 2].

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
@@ -344,10 +345,10 @@ func TestGeneratorTemplatesMatchSQL(t *testing.T) {
 	}
 }
 
-// Sample allocates nothing: a statement carries its compiled format,
-// drawn arguments and template, and no text is rendered. An identifier
-// site allocates only on an identifier's first draw, which the warm-up
-// makes rare.
+// Sample and SampleInto allocate nothing: a statement carries its
+// compiled format, drawn arguments and template, and no text is
+// rendered. An identifier site allocates only on an identifier's first
+// draw, which the warm-up makes rare.
 func TestGeneratorSampleAllocs(t *testing.T) {
 	for _, g := range templateTestGenerators() {
 		rng := rand.New(rand.NewSource(1))
@@ -357,6 +358,66 @@ func TestGeneratorSampleAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, func() { g.Sample(rng) }); n > 0 {
 			t.Errorf("%s: Sample allocates %.0f objects, want none", g.Name(), n)
 		}
+		var q Query
+		if n := testing.AllocsPerRun(1000, func() { g.SampleInto(rng, &q) }); n > 0 {
+			t.Errorf("%s: SampleInto allocates %.0f objects, want none", g.Name(), n)
+		}
+	}
+}
+
+// TestSampleIntoMatchesSample: drawing into a reused slot gives the
+// query a by-value draw gives, from the same rng position, and leaves
+// the rng where Sample does. Before each draw the slot holds a stale
+// statement with SQL text and six arguments, so a draw that leaves any
+// of its fields behind fails. The generators are every kind, the
+// wrappers that delegate to one, a Switch across its flip and a Trace.
+func TestSampleIntoMatchesSample(t *testing.T) {
+	var buf bytes.Buffer
+	if err := RecordTrace(&buf, NewAdulteratedTPCC(4*GiB, 500, 0.5), rand.New(rand.NewSource(3)), 300); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := LoadTrace(&buf, "replay", 4*GiB, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shift := NewSwitch(NewTPCC(4*GiB, 500), NewProduction())
+	gens := append(templateTestGenerators(),
+		Shaped{Generator: NewTwitter(4*GiB, 500), Shape: Shape{Terms: []Term{{Kind: TermScale, Factor: 2}}}},
+		FixedRate{Generator: NewYCSB(4*GiB, 500), Rate: 7},
+		shift,
+		trace,
+	)
+	staleTpl := sqlparse.TemplateOf("SELECT stale FROM t WHERE k = 1")
+	stale := Query{
+		SQL:      "SELECT stale FROM t WHERE k = 1",
+		Class:    staleTpl.Class,
+		Template: staleTpl,
+		Profile:  Profile{MemDemand: 1, MaintMem: 2, TempBytes: 3, ReadBytes: 4, WriteBytes: 5, Parallelizable: true, IndexFriendly: true},
+		stmt:     NewTPCC(GiB, 1).newOrder.sql.with(-1, -2, -3, -4, -5, -6),
+	}
+	for _, g := range gens {
+		byValue, inPlace := rand.New(rand.NewSource(47)), rand.New(rand.NewSource(47))
+		var slot Query
+		for i := 0; i < 5000; i++ {
+			if i == 2500 && g == Generator(shift) {
+				shift.Flip()
+			}
+			want := g.Sample(byValue)
+			slot = stale
+			g.SampleInto(inPlace, &slot)
+			if slot != want {
+				t.Fatalf("%s draw %d: SampleInto gave %+v, Sample %+v", g.Name(), i, slot, want)
+			}
+			if slot.Text() != want.Text() {
+				t.Fatalf("%s draw %d: SampleInto text %q, Sample text %q", g.Name(), i, slot.Text(), want.Text())
+			}
+			if a, b := byValue.Int63(), inPlace.Int63(); a != b {
+				t.Fatalf("%s draw %d: the rngs diverged", g.Name(), i)
+			}
+		}
+	}
+	if !shift.Flipped() {
+		t.Fatal("the switch never flipped")
 	}
 }
 
