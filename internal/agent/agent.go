@@ -367,22 +367,38 @@ func (a *Agent) maybeUpload(st simdb.WindowStats, events []tde.Event, now time.T
 	}
 }
 
+// dbCounterMetric is the gauge family of exportDBCounters, one series
+// per (counter, instance).
+const dbCounterMetric = "autodbaas_simdb_counter"
+
 // exportDBCounters publishes the master engine's semantic counters
 // (checkpoints, bgwriter pages, spills, WAL bytes, ...) as labeled
 // gauges — the uniform cross-engine export the control plane scrapes.
-// It reads the counters into a map it reuses.
+// It reads the counters into a map it reuses. The series are
+// registered at the agent's first tick and live until ReleaseMetrics.
 func (a *Agent) exportDBCounters(master *simdb.Engine) {
 	a.counterBuf = master.CountersInto(a.counterBuf)
 	for sem, v := range a.counterBuf {
 		g, ok := a.dbGauges[sem]
 		if !ok {
-			g = obs.Default().Gauge("autodbaas_simdb_counter",
+			g = obs.Default().Gauge(dbCounterMetric,
 				"Simulated-engine semantic counters, exported uniformly across engines.",
 				obs.L("counter", sem), obs.L("instance", a.inst.ID))
 			a.dbGauges[sem] = g
 		}
 		g.Set(v)
 	}
+}
+
+// ReleaseMetrics removes this instance's autodbaas_simdb_counter series
+// from the registry, when the database leaves the system. A series the
+// registry holds under another handle is left alone. Call it between
+// steps, never concurrently with one.
+func (a *Agent) ReleaseMetrics() {
+	for sem, g := range a.dbGauges {
+		obs.Default().RemoveGauge(g, dbCounterMetric, obs.L("counter", sem), obs.L("instance", a.inst.ID))
+	}
+	clear(a.dbGauges)
 }
 
 // Suppressed returns how many sample uploads the TDE gate suppressed.

@@ -233,13 +233,14 @@ func (s *System) AddInstance(spec InstanceSpec) (*agent.Agent, error) {
 // releases its held samples so every sample the instance uploaded has
 // reached the tuners (its training history outlives it — the fleet-wide warm
 // start the paper's workload mapping relies on), then the agent,
-// monitor, director shard, orchestrator record and fault-site streams
-// are all dropped and the IaaS instance released. The membership
+// monitor, director shard, orchestrator record, fault-site streams and
+// the agent's autodbaas_simdb_counter series are all dropped and the
+// IaaS instance released. The membership
 // generation bumps, so a snapshot taken after the removal pins the
 // surviving cohort. Call it between Steps, never concurrently with one.
 func (s *System) RemoveInstance(id string) error {
 	s.mu.Lock()
-	_, ok := s.agents[id]
+	a, ok := s.agents[id]
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("core: no agent for %s", id)
@@ -264,6 +265,7 @@ func (s *System) RemoveInstance(id string) error {
 	}
 	s.generation++
 	s.mu.Unlock()
+	a.ReleaseMetrics()
 	return nil
 }
 

@@ -3,9 +3,9 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -174,7 +174,12 @@ func key(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
+	n := len(name)
+	for _, l := range labels {
+		n += 2 + len(l.Key) + len(l.Value)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(name)
 	for _, l := range labels {
 		b.WriteByte(0xff)
@@ -190,14 +195,20 @@ func sortLabels(labels []Label) []Label {
 		return labels
 	}
 	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortStableFunc(out, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
+// shard picks k's shard by its 32-bit FNV-1a hash, computed inline: a
+// hash.Hash32 and the []byte copy of k it would take cost two
+// allocations per lookup.
 func (r *Registry) shard(k string) *registryShard {
-	h := fnv.New32a()
-	_, _ = io.WriteString(h, k)
-	return &r.shards[h.Sum32()%registryShards]
+	h := uint32(2166136261)
+	for i := 0; i < len(k); i++ {
+		h ^= uint32(k[i])
+		h *= 16777619
+	}
+	return &r.shards[h%registryShards]
 }
 
 // lookup returns the entry for (name, labels), creating it with mk when
@@ -259,6 +270,23 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 		return &entry{hist: &Histogram{bounds: bs, buckets: make([]atomic.Uint64, len(bs)+1)}}
 	})
 	return e.hist
+}
+
+// RemoveGauge deletes the series (name, labels) if the registry still
+// holds g there, and reports whether it did. It is how a component that
+// goes away takes its labeled series with it: a handle the registry no
+// longer holds under that identity (Reset detached it, or it was
+// removed and registered anew) removes nothing.
+func (r *Registry) RemoveGauge(g *Gauge, name string, labels ...Label) bool {
+	k := key(name, sortLabels(labels))
+	s := r.shard(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.entries[k]; ok && e.kind == kindGauge && e.gauge == g {
+		delete(s.entries, k)
+		return true
+	}
+	return false
 }
 
 func (r *Registry) setHelp(name, help string) {

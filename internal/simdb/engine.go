@@ -151,9 +151,6 @@ type Engine struct {
 	fk       flatKnobs
 	fkEpoch  uint64
 	fkValid  bool
-	// Reused window scratch (guarded by mu).
-	sampleBuf []workload.Query
-	timesBuf  []float64
 
 	// hooks, when set, inject deterministic faults at the apply/restart/
 	// window seams (see SetFaultHooks).
@@ -464,16 +461,21 @@ type LogEntry struct {
 
 // QueryLog returns up to n most recent log entries, oldest first, in a
 // new slice.
-func (e *Engine) QueryLog(n int) []LogEntry { return e.QueryLogInto(nil, n) }
-
-// QueryLogInto reads up to n most recent log entries, oldest first,
-// into dst's backing array when it is large enough (a new one when it
-// is not) and returns the filled slice. Entries of dst past the
-// returned length are left as they were.
-func (e *Engine) QueryLogInto(dst []LogEntry, n int) []LogEntry {
+func (e *Engine) QueryLog(n int) []LogEntry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.queryLog.lastInto(dst, n)
+	out := make([]LogEntry, 0, e.queryLog.stored(n))
+	e.queryLog.each(n, func(le LogEntry) { out = append(out, le) })
+	return out
+}
+
+// VisitQueryLog calls f on up to n most recent log entries, oldest
+// first, without copying them. f runs under the engine's lock, so it
+// must not call back into the engine.
+func (e *Engine) VisitQueryLog(n int, f func(LogEntry)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.queryLog.each(n, f)
 }
 
 // QueryLogCap returns the query-log capacity: Options.QueryLogSize or
@@ -643,25 +645,30 @@ func (r *ringLog) add(le LogEntry) {
 	}
 }
 
-// lastInto fills dst (reallocated only when its capacity is short)
-// with the newest min(n, stored) entries, oldest first.
-func (r *ringLog) lastInto(dst []LogEntry, n int) []LogEntry {
+// stored is how many entries a read of the newest n returns:
+// min(n, stored entries), and 0 for n < 0.
+func (r *ringLog) stored(n int) int {
 	size := r.next
 	if r.full {
 		size = len(r.buf)
 	}
-	n = max(0, min(n, size))
-	if cap(dst) < n {
-		dst = make([]LogEntry, n)
-	}
-	dst = dst[:n]
+	return max(0, min(n, size))
+}
+
+// each calls f on the newest stored(n) entries, oldest first.
+func (r *ringLog) each(n int, f func(LogEntry)) {
+	n = r.stored(n)
 	start := r.next - n
 	if start < 0 {
 		start += len(r.buf)
 	}
-	k := copy(dst, r.buf[start:])
-	copy(dst[k:], r.buf)
-	return dst
+	first := min(n, len(r.buf)-start)
+	for _, le := range r.buf[start : start+first] {
+		f(le)
+	}
+	for _, le := range r.buf[:n-first] {
+		f(le)
+	}
 }
 
 // clampNonNeg keeps profile-driven magnitudes sane.

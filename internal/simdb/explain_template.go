@@ -49,7 +49,7 @@ func (e *Engine) rememberProfileLocked(id string, cls sqlparse.Class, prof *work
 		return
 	}
 	if e.profiles == nil {
-		e.profiles = make(map[string]int, 256)
+		e.profiles = make(map[string]int)
 	}
 	entry := profileEntry{TemplateProfile: TemplateProfile{Class: cls, Profile: *prof}}
 	if len(e.profiles) >= maxProfiles {

@@ -109,7 +109,7 @@ func TestRingLogProperty(t *testing.T) {
 			r.add(lines[i])
 		}
 		k := rng.Intn(cap + 10)
-		got := r.lastInto(nil, k)
+		got := visitLast(r, k)
 		want := k
 		if want > n {
 			want = n

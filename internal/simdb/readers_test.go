@@ -12,9 +12,9 @@ import (
 	"autodbaas/internal/workload"
 )
 
-// copyLast is the ring read QueryLog made before it read into a
-// caller's buffer: a fresh slice of the newest min(n, stored) entries,
-// oldest first.
+// copyLast is the ring read QueryLog made before entries were visited
+// in place: a fresh slice of the newest min(n, stored) entries, oldest
+// first.
 func copyLast(r *ringLog, n int) []LogEntry {
 	size := r.next
 	if r.full {
@@ -33,39 +33,40 @@ func copyLast(r *ringLog, n int) []LogEntry {
 	return out
 }
 
-// TestQueryLogIntoMatchesCopy reads an empty, a partial, a full and a
-// wrapped ring, for n from 0 to past its size, into a nil buffer, one
-// too short and a dirty one long enough to reuse: every read equals
-// the copying read.
-func TestQueryLogIntoMatchesCopy(t *testing.T) {
+// visitLast collects what ringLog.each visits.
+func visitLast(r *ringLog, n int) []LogEntry {
+	var out []LogEntry
+	r.each(n, func(le LogEntry) { out = append(out, le) })
+	return out
+}
+
+// TestQueryLogVisitMatchesCopy visits an empty, a partial, a full and a
+// wrapped ring, and a zero-slot one, for n from -1 to past its size:
+// every visit sees the copying read's entries in its order, and stored
+// counts them.
+func TestQueryLogVisitMatchesCopy(t *testing.T) {
 	const size = 8
-	for _, added := range []int{0, 3, size, size + 5, 3*size + 1} {
-		r := newRingLog(size)
-		for i := 0; i < added; i++ {
+	for _, tc := range []struct{ slots, added int }{{0, 0}, {0, 5}, {size, 0}, {size, 3}, {size, size}, {size, size + 5}, {size, 3*size + 1}} {
+		r := newRingLog(tc.slots)
+		for i := 0; i < tc.added && tc.slots > 0; i++ {
 			r.add(LogEntry{TemplateID: fmt.Sprintf("t%d", i), Class: sqlparse.Class(i % 3)})
 		}
-		for _, n := range []int{0, 1, size / 2, size, size + 3} {
-			want := copyLast(r, n)
-			dirty := make([]LogEntry, size+4)
-			for i := range dirty {
-				dirty[i] = LogEntry{TemplateID: "stale", Class: sqlparse.ClassOther}
+		for _, n := range []int{-1, 0, 1, size / 2, size, size + 3} {
+			want := copyLast(r, max(0, n))
+			got := visitLast(r, n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d slots, %d added, n=%d: visited %v, want %v", tc.slots, tc.added, n, got, want)
 			}
-			for name, dst := range map[string][]LogEntry{"nil": nil, "short": make([]LogEntry, 1), "dirty": dirty} {
-				got := r.lastInto(dst, n)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%d added, n=%d, %s buffer: got %v, want %v", added, n, name, got, want)
-				}
-				if name == "dirty" && &got[:1][0] != &dirty[0] {
-					t.Fatalf("%d added, n=%d: a buffer with room was not reused", added, n)
-				}
+			if r.stored(n) != len(want) {
+				t.Fatalf("%d slots, %d added, n=%d: stored %d, want %d", tc.slots, tc.added, n, r.stored(n), len(want))
 			}
 		}
 	}
 }
 
-// TestQueryLogIntoReusesItsBuffer: on a live engine, reading the log
-// into a buffer with room equals QueryLog and allocates nothing.
-func TestQueryLogIntoReusesItsBuffer(t *testing.T) {
+// TestVisitQueryLogMatchesQueryLog: on a live engine, visiting the log
+// sees QueryLog's entries and allocates nothing.
+func TestVisitQueryLogMatchesQueryLog(t *testing.T) {
 	e := newPG(t, m4Large(), 26*workload.GiB)
 	gen := workload.NewTPCC(26*workload.GiB, 3300)
 	for i := 0; i < 4; i++ {
@@ -73,12 +74,17 @@ func TestQueryLogIntoReusesItsBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	buf := e.QueryLogInto(nil, DefaultQueryLogSize)
-	if len(buf) != DefaultQueryLogSize || !slices.Equal(buf, e.QueryLog(DefaultQueryLogSize)) {
-		t.Fatalf("QueryLogInto read %d entries unlike QueryLog", len(buf))
+	want := e.QueryLog(DefaultQueryLogSize)
+	var got []LogEntry
+	e.VisitQueryLog(DefaultQueryLogSize, func(le LogEntry) { got = append(got, le) })
+	if len(got) != DefaultQueryLogSize || !slices.Equal(got, want) {
+		t.Fatalf("VisitQueryLog saw %d entries unlike QueryLog's %d", len(got), len(want))
 	}
-	if allocs := testing.AllocsPerRun(20, func() { buf = e.QueryLogInto(buf, DefaultQueryLogSize) }); allocs != 0 {
-		t.Fatalf("a read into a buffer with room made %v allocations, want 0", allocs)
+	var classes [sqlparse.NumClasses]int
+	if allocs := testing.AllocsPerRun(20, func() {
+		e.VisitQueryLog(DefaultQueryLogSize, func(le LogEntry) { classes[le.Class]++ })
+	}); allocs != 0 {
+		t.Fatalf("a visit made %v allocations, want 0", allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package simdb
 
 import (
 	"math"
+	"sync"
 	"time"
 
 	"autodbaas/internal/knobs"
@@ -43,6 +44,44 @@ type WindowStats struct {
 // window; aggregate effects are scaled to the full offered volume.
 const windowSampleCap = 192
 
+// windowScratch is RunWindow's working memory: the drawn statements and
+// their service times, about 30 KB. It lives for one window, not for
+// one engine. A window takes one from scratchFree and returns it, so a
+// process holds one per window in flight, however many engines it
+// hosts. Reuse is exact: SampleInto overwrites every field of a slot,
+// and times[i] is written before it is read.
+type windowScratch struct {
+	sample [windowSampleCap]workload.Query
+	times  [windowSampleCap]float64
+}
+
+// scratchFree is the free list of window scratch. It is not a
+// sync.Pool: a pool may drop its items at any GC (and at random under
+// the race detector), and each drop costs a window a fresh 30 KB.
+var scratchFree struct {
+	mu   sync.Mutex
+	list []*windowScratch
+}
+
+func getWindowScratch() *windowScratch {
+	scratchFree.mu.Lock()
+	defer scratchFree.mu.Unlock()
+	n := len(scratchFree.list)
+	if n == 0 {
+		return new(windowScratch)
+	}
+	ws := scratchFree.list[n-1]
+	scratchFree.list[n-1] = nil
+	scratchFree.list = scratchFree.list[:n-1]
+	return ws
+}
+
+func putWindowScratch(ws *windowScratch) {
+	scratchFree.mu.Lock()
+	scratchFree.list = append(scratchFree.list, ws)
+	scratchFree.mu.Unlock()
+}
+
 // RunWindow advances the engine by dur, executing the offered load of
 // gen. It prices a representative sample of queries, scales the effects
 // to the full volume, steps the background writers/checkpointer, and
@@ -75,11 +114,9 @@ func (e *Engine) RunWindow(gen workload.Generator, dur time.Duration) (WindowSta
 	st := WindowStats{Start: start, Duration: dur, Offered: offered}
 
 	n := int(min(windowSampleCap, max(1, total)))
-	if cap(e.sampleBuf) < n {
-		e.sampleBuf = make([]workload.Query, n)
-		e.timesBuf = make([]float64, n)
-	}
-	sample := e.sampleBuf[:n]
+	ws := getWindowScratch()
+	defer putWindowScratch(ws)
+	sample := ws.sample[:n]
 	for i := range sample {
 		gen.SampleInto(e.rng, &sample[i])
 	}
@@ -94,7 +131,7 @@ func (e *Engine) RunWindow(gen workload.Generator, dur time.Duration) (WindowSta
 		jitter = e.jitterFactor
 	}
 
-	times := e.timesBuf[:n]
+	times := ws.times[:n]
 	var sumMs, readLogical, readMiss, writeBytes, spillBytes float64
 	var spillCount int
 	var parLaunched, parDenied float64

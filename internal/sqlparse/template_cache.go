@@ -21,6 +21,13 @@ import (
 // with random literals mostly misses — that is fine, the miss cost is
 // one extra map probe.
 //
+// Sizing: each shard's map and eviction ring grow with use, up to
+// templateCacheShardCap keys, and are not allocated at that cap up
+// front: empty maps and rings of that size hold about 3.5 MiB of heap,
+// which every process (a bench run, each shard worker) would keep
+// although a fleet step's window pricing never templates raw text. A
+// process that does template raw text pays for the keys it stores.
+//
 // Determinism: values are a pure function of the key, so cache state
 // (including evictions, which may differ run to run under parallel
 // window phases) can never change what TemplateOf returns — only how
@@ -45,8 +52,7 @@ var (
 
 func init() {
 	for i := range tplShards {
-		tplShards[i].m = make(map[string]Template, templateCacheShardCap)
-		tplShards[i].ring = make([]string, 0, templateCacheShardCap)
+		tplShards[i].m = make(map[string]Template)
 	}
 	tplMetrics = obs.Cache("sqlparse_template")
 }
@@ -56,8 +62,8 @@ func ResetTemplateCache() {
 	for i := range tplShards {
 		s := &tplShards[i]
 		s.mu.Lock()
-		s.m = make(map[string]Template, templateCacheShardCap)
-		s.ring = s.ring[:0]
+		s.m = make(map[string]Template)
+		s.ring = nil
 		s.next = 0
 		s.mu.Unlock()
 	}

@@ -164,9 +164,8 @@ type TDE struct {
 	lastSnapAt, prevSnapAt time.Time
 
 	// Per-round scratch, reused from tick to tick and never
-	// checkpointed: the query-log read and the MDP's one-knob override.
-	logBuf []simdb.LogEntry
-	probe  knobs.Config
+	// checkpointed: the MDP's one-knob override.
+	probe knobs.Config
 
 	// throttle counters per class (the paper's evaluation metric).
 	throttles map[knobs.Class]int
@@ -277,12 +276,11 @@ func (t *TDE) Tick() []Event {
 	// Ingest the recent query log into the class histogram and the
 	// reservoir. Every entry carries the template ID and class the
 	// engine took from the executed statement, so nothing is templated
-	// here. The log is read into a reused buffer.
-	t.logBuf = t.db.QueryLogInto(t.logBuf, t.cfg.LogBatch)
-	for _, le := range t.logBuf {
+	// here. The entries are visited in the engine's ring, not copied.
+	t.db.VisitQueryLog(t.cfg.LogBatch, func(le simdb.LogEntry) {
 		t.classes[le.Class]++
 		t.reservoir.Offer(le.TemplateID)
-	}
+	})
 	return t.detectLocked()
 }
 

@@ -91,6 +91,8 @@ type Tuner struct {
 	meanSums   map[string][]float64
 	meanCounts map[string]int
 	meanOrder  []string
+	// delivered is the sum of meanCounts, the training-samples gauge.
+	delivered int
 
 	// Working memory reused across calls, so a recommendation does not
 	// allocate in proportion to the history it reads. None of it
@@ -198,17 +200,9 @@ func (t *Tuner) Observe(s tuner.Sample) error {
 		sum[i] += s.Metrics.At(i)
 	}
 	t.meanCounts[s.WorkloadID]++
-	t.setTrainingSamplesLocked()
+	t.delivered++
+	t.trainingSamples.Set(float64(t.delivered))
 	return nil
-}
-
-// setTrainingSamplesLocked publishes the number of samples delivered.
-func (t *Tuner) setTrainingSamplesLocked() {
-	var n int
-	for _, c := range t.meanCounts {
-		n += c
-	}
-	t.trainingSamples.Set(float64(n))
 }
 
 // viewLocked appends the workload's samples of the tuner's engine from

@@ -46,10 +46,12 @@ func (t *Tuner) RestoreCheckpointState(st State) error {
 		t.meanSums[id] = append([]float64(nil), sum...)
 	}
 	t.meanCounts = make(map[string]int, len(st.MeanCounts))
+	t.delivered = 0
 	for id, n := range st.MeanCounts {
 		t.meanCounts[id] = n
+		t.delivered += n
 	}
 	t.meanOrder = append([]string(nil), st.MeanOrder...)
-	t.setTrainingSamplesLocked()
+	t.trainingSamples.Set(float64(t.delivered))
 	return nil
 }

@@ -13,6 +13,8 @@ import (
 
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/metrics"
+	"autodbaas/internal/obs"
+	"autodbaas/internal/repository"
 	"autodbaas/internal/tuner"
 )
 
@@ -209,5 +211,43 @@ func TestReadsRaceUploads(t *testing.T) {
 	}
 	if len(tn.meanCounts) != 3 {
 		t.Errorf("means for %d workloads, want 3", len(tn.meanCounts))
+	}
+}
+
+// TestTrainingSamplesGaugeCountsDeliveries: the training-samples gauge
+// equals the number of samples delivered, over several workloads,
+// after a restore into a fresh tuner and after deliveries to it.
+func TestTrainingSamplesGaugeCountsDeliveries(t *testing.T) {
+	gauge := obs.Default().Gauge("autodbaas_tuner_training_samples", "", obs.L("tuner", "ottertune-bo"))
+	opts := Options{Engine: knobs.Postgres, Candidates: 40, MaxSamplesPerFit: 30, UCBBeta: 0.5, TopKnobs: 6, Seed: 7}
+	src, repo := newBound(t, opts)
+	rng := rand.New(rand.NewSource(5))
+	deliver := func(repo *repository.Repository, wid string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := repo.Observe(synthSample(src.kcat, src.mcat, rng, wid, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		repo.Flush()
+	}
+	deliver(repo, "wl-a", 7)
+	deliver(repo, "wl-b", 5)
+	deliver(repo, "wl-a", 2)
+	if got := gauge.Value(); got != 14 {
+		t.Fatalf("gauge reads %v after 14 deliveries", got)
+	}
+	st := src.CheckpointState()
+	dst, dstRepo := newBound(t, opts)
+	gauge.Set(-1)
+	if err := dst.RestoreCheckpointState(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge.Value(); got != 14 {
+		t.Fatalf("gauge reads %v after restoring 14 deliveries", got)
+	}
+	deliver(dstRepo, "wl-c", 3)
+	if got := gauge.Value(); got != 17 {
+		t.Fatalf("gauge reads %v after 3 more deliveries to the restored tuner", got)
 	}
 }
