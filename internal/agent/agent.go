@@ -87,6 +87,11 @@ type Agent struct {
 	uploaded   int
 	suppressed int
 
+	// genName is the generator's name when id, "<instance>/<workload>",
+	// was built: every request and sample under one workload shares
+	// the one string.
+	genName, id string
+
 	m agentMetrics
 	// dbGauges caches the per-semantic-counter export gauges for this
 	// instance so the per-tick export is map-free after warm-up.
@@ -143,9 +148,12 @@ func New(inst *cluster.Instance, gen workload.Generator, events EventSink, sampl
 	if err != nil {
 		return nil, err
 	}
+	name := gen.Name()
 	return &Agent{
 		inst:         inst,
 		gen:          gen,
+		genName:      name,
+		id:           inst.ID + "/" + name,
 		tde:          td,
 		opts:         opts,
 		events:       events,
@@ -323,8 +331,14 @@ func (a *Agent) buildRequest() tuner.Request {
 	}
 }
 
+// workloadID returns "<instance>/<workload>". It builds the string
+// again only when the generator reports a new name, as a
+// workload.Switch does once it flips.
 func (a *Agent) workloadID() string {
-	return fmt.Sprintf("%s/%s", a.inst.ID, a.gen.Name())
+	if name := a.gen.Name(); name != a.genName {
+		a.genName, a.id = name, a.inst.ID+"/"+name
+	}
+	return a.id
 }
 
 // maybeUpload sends the training sample for the elapsed TDE period,

@@ -243,11 +243,14 @@ func Encode(sys System) (*Container, error) {
 		return nil
 	}
 
-	var storeBuf bytes.Buffer
-	if err := sys.Repository.Save(&storeBuf); err != nil {
+	// The store section is staged as Save returns it: encoded from the
+	// store, not from a copy of the samples, into one buffer sized up
+	// front.
+	store, err := sys.Repository.Save()
+	if err != nil {
 		return nil, err
 	}
-	add(secRepoStore, storeBuf.Bytes())
+	add(secRepoStore, store)
 
 	if err := addJSON(secRepoFanout, sys.Repository.CheckpointState()); err != nil {
 		return nil, err
@@ -294,8 +297,10 @@ func Encode(sys System) (*Container, error) {
 		man.Tuners = append(man.Tuners, t.Name())
 	}
 	// The instance sections encode concurrently, after the repository
-	// store and the tuner blob above: overlapping those two large
-	// buffers with the fan-out would raise the peak heap of a snapshot.
+	// store and the tuner blob above. The store section is staged as it
+	// was encoded, with no transient copy; the tuner blob's JSON encoding
+	// still grows and copies a buffer, and overlapping that with the
+	// fan-out would raise the peak heap of a snapshot.
 	// Each lands in its fleet slot, so the layout stays in onboarding
 	// order whatever the worker count. Encoding an instance cannot fail.
 	man.Instances = make([]InstanceMeta, len(sys.Fleet))

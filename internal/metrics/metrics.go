@@ -13,6 +13,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"autodbaas/internal/linalg"
 )
@@ -293,20 +294,23 @@ func Decile(rows [][]float64) [][]float64 {
 	for i := range out {
 		out[i] = make([]float64, len(rows[0]))
 	}
-	DecileInto(out, rows)
+	var scratch []float64
+	DecileInto(out, rows, &scratch)
 	return out
 }
 
 // DecileInto is Decile writing the bins into dst, whose rows match rows
 // in number and length. dst may be rows itself: the ranges are taken
-// before any row is written.
-func DecileInto(dst, rows [][]float64) {
+// before any row is written. The per-column ranges go to *scratch,
+// grown as needed, so a caller that bins repeatedly with the same
+// scratch allocates nothing once it has grown.
+func DecileInto(dst, rows [][]float64, scratch *[]float64) {
 	if len(rows) == 0 {
 		return
 	}
 	p := len(rows[0])
-	mins := make([]float64, p)
-	maxs := make([]float64, p)
+	*scratch = slices.Grow((*scratch)[:0], 2*p)[:2*p]
+	mins, maxs := (*scratch)[:p], (*scratch)[p:]
 	copy(mins, rows[0])
 	copy(maxs, rows[0])
 	for _, r := range rows[1:] {
@@ -366,8 +370,10 @@ func (p *Pruner) Prune(rows [][]float64, varEps, corrMax float64) []int {
 		return nil
 	}
 	n, cols := len(rows), len(rows[0])
+	// The buffers grow to twice what they must hold: a caller adding a
+	// row per call reallocates O(log n) times.
 	if cap(p.centred) < n*cols {
-		p.centred = make([]float64, n*cols)
+		p.centred = make([]float64, n*cols, 2*n*cols)
 	}
 	if cap(p.ss) < cols {
 		p.ss = make([]float64, cols)

@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -114,6 +115,41 @@ func TestPrunerReuseAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestPrunerGrowsGeometrically: pruning one more row per call, as
+// workload mapping does per new donor, reallocates the Pruner's buffer
+// O(log n) times, not once per row.
+func TestPrunerGrowsGeometrically(t *testing.T) {
+	const n, cols = 512, 35
+	rng := rand.New(rand.NewSource(61))
+	rows := make([][]float64, n)
+	var p Pruner
+	reallocs, lastCap := 0, 0
+	for i := range rows {
+		rows[i] = make([]float64, cols)
+		for j := range rows[i] {
+			rows[i][j] = rng.NormFloat64()
+		}
+		p.Prune(rows[:i+1], 1e-12, 0.98)
+		if c := cap(p.centred); c != lastCap {
+			reallocs, lastCap = reallocs+1, c
+		}
+	}
+	if limit := 2 * bits.Len(n); reallocs > limit {
+		t.Fatalf("%d rows added one at a time reallocated the buffer %d times, want at most %d", n, reallocs, limit)
+	}
+}
+
+// TestDecileIntoReuseAllocatesNothing: with its scratch grown, DecileInto
+// bins without allocating.
+func TestDecileIntoReuseAllocatesNothing(t *testing.T) {
+	rows := [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 10}}
+	var scratch []float64
+	DecileInto(rows, rows, &scratch)
+	if allocs := testing.AllocsPerRun(20, func() { DecileInto(rows, rows, &scratch) }); allocs > 0 {
+		t.Fatalf("DecileInto with a grown scratch allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 // FuzzPrune compares Prune with the pairwise definition on arbitrary
 // float bits, NaN and ±Inf included.
 func FuzzPrune(f *testing.F) {
@@ -154,7 +190,8 @@ func TestDecileIntoInPlace(t *testing.T) {
 		rows[i] = []float64{rng.NormFloat64(), 4, float64(i)}
 	}
 	want := Decile(rows)
-	DecileInto(rows, rows)
+	var scratch []float64
+	DecileInto(rows, rows, &scratch)
 	if !reflect.DeepEqual(rows, want) {
 		t.Fatalf("in place: %v, want %v", rows, want)
 	}

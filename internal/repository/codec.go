@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"autodbaas/internal/bincodec"
@@ -68,21 +70,28 @@ type engineHeader struct {
 	knobs, mets   uint64
 	knobN, metN   int   // catalogue lengths, the size of a vector
 	knobIx, metIx []int // header position → catalogue position
+	// knobVecs and metVecs count the encoder's non-nil vectors, each of
+	// which may carry a presence bitmap over the header.
+	knobVecs, metVecs int
 }
 
-// encodeStore encodes samples, which must be grouped by workload in
-// first-seen order (tuner.Store.All's order). It fails on a sample
-// whose engine has no catalogues but which carries a vector.
-func encodeStore(samples []tuner.Sample) ([]byte, error) {
+// encodeStore encodes the samples that each visits, which must come
+// grouped by workload in first-seen order (tuner.Store.Range's order).
+// It visits them twice: once to build the headers and bound the
+// section's length, then to append every sample in place to a buffer
+// of that length, so the section is the only copy of the samples it
+// makes. It fails on a sample whose engine has no catalogues but which
+// carries a vector, and when the second visit sees a different number
+// of samples than the first (the store grew in between).
+func encodeStore(each func(func(*tuner.Sample))) ([]byte, error) {
 	var (
 		engines   []engineHeader
 		engineIdx = make(map[knobs.Engine]int)
 		workloads []string
 		counts    []int
-		size      = len(storeMagic) + 16
+		body      int // a bound on the samples' encoded length
 	)
-	for i := range samples {
-		s := &samples[i]
+	each(func(s *tuner.Sample) {
 		e, ok := engineIdx[s.Engine]
 		if !ok {
 			e = len(engines)
@@ -92,17 +101,23 @@ func encodeStore(samples []tuner.Sample) ([]byte, error) {
 		h := &engines[e]
 		h.knobs |= s.Config.Set
 		h.mets |= s.Metrics.Set
+		if s.Config.Vals != nil {
+			h.knobVecs++
+			body += 8 * bits.OnesCount64(s.Config.Set)
+		}
+		if s.Metrics.Vals != nil {
+			h.metVecs++
+			body += 8 * bits.OnesCount64(s.Metrics.Set)
+		}
 		if n := len(workloads); n == 0 || workloads[n-1] != s.WorkloadID {
 			workloads = append(workloads, s.WorkloadID)
 			counts = append(counts, 0)
 		}
 		counts[len(counts)-1]++
-		size += 32 + 8*(bits.OnesCount64(s.Config.Set)+bits.OnesCount64(s.Metrics.Set))
-	}
+		body += uvarintLen(uint64(e)) + 1 + 8 + varintLen(int64(s.Window)) + timeLen(s.At)
+	})
 
-	b := make([]byte, 0, size)
-	b = append(b, storeMagic...)
-	b = append(b, storeVersion)
+	b := append([]byte(storeMagic), storeVersion)
 	b = binary.AppendUvarint(b, uint64(len(engines)))
 	for _, h := range engines {
 		var knobNames, metNames []string
@@ -120,15 +135,23 @@ func encodeStore(samples []tuner.Sample) ([]byte, error) {
 		b = bincodec.AppendString(b, string(h.engine))
 		b = bincodec.AppendStrings(b, knobNames)
 		b = bincodec.AppendStrings(b, metNames)
+		body += h.knobVecs*bitmapLen(h.knobs) + h.metVecs*bitmapLen(h.mets)
 	}
 	b = binary.AppendUvarint(b, uint64(len(workloads)))
+	total := 0
 	for i, w := range workloads {
 		b = bincodec.AppendString(b, w)
 		b = binary.AppendUvarint(b, uint64(counts[i]))
+		total += counts[i]
 	}
-	for i := range samples {
-		s := &samples[i]
-		e := engineIdx[s.Engine]
+	b = append(make([]byte, 0, len(b)+body), b...)
+
+	each(func(s *tuner.Sample) {
+		total--
+		e, ok := engineIdx[s.Engine]
+		if !ok {
+			return // added since the first visit: the count check fails
+		}
 		h := &engines[e]
 		var flags byte
 		if s.Quality {
@@ -147,9 +170,30 @@ func encodeStore(samples []tuner.Sample) ([]byte, error) {
 		b = bincodec.AppendF64(b, s.Objective)
 		b = binary.AppendVarint(b, int64(s.Window))
 		b = bincodec.AppendTime(b, s.At, offset != 0)
+	})
+	if total != 0 {
+		return nil, errors.New("the samples changed while the store section was encoded")
 	}
 	return b, nil
 }
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the length of binary.AppendVarint's encoding of x.
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+// timeLen is the length of an At as encodeStore writes it.
+func timeLen(t time.Time) int {
+	n := varintLen(t.Unix()) + uvarintLen(uint64(t.Nanosecond()))
+	if _, offset := t.Zone(); offset != 0 {
+		n += varintLen(int64(offset))
+	}
+	return n
+}
+
+// bitmapLen is the length of a presence bitmap over a header mask.
+func bitmapLen(hdr uint64) int { return (bits.OnesCount64(hdr) + 7) / 8 }
 
 // maskNames lists the names at mask's set bits, in order.
 func maskNames(names []string, mask uint64) []string {
@@ -181,7 +225,7 @@ func appendVector(b []byte, vals []float64, set, hdr uint64, sparse bool) []byte
 	}
 	bitmap := len(b)
 	if sparse {
-		b = append(b, make([]byte, (bits.OnesCount64(hdr)+7)/8)...)
+		b = append(b, make([]byte, bitmapLen(hdr))...)
 	}
 	j := 0
 	for m := hdr; m != 0; m &= m - 1 {
@@ -243,7 +287,12 @@ func decodeStore(data []byte) ([]tuner.Sample, error) {
 		return nil, bincodec.ErrShort
 	}
 	samples := make([]tuner.Sample, 0, total)
+	var cfgBuf []float64
 	for w, id := range workloads {
+		// A config equal to the workload's previous one shares its
+		// vector, as the samples a live store was given between two
+		// applies do; it decodes into cfgBuf first.
+		var prevCfg knobs.Vector
 		for j := 0; j < counts[w]; j++ {
 			e := d.Uvarint()
 			flags := d.U8()
@@ -258,8 +307,16 @@ func decodeStore(data []byte) ([]tuner.Sample, error) {
 			}
 			h := &engines[e]
 			s := tuner.Sample{WorkloadID: id, Engine: h.engine, Quality: flags&flagQuality != 0}
-			s.Config.Vals, s.Config.Set = readVector(d, h.knobIx, h.knobN, flags&flagConfigNil != 0, flags&flagConfigSparse != 0)
-			s.Metrics.Vals, s.Metrics.Set = readVector(d, h.metIx, h.metN, flags&flagMetricsNil != 0, flags&flagMetricsSparse != 0)
+			s.Config.Vals, s.Config.Set = readVector(d, h.knobIx, h.knobN, flags&flagConfigNil != 0, flags&flagConfigSparse != 0, &cfgBuf)
+			if s.Config.Vals != nil {
+				if sameVector(s.Config, prevCfg) {
+					s.Config = prevCfg
+				} else {
+					s.Config.Vals = slices.Clone(s.Config.Vals)
+					prevCfg = s.Config
+				}
+			}
+			s.Metrics.Vals, s.Metrics.Set = readVector(d, h.metIx, h.metN, flags&flagMetricsNil != 0, flags&flagMetricsSparse != 0, nil)
 			s.Objective = d.F64()
 			s.Window = time.Duration(d.Varint())
 			s.At = d.Time(flags&flagAtZoned != 0)
@@ -293,9 +350,10 @@ func headerIndex(names []string, index func(string) (int, bool)) ([]int, error) 
 }
 
 // readVector reads an appendVector vector into a slice of n catalogue
-// slots, idx mapping header positions to them. It fails before
-// allocating one the rest of the section cannot hold.
-func readVector(d *bincodec.Decoder, idx []int, n int, isNil, sparse bool) ([]float64, uint64) {
+// slots, idx mapping header positions to them: a new slice when buf is
+// nil, else *buf, grown as needed. It fails before allocating one the
+// rest of the section cannot hold.
+func readVector(d *bincodec.Decoder, idx []int, n int, isNil, sparse bool, buf *[]float64) ([]float64, uint64) {
 	if isNil {
 		return nil, 0
 	}
@@ -317,7 +375,14 @@ func readVector(d *bincodec.Decoder, idx []int, n int, isNil, sparse bool) ([]fl
 	if d.Err() != nil {
 		return nil, 0
 	}
-	vals := make([]float64, n)
+	var vals []float64
+	if buf == nil {
+		vals = make([]float64, n)
+	} else {
+		*buf = slices.Grow((*buf)[:0], n)[:n]
+		vals = *buf
+		clear(vals)
+	}
 	var set uint64
 	for j, i := range idx {
 		if !sparse || bitmap[j/8]&(1<<(j%8)) != 0 {
@@ -326,4 +391,18 @@ func readVector(d *bincodec.Decoder, idx []int, n int, isNil, sparse bool) ([]fl
 		}
 	}
 	return vals, set
+}
+
+// sameVector reports whether a and b hold the same values bit for bit,
+// NaN and −0 included, in the same catalogue slots.
+func sameVector(a, b knobs.Vector) bool {
+	if a.Set != b.Set || len(a.Vals) != len(b.Vals) {
+		return false
+	}
+	for i, v := range a.Vals {
+		if math.Float64bits(v) != math.Float64bits(b.Vals[i]) {
+			return false
+		}
+	}
+	return true
 }

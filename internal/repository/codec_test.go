@@ -181,7 +181,7 @@ func TestStoreCodecMatchesMapEncoder(t *testing.T) {
 	for _, m := range maps {
 		src.Store().Add(vectorOf(t, m))
 	}
-	// Store.All groups by workload in first-seen order; the reference
+	// Store.Range groups by workload in first-seen order; the reference
 	// takes the same order.
 	var grouped []mapSample
 	for _, w := range src.Store().Workloads() {
@@ -215,11 +215,18 @@ func storeOf(t testing.TB, section []byte) *Repository {
 
 func saved(t testing.TB, r *Repository) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := r.Save(&buf); err != nil {
+	b, err := r.Save()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
+}
+
+// storedSamples copies out every sample of s, in store order.
+func storedSamples(s *tuner.Store) []tuner.Sample {
+	var out []tuner.Sample
+	s.Range(func(sm *tuner.Sample) { out = append(out, *sm) })
+	return out
 }
 
 // TestStoreCodecMatchesLegacy: the binary section restores exactly the
@@ -237,7 +244,7 @@ func TestStoreCodecMatchesLegacy(t *testing.T) {
 	}
 	binary := storeOf(t, section)
 	legacy := New()
-	dec := json.NewDecoder(bytes.NewReader(legacyLines(t, src.Store().All())))
+	dec := json.NewDecoder(bytes.NewReader(legacyLines(t, storedSamples(src.Store()))))
 	for dec.More() {
 		var s tuner.Sample
 		if err := dec.Decode(&s); err != nil {
@@ -246,7 +253,7 @@ func TestStoreCodecMatchesLegacy(t *testing.T) {
 		legacy.Store().Add(s)
 	}
 	if !reflect.DeepEqual(binary.Store(), legacy.Store()) {
-		t.Fatalf("binary restore differs from the legacy restore\n  binary: %+v\n  legacy: %+v", binary.Store().All(), legacy.Store().All())
+		t.Fatalf("binary restore differs from the legacy restore\n  binary: %+v\n  legacy: %+v", storedSamples(binary.Store()), storedSamples(legacy.Store()))
 	}
 	if got := saved(t, binary); !bytes.Equal(got, section) {
 		t.Fatal("a restored store re-encodes to different bytes")
@@ -329,7 +336,7 @@ func TestLoadQuietFailsAtomically(t *testing.T) {
 		src.Store().Add(s)
 	}
 	section := saved(t, src)
-	legacy := legacyLines(t, src.Store().All())
+	legacy := legacyLines(t, storedSamples(src.Store()))
 	// One engine with one knob, one sample whose sparse config bitmap
 	// also marks a second, absent name.
 	stray := append([]byte(storeMagic), storeVersion, 1)
@@ -364,14 +371,14 @@ func FuzzLoadStore(f *testing.F) {
 		src.Store().Add(s)
 	}
 	f.Add(saved(f, src))
-	f.Add(legacyLines(f, src.Store().All()))
+	f.Add(legacyLines(f, storedSamples(src.Store())))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := New()
 		r.Store().Add(tuner.Sample{WorkloadID: "kept", Engine: knobs.Postgres, Objective: 1})
-		before := r.Store().All()
+		before := storedSamples(r.Store())
 		n, err := r.LoadQuiet(bytes.NewReader(data))
 		if err != nil {
-			if after := r.Store().All(); !reflect.DeepEqual(after, before) {
+			if after := storedSamples(r.Store()); !reflect.DeepEqual(after, before) {
 				t.Fatalf("failed load (%v) changed the store", err)
 			}
 			return
@@ -424,7 +431,28 @@ func TestLoadRejectsNamesOutsideTheCatalogue(t *testing.T) {
 	}
 	r := New()
 	r.Store().Add(tuner.Sample{WorkloadID: "w", Engine: "oracle", Config: knobs.Vector{Vals: []float64{1}, Set: 1}})
-	if err := r.Save(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "oracle") {
+	if _, err := r.Save(); err == nil || !strings.Contains(err.Error(), "oracle") {
 		t.Fatalf("Save of a vector without a catalogue: err = %v", err)
+	}
+}
+
+// TestEncodeStoreRejectsAStoreThatGrew: encodeStore visits the samples
+// twice, so a sample added between the visits, of a known engine or a
+// new one, fails the encode rather than writing a section whose counts
+// do not match its samples.
+func TestEncodeStoreRejectsAStoreThatGrew(t *testing.T) {
+	samples := codecSamples(t)
+	for _, extra := range []tuner.Sample{samples[1], {WorkloadID: "w", Engine: "oracle"}} {
+		visits := 0
+		_, err := encodeStore(func(fn func(*tuner.Sample)) {
+			visits++
+			fn(&samples[0])
+			if visits == 2 {
+				fn(&extra)
+			}
+		})
+		if err == nil {
+			t.Errorf("a store that grew by a %s sample between the visits encoded", extra.Engine)
+		}
 	}
 }

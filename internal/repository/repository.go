@@ -321,20 +321,20 @@ func (r *Repository) Store() *tuner.Store { return r.store }
 // Len returns the number of stored samples.
 func (r *Repository) Len() int { return r.store.Len() }
 
-// Save writes every stored sample in the binary store codec (codec.go),
+// Save returns every stored sample in the binary store codec (codec.go),
 // the repository's durable form — the central data repository survives
 // tuner-instance restarts so "tuning services running on different
 // IaaS'es fetch the new workloads" from one durable store. Any float
-// value, NaN and ±Inf included, round-trips bit for bit.
-func (r *Repository) Save(w io.Writer) error {
-	b, err := encodeStore(r.store.All())
-	if err == nil {
-		_, err = w.Write(b)
-	}
+// value, NaN and ±Inf included, round-trips bit for bit. The section is
+// encoded straight from the store, under its read lock, into one buffer
+// sized up front; no Add may run meanwhile (a snapshot holds the step
+// lock with the fan-out flushed).
+func (r *Repository) Save() ([]byte, error) {
+	b, err := encodeStore(r.store.Range)
 	if err != nil {
-		return fmt.Errorf("repository: save: %w", err)
+		return nil, fmt.Errorf("repository: save: %w", err)
 	}
-	return nil
+	return b, nil
 }
 
 // LoadQuiet reads a store section into the store WITHOUT fanning the

@@ -73,12 +73,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	src.Observe(tuner.Sample{WorkloadID: "w2", Engine: knobs.Postgres, Objective: 7})
 
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	section, err := src.Save()
+	if err != nil {
 		t.Fatal(err)
 	}
 	dst := New()
-	n, err := dst.LoadQuiet(&buf)
+	n, err := dst.LoadQuiet(bytes.NewReader(section))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +109,15 @@ func TestLoadQuietSkipsFanOut(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		src.Observe(tuner.Sample{WorkloadID: "w", Engine: knobs.Postgres, Objective: float64(i)})
 	}
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	section, err := src.Save()
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	quiet := New()
 	qsub := &countingTuner{engine: knobs.Postgres}
 	quiet.Subscribe(qsub)
-	n, err := quiet.LoadQuiet(&buf)
+	n, err := quiet.LoadQuiet(bytes.NewReader(section))
 	if err != nil {
 		t.Fatal(err)
 	}

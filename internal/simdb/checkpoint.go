@@ -162,8 +162,10 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	}
 	e.cfgEpoch = st.CfgEpoch
 	e.rngSrc.Restore(st.RNG)
-	// Drop the memo tied to the pre-restore configuration.
+	// Drop the memos tied to the pre-restore configuration: the restored
+	// epoch may equal the one fk was built for.
 	e.fkValid = false
+	e.cfgVec = knobs.Vector{}
 	return nil
 }
 

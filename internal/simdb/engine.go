@@ -151,6 +151,9 @@ type Engine struct {
 	fk       flatKnobs
 	fkEpoch  uint64
 	fkValid  bool
+	// cfgVec memoizes ConfigVector until cfg changes (nil Vals: not
+	// built). Callers share it and must not modify it.
+	cfgVec knobs.Vector
 
 	// hooks, when set, inject deterministic faults at the apply/restart/
 	// window seams (see SetFaultHooks).
@@ -268,16 +271,22 @@ func (e *Engine) Config() knobs.Config {
 }
 
 // ConfigVector returns the active configuration in catalogue order,
-// without the map copy Config makes.
+// without the map copy Config makes. Calls between two configuration
+// changes (apply, restart, crash recovery, restore) return the same
+// vector: it is immutable, so a caller must not modify it, and each
+// training sample uploaded under one config shares it.
 func (e *Engine) ConfigVector() knobs.Vector {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// cfg holds only catalogue knobs: every write to it is validated.
-	v, err := e.kcat.FromConfig(e.cfg)
-	if err != nil {
-		panic(fmt.Sprintf("simdb: active config: %v", err))
+	if e.cfgVec.Vals == nil {
+		// cfg holds only catalogue knobs: every write to it is validated.
+		v, err := e.kcat.FromConfig(e.cfg)
+		if err != nil {
+			panic(fmt.Sprintf("simdb: active config: %v", err))
+		}
+		e.cfgVec = v
 	}
-	return v
+	return e.cfgVec
 }
 
 // Knob returns one knob of the active configuration without copying

@@ -358,3 +358,77 @@ func TestDownEngineTimePasses(t *testing.T) {
 		t.Fatal("time frozen while down")
 	}
 }
+
+// TestConfigVectorSharedPerConfig: ConfigVector hands out one vector per
+// configuration: the same backing array until ApplyConfig, Restart,
+// crash recovery or RestoreCheckpointState changes the config, then a
+// new one with the new values. A vector handed out earlier keeps its
+// values, so the samples that share it stay as they were uploaded.
+func TestConfigVectorSharedPerConfig(t *testing.T) {
+	e := newPG(t, m4Large(), 4*workload.GiB)
+	gen := workload.NewTPCC(4*workload.GiB, 500)
+	var fault WindowFault
+	e.SetFaultHooks(&FaultHooks{WindowStart: func() WindowFault {
+		wf := fault
+		fault = WindowFault{}
+		return wf
+	}})
+	if _, err := e.RunWindow(gen, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	initial := e.CheckpointState()
+	kc := e.KnobCatalog()
+	workMem, _ := kc.Index("work_mem")
+	sharedBuffers, _ := kc.Index("shared_buffers")
+
+	type handed struct {
+		v    knobs.Vector
+		vals []float64
+	}
+	var earlier []handed
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	step := func(name string, change func(), slot int, want float64) {
+		t.Helper()
+		before := e.ConfigVector()
+		if again := e.ConfigVector(); &again.Vals[0] != &before.Vals[0] {
+			t.Fatalf("before %s: an unchanged config gave a new vector", name)
+		}
+		earlier = append(earlier, handed{before, append([]float64(nil), before.Vals...)})
+		change()
+		after := e.ConfigVector()
+		if &after.Vals[0] == &before.Vals[0] {
+			t.Fatalf("%s: ConfigVector still returns the vector of the config before it", name)
+		}
+		if after.Vals[slot] != want {
+			t.Fatalf("%s: vector holds %s = %g, want %g", name, kc.Names()[slot], after.Vals[slot], want)
+		}
+		for i, h := range earlier {
+			for j, v := range h.v.Vals {
+				if v != h.vals[j] {
+					t.Fatalf("%s: vector %d handed out earlier changed at %s", name, i, kc.Names()[j])
+				}
+			}
+		}
+	}
+
+	step("ApplyConfig", func() { must(e.ApplyConfig(knobs.Config{"work_mem": 64 << 20}, ApplyReload)) }, workMem, 64<<20)
+	must(e.ApplyConfig(knobs.Config{"shared_buffers": 2 * workload.GiB}, ApplyReload)) // staged
+	step("Restart", func() { must(e.Restart()) }, sharedBuffers, 2*workload.GiB)
+	must(e.ApplyConfig(knobs.Config{"shared_buffers": 3 * workload.GiB}, ApplyReload)) // staged
+	step("crash recovery", func() {
+		fault = WindowFault{Crash: true}
+		if _, err := e.RunWindow(gen, time.Minute); !errors.Is(err, ErrDown) {
+			t.Fatalf("crashed window: err = %v, want ErrDown", err)
+		}
+		fault = WindowFault{Recover: true}
+		if _, err := e.RunWindow(gen, time.Minute); err != nil {
+			t.Fatalf("recovered window: %v", err)
+		}
+	}, sharedBuffers, 3*workload.GiB)
+	step("RestoreCheckpointState", func() { must(e.RestoreCheckpointState(initial)) }, workMem, initial.Cfg["work_mem"])
+}

@@ -172,9 +172,13 @@ func (e *Engine) readByHitRatio(name string) bool {
 	return d != nil && d.Class == knobs.Memory
 }
 
-// bumpEpochLocked invalidates the flattened knob view. Called whenever
-// e.cfg changes.
-func (e *Engine) bumpEpochLocked() { e.cfgEpoch++ }
+// bumpEpochLocked invalidates the memos of the active config: the
+// flattened knob view and the config vector. Called whenever e.cfg
+// changes.
+func (e *Engine) bumpEpochLocked() {
+	e.cfgEpoch++
+	e.cfgVec = knobs.Vector{}
+}
 
 // selectKth rearranges xs so that xs[k] holds the k-th order statistic
 // (the value sort.Float64s would leave at index k) and returns it, in

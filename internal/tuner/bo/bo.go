@@ -108,6 +108,7 @@ type Tuner struct {
 	mapRows  [][]float64     // row headers into mapBuf
 	projBuf  []float64       // pruned, then decile-binned, mapping rows
 	projRows [][]float64     // row headers into projBuf
+	decile   []float64       // metrics.DecileInto's column ranges
 
 	recommendSeconds *obs.Histogram
 	gprFitSeconds    *obs.Histogram
@@ -249,7 +250,7 @@ func (t *Tuner) mapWorkloadLocked(target metrics.Snapshot) (string, float64, boo
 			binned[i][c] = r[j]
 		}
 	}
-	metrics.DecileInto(binned, binned)
+	metrics.DecileInto(binned, binned, &t.decile)
 	targetBin := binned[len(binned)-1]
 	bestID, bestD := "", math.Inf(1)
 	for i, id := range ids {
@@ -262,13 +263,15 @@ func (t *Tuner) mapWorkloadLocked(target metrics.Snapshot) (string, float64, boo
 }
 
 // resizeRows sizes a reused row-major buffer to n rows of p columns and
-// returns its row headers; the contents are unspecified.
+// returns its row headers; the contents are unspecified. Both grow to
+// twice what they must hold, so a caller that adds a row at a time
+// (workload mapping, per new donor) reallocates O(log n) times.
 func resizeRows(buf *[]float64, hdrs *[][]float64, n, p int) [][]float64 {
 	if cap(*buf) < n*p {
-		*buf = make([]float64, n*p)
+		*buf = make([]float64, n*p, 2*n*p)
 	}
 	if cap(*hdrs) < n {
-		*hdrs = make([][]float64, n)
+		*hdrs = make([][]float64, n, 2*n)
 	}
 	data, rows := (*buf)[:n*p], (*hdrs)[:n]
 	for i := range rows {

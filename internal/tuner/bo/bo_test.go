@@ -2,6 +2,8 @@ package bo
 
 import (
 	"errors"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"time"
@@ -159,6 +161,43 @@ func TestWorkloadMappingSeparatesWorkloads(t *testing.T) {
 	id2, _, _ := tn.MapWorkload(metricsOf(probe2))
 	if id2 != "tpch" {
 		t.Fatalf("TPCH probe mapped to %q", id2)
+	}
+}
+
+// TestMappingBuffersGrowGeometrically: workload mapping's row buffers
+// grow geometrically, so a fleet that adds donors one at a time
+// reallocates them O(log n) times, not once per donor.
+func TestMappingBuffersGrowGeometrically(t *testing.T) {
+	const donors = 512
+	tn, repo := newBound(t, DefaultOptions(knobs.Postgres))
+	names := metrics.PostgresCatalog().Names()
+	rng := rand.New(rand.NewSource(5))
+	target := metrics.Snapshot{}
+	for _, n := range names {
+		target[n] = rng.Float64()
+	}
+	var reallocs, caps [4]int
+	for i := 0; i < donors; i++ {
+		m := metrics.Snapshot{}
+		for _, n := range names {
+			m[n] = rng.Float64() * float64(i+1)
+		}
+		repo.Observe(withMaps(tuner.Sample{WorkloadID: fmt.Sprintf("w%03d", i), Engine: knobs.Postgres}, nil, m))
+		repo.Flush()
+		if _, _, ok := tn.MapWorkload(target); !ok {
+			t.Fatalf("donor %d: no workload mapped", i)
+		}
+		for j, c := range []int{cap(tn.mapBuf), cap(tn.mapRows), cap(tn.projBuf), cap(tn.projRows)} {
+			if c != caps[j] {
+				reallocs[j], caps[j] = reallocs[j]+1, c
+			}
+		}
+	}
+	limit := 2 * bits.Len(donors)
+	for j, name := range []string{"mapBuf", "mapRows", "projBuf", "projRows"} {
+		if reallocs[j] > limit {
+			t.Errorf("%d donors added one at a time reallocated %s %d times, want at most %d", donors, name, reallocs[j], limit)
+		}
 	}
 }
 

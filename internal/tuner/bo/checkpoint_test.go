@@ -66,8 +66,8 @@ func TestRestoreIgnoresFitCacheFields(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var store bytes.Buffer
-	if err := repo.Save(&store); err != nil {
+	store, err := repo.Save()
+	if err != nil {
 		t.Fatal(err)
 	}
 	plain, err := json.Marshal(src.CheckpointState())
@@ -108,7 +108,7 @@ func TestRestoreIgnoresFitCacheFields(t *testing.T) {
 			t.Fatalf("decode: %v", err)
 		}
 		tn, repo := newBound(t, opts)
-		if _, err := repo.LoadQuiet(bytes.NewReader(store.Bytes())); err != nil {
+		if _, err := repo.LoadQuiet(bytes.NewReader(store)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tn.RestoreCheckpointState(st); err != nil {

@@ -280,15 +280,19 @@ func (s *Store) Samples(workloadID string) []Sample {
 	return out
 }
 
-// All returns every sample across workloads.
-func (s *Store) All() []Sample {
+// Range calls fn on every sample in store order (workloads in
+// first-seen order, each workload's samples in Add order) under the read
+// lock, so fn must not call back into the store. fn must not modify the
+// sample and must not keep the pointer past its return.
+func (s *Store) Range(fn func(*Sample)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []Sample
 	for _, id := range s.order {
-		out = append(out, s.samples[id]...)
+		src := s.samples[id]
+		for i := range src {
+			fn(&src[i])
+		}
 	}
-	return out
 }
 
 // Len returns the total sample count.

@@ -24,8 +24,10 @@ func TestStoreGrouping(t *testing.T) {
 	if got := s.Samples("w1"); len(got) != 2 || got[1].Objective != 3 {
 		t.Fatalf("w1 samples = %v", got)
 	}
-	if got := s.All(); len(got) != 3 {
-		t.Fatalf("All = %d", len(got))
+	var objs []float64
+	s.Range(func(sm *Sample) { objs = append(objs, sm.Objective) })
+	if want := []float64{1, 3, 2}; !reflect.DeepEqual(objs, want) {
+		t.Fatalf("Range visits objectives %v, want store order %v", objs, want)
 	}
 }
 
