@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -9,6 +10,10 @@ import (
 
 const latestName = "latest.ckpt"
 
+// saveBuffer is SaveFile's write buffer: the store section streams in
+// 16 KiB pieces, which it gathers into a few large writes.
+const saveBuffer = 64 << 10
+
 // SaveFile writes one snapshot into dir as checkpoint-<window>.ckpt and
 // refreshes dir/latest.ckpt to the same bytes, returning the snapshot
 // path. Both names change atomically (temp file + rename), so a crash
@@ -16,9 +21,11 @@ const latestName = "latest.ckpt"
 // name. The fleet service is its one caller: it writes every snapshot
 // file, on demand and on its auto-checkpoint cadence.
 //
-// encode's bytes are written once: latest.ckpt is a hard link to the
-// new snapshot, and only where the filesystem refuses links is it a
-// streamed copy.
+// encode's bytes are written once, through a 64 KiB buffer, so a
+// snapshot that streams a section in small pieces makes few system
+// calls:
+// latest.ckpt is a hard link to the new snapshot, and only where the
+// filesystem refuses links is it a streamed copy.
 func SaveFile(dir string, window int, encode func(io.Writer) error) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -29,7 +36,12 @@ func SaveFile(dir string, window int, encode func(io.Writer) error) (string, err
 		if err != nil {
 			return err
 		}
-		if err := encode(f); err != nil {
+		w := bufio.NewWriterSize(f, saveBuffer)
+		if err := encode(w); err != nil {
+			f.Close()
+			return err
+		}
+		if err := w.Flush(); err != nil {
 			f.Close()
 			return err
 		}

@@ -17,10 +17,14 @@
 //
 // The first section is always the manifest: a JSON document recording
 // the format version, the window index, the fleet topology the snapshot
-// was taken from, and the (name, length, checksum) triple of every
-// following section. Readers verify each section against the manifest,
-// so a truncated file, a flipped byte or a version skew all fail with
-// an error naming the precise section, never with silently wrong state.
+// was taken from, and the (name, length) pair of every following
+// section. Each frame carries its payload's CRC after the payload, so a
+// section's checksum is computed as its bytes are written, and a
+// section too large to hold in memory (the repository store) streams
+// from live state into the file. Readers verify each frame's CRC and
+// each section's name and length against the manifest, so a truncated
+// file, a flipped byte or a version skew all fail with an error naming
+// the precise section, never with silently wrong state.
 package checkpoint
 
 import (
@@ -34,10 +38,12 @@ import (
 )
 
 // FormatVersion is the container version this build writes and the only
-// one it restores. Version 3 stores an instance's master metric snapshot
-// once, in its TDE state; version 2 also stored the agent's copy, and
-// version 1 wrote instance sections as JSON, not in instance.go's codec.
-const FormatVersion = 3
+// one it restores. Version 4 drops the manifest's per-section CRC-32,
+// which left only each frame's own CRC to check, so the manifest can be
+// written before any payload exists; version 3 stored an instance's
+// master metric snapshot once, version 2 also stored the agent's copy,
+// and version 1 wrote instance sections as JSON.
+const FormatVersion = 4
 
 var magic = [4]byte{'A', 'D', 'B', 'C'}
 
@@ -61,7 +67,6 @@ var (
 type SectionMeta struct {
 	Name   string `json:"name"`
 	Length uint64 `json:"length"`
-	CRC32  uint32 `json:"crc32"`
 }
 
 // InstanceMeta pins one fleet member's topology so a snapshot cannot be
@@ -91,88 +96,118 @@ type Manifest struct {
 	Sections      []SectionMeta  `json:"sections,omitempty"`
 }
 
-// section is one named payload staged for writing: its bytes, split
-// across several slices when it is a nested container, with the total
-// length and CRC-32 known before any byte is written.
-type section struct {
-	name  string
-	parts [][]byte
-	n     uint64
-	crc   uint32
+// payload is one section's body: its exact length, known when it is
+// staged, and a WriteTo that writes exactly that many bytes. Contiguous
+// bytes, a nested container and a section encoded from live state as
+// it is written (the repository store) are its three kinds.
+type payload interface {
+	Len() int64
+	io.WriterTo
 }
 
-// bytesSection stages a contiguous payload, checksumming it once.
-func bytesSection(name string, payload []byte) section {
-	return section{name: name, parts: [][]byte{payload}, n: uint64(len(payload)), crc: crc32.ChecksumIEEE(payload)}
+// rawBytes is a contiguous payload.
+type rawBytes []byte
+
+func (b rawBytes) Len() int64 { return int64(len(b)) }
+
+func (b rawBytes) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(b)
+	return int64(n), err
+}
+
+// section is one named payload staged for writing.
+type section struct {
+	name string
+	body payload
 }
 
 const manifestSection = "manifest"
 
-// Container is one fully staged snapshot container. Its frames point at
-// the section payloads instead of copying them into one buffer, so
-// nesting a container as a section of another (the shard coordinator's
-// fleet snapshot) copies nothing, and WriteTo streams every byte once.
+// Container is one staged snapshot container: the header and manifest,
+// and each section's name and payload, whose bytes are produced only
+// when the container is written. Nesting a container as a section of
+// another (the shard coordinator's fleet snapshot) copies nothing, and
+// WriteTo produces every byte once, checksumming each frame's payload
+// as it passes through.
+//
+// A staged container may read live state — the repository store
+// section does, under the store's read lock while it streams — so it
+// must be written before the state it was staged from next changes: a
+// snapshot holds the step lock with the fan-out flushed from staging to
+// the last byte. A section that writes other than its staged length
+// fails the write with an error naming it, never a wrong file.
 type Container struct {
-	parts [][]byte
-	n     int64
+	head     []byte // magic, version and the manifest frame
+	sections []section
+	n        int64
 }
+
+// frameOverhead is a frame's length beyond its name and payload: the
+// name length, the payload length and the CRC.
+const frameOverhead = 2 + 8 + 4
 
 // stage lays out the header, the manifest (with section metadata filled
 // in) and every section.
 func stage(man Manifest, sections []section) (*Container, error) {
 	man.FormatVersion = FormatVersion
 	man.Sections = man.Sections[:0]
+	c := &Container{sections: sections}
 	for _, s := range sections {
-		man.Sections = append(man.Sections, SectionMeta{Name: s.name, Length: s.n, CRC32: s.crc})
+		man.Sections = append(man.Sections, SectionMeta{Name: s.name, Length: uint64(s.body.Len())})
+		c.n += frameOverhead + int64(len(s.name)) + s.body.Len()
 	}
 	manPayload, err := json.Marshal(man)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode manifest: %w", err)
 	}
-	c := &Container{}
-	c.add(binary.LittleEndian.AppendUint16(append([]byte(nil), magic[:]...), FormatVersion))
-	c.addSection(bytesSection(manifestSection, manPayload))
-	for _, s := range sections {
-		c.addSection(s)
-	}
+	head := binary.LittleEndian.AppendUint16(append([]byte(nil), magic[:]...), FormatVersion)
+	head = appendFrameHead(head, manifestSection, int64(len(manPayload)))
+	head = append(head, manPayload...)
+	c.head = binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(manPayload))
+	c.n += int64(len(c.head))
 	return c, nil
 }
 
-func (c *Container) add(p []byte) {
-	c.parts = append(c.parts, p)
-	c.n += int64(len(p))
-}
-
-// addSection frames one section: name length (uint16), name, payload
-// length (uint64), payload, CRC-32 of the payload.
-func (c *Container) addSection(s section) {
-	head := binary.LittleEndian.AppendUint16(make([]byte, 0, 2+len(s.name)+8), uint16(len(s.name)))
-	head = append(head, s.name...)
-	c.add(binary.LittleEndian.AppendUint64(head, s.n))
-	for _, p := range s.parts {
-		c.add(p)
-	}
-	c.add(binary.LittleEndian.AppendUint32(nil, s.crc))
-}
-
-// nested stages the whole container as one section of another. Its
-// CRC-32 runs over the parts in place; nothing is joined.
-func (c *Container) nested(name string) section {
-	var crc uint32
-	for _, p := range c.parts {
-		crc = crc32.Update(crc, crc32.IEEETable, p)
-	}
-	return section{name: name, parts: c.parts, n: uint64(c.n), crc: crc}
+// appendFrameHead writes what precedes a payload in its frame: the name
+// length (uint16), the name and the payload length (uint64).
+func appendFrameHead(b []byte, name string, n int64) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
+	b = append(b, name...)
+	return binary.LittleEndian.AppendUint64(b, uint64(n))
 }
 
 // Len returns the container's size in bytes.
 func (c *Container) Len() int64 { return c.n }
 
-// WriteTo implements io.WriterTo.
+// WriteTo implements io.WriterTo: each frame's head, its payload as the
+// payload writes itself, then the CRC-32 taken over those bytes.
 func (c *Container) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	for _, p := range c.parts {
-		m, err := w.Write(p)
+	m, err := w.Write(c.head)
+	n := int64(m)
+	if err != nil {
+		return n, err
+	}
+	var frame []byte
+	for _, s := range c.sections {
+		frame = appendFrameHead(frame[:0], s.name, s.body.Len())
+		m, err := w.Write(frame)
+		n += int64(m)
+		if err != nil {
+			return n, err
+		}
+		fw := frameWriter{w: w, left: s.body.Len()}
+		_, err = s.body.WriteTo(&fw)
+		n += s.body.Len() - fw.left
+		switch {
+		case fw.err != nil:
+			return n, fmt.Errorf("checkpoint: section %q: %w", s.name, fw.err)
+		case err != nil:
+			return n, fmt.Errorf("checkpoint: section %q: %w", s.name, err)
+		case fw.left != 0:
+			return n, fmt.Errorf("checkpoint: section %q wrote %d bytes, staged %d", s.name, s.body.Len()-fw.left, s.body.Len())
+		}
+		frame = binary.LittleEndian.AppendUint32(frame[:0], fw.crc)
+		m, err = w.Write(frame)
 		n += int64(m)
 		if err != nil {
 			return n, err
@@ -181,14 +216,39 @@ func (c *Container) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// Bytes joins the container into one exactly sized slice — for callers
-// that must hand the snapshot on as bytes (the shard RPC protocol).
-func (c *Container) Bytes() []byte {
-	out := make([]byte, 0, c.n)
-	for _, p := range c.parts {
-		out = append(out, p...)
+// frameWriter passes one section's payload through to w, checksumming
+// it and refusing bytes past its staged length.
+type frameWriter struct {
+	w    io.Writer
+	left int64
+	crc  uint32
+	err  error // the first error, which every later Write repeats
+}
+
+func (f *frameWriter) Write(p []byte) (int, error) {
+	if f.err != nil {
+		return 0, f.err
 	}
-	return out
+	if int64(len(p)) > f.left {
+		f.err = fmt.Errorf("a write of %d bytes overruns the %d left of its staged length", len(p), f.left)
+		return 0, f.err
+	}
+	n, err := f.w.Write(p)
+	f.crc = crc32.Update(f.crc, crc32.IEEETable, p[:n])
+	f.left -= int64(n)
+	f.err = err
+	return n, err
+}
+
+// Bytes writes the container into one exactly sized slice — for
+// callers that must hand the snapshot on as bytes (the shard RPC
+// protocol).
+func (c *Container) Bytes() ([]byte, error) {
+	b := bytes.NewBuffer(make([]byte, 0, c.n))
+	if _, err := c.WriteTo(b); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
 }
 
 // RawSection is one named section for NewContainer — the
@@ -198,7 +258,8 @@ func (c *Container) Bytes() []byte {
 // section of an outer container, so the multi-process control plane
 // gets the same header, manifest, length and CRC verification as a
 // single-process snapshot, with no second serialization format and no
-// copy of the inner container.
+// copy of the inner container: its bytes are checksummed as the outer
+// container writes them.
 type RawSection struct {
 	Name    string
 	Payload []byte
@@ -211,9 +272,9 @@ func NewContainer(man Manifest, secs []RawSection) (*Container, error) {
 	staged := make([]section, 0, len(secs))
 	for _, s := range secs {
 		if s.Nested != nil {
-			staged = append(staged, s.Nested.nested(s.Name))
+			staged = append(staged, section{name: s.Name, body: s.Nested})
 		} else {
-			staged = append(staged, bytesSection(s.Name, s.Payload))
+			staged = append(staged, section{name: s.Name, body: rawBytes(s.Payload)})
 		}
 	}
 	return stage(man, staged)
@@ -258,7 +319,7 @@ func parse(data []byte) (Manifest, map[string][]byte, error) {
 		return man, nil, fmt.Errorf("%w: file is v%d, this build reads v%d", ErrVersion, v, FormatVersion)
 	}
 	r := frameReader{rest: data[6:]}
-	name, payload, _, err := r.next(manifestSection)
+	name, payload, err := r.next(manifestSection)
 	if err != nil {
 		return man, nil, err
 	}
@@ -273,7 +334,7 @@ func parse(data []byte) (Manifest, map[string][]byte, error) {
 	}
 	sections := make(map[string][]byte, len(man.Sections))
 	for _, meta := range man.Sections {
-		name, payload, crc, err := r.next(meta.Name)
+		name, payload, err := r.next(meta.Name)
 		if err != nil {
 			return man, nil, err
 		}
@@ -283,10 +344,10 @@ func parse(data []byte) (Manifest, map[string][]byte, error) {
 		if uint64(len(payload)) != meta.Length {
 			return man, nil, fmt.Errorf("%w: section %q is %d bytes, manifest says %d", ErrManifest, name, len(payload), meta.Length)
 		}
-		if crc != meta.CRC32 {
-			return man, nil, fmt.Errorf("%w: section %q does not match its manifest checksum", ErrChecksum, name)
-		}
 		sections[name] = payload
+	}
+	if len(r.rest) > 0 {
+		return man, nil, fmt.Errorf("%w: %d bytes after the last section", ErrManifest, len(r.rest))
 	}
 	return man, sections, nil
 }
@@ -294,36 +355,35 @@ func parse(data []byte) (Manifest, map[string][]byte, error) {
 // frameReader slices section frames off the front of a container.
 type frameReader struct{ rest []byte }
 
-// next reads one frame, verifies its payload against the frame's CRC
-// and returns that CRC for the manifest cross-check. ctx names what the
-// caller was expecting, for precise truncation errors.
-func (r *frameReader) next(ctx string) (name string, payload []byte, crc uint32, err error) {
+// next reads one frame and verifies its payload against the frame's
+// CRC. ctx names what the caller was expecting, for precise truncation
+// errors.
+func (r *frameReader) next(ctx string) (name string, payload []byte, err error) {
 	b := r.rest
 	if len(b) < 2 {
-		return "", nil, 0, fmt.Errorf("%w: stream ended before section %q", ErrTruncated, ctx)
+		return "", nil, fmt.Errorf("%w: stream ended before section %q", ErrTruncated, ctx)
 	}
 	nameLen := int(binary.LittleEndian.Uint16(b))
 	b = b[2:]
 	if len(b) < nameLen {
-		return "", nil, 0, fmt.Errorf("%w: stream ended inside the name of section %q", ErrTruncated, ctx)
+		return "", nil, fmt.Errorf("%w: stream ended inside the name of section %q", ErrTruncated, ctx)
 	}
 	name, b = string(b[:nameLen]), b[nameLen:]
 	if len(b) < 8 {
-		return name, nil, 0, fmt.Errorf("%w: stream ended inside the header of section %q", ErrTruncated, name)
+		return name, nil, fmt.Errorf("%w: stream ended inside the header of section %q", ErrTruncated, name)
 	}
 	n := binary.LittleEndian.Uint64(b)
 	b = b[8:]
 	if n > uint64(len(b)) {
-		return name, nil, 0, fmt.Errorf("%w: stream ended inside the payload of section %q", ErrTruncated, name)
+		return name, nil, fmt.Errorf("%w: stream ended inside the payload of section %q", ErrTruncated, name)
 	}
 	payload, b = b[:n:n], b[n:]
 	if len(b) < 4 {
-		return name, nil, 0, fmt.Errorf("%w: stream ended before the checksum of section %q", ErrTruncated, name)
+		return name, nil, fmt.Errorf("%w: stream ended before the checksum of section %q", ErrTruncated, name)
 	}
-	crc = crc32.ChecksumIEEE(payload)
-	if want := binary.LittleEndian.Uint32(b); crc != want {
-		return name, nil, 0, fmt.Errorf("%w: section %q (stored %08x, computed %08x)", ErrChecksum, name, want, crc)
+	if want, crc := binary.LittleEndian.Uint32(b), crc32.ChecksumIEEE(payload); crc != want {
+		return name, nil, fmt.Errorf("%w: section %q (stored %08x, computed %08x)", ErrChecksum, name, want, crc)
 	}
 	r.rest = b[4:]
-	return name, payload, crc, nil
+	return name, payload, nil
 }

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -98,7 +97,7 @@ func ckptMetrics() {
 	metricsOnce.Do(func() {
 		r := obs.Default()
 		mBytes = r.Gauge("autodbaas_checkpoint_bytes", "Size of the most recent snapshot written.")
-		mDuration = r.Histogram("autodbaas_checkpoint_duration_seconds", "Wall-clock time to encode one snapshot.", nil)
+		mDuration = r.Histogram("autodbaas_checkpoint_duration_seconds", "Wall-clock time to stage one snapshot (the store section encodes later, as the snapshot is written).", nil)
 		mTotal = r.Counter("autodbaas_checkpoint_total", "Snapshots written.")
 		mRestores = r.Counter("autodbaas_checkpoint_restore_total", "Snapshots restored.")
 		mCorrupt = r.Counter("autodbaas_checkpoint_corrupt_total", "Snapshot restores rejected as corrupt or mismatched.")
@@ -227,13 +226,19 @@ func cohortDiff(snapshot []InstanceMeta, system []FleetMember) string {
 // Encode stages the System's snapshot container; the caller writes it
 // out (Container.WriteTo) or nests it in a fleet snapshot. The
 // repository fan-out queue must be drained first (core.System.Snapshot
-// flushes before calling).
+// flushes before calling). Every section but the repository store is
+// encoded here; the store section is only planned, and encodes from the
+// live store as the container is written, so a snapshot never holds the
+// store's bytes whole. The container must therefore be written before
+// the System next steps (see Container).
 func Encode(sys System) (*Container, error) {
 	ckptMetrics()
 	start := time.Now()
 
 	var sections []section
-	add := func(name string, payload []byte) { sections = append(sections, bytesSection(name, payload)) }
+	add := func(name string, payload []byte) {
+		sections = append(sections, section{name: name, body: rawBytes(payload)})
+	}
 	addJSON := func(name string, v any) error {
 		raw, err := json.Marshal(v)
 		if err != nil {
@@ -243,14 +248,11 @@ func Encode(sys System) (*Container, error) {
 		return nil
 	}
 
-	// The store section is staged as Save returns it: encoded from the
-	// store, not from a copy of the samples, into one buffer sized up
-	// front.
-	store, err := sys.Repository.Save()
+	store, err := sys.Repository.StageStore()
 	if err != nil {
 		return nil, err
 	}
-	add(secRepoStore, store)
+	sections = append(sections, section{name: secRepoStore, body: store})
 
 	if err := addJSON(secRepoFanout, sys.Repository.CheckpointState()); err != nil {
 		return nil, err
@@ -296,11 +298,9 @@ func Encode(sys System) (*Container, error) {
 	for _, t := range sys.Tuners {
 		man.Tuners = append(man.Tuners, t.Name())
 	}
-	// The instance sections encode concurrently, after the repository
-	// store and the tuner blob above. The store section is staged as it
-	// was encoded, with no transient copy; the tuner blob's JSON encoding
-	// still grows and copies a buffer, and overlapping that with the
-	// fan-out would raise the peak heap of a snapshot.
+	// The instance sections encode concurrently, after the tuner blob
+	// above: its JSON encoding grows and copies a buffer, and overlapping
+	// that with the fan-out would raise the peak heap of a snapshot.
 	// Each lands in its fleet slot, so the layout stays in onboarding
 	// order whatever the worker count. Encoding an instance cannot fail.
 	man.Instances = make([]InstanceMeta, len(sys.Fleet))
@@ -308,7 +308,7 @@ func Encode(sys System) (*Container, error) {
 	_ = forEach(len(sys.Fleet), func(i int) error {
 		raw, meta := EncodeInstance(sys.Fleet[i])
 		man.Instances[i] = meta
-		insts[i] = bytesSection(secInstPrefix+meta.ID, raw)
+		insts[i] = section{name: secInstPrefix + meta.ID, body: rawBytes(raw)}
 		return nil
 	})
 	sections = append(sections, insts...)
@@ -404,7 +404,7 @@ func Restore(man Manifest, sections map[string][]byte, sys System) (err error) {
 	// reports the failure a serial restore would have hit first.
 	jobs := []func() error{
 		func() error {
-			if _, err := sys.Repository.LoadQuiet(bytes.NewReader(sections[secRepoStore])); err != nil {
+			if _, err := sys.Repository.LoadQuiet(sections[secRepoStore]); err != nil {
 				return fmt.Errorf("checkpoint: section %q: %w", secRepoStore, err)
 			}
 			return nil

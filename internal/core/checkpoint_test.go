@@ -458,7 +458,17 @@ func restage(t *testing.T, data []byte, edit func(name string, payload []byte) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Bytes()
+	return containerBytes(t, c)
+}
+
+// containerBytes writes a staged container into one slice.
+func containerBytes(t testing.TB, c *checkpoint.Container) []byte {
+	t.Helper()
+	b, err := c.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestRestoreRejectsMissingSectionBeforeMutating: a snapshot that lacks
@@ -540,7 +550,7 @@ func TestSnapshotDeterminismAcrossGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Bytes()
+		return containerBytes(t, c)
 	}
 
 	s := build()
@@ -583,7 +593,7 @@ func TestCheckpointIdempotence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Bytes()
+		return containerBytes(t, c)
 	}
 	live := build()
 	stepN(live, 8)

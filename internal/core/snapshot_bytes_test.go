@@ -78,7 +78,7 @@ func TestSnapshotSectionByteCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, replicaLog, replicaProfiles := snapshotSectionBytes(t, c.Bytes())
+	got, replicaLog, replicaProfiles := snapshotSectionBytes(t, containerBytes(t, c))
 
 	kinds := make([]string, 0, len(got))
 	for k := range got {

@@ -13,6 +13,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"autodbaas/internal/linalg"
@@ -115,45 +116,71 @@ func (c *Catalog) Index(name string) (int, bool) {
 }
 
 // Vector is a Snapshot in catalogue order, the form a stored training
-// sample keeps: Vals[i] is the value of the catalogue's i-th metric
-// when bit i of Set is on, and 0 otherwise. A nil Vals stands for a nil
-// Snapshot; any other Vals has one slot per catalogue metric.
+// sample keeps. Bit i of Set is on when the catalogue's i-th metric is
+// present; bit i of NZ is on when it is present and its value's bits
+// are not zero. Vals packs the NZ values in catalogue order, so a +0
+// costs no slot while −0, NaN and ±Inf keep theirs, bit for bit. A nil
+// Vals stands for a nil Snapshot; any other Vals, even an empty one,
+// for a map.
 type Vector struct {
-	Vals []float64
-	Set  uint64
+	Vals    []float64
+	Set, NZ uint64
+}
+
+// NewVector packs dense, one value per catalogue slot, into a Vector
+// whose present metrics are set's bits: it allocates only the slice of
+// nonzero values (none when there is none, though Vals is not nil).
+// dense must hold every slot set names.
+func NewVector(dense []float64, set uint64) Vector {
+	v := Vector{Set: set}
+	for m := set; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); math.Float64bits(dense[i]) != 0 {
+			v.NZ |= 1 << i
+		}
+	}
+	v.Vals = make([]float64, bits.OnesCount64(v.NZ))
+	k := 0
+	for m := v.NZ; m != 0; m &= m - 1 {
+		v.Vals[k] = dense[bits.TrailingZeros64(m)]
+		k++
+	}
+	return v
 }
 
 // Has reports whether the metric at catalogue position i is present.
 func (v Vector) Has(i int) bool { return v.Set&(1<<i) != 0 }
 
 // At returns the metric at catalogue position i: 0 when absent, as a
-// Snapshot reads a missing name.
+// Snapshot reads a missing name. Its slot in Vals is the count of NZ
+// bits below bit i.
 func (v Vector) At(i int) float64 {
-	if !v.Has(i) {
+	bit := uint64(1) << i
+	if v.NZ&bit == 0 {
 		return 0
 	}
-	return v.Vals[i]
+	return v.Vals[bits.OnesCount64(v.NZ&(bit-1))]
 }
 
 // Delta is the package-level Delta written straight into a Vector:
 // after − before for each catalogue metric either snapshot holds, −before
 // for one only before holds. Names outside the catalogue are skipped.
 func (c *Catalog) Delta(before, after Snapshot) Vector {
-	v := Vector{Vals: make([]float64, len(c.order))}
+	var dense [64]float64
+	var set uint64
 	for i, n := range c.order {
 		a, inAfter := after[n]
 		b, inBefore := before[n]
 		switch {
 		case inAfter:
-			v.Vals[i] = a - b
+			dense[i] = a - b
 		case inBefore:
-			v.Vals[i] = -b
+			dense[i] = -b
 		default:
 			continue
 		}
-		v.Set |= 1 << i
+		set |= 1 << i
 	}
-	return v
+	return NewVector(dense[:], set)
 }
 
 // FromSnapshot returns s in catalogue order. A nil s gives the zero
@@ -162,16 +189,17 @@ func (c *Catalog) FromSnapshot(s Snapshot) (Vector, error) {
 	if s == nil {
 		return Vector{}, nil
 	}
-	v := Vector{Vals: make([]float64, len(c.order))}
+	var dense [64]float64
+	var set uint64
 	for n, x := range s {
 		i, ok := c.index[n]
 		if !ok {
 			return Vector{}, fmt.Errorf("metrics: unknown metric %q", n)
 		}
-		v.Vals[i] = x
-		v.Set |= 1 << i
+		dense[i] = x
+		set |= 1 << i
 	}
-	return v, nil
+	return NewVector(dense[:], set), nil
 }
 
 // Snapshot returns v as a map: nil for the zero Vector.
@@ -182,7 +210,7 @@ func (c *Catalog) Snapshot(v Vector) Snapshot {
 	s := make(Snapshot, len(c.order))
 	for i, n := range c.order {
 		if v.Has(i) {
-			s[n] = v.Vals[i]
+			s[n] = v.At(i)
 		}
 	}
 	return s

@@ -199,3 +199,72 @@ func TestPruneIndicesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVectorMatchesDenseForm: a packed Vector reads as the dense form
+// it was built from — one value per catalogue slot and a presence
+// mask — for Has, At and Snapshot, bit for bit, over random vectors
+// with −0, NaN, ±Inf, absent metrics, and all-zero and empty vectors.
+func TestVectorMatchesDenseForm(t *testing.T) {
+	c := PostgresCatalog()
+	names := c.Names()
+	rng := rand.New(rand.NewSource(3))
+	odd := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 500; trial++ {
+		dense := make([]float64, c.Len())
+		var set uint64
+		for i := range dense {
+			switch mode := trial % 5; {
+			case mode == 0 && trial%10 == 0: // empty
+				continue
+			case mode == 0: // all +0
+				dense[i] = 0
+			case rng.Intn(4) == 0: // absent
+				continue
+			case rng.Intn(2) == 0:
+				dense[i] = odd[rng.Intn(len(odd))]
+			default:
+				dense[i] = rng.NormFloat64() * 1e9
+			}
+			set |= 1 << i
+		}
+		v := NewVector(dense, set)
+		if v.Vals == nil {
+			t.Fatalf("trial %d: a non-nil vector has nil Vals", trial)
+		}
+		want := Snapshot{}
+		nonzero := 0
+		for i, n := range names {
+			present := set&(1<<i) != 0
+			x := 0.0
+			if present {
+				x = dense[i]
+				want[n] = x
+				if math.Float64bits(x) != 0 {
+					nonzero++
+				}
+			}
+			if v.Has(i) != present || math.Float64bits(v.At(i)) != math.Float64bits(x) {
+				t.Fatalf("trial %d slot %d: Has %v At %v, want %v %v", trial, i, v.Has(i), v.At(i), present, x)
+			}
+		}
+		if len(v.Vals) != nonzero {
+			t.Fatalf("trial %d: %d packed values, want the %d nonzero ones", trial, len(v.Vals), nonzero)
+		}
+		got := c.Snapshot(v)
+		if got == nil || len(got) != len(want) {
+			t.Fatalf("trial %d: Snapshot %v, want %v", trial, got, want)
+		}
+		for n, x := range want {
+			if g, ok := got[n]; !ok || math.Float64bits(g) != math.Float64bits(x) {
+				t.Fatalf("trial %d: Snapshot[%s] = %v, want %v", trial, n, g, x)
+			}
+		}
+		back, err := c.FromSnapshot(got)
+		if err != nil || back.Set != v.Set || back.NZ != v.NZ || len(back.Vals) != len(v.Vals) {
+			t.Fatalf("trial %d: FromSnapshot(Snapshot(v)) = %+v, %v; want %+v", trial, back, err, v)
+		}
+	}
+	if s := c.Snapshot(Vector{}); s != nil {
+		t.Fatalf("the zero Vector's Snapshot is %v, want nil", s)
+	}
+}

@@ -1,9 +1,11 @@
 package repository
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"slices"
@@ -70,43 +72,73 @@ type engineHeader struct {
 	knobs, mets   uint64
 	knobN, metN   int   // catalogue lengths, the size of a vector
 	knobIx, metIx []int // header position → catalogue position
-	// knobVecs and metVecs count the encoder's non-nil vectors, each of
-	// which may carry a presence bitmap over the header.
+	// knobVecs and metVecs count the planned non-nil vectors, and
+	// knobFull and metFull those that carry every header name: each of
+	// the others writes a presence bitmap over the header.
 	knobVecs, metVecs int
+	knobFull, metFull int
 }
 
-// encodeStore encodes the samples that each visits, which must come
-// grouped by workload in first-seen order (tuner.Store.Range's order).
-// It visits them twice: once to build the headers and bound the
-// section's length, then to append every sample in place to a buffer
-// of that length, so the section is the only copy of the samples it
-// makes. It fails on a sample whose engine has no catalogues but which
-// carries a vector, and when the second visit sees a different number
-// of samples than the first (the store grew in between).
-func encodeStore(each func(func(*tuner.Sample))) ([]byte, error) {
+// countVector adds one vector's presence mask to a header mask, vecs and
+// full. A vector counted as full before the mask last grew is a strict
+// subset of the final mask, so the mask's growth resets full.
+func countVector(hdr *uint64, vecs, full *int, set uint64, isNil bool) {
+	if *hdr|set != *hdr {
+		*hdr |= set
+		*full = 0
+	}
+	if !isNil {
+		*vecs++
+		if set == *hdr {
+			*full++
+		}
+	}
+}
+
+// StoreSection is a store section planned but not written: its engine
+// headers and workload table are built and its exact length is known,
+// and WriteTo encodes its samples from the store as it goes. The store
+// must not grow between the plan and the write: a write that visits a
+// different number of samples than the plan fails.
+type StoreSection struct {
+	each      func(func(*tuner.Sample))
+	engines   []engineHeader
+	engineIdx map[knobs.Engine]int
+	head      []byte // magic through the workload table
+	samples   int
+	size      int64
+}
+
+// storeFlush is how many encoded bytes WriteTo gathers before handing
+// them to its writer; a sample is far shorter, so its buffer of twice
+// that, or of the section's length when that is less, never grows.
+const storeFlush = 16 << 10
+
+// planStore plans the section of the samples that each visits, which
+// must come grouped by workload in first-seen order (tuner.Store.Range's
+// order). It visits them once and writes no sample. It fails on a
+// sample whose engine has no catalogues but which carries a vector.
+func planStore(each func(func(*tuner.Sample))) (*StoreSection, error) {
+	p := &StoreSection{each: each, engineIdx: make(map[knobs.Engine]int)}
 	var (
-		engines   []engineHeader
-		engineIdx = make(map[knobs.Engine]int)
 		workloads []string
 		counts    []int
-		body      int // a bound on the samples' encoded length
+		body      int
 	)
 	each(func(s *tuner.Sample) {
-		e, ok := engineIdx[s.Engine]
+		e, ok := p.engineIdx[s.Engine]
 		if !ok {
-			e = len(engines)
-			engineIdx[s.Engine] = e
-			engines = append(engines, engineHeader{engine: s.Engine})
+			e = len(p.engines)
+			p.engineIdx[s.Engine] = e
+			p.engines = append(p.engines, engineHeader{engine: s.Engine})
 		}
-		h := &engines[e]
-		h.knobs |= s.Config.Set
-		h.mets |= s.Metrics.Set
+		h := &p.engines[e]
+		countVector(&h.knobs, &h.knobVecs, &h.knobFull, s.Config.Set, s.Config.Vals == nil)
+		countVector(&h.mets, &h.metVecs, &h.metFull, s.Metrics.Set, s.Metrics.Vals == nil)
 		if s.Config.Vals != nil {
-			h.knobVecs++
 			body += 8 * bits.OnesCount64(s.Config.Set)
 		}
 		if s.Metrics.Vals != nil {
-			h.metVecs++
 			body += 8 * bits.OnesCount64(s.Metrics.Set)
 		}
 		if n := len(workloads); n == 0 || workloads[n-1] != s.WorkloadID {
@@ -114,12 +146,13 @@ func encodeStore(each func(func(*tuner.Sample))) ([]byte, error) {
 			counts = append(counts, 0)
 		}
 		counts[len(counts)-1]++
+		p.samples++
 		body += uvarintLen(uint64(e)) + 1 + 8 + varintLen(int64(s.Window)) + timeLen(s.At)
 	})
 
 	b := append([]byte(storeMagic), storeVersion)
-	b = binary.AppendUvarint(b, uint64(len(engines)))
-	for _, h := range engines {
+	b = binary.AppendUvarint(b, uint64(len(p.engines)))
+	for _, h := range p.engines {
 		var knobNames, metNames []string
 		if h.knobs|h.mets != 0 {
 			kc, err := knobs.CatalogFor(h.engine)
@@ -135,46 +168,100 @@ func encodeStore(each func(func(*tuner.Sample))) ([]byte, error) {
 		b = bincodec.AppendString(b, string(h.engine))
 		b = bincodec.AppendStrings(b, knobNames)
 		b = bincodec.AppendStrings(b, metNames)
-		body += h.knobVecs*bitmapLen(h.knobs) + h.metVecs*bitmapLen(h.mets)
+		body += (h.knobVecs-h.knobFull)*bitmapLen(h.knobs) + (h.metVecs-h.metFull)*bitmapLen(h.mets)
 	}
+	table := uvarintLen(uint64(len(workloads)))
+	for i, w := range workloads {
+		table += uvarintLen(uint64(len(w))) + len(w) + uvarintLen(uint64(counts[i]))
+	}
+	b = slices.Grow(b, table)
 	b = binary.AppendUvarint(b, uint64(len(workloads)))
-	total := 0
 	for i, w := range workloads {
 		b = bincodec.AppendString(b, w)
 		b = binary.AppendUvarint(b, uint64(counts[i]))
-		total += counts[i]
 	}
-	b = append(make([]byte, 0, len(b)+body), b...)
+	p.head = b
+	p.size = int64(len(b) + body)
+	return p, nil
+}
 
-	each(func(s *tuner.Sample) {
-		total--
-		e, ok := engineIdx[s.Engine]
-		if !ok {
-			return // added since the first visit: the count check fails
+// Len returns the section's exact length in bytes.
+func (p *StoreSection) Len() int64 { return p.size }
+
+// WriteTo implements io.WriterTo: it visits the samples again, under
+// the store's read lock, and encodes them one by one into a small
+// buffer it flushes to w, so the section is never whole in memory.
+func (p *StoreSection) WriteTo(w io.Writer) (int64, error) {
+	written, err := w.Write(p.head)
+	n := int64(written)
+	buf := make([]byte, 0, min(2*storeFlush, p.size))
+	flush := func() {
+		if err == nil {
+			written, err = w.Write(buf)
+			n += int64(written)
 		}
-		h := &engines[e]
-		var flags byte
-		if s.Quality {
-			flags |= flagQuality
-		}
-		flags |= vectorFlag(s.Config.Vals, s.Config.Set, h.knobs, flagConfigNil, flagConfigSparse)
-		flags |= vectorFlag(s.Metrics.Vals, s.Metrics.Set, h.mets, flagMetricsNil, flagMetricsSparse)
-		_, offset := s.At.Zone()
-		if offset != 0 {
-			flags |= flagAtZoned
-		}
-		b = binary.AppendUvarint(b, uint64(e))
-		b = append(b, flags)
-		b = appendVector(b, s.Config.Vals, s.Config.Set, h.knobs, flags&flagConfigSparse != 0)
-		b = appendVector(b, s.Metrics.Vals, s.Metrics.Set, h.mets, flags&flagMetricsSparse != 0)
-		b = bincodec.AppendF64(b, s.Objective)
-		b = binary.AppendVarint(b, int64(s.Window))
-		b = bincodec.AppendTime(b, s.At, offset != 0)
-	})
-	if total != 0 {
-		return nil, errors.New("the samples changed while the store section was encoded")
+		buf = buf[:0]
 	}
-	return b, nil
+	visited := 0
+	p.each(func(s *tuner.Sample) {
+		visited++
+		e, ok := p.engineIdx[s.Engine]
+		if err != nil || !ok { // an engine new since the plan fails the count check
+			return
+		}
+		buf = appendSample(buf, s, e, &p.engines[e])
+		if len(buf) >= storeFlush {
+			flush()
+		}
+	})
+	flush()
+	if err == nil && visited != p.samples {
+		err = fmt.Errorf("the store held %d samples when its section was planned and %d when it was written", p.samples, visited)
+	}
+	return n, err
+}
+
+// appendSample encodes one sample of engine e.
+func appendSample(b []byte, s *tuner.Sample, e int, h *engineHeader) []byte {
+	var flags byte
+	if s.Quality {
+		flags |= flagQuality
+	}
+	flags |= vectorFlag(s.Config.Vals == nil, s.Config.Set, h.knobs, flagConfigNil, flagConfigSparse)
+	flags |= vectorFlag(s.Metrics.Vals == nil, s.Metrics.Set, h.mets, flagMetricsNil, flagMetricsSparse)
+	_, offset := s.At.Zone()
+	if offset != 0 {
+		flags |= flagAtZoned
+	}
+	b = binary.AppendUvarint(b, uint64(e))
+	b = append(b, flags)
+	if s.Config.Vals != nil {
+		b = appendVector(b, s.Config.Vals, s.Config.Set, h.knobs, flags&flagConfigSparse != 0, false, 0)
+	}
+	if s.Metrics.Vals != nil {
+		b = appendVector(b, s.Metrics.Vals, s.Metrics.Set, h.mets, flags&flagMetricsSparse != 0, true, s.Metrics.NZ)
+	}
+	b = bincodec.AppendF64(b, s.Objective)
+	b = binary.AppendVarint(b, int64(s.Window))
+	return bincodec.AppendTime(b, s.At, offset != 0)
+}
+
+// encodeStore plans the section of the samples that each visits and
+// writes it into one buffer of its exact length: the section's bytes as
+// one slice, for callers that want them so.
+func encodeStore(each func(func(*tuner.Sample))) ([]byte, error) {
+	p, err := planStore(each)
+	if err != nil {
+		return nil, err
+	}
+	b := bytes.NewBuffer(make([]byte, 0, p.Len()))
+	if _, err := p.WriteTo(b); err != nil {
+		return nil, err
+	}
+	if int64(b.Len()) != p.Len() {
+		return nil, fmt.Errorf("the store section is %d bytes, planned %d", b.Len(), p.Len())
+	}
+	return b.Bytes(), nil
 }
 
 // uvarintLen is the length of binary.AppendUvarint's encoding of x.
@@ -206,9 +293,9 @@ func maskNames(names []string, mask uint64) []string {
 
 // vectorFlag returns the flag a vector needs against hdr, its engine's
 // header mask (a superset of set).
-func vectorFlag(vals []float64, set, hdr uint64, nilFlag, sparseFlag byte) byte {
+func vectorFlag(isNil bool, set, hdr uint64, nilFlag, sparseFlag byte) byte {
 	switch {
-	case vals == nil:
+	case isNil:
 		return nilFlag
 	case set != hdr:
 		return sparseFlag
@@ -217,36 +304,45 @@ func vectorFlag(vals []float64, set, hdr uint64, nilFlag, sparseFlag byte) byte 
 }
 
 // appendVector writes a vector's values in header order, behind a
-// presence bitmap over the header (bit j of byte j/8) when sparse. A
-// nil vector writes nothing.
-func appendVector(b []byte, vals []float64, set, hdr uint64, sparse bool) []byte {
-	if vals == nil {
-		return b
-	}
+// presence bitmap over the header (bit j of byte j/8) when sparse.
+// vals holds one value per catalogue slot (knobs.Vector), or, when
+// packed, the values at nz's bits in catalogue order, every other
+// present slot reading +0 (metrics.Vector).
+func appendVector(b []byte, vals []float64, set, hdr uint64, sparse, packed bool, nz uint64) []byte {
 	bitmap := len(b)
 	if sparse {
 		b = append(b, make([]byte, bitmapLen(hdr))...)
 	}
-	j := 0
+	j, k := 0, 0
 	for m := hdr; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		if set&(1<<i) != 0 {
 			if sparse {
 				b[bitmap+j/8] |= 1 << (j % 8)
 			}
-			b = bincodec.AppendF64(b, vals[i])
+			var x float64
+			switch {
+			case !packed:
+				x = vals[i]
+			case nz&(1<<i) != 0:
+				x = vals[k]
+				k++
+			}
+			b = bincodec.AppendF64(b, x)
 		}
 		j++
 	}
 	return b
 }
 
-// decodeStore decodes a whole binary section, or fails without a
-// partial result.
-func decodeStore(data []byte) ([]tuner.Sample, error) {
+// decodeStore decodes a whole binary section, handing each sample to
+// add in section order, and returns how many it handed on. It fails on
+// the first byte no encoder writes; add may then have seen a prefix of
+// the samples.
+func decodeStore(data []byte, add func(tuner.Sample)) (int, error) {
 	d := bincodec.NewDecoder(data[len(storeMagic):])
 	if v := d.U8(); d.Err() == nil && v != storeVersion {
-		return nil, fmt.Errorf("store section is v%d, this build reads v%d", v, storeVersion)
+		return 0, fmt.Errorf("store section is v%d, this build reads v%d", v, storeVersion)
 	}
 	engines := make([]engineHeader, d.Count(3))
 	for i := range engines {
@@ -254,22 +350,22 @@ func decodeStore(data []byte) ([]tuner.Sample, error) {
 		h.engine = knobs.Engine(d.Str())
 		knobNames, metNames := d.Names(), d.Names()
 		if d.Err() != nil {
-			return nil, d.Err()
+			return 0, d.Err()
 		}
 		kc, err := knobs.CatalogFor(h.engine)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		mc, err := metrics.CatalogFor(string(h.engine))
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		h.knobN, h.metN = kc.Len(), mc.Len()
 		if h.knobIx, err = headerIndex(knobNames, kc.Index); err != nil {
-			return nil, fmt.Errorf("%s knob header: %w", h.engine, err)
+			return 0, fmt.Errorf("%s knob header: %w", h.engine, err)
 		}
 		if h.metIx, err = headerIndex(metNames, mc.Index); err != nil {
-			return nil, fmt.Errorf("%s metric header: %w", h.engine, err)
+			return 0, fmt.Errorf("%s metric header: %w", h.engine, err)
 		}
 	}
 	workloads := make([]string, d.Count(2))
@@ -281,34 +377,36 @@ func decodeStore(data []byte) ([]tuner.Sample, error) {
 		total += counts[i]
 	}
 	if d.Err() != nil {
-		return nil, d.Err()
+		return 0, d.Err()
 	}
 	if total > d.Len()/minSampleBytes {
-		return nil, bincodec.ErrShort
+		return 0, bincodec.ErrShort
 	}
-	samples := make([]tuner.Sample, 0, total)
-	var cfgBuf []float64
+	// Each vector decodes into a catalogue-slot array first: a config
+	// equal to the workload's previous one shares its vector, as the
+	// samples a live store was given between two applies do, and a
+	// metric vector keeps only its nonzero values, as metrics.NewVector
+	// packs a live one.
+	var cfgBuf, metBuf [64]float64
 	for w, id := range workloads {
-		// A config equal to the workload's previous one shares its
-		// vector, as the samples a live store was given between two
-		// applies do; it decodes into cfgBuf first.
 		var prevCfg knobs.Vector
 		for j := 0; j < counts[w]; j++ {
 			e := d.Uvarint()
 			flags := d.U8()
 			if d.Err() != nil {
-				return nil, d.Err()
+				return 0, d.Err()
 			}
 			if e >= uint64(len(engines)) {
-				return nil, fmt.Errorf("sample names engine %d of %d", e, len(engines))
+				return 0, fmt.Errorf("sample names engine %d of %d", e, len(engines))
 			}
 			if flags&^flagMask != 0 {
-				return nil, fmt.Errorf("sample has unknown flags %#x", flags)
+				return 0, fmt.Errorf("sample has unknown flags %#x", flags)
 			}
 			h := &engines[e]
 			s := tuner.Sample{WorkloadID: id, Engine: h.engine, Quality: flags&flagQuality != 0}
-			s.Config.Vals, s.Config.Set = readVector(d, h.knobIx, h.knobN, flags&flagConfigNil != 0, flags&flagConfigSparse != 0, &cfgBuf)
-			if s.Config.Vals != nil {
+			if flags&flagConfigNil == 0 {
+				clear(cfgBuf[:h.knobN])
+				s.Config = knobs.Vector{Vals: cfgBuf[:h.knobN], Set: readVector(d, h.knobIx, flags&flagConfigSparse != 0, cfgBuf[:h.knobN])}
 				if sameVector(s.Config, prevCfg) {
 					s.Config = prevCfg
 				} else {
@@ -316,20 +414,23 @@ func decodeStore(data []byte) ([]tuner.Sample, error) {
 					prevCfg = s.Config
 				}
 			}
-			s.Metrics.Vals, s.Metrics.Set = readVector(d, h.metIx, h.metN, flags&flagMetricsNil != 0, flags&flagMetricsSparse != 0, nil)
+			if flags&flagMetricsNil == 0 {
+				set := readVector(d, h.metIx, flags&flagMetricsSparse != 0, metBuf[:h.metN])
+				s.Metrics = metrics.NewVector(metBuf[:h.metN], set)
+			}
 			s.Objective = d.F64()
 			s.Window = time.Duration(d.Varint())
 			s.At = d.Time(flags&flagAtZoned != 0)
 			if d.Err() != nil {
-				return nil, fmt.Errorf("sample: %w", d.Err())
+				return 0, fmt.Errorf("sample: %w", d.Err())
 			}
-			samples = append(samples, s)
+			add(s)
 		}
 	}
 	if d.Len() > 0 {
-		return nil, fmt.Errorf("%d bytes after the last sample", d.Len())
+		return 0, fmt.Errorf("%d bytes after the last sample", d.Len())
 	}
-	return samples, nil
+	return total, nil
 }
 
 // headerIndex maps a header's names to catalogue positions, which must
@@ -349,14 +450,11 @@ func headerIndex(names []string, index func(string) (int, bool)) ([]int, error) 
 	return out, nil
 }
 
-// readVector reads an appendVector vector into a slice of n catalogue
-// slots, idx mapping header positions to them: a new slice when buf is
-// nil, else *buf, grown as needed. It fails before allocating one the
-// rest of the section cannot hold.
-func readVector(d *bincodec.Decoder, idx []int, n int, isNil, sparse bool, buf *[]float64) ([]float64, uint64) {
-	if isNil {
-		return nil, 0
-	}
+// readVector reads an appendVector vector into dense, one slot per
+// catalogue position, idx mapping header positions to them, and returns
+// its presence mask; it leaves the slots the mask lacks as they were.
+// It fails before reading values the rest of the section cannot hold.
+func readVector(d *bincodec.Decoder, idx []int, sparse bool, dense []float64) uint64 {
 	present := len(idx)
 	var bitmap []byte
 	if sparse {
@@ -369,28 +467,21 @@ func readVector(d *bincodec.Decoder, idx []int, n int, isNil, sparse bool, buf *
 			present += bits.OnesCount8(c)
 		}
 	}
-	if present > d.Len()/8 {
-		d.Fail(bincodec.ErrShort)
-	}
+	// The values are taken from the decoder at once and read in place,
+	// not one d.F64 at a time.
+	vals := d.Take(8 * present)
 	if d.Err() != nil {
-		return nil, 0
-	}
-	var vals []float64
-	if buf == nil {
-		vals = make([]float64, n)
-	} else {
-		*buf = slices.Grow((*buf)[:0], n)[:n]
-		vals = *buf
-		clear(vals)
+		return 0
 	}
 	var set uint64
 	for j, i := range idx {
 		if !sparse || bitmap[j/8]&(1<<(j%8)) != 0 {
-			vals[i] = d.F64()
+			dense[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals))
+			vals = vals[8:]
 			set |= 1 << i
 		}
 	}
-	return vals, set
+	return set
 }
 
 // sameVector reports whether a and b hold the same values bit for bit,

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -207,7 +208,7 @@ func TestStoreCodecMatchesMapEncoder(t *testing.T) {
 func storeOf(t testing.TB, section []byte) *Repository {
 	t.Helper()
 	r := New()
-	if _, err := r.LoadQuiet(bytes.NewReader(section)); err != nil {
+	if _, err := r.LoadQuiet(section); err != nil {
 		t.Fatal(err)
 	}
 	return r
@@ -354,7 +355,7 @@ func TestLoadQuietFailsAtomically(t *testing.T) {
 	} {
 		r := New()
 		r.Store().Add(tuner.Sample{WorkloadID: "kept", Engine: knobs.Postgres})
-		if _, err := r.LoadQuiet(bytes.NewReader(bad)); err == nil {
+		if _, err := r.LoadQuiet(bad); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		if ws := r.Store().Workloads(); r.Len() != 1 || len(ws) != 1 || ws[0] != "kept" {
@@ -376,7 +377,7 @@ func FuzzLoadStore(f *testing.F) {
 		r := New()
 		r.Store().Add(tuner.Sample{WorkloadID: "kept", Engine: knobs.Postgres, Objective: 1})
 		before := storedSamples(r.Store())
-		n, err := r.LoadQuiet(bytes.NewReader(data))
+		n, err := r.LoadQuiet(data)
 		if err != nil {
 			if after := storedSamples(r.Store()); !reflect.DeepEqual(after, before) {
 				t.Fatalf("failed load (%v) changed the store", err)
@@ -405,7 +406,7 @@ func oneSampleSection(engine string, knobNames, metricNames []string) []byte {
 // catalogue order, or an engine without catalogues fails, naming it;
 // and Save refuses a vector it could not name.
 func TestLoadRejectsNamesOutsideTheCatalogue(t *testing.T) {
-	if _, err := New().LoadQuiet(bytes.NewReader(oneSampleSection("postgres", []string{"shared_buffers", "work_mem"}, []string{"xact_commit"}))); err != nil {
+	if _, err := New().LoadQuiet(oneSampleSection("postgres", []string{"shared_buffers", "work_mem"}, []string{"xact_commit"})); err != nil {
 		t.Fatalf("a valid section fails: %v", err)
 	}
 	for _, tc := range []struct {
@@ -421,7 +422,7 @@ func TestLoadRejectsNamesOutsideTheCatalogue(t *testing.T) {
 		{"shared_buffers", "postgres", []string{"work_mem", "shared_buffers"}, nil},
 	} {
 		r := New()
-		_, err := r.LoadQuiet(bytes.NewReader(oneSampleSection(tc.engine, tc.knobs, tc.metric)))
+		_, err := r.LoadQuiet(oneSampleSection(tc.engine, tc.knobs, tc.metric))
 		if err == nil || !strings.Contains(err.Error(), tc.name) {
 			t.Errorf("%s %v %v: err = %v, want one naming %s", tc.engine, tc.knobs, tc.metric, err, tc.name)
 		}
@@ -439,7 +440,8 @@ func TestLoadRejectsNamesOutsideTheCatalogue(t *testing.T) {
 // TestEncodeStoreRejectsAStoreThatGrew: encodeStore visits the samples
 // twice, so a sample added between the visits, of a known engine or a
 // new one, fails the encode rather than writing a section whose counts
-// do not match its samples.
+// do not match its samples. However many visits it makes, a sample
+// that appears at any one visit and not at the others fails it too.
 func TestEncodeStoreRejectsAStoreThatGrew(t *testing.T) {
 	samples := codecSamples(t)
 	for _, extra := range []tuner.Sample{samples[1], {WorkloadID: "w", Engine: "oracle"}} {
@@ -453,6 +455,85 @@ func TestEncodeStoreRejectsAStoreThatGrew(t *testing.T) {
 		})
 		if err == nil {
 			t.Errorf("a store that grew by a %s sample between the visits encoded", extra.Engine)
+		}
+	}
+
+	visits := 0
+	if _, err := encodeStore(func(fn func(*tuner.Sample)) {
+		visits++
+		fn(&samples[0])
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if visits < 2 {
+		t.Fatalf("encodeStore visited the samples %d time(s), want a plan and a write", visits)
+	}
+	for at := 1; at <= visits; at++ {
+		for _, extra := range []tuner.Sample{samples[1], {WorkloadID: "w", Engine: "oracle"}} {
+			visit := 0
+			_, err := encodeStore(func(fn func(*tuner.Sample)) {
+				visit++
+				fn(&samples[0])
+				if visit == at {
+					fn(&extra)
+				}
+			})
+			if err == nil {
+				t.Errorf("a %s sample seen only at visit %d of %d encoded", extra.Engine, at, visits)
+			}
+		}
+	}
+}
+
+// randomMetrics draws a metric snapshot over the Postgres catalogue:
+// each metric absent, +0, −0, NaN, ±Inf or an ordinary value, with some
+// draws all absent or all +0.
+func randomMetrics(rng *rand.Rand) metrics.Snapshot {
+	names := metrics.PostgresCatalog().Names()
+	odd := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	m := metrics.Snapshot{}
+	mode := rng.Intn(8)
+	for _, n := range names {
+		switch {
+		case mode == 0: // no metric present
+		case mode == 1:
+			m[n] = 0
+		case rng.Intn(4) == 0: // absent
+		case rng.Intn(2) == 0:
+			m[n] = odd[rng.Intn(len(odd))]
+		default:
+			m[n] = rng.NormFloat64() * 1e6
+		}
+	}
+	return m
+}
+
+// TestStoreCodecPackedVectors: a metric vector keeps only its nonzero
+// values, yet the store section carries every present metric as the
+// map encoder wrote it, and a restored vector is the packed vector it
+// was, bit for bit.
+func TestStoreCodecPackedVectors(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var maps []mapSample
+	src := New()
+	for i := 0; i < 200; i++ {
+		m := mapSample{Sample: tuner.Sample{WorkloadID: "w", Engine: knobs.Postgres, Objective: float64(i)}, metrics: randomMetrics(rng)}
+		maps = append(maps, m)
+		src.Store().Add(vectorOf(t, m))
+	}
+	section := saved(t, src)
+	if want := mapEncodeStore(maps); !bytes.Equal(section, want) {
+		t.Fatal("the section of packed vectors differs from the map encoder's")
+	}
+	got, want := storeOf(t, section).Store().Samples("w"), src.Store().Samples("w")
+	for i := range want {
+		g, w := got[i].Metrics, want[i].Metrics
+		same := g.Set == w.Set && g.NZ == w.NZ && len(g.Vals) == len(w.Vals) && (g.Vals == nil) == (w.Vals == nil)
+		for j := 0; same && j < len(w.Vals); j++ {
+			same = math.Float64bits(g.Vals[j]) == math.Float64bits(w.Vals[j])
+		}
+		if !same {
+			t.Fatalf("sample %d restored metrics %+v, want %+v", i, g, w)
 		}
 	}
 }

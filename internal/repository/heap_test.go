@@ -3,6 +3,7 @@ package repository
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -51,10 +52,10 @@ func agentShapedSamples(t testing.TB, n int) []tuner.Sample {
 	return out
 }
 
-// TestStoreSectionAllocations: Save encodes the store section from the
-// store itself into one buffer sized up front, so it allocates little
-// beyond the section's own bytes: no copy of the samples, and no second
-// copy of the section.
+// TestStoreSectionAllocations: the store section is planned from the
+// store and then encoded from it as it is written, through a small
+// buffer, so staging and writing it allocates a sliver of its length:
+// no copy of the samples, and no copy of the section.
 func TestStoreSectionAllocations(t *testing.T) {
 	r := New()
 	for _, s := range agentShapedSamples(t, 10_000) {
@@ -63,15 +64,57 @@ func TestStoreSectionAllocations(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
-	section, err := r.Save()
+	sec, err := r.StageStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := sec.WriteTo(io.Discard)
 	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(section))
-	t.Logf("a %d-byte section allocated %.2f× its length", len(section), ratio)
-	if ratio > 1.25 {
-		t.Fatalf("encoding a %d-byte store section allocated %.2f× its length, want at most 1.25×", len(section), ratio)
+	if n != sec.Len() {
+		t.Fatalf("wrote %d bytes of a %d-byte section", n, sec.Len())
+	}
+	ratio := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
+	t.Logf("a %d-byte section allocated %.3f× its length", n, ratio)
+	if ratio > 0.05 {
+		t.Fatalf("staging and writing a %d-byte store section allocated %.3f× its length, want at most 0.05×", n, ratio)
+	}
+}
+
+// TestLoadQuietAllocatesWhatItKeeps: a restore decodes the section in
+// place into chunks the store then keeps, so it allocates little more
+// than the heap the restored store holds: no copy of the section, no
+// intermediate slice of samples, and no chunk that growth discards.
+func TestLoadQuietAllocatesWhatItKeeps(t *testing.T) {
+	const n = 10_000
+	src := New()
+	for _, s := range agentShapedSamples(t, n) {
+		src.Store().Add(s)
+	}
+	section := saved(t, src)
+	src = nil
+	var m0, m1, m2 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	restored := New()
+	if _, err := restored.LoadQuiet(section); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	runtime.GC()
+	runtime.ReadMemStats(&m2)
+	runtime.KeepAlive(section)
+	if restored.Len() != n {
+		t.Fatalf("restored %d samples, want %d", restored.Len(), n)
+	}
+	allocated := float64(m1.TotalAlloc - m0.TotalAlloc)
+	kept := float64(m2.HeapAlloc) - float64(m0.HeapAlloc)
+	runtime.KeepAlive(restored)
+	t.Logf("loading %d samples allocated %.0f B and kept %.0f B (%.2f×)", n, allocated, kept, allocated/kept)
+	if !(allocated <= 1.25*kept) {
+		t.Fatalf("loading %d samples allocated %.0f B for the %.0f B the store keeps (%.2f×), want at most 1.25×", n, allocated, kept, allocated/kept)
 	}
 }
 
@@ -97,7 +140,7 @@ func TestRestoredStoreHeapMatchesLive(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&m2)
 	restored := New()
-	if _, err := restored.LoadQuiet(bytes.NewReader(section)); err != nil {
+	if _, err := restored.LoadQuiet(section); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()

@@ -6,8 +6,8 @@
 // in-process API; package httpapi serves the same API over HTTP.
 // The repository's store is the one copy of the sample history: a
 // subscribed tuner that trains on samples (bo.Tuner) reads them from
-// it, and keeps only what it derives from their delivery. Save and
-// LoadQuiet carry it through snapshots in a binary, catalogue-ordered
+// it, and keeps only what it derives from their delivery. StageStore
+// and LoadQuiet carry it through snapshots in a binary, catalogue-ordered
 // codec (codec.go) that names each knob and metric once per engine.
 //
 // Tuner fan-out is synchronous: Observe stores the sample and delivers
@@ -28,7 +28,6 @@ package repository
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sync"
 
 	"autodbaas/internal/obs"
@@ -321,14 +320,26 @@ func (r *Repository) Store() *tuner.Store { return r.store }
 // Len returns the number of stored samples.
 func (r *Repository) Len() int { return r.store.Len() }
 
-// Save returns every stored sample in the binary store codec (codec.go),
-// the repository's durable form — the central data repository survives
-// tuner-instance restarts so "tuning services running on different
-// IaaS'es fetch the new workloads" from one durable store. Any float
-// value, NaN and ±Inf included, round-trips bit for bit. The section is
-// encoded straight from the store, under its read lock, into one buffer
-// sized up front; no Add may run meanwhile (a snapshot holds the step
-// lock with the fan-out flushed).
+// StageStore plans the store section, the repository's durable form —
+// the central data repository survives tuner-instance restarts so
+// "tuning services running on different IaaS'es fetch the new
+// workloads" from one durable store — in the binary store codec
+// (codec.go). Any float value, NaN and ±Inf included, round-trips bit
+// for bit. The plan visits the store once and keeps no sample; the
+// section's WriteTo encodes them from the store, under its read lock,
+// as it writes. No Add may run between the two (a snapshot holds the
+// step lock with the fan-out flushed); a write that finds the store
+// grown fails.
+func (r *Repository) StageStore() (*StoreSection, error) {
+	p, err := planStore(r.store.Range)
+	if err != nil {
+		return nil, fmt.Errorf("repository: save: %w", err)
+	}
+	return p, nil
+}
+
+// Save returns the store section (see StageStore) as one slice of its
+// exact length.
 func (r *Repository) Save() ([]byte, error) {
 	b, err := encodeStore(r.store.Range)
 	if err != nil {
@@ -342,34 +353,20 @@ func (r *Repository) Save() ([]byte, error) {
 // numbers. This is the checkpoint-restore ingestion path: subscriber
 // (tuner) state is restored from its own snapshot section, so
 // re-delivering the stored samples would feed every tuner each sample a
-// second time. It reads Save's binary codec; a section without its
-// magic is rejected. The whole section decodes before the first sample
-// is stored, so on error the store is unchanged.
-func (r *Repository) LoadQuiet(rd io.Reader) (int, error) {
-	data, err := readSection(rd)
-	if err != nil {
-		return 0, fmt.Errorf("repository: load: %w", err)
-	}
+// second time. It reads the codec's binary section in place; a section
+// without its magic is rejected. The samples decode into chunks of
+// their own, which join the store under its lock only once the whole
+// section has decoded, so on error the store is unchanged. The store
+// keeps no reference to data.
+func (r *Repository) LoadQuiet(data []byte) (int, error) {
 	if !bytes.HasPrefix(data, []byte(storeMagic)) {
 		return 0, fmt.Errorf("repository: load: section does not open with the store magic %q", storeMagic)
 	}
-	samples, err := decodeStore(data)
+	fresh := tuner.NewStore()
+	n, err := decodeStore(data, fresh.Add)
 	if err != nil {
 		return 0, fmt.Errorf("repository: load: %w", err)
 	}
-	for _, s := range samples {
-		r.store.Add(s)
-	}
-	return len(samples), nil
-}
-
-// readSection reads all of rd, in one allocation when rd knows how many
-// bytes it holds (a bytes.Reader over a snapshot section does).
-func readSection(rd io.Reader) ([]byte, error) {
-	if l, ok := rd.(interface{ Len() int }); ok {
-		data := make([]byte, l.Len())
-		_, err := io.ReadFull(rd, data)
-		return data, err
-	}
-	return io.ReadAll(rd)
+	r.store.Absorb(fresh)
+	return n, nil
 }

@@ -1,8 +1,6 @@
 package repository
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"autodbaas/internal/knobs"
@@ -78,7 +76,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := New()
-	n, err := dst.LoadQuiet(bytes.NewReader(section))
+	n, err := dst.LoadQuiet(section)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +94,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadRejectsGarbage(t *testing.T) {
 	r := New()
-	if _, err := r.LoadQuiet(strings.NewReader("not json at all")); err == nil {
+	if _, err := r.LoadQuiet([]byte("not json at all")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -117,7 +115,7 @@ func TestLoadQuietSkipsFanOut(t *testing.T) {
 	quiet := New()
 	qsub := &countingTuner{engine: knobs.Postgres}
 	quiet.Subscribe(qsub)
-	n, err := quiet.LoadQuiet(bytes.NewReader(section))
+	n, err := quiet.LoadQuiet(section)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,7 +248,11 @@ func (l *Local) Checkpoint() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.Bytes(), nil
+	b, err := c.Bytes()
+	if err != nil {
+		return nil, fmt.Errorf("shard %s: %w", l.cfg.Name, err)
+	}
+	return b, nil
 }
 
 // snapshot stages the shard's container without joining it — what the

@@ -174,7 +174,7 @@ func TestLocalRestoreRejectsForeignSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Restore(foreign.Bytes()); !errors.Is(err, checkpoint.ErrManifest) {
+	if err := l.Restore(mustBytes(t, foreign)); !errors.Is(err, checkpoint.ErrManifest) {
 		t.Fatalf("err = %v, want ErrManifest", err)
 	}
 	// Bit rot inside the snapshot is caught by the container CRC.
@@ -314,7 +314,7 @@ func TestLocalFailedRestoreKeepsTunersBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tried.Restore(broken.Bytes()); !errors.Is(err, checkpoint.ErrManifest) {
+	if err := tried.Restore(mustBytes(t, broken)); !errors.Is(err, checkpoint.ErrManifest) {
 		t.Fatalf("restore without the director section: err = %v, want ErrManifest", err)
 	}
 	stepN(t, tried, 3)
@@ -325,4 +325,14 @@ func TestLocalFailedRestoreKeepsTunersBound(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("failed restore changed the live shard:\n  want: %+v\n  got:  %+v", want, got)
 	}
+}
+
+// mustBytes writes a staged container into one slice.
+func mustBytes(t testing.TB, c *checkpoint.Container) []byte {
+	t.Helper()
+	b, err := c.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -108,7 +108,7 @@ func TestRestoreIgnoresFitCacheFields(t *testing.T) {
 			t.Fatalf("decode: %v", err)
 		}
 		tn, repo := newBound(t, opts)
-		if _, err := repo.LoadQuiet(bytes.NewReader(store)); err != nil {
+		if _, err := repo.LoadQuiet(store); err != nil {
 			t.Fatal(err)
 		}
 		if err := tn.RestoreCheckpointState(st); err != nil {

@@ -206,32 +206,92 @@ var ErrNotTrained = errors.New("tuner: not trained yet")
 // the central data repository. It is safe for concurrent use. A stored
 // sample, its vectors included, is never modified, so View can hand out
 // pointers to it and copies of it may share its vectors.
+//
+// Each workload keeps its samples in chunks of chunkLen that are
+// allocated full size and never move: growth copies no sample and
+// leaves no old array behind, a View pointer stays valid for the life
+// of the store, and a workload's slack is at most one chunk.
 type Store struct {
 	mu      sync.RWMutex
-	samples map[string][]Sample
+	samples map[string]*series
 	order   []string
+	n       int
 	// unordered marks workloads with a sample added before an earlier
 	// one's At; View caps only workloads absent from it.
 	unordered map[string]bool
 }
 
+// chunkLen is the number of samples in one chunk: 15 samples of 152 B
+// fill the allocator's 2,304-byte size class to within 24 B, where 16
+// would waste 256 B of a 2,688-byte one.
+const chunkLen = 15
+
+// series is one workload's samples, in Add order.
+type series struct {
+	chunks []*[chunkLen]Sample
+	n      int
+}
+
+// at returns the i-th sample.
+func (w *series) at(i int) *Sample { return &w.chunks[i/chunkLen][i%chunkLen] }
+
+// add appends a sample, starting a chunk when the last one is full.
+func (w *series) add(sm Sample) {
+	if w.n%chunkLen == 0 {
+		w.chunks = append(w.chunks, new([chunkLen]Sample))
+	}
+	*w.at(w.n) = sm
+	w.n++
+}
+
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{samples: make(map[string][]Sample), unordered: make(map[string]bool)}
+	return &Store{samples: make(map[string]*series), unordered: make(map[string]bool)}
 }
 
 // Add appends a sample to its workload.
 func (s *Store) Add(sm Sample) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prev, ok := s.samples[sm.WorkloadID]
+	s.addLocked(sm)
+}
+
+func (s *Store) addLocked(sm Sample) {
+	w, ok := s.samples[sm.WorkloadID]
 	if !ok {
+		w = &series{}
+		s.samples[sm.WorkloadID] = w
 		s.order = append(s.order, sm.WorkloadID)
 	}
-	if len(prev) > 0 && sm.At.Before(prev[len(prev)-1].At) {
+	if w.n > 0 && sm.At.Before(w.at(w.n-1).At) {
 		s.unordered[sm.WorkloadID] = true
 	}
-	s.samples[sm.WorkloadID] = append(prev, sm)
+	w.add(sm)
+	s.n++
+}
+
+// Absorb moves every sample of from into s, as if each were Added in
+// from's store order, under s's lock: a reader of s sees all of them or
+// none. A workload s lacks takes from's chunks as they are; from must
+// not be used afterwards.
+func (s *Store) Absorb(from *Store) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range from.order {
+		w := from.samples[id]
+		if _, ok := s.samples[id]; ok {
+			for i := 0; i < w.n; i++ {
+				s.addLocked(*w.at(i))
+			}
+			continue
+		}
+		s.samples[id] = w
+		s.order = append(s.order, id)
+		s.n += w.n
+		if from.unordered[id] {
+			s.unordered[id] = true
+		}
+	}
 }
 
 // View appends to dst pointers to the workload's samples of engine, in
@@ -240,24 +300,27 @@ func (s *Store) Add(sm Sample) {
 // engine: it does so only when they were added in At order, so that no
 // earlier one can be among the max latest (by At, ties by position) of
 // any sample set this view is part of. The pointers stay valid and
-// safe to read while later Adds append.
+// point at the same samples while later Adds append.
 func (s *Store) View(dst []*Sample, workloadID string, engine knobs.Engine, max int) []*Sample {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	src := s.samples[workloadID]
-	if max <= 0 || s.unordered[workloadID] {
-		max = len(src)
+	w := s.samples[workloadID]
+	if w == nil {
+		return dst
 	}
-	start, n := len(src), 0
+	if max <= 0 || s.unordered[workloadID] {
+		max = w.n
+	}
+	start, n := w.n, 0
 	for start > 0 && n < max {
 		start--
-		if src[start].Engine == engine {
+		if w.at(start).Engine == engine {
 			n++
 		}
 	}
-	for i := start; i < len(src); i++ {
-		if src[i].Engine == engine {
-			dst = append(dst, &src[i])
+	for i := start; i < w.n; i++ {
+		if sm := w.at(i); sm.Engine == engine {
+			dst = append(dst, sm)
 		}
 	}
 	return dst
@@ -274,9 +337,14 @@ func (s *Store) Workloads() []string {
 func (s *Store) Samples(workloadID string) []Sample {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	src := s.samples[workloadID]
-	out := make([]Sample, len(src))
-	copy(out, src)
+	w := s.samples[workloadID]
+	if w == nil {
+		return []Sample{}
+	}
+	out := make([]Sample, 0, w.n)
+	for i := 0; i < w.n; i++ {
+		out = append(out, *w.at(i))
+	}
 	return out
 }
 
@@ -288,9 +356,9 @@ func (s *Store) Range(fn func(*Sample)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, id := range s.order {
-		src := s.samples[id]
-		for i := range src {
-			fn(&src[i])
+		w := s.samples[id]
+		for i := 0; i < w.n; i++ {
+			fn(w.at(i))
 		}
 	}
 }
@@ -299,9 +367,5 @@ func (s *Store) Range(fn func(*Sample)) {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var n int
-	for _, v := range s.samples {
-		n += len(v)
-	}
-	return n
+	return s.n
 }

@@ -99,7 +99,7 @@ func TestStoreViewCapsOnlyOrderedWorkloads(t *testing.T) {
 	if got := viewObjectives(s.View(dst, "w", knobs.MySQL, 1)); !reflect.DeepEqual(got, []float64{-1, 5}) {
 		t.Fatalf("view appended to dst = %v", got)
 	}
-	if v := s.View(nil, "w", knobs.Postgres, 1); v[0] != &s.samples["w"][4] {
+	if v := s.View(nil, "w", knobs.Postgres, 1); v[0] != s.samples["w"].at(4) {
 		t.Fatal("view copied the sample instead of pointing at the stored one")
 	}
 	s.Add(Sample{WorkloadID: "w", Engine: knobs.Postgres, Objective: 6, At: base})
@@ -108,5 +108,27 @@ func TestStoreViewCapsOnlyOrderedWorkloads(t *testing.T) {
 	}
 	if got := s.View(nil, "none", knobs.Postgres, 2); len(got) != 0 {
 		t.Fatalf("missing workload viewed as %v", got)
+	}
+}
+
+// TestStoreViewPointersNeverMove: a View pointer taken before many
+// Adds to the same workload, and to others, still points at the same
+// sample, at the same address, afterwards: chunks are never
+// reallocated.
+func TestStoreViewPointersNeverMove(t *testing.T) {
+	s := NewStore()
+	s.Add(Sample{WorkloadID: "w", Engine: knobs.Postgres, Objective: -1})
+	before := s.View(nil, "w", knobs.Postgres, 0)[0]
+	for i := 0; i < 1000; i++ {
+		s.Add(Sample{WorkloadID: []string{"w", "x"}[i%2], Engine: knobs.Postgres, Objective: float64(i)})
+	}
+	after := s.View(nil, "w", knobs.Postgres, 0)
+	if len(after) != 501 || after[0] != before || before.Objective != -1 {
+		t.Fatalf("after 1000 Adds the first sample is at %p (objective %v), was %p; view holds %d", after[0], after[0].Objective, before, len(after))
+	}
+	for i, sm := range after[1:] {
+		if sm.Objective != float64(2*i) {
+			t.Fatalf("view[%d] has objective %v, want %v", i+1, sm.Objective, 2*i)
+		}
 	}
 }
