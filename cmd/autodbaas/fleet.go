@@ -9,29 +9,12 @@ import (
 	"strings"
 	"time"
 
-	"autodbaas/internal/faults"
 	"autodbaas/internal/fleet"
 	"autodbaas/internal/httpapi"
-	"autodbaas/internal/knobs"
 	"autodbaas/internal/safety"
 	"autodbaas/internal/shard"
 	"autodbaas/internal/tenant"
-	"autodbaas/internal/tuner"
-	"autodbaas/internal/tuner/bo"
 )
-
-// buildTuners constructs the shared BO tuner fleet.
-func buildTuners(n int, seed int64) ([]tuner.Tuner, error) {
-	tuners := make([]tuner.Tuner, 0, n)
-	for i := 0; i < n; i++ {
-		t, err := bo.New(bo.Options{Engine: knobs.Postgres, Candidates: 200, MaxSamplesPerFit: 150, UCBBeta: 0.5, Seed: seed + int64(i)})
-		if err != nil {
-			return nil, err
-		}
-		tuners = append(tuners, t)
-	}
-	return tuners, nil
-}
 
 // safetyOpts returns the gate options implied by -safety (nil when off).
 func safetyOpts(c cliConfig) *safety.Options {
@@ -40,21 +23,6 @@ func safetyOpts(c cliConfig) *safety.Options {
 	}
 	o := safety.DefaultOptions()
 	return &o
-}
-
-// buildInjector constructs the fault injector, or nil with no profile.
-func buildInjector(profile string, faultSeed, seed int64) (*faults.Injector, error) {
-	if profile == "" {
-		return nil, nil
-	}
-	prof, err := faults.ParseProfile(profile)
-	if err != nil {
-		return nil, err
-	}
-	if faultSeed == 0 {
-		faultSeed = seed
-	}
-	return faults.New(faultSeed, prof), nil
 }
 
 // seedBlueprints are the postgres templates the -fleet bootstrap cycles
@@ -81,18 +49,24 @@ func seedFleet(svc *fleet.Service, n int) error {
 	return nil
 }
 
-// shardConfig derives one shard's config from the command line. Seeds
-// are spread per shard so the shards simulate decorrelated streams,
+// shardConfig derives one shard's config from the command line: the
+// -tuners BO pool, the -faults profile and the -safety gate. The default
+// layout's lone shard (idx < 0) runs on -seed itself. The shards of a
+// multi-shard layout spread it so they simulate decorrelated streams,
 // yet the whole layout stays a pure function of (flags, shard index) —
 // the determinism contract for multi-process runs.
 func shardConfig(name string, idx int, c cliConfig) shard.Config {
+	seed, tunerSeed := c.Seed, c.Seed
+	if idx >= 0 {
+		seed, tunerSeed = c.Seed+int64(idx+1)*1_000_003, c.Seed+int64(idx+1)*7
+	}
 	return shard.Config{
 		Name:        name,
-		Seed:        c.Seed + int64(idx+1)*1_000_003,
+		Seed:        seed,
 		Parallelism: c.Parallelism,
 		Tuner: shard.TunerConfig{
 			Count:            c.Tuners,
-			Seed:             c.Seed + int64(idx+1)*7,
+			Seed:             tunerSeed,
 			Engine:           "postgres",
 			Candidates:       200,
 			MaxSamplesPerFit: 150,
@@ -139,13 +113,13 @@ func buildShardHosts(c cliConfig) ([]shard.Shard, error) {
 }
 
 // fleetConfig assembles the fleet service's config from the command
-// line: the default layout is one in-process shard built from -tuners,
-// -faults and -safety; -shards splits the fleet across in-process
-// shards, and -shard-map dials one worker process per shard. -periodic
-// switches every catalogue blueprint to the periodic baseline, which
-// the agent config of every layout carries.
+// line. Every layout is built from shard configs: the default is one
+// in-process shard named fleet.LocalShard, -shards splits the fleet
+// across in-process shards, and -shard-map dials one worker process per
+// shard. -periodic switches every catalogue blueprint to the periodic
+// baseline, which the agent config of every layout carries.
 func fleetConfig(c cliConfig) (fleet.Config, error) {
-	fcfg := fleet.Config{Seed: c.Seed, Parallelism: c.Parallelism, Safety: safetyOpts(c)}
+	fcfg := fleet.Config{Seed: c.Seed}
 	if c.Periodic {
 		fcfg.Blueprints = tenant.DefaultBlueprints()
 		for name, bp := range fcfg.Blueprints {
@@ -165,16 +139,7 @@ func fleetConfig(c cliConfig) (fleet.Config, error) {
 			fcfg.Shards = append(fcfg.Shards, shardConfig(fmt.Sprintf("s%d", i), i, c))
 		}
 	default:
-		tuners, err := buildTuners(c.Tuners, c.Seed)
-		if err != nil {
-			return fleet.Config{}, err
-		}
-		injector, err := buildInjector(c.FaultsProfile, c.FaultSeed, c.Seed)
-		if err != nil {
-			return fleet.Config{}, err
-		}
-		fcfg.Faults = injector
-		fcfg.Tuners = tuners
+		fcfg.Shards = []shard.Config{shardConfig(fleet.LocalShard, -1, c)}
 	}
 	return fcfg, nil
 }
@@ -219,14 +184,6 @@ func runFleet(ctx context.Context, c cliConfig, l net.Listener) error {
 		mux.Handle("/v1/checkpoint", ckptSrv)
 		mux.Handle("/v1/checkpoint/latest", ckptSrv)
 	}
-	// The director and repository endpoints expose one deployment's
-	// internals; a multi-shard fleet has one per shard, so only the
-	// default one-shard layout serves them. Fetched after any resume,
-	// which rebuilds the deployment.
-	if sys := svc.System(); sys != nil {
-		mux.Handle("/director/", http.StripPrefix("/director", httpapi.NewDirectorServer(sys.Director)))
-		mux.Handle("/repository/", http.StripPrefix("/repository", httpapi.NewRepositoryServer(sys.Repository)))
-	}
 	obsHandler := httpapi.NewObsHandler(nil, nil)
 	mux.Handle("/metrics", obsHandler)
 	mux.Handle("/metrics.json", obsHandler)
@@ -243,7 +200,7 @@ func runFleet(ctx context.Context, c cliConfig, l net.Listener) error {
 			fmt.Fprintf(os.Stderr, "autodbaas: http: %v\n", err)
 		}
 	}()
-	fmt.Printf("fleet service on http://%s  (/v1/tenants, /v1/fleet, /v1/tiers, /v1/blueprints, /metrics, /debug/; /director/ and /repository/ on one shard)\n", l.Addr())
+	fmt.Printf("fleet service on http://%s  (/v1/tenants, /v1/fleet, /v1/tiers, /v1/blueprints, /metrics, /debug/)\n", l.Addr())
 	if c.FaultsProfile != "" {
 		fmt.Printf("fault injection: profile=%s\n", c.FaultsProfile)
 	}

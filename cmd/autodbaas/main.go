@@ -3,8 +3,8 @@
 // on-VM tuning agents, a config director load-balancing across BO tuner
 // instances, the Data Federation Agent, the service orchestrator with
 // its reconciler, and the central data repository — all behind one
-// fleet service whose REST control plane, director, repository and
-// snapshots are served over HTTP while the fleet runs.
+// fleet service whose REST control plane, snapshots and metrics are
+// served over HTTP while the fleet runs.
 //
 // Usage:
 //
@@ -29,7 +29,7 @@ import (
 func main() {
 	fleetN := flag.Int("fleet", 8, "bootstrap databases on the fleet service (0 starts empty)")
 	hours := flag.Int("hours", 24, "simulated hours to run (0: until interrupted)")
-	listen := flag.String("listen", "127.0.0.1:8080", "HTTP listen address (tenant API, director, repository, metrics); under -worker the shard RPC address")
+	listen := flag.String("listen", "127.0.0.1:8080", "HTTP listen address (tenant API, snapshots, metrics); under -worker the shard RPC address")
 	tuners := flag.Int("tuners", 3, "tuner instances behind the director")
 	periodic := flag.Bool("periodic", false, "use the periodic baseline instead of TDE-driven requests on every blueprint")
 	seed := flag.Int64("seed", 1, "PRNG seed")

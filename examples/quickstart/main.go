@@ -11,12 +11,10 @@ import (
 	"log"
 	"time"
 
-	"autodbaas/internal/agent"
-	"autodbaas/internal/cluster"
-	"autodbaas/internal/core"
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/shard"
+	"autodbaas/internal/tenant"
 	"autodbaas/internal/tuner/bo"
-	"autodbaas/internal/workload"
 )
 
 func main() {
@@ -29,9 +27,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. The AutoDBaaS control plane: orchestrator, DFA, director,
-	//    central data repository, all wired per Figure 1 of the paper.
-	sys, err := core.NewSystem(tn)
+	// 2. The AutoDBaaS control plane — orchestrator, DFA, director,
+	//    central data repository, all wired per Figure 1 of the paper —
+	//    as one in-process shard, the unit every fleet is built from.
+	l, err := shard.NewLocalWith(shard.Config{Name: "quickstart"}, nil, tn)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,19 +40,15 @@ func main() {
 	//    aggregations, index DDL, temp-table analytics — on an m4.xlarge.
 	//    Under the default 4 MB work_mem every one of those spills to
 	//    disk, so the database runs far below its potential.
-	gen := workload.NewAdulteratedTPCC(21*workload.GiB, 3000, 0.05)
-	a, err := sys.AddInstance(core.InstanceSpec{
-		Provision: cluster.ProvisionSpec{
-			ID:          "customer-db",
-			Plan:        "m4.xlarge",
-			Engine:      knobs.Postgres,
-			DBSizeBytes: gen.DBSizeBytes(),
-			Seed:        42,
-		},
-		Workload: gen,
-		Agent: agent.Options{
-			TickEvery:   5 * time.Minute, // TDE cadence
-			GateSamples: true,            // only high-quality samples train the tuner
+	err = l.AddInstance(shard.InstanceSpec{
+		ID:       "customer-db",
+		Plan:     "m4.xlarge",
+		Engine:   "postgres",
+		Seed:     42,
+		Workload: tenant.WorkloadSpec{Class: "adulterated-tpcc", SizeGiB: 21, Rate: 3000, Mix: 0.05},
+		Agent: shard.AgentConfig{
+			TickEveryMin: 5,    // TDE cadence
+			GateSamples:  true, // only high-quality samples train the tuner
 		},
 	})
 	if err != nil {
@@ -62,6 +57,9 @@ func main() {
 
 	// 4. Run six simulated hours; the TDE raises throttles, the director
 	//    asks the tuner, the DFA applies recommendations slave-first.
+	//    Stepping the shard's system directly exposes each window's
+	//    throughput and latency, which the shard's step digest omits.
+	sys := l.System()
 	fmt.Println("hour  throughput(qps)  avg-latency(ms)  throttles  tuning-reqs")
 	for h := 0; h < 6; h++ {
 		var qps, lat float64
@@ -72,11 +70,15 @@ func main() {
 			lat += res.Windows["customer-db"].AvgServiceMs
 			throttles += res.Throttles
 		}
-		reqs, _, _, _ := sys.Director.Counters()
-		fmt.Printf("%4d  %15.1f  %15.1f  %9d  %11d\n", h, qps/12, lat/12, throttles, reqs)
+		k, err := l.Counters()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%4d  %15.1f  %15.1f  %9d  %11d\n", h, qps/12, lat/12, throttles, k.TuningRequests)
 	}
 
 	// 5. Inspect what the tuner changed.
+	a, _ := sys.Agent("customer-db")
 	final := a.Instance().Replica.Master().Config()
 	fmt.Println("\nfinal knob values (changed from defaults):")
 	kcat := knobs.PostgresCatalog()

@@ -114,11 +114,13 @@ func buildCkptFleetOf(t *testing.T, parallelism int, in *faults.Injector, n int)
 	return s
 }
 
-// stepN advances n five-minute windows.
-func stepN(s *System, n int) {
+// stepN advances n five-minute windows and returns their throttles.
+func stepN(s *System, n int) int {
+	throttles := 0
 	for i := 0; i < n; i++ {
-		s.Step(5 * time.Minute)
+		throttles += s.Step(5 * time.Minute).Throttles
 	}
+	return throttles
 }
 
 // TestCheckpointResumeEquivalence is the subsystem's hard guarantee:

@@ -584,16 +584,6 @@ func runWindowLocal(sa stepAgent, dur time.Duration) agent.WindowOutcome {
 	return sa.a.RunWindowLocal(dur)
 }
 
-// RunFor steps the system with the given window until total has elapsed,
-// returning the aggregate throttle count.
-func (s *System) RunFor(total, window time.Duration) int {
-	var throttles int
-	for elapsed := time.Duration(0); elapsed < total; elapsed += window {
-		throttles += s.Step(window).Throttles
-	}
-	return throttles
-}
-
 // MaintenanceWindow runs the scheduled-downtime logic on one instance.
 func (s *System) MaintenanceWindow(id string) error {
 	return s.Director.MaintenanceWindowByID(id)

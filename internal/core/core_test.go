@@ -96,7 +96,7 @@ func TestStepDrivesThrottlesSamplesAndMonitoring(t *testing.T) {
 	if m.Series("disk_latency_ms").Len() != 8 {
 		t.Fatalf("monitoring series has %d points", m.Series("disk_latency_ms").Len())
 	}
-	if s.Director.TuningRequests() == 0 {
+	if requests, _, _, _ := s.Director.Counters(); requests == 0 {
 		t.Fatal("throttles did not become tuning requests")
 	}
 }
@@ -106,7 +106,7 @@ func TestRecommendationsEventuallyApplied(t *testing.T) {
 	a := addTPCC(t, s, "db-1", true)
 	before := a.Instance().Replica.Master().Config()
 	// Enough steps for the tuner to accumulate ≥4 samples and recommend.
-	s.RunFor(3*time.Hour, 5*time.Minute)
+	stepN(s, 36)
 	if s.DFA.Applied() == 0 {
 		t.Fatal("no recommendation was ever applied")
 	}
@@ -120,7 +120,7 @@ func TestMaintenanceWindowViaSystem(t *testing.T) {
 	s := newSystem(t)
 	s.Step(5 * time.Minute) // no instances yet: no-op
 	addTPCC(t, s, "db-1", true)
-	s.RunFor(time.Hour, 5*time.Minute)
+	stepN(s, 12)
 	if err := s.MaintenanceWindow("db-1"); err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func TestRedeployKeepsTunedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.RunFor(2*time.Hour, 5*time.Minute)
+	stepN(sys, 24)
 	if sys.DFA.Applied() == 0 {
 		t.Skip("no recommendation landed in 2h — nothing to verify")
 	}

@@ -66,7 +66,7 @@ func runFleetWith(t *testing.T, parallelism int, in *faults.Injector) fleetFinge
 		}
 	}
 	fp := fleetFingerprint{
-		Throttles:     s.RunFor(2*time.Hour, 5*time.Minute),
+		Throttles:     stepN(s, 24),
 		Samples:       s.Repository.Len(),
 		MonitorPoints: make(map[string]int),
 		Configs:       make(map[string]knobs.Config),

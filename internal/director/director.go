@@ -50,7 +50,7 @@ type Director struct {
 	shards  map[string]*instShard
 
 	// Fleet-wide counters: the atomics are the single source of truth
-	// for the Counters()/TuningRequests() accessors; the obs handles in
+	// for the Counters() accessor; the obs handles in
 	// m mirror them into the process-wide metrics registry.
 	tuningRequests  atomic.Int64
 	planUpgrades    atomic.Int64
@@ -203,12 +203,6 @@ func (d *Director) SafetyObserve(inst *cluster.Instance, stats simdb.WindowStats
 		d.m.applyFailures.Inc()
 	}
 	d.breakerFailure(st, vnow)
-}
-
-// TuningRequests returns how many tuning requests have been received —
-// the scalability metric of Fig. 9.
-func (d *Director) TuningRequests() int {
-	return int(d.tuningRequests.Load())
 }
 
 // pickTuner round-robins across the tuner pool (the director "performs

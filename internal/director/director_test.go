@@ -130,7 +130,7 @@ func TestNotTrainedPropagates(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// The request is still counted (Fig. 9 counts requests, not successes).
-	if dir.TuningRequests() != 1 {
+	if requests, _, _, _ := dir.Counters(); requests != 1 {
 		t.Fatal("request not counted")
 	}
 }

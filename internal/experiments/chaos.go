@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
-	"autodbaas/internal/agent"
-	"autodbaas/internal/cluster"
-	"autodbaas/internal/core"
 	"autodbaas/internal/faults"
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/shard"
+	"autodbaas/internal/tenant"
 	"autodbaas/internal/tuner/bo"
-	"autodbaas/internal/workload"
 )
 
 // ChaosResult reports a chaos soak: the same fleet run clean and under a
@@ -58,73 +55,65 @@ func ChaosSoak(fleet, hours, parallelism int, seed int64, profile string) ChaosR
 	res.CleanThrottles, _, _ = chaosRun(fleet, hours, parallelism, seed, nil)
 
 	in := faults.New(seed, prof)
-	faultThrottles, sys, down := chaosRun(fleet, hours, parallelism, seed, in)
+	faultThrottles, d, down := chaosRun(fleet, hours, parallelism, seed, in)
 	res.FaultThrottles = faultThrottles
 	res.Injected = in.Counts()
 	res.Total = in.InjectedTotal()
-	res.Retries = sys.Orchestrator.Retries()
-	res.Escalations = sys.Orchestrator.Escalations()
+	k := d.counters()
+	res.Retries, res.Escalations = k.Retries, k.Escalations
+	res.Trips, res.Skips = k.CircuitTrips, k.CircuitSkips
+	// The shard's counters carry no reconcile or fan-out fault totals.
+	sys := d.System()
 	res.Reconciles = sys.Orchestrator.Reconciliations()
-	res.Trips = sys.Director.CircuitTrips()
-	res.Skips = sys.Director.CircuitSkips()
 	res.Redelivered, res.Deduped, res.Reordered = sys.Repository.FaultStats()
 	res.DownNodes = down
 	return res
 }
 
-// chaosRun executes one fleet soak and returns (throttles, system,
+// chaosRun executes one fleet soak and returns (throttles, deployment,
 // nodes still down after the quiesce phase).
-func chaosRun(fleet, hours, parallelism int, seed int64, in *faults.Injector) (int, *core.System, int) {
+func chaosRun(fleet, hours, parallelism int, seed int64, in *faults.Injector) (int, deployment, int) {
 	bt, err := bo.New(bo.Options{Engine: knobs.Postgres, Candidates: 60, MaxSamplesPerFit: 60, UCBBeta: 0.5, Seed: seed})
 	if err != nil {
 		panic(fmt.Sprintf("chaos: %v", err))
 	}
-	sys, err := core.NewSystemWithOptions(core.Options{Parallelism: parallelism, Faults: in}, bt)
-	if err != nil {
-		panic(fmt.Sprintf("chaos: %v", err))
-	}
+	d := newDeployment("chaos", shard.Config{Parallelism: parallelism}, in, bt)
 	plans := []string{"t2.medium", "m4.large", "t2.large", "m4.xlarge"}
 	for i := 0; i < fleet; i++ {
-		gen := chaosWorkload(i)
-		if _, err := sys.AddInstance(core.InstanceSpec{
-			Provision: cluster.ProvisionSpec{
-				ID:          fmt.Sprintf("db-%03d", i),
-				Plan:        plans[i%len(plans)],
-				Engine:      knobs.Postgres,
-				DBSizeBytes: gen.DBSizeBytes(),
-				Slaves:      i % 2,
-				Seed:        seed + int64(i),
-			},
-			Workload: gen,
-			Agent:    agent.Options{TickEvery: 5 * time.Minute, GateSamples: true},
-		}); err != nil {
-			panic(fmt.Sprintf("chaos: %v", err))
-		}
+		d.add(shard.InstanceSpec{
+			ID:       fmt.Sprintf("db-%03d", i),
+			Plan:     plans[i%len(plans)],
+			Engine:   "postgres",
+			Slaves:   i % 2,
+			Seed:     seed + int64(i),
+			Workload: chaosWorkload(i),
+			Agent:    shard.AgentConfig{TickEveryMin: 5, GateSamples: true},
+		})
 	}
-	throttles := sys.RunFor(time.Duration(hours)*time.Hour, 5*time.Minute)
+	throttles := d.run(hours * 12)
 	// Quiesce: stop injecting and give the reconciler room to repair
 	// whatever chaos left behind.
 	in.Disable()
-	sys.RunFor(2*time.Hour, 5*time.Minute)
+	d.run(2 * 12)
 	down := 0
-	for _, a := range sys.Agents() {
+	for _, a := range d.System().Agents() {
 		for _, node := range a.Instance().Replica.Nodes() {
 			if node.Down() {
 				down++
 			}
 		}
 	}
-	return throttles, sys, down
+	return throttles, d, down
 }
 
-func chaosWorkload(i int) workload.Generator {
+func chaosWorkload(i int) tenant.WorkloadSpec {
 	switch i % 5 {
 	case 3:
-		return workload.NewTPCC(12*workload.GiB, 1500)
+		return tenant.WorkloadSpec{Class: "tpcc", SizeGiB: 12, Rate: 1500}
 	case 4:
-		return workload.NewYCSB(10*workload.GiB, 2000)
+		return tenant.WorkloadSpec{Class: "ycsb", SizeGiB: 10, Rate: 2000}
 	default:
-		return workload.NewProduction()
+		return tenant.WorkloadSpec{Class: "production"}
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"autodbaas/internal/agent"
-	"autodbaas/internal/cluster"
-	"autodbaas/internal/core"
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/shard"
+	"autodbaas/internal/tenant"
 	"autodbaas/internal/tuner"
 	"autodbaas/internal/tuner/bo"
 	"autodbaas/internal/tuner/rl"
@@ -76,50 +76,37 @@ func Fig13ThroughputRL(engine knobs.Engine, prodDBs, warmupHours, measureHours i
 // throughputRun builds the fleet, warms up, joins the measured DB and
 // records its hourly mean throughput.
 func throughputRun(engine knobs.Engine, tn tuner.Tuner, gated bool, prodDBs, warmupHours, measureHours int, seed int64) Series {
-	sys, err := core.NewSystem(tn)
-	if err != nil {
-		panic(fmt.Sprintf("throughput run: %v", err))
-	}
+	d := newDeployment("throughput run", shard.Config{}, nil, tn)
 	// Offline bootstrap: high-quality samples from the standard suites.
 	if _, ok := tn.(*bo.Tuner); ok {
-		bootstrapOfflineEngine(sys.Repository, engine, seed, 10)
+		bootstrapOfflineEngine(d.System().Repository, engine, seed, 10)
 	}
-	opts := agent.Options{TickEvery: 5 * time.Minute, GateSamples: gated}
+	agentCfg := shard.AgentConfig{TickEveryMin: 5, GateSamples: gated}
 	if !gated {
 		// Without the TDE the deployment follows the classic periodic
 		// request policy.
-		opts.Mode = agent.ModePeriodic
-		opts.PeriodicEvery = 10 * time.Minute
+		agentCfg = shard.AgentConfig{TickEveryMin: 5, Periodic: true, PeriodicEveryMin: 10}
 	}
-	add := func(id string, gen workload.Generator, s int64) *agent.Agent {
-		a, err := sys.AddInstance(core.InstanceSpec{
-			Provision: cluster.ProvisionSpec{
-				ID: id, Plan: "m4.large", Engine: engine,
-				DBSizeBytes: gen.DBSizeBytes(), Seed: s,
-			},
-			Workload: gen,
-			Agent:    opts,
+	add := func(id string, s int64) {
+		d.add(shard.InstanceSpec{
+			ID: id, Plan: "m4.large", Engine: string(engine), Seed: s,
+			Workload: tenant.WorkloadSpec{Class: "production"},
+			Agent:    agentCfg,
 		})
-		if err != nil {
-			panic(fmt.Sprintf("throughput run: %v", err))
-		}
-		return a
 	}
 	for i := 0; i < prodDBs; i++ {
-		add(fmt.Sprintf("prod-%02d", i), workload.NewProduction(), seed+int64(i))
+		add(fmt.Sprintf("prod-%02d", i), seed+int64(i))
 	}
-	for h := 0; h < warmupHours; h++ {
-		for w := 0; w < 12; w++ {
-			sys.Step(5 * time.Minute)
-		}
-	}
-	measured := add("measured", workload.NewProduction(), seed+999)
+	d.run(12 * warmupHours)
+	add("measured", seed+999)
+	// The step digest carries no throughput, so the measured windows
+	// step the shard's system and read it from the full result.
+	sys := d.System()
 	s := Series{}
 	for h := 0; h < measureHours; h++ {
 		var sum float64
 		for w := 0; w < 12; w++ {
-			res := sys.Step(5 * time.Minute)
-			sum += res.Windows[measured.Instance().ID].Achieved
+			sum += sys.Step(5 * time.Minute).Windows["measured"].Achieved
 		}
 		s.Points = append(s.Points, Point{X: float64(h), Y: sum / 12})
 	}

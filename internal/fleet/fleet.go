@@ -4,10 +4,11 @@
 // state (declared over the REST API) toward observed state (shard
 // membership) one virtual-time tick at a time.
 //
-// The fleet always runs on a shard.Coordinator. By default it has one
-// in-process shard (LocalShard) built from Config.Tuners, Faults,
-// Parallelism and Safety; Config.Shards and Config.ShardHosts lay it
-// out over several in-process shards or worker processes instead.
+// The fleet always runs on a shard.Coordinator, built from shard
+// configs (Config.Shards) or pre-built shards (Config.ShardHosts); a
+// shard config is the one place a tuner pool, a fault profile and a
+// safety gate are declared. Without either, the fleet is one in-process
+// shard named LocalShard around the caller's Config.Tuners.
 // Placement, stepping, status, fingerprints and snapshots take the same
 // path on every layout: a snapshot is the coordinator's container with
 // one shard container nested per shard and the fleet's control-plane
@@ -32,10 +33,7 @@ import (
 	"sync"
 	"time"
 
-	"autodbaas/internal/core"
-	"autodbaas/internal/faults"
 	"autodbaas/internal/obs"
-	"autodbaas/internal/safety"
 	"autodbaas/internal/shard"
 	"autodbaas/internal/tenant"
 	"autodbaas/internal/tuner"
@@ -58,26 +56,22 @@ var (
 type Config struct {
 	// Seed is the root of every per-instance engine seed.
 	Seed int64
-	// Parallelism is the fleet-step worker bound (0: GOMAXPROCS).
+	// Parallelism and Tuners build the fallback layout — one in-process
+	// shard named LocalShard, stepping on Parallelism workers (0:
+	// GOMAXPROCS) around the caller's tuners (len >= 1 there), with no
+	// fault injection and no safety gate. Ignored when Shards or
+	// ShardHosts are set: each shard config sets its own parallelism,
+	// tuner pool, fault profile and safety gate.
 	Parallelism int
-	// Faults optionally injects deterministic chaos (may be nil).
-	// Ignored when Shards or ShardHosts are set — each shard config
-	// names its own fault profile.
-	Faults *faults.Injector
-	// Tuners is the tuner fleet of the default layout's one in-process
-	// shard (len >= 1 there). Ignored when Shards or ShardHosts are set —
-	// each shard builds its own tuner pool from its config.
-	Tuners []tuner.Tuner
+	Tuners      []tuner.Tuner
 	// Tiers and Blueprints are the service catalogue; nil means the
 	// built-in defaults from the tenant package.
 	Tiers      map[string]tenant.Tier
 	Blueprints map[string]tenant.Blueprint
 
-	// Shards replaces the default layout — one in-process shard named
-	// LocalShard, built from Parallelism, Faults, Tuners and Safety —
-	// with one in-process shard per config. Instance placement is the
-	// coordinator's rendezvous hash; the shard map (names, in order) is
-	// part of the determinism contract.
+	// Shards lays the fleet out as one in-process shard per config.
+	// Instance placement is the coordinator's rendezvous hash; the shard
+	// map (names, in order) is part of the determinism contract.
 	Shards []shard.Config
 	// ShardHosts supplies pre-built shards instead — e.g. shard.Remote
 	// proxies to `autodbaas -worker` processes. Takes precedence over
@@ -91,16 +85,9 @@ type Config struct {
 	// every existing timeline — byte-identical. Only a fleet that is
 	// exactly one in-process shard can warm-start.
 	WarmStart *WarmStartConfig
-
-	// Safety, when non-nil, enables the safe-tuning gate on the default
-	// layout's shard (internal/safety): shadow canary evaluation, trust
-	// regions and automatic rollback in front of every tuner apply.
-	// Ignored when Shards or ShardHosts are set — put safety.Options on
-	// each shard config instead (each shard runs its own gate).
-	Safety *safety.Options
 }
 
-// LocalShard names the one in-process shard of the default layout.
+// LocalShard names the one in-process shard of a one-shard layout.
 const LocalShard = "local"
 
 // oneLocalShard reports whether the config puts the whole fleet on one
@@ -129,7 +116,7 @@ type Service struct {
 	cfg    Config
 	coord  *shard.Coordinator
 	// local is the fleet's only shard when that shard is in-process
-	// (nil otherwise): the home of System() and of warm starts.
+	// (nil otherwise): the home of warm starts.
 	local *shard.Local
 
 	// model is the desired state: tenant and database records, the
@@ -205,7 +192,7 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	if len(shards) == 0 {
-		l, err := shard.NewLocalWith(shard.Config{Name: LocalShard, Parallelism: cfg.Parallelism, Safety: cfg.Safety}, cfg.Faults, cfg.Tuners...)
+		l, err := shard.NewLocalWith(shard.Config{Name: LocalShard, Parallelism: cfg.Parallelism}, nil, cfg.Tuners...)
 		if err != nil {
 			return nil, err
 		}
@@ -226,18 +213,6 @@ func New(cfg Config) (*Service, error) {
 		s.local, _ = shards[0].(*shard.Local)
 	}
 	return s, nil
-}
-
-// System exposes the deployment of the fleet's one in-process shard —
-// for mounting its HTTP surfaces and for tests. Nil when the fleet has
-// several shards or a remote one (there is no single System); use
-// Coordinator then. A restore swaps the System, so fetch it afterwards.
-// Mutate membership through the Service, not directly.
-func (s *Service) System() *core.System {
-	if s.local == nil {
-		return nil
-	}
-	return s.local.System()
 }
 
 // Coordinator exposes the shard coordinator the fleet runs on — for

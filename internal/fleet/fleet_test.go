@@ -14,6 +14,7 @@ import (
 	"autodbaas/internal/core"
 	"autodbaas/internal/faults"
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/shard"
 	"autodbaas/internal/tenant"
 	"autodbaas/internal/tuner"
 	"autodbaas/internal/tuner/bo"
@@ -36,18 +37,23 @@ func testCatalogue() (map[string]tenant.Tier, map[string]tenant.Blueprint) {
 	return tiers, bps
 }
 
-func newTestService(t *testing.T, parallelism int, in *faults.Injector) *Service {
+// newTestTuner builds the tuner every one-shard test fleet runs.
+func newTestTuner(t *testing.T) tuner.Tuner {
 	t.Helper()
 	tn, err := bo.New(bo.Options{Engine: knobs.Postgres, Candidates: 60, MaxSamplesPerFit: 60, UCBBeta: 0.5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tn
+}
+
+func newTestService(t *testing.T, parallelism int) *Service {
+	t.Helper()
 	tiers, bps := testCatalogue()
 	svc, err := New(Config{
 		Seed:        42,
 		Parallelism: parallelism,
-		Faults:      in,
-		Tuners:      []tuner.Tuner{tn},
+		Tuners:      []tuner.Tuner{newTestTuner(t)},
 		Tiers:       tiers,
 		Blueprints:  bps,
 	})
@@ -55,6 +61,17 @@ func newTestService(t *testing.T, parallelism int, in *faults.Injector) *Service
 		t.Fatal(err)
 	}
 	return svc
+}
+
+// localSystem reaches the deployment of a one-shard fleet's in-process
+// shard.
+func localSystem(t *testing.T, svc *Service) *core.System {
+	t.Helper()
+	sh, ok := svc.Coordinator().Shard(LocalShard)
+	if !ok {
+		t.Fatalf("no shard %q in %v", LocalShard, svc.Coordinator().ShardNames())
+	}
+	return sh.(*shard.Local).System()
 }
 
 func mustStep(t *testing.T, svc *Service) {
@@ -74,7 +91,7 @@ func dbPhase(t *testing.T, svc *Service, tid, did string) string {
 }
 
 func TestLifecyclePhases(t *testing.T) {
-	svc := newTestService(t, 2, nil)
+	svc := newTestService(t, 2)
 	if err := svc.CreateTenant(tenant.Tenant{ID: "acme", Tier: "std"}); err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +107,8 @@ func TestLifecyclePhases(t *testing.T) {
 	if got := dbPhase(t, svc, "acme", "orders"); got != "warmup" {
 		t.Fatalf("after tick 1 phase = %s", got)
 	}
-	if svc.System().FleetSize() != 1 {
-		t.Fatalf("fleet size = %d", svc.System().FleetSize())
+	if localSystem(t, svc).FleetSize() != 1 {
+		t.Fatalf("fleet size = %d", localSystem(t, svc).FleetSize())
 	}
 	mustStep(t, svc)
 	mustStep(t, svc)
@@ -120,15 +137,15 @@ func TestLifecyclePhases(t *testing.T) {
 	if got := dbPhase(t, svc, "acme", "orders"); got != "draining" {
 		t.Fatalf("after delete phase = %s", got)
 	}
-	if svc.System().FleetSize() != 1 {
+	if localSystem(t, svc).FleetSize() != 1 {
 		t.Fatalf("draining db already gone")
 	}
 	mustStep(t, svc)
 	if _, ok := svc.GetDatabase("acme", "orders"); ok {
 		t.Fatalf("database survived its drain")
 	}
-	if svc.System().FleetSize() != 0 {
-		t.Fatalf("fleet size = %d after deprovision", svc.System().FleetSize())
+	if localSystem(t, svc).FleetSize() != 0 {
+		t.Fatalf("fleet size = %d after deprovision", localSystem(t, svc).FleetSize())
 	}
 	if sum := svc.Summary(); sum.Deprovisions != 1 {
 		t.Fatalf("summary = %+v", sum)
@@ -144,7 +161,7 @@ func TestLifecyclePhases(t *testing.T) {
 }
 
 func TestDesiredStateValidation(t *testing.T) {
-	svc := newTestService(t, 1, nil)
+	svc := newTestService(t, 1)
 	if err := svc.CreateTenant(tenant.Tenant{ID: "Bad ID!", Tier: "std"}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("bad tenant ID: %v", err)
 	}
@@ -268,15 +285,24 @@ type churnLayout struct {
 	minShards int
 }
 
-// flatLayout is the default layout: one in-process shard around the
-// caller's tuner, swept across parallelism levels.
+// flatLayout is one in-process shard around the caller's tuner, swept
+// across parallelism levels. Faulted, the shard also holds the
+// caller's injector.
 func flatLayout() churnLayout {
 	return churnLayout{name: "flat", build: func(t *testing.T, par int, faulted bool) *Service {
-		var in *faults.Injector
-		if faulted {
-			in = faults.New(99, faults.Medium())
+		if !faulted {
+			return newTestService(t, par)
 		}
-		return newTestService(t, par, in)
+		l, err := shard.NewLocalWith(shard.Config{Name: LocalShard, Parallelism: par}, faults.New(99, faults.Medium()), newTestTuner(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiers, bps := testCatalogue()
+		svc, err := New(Config{Seed: 42, Tiers: tiers, Blueprints: bps, ShardHosts: []shard.Shard{l}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
 	}, sweep: []int{1, 4, 16}, killPar: 4, minShards: 1}
 }
 
@@ -401,17 +427,13 @@ func checkSnapshotDir(t *testing.T, dir, newest string) {
 
 // TestRestoreErrors covers the guard rails of the two-pass restore.
 func TestRestoreErrors(t *testing.T) {
-	svc := newTestService(t, 1, nil)
+	svc := newTestService(t, 1)
 	if err := svc.RestoreLatest(t.TempDir()); err == nil {
 		t.Fatal("restore from an empty dir succeeded")
 	}
 
 	// A snapshot written by a bare core.System has no control section.
-	tn, err := bo.New(bo.Options{Engine: knobs.Postgres, Candidates: 60, MaxSamplesPerFit: 60, UCBBeta: 0.5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare, err := core.NewSystem(tn)
+	bare, err := core.NewSystem(newTestTuner(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,17 +448,17 @@ func TestRestoreErrors(t *testing.T) {
 	if _, err := checkpoint.SaveFile(dir, 0, bare.Checkpoint); err != nil {
 		t.Fatal(err)
 	}
-	err = newTestService(t, 1, nil).RestoreLatest(dir)
+	err = newTestService(t, 1).RestoreLatest(dir)
 	if err == nil || !errors.Is(err, checkpoint.ErrManifest) {
 		t.Fatalf("bare-system snapshot: %v", err)
 	}
 
 	// Restore into a dirty service is refused.
-	busy := newTestService(t, 1, nil)
+	busy := newTestService(t, 1)
 	if err := busy.CreateTenant(tenant.Tenant{ID: "x", Tier: "std"}); err != nil {
 		t.Fatal(err)
 	}
-	good := newTestService(t, 1, nil)
+	good := newTestService(t, 1)
 	if err := good.CreateTenant(tenant.Tenant{ID: "x", Tier: "std"}); err != nil {
 		t.Fatal(err)
 	}

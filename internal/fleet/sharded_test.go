@@ -8,12 +8,9 @@ import (
 	"runtime"
 	"testing"
 
-	"autodbaas/internal/knobs"
 	"autodbaas/internal/safety"
 	"autodbaas/internal/shard"
 	"autodbaas/internal/tenant"
-	"autodbaas/internal/tuner"
-	"autodbaas/internal/tuner/bo"
 )
 
 // shardConfigs is the fixed two-shard map of the sharded fleet suite.
@@ -170,7 +167,7 @@ func TestServiceRebalance(t *testing.T) {
 	}
 
 	// The default layout has one shard: nowhere to rebalance to.
-	flat := newTestService(t, 1, nil)
+	flat := newTestService(t, 1)
 	if err := flat.CreateTenant(tenant.Tenant{ID: "acme", Tier: "std"}); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +208,7 @@ func TestFlatLayoutEquivalence(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("P=%d", par), func(t *testing.T) {
 			build := map[string]func() *Service{
-				"flat":      func() *Service { return newTestService(t, par, nil) },
+				"flat":      func() *Service { return newTestService(t, par) },
 				"one-shard": func() *Service { return newOneShardService(t, par) },
 			}
 			want := runChurn(t, build["flat"](), churnSchedule(), total)
@@ -243,7 +240,7 @@ func TestFlatLayoutEquivalence(t *testing.T) {
 // allocates for the same cohort. Copying the shard's container into a
 // buffer, and that into the outer container, costs about 2.4x.
 func TestCheckpointAllocationsMatchBareSystem(t *testing.T) {
-	svc := newTestService(t, 2, nil)
+	svc := newTestService(t, 2)
 	runChurn(t, svc, churnSchedule(), 12)
 	// The least of several samples: a sync.Pool emptied by a collection
 	// adds a one-off allocation to whichever sample follows it.
@@ -264,7 +261,7 @@ func TestCheckpointAllocationsMatchBareSystem(t *testing.T) {
 	}
 	dir := t.TempDir()
 	fleetBytes := allocated(func() error { _, err := svc.CheckpointNow(dir); return err })
-	bareBytes := allocated(func() error { return svc.System().Checkpoint(io.Discard) })
+	bareBytes := allocated(func() error { return localSystem(t, svc).Checkpoint(io.Discard) })
 	if ratio := float64(fleetBytes) / float64(bareBytes); ratio > 1.25 {
 		t.Fatalf("CheckpointNow allocated %d bytes, %.2fx the bare system's %d", fleetBytes, ratio, bareBytes)
 	}
@@ -277,10 +274,6 @@ func TestCheckpointAllocationsMatchBareSystem(t *testing.T) {
 func TestSafetyStatusOnInProcessShards(t *testing.T) {
 	opts := safety.DefaultOptions()
 	tiers, bps := testCatalogue()
-	tn, err := bo.New(bo.Options{Engine: knobs.Postgres, Candidates: 60, MaxSamplesPerFit: 60, UCBBeta: 0.5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
 	gated := shardConfigs(1, false)
 	for i := range gated {
 		gated[i].Safety = &opts
@@ -290,7 +283,7 @@ func TestSafetyStatusOnInProcessShards(t *testing.T) {
 		cfg    Config
 		shards int
 	}{
-		{"flat", Config{Tuners: []tuner.Tuner{tn}, Safety: &opts}, 1},
+		{"flat", Config{Shards: []shard.Config{{Name: LocalShard, Tuner: shard.TunerConfig{Seed: 7}, Safety: &opts}}}, 1},
 		{"sharded", Config{Shards: gated}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

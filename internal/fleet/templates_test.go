@@ -46,7 +46,7 @@ func TestFleetStepsTemplateNothing(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		mustStep(t, svc)
 	}
-	if n := len(svc.System().Repository.Store().Workloads()); n != len(svc.Blueprints()) {
+	if n := len(localSystem(t, svc).Repository.Store().Workloads()); n != len(svc.Blueprints()) {
 		t.Fatalf("%d of %d databases uploaded samples", n, len(svc.Blueprints()))
 	}
 	if got := lookups() - before; got != 0 {

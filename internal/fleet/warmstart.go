@@ -80,7 +80,7 @@ func (s *Service) warmStartLocked(id string, bp tenant.Blueprint) error {
 	if ws == nil {
 		return nil
 	}
-	sys := s.System() // New admits warm starts only on one in-process shard
+	sys := s.local.System() // New admits warm starts only on one in-process shard
 	gen, err := bp.Workload.Build()
 	if err != nil {
 		return fmt.Errorf("fleet: warm start %s: %w", id, err)

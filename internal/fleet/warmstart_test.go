@@ -60,8 +60,8 @@ func TestWarmStartSeedsFromDonor(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		mustStep(t, svc)
 	}
-	svc.System().Repository.Flush()
-	donorHist := len(svc.System().Repository.Store().Samples("acme/donor/tpcc"))
+	localSystem(t, svc).Repository.Flush()
+	donorHist := len(localSystem(t, svc).Repository.Store().Samples("acme/donor/tpcc"))
 	if donorHist < 3 {
 		t.Fatalf("donor accumulated only %d samples", donorHist)
 	}
@@ -77,8 +77,8 @@ func TestWarmStartSeedsFromDonor(t *testing.T) {
 	if seeded <= 0 || seeded > 8 {
 		t.Fatalf("seeded %d samples, want 1..8", seeded)
 	}
-	svc.System().Repository.Flush()
-	fresh := svc.System().Repository.Store().Samples("acme/fresh/tpcc")
+	localSystem(t, svc).Repository.Flush()
+	fresh := localSystem(t, svc).Repository.Store().Samples("acme/fresh/tpcc")
 	if int64(len(fresh)) < seeded {
 		t.Fatalf("fresh workload has %d samples, seeded %d", len(fresh), seeded)
 	}
@@ -104,7 +104,7 @@ func TestWarmStartSeedsFromDonor(t *testing.T) {
 func TestWarmStartAppliesDonorConfig(t *testing.T) {
 	svc := newWarmStartService(t, 1)
 	defer svc.Close()
-	repo := svc.System().Repository
+	repo := localSystem(t, svc).Repository
 	kcat, err := knobs.CatalogFor(knobs.Postgres)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestWarmStartAppliesDonorConfig(t *testing.T) {
 	if hits, misses, _ := svc.WarmStartCounts(); hits != 1 || misses != 0 {
 		t.Fatalf("hits=%d misses=%d, want 1/0", hits, misses)
 	}
-	persisted, err := svc.System().Orchestrator.PersistedConfig("acme/fresh")
+	persisted, err := localSystem(t, svc).Orchestrator.PersistedConfig("acme/fresh")
 	if err != nil {
 		t.Fatal(err)
 	}
