@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"time"
 
 	"autodbaas/internal/agent"
@@ -34,15 +33,13 @@ func (c AgentConfig) Options() agent.Options {
 }
 
 // CoreSpec materializes the declarative spec into the live form
-// core.System provisions from: the workload generator is built, the
-// database size derived, the agent options expanded.
+// core.System provisions from: the spec is validated as the workload
+// generator is built (once), the database size derived, the agent
+// options expanded.
 func (sp InstanceSpec) CoreSpec() (core.InstanceSpec, error) {
-	if err := sp.Validate(); err != nil {
-		return core.InstanceSpec{}, err
-	}
-	gen, err := sp.Workload.Build()
+	gen, err := sp.buildWorkload()
 	if err != nil {
-		return core.InstanceSpec{}, fmt.Errorf("shard: instance %q: %w", sp.ID, err)
+		return core.InstanceSpec{}, err
 	}
 	return core.InstanceSpec{
 		Provision: cluster.ProvisionSpec{

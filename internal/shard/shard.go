@@ -30,6 +30,7 @@ import (
 	"autodbaas/internal/repository"
 	"autodbaas/internal/safety"
 	"autodbaas/internal/tenant"
+	"autodbaas/internal/workload"
 )
 
 // AgentConfig is the serializable slice of agent.Options a shard can
@@ -65,18 +66,26 @@ type InstanceSpec struct {
 
 // Validate rejects malformed specs with an error naming the field.
 func (sp InstanceSpec) Validate() error {
+	_, err := sp.buildWorkload()
+	return err
+}
+
+// buildWorkload checks the ID and the engine, then builds the workload
+// generator: the spec is valid when it returns no error.
+func (sp InstanceSpec) buildWorkload() (workload.Generator, error) {
 	if sp.ID == "" {
-		return fmt.Errorf("shard: instance spec needs an ID")
+		return nil, fmt.Errorf("shard: instance spec needs an ID")
 	}
 	switch knobs.Engine(sp.Engine) {
 	case knobs.Postgres, knobs.MySQL:
 	default:
-		return fmt.Errorf("shard: instance %q: unknown engine %q (want postgres|mysql)", sp.ID, sp.Engine)
+		return nil, fmt.Errorf("shard: instance %q: unknown engine %q (want postgres|mysql)", sp.ID, sp.Engine)
 	}
-	if err := sp.Workload.Validate(); err != nil {
-		return fmt.Errorf("shard: instance %q: %w", sp.ID, err)
+	gen, err := sp.Workload.Build()
+	if err != nil {
+		return nil, fmt.Errorf("shard: instance %q: %w", sp.ID, err)
 	}
-	return nil
+	return gen, nil
 }
 
 // TunerConfig declares a shard's tuner pool — enough for a worker

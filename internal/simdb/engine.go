@@ -137,9 +137,11 @@ type Engine struct {
 	// than by one allocation per template.
 	profiles   map[string]int
 	profileTab []profileEntry
-	// priceStamp numbers HypotheticalRunTemplatesMs calls (see
-	// profileEntry); it is scratch, not state, and no snapshot holds it.
+	// priceStamp numbers hypothetical pricings (see profileEntry), and
+	// slotBuf holds the profile slots of a pricing call's IDs; both are
+	// scratch, not state, and no snapshot holds them.
 	priceStamp uint64
+	slotBuf    []int
 	// profileIDs holds the keys of profiles in ascending order once the
 	// store has reached maxProfiles (nil before, and after a restore):
 	// eviction takes its first entry.

@@ -20,8 +20,8 @@ type TemplateProfile struct {
 }
 
 // profileEntry is a remembered TemplateProfile plus the price the
-// newest HypotheticalRunTemplatesMs call gave it: ms is valid while
-// stamp equals that call's e.priceStamp.
+// newest pricing by HypotheticalRunTemplatesMsEach gave it: ms is valid
+// while stamp equals that pricing's e.priceStamp.
 type profileEntry struct {
 	TemplateProfile
 	stamp uint64
@@ -113,29 +113,43 @@ func (e *Engine) ExplainTemplate(id string) (Plan, sqlparse.Class, bool) {
 // costs what its first entry did, and the total still adds one term
 // per entry in order.
 func (e *Engine) HypotheticalRunTemplatesMs(override knobs.Config, ids []string) (float64, int) {
+	var total [1]float64
+	n := e.HypotheticalRunTemplatesMsEach([]knobs.Config{override}, ids, total[:])
+	return total[0], n
+}
+
+// HypotheticalRunTemplatesMsEach is HypotheticalRunTemplatesMs under
+// each override in turn, looking ids up once for all of them: totals[i]
+// (totals is as long as overrides) is what a call with overrides[i]
+// returns, and so is the count.
+func (e *Engine) HypotheticalRunTemplatesMsEach(overrides []knobs.Config, ids []string, totals []float64) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	fk, hit := e.overlayLocked(override)
-	overlap := e.ioOverlapFactor(&fk)
-	e.priceStamp++
-	var plan Plan
-	var total float64
-	var n int
+	slots := e.slotBuf[:0]
 	for _, id := range ids {
-		i, ok := e.profiles[id]
-		if !ok {
-			continue
+		if i, ok := e.profiles[id]; ok {
+			slots = append(slots, i)
 		}
-		p := &e.profileTab[i]
-		if p.stamp != e.priceStamp {
-			e.planWith(&fk, p.Class, &p.Profile, &plan)
-			p.ms, _ = e.serviceTimeMs(p.Class, &p.Profile, hit, overlap, &plan)
-			p.stamp = e.priceStamp
-		}
-		total += p.ms
-		n++
 	}
-	return total, n
+	e.slotBuf = slots
+	var plan Plan
+	for o, override := range overrides {
+		fk, hit := e.overlayLocked(override)
+		overlap := e.ioOverlapFactor(&fk)
+		e.priceStamp++
+		var total float64
+		for _, i := range slots {
+			p := &e.profileTab[i]
+			if p.stamp != e.priceStamp {
+				e.planWith(&fk, p.Class, &p.Profile, &plan)
+				p.ms, _ = e.serviceTimeMs(p.Class, &p.Profile, hit, overlap, &plan)
+				p.stamp = e.priceStamp
+			}
+			total += p.ms
+		}
+		totals[o] = total
+	}
+	return len(slots)
 }
 
 // TemplateIDs returns the template ID of every entry of a query log, in

@@ -188,8 +188,9 @@ func TestOverlayPatchMatchesClone(t *testing.T) {
 
 // TestHypotheticalPricingMatchesReference: HypotheticalRunTemplatesMs
 // prices each distinct ID once per call and adds the kept price for its
-// repeats. Over ID lists with repeats and with IDs that have no
-// profile, under no override, a patched one-knob override and a
+// repeats, and HypotheticalRunTemplatesMsEach does so per override over
+// one lookup of the IDs. Over ID lists with repeats and with IDs that
+// have no profile, under no override, a patched one-knob override and a
 // clone-path memory-knob override, in alternation and across windows
 // that move the remembered profiles, every total must equal to the bit,
 // with the same count, a plain loop that prices every entry afresh.
@@ -235,13 +236,23 @@ func TestHypotheticalPricingMatchesReference(t *testing.T) {
 					{first, first, first, "never-executed", first},
 					{"never-executed", "never-executed"},
 				}
+				overrides := []knobs.Config{nil, patched, cloned, nil}
+				totals := make([]float64, len(overrides))
 				for _, ids := range lists {
-					for _, override := range []knobs.Config{nil, patched, cloned, nil} {
+					for _, override := range overrides {
 						got, n := e.HypotheticalRunTemplatesMs(override, ids)
 						want, wantN := referenceRunMs(e, override, ids)
 						if math.Float64bits(got) != math.Float64bits(want) || n != wantN {
 							t.Fatalf("window %d, override %v, %d ids: got %v over %d statements, reference %v over %d",
 								w, override, len(ids), got, n, want, wantN)
+						}
+					}
+					n := e.HypotheticalRunTemplatesMsEach(overrides, ids, totals)
+					for i, override := range overrides {
+						want, wantN := referenceRunMs(e, override, ids)
+						if math.Float64bits(totals[i]) != math.Float64bits(want) || n != wantN {
+							t.Fatalf("window %d, batched override %d %v, %d ids: got %v over %d statements, reference %v over %d",
+								w, i, override, len(ids), totals[i], n, want, wantN)
 						}
 					}
 				}
@@ -253,6 +264,10 @@ func TestHypotheticalPricingMatchesReference(t *testing.T) {
 				if allocs := testing.AllocsPerRun(20, func() { e.HypotheticalRunTemplatesMs(override, logged) }); allocs != 0 {
 					t.Fatalf("override %v: a warm call made %v allocations, want 0", override, allocs)
 				}
+			}
+			batch, totals := []knobs.Config{nil, patched, patched}, make([]float64, 3)
+			if allocs := testing.AllocsPerRun(20, func() { e.HypotheticalRunTemplatesMsEach(batch, logged, totals) }); allocs != 0 {
+				t.Fatalf("a warm batched call made %v allocations, want 0", allocs)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package tde
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -23,7 +24,13 @@ func (t *TDE) detectMemoryLocked(now time.Time, ids []string) []Event {
 		class sqlparse.Class
 	}
 	seen := map[string]finding{}
-	for _, id := range ids {
+	for i, id := range ids {
+		// A sample holds a handful of distinct templates. Each is
+		// EXPLAINed at its last entry only: every entry of it finds the
+		// same, and a knob keeps the class of the last entry implicating it.
+		if slices.Contains(ids[i+1:], id) {
+			continue
+		}
 		plan, cls, ok := t.db.ExplainTemplate(id)
 		if !ok || !plan.UsesDisk {
 			continue
@@ -203,6 +210,11 @@ func (t *TDE) detectBgWriterLocked(now time.Time) []Event {
 // detectAsyncPlannerLocked implements §3.3: one learning-automata step
 // per planner knob per tick, pricing reservoir-sampled statements under
 // the perturbed configuration. A profitable step raises a throttle.
+//
+// The current config is priced first and alone: when nothing can be
+// priced, no automaton draws. Then each automaton chooses its action, in
+// order (Choose is all they draw), one call prices every probe, and
+// Feedback and Commit follow in the same order.
 func (t *TDE) detectAsyncPlannerLocked(now time.Time, ids []string) []Event {
 	if len(ids) == 0 {
 		return nil
@@ -213,22 +225,20 @@ func (t *TDE) detectAsyncPlannerLocked(now time.Time, ids []string) []Event {
 		return nil
 	}
 
-	if t.probe == nil {
-		t.probe = make(knobs.Config, 1)
-	}
-	var events []Event
-	for _, a := range t.automata {
+	for i, a := range t.automata {
 		// Track the live knob value: tuner recommendations may have
 		// moved it since the last tick.
 		if v, ok := t.db.Knob(a.Knob); ok {
 			_ = a.SetValue(v)
 		}
-		act := a.Choose(t.rng)
-		cand := a.Candidate(act)
-		clear(t.probe)
-		t.probe[a.Knob] = cand
-		alt, _ := t.db.HypotheticalRunTemplatesMs(t.probe, sampled)
-		profit := cur - alt
+		t.acts[i] = a.Choose(t.rng)
+		t.probes[i][a.Knob] = a.Candidate(t.acts[i])
+	}
+	t.db.HypotheticalRunTemplatesMsEach(t.probes, sampled, t.alts)
+	var events []Event
+	for i, a := range t.automata {
+		act, cand := t.acts[i], t.probes[i][a.Knob]
+		profit := cur - t.alts[i]
 		rewarded := profit > t.cfg.MDPMinProfitFraction*cur
 		a.Feedback(act, rewarded)
 		if rewarded {

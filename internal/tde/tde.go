@@ -164,8 +164,11 @@ type TDE struct {
 	lastSnapAt, prevSnapAt time.Time
 
 	// Per-round scratch, reused from tick to tick and never
-	// checkpointed: the MDP's one-knob override.
-	probe knobs.Config
+	// checkpointed: per automaton, the MDP's action, its one-knob
+	// override and that override's price.
+	acts   []mdp.Action
+	probes []knobs.Config
+	alts   []float64
 
 	// throttle counters per class (the paper's evaluation metric).
 	throttles map[knobs.Class]int
@@ -206,6 +209,10 @@ func New(db *simdb.Engine, cfg Config, baseline Baseline) (*TDE, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, a := range t.automata {
+		t.probes = append(t.probes, knobs.Config{a.Knob: a.Value()})
+	}
+	t.acts, t.alts = make([]mdp.Action, len(t.automata)), make([]float64, len(t.automata))
 	return t, nil
 }
 

@@ -35,7 +35,7 @@ type Options struct {
 	// Engine selects the knob/metric schema this tuner instance serves.
 	Engine knobs.Engine
 	// MaxSamplesPerFit caps GPR training-set size (most recent wins).
-	// Every Recommend fits one exact GP from scratch on at most this many
+	// A Recommend fits one exact GP from scratch on at most this many
 	// samples, so it bounds the O(n³) recommendation cost.
 	MaxSamplesPerFit int
 	// Candidates is the acquisition search budget.
@@ -95,20 +95,26 @@ type Tuner struct {
 	delivered int
 
 	// Working memory reused across calls, so a recommendation does not
-	// allocate in proportion to the history it reads. None of it
-	// carries anything from one call to the next.
+	// allocate in proportion to the history it reads. Only rows, yn and
+	// gpr carry anything from one call to the next: the kept fit.
 	view     []*tuner.Sample // store view: training samples, or one workload's
 	idxBuf   []int           // the searched knobs' catalogue positions
 	rowBuf   []float64       // normalized training configs, row-major
 	rows     [][]float64     // row headers into rowBuf
 	yn       []float64       // normalized objectives
-	gpr      *gp.Regressor   // refit from scratch on every Recommend
+	gpr      *gp.Regressor   // fitted on rows and yn while fit.key.ok
+	target   []float64       // a request's metrics in catalogue order
 	pruner   metrics.Pruner  // workload mapping's metric pruning
 	mapBuf   []float64       // workload mapping: mean rows + target
 	mapRows  [][]float64     // row headers into mapBuf
 	projBuf  []float64       // pruned, then decile-binned, mapping rows
 	projRows [][]float64     // row headers into projBuf
 	decile   []float64       // metrics.DecileInto's column ranges
+
+	// fit is the last successful fit, which a Recommend with the same
+	// key reuses. It is not state: checkpoints leave it out, and a
+	// restored tuner refits to the same model.
+	fit keptFit
 
 	recommendSeconds *obs.Histogram
 	gprFitSeconds    *obs.Histogram
@@ -168,6 +174,25 @@ func New(opts Options) (*Tuner, error) {
 	}, nil
 }
 
+// keptFit describes the fit gpr, rows and yn hold. Its key and metric
+// vector name what a fit reads besides Options: the request's workload,
+// throttle class and metrics, the store (which only grows, so its
+// length names its contents) and the delivered metric means. The rest
+// of a request (Current, MemoryBytes, Constraint) only the search reads.
+type keptFit struct {
+	key     fitKey
+	metrics []float64 // the request's catalogue vector, compared bit for bit
+	names   []string  // the searched knobs
+	source  string    // the Recommendation's Source
+}
+
+type fitKey struct {
+	ok                  bool // false: no fit is kept
+	workload            string
+	class               knobs.Class // -1 when the request names none
+	storeLen, delivered int
+}
+
 // Name implements tuner.Tuner.
 func (t *Tuner) Name() string { return "ottertune-bo" }
 
@@ -176,6 +201,7 @@ func (t *Tuner) Name() string { return "ottertune-bo" }
 func (t *Tuner) BindStore(s *tuner.Store) {
 	t.mu.Lock()
 	t.store = s
+	t.fit.key.ok = false
 	t.mu.Unlock()
 }
 
@@ -319,12 +345,40 @@ const minTraining = 4
 
 // Recommend implements tuner.Tuner: map the workload, assemble training
 // data (target + mapped), fit the GP and maximize UCB over candidates.
+// When the kept fit's key matches the request, as for each same-class
+// throttle of one detection round, the fit is already in hand and only
+// the candidate search runs; it draws from the tuner's RNG exactly as
+// after a refit.
 func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 	start := time.Now()
 	defer func() { t.recommendSeconds.Observe(time.Since(start).Seconds()) }()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
+	key := fitKey{ok: true, workload: req.WorkloadID, class: -1, delivered: t.delivered}
+	if req.ThrottleClass != nil {
+		key.class = *req.ThrottleClass
+	}
+	if t.store != nil {
+		key.storeLen = t.store.Len()
+	}
+	target := slices.Grow(t.target[:0], t.mcat.Len())[:t.mcat.Len()]
+	t.target = target
+	t.mcat.VectorInto(target, req.Metrics)
+	if key != t.fit.key || !slices.EqualFunc(target, t.fit.metrics, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	}) {
+		if err := t.fitLocked(req, key, target); err != nil {
+			return tuner.Recommendation{}, err
+		}
+	}
+	return t.searchLocked(req, start), nil
+}
+
+// fitLocked assembles the training set for req, fits the GP on it and
+// keeps the fit under key. On failure no fit is kept.
+func (t *Tuner) fitLocked(req tuner.Request, key fitKey, target []float64) error {
+	t.fit.key.ok = false
 	// Most recent samples win when over the fit cap, so each workload's
 	// view only needs its latest fitCap samples (never fewer than the
 	// minTraining the not-trained check counts).
@@ -340,7 +394,7 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 	}
 	t.view = training
 	if len(training) < minTraining {
-		return tuner.Recommendation{}, tuner.ErrNotTrained
+		return tuner.ErrNotTrained
 	}
 	slices.SortStableFunc(training, func(a, b *tuner.Sample) int { return a.At.Compare(b.At) })
 	if len(training) > t.opts.MaxSamplesPerFit {
@@ -353,6 +407,7 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 		t.yn = make([]float64, len(training))
 	}
 	yn := t.yn[:len(training)]
+	t.yn = yn
 	var ymax float64
 	for _, s := range training {
 		if s.Objective > ymax {
@@ -372,9 +427,21 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 	model := t.gpr
 	model.Kernel = gp.NewSEARD(len(names), 0.35, 1.0)
 	if err := model.Fit(x, yn); err != nil {
-		return tuner.Recommendation{}, fmt.Errorf("bo: GPR fit: %w", err)
+		return fmt.Errorf("bo: GPR fit: %w", err)
 	}
 	t.gprFitSeconds.Observe(time.Since(fitStart).Seconds())
+
+	// Concatenated rather than fmt.Sprintf: fmt's sync.Pool would make
+	// the allocation count vary under -race.
+	t.fit = keptFit{key: key, metrics: append(t.fit.metrics[:0], target...), names: names,
+		source: "gpr:mapped=" + mappedID + ":n=" + strconv.Itoa(len(training)) + ":knobs=" + strconv.Itoa(len(names))}
+	return nil
+}
+
+// searchLocked maximizes UCB over candidates under the kept fit and
+// returns the recommendation for req.
+func (t *Tuner) searchLocked(req tuner.Request, start time.Time) tuner.Recommendation {
+	names, x, yn, model := t.fit.names, t.rows, t.yn, t.gpr
 
 	// Constrained suggestion (the safety gate's trust region): filter
 	// candidates after generation so the RNG stream advances identically
@@ -471,15 +538,12 @@ func (t *Tuner) Recommend(req tuner.Request) (tuner.Recommendation, error) {
 	if req.MemoryBytes > 0 {
 		full = t.kcat.FitMemoryBudget(full, knobs.MemoryBudget{TotalBytes: req.MemoryBytes, WorkMemSessions: 8})
 	}
-	// Concatenated rather than fmt.Sprintf: fmt's sync.Pool would make
-	// the allocation count vary under -race.
-	src := "gpr:mapped=" + mappedID + ":n=" + strconv.Itoa(len(training)) + ":knobs=" + strconv.Itoa(len(names))
 	return tuner.Recommendation{
 		Config:    full,
-		Source:    src,
-		TrainedOn: len(training),
+		Source:    t.fit.source,
+		TrainedOn: len(yn),
 		Cost:      time.Since(start),
-	}, nil
+	}
 }
 
 // searchKnobsLocked picks the knob subspace to optimize: the throttled

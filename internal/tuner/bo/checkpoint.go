@@ -5,9 +5,11 @@ import "autodbaas/internal/prng"
 // State is the BO tuner's serializable mutable state: the incrementally
 // maintained per-workload metric means and the acquisition RNG
 // position. The samples are the central repository's, saved with its
-// store, and no fitted model is kept between recommendations, so
-// neither is here. Options and catalogs are construction parameters;
-// the rebuilt tuner must have been created with identical Options.
+// store, so they are not here. Neither is the kept fit: it is a pure
+// function of the store, the means and a request, so a restored tuner,
+// which starts without one, refits to the same model. Options and
+// catalogs are construction parameters; the rebuilt tuner must have
+// been created with identical Options.
 type State struct {
 	RNG        prng.State           `json:"rng"`
 	MeanSums   map[string][]float64 `json:"mean_sums,omitempty"`
@@ -53,5 +55,6 @@ func (t *Tuner) RestoreCheckpointState(st State) error {
 	}
 	t.meanOrder = append([]string(nil), st.MeanOrder...)
 	t.trainingSamples.Set(float64(t.delivered))
+	t.fit.key.ok = false
 	return nil
 }

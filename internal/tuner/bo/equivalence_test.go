@@ -6,7 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"autodbaas/internal/gp"
@@ -19,10 +21,11 @@ import (
 )
 
 // referenceRecommend is Recommend as it was before the tuner reused its
-// working memory: it copies the stored samples, sorts the copies, maps
-// the workload over freshly allocated rows, fits a new GP and scores
-// every candidate with the full UCB. Recommend must return exactly what
-// it returns and draw exactly as many random numbers.
+// working memory and its last fit: it copies the stored samples, sorts
+// the copies, maps the workload over freshly allocated rows, fits a new
+// GP on every call and scores every candidate with the full UCB.
+// Recommend must return exactly what it returns and draw exactly as
+// many random numbers.
 func referenceRecommend(t *Tuner, req tuner.Request) (tuner.Recommendation, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -267,6 +270,9 @@ type equivalenceCase struct {
 	shuffleAt  bool // upload each batch out of At order
 	mysql      bool // MySQL samples share the PostgreSQL workload IDs
 	duplicates bool // every config identical: a rank-one kernel before the noise
+	// pattern replaces each call's single request with a sequence that
+	// a kept fit could serve wrongly (see runEquivalence).
+	pattern string
 }
 
 // TestRecommendMatchesReference: over a seeded grid, Recommend returns
@@ -293,6 +299,12 @@ func TestRecommendMatchesReference(t *testing.T) {
 		{name: "two-engines", opts: with(func(o *Options) { o.MaxSamplesPerFit = 12 }), throttle: true, perUpload: 6, mysql: true},
 		{name: "beta-zero", opts: with(func(o *Options) { o.UCBBeta = 0 }), throttle: true, perUpload: 6, atStep: 1000},
 		{name: "near-duplicates", opts: with(func(o *Options) { o.TopKnobs = 3 }), perUpload: 6, duplicates: true},
+		{name: "resample", opts: base, throttle: true, constraint: true, perUpload: 6, pattern: "resample"},
+		{name: "resample-lasso", opts: with(func(o *Options) { o.TopKnobs = 5 }), perUpload: 6, pattern: "resample"},
+		{name: "round", opts: base, throttle: true, perUpload: 6, pattern: "round"},
+		{name: "round-no-mapping", opts: with(func(o *Options) { o.DisableMapping = true }), throttle: true, perUpload: 6, pattern: "round"},
+		{name: "restore", opts: base, throttle: true, perUpload: 6, pattern: "restore"},
+		{name: "delivery", opts: base, throttle: true, perUpload: 6, pattern: "delivery"},
 	}
 	for ci, tc := range cases {
 		for _, seed := range []int64{1, 2} {
@@ -303,6 +315,23 @@ func TestRecommendMatchesReference(t *testing.T) {
 	}
 }
 
+// runEquivalence drives got and the reference through the same calls.
+// By tc.pattern, a call issues:
+//   - "": one request
+//   - "resample": one request three times, Exclude growing by each
+//     answer, as the safety gate's resample loop grows it
+//   - "round": a detection round's throttles, two of one class and one
+//     of another; then an upload, and the last request again
+//   - "restore": one request, a restore that moves the metric means
+//     between workloads (same sample count, same store), the request
+//     again
+//   - "delivery": one request; the same after a sample of its workload
+//     reaches the store but not the tuners; after a crafted sample of
+//     another workload reaches the store; after that sample's delayed
+//     delivery moves the mapping to its workload; and once more
+//
+// The last three must change the mapped workload at least once, or a
+// kept fit keyed without the means would pass unnoticed.
 func runEquivalence(t *testing.T, tc equivalenceCase, seed int64) {
 	opts := tc.opts
 	opts.Seed = seed
@@ -358,6 +387,7 @@ func runEquivalence(t *testing.T, tc equivalenceCase, seed int64) {
 	}
 
 	var exclude []knobs.Config
+	remapped := 0
 	for call := 0; call < 10; call++ {
 		if call%2 == 0 {
 			upload()
@@ -381,59 +411,218 @@ func runEquivalence(t *testing.T, tc equivalenceCase, seed int64) {
 			req.Constraint = &tuner.Constraint{Center: center, Radius: 0.15 + 0.1*float64(call%3), Exclude: exclude}
 		}
 
-		wantRec, wantErr := referenceRecommend(want, req)
-		gotRec, gotErr := got.Recommend(req)
-		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("call %d: err = %v, reference %v", call, gotErr, wantErr)
-		}
-		if gotErr == nil {
-			if gotRec.Source != wantRec.Source || gotRec.TrainedOn != wantRec.TrainedOn {
-				t.Fatalf("call %d: source %q trained on %d, reference %q on %d", call, gotRec.Source, gotRec.TrainedOn, wantRec.Source, wantRec.TrainedOn)
+		// check issues req to both tuners and compares the answers; it
+		// returns got's Source, empty when got was not trained.
+		step := 0
+		check := func(req tuner.Request) (tuner.Recommendation, bool) {
+			t.Helper()
+			step++
+			wantRec, wantErr := referenceRecommend(want, req)
+			gotRec, gotErr := got.Recommend(req)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("call %d.%d: err = %v, reference %v", call, step, gotErr, wantErr)
 			}
-			if !reflect.DeepEqual(gotRec.Config, wantRec.Config) {
-				t.Fatalf("call %d: config differs from the reference\n  got:  %v\n  want: %v", call, gotRec.Config, wantRec.Config)
+			if gotErr == nil {
+				if gotRec.Source != wantRec.Source || gotRec.TrainedOn != wantRec.TrainedOn {
+					t.Fatalf("call %d.%d: source %q trained on %d, reference %q on %d", call, step, gotRec.Source, gotRec.TrainedOn, wantRec.Source, wantRec.TrainedOn)
+				}
+				if !reflect.DeepEqual(gotRec.Config, wantRec.Config) {
+					t.Fatalf("call %d.%d: config differs from the reference\n  got:  %v\n  want: %v", call, step, gotRec.Config, wantRec.Config)
+				}
+			} else if !errors.Is(gotErr, tuner.ErrNotTrained) {
+				t.Fatalf("call %d.%d: unexpected error %v", call, step, gotErr)
 			}
-			exclude = append(exclude, gotRec.Config)
-		} else if !errors.Is(gotErr, tuner.ErrNotTrained) {
-			t.Fatalf("call %d: unexpected error %v", call, gotErr)
+			if g, w := got.rngSrc.State(), want.rngSrc.State(); g != w {
+				t.Fatalf("call %d.%d: RNG at %+v, reference at %+v", call, step, g, w)
+			}
+			gr, gl, gok := got.BgWriterBaseline(metricsOf(probe))
+			wr, wl, wok := referenceBgWriterBaseline(want, metricsOf(probe))
+			if gr != wr || gl != wl || gok != wok {
+				t.Fatalf("call %d.%d: baseline (%g, %g, %v), reference (%g, %g, %v)", call, step, gr, gl, gok, wr, wl, wok)
+			}
+			return gotRec, gotErr == nil
 		}
-		if g, w := got.rngSrc.State(), want.rngSrc.State(); g != w {
-			t.Fatalf("call %d: RNG at %+v, reference at %+v", call, g, w)
+		// moved counts a pair of answers whose mapped workloads differ.
+		moved := func(before, after tuner.Recommendation) {
+			if before.Source != "" && after.Source != "" && mappedOf(before) != mappedOf(after) {
+				remapped++
+			}
 		}
-		gr, gl, gok := got.BgWriterBaseline(metricsOf(probe))
-		wr, wl, wok := referenceBgWriterBaseline(want, metricsOf(probe))
-		if gr != wr || gl != wl || gok != wok {
-			t.Fatalf("call %d: baseline (%g, %g, %v), reference (%g, %g, %v)", call, gr, gl, gok, wr, wl, wok)
+
+		switch tc.pattern {
+		case "":
+			if rec, ok := check(req); ok {
+				exclude = append(exclude, rec.Config)
+			}
+		case "resample":
+			var c tuner.Constraint
+			if req.Constraint != nil {
+				c = *req.Constraint
+			}
+			c.Exclude = slices.Clone(c.Exclude)
+			req.Constraint = &c
+			for r := 0; r < 3; r++ {
+				rec, ok := check(req)
+				if !ok {
+					break
+				}
+				c.Exclude = append(c.Exclude, rec.Config)
+			}
+		case "round":
+			classes := []knobs.Class{knobs.Memory, knobs.BgWriter, knobs.AsyncPlanner}
+			a, b := classes[call%3], classes[(call+1)%3]
+			reqB := req
+			req.ThrottleClass, reqB.ThrottleClass = &a, &b
+			check(req)
+			check(req)
+			check(reqB)
+			upload()
+			check(reqB)
+		case "restore":
+			before, _ := check(req)
+			st := got.CheckpointState()
+			ids := st.MeanOrder
+			sums, counts := make([][]float64, len(ids)), make([]int, len(ids))
+			for i := range ids {
+				next := ids[(i+1)%len(ids)]
+				sums[i], counts[i] = st.MeanSums[next], st.MeanCounts[next]
+			}
+			for i, id := range ids {
+				st.MeanSums[id], st.MeanCounts[id] = sums[i], counts[i]
+			}
+			for _, tn := range []*Tuner{got, want} {
+				if err := tn.RestoreCheckpointState(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after, _ := check(req)
+			moved(before, after)
+		case "delivery":
+			check(req)
+			own := synthSample(kcat, mcat, rng, req.WorkloadID, clock)
+			clock++
+			got.store.Add(own)
+			check(req)
+			mapped, _, _ := referenceMapWorkload(want, req.Metrics)
+			other := ""
+			for _, id := range want.meanOrder {
+				if id != mapped && id != req.WorkloadID {
+					other = id
+					break
+				}
+			}
+			crafted := craftMean(kcat, mcat, rng, want, other, req.Metrics, clock)
+			clock++
+			got.store.Add(crafted)
+			before, _ := check(req)
+			for _, tn := range []*Tuner{got, want} {
+				if err := tn.Observe(crafted); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after, _ := check(req)
+			moved(before, after)
+			check(req)
+		default:
+			t.Fatalf("unknown pattern %q", tc.pattern)
+		}
+	}
+	if tc.pattern == "restore" || tc.pattern == "delivery" {
+		if remapped == 0 {
+			t.Fatalf("%s: no call changed the mapped workload; the case proves nothing about the key", tc.pattern)
 		}
 	}
 }
 
+// mappedOf returns the mapped workload a recommendation's Source names.
+func mappedOf(rec tuner.Recommendation) string {
+	mapped, _, _ := strings.Cut(strings.TrimPrefix(rec.Source, "gpr:mapped="), ":")
+	return mapped
+}
+
+// craftMean returns a sample of workload id whose delivery makes id's
+// metric mean, in t's bookkeeping, equal target to within rounding, so
+// that workload mapping then picks id for target.
+func craftMean(kcat *knobs.Catalog, mcat *metrics.Catalog, rng *rand.Rand, t *Tuner, id string, target metrics.Snapshot, at int) tuner.Sample {
+	s := synthSample(kcat, mcat, rng, id, at)
+	k := float64(t.meanCounts[id])
+	sum := t.meanSums[id]
+	snap := make(metrics.Snapshot, mcat.Len())
+	for i, name := range mcat.Names() {
+		snap[name] = (k+1)*target[name] - sum[i]
+	}
+	return withMaps(s, configOf(s), snap)
+}
+
+// warmRecommender builds a tuner over history stored samples of two
+// workloads and returns it with a request for the last one's workload.
+func warmRecommender(t *testing.T, history int) (*Tuner, tuner.Request) {
+	tn, repo := newBound(t, Options{Engine: knobs.Postgres, Candidates: 60, MaxSamplesPerFit: 40, UCBBeta: 0.5, Seed: 3})
+	rng := rand.New(rand.NewSource(5))
+	var last tuner.Sample
+	for i := 0; i < history; i++ {
+		last = synthSample(tn.kcat, tn.mcat, rng, fmt.Sprintf("wl-%d", i%2), i)
+		if err := repo.Observe(last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tn, tuner.Request{Engine: knobs.Postgres, WorkloadID: last.WorkloadID, Metrics: metricsOf(last), Current: configOf(last)}
+}
+
+// recommendAllocs returns the objects one warm Recommend allocates, and
+// how many of the measured calls fit the GP. With alternate set, calls
+// alternate between two throttle classes, so none can reuse the last
+// fit; otherwise every call repeats one request.
+func recommendAllocs(t *testing.T, tn *Tuner, req tuner.Request, alternate bool) (allocs float64, fits uint64) {
+	classes := [2]knobs.Class{knobs.BgWriter, knobs.Memory}
+	calls := 0
+	recommend := func() {
+		req.ThrottleClass = &classes[0]
+		if alternate {
+			req.ThrottleClass = &classes[calls%2]
+		}
+		calls++
+		if _, err := tn.Recommend(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recommend() // warm the buffers
+	recommend()
+	before := tn.gprFitSeconds.Count()
+	allocs = testing.AllocsPerRun(20, recommend)
+	return allocs, tn.gprFitSeconds.Count() - before
+}
+
 // TestRecommendAllocsIndependentOfHistory: once warm, a recommendation
-// allocates the same number of objects over 50 stored samples as over
-// 400 — it reads the store through a view and reuses its buffers.
+// that fits the GP allocates the same number of objects over 50 stored
+// samples as over 400 — it reads the store through a view and reuses
+// its buffers.
 func TestRecommendAllocsIndependentOfHistory(t *testing.T) {
 	allocs := func(history int) float64 {
-		tn, repo := newBound(t, Options{Engine: knobs.Postgres, Candidates: 60, MaxSamplesPerFit: 40, UCBBeta: 0.5, Seed: 3})
-		rng := rand.New(rand.NewSource(5))
-		var last tuner.Sample
-		for i := 0; i < history; i++ {
-			last = synthSample(tn.kcat, tn.mcat, rng, fmt.Sprintf("wl-%d", i%2), i)
-			if err := repo.Observe(last); err != nil {
-				t.Fatal(err)
-			}
+		tn, req := warmRecommender(t, history)
+		a, fits := recommendAllocs(t, tn, req, true)
+		if fits != 21 { // AllocsPerRun's warm-up call plus 20
+			t.Fatalf("%d of 21 calls fit the GP; every call must", fits)
 		}
-		cls := knobs.BgWriter
-		req := tuner.Request{Engine: knobs.Postgres, WorkloadID: last.WorkloadID, Metrics: metricsOf(last), Current: configOf(last), ThrottleClass: &cls}
-		recommend := func() {
-			if _, err := tn.Recommend(req); err != nil {
-				t.Fatal(err)
-			}
-		}
-		recommend() // warm the buffers
-		return testing.AllocsPerRun(20, recommend)
+		return a
 	}
 	small, large := allocs(50), allocs(400)
 	if small != large {
 		t.Fatalf("Recommend allocates %.1f objects over 50 samples but %.1f over 400", small, large)
+	}
+}
+
+// TestRecommendReusedFitAllocs: a Recommend that repeats the last
+// request reuses its fit, fitting nothing, and allocates no more than
+// one that fits.
+func TestRecommendReusedFitAllocs(t *testing.T) {
+	tn, req := warmRecommender(t, 400)
+	full, _ := recommendAllocs(t, tn, req, true)
+	reused, fits := recommendAllocs(t, tn, req, false)
+	if fits != 0 {
+		t.Fatalf("%d repeated requests fit the GP; none should", fits)
+	}
+	if reused > full {
+		t.Fatalf("a reused fit allocates %.1f objects, a full one %.1f", reused, full)
 	}
 }
